@@ -2,9 +2,9 @@
 //! packed-tag probe on a hit/miss mix, and the full controller access
 //! loop (probe + MSHR + fill) under every management policy.
 //!
-//! `sweep_bench` records the same per-policy access-loop numbers
-//! (best of 3) under `"l1_microbench"` in `BENCH_sweep.json`; this
-//! target is the interactive/CI view of them.
+//! The repo benchmark (`bash benchmark/run.sh`) replays each workload's
+//! own traffic through the same path (`l1.ns_per_access.{bs,gc}`); this
+//! target is the synthetic-stream, every-policy view of it.
 
 use gcache_bench::microbench::{bench, black_box, l1_access_pass_ns, L1_BENCH_POLICIES};
 use gcache_core::geometry::CacheGeometry;

@@ -12,37 +12,40 @@
 //! `--jobs N` fans the runs out over worker threads; stdout is
 //! byte-identical for every N.
 
-use gcache_bench::sweep::parallel_map;
-use gcache_bench::{bench_cli, export_telemetry, export_trace, run, speedup, Table};
+use gcache_bench::sweep::{parallel_map, run_design_points_with, DesignPoint};
+use gcache_bench::{bench_cli, export_telemetry, export_trace, run_point, speedup, RunOpts, Table};
 use gcache_core::policy::gcache::GCacheConfig;
-use gcache_sim::config::{GpuConfig, Hierarchy, L1PolicyKind, WarpSchedKind};
-use gcache_sim::gpu::Gpu;
+use gcache_sim::config::{GpuConfig, L1PolicyKind, WarpSchedKind};
 use gcache_sim::stats::SimStats;
 use gcache_workloads::Benchmark;
 
-/// One ablation run, closed over its exact configuration. Config
-/// mutations don't fit [`gcache_bench::sweep::DesignPoint`], so each grid
-/// cell is a boxed thunk fed through [`parallel_map`] directly.
-type Job<'a> = Box<dyn Fn() -> SimStats + Send + Sync + 'a>;
+/// A grid cell whose machine is not expressible as a [`DesignPoint`]: the
+/// point's configuration with one more `GpuConfig` field changed, the
+/// benchmark, and a label naming the change (checkpoint identity).
+type Cell<'a> = (GpuConfig, &'a dyn Benchmark, String);
 
-fn run_jobs(grid: Vec<Job<'_>>, jobs: usize) -> Vec<SimStats> {
-    parallel_map(&grid, jobs, |j| j())
+fn cell(point: DesignPoint<'_>) -> Cell<'_> {
+    (point.config(), point.bench, point.label(false))
+}
+
+fn tweaked<'a>(
+    point: DesignPoint<'a>,
+    tag: String,
+    tweak: impl FnOnce(&mut GpuConfig),
+) -> Cell<'a> {
+    let (mut cfg, bench, label) = cell(point);
+    tweak(&mut cfg);
+    (cfg, bench, format!("{label}|{tag}"))
+}
+
+fn run_cells(cells: &[Cell<'_>], jobs: usize, opts: &RunOpts) -> Vec<SimStats> {
+    parallel_map(cells, jobs, |(cfg, bench, label)| {
+        run_point(cfg.clone(), *bench, label, opts).0
+    })
 }
 
 fn gc(cfg: GCacheConfig) -> L1PolicyKind {
     L1PolicyKind::GCache(cfg)
-}
-
-fn run_with(
-    policy: L1PolicyKind,
-    bench: &dyn Benchmark,
-    mutate: impl FnOnce(&mut GpuConfig),
-) -> SimStats {
-    let mut cfg = GpuConfig::fermi_with_policy(policy).expect("valid config");
-    mutate(&mut cfg);
-    Gpu::new(cfg)
-        .run_kernel(bench)
-        .expect("simulation completes")
 }
 
 fn main() {
@@ -52,31 +55,28 @@ fn main() {
     }
     let benches = cli.benchmarks();
     let jobs = cli.jobs();
+    let opts = cli.run_opts();
 
     // --- TH_hot sweep -----------------------------------------------------
     eprintln!(
         "[ablation/th_hot] {} runs on {jobs} jobs ...",
         benches.len() * 5
     );
-    let grid: Vec<Job<'_>> = benches
+    let grid: Vec<DesignPoint<'_>> = benches
         .iter()
         .flat_map(|b| {
-            std::iter::once(
-                Box::new(|| run(L1PolicyKind::Lru, b.as_ref(), None, Hierarchy::Flat)) as Job<'_>,
-            )
-            .chain([1u8, 2, 3, 4].into_iter().map(move |t| {
-                Box::new(move || {
-                    let cfg = GCacheConfig {
+            std::iter::once(L1PolicyKind::Lru)
+                .chain([1u8, 2, 3, 4].into_iter().map(|t| {
+                    gc(GCacheConfig {
                         th_hot: t,
                         th_hot_victim: 1,
                         ..GCacheConfig::default()
-                    };
-                    run(gc(cfg), b.as_ref(), None, Hierarchy::Flat)
-                }) as Job<'_>
-            }))
+                    })
+                }))
+                .map(move |policy| DesignPoint::flat(b.as_ref(), policy))
         })
         .collect();
-    let mut results = run_jobs(grid, jobs).into_iter();
+    let mut results = run_design_points_with(&grid, jobs, &opts).into_iter();
     let mut th = Table::new(&["Bench", "TH=1", "TH=2 (paper)", "TH=3", "TH=4"]);
     for b in &benches {
         let base = results.next().expect("baseline present");
@@ -94,24 +94,20 @@ fn main() {
         "[ablation/aging] {} runs on {jobs} jobs ...",
         benches.len() * 5
     );
-    let grid: Vec<Job<'_>> = benches
+    let grid: Vec<DesignPoint<'_>> = benches
         .iter()
         .flat_map(|b| {
-            std::iter::once(
-                Box::new(|| run(L1PolicyKind::Lru, b.as_ref(), None, Hierarchy::Flat)) as Job<'_>,
-            )
-            .chain([1u32, 2, 4, 8].into_iter().map(move |m| {
-                Box::new(move || {
-                    let cfg = GCacheConfig {
+            std::iter::once(L1PolicyKind::Lru)
+                .chain([1u32, 2, 4, 8].into_iter().map(|m| {
+                    gc(GCacheConfig {
                         aging_period: m,
                         ..GCacheConfig::default()
-                    };
-                    run(gc(cfg), b.as_ref(), None, Hierarchy::Flat)
-                }) as Job<'_>
-            }))
+                    })
+                }))
+                .map(move |policy| DesignPoint::flat(b.as_ref(), policy))
         })
         .collect();
-    let mut results = run_jobs(grid, jobs).into_iter();
+    let mut results = run_design_points_with(&grid, jobs, &opts).into_iter();
     let mut aging = Table::new(&["Bench", "M=1 (paper)", "M=2", "M=4", "M=8"]);
     for b in &benches {
         let base = results.next().expect("baseline present");
@@ -129,22 +125,18 @@ fn main() {
         "[ablation/share] {} runs on {jobs} jobs ...",
         benches.len() * 4
     );
-    let grid: Vec<Job<'_>> = benches
+    let grid: Vec<Cell<'_>> = benches
         .iter()
         .flat_map(|b| {
-            std::iter::once(
-                Box::new(|| run(L1PolicyKind::Lru, b.as_ref(), None, Hierarchy::Flat)) as Job<'_>,
+            let gc_point = DesignPoint::flat(b.as_ref(), gc(GCacheConfig::default()));
+            std::iter::once(cell(DesignPoint::flat(b.as_ref(), L1PolicyKind::Lru))).chain(
+                [1usize, 4, 16].into_iter().map(move |s_v| {
+                    tweaked(gc_point, format!("S_v={s_v}"), |c| c.victim_bit_share = s_v)
+                }),
             )
-            .chain([1usize, 4, 16].into_iter().map(move |s_v| {
-                Box::new(move || {
-                    run_with(gc(GCacheConfig::default()), b.as_ref(), |c| {
-                        c.victim_bit_share = s_v;
-                    })
-                }) as Job<'_>
-            }))
         })
         .collect();
-    let mut results = run_jobs(grid, jobs).into_iter();
+    let mut results = run_cells(&grid, jobs, &opts).into_iter();
     let mut share = Table::new(&["Bench", "S_v=1 (paper)", "S_v=4", "S_v=16 (1 bit)"]);
     for b in &benches {
         let base = results.next().expect("baseline present");
@@ -162,22 +154,18 @@ fn main() {
         "[ablation/epoch] {} runs on {jobs} jobs ...",
         benches.len() * 5
     );
-    let grid: Vec<Job<'_>> = benches
+    let grid: Vec<Cell<'_>> = benches
         .iter()
         .flat_map(|b| {
-            std::iter::once(
-                Box::new(|| run(L1PolicyKind::Lru, b.as_ref(), None, Hierarchy::Flat)) as Job<'_>,
+            let gc_point = DesignPoint::flat(b.as_ref(), gc(GCacheConfig::default()));
+            std::iter::once(cell(DesignPoint::flat(b.as_ref(), L1PolicyKind::Lru))).chain(
+                [256u64, 512, 2048, 0]
+                    .into_iter()
+                    .map(move |e| tweaked(gc_point, format!("epoch={e}"), |c| c.l1_epoch_len = e)),
             )
-            .chain([256u64, 512, 2048, 0].into_iter().map(move |e| {
-                Box::new(move || {
-                    run_with(gc(GCacheConfig::default()), b.as_ref(), |c| {
-                        c.l1_epoch_len = e
-                    })
-                }) as Job<'_>
-            }))
         })
         .collect();
-    let mut results = run_jobs(grid, jobs).into_iter();
+    let mut results = run_cells(&grid, jobs, &opts).into_iter();
     let mut epoch = Table::new(&["Bench", "256", "512 (default)", "2048", "off"]);
     for b in &benches {
         let base = results.next().expect("baseline present");
@@ -195,33 +183,21 @@ fn main() {
         "[ablation/sched] {} runs on {jobs} jobs ...",
         benches.len() * 4
     );
-    let grid: Vec<Job<'_>> = benches
+    let grid: Vec<Cell<'_>> = benches
         .iter()
         .flat_map(|b| {
+            let bs = DesignPoint::flat(b.as_ref(), L1PolicyKind::Lru);
+            let gc_point = DesignPoint::flat(b.as_ref(), gc(GCacheConfig::default()));
+            let gto = |c: &mut GpuConfig| c.warp_sched = WarpSchedKind::Gto;
             [
-                Box::new(|| run(L1PolicyKind::Lru, b.as_ref(), None, Hierarchy::Flat)) as Job<'_>,
-                Box::new(|| {
-                    run(
-                        gc(GCacheConfig::default()),
-                        b.as_ref(),
-                        None,
-                        Hierarchy::Flat,
-                    )
-                }) as Job<'_>,
-                Box::new(|| {
-                    run_with(L1PolicyKind::Lru, b.as_ref(), |c| {
-                        c.warp_sched = WarpSchedKind::Gto
-                    })
-                }) as Job<'_>,
-                Box::new(|| {
-                    run_with(gc(GCacheConfig::default()), b.as_ref(), |c| {
-                        c.warp_sched = WarpSchedKind::Gto;
-                    })
-                }) as Job<'_>,
+                cell(bs),
+                cell(gc_point),
+                tweaked(bs, "sched=Gto".into(), gto),
+                tweaked(gc_point, "sched=Gto".into(), gto),
             ]
         })
         .collect();
-    let mut results = run_jobs(grid, jobs).into_iter();
+    let mut results = run_cells(&grid, jobs, &opts).into_iter();
     let mut sched = Table::new(&["Bench", "LRR BS", "LRR GC", "GTO BS", "GTO GC"]);
     for b in &benches {
         let lrr_bs = results.next().expect("LRR BS present");

@@ -8,13 +8,15 @@
 //!
 //! Run with `cargo run --release -p gcache-bench --bin energy`.
 
-use gcache_bench::{bench_cli, export_telemetry, export_trace, run, Table};
+use gcache_bench::sweep::DesignPoint;
+use gcache_bench::{bench_cli, export_telemetry, export_trace, Table};
 use gcache_core::policy::gcache::GCacheConfig;
-use gcache_sim::config::{Hierarchy, L1PolicyKind};
+use gcache_sim::config::L1PolicyKind;
 use gcache_sim::energy::EnergyModel;
 
 fn main() {
     let cli = bench_cli();
+    let opts = cli.run_opts();
     let model = EnergyModel::default();
     let mut t = Table::new(&[
         "Bench",
@@ -27,13 +29,9 @@ fn main() {
     for b in cli.benchmarks() {
         let info = b.info();
         eprintln!("[energy] running {} ...", info.name);
-        let bs = run(L1PolicyKind::Lru, b.as_ref(), None, Hierarchy::Flat);
-        let gc = run(
-            L1PolicyKind::GCache(GCacheConfig::default()),
-            b.as_ref(),
-            None,
-            Hierarchy::Flat,
-        );
+        let run = |policy| DesignPoint::flat(b.as_ref(), policy).run(&opts).0;
+        let bs = run(L1PolicyKind::Lru);
+        let gc = run(L1PolicyKind::GCache(GCacheConfig::default()));
         let flits = |s: &gcache_sim::stats::SimStats| s.noc_req.flits + s.noc_resp.flits;
         let dram = |s: &gcache_sim::stats::SimStats| s.dram.reads + s.dram.writes;
         t.row(vec![

@@ -6,13 +6,12 @@
 //! `--jobs N` fans the runs out over worker threads; stdout is
 //! byte-identical for every N.
 
-use gcache_bench::sweep::{run_design_points, DesignPoint};
+use gcache_bench::sweep::{run_design_points_with, DesignPoint};
 use gcache_bench::{
-    bench_cli, export_telemetry, export_trace, select_optimal_pd, speedup, PolicyPlanes, Table,
-    PD_CANDIDATES,
+    bench_cli, export_telemetry, export_trace, select_optimal_pd, speedup, Table, PD_CANDIDATES,
 };
 use gcache_core::policy::gcache::GCacheConfig;
-use gcache_sim::config::{Hierarchy, L1PolicyKind};
+use gcache_sim::config::L1PolicyKind;
 use gcache_sim::stats::geomean;
 use gcache_workloads::Category;
 
@@ -28,34 +27,23 @@ fn main() {
     let grid: Vec<DesignPoint<'_>> = benches
         .iter()
         .flat_map(|b| {
-            std::iter::once(DesignPoint {
-                bench: b.as_ref(),
-                policy: L1PolicyKind::Lru,
-                l1_kb: Some(L1_KB),
-                hierarchy: Hierarchy::Flat,
-                cluster_ports: 1,
-                planes: PolicyPlanes::default(),
-            })
-            .chain(PD_CANDIDATES.iter().map(|&pd| DesignPoint {
-                bench: b.as_ref(),
-                policy: L1PolicyKind::StaticPdp { pd },
-                l1_kb: Some(L1_KB),
-                hierarchy: Hierarchy::Flat,
-                cluster_ports: 1,
-                planes: PolicyPlanes::default(),
-            }))
-            .chain(std::iter::once(DesignPoint {
-                bench: b.as_ref(),
-                policy: L1PolicyKind::GCache(GCacheConfig::default()),
-                l1_kb: Some(L1_KB),
-                hierarchy: Hierarchy::Flat,
-                cluster_ports: 1,
-                planes: PolicyPlanes::default(),
-            }))
+            std::iter::once(L1PolicyKind::Lru)
+                .chain(
+                    PD_CANDIDATES
+                        .iter()
+                        .map(|&pd| L1PolicyKind::StaticPdp { pd }),
+                )
+                .chain(std::iter::once(L1PolicyKind::GCache(
+                    GCacheConfig::default(),
+                )))
+                .map(|policy| DesignPoint {
+                    l1_kb: Some(L1_KB),
+                    ..DesignPoint::flat(b.as_ref(), policy)
+                })
         })
         .collect();
     eprintln!("[fig10] {} runs on {jobs} jobs ...", grid.len());
-    let mut results = run_design_points(&grid, jobs).into_iter();
+    let mut results = run_design_points_with(&grid, jobs, &cli.run_opts()).into_iter();
 
     let mut t = Table::new(&["Bench", "Cat", "SPDP-B", "GC"]);
     let mut spdp_s = Vec::new();

@@ -5,16 +5,18 @@
 //!
 //! Run with `cargo run --release -p gcache-bench --bin fig2`.
 
-use gcache_bench::{bench_cli, export_telemetry, export_trace, pct, run, Table};
-use gcache_sim::config::{Hierarchy, L1PolicyKind};
+use gcache_bench::sweep::DesignPoint;
+use gcache_bench::{bench_cli, export_telemetry, export_trace, pct, Table};
+use gcache_sim::config::L1PolicyKind;
 
 fn main() {
     let cli = bench_cli();
+    let opts = cli.run_opts();
     let mut t = Table::new(&["Bench", "0", "1", "2", "3-7", ">=8"]);
     for b in cli.benchmarks() {
         let info = b.info();
         eprintln!("[fig2] running {} ...", info.name);
-        let stats = run(L1PolicyKind::Lru, b.as_ref(), None, Hierarchy::Flat);
+        let (stats, _) = DesignPoint::flat(b.as_ref(), L1PolicyKind::Lru).run(&opts);
         let h = &stats.l1.reuse;
         t.row(vec![
             info.name.to_string(),

@@ -5,16 +5,19 @@
 //! `--all` includes every benchmark (the paper plots only the sensitive
 //! ones).
 //!
-//! Every run goes through the telemetry [`Sampler`] (via `run_sampled`),
+//! Every run goes through the telemetry [`Sampler`] (`RunOpts::sampled`),
 //! so `--telemetry PATH` exports the per-interval series of each
 //! (benchmark, L1 size) point for free; the figures themselves are
 //! derived from the same `SimStats` as before, byte-identically
 //! (`scripts/check.sh` diffs the quick output against a golden).
+//! `--jobs N` fans the runs out over worker threads; stdout and the
+//! telemetry file are byte-identical for every N.
 //!
 //! [`Sampler`]: gcache_sim::telemetry::Sampler
 
-use gcache_bench::{bench_cli_with_switches, pct, run_sampled, speedup, Table, TelemetrySeries};
-use gcache_sim::config::{Hierarchy, L1PolicyKind};
+use gcache_bench::sweep::{parallel_map, DesignPoint};
+use gcache_bench::{bench_cli_with_switches, pct, speedup, RunOpts, Table, TelemetrySeries};
+use gcache_sim::config::L1PolicyKind;
 use gcache_workloads::Category;
 
 const SIZES_KB: [u64; 4] = [16, 32, 64, 128];
@@ -27,6 +30,23 @@ fn main() {
         .into_iter()
         .filter(|b| all || b.info().category == Category::Sensitive || !cli.only.is_empty())
         .collect();
+    let jobs = cli.jobs();
+
+    let grid: Vec<DesignPoint<'_>> = benches
+        .iter()
+        .flat_map(|b| {
+            SIZES_KB.map(|kb| DesignPoint {
+                l1_kb: Some(kb),
+                ..DesignPoint::flat(b.as_ref(), L1PolicyKind::Lru)
+            })
+        })
+        .collect();
+    eprintln!("[fig3/4] {} runs on {jobs} jobs ...", grid.len());
+    let opts = RunOpts {
+        sampled: true,
+        ..cli.run_opts()
+    };
+    let mut results = parallel_map(&grid, jobs, |p| p.run(&opts)).into_iter();
 
     let headers = ["Bench", "16KB", "32KB", "64KB", "128KB"];
     let mut fig3 = Table::new(&headers);
@@ -35,15 +55,12 @@ fn main() {
 
     for b in &benches {
         let info = b.info();
-        eprintln!("[fig3/4] running {} ...", info.name);
         let runs: Vec<_> = SIZES_KB
             .iter()
-            .map(|&kb| {
-                let (stats, sampler) =
-                    run_sampled(L1PolicyKind::Lru, b.as_ref(), Some(kb), Hierarchy::Flat);
-                if cli.telemetry.is_some() {
-                    series.push((format!("{}@{kb}KB", info.name), stats.design, sampler));
-                }
+            .zip(results.by_ref())
+            .map(|(kb, (stats, sampler))| {
+                let sampler = sampler.expect("a sampled run returns its series");
+                series.push((format!("{}@{kb}KB", info.name), stats.design, sampler));
                 stats
             })
             .collect();

@@ -6,12 +6,12 @@
 //! `--jobs N` fans the runs out over worker threads; stdout is
 //! byte-identical for every N.
 
-use gcache_bench::sweep::{run_design_points, DesignPoint};
+use gcache_bench::sweep::{run_design_points_with, DesignPoint};
 use gcache_bench::{
-    bench_cli, designs, export_telemetry, export_trace, pct, select_optimal_pd, speedup,
-    PolicyPlanes, Table, PD_CANDIDATES,
+    bench_cli, designs, export_telemetry, export_trace, pct, select_optimal_pd, speedup, Table,
+    PD_CANDIDATES,
 };
-use gcache_sim::config::{Hierarchy, L1PolicyKind};
+use gcache_sim::config::L1PolicyKind;
 use gcache_sim::stats::geomean;
 use gcache_workloads::Category;
 
@@ -19,27 +19,23 @@ fn main() {
     let cli = bench_cli();
     let benches = cli.benchmarks();
     let jobs = cli.jobs();
+    let opts = cli.run_opts();
 
     // Phase 1: the SPDP-B oracle — every benchmark × candidate PD as one
     // flat grid, reduced per benchmark afterwards.
     let pd_grid: Vec<DesignPoint<'_>> = benches
         .iter()
         .flat_map(|b| {
-            PD_CANDIDATES.iter().map(|&pd| DesignPoint {
-                bench: b.as_ref(),
-                policy: L1PolicyKind::StaticPdp { pd },
-                l1_kb: None,
-                hierarchy: Hierarchy::Flat,
-                cluster_ports: 1,
-                planes: PolicyPlanes::default(),
-            })
+            PD_CANDIDATES
+                .iter()
+                .map(|&pd| DesignPoint::flat(b.as_ref(), L1PolicyKind::StaticPdp { pd }))
         })
         .collect();
     eprintln!(
         "[fig8] SPDP-B sweep: {} runs on {jobs} jobs ...",
         pd_grid.len()
     );
-    let mut pd_stats = run_design_points(&pd_grid, jobs).into_iter();
+    let mut pd_stats = run_design_points_with(&pd_grid, jobs, &opts).into_iter();
     let best_pds: Vec<u16> = benches
         .iter()
         .map(|_| {
@@ -53,14 +49,9 @@ fn main() {
         .iter()
         .zip(&best_pds)
         .flat_map(|(b, &pd)| {
-            designs(pd).into_iter().map(|policy| DesignPoint {
-                bench: b.as_ref(),
-                policy,
-                l1_kb: None,
-                hierarchy: Hierarchy::Flat,
-                cluster_ports: 1,
-                planes: PolicyPlanes::default(),
-            })
+            designs(pd)
+                .into_iter()
+                .map(|policy| DesignPoint::flat(b.as_ref(), policy))
         })
         .collect();
     eprintln!(
@@ -68,7 +59,7 @@ fn main() {
         design_grid.len()
     );
     let per_design = designs(0).len();
-    let mut all = run_design_points(&design_grid, jobs).into_iter();
+    let mut all = run_design_points_with(&design_grid, jobs, &opts).into_iter();
 
     let design_names = ["BS", "BS-S", "PDP-3", "PDP-8", "SPDP-B", "GC"];
     let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); design_names.len()];

@@ -21,8 +21,8 @@
 //! `--cluster-ports 1,2,4` the swept port counts, `--jobs N` fans the
 //! grid out over worker threads; stdout is byte-identical for every N.
 
-use gcache_bench::sweep::{run_design_points, DesignPoint};
-use gcache_bench::{bench_cli, export_telemetry, export_trace, pct, speedup, PolicyPlanes, Table};
+use gcache_bench::sweep::{run_design_points_with, DesignPoint};
+use gcache_bench::{bench_cli, export_telemetry, export_trace, pct, speedup, Table};
 use gcache_core::policy::gcache::GCacheConfig;
 use gcache_sim::config::{Hierarchy, L1PolicyKind};
 use gcache_sim::stats::{geomean, SimStats};
@@ -107,18 +107,15 @@ fn main() {
         .flat_map(|b| {
             combos.iter().flat_map(move |&(hierarchy, cluster_ports)| {
                 policies().into_iter().map(move |policy| DesignPoint {
-                    bench: b.as_ref(),
-                    policy,
-                    l1_kb: None,
                     hierarchy,
                     cluster_ports,
-                    planes: PolicyPlanes::default(),
+                    ..DesignPoint::flat(b.as_ref(), policy)
                 })
             })
         })
         .collect();
     eprintln!("[hierarchy] grid: {} runs on {jobs} jobs ...", grid.len());
-    let all = run_design_points(&grid, jobs);
+    let all = run_design_points_with(&grid, jobs, &cli.run_opts());
 
     let per_bench = combos.len() * policies().len();
     for (ci, &(shape, nports)) in combos.iter().enumerate() {

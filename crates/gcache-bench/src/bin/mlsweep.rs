@@ -14,13 +14,12 @@
 //! byte-identical for every N) and `--telemetry PATH` re-runs the grid
 //! with the per-epoch sampler attached and writes the combined series.
 
-use gcache_bench::sweep::{run_design_points, DesignPoint};
+use gcache_bench::sweep::{parallel_map, run_design_points_with, DesignPoint};
 use gcache_bench::{
-    bench_cli, pct, run_sampled_with_planes, speedup, write_telemetry_series, PolicyPlanes, Table,
-    TelemetrySeries,
+    bench_cli, pct, speedup, write_telemetry_series, PolicyPlanes, RunOpts, Table, TelemetrySeries,
 };
 use gcache_core::policy::gcache::GCacheConfig;
-use gcache_sim::config::{Hierarchy, L1PolicyKind};
+use gcache_sim::config::L1PolicyKind;
 use gcache_workloads::{ml_registry, Benchmark};
 
 /// The swept plane compositions, in presentation order.
@@ -46,24 +45,20 @@ fn main() {
         .filter(|b| cli.only.is_empty() || cli.only.iter().any(|n| n == b.info().name))
         .collect();
     let jobs = cli.jobs();
-    let policy = || L1PolicyKind::GCache(GCacheConfig::default());
+    let opts = cli.run_opts();
 
     let combos = compositions();
     let grid: Vec<DesignPoint<'_>> = benches
         .iter()
         .flat_map(|b| {
             combos.iter().map(move |&(_, planes)| DesignPoint {
-                bench: b.as_ref(),
-                policy: policy(),
-                l1_kb: None,
-                hierarchy: Hierarchy::Flat,
-                cluster_ports: 1,
                 planes,
+                ..DesignPoint::flat(b.as_ref(), L1PolicyKind::GCache(GCacheConfig::default()))
             })
         })
         .collect();
     eprintln!("[mlsweep] {} runs on {jobs} jobs ...", grid.len());
-    let mut results = run_design_points(&grid, jobs).into_iter();
+    let mut results = run_design_points_with(&grid, jobs, &opts).into_iter();
 
     let mut t = Table::new(&[
         "Bench",
@@ -94,19 +89,19 @@ fn main() {
     println!("{}", t.render());
 
     if let Some(path) = &cli.telemetry {
-        let series: Vec<TelemetrySeries> = benches
+        // The same grid once more, this time through the sampler.
+        let sampled = RunOpts {
+            sampled: true,
+            ..opts
+        };
+        let labels = benches
             .iter()
-            .flat_map(|b| {
-                combos.iter().map(|&(name, planes)| {
-                    let (_, sampler) = run_sampled_with_planes(
-                        policy(),
-                        b.as_ref(),
-                        None,
-                        Hierarchy::Flat,
-                        planes,
-                    );
-                    (b.info().name.to_string(), name, sampler)
-                })
+            .flat_map(|b| combos.iter().map(move |&(name, _)| (b.info().name, name)));
+        let series: Vec<TelemetrySeries> = labels
+            .zip(parallel_map(&grid, jobs, |p| p.run(&sampled)))
+            .map(|((bench, name), (_, sampler))| {
+                let sampler = sampler.expect("a sampled run returns its series");
+                (bench.to_string(), name, sampler)
             })
             .collect();
         write_telemetry_series(path, &series);

@@ -24,10 +24,10 @@
 
 pub mod microbench;
 pub mod obs;
-pub mod regress;
 pub mod server;
 pub mod sweep;
 
+use crate::sweep::{parallel_map, DesignPoint};
 use gcache_core::cache::{BypassPlane, CopyBackPlane};
 use gcache_core::policy::gcache::GCacheConfig;
 use gcache_core::policy::pdp_dyn::DynamicPdpConfig;
@@ -41,51 +41,13 @@ use gcache_sim::telemetry::{Profile, Sample, Sampler};
 use gcache_workloads::{Benchmark, Scale};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-
-/// Process-wide fast-forward switch (default on), so every [`run`] call in
-/// a binary honours a single `--no-fast-forward` on its command line
-/// without threading a flag through the sweep plumbing. Stats are
-/// bit-identical either way — the flag exists for cross-checking and for
-/// profiling the plain cycle loop.
-static FAST_FORWARD: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables idle-cycle fast-forward for subsequent [`run`]s.
-pub fn set_fast_forward(on: bool) {
-    FAST_FORWARD.store(on, Ordering::Relaxed);
-}
-
-/// Whether [`run`] will simulate with idle-cycle fast-forward.
-pub fn fast_forward_enabled() -> bool {
-    FAST_FORWARD.load(Ordering::Relaxed)
-}
-
-/// Process-wide batched-decode switch for the coalesce→L1 pipeline
-/// (default on), mirroring the fast-forward switch: `--no-ldst-batch`
-/// makes every [`run`] present L1 accesses through the per-access decode
-/// path instead. Stats are bit-identical either way — the flag exists for
-/// the A/B cross-check gate in `scripts/check.sh`.
-static LDST_BATCH: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables batched coalescer set/tag decode for subsequent
-/// [`run`]s.
-pub fn set_ldst_batch(on: bool) {
-    LDST_BATCH.store(on, Ordering::Relaxed);
-}
-
-/// Whether [`run`] will simulate with batched coalescer decode.
-pub fn ldst_batch_enabled() -> bool {
-    LDST_BATCH.load(Ordering::Relaxed)
-}
 
 /// Checkpoint interval in cycles when `--checkpoint` is given without
 /// `--checkpoint-every`.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 65_536;
 
-/// Process-wide checkpoint/resume options (set once at startup, like the
-/// fast-forward switch), honoured by every [`run`]-family simulation.
-#[derive(Clone, Debug, Default)]
+/// Checkpoint/resume options of a run.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CheckpointOpts {
     /// Stem from `--checkpoint PATH`: each grid point checkpoints to
     /// `PATH.<label-hash>.ckpt` (distinct files, so parallel sweep workers
@@ -98,17 +60,32 @@ pub struct CheckpointOpts {
     pub resume: Option<String>,
 }
 
-static CHECKPOINT: OnceLock<CheckpointOpts> = OnceLock::new();
-
-/// Installs the process-wide checkpoint/resume options. Only the first
-/// call takes effect (the options mirror one process's command line).
-pub fn set_checkpoint_opts(opts: CheckpointOpts) {
-    let _ = CHECKPOINT.set(opts);
+/// How to simulate a design point, as opposed to which one
+/// ([`sweep::DesignPoint`]): every setting a run honours, passed
+/// explicitly to [`run_point`] — no run reads hidden process state, so
+/// differently configured runs can share a process.
+/// [`Cli::run_opts`] builds it once from the command line.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RunOpts {
+    /// Skip provably idle cycles (`false` = `--no-fast-forward`, the
+    /// plain cycle loop; stats are bit-identical either way).
+    pub fast_forward: bool,
+    /// Checkpoint/resume through labelled per-point files.
+    pub checkpoint: Option<CheckpointOpts>,
+    /// Attach a per-epoch telemetry [`Sampler`] and return its series.
+    /// Sampling is passive: the stats are bit-identical either way (the
+    /// `telemetry_off_identical` integration test enforces it).
+    pub sampled: bool,
 }
 
-/// The installed checkpoint/resume options, if any.
-pub fn checkpoint_opts() -> Option<&'static CheckpointOpts> {
-    CHECKPOINT.get()
+impl Default for RunOpts {
+    fn default() -> Self {
+        RunOpts {
+            fast_forward: true,
+            checkpoint: None,
+            sampled: false,
+        }
+    }
 }
 
 /// Candidate protection distances swept to find SPDP-B's per-benchmark
@@ -119,9 +96,8 @@ pub const PD_CANDIDATES: &[u16] = &[2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96];
 pub const USAGE: &str = "\
 usage: <experiment> [--quick] [--bench NAME[,NAME...]] [--jobs N]
                     [--hierarchy SHAPE[,SHAPE...]] [--cluster-ports N[,N...]]
-                    [--no-fast-forward] [--no-ldst-batch] [--telemetry PATH]
-                    [--trace-out PATH] [--profile] [--checkpoint PATH]
-                    [--checkpoint-every N] [--resume PATH]
+                    [--no-fast-forward] [--telemetry PATH] [--trace-out PATH]
+                    [--checkpoint PATH] [--checkpoint-every N] [--resume PATH]
 
   --quick        use shrunk workloads (smoke-test scale)
   --bench NAMES  restrict to these benchmarks (paper abbreviations)
@@ -141,10 +117,6 @@ usage: <experiment> [--quick] [--bench NAME[,NAME...]] [--jobs N]
   --no-fast-forward
                  tick every cycle instead of skipping provably idle
                  ones; slower, bit-identical output (cross-checking)
-  --no-ldst-batch
-                 decode each L1 access's set/tag at presentation time
-                 instead of batching the decode per coalesced warp
-                 group; slower, bit-identical output (cross-checking)
   --telemetry PATH
                  additionally run the selected benchmarks under the GC
                  design with the per-epoch time-series sampler attached
@@ -160,9 +132,6 @@ usage: <experiment> [--quick] [--bench NAME[,NAME...]] [--jobs N]
                  instance gets its own track, and G-Cache switch flips
                  appear as instant events. The experiment's own stdout
                  stays byte-identical
-  --profile      time the simulator itself (per-component wall clock,
-                 fast-forward effectiveness); reported by sweep_bench
-                 and recorded into BENCH_sweep.json
   --checkpoint PATH
                  periodically snapshot each in-flight simulation to
                  PATH.<point-hash>.ckpt (atomic write; file removed when
@@ -193,16 +162,11 @@ pub struct Cli {
     pub cluster_ports: Vec<usize>,
     /// Tick every cycle instead of fast-forwarding over idle ones.
     pub no_fast_forward: bool,
-    /// Decode set/tag per presented L1 access instead of per coalesced
-    /// group (`--no-ldst-batch`).
-    pub no_ldst_batch: bool,
     /// Write a per-epoch telemetry time series here (`--telemetry`);
     /// CSV unless the path ends in `.json`.
     pub telemetry: Option<String>,
     /// Write a Chrome `trace_event` timeline here (`--trace-out`).
     pub trace_out: Option<String>,
-    /// Self-profile the simulator (`--profile`).
-    pub profile: bool,
     /// Checkpoint file stem (`--checkpoint`).
     pub checkpoint: Option<String>,
     /// Checkpoint cadence in cycles (`--checkpoint-every`).
@@ -261,20 +225,10 @@ impl Cli {
     /// Parses `std::env::args()`-style arguments, exiting with the usage
     /// message on any error (unknown flag, missing or malformed value).
     pub fn parse(args: impl Iterator<Item = String>) -> Cli {
-        let cli = Cli::try_parse(args).unwrap_or_else(|e| {
+        Cli::try_parse(args).unwrap_or_else(|e| {
             eprintln!("error: {e}\n\n{USAGE}");
             std::process::exit(2);
-        });
-        set_fast_forward(!cli.no_fast_forward);
-        set_ldst_batch(!cli.no_ldst_batch);
-        if cli.checkpoint.is_some() || cli.resume.is_some() {
-            set_checkpoint_opts(CheckpointOpts {
-                write: cli.checkpoint.clone(),
-                every: cli.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY),
-                resume: cli.resume.clone(),
-            });
-        }
-        cli
+        })
     }
 
     /// Fallible flavour of [`Cli::parse`]: returns a description of the
@@ -322,7 +276,6 @@ impl Cli {
                         .collect::<Result<_, _>>()?;
                 }
                 "--no-fast-forward" => cli.no_fast_forward = true,
-                "--no-ldst-batch" => cli.no_ldst_batch = true,
                 "--telemetry" => {
                     let path = args.next().ok_or("--telemetry requires a value")?;
                     ensure_parent_dir("--telemetry", &path)?;
@@ -333,7 +286,6 @@ impl Cli {
                     ensure_parent_dir("--trace-out", &path)?;
                     cli.trace_out = Some(path);
                 }
-                "--profile" => cli.profile = true,
                 "--checkpoint" => {
                     let path = args.next().ok_or("--checkpoint requires a value")?;
                     ensure_parent_dir("--checkpoint", &path)?;
@@ -390,6 +342,23 @@ impl Cli {
             }
         }
         host
+    }
+
+    /// How this command line wants its design points simulated
+    /// (`--no-fast-forward`, `--checkpoint`, `--checkpoint-every`,
+    /// `--resume`), unsampled.
+    pub fn run_opts(&self) -> RunOpts {
+        let checkpoint =
+            (self.checkpoint.is_some() || self.resume.is_some()).then(|| CheckpointOpts {
+                write: self.checkpoint.clone(),
+                every: self.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY),
+                resume: self.resume.clone(),
+            });
+        RunOpts {
+            fast_forward: !self.no_fast_forward,
+            checkpoint,
+            sampled: false,
+        }
     }
 
     /// The workload scale implied by the flags.
@@ -506,133 +475,6 @@ impl PolicyPlanes {
     }
 }
 
-/// Runs one benchmark under one L1 policy on the Table 2 machine,
-/// optionally overriding the L1 capacity (KB) and the memory-hierarchy
-/// shape (`Hierarchy::Flat` = the paper's machine).
-///
-/// # Panics
-///
-/// Panics if the simulation fails (cycle limit / deadlock) — experiment
-/// configurations are expected to complete — or if `hierarchy` does not
-/// fit the machine (pre-validate shapes with [`parse_hierarchy`]).
-pub fn run(
-    policy: L1PolicyKind,
-    bench: &dyn Benchmark,
-    l1_kb: Option<u64>,
-    hierarchy: Hierarchy,
-) -> SimStats {
-    run_with_ports(policy, bench, l1_kb, hierarchy, 1)
-}
-
-/// Like [`run`], additionally setting the cluster-crossbar port count
-/// (`1` = the legacy single-injection-port mesh node; only meaningful on
-/// clustered hierarchies).
-///
-/// # Panics
-///
-/// Same conditions as [`run`], plus `cluster_ports == 0`.
-pub fn run_with_ports(
-    policy: L1PolicyKind,
-    bench: &dyn Benchmark,
-    l1_kb: Option<u64>,
-    hierarchy: Hierarchy,
-    cluster_ports: usize,
-) -> SimStats {
-    run_with_planes(
-        policy,
-        bench,
-        l1_kb,
-        hierarchy,
-        cluster_ports,
-        PolicyPlanes::default(),
-    )
-}
-
-/// Like [`run_with_ports`], additionally composing the orthogonal L1
-/// policy planes (fill-time bypass, eviction-time clean copy-back) around
-/// the replacement policy. [`PolicyPlanes::default`] reproduces the
-/// single-plane behaviour bit-identically.
-///
-/// # Panics
-///
-/// Same conditions as [`run_with_ports`].
-pub fn run_with_planes(
-    policy: L1PolicyKind,
-    bench: &dyn Benchmark,
-    l1_kb: Option<u64>,
-    hierarchy: Hierarchy,
-    cluster_ports: usize,
-    planes: PolicyPlanes,
-) -> SimStats {
-    let cfg = point_config(policy, l1_kb, hierarchy, cluster_ports, planes);
-    let label = point_label(
-        &policy,
-        bench,
-        l1_kb,
-        hierarchy,
-        cluster_ports,
-        planes,
-        /* sampled = */ false,
-    );
-    let (stats, _) = run_gpu(cfg, bench, false, &label);
-    stats
-}
-
-/// The machine configuration for one grid point — the single place the
-/// run helpers and the sweep server turn a `(policy, L1 size, hierarchy,
-/// ports, planes)` tuple into a validated [`GpuConfig`].
-///
-/// # Panics
-///
-/// Panics on an invalid L1 size, hierarchy, or port count — grid axes are
-/// expected to be pre-validated at the command line.
-pub(crate) fn point_config(
-    policy: L1PolicyKind,
-    l1_kb: Option<u64>,
-    hierarchy: Hierarchy,
-    cluster_ports: usize,
-    planes: PolicyPlanes,
-) -> GpuConfig {
-    let mut cfg = GpuConfig::fermi_with_policy(policy).expect("valid config");
-    if let Some(kb) = l1_kb {
-        cfg = cfg.with_l1_kb(kb).expect("valid L1 size");
-    }
-    cfg = cfg
-        .with_hierarchy(hierarchy)
-        .unwrap_or_else(|e| panic!("invalid hierarchy {hierarchy:?}: {e}"));
-    cfg = cfg
-        .with_cluster_ports(cluster_ports)
-        .expect("positive cluster port count");
-    cfg = cfg
-        .with_l1_bypass(planes.l1_bypass)
-        .with_l1_copy_back(planes.l1_copy_back);
-    cfg.fast_forward = fast_forward_enabled();
-    cfg.ldst_batch = ldst_batch_enabled();
-    cfg
-}
-
-/// A stable identity for one grid point, embedded in (and hashed into the
-/// filename of) its checkpoint so `--resume` can never cross wires
-/// between points — not even between the sampled and unsampled runs of
-/// the same configuration, whose machine states coincide but whose
-/// telemetry does not.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn point_label(
-    policy: &L1PolicyKind,
-    bench: &dyn Benchmark,
-    l1_kb: Option<u64>,
-    hierarchy: Hierarchy,
-    cluster_ports: usize,
-    planes: PolicyPlanes,
-    sampled: bool,
-) -> String {
-    format!(
-        "{}|{policy:?}|kb={l1_kb:?}|{hierarchy:?}|ports={cluster_ports}|planes={}|sampled={sampled}",
-        bench.info().name,
-        planes.label()
-    )
-}
-
 /// The checkpoint file for one labelled grid point under a `--checkpoint`
 /// / `--resume` stem.
 fn checkpoint_file(stem: &str, label: &str) -> PathBuf {
@@ -646,11 +488,7 @@ fn checkpoint_file(stem: &str, label: &str) -> PathBuf {
 /// sweep-server worker and its respawned replacement may both checkpoint
 /// the same point, and distinct temp files keep those writes from tearing
 /// each other (the rename itself is atomic either way).
-pub(crate) fn write_labelled_checkpoint(
-    path: &Path,
-    label: &str,
-    snapshot: &[u8],
-) -> std::io::Result<()> {
+fn write_labelled_checkpoint(path: &Path, label: &str, snapshot: &[u8]) -> std::io::Result<()> {
     let mut w = SnapshotWriter::new();
     w.section("bench_ckpt", |w| {
         w.str(label);
@@ -664,10 +502,7 @@ pub(crate) fn write_labelled_checkpoint(
 /// Reads a labelled checkpoint back, returning the wrapped `Gpu` snapshot.
 /// `Ok(None)` when no file exists; corrupt files or label mismatches are
 /// errors the caller reports before starting the point from scratch.
-pub(crate) fn read_labelled_checkpoint(
-    path: &Path,
-    label: &str,
-) -> Result<Option<Vec<u8>>, String> {
+fn read_labelled_checkpoint(path: &Path, label: &str) -> Result<Option<Vec<u8>>, String> {
     let buf = match std::fs::read(path) {
         Ok(buf) => buf,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -689,97 +524,150 @@ pub(crate) fn read_labelled_checkpoint(
     Ok(snapshot)
 }
 
-/// Builds a GPU for one grid point and runs it, honouring the
-/// process-wide checkpoint/resume options: an existing checkpoint for
-/// `label` is restored first (diagnostics go to stderr; stdout stays
-/// byte-identical), periodic snapshots are written while running, and the
-/// checkpoint file is removed once the point completes.
-fn run_gpu(
-    cfg: GpuConfig,
+/// What [`run_point_observed`] tells its observer while a point runs.
+#[derive(Debug)]
+pub enum PointEvent<'a> {
+    /// The point's checkpoint at `path` was restored; simulation
+    /// continues from `cycle`.
+    Resumed {
+        /// The checkpoint file.
+        path: &'a Path,
+        /// The restored global clock.
+        cycle: u64,
+    },
+    /// A checkpoint file at `path` exists but cannot be used (corrupt,
+    /// another point's, another machine's); the point starts fresh.
+    CheckpointIgnored {
+        /// The checkpoint file.
+        path: &'a Path,
+        /// Why it was rejected.
+        reason: &'a str,
+    },
+    /// A checkpoint taken at `cycle` is on disk under its final name.
+    Checkpointed {
+        /// The snapshotted global clock.
+        cycle: u64,
+    },
+    /// The simulation completed. The point's checkpoint file is removed
+    /// once the observer returns `Ok`, so an observer that publishes
+    /// `stats` somewhere durable does so before the snapshot is gone.
+    Finished {
+        /// The completed point's statistics.
+        stats: &'a SimStats,
+    },
+}
+
+/// The one way `gcache-bench` turns a configuration into a simulation:
+/// builds a GPU for `cfg` (with a telemetry sampler when `opts.sampled`),
+/// restores the checkpoint for `label` when `opts` names a resume stem
+/// and a matching file exists, runs `bench` — periodically snapshotting
+/// when `opts` names a checkpoint stem — and removes the checkpoint file
+/// once the point completes. `cfg.fast_forward` is overwritten from
+/// `opts`.
+///
+/// `label` is the point's stable identity
+/// ([`sweep::DesignPoint::label`]): it is embedded in, and hashed into
+/// the file name of, the checkpoint. `observe` hears about every
+/// checkpoint interaction and the completion (see [`PointEvent`]); an
+/// `Err` from it aborts the run and is returned.
+///
+/// # Errors
+///
+/// The simulation's failure (cycle limit, deadlock, checkpoint write),
+/// prefixed with the benchmark and label, or the observer's error.
+///
+/// # Panics
+///
+/// Panics if `cfg` is not a valid machine (see [`Gpu::new`]).
+pub fn run_point_observed(
+    mut cfg: GpuConfig,
     bench: &dyn Benchmark,
-    with_sampler: bool,
     label: &str,
-) -> (SimStats, Option<Sampler>) {
+    opts: &RunOpts,
+    observe: &mut dyn FnMut(PointEvent<'_>) -> Result<(), String>,
+) -> Result<(SimStats, Option<Sampler>), String> {
+    cfg.fast_forward = opts.fast_forward;
     let build = || {
         let mut gpu = Gpu::new(cfg.clone());
-        if with_sampler {
+        if opts.sampled {
             gpu.attach_sampler(Sampler::new(gcache_sim::telemetry::DEFAULT_INTERVAL));
         }
         gpu
     };
     let mut gpu = build();
-    let opts = checkpoint_opts();
-    if let Some(stem) = opts.and_then(|o| o.resume.as_ref()) {
+    let ckpt = opts.checkpoint.as_ref();
+    if let Some(stem) = ckpt.and_then(|c| c.resume.as_ref()) {
         let path = checkpoint_file(stem, label);
-        match read_labelled_checkpoint(&path, label) {
-            Ok(None) => {}
-            Ok(Some(snapshot)) => match gpu.restore_checkpoint(&snapshot, bench) {
-                Ok(()) => eprintln!(
-                    "resuming {} from {} (cycle {})",
-                    bench.info().name,
-                    path.display(),
-                    gpu.cycle()
-                ),
-                Err(e) => {
-                    // A failed restore may leave the GPU half-written.
-                    eprintln!("warning: ignoring checkpoint {}: {e}", path.display());
-                    gpu = build();
-                }
-            },
-            Err(e) => eprintln!("warning: ignoring checkpoint {}: {e}", path.display()),
+        let restored = match read_labelled_checkpoint(&path, label) {
+            Ok(None) => Ok(false),
+            Ok(Some(snapshot)) => gpu
+                .restore_checkpoint(&snapshot, bench)
+                .map(|()| true)
+                .map_err(|e| e.to_string()),
+            Err(e) => Err(e),
+        };
+        match restored {
+            Ok(false) => {}
+            Ok(true) => observe(PointEvent::Resumed {
+                path: &path,
+                cycle: gpu.cycle(),
+            })?,
+            Err(reason) => {
+                // A failed restore may leave the GPU half-written.
+                gpu = build();
+                observe(PointEvent::CheckpointIgnored {
+                    path: &path,
+                    reason: &reason,
+                })?;
+            }
         }
     }
-    let result = match opts.and_then(|o| o.write.as_ref()) {
-        Some(stem) => {
-            let path = checkpoint_file(stem, label);
-            let every = opts.expect("write implies opts").every;
-            let r = gpu.run_kernel_checkpointed(bench, every, |_, snapshot| {
-                write_labelled_checkpoint(&path, label, &snapshot)
-            });
-            if r.is_ok() {
-                // The point is done; its checkpoint would only go stale.
-                let _ = std::fs::remove_file(&path);
-            }
-            r
-        }
+    let write = ckpt.and_then(|c| Some((checkpoint_file(c.write.as_ref()?, label), c.every)));
+    let result = match &write {
+        Some((path, every)) => gpu.run_kernel_checkpointed(bench, *every, |cycle, snapshot| {
+            write_labelled_checkpoint(path, label, &snapshot)?;
+            observe(PointEvent::Checkpointed { cycle }).map_err(std::io::Error::other)
+        }),
         None => gpu.run_kernel(bench),
     };
-    let stats = result.unwrap_or_else(|e| panic!("{} ({label}) failed: {e}", bench.info().name));
-    (stats, gpu.take_sampler())
+    let stats = result.map_err(|e| format!("{} ({label}) failed: {e}", bench.info().name))?;
+    observe(PointEvent::Finished { stats: &stats })?;
+    if let Some((path, _)) = &write {
+        // The point is done; its checkpoint would only go stale.
+        let _ = std::fs::remove_file(path);
+    }
+    Ok((stats, gpu.take_sampler()))
 }
 
-/// Like [`run`], but with a per-epoch telemetry [`Sampler`] attached;
-/// returns the recorded time series alongside the stats. The stats are
-/// bit-identical to an unsampled [`run`] of the same point (sampling is
-/// passive; the `telemetry_off_identical` integration test enforces it).
-pub fn run_sampled(
-    policy: L1PolicyKind,
-    bench: &dyn Benchmark,
-    l1_kb: Option<u64>,
-    hierarchy: Hierarchy,
-) -> (SimStats, Sampler) {
-    run_sampled_with_planes(policy, bench, l1_kb, hierarchy, PolicyPlanes::default())
-}
-
-/// Like [`run_sampled`], additionally composing the L1 policy planes —
-/// the telemetry entry point of the `mlsweep` plane-composition study.
+/// [`run_point_observed`] as the experiment binaries use it: resume
+/// diagnostics go to stderr (stdout stays byte-identical), and a failed
+/// simulation panics — experiment configurations are expected to
+/// complete. Returns the stats and, when `opts.sampled`, the series.
 ///
 /// # Panics
 ///
-/// Same conditions as [`run_sampled`].
-pub fn run_sampled_with_planes(
-    policy: L1PolicyKind,
+/// Panics if the simulation fails (cycle limit / deadlock / checkpoint
+/// write) or `cfg` is not a valid machine.
+pub fn run_point(
+    cfg: GpuConfig,
     bench: &dyn Benchmark,
-    l1_kb: Option<u64>,
-    hierarchy: Hierarchy,
-    planes: PolicyPlanes,
-) -> (SimStats, Sampler) {
-    let cfg = point_config(policy, l1_kb, hierarchy, 1, planes);
-    let label = point_label(
-        &policy, bench, l1_kb, hierarchy, 1, planes, /* sampled = */ true,
-    );
-    let (stats, sampler) = run_gpu(cfg, bench, true, &label);
-    (stats, sampler.expect("sampler attached by run_gpu"))
+    label: &str,
+    opts: &RunOpts,
+) -> (SimStats, Option<Sampler>) {
+    let name = bench.info().name;
+    run_point_observed(cfg, bench, label, opts, &mut |event| {
+        match event {
+            PointEvent::Resumed { path, cycle } => {
+                eprintln!("resuming {name} from {} (cycle {cycle})", path.display());
+            }
+            PointEvent::CheckpointIgnored { path, reason } => {
+                eprintln!("warning: ignoring checkpoint {}: {reason}", path.display());
+            }
+            PointEvent::Checkpointed { .. } | PointEvent::Finished { .. } => {}
+        }
+        Ok(())
+    })
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One labelled telemetry series: `(benchmark, design, recorded series)`.
@@ -824,12 +712,20 @@ pub fn export_telemetry(cli: &Cli) {
     let Some(path) = &cli.telemetry else {
         return;
     };
-    let policy = L1PolicyKind::GCache(GCacheConfig::default());
-    let series: Vec<TelemetrySeries> = cli
-        .benchmarks()
+    let benches = cli.benchmarks();
+    let grid: Vec<DesignPoint<'_>> = benches
         .iter()
-        .map(|b| {
-            let (stats, sampler) = run_sampled(policy, b.as_ref(), None, Hierarchy::Flat);
+        .map(|b| DesignPoint::flat(b.as_ref(), L1PolicyKind::GCache(GCacheConfig::default())))
+        .collect();
+    let opts = RunOpts {
+        sampled: true,
+        ..cli.run_opts()
+    };
+    let series: Vec<TelemetrySeries> = benches
+        .iter()
+        .zip(parallel_map(&grid, cli.jobs(), |p| p.run(&opts)))
+        .map(|(b, (stats, sampler))| {
+            let sampler = sampler.expect("a sampled run returns its series");
             (b.info().name.to_string(), stats.design, sampler)
         })
         .collect();
@@ -863,7 +759,7 @@ pub fn export_trace(cli: &Cli) {
     for (i, bench) in cli.benchmarks().iter().enumerate() {
         let name = bench.info().name;
         let pid = (i + 1) as u32;
-        let (ring, profile) = trace_gc_run(bench.as_ref());
+        let (ring, profile) = trace_gc_run(bench.as_ref(), !cli.no_fast_forward);
         b.add_process(pid, name);
         total_events += b.add_sim_events(pid, &ring.events());
         total_dropped += ring.dropped();
@@ -887,19 +783,23 @@ pub fn export_trace(cli: &Cli) {
     eprintln!("chrome trace written to {path} ({total_events} events, {total_dropped} dropped)");
 }
 
-/// Runs `bench` under the GC design (flat Table 2 machine) with the
-/// event trace ring and the self-profiler attached, returning the filled
-/// ring and the profile — the per-benchmark leg of [`export_trace`],
-/// public so the trace round-trip test can regenerate the expected event
-/// stream independently of the exported file.
+/// Runs `bench` under the GC design (flat Table 2 machine, fast-forward
+/// as given) with the event trace ring and the self-profiler attached,
+/// returning the filled ring and the profile — the per-benchmark leg of
+/// [`export_trace`], public so the trace round-trip test can regenerate
+/// the expected event stream independently of the exported file.
 ///
 /// # Panics
 ///
 /// Panics if the simulation fails.
-pub fn trace_gc_run(bench: &dyn Benchmark) -> (SharedTraceRing, Option<Profile>) {
+pub fn trace_gc_run(
+    bench: &dyn Benchmark,
+    fast_forward: bool,
+) -> (SharedTraceRing, Option<Profile>) {
     let policy = L1PolicyKind::GCache(GCacheConfig::default());
     let ring = SharedTraceRing::new(TRACE_EXPORT_CAPACITY);
-    let cfg = point_config(policy, None, Hierarchy::Flat, 1, PolicyPlanes::default());
+    let mut cfg = DesignPoint::flat(bench, policy).config();
+    cfg.fast_forward = fast_forward;
     let mut gpu = Gpu::new(cfg);
     gpu.attach_trace(&ring);
     gpu.enable_profiling();
@@ -926,31 +826,15 @@ pub fn write_telemetry_series(path: &str, series: &[TelemetrySeries]) {
     eprintln!("telemetry series written to {path}");
 }
 
-/// Sweeps [`PD_CANDIDATES`] for a benchmark and returns `(best_pd, stats
-/// at best_pd)` by IPC — the oracle SPDP-B configuration.
+/// Reduces a benchmark's [`PD_CANDIDATES`] sweep to `(best_pd, stats at
+/// best_pd)` by IPC — the oracle SPDP-B configuration. Candidates must be
+/// supplied in [`PD_CANDIDATES`] order, and a later candidate wins only
+/// when it beats the incumbent by more than 0.2 %.
 ///
-/// Ties (within 0.2 %) go to the *smallest* PD: protection distance is
-/// hardware state, so on a flat IPC curve — streaming benchmarks are flat
-/// by construction — the cheapest distance is the "optimal" one, matching
+/// Ties go to the *smallest* PD: protection distance is hardware state,
+/// so on a flat IPC curve — streaming benchmarks are flat by
+/// construction — the cheapest distance is the "optimal" one, matching
 /// Table 3's PD-4 rows for PVR/SD1/STL.
-pub fn sweep_optimal_pd(bench: &dyn Benchmark, l1_kb: Option<u64>) -> (u16, SimStats) {
-    select_optimal_pd(PD_CANDIDATES.iter().map(|&pd| {
-        (
-            pd,
-            run(
-                L1PolicyKind::StaticPdp { pd },
-                bench,
-                l1_kb,
-                Hierarchy::Flat,
-            ),
-        )
-    }))
-}
-
-/// The reduction behind [`sweep_optimal_pd`], exposed so parallel sweeps
-/// can run the candidate grid as independent jobs and reduce afterwards:
-/// candidates must be supplied in [`PD_CANDIDATES`] order, and a later
-/// candidate wins only when it beats the incumbent by more than 0.2 %.
 ///
 /// # Panics
 ///
@@ -1078,15 +962,12 @@ mod tests {
 
     #[test]
     fn cli_parses_no_fast_forward() {
-        // Via try_parse only: Cli::parse flips the process-wide switch,
-        // which would race with concurrently running simulation tests.
         let cli = Cli::try_parse(["--no-fast-forward"].iter().map(|s| s.to_string())).unwrap();
         assert!(cli.no_fast_forward);
-        assert!(!cli.no_ldst_batch);
-        let cli = Cli::try_parse(["--no-ldst-batch"].iter().map(|s| s.to_string())).unwrap();
-        assert!(cli.no_ldst_batch);
+        assert!(!cli.run_opts().fast_forward);
         let cli = Cli::try_parse(std::iter::empty()).unwrap();
         assert!(!cli.no_fast_forward);
+        assert_eq!(cli.run_opts(), RunOpts::default());
     }
 
     #[test]

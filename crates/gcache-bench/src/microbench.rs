@@ -123,8 +123,7 @@ pub fn l1_mixed_stream(n: usize) -> Vec<LineAddr> {
 /// (a [`L1_BENCH_POLICIES`] name), returning mean nanoseconds per access.
 ///
 /// Wall-clock noise on a loaded host is real; callers wanting a stable
-/// number run this several times and keep the minimum (`sweep_bench`
-/// records the best of 3 under `"l1_microbench"` in `BENCH_sweep.json`).
+/// number run this several times and keep the minimum.
 pub fn l1_access_pass_ns(policy: &str) -> f64 {
     const PASSES: usize = 24;
     let geom = CacheGeometry::new(32 * 1024, 4, 128).expect("L1 geometry");

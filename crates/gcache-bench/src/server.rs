@@ -10,9 +10,9 @@
 //!
 //! * skips it when `results/NNNNN.result` already exists (completed on a
 //!   previous attempt),
-//! * otherwise resumes from `ckpt/NNNNN.ckpt` when one matches the
-//!   point's label, simulates with periodic checkpoints at the same
-//!   cadence as `--checkpoint-every`, and
+//! * otherwise resumes from `ckpt/NNNNN.<label-hash>.ckpt` when one
+//!   matches the point's label, simulates with periodic checkpoints at
+//!   the same cadence as `--checkpoint-every`, and
 //! * publishes the finished point atomically (temp file + rename) before
 //!   deleting its checkpoint.
 //!
@@ -40,13 +40,12 @@ use crate::obs::{
     fresh_run_id, status_path, unix_ms, FleetState, Heartbeat, HeartbeatWriter, Logger,
     ShardStatus, StatusPlane, StatusSnapshot,
 };
-use crate::sweep::parallel_map;
+use crate::sweep::{parallel_map, DesignPoint};
 use crate::{
-    designs, point_config, point_label, read_labelled_checkpoint, write_labelled_checkpoint, Cli,
-    PolicyPlanes, DEFAULT_CHECKPOINT_EVERY, USAGE,
+    designs, run_point_observed, CheckpointOpts, Cli, PointEvent, RunOpts,
+    DEFAULT_CHECKPOINT_EVERY, USAGE,
 };
-use gcache_sim::config::{Hierarchy, L1PolicyKind};
-use gcache_sim::gpu::Gpu;
+use gcache_sim::config::Hierarchy;
 use gcache_sim::stats::SimStats;
 use gcache_workloads::Benchmark;
 use std::fmt::Write as _;
@@ -84,7 +83,7 @@ usage: sweep_server --dir RUNDIR [--workers N] [--checkpoint-every N]
                     [--status-addr ADDR] [--stale-after-ms N] [--no-logs]
                     [--quick] [--bench NAME[,NAME...]]
                     [--hierarchy SHAPE[,SHAPE...]] [--cluster-ports N[,N...]]
-                    [--no-fast-forward] [--no-ldst-batch]
+                    [--no-fast-forward]
 
   --dir RUNDIR   run directory: manifest, per-point checkpoints and
                  results, and the final merged.tsv live here. Re-running
@@ -115,90 +114,45 @@ The remaining flags select the grid and behave exactly as in the other
 experiment binaries:
 ";
 
-/// One grid point, by value (no borrow into the benchmark registry):
-/// `bench` indexes the roster the grid was built against.
-#[derive(Clone, Copy, Debug)]
-struct GridPoint {
-    bench: usize,
-    policy: L1PolicyKind,
-    hierarchy: Hierarchy,
-    cluster_ports: usize,
-}
-
-/// The sweep grid: the benchmark roster plus every point in submission
-/// order. Built deterministically from the command line, so the
-/// coordinator and each worker process reconstruct the identical grid
-/// from the identical flags.
-pub struct Grid {
-    benches: Vec<Box<dyn Benchmark>>,
-    points: Vec<GridPoint>,
-}
-
-impl Grid {
-    /// Builds the grid: every selected benchmark × the six Figure 8
-    /// designs (SPDP-B pinned at PD 8, as in `sweep_bench`) × every
-    /// hierarchy shape (default: flat) × the crossbar-port axis on
-    /// clustered shapes (default: 1 port).
-    pub fn from_cli(cli: &Cli) -> Grid {
-        let benches = cli.benchmarks();
-        let shapes = cli.hierarchies(&[Hierarchy::Flat]);
-        let ports = cli.port_counts(&[1]);
-        let mut points = Vec::new();
-        for bench in 0..benches.len() {
-            for &hierarchy in &shapes {
-                let ports: &[usize] = match hierarchy {
-                    Hierarchy::Flat => &[1],
-                    Hierarchy::SharedL15 { .. } => &ports,
-                };
-                for &cluster_ports in ports {
-                    for policy in designs(8) {
-                        points.push(GridPoint {
-                            bench,
-                            policy,
-                            hierarchy,
-                            cluster_ports,
-                        });
-                    }
+/// The sweep grid in submission order: every benchmark of `benches` × the
+/// six Figure 8 designs (SPDP-B pinned at PD 8 — a fixed grid, not the
+/// per-benchmark oracle) × every hierarchy shape (default: flat) × the
+/// crossbar-port axis on clustered shapes (default: 1 port). Built
+/// deterministically from the command line, so the coordinator and each
+/// worker process reconstruct the identical grid from the identical
+/// flags.
+fn grid<'a>(cli: &Cli, benches: &'a [Box<dyn Benchmark>]) -> Vec<DesignPoint<'a>> {
+    let shapes = cli.hierarchies(&[Hierarchy::Flat]);
+    let ports = cli.port_counts(&[1]);
+    let mut points = Vec::new();
+    for bench in benches {
+        for &hierarchy in &shapes {
+            let ports: &[usize] = match hierarchy {
+                Hierarchy::Flat => &[1],
+                Hierarchy::SharedL15 { .. } => &ports,
+            };
+            for &cluster_ports in ports {
+                for policy in designs(8) {
+                    points.push(DesignPoint {
+                        hierarchy,
+                        cluster_ports,
+                        ..DesignPoint::flat(bench.as_ref(), policy)
+                    });
                 }
             }
         }
-        Grid { benches, points }
     }
+    points
+}
 
-    /// Number of points in the grid.
-    pub fn len(&self) -> usize {
-        self.points.len()
+/// The manifest body: header, point count, then one `NNNNN label` line
+/// per point in submission order.
+fn manifest(points: &[DesignPoint<'_>]) -> String {
+    let mut out = format!("{MANIFEST_HEADER}\npoints={}\n", points.len());
+    for (i, p) in points.iter().enumerate() {
+        let _ = writeln!(out, "{i:05} {}", p.label(false));
     }
-
-    /// Whether the grid is empty (e.g. `--bench` matched nothing).
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The stable label of point `i` — the same label the checkpoint
-    /// machinery embeds in snapshot files.
-    fn label(&self, i: usize) -> String {
-        let p = &self.points[i];
-        point_label(
-            &p.policy,
-            self.benches[p.bench].as_ref(),
-            None,
-            p.hierarchy,
-            p.cluster_ports,
-            PolicyPlanes::default(),
-            /* sampled = */ false,
-        )
-    }
-
-    /// The manifest body: header, point count, then one `NNNNN label`
-    /// line per point in submission order.
-    fn manifest(&self) -> String {
-        let mut out = format!("{MANIFEST_HEADER}\npoints={}\n", self.points.len());
-        for i in 0..self.points.len() {
-            let _ = writeln!(out, "{i:05} {}", self.label(i));
-        }
-        out
-    }
+    out
 }
 
 /// Parsed `sweep_server` command line: the server-specific flags plus
@@ -329,8 +283,6 @@ impl ServerOpts {
         if cli.telemetry.is_some() {
             return Err("--telemetry is not supported by the sweep server".into());
         }
-        crate::set_fast_forward(!cli.no_fast_forward);
-        crate::set_ldst_batch(!cli.no_ldst_batch);
         Ok(ServerOpts {
             dir: PathBuf::from(dir),
             workers,
@@ -351,9 +303,13 @@ fn result_path(dir: &Path, i: usize) -> PathBuf {
     dir.join("results").join(format!("{i:05}.result"))
 }
 
-/// The checkpoint file of point `i`.
-fn ckpt_path(dir: &Path, i: usize) -> PathBuf {
-    dir.join("ckpt").join(format!("{i:05}.ckpt"))
+/// The checkpoint stem of point `i`: its snapshots live in
+/// `ckpt/NNNNN.<label-hash>.ckpt` (see [`CheckpointOpts`]).
+fn ckpt_stem(dir: &Path, i: usize) -> String {
+    dir.join("ckpt")
+        .join(format!("{i:05}"))
+        .display()
+        .to_string()
 }
 
 /// Atomically replaces `path` with `body` (PID-suffixed temp + rename),
@@ -415,7 +371,12 @@ fn parse_fault() -> Option<Fault> {
 /// Worker process: walks shard `shard`'s points in submission order,
 /// resuming and checkpointing each through `RUNDIR/ckpt`, publishing
 /// completed points into `RUNDIR/results`.
-fn run_worker(opts: &ServerOpts, grid: &Grid, shard: usize, workers: usize) -> Result<(), String> {
+fn run_worker(
+    opts: &ServerOpts,
+    grid: &[DesignPoint<'_>],
+    shard: usize,
+    workers: usize,
+) -> Result<(), String> {
     let run_id = opts.run_id.clone().unwrap_or_else(fresh_run_id);
     let log = if opts.no_logs {
         Logger::stderr_only(&run_id, Some(shard))
@@ -447,10 +408,18 @@ fn run_worker(opts: &ServerOpts, grid: &Grid, shard: usize, workers: usize) -> R
             hb.beat();
             continue;
         }
-        let p = &grid.points[i];
-        let bench = grid.benches[p.bench].as_ref();
-        let label = grid.label(i);
-        let ckpt = ckpt_path(&opts.dir, i);
+        let p = &grid[i];
+        let label = p.label(false);
+        // The server always checkpoints into and resumes from RUNDIR/ckpt.
+        let stem = ckpt_stem(&opts.dir, i);
+        let run_opts = RunOpts {
+            checkpoint: Some(CheckpointOpts {
+                write: Some(stem.clone()),
+                every: opts.every,
+                resume: Some(stem),
+            }),
+            ..opts.cli.run_opts()
+        };
 
         let point_start = Instant::now();
         hb.hb.current_index = Some(i);
@@ -462,80 +431,55 @@ fn run_worker(opts: &ServerOpts, grid: &Grid, shard: usize, workers: usize) -> R
             .str_field("point_label", &label)
             .emit();
 
-        let cfg = point_config(
-            p.policy,
-            None,
-            p.hierarchy,
-            p.cluster_ports,
-            PolicyPlanes::default(),
-        );
-        let build = || Gpu::new(cfg.clone());
-        let mut gpu = build();
-        match read_labelled_checkpoint(&ckpt, &label) {
-            Ok(None) => {}
-            Ok(Some(snapshot)) => match gpu.restore_checkpoint(&snapshot, bench) {
-                Ok(()) => {
-                    hb.hb.last_ckpt_cycle = gpu.cycle();
+        let abort = |what: &str, n: u64| -> ! {
+            log.error("fault_abort")
+                .num("index", i as i64)
+                .num("nth", n as i64)
+                .msg(format!("fault injection: abort {what} {n}"))
+                .emit();
+            std::process::abort()
+        };
+        let mut observe = |event: PointEvent<'_>| -> Result<(), String> {
+            match event {
+                PointEvent::Resumed { cycle, .. } => {
+                    hb.hb.last_ckpt_cycle = cycle;
                     hb.beat();
                     log.info("point_resume")
                         .num("index", i as i64)
                         .str_field("point_label", &label)
-                        .num("cycle", gpu.cycle() as i64)
-                        .msg(format!(
-                            "resuming {i:05} ({label}) from cycle {}",
-                            gpu.cycle()
-                        ))
+                        .num("cycle", cycle as i64)
+                        .msg(format!("resuming {i:05} ({label}) from cycle {cycle}"))
                         .emit();
                 }
-                Err(e) => {
-                    log.warn("ckpt_ignored")
-                        .num("index", i as i64)
-                        .msg(format!("ignoring checkpoint {i:05}: {e}"))
-                        .emit();
-                    gpu = build();
-                }
-            },
-            Err(e) => log
-                .warn("ckpt_ignored")
-                .num("index", i as i64)
-                .msg(format!("ignoring checkpoint {i:05}: {e}"))
-                .emit(),
-        }
-
-        let stats = gpu
-            .run_kernel_checkpointed(bench, opts.every, |cycle, snapshot| {
-                write_labelled_checkpoint(&ckpt, &label, &snapshot)?;
-                ckpts_written += 1;
-                hb.hb.last_ckpt_cycle = cycle;
-                hb.beat();
-                if let Some(Fault::AfterCkpt(n)) = fault {
-                    if ckpts_written == n {
-                        log.error("fault_abort")
-                            .num("index", i as i64)
-                            .num("nth", n as i64)
-                            .msg(format!("fault injection: abort after checkpoint {n}"))
-                            .emit();
-                        std::process::abort();
+                PointEvent::CheckpointIgnored { reason, .. } => log
+                    .warn("ckpt_ignored")
+                    .num("index", i as i64)
+                    .msg(format!("ignoring checkpoint {i:05}: {reason}"))
+                    .emit(),
+                PointEvent::Checkpointed { cycle } => {
+                    ckpts_written += 1;
+                    hb.hb.last_ckpt_cycle = cycle;
+                    hb.beat();
+                    if matches!(fault, Some(Fault::AfterCkpt(n)) if ckpts_written == n) {
+                        abort("after checkpoint", ckpts_written);
                     }
                 }
-                Ok(())
-            })
-            .map_err(|e| format!("point {i:05} ({label}) failed: {e}"))?;
-
-        if let Some(Fault::BeforeResult(n)) = fault {
-            if results_written + 1 == n {
-                log.error("fault_abort")
-                    .num("index", i as i64)
-                    .num("nth", n as i64)
-                    .msg(format!("fault injection: abort before result {n}"))
-                    .emit();
-                std::process::abort();
+                // Publish before the checkpoint goes away: a kill in
+                // between re-reaches completion from the last snapshot.
+                PointEvent::Finished { stats } => {
+                    if matches!(fault, Some(Fault::BeforeResult(n)) if results_written + 1 == n) {
+                        abort("before result", results_written + 1);
+                    }
+                    write_atomic(&res, &result_line(i, &label, stats))
+                        .map_err(|e| format!("cannot publish {}: {e}", res.display()))?;
+                    results_written += 1;
+                }
             }
-        }
-        write_atomic(&res, &result_line(i, &label, &stats))
-            .map_err(|e| format!("cannot publish {}: {e}", res.display()))?;
-        results_written += 1;
-        let _ = std::fs::remove_file(&ckpt); // the point is done; only stale now
+            Ok(())
+        };
+        let (stats, _) = run_point_observed(p.config(), p.bench, &label, &run_opts, &mut observe)
+            .map_err(|e| format!("point {i:05}: {e}"))?;
+
         hb.hb.done += 1;
         hb.hb.current_index = None;
         hb.hb.current_label.clear();
@@ -616,13 +560,13 @@ fn supervise(
 /// document. Errors on a missing file or on a line that does not open
 /// with the expected `index\tlabel\t` prefix (a stale or foreign run
 /// directory).
-fn merge(dir: &Path, grid: &Grid) -> Result<String, String> {
+fn merge(dir: &Path, grid: &[DesignPoint<'_>]) -> Result<String, String> {
     let mut out = String::from(RESULT_HEADER);
-    for i in 0..grid.len() {
+    for (i, p) in grid.iter().enumerate() {
         let path = result_path(dir, i);
         let line = std::fs::read_to_string(&path)
             .map_err(|e| format!("missing result {}: {e}", path.display()))?;
-        let want = format!("{i:05}\t{}\t", grid.label(i));
+        let want = format!("{i:05}\t{}\t", p.label(false));
         if !line.starts_with(&want) {
             return Err(format!(
                 "{} does not match the manifest (expected prefix '{want}')",
@@ -638,7 +582,11 @@ fn merge(dir: &Path, grid: &Grid) -> Result<String, String> {
 /// across worker processes, supervises them, and — once every point has
 /// published — merges the results in submission order to `merged.tsv`
 /// and stdout.
-fn run_coordinator(opts: &ServerOpts, grid: &Grid, workers: usize) -> Result<(), String> {
+fn run_coordinator(
+    opts: &ServerOpts,
+    grid: &[DesignPoint<'_>],
+    workers: usize,
+) -> Result<(), String> {
     if grid.is_empty() {
         return Err("the grid is empty (no benchmark matched)".into());
     }
@@ -656,7 +604,7 @@ fn run_coordinator(opts: &ServerOpts, grid: &Grid, workers: usize) -> Result<(),
     // The manifest pins the grid to the directory: resuming with
     // different flags (a different grid) must fail loudly instead of
     // merging unrelated results.
-    let manifest = grid.manifest();
+    let manifest = manifest(grid);
     let mpath = opts.dir.join("manifest.txt");
     let mut resumed = false;
     match std::fs::read_to_string(&mpath) {
@@ -851,7 +799,8 @@ fn start_status_plane(
 /// Runs the sweep server with parsed options: as coordinator, or — when
 /// spawned with `--shard` — as one worker process.
 pub fn run(opts: &ServerOpts) -> Result<(), String> {
-    let grid = Grid::from_cli(&opts.cli);
+    let benches = opts.cli.benchmarks();
+    let grid = grid(&opts.cli, &benches);
     // Clamped identically in the coordinator and in every worker (both
     // see the same pinned `--jobs` and the same grid), so the deal and
     // the supervised shard set always agree.
@@ -879,13 +828,15 @@ mod tests {
     #[test]
     fn grid_is_deterministic_and_label_stable() {
         let c = cli(&["--quick", "--bench", "BFS,STL"]);
-        let a = Grid::from_cli(&c);
-        let b = Grid::from_cli(&c);
+        let benches = c.benchmarks();
+        let a = grid(&c, &benches);
+        let b = grid(&c, &benches);
         assert_eq!(a.len(), 2 * 6, "2 benches x 6 designs");
-        assert_eq!(a.manifest(), b.manifest());
-        assert!(a.label(0).starts_with("BFS|"), "got: {}", a.label(0));
+        assert_eq!(manifest(&a), manifest(&b));
+        let label = |i: usize| a[i].label(false);
+        assert!(label(0).starts_with("BFS|"), "got: {}", label(0));
         // The six designs of one bench precede the next bench.
-        assert!(a.label(6).starts_with("STL|"), "got: {}", a.label(6));
+        assert!(label(6).starts_with("STL|"), "got: {}", label(6));
     }
 
     #[test]
@@ -899,7 +850,8 @@ mod tests {
             "--cluster-ports",
             "1,2",
         ]);
-        let g = Grid::from_cli(&c);
+        let benches = c.benchmarks();
+        let g = grid(&c, &benches);
         // flat: 1 port; c4: 2 port counts — (1 + 2) x 6 designs.
         assert_eq!(g.len(), 18);
     }

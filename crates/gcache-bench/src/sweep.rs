@@ -10,12 +10,16 @@
 //! `--jobs`. Each simulation stays single-threaded and seeded; parallelism
 //! never changes what is computed, only when.
 //!
-//! Entry points: [`parallel_map`] for arbitrary job types and
-//! [`run_design_points`] for the common benchmark-grid case.
+//! Entry points: [`parallel_map`] for arbitrary job types (a sampled
+//! grid is `parallel_map(&grid, jobs, |p| p.run(&opts))`),
+//! [`run_design_points_with`] for the stats of a benchmark grid under
+//! explicit [`RunOpts`], and [`run_design_points`] as its
+//! default-options form.
 
-use crate::{run_with_planes, PolicyPlanes};
-use gcache_sim::config::{Hierarchy, L1PolicyKind};
+use crate::{run_point, PolicyPlanes, RunOpts};
+use gcache_sim::config::{GpuConfig, Hierarchy, L1PolicyKind};
 use gcache_sim::stats::SimStats;
+use gcache_sim::telemetry::Sampler;
 use gcache_workloads::Benchmark;
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -53,19 +57,80 @@ impl std::fmt::Debug for DesignPoint<'_> {
     }
 }
 
-/// Runs a grid of design points on `jobs` worker threads, returning stats
-/// in submission order.
-pub fn run_design_points(points: &[DesignPoint<'_>], jobs: usize) -> Vec<SimStats> {
-    parallel_map(points, jobs, |p| {
-        run_with_planes(
-            p.policy,
-            p.bench,
-            p.l1_kb,
-            p.hierarchy,
-            p.cluster_ports,
-            p.planes,
+impl<'a> DesignPoint<'a> {
+    /// `bench` under `policy` on the flat Table 2 machine: default L1
+    /// size, one port, both planes deferring to the policy. Other cells
+    /// override fields with struct-update syntax.
+    pub fn flat(bench: &'a dyn Benchmark, policy: L1PolicyKind) -> Self {
+        DesignPoint {
+            bench,
+            policy,
+            l1_kb: None,
+            hierarchy: Hierarchy::Flat,
+            cluster_ports: 1,
+            planes: PolicyPlanes::default(),
+        }
+    }
+
+    /// The validated machine configuration of this point — the single
+    /// place a grid cell becomes a [`GpuConfig`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid L1 size, hierarchy, or port count — grid axes
+    /// are expected to be pre-validated at the command line.
+    pub fn config(&self) -> GpuConfig {
+        let mut cfg = GpuConfig::fermi_with_policy(self.policy).expect("valid config");
+        if let Some(kb) = self.l1_kb {
+            cfg = cfg.with_l1_kb(kb).expect("valid L1 size");
+        }
+        cfg.with_hierarchy(self.hierarchy)
+            .unwrap_or_else(|e| panic!("invalid hierarchy {:?}: {e}", self.hierarchy))
+            .with_cluster_ports(self.cluster_ports)
+            .expect("positive cluster port count")
+            .with_l1_bypass(self.planes.l1_bypass)
+            .with_l1_copy_back(self.planes.l1_copy_back)
+    }
+
+    /// A stable identity for this point, embedded in (and hashed into the
+    /// filename of) its checkpoint so `--resume` can never cross wires
+    /// between points — not even between the sampled and unsampled runs
+    /// of the same configuration, whose machine states coincide but whose
+    /// telemetry does not. Also the point's name in the sweep server's
+    /// manifest and merged output.
+    pub fn label(&self, sampled: bool) -> String {
+        format!(
+            "{}|{:?}|kb={:?}|{:?}|ports={}|planes={}|sampled={sampled}",
+            self.bench.info().name,
+            self.policy,
+            self.l1_kb,
+            self.hierarchy,
+            self.cluster_ports,
+            self.planes.label()
         )
-    })
+    }
+
+    /// Simulates this point under `opts` (see [`run_point`]): its stats
+    /// and, when `opts.sampled`, its telemetry series.
+    pub fn run(&self, opts: &RunOpts) -> (SimStats, Option<Sampler>) {
+        run_point(self.config(), self.bench, &self.label(opts.sampled), opts)
+    }
+}
+
+/// Runs a grid of design points on `jobs` worker threads under `opts`,
+/// returning stats in submission order.
+pub fn run_design_points_with(
+    points: &[DesignPoint<'_>],
+    jobs: usize,
+    opts: &RunOpts,
+) -> Vec<SimStats> {
+    parallel_map(points, jobs, |p| p.run(opts).0)
+}
+
+/// [`run_design_points_with`] under [`RunOpts::default`]: fast-forward
+/// on, no checkpoints.
+pub fn run_design_points(points: &[DesignPoint<'_>], jobs: usize) -> Vec<SimStats> {
+    run_design_points_with(points, jobs, &RunOpts::default())
 }
 
 /// Applies `f` to every item on a pool of `jobs` scoped worker threads

@@ -12,9 +12,7 @@
 //! set-dueling counter — would shift downstream timing and show up in the
 //! Debug rendering of the stats).
 //!
-//! `GpuConfig::fast_forward` is set directly on per-run configs (never via
-//! the bench crate's process-wide switch) so this test cannot race with
-//! concurrently running tests in the same process.
+//! `GpuConfig::fast_forward` is set directly on per-run configs.
 
 use gcache_sim::config::{GpuConfig, Hierarchy};
 use gcache_sim::gpu::Gpu;

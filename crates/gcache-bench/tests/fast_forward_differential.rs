@@ -6,10 +6,13 @@
 //! replay counters, NoC and DRAM stats are all covered by comparing the
 //! `Debug` renderings field for field.
 //!
-//! `GpuConfig::fast_forward` is set directly on per-run configs (never via
-//! the bench crate's process-wide switch) so this test cannot race with
-//! concurrently running tests in the same process.
+//! The second test repeats the differential through the sweep engine as
+//! an in-process A/B: no run reads process-wide state, so a default and a
+//! `fast_forward: false` sweep of the same grid run *concurrently* and
+//! must agree, and parsing a command line cannot steer a later run.
 
+use gcache_bench::sweep::{run_design_points, run_design_points_with, DesignPoint};
+use gcache_bench::{CheckpointOpts, Cli, RunOpts};
 use gcache_sim::config::{GpuConfig, Hierarchy};
 use gcache_sim::gpu::Gpu;
 use gcache_sim::stats::SimStats;
@@ -23,16 +26,20 @@ fn simulate(bench: &dyn Benchmark, cfg: &GpuConfig, fast_forward: bool) -> SimSt
         .unwrap_or_else(|e| panic!("{} failed: {e}", bench.info().name))
 }
 
-#[test]
-fn fast_forward_stats_match_plain_loop() {
-    // BFS (cache-sensitive), CFD (moderate, exercises G-Cache bypass),
-    // STL (streaming/insensitive) — same spectrum the golden tests use.
-    let names = ["BFS", "CFD", "STL"];
+fn test_scale(names: &[&str]) -> Vec<Box<dyn Benchmark>> {
     let benches: Vec<_> = gcache_workloads::registry(Scale::Test)
         .into_iter()
         .filter(|b| names.contains(&b.info().name))
         .collect();
     assert_eq!(benches.len(), names.len(), "benchmark registry changed");
+    benches
+}
+
+#[test]
+fn fast_forward_stats_match_plain_loop() {
+    // BFS (cache-sensitive), CFD (moderate, exercises G-Cache bypass),
+    // STL (streaming/insensitive) — same spectrum the golden tests use.
+    let benches = test_scale(&["BFS", "CFD", "STL"]);
 
     // The clustered hierarchy adds a third clocked component between the
     // interconnect and the partitions, so its `next_event` bound is part of
@@ -74,4 +81,81 @@ fn fast_forward_stats_match_plain_loop() {
             }
         }
     }
+}
+
+#[test]
+fn sweep_engine_ab_in_one_process() {
+    let benches = test_scale(&["BFS", "STL"]);
+    let grid: Vec<DesignPoint<'_>> = benches
+        .iter()
+        .flat_map(|b| {
+            gcache_bench::designs(6)
+                .into_iter()
+                .map(|policy| DesignPoint::flat(b.as_ref(), policy))
+        })
+        .collect();
+    let render = |stats: &[SimStats]| stats.iter().map(|s| format!("{s:?}")).collect::<Vec<_>>();
+
+    // A/B: both sweeps start together (the barrier) and overlap for their
+    // whole length, each under its own explicit options.
+    let plain_loop = RunOpts {
+        fast_forward: false,
+        ..RunOpts::default()
+    };
+    let start = std::sync::Barrier::new(2);
+    let (fast, slow) = std::thread::scope(|s| {
+        let slow = s.spawn(|| {
+            start.wait();
+            run_design_points_with(&grid, 2, &plain_loop)
+        });
+        start.wait();
+        let fast = run_design_points(&grid, 2);
+        (fast, slow.join().expect("plain-loop sweep panicked"))
+    });
+    assert_eq!(
+        render(&fast),
+        render(&slow),
+        "concurrent sweeps under different RunOpts disagree"
+    );
+
+    // Parsing is pure. The stem's directory exists while the flags are
+    // validated and is gone afterwards, so a default-options sweep that
+    // picked the parsed options up would fail at its first checkpoint
+    // write (every 500 cycles) instead of completing.
+    let dir = std::env::temp_dir().join(format!("gcache-ff-ab-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let stem = dir.join("ck").display().to_string();
+    let args = [
+        "--no-fast-forward",
+        "--checkpoint",
+        &stem,
+        "--checkpoint-every",
+        "500",
+    ];
+    let cli = Cli::parse(args.iter().map(|s| s.to_string()));
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+    let want = RunOpts {
+        fast_forward: false,
+        checkpoint: Some(CheckpointOpts {
+            write: Some(stem),
+            every: 500,
+            resume: None,
+        }),
+        sampled: false,
+    };
+    assert_eq!(cli.run_opts(), want);
+    let unrunnable = std::thread::scope(|s| {
+        s.spawn(|| run_design_points_with(&grid[..1], 1, &want))
+            .join()
+            .is_err()
+    });
+    assert!(
+        unrunnable,
+        "vacuous check: the parsed options should not be runnable any more"
+    );
+    assert_eq!(
+        render(&run_design_points(&grid, 2)),
+        render(&fast),
+        "parsing a command line changed a default-options sweep"
+    );
 }

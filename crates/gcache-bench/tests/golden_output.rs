@@ -63,7 +63,7 @@ fn table3_quick_stdout_matches_pre_refactor_golden() {
 }
 
 /// fig3_fig4 runs every point through the telemetry sampler
-/// (`run_sampled`); its figures must still be derived from byte-identical
+/// (`RunOpts::sampled`); its figures must still be derived from byte-identical
 /// stats — the golden was captured from the pre-sampler binary.
 #[test]
 fn fig3_fig4_quick_stdout_matches_golden() {

@@ -298,7 +298,7 @@ fn trace_out_round_trips() {
     // exported instant events must match the ring's contents one for
     // one (nothing dropped at this scale), including the switch flips.
     let bench = cli.benchmarks().into_iter().next().expect("BFS selected");
-    let (ring, profile) = gcache_bench::trace_gc_run(bench.as_ref());
+    let (ring, profile) = gcache_bench::trace_gc_run(bench.as_ref(), true);
     assert_eq!(ring.dropped(), 0, "quick BFS fits the export ring");
     let ring_events = ring.events();
     assert_eq!(

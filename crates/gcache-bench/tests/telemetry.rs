@@ -2,11 +2,21 @@
 //! single simulated statistic, under any policy or hierarchy shape. Also
 //! checks that the exported CSV schema round-trips losslessly.
 
-use gcache_bench::{run, run_sampled, telemetry_csv, TelemetrySeries};
+use gcache_bench::sweep::DesignPoint;
+use gcache_bench::{telemetry_csv, RunOpts, TelemetrySeries};
 use gcache_core::policy::gcache::GCacheConfig;
 use gcache_sim::config::{Hierarchy, L1PolicyKind};
-use gcache_sim::telemetry::Sample;
+use gcache_sim::stats::SimStats;
+use gcache_sim::telemetry::{Sample, Sampler};
 use gcache_workloads::{by_name, Scale};
+
+/// One point, with or without the sampler.
+fn run(point: DesignPoint<'_>, sampled: bool) -> (SimStats, Option<Sampler>) {
+    point.run(&RunOpts {
+        sampled,
+        ..RunOpts::default()
+    })
+}
 
 #[test]
 fn telemetry_off_identical() {
@@ -27,8 +37,14 @@ fn telemetry_off_identical() {
         ),
     ];
     for (policy, hierarchy) in points {
-        let plain = run(policy, bench.as_ref(), None, hierarchy);
-        let (sampled, sampler) = run_sampled(policy, bench.as_ref(), None, hierarchy);
+        let point = DesignPoint {
+            hierarchy,
+            ..DesignPoint::flat(bench.as_ref(), policy)
+        };
+        let (plain, none) = run(point, false);
+        assert!(none.is_none(), "an unsampled run carries no series");
+        let (sampled, sampler) = run(point, true);
+        let sampler = sampler.expect("a sampled run returns its series");
         assert_eq!(
             format!("{plain:?}"),
             format!("{sampled:?}"),
@@ -44,12 +60,14 @@ fn telemetry_off_identical() {
 #[test]
 fn csv_schema_round_trips() {
     let bench = by_name("BFS", Scale::Test).expect("benchmark registered");
-    let (stats, sampler) = run_sampled(
-        L1PolicyKind::GCache(GCacheConfig::default()),
-        bench.as_ref(),
-        None,
-        Hierarchy::Flat,
+    let (stats, sampler) = run(
+        DesignPoint::flat(
+            bench.as_ref(),
+            L1PolicyKind::GCache(GCacheConfig::default()),
+        ),
+        true,
     );
+    let sampler = sampler.expect("a sampled run returns its series");
 
     // Every row parses back to the exact sample that produced it (floats
     // are written in shortest round-trippable form).

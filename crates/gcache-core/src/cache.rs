@@ -392,20 +392,6 @@ impl Cache {
     pub fn access(&mut self, line: LineAddr, kind: AccessKind, core: CoreId) -> Lookup {
         let set = self.cfg.geometry.set_of(line);
         let tag = self.cfg.geometry.tag_of(line);
-        self.access_decoded(line, set, tag, kind, core)
-    }
-
-    /// [`Cache::access`] with the set/tag decode already done (the batched
-    /// coalesce→access pipeline decodes a warp's whole group up front).
-    #[inline]
-    pub fn access_decoded(
-        &mut self,
-        line: LineAddr,
-        set: usize,
-        tag: u64,
-        kind: AccessKind,
-        core: CoreId,
-    ) -> Lookup {
         let way = self.tags.probe_set(set, tag);
         self.access_probed(line, set, tag, way, kind, core)
     }

@@ -204,9 +204,10 @@ impl<T> CacheController<T> {
             (AccessKind::Write, WriteMode::ThroughNoAllocate, _) => {
                 // Update a resident copy (the access also refreshes
                 // replacement state) and forward downstream.
+                let way = self.cache.probe_decoded(set, tag);
                 let _ = self
                     .cache
-                    .access_decoded(line, set, tag, AccessKind::Write, core);
+                    .access_probed(line, set, tag, way, AccessKind::Write, core);
                 return ControllerOutcome::Forward;
             }
             (AccessKind::Atomic, _, AtomicHandling::Forward) => {

@@ -3,7 +3,7 @@
 //!
 //! The build environment is offline and the workspace is dependency-free
 //! by policy, so the pieces of the repo that *consume* JSON — the
-//! `bench_diff` regression gate reading `BENCH_sweep.json`, the trace
+//! repo benchmark reading its own result files, the trace
 //! round-trip test parsing emitted Chrome `trace_event` documents, the
 //! status-endpoint smoke reading `status.json` — share this hand-rolled
 //! recursive-descent parser instead of pulling in serde. It accepts

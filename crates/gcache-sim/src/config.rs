@@ -240,12 +240,6 @@ pub struct GpuConfig {
     /// bit-identical either way; disable to cross-check or to profile the
     /// plain cycle loop.
     pub fast_forward: bool,
-    /// Decode each warp's coalesced lines into (set, tag) as one batch at
-    /// issue time and present them to the L1 through the pre-decoded
-    /// controller entry point. Results are bit-identical either way;
-    /// disable (`--no-ldst-batch` on the experiment binaries) to
-    /// cross-check against the per-access decode path.
-    pub ldst_batch: bool,
 }
 
 impl GpuConfig {
@@ -295,7 +289,6 @@ impl GpuConfig {
             atomic_latency: 4,
             max_cycles: 200_000_000,
             fast_forward: true,
-            ldst_batch: true,
         })
     }
 

@@ -67,9 +67,9 @@ impl std::fmt::Debug for Warp {
 /// One coalesced line transaction awaiting L1/network issue.
 ///
 /// `set`/`tag` are decoded in one batched pass over the warp's whole
-/// coalesced group at issue time (when `GpuConfig::ldst_batch` is on), so
-/// the per-cycle LD/ST pump enters the L1 through the pre-decoded
-/// controller path instead of re-deriving them per presentation. They are
+/// coalesced group at issue time, so the per-cycle LD/ST pump enters the
+/// L1 through the pre-decoded controller path instead of re-deriving
+/// them per presentation. They are
 /// derived state: snapshots serialize only `(line, kind, warp)` and
 /// restore recomputes the decode, keeping the wire format unchanged.
 #[derive(Debug, Clone, Copy)]
@@ -125,8 +125,6 @@ pub struct SimtCore {
     l1: L1Controller,
     /// L1 geometry, cached for the batched set/tag decode at issue time.
     l1_geom: CacheGeometry,
-    /// Batched-decode switch (see [`LdstTxn`]); bit-identical either way.
-    ldst_batch: bool,
     /// Coalesced transactions awaiting L1/network issue, one per cycle.
     ldst_queue: VecDeque<LdstTxn>,
     ldst_capacity: usize,
@@ -180,7 +178,6 @@ impl SimtCore {
             threads_resident: 0,
             l1,
             l1_geom: cfg.l1_geometry,
-            ldst_batch: cfg.ldst_batch,
             ldst_queue: VecDeque::with_capacity(4 * cfg.warp_width),
             ldst_capacity: 4 * cfg.warp_width,
             copyback_queue: VecDeque::new(),
@@ -448,12 +445,7 @@ impl SimtCore {
             self.stats.mem_stall_cycles += 1;
             return None;
         }
-        let outcome = if self.ldst_batch {
-            self.l1.access_decoded(line, set, tag, kind, warp, class)
-        } else {
-            self.l1.access(line, kind, warp, class)
-        };
-        match outcome {
+        match self.l1.access_decoded(line, set, tag, kind, warp, class) {
             L1Outcome::Hit => {
                 self.ldst_queue.pop_front();
                 self.complete_mem(warp);
@@ -600,28 +592,15 @@ impl SimtCore {
         // Decode the whole coalesced group in one batched pass (first-touch
         // order preserved — issue order is observable, see DESIGN.md §10),
         // so the per-cycle pump enters the L1 pre-decoded.
-        if self.ldst_batch {
-            for &line in &lines {
-                self.ldst_queue.push_back(LdstTxn {
-                    line,
-                    set: self.l1_geom.set_of(line),
-                    tag: self.l1_geom.tag_of(line),
-                    kind,
-                    warp: slot,
-                    class,
-                });
-            }
-        } else {
-            for &line in &lines {
-                self.ldst_queue.push_back(LdstTxn {
-                    line,
-                    set: 0,
-                    tag: 0,
-                    kind,
-                    warp: slot,
-                    class,
-                });
-            }
+        for &line in &lines {
+            self.ldst_queue.push_back(LdstTxn {
+                line,
+                set: self.l1_geom.set_of(line),
+                tag: self.l1_geom.tag_of(line),
+                kind,
+                warp: slot,
+                class,
+            });
         }
         self.coalesce_scratch = lines;
         if blocking && n > 0 {
@@ -886,15 +865,10 @@ impl SimtCore {
                 let kind = restore_access_kind(r)?;
                 let warp = r.usize()?;
                 let class = restore_request_class(r)?;
-                let (set, tag) = if self.ldst_batch {
-                    (self.l1_geom.set_of(line), self.l1_geom.tag_of(line))
-                } else {
-                    (0, 0)
-                };
                 self.ldst_queue.push_back(LdstTxn {
                     line,
-                    set,
-                    tag,
+                    set: self.l1_geom.set_of(line),
+                    tag: self.l1_geom.tag_of(line),
                     kind,
                     warp,
                     class,
