@@ -31,7 +31,9 @@ use crate::sweep::{parallel_map, DesignPoint};
 use gcache_core::cache::{BypassPlane, CopyBackPlane};
 use gcache_core::policy::gcache::GCacheConfig;
 use gcache_core::policy::pdp_dyn::DynamicPdpConfig;
-use gcache_core::snapshot::{fnv1a, SnapshotError, SnapshotReader, SnapshotWriter};
+use gcache_core::snapshot::{
+    bytes_len, fnv1a, section_len, SnapshotError, SnapshotReader, SnapshotWriter, HEADER_LEN,
+};
 use gcache_core::trace::SharedTraceRing;
 use gcache_core::trace_export::ChromeTraceBuilder;
 use gcache_sim::config::{GpuConfig, Hierarchy, L1PolicyKind};
@@ -489,13 +491,20 @@ fn checkpoint_file(stem: &str, label: &str) -> PathBuf {
 /// the same point, and distinct temp files keep those writes from tearing
 /// each other (the rename itself is atomic either way).
 fn write_labelled_checkpoint(path: &Path, label: &str, snapshot: &[u8]) -> std::io::Result<()> {
-    let mut w = SnapshotWriter::new();
-    w.section("bench_ckpt", |w| {
+    const TAG: &str = "bench_ckpt";
+    // The wrapper's exact size, so the one copy of `snapshot` lands in a
+    // buffer that never regrows.
+    let fields = bytes_len(label.len()) + bytes_len(snapshot.len());
+    let wrapped = HEADER_LEN + section_len(TAG, fields);
+    let mut w = SnapshotWriter::with_capacity(wrapped);
+    w.section(TAG, |w| {
         w.str(label);
         w.bytes(snapshot);
     });
+    let wrapper = w.finish();
+    debug_assert_eq!(wrapper.len(), wrapped);
     let tmp = path.with_extension(format!("ckpt.tmp.{}", std::process::id()));
-    std::fs::write(&tmp, w.finish())?;
+    std::fs::write(&tmp, wrapper)?;
     std::fs::rename(&tmp, path)
 }
 

@@ -1,0 +1,186 @@
+//! Damaged, stale and hostile checkpoints: whatever reaches
+//! `Gpu::restore_checkpoint` or a `--resume` stem that is not a snapshot
+//! this build wrote must come back as an `Err` — and, through
+//! `run_point_observed`, as [`PointEvent::CheckpointIgnored`] followed by
+//! a fresh simulation with the uninterrupted run's statistics — never as a
+//! panic (a panicking sweep-server worker is respawned into the same file
+//! until its shard gives up) and never as a silently accepted restore.
+//!
+//! The fixture is a real machine state: quick-scale BFS under G-Cache,
+//! snapshotted mid-kernel.
+
+use gcache_bench::{run_point_observed, CheckpointOpts, PointEvent, RunOpts};
+use gcache_core::rng::SmallRng;
+use gcache_core::snapshot::{SnapshotError, HEADER_LEN, MAGIC};
+use gcache_sim::config::GpuConfig;
+use gcache_sim::gpu::Gpu;
+use gcache_workloads::{by_name, Benchmark, Scale};
+use std::path::{Path, PathBuf};
+
+const EVERY: u64 = 1200;
+const LABEL: &str = "BFS|corruption-test";
+
+fn bfs() -> Box<dyn Benchmark> {
+    by_name("BFS", Scale::Test).expect("BFS registered")
+}
+
+fn gc_config() -> GpuConfig {
+    let policy = gcache_bench::designs(6)
+        .into_iter()
+        .find(|p| p.design_name() == "GC")
+        .expect("GC design");
+    GpuConfig::fermi_with_policy(policy).expect("valid config")
+}
+
+/// A snapshot from the middle of the run.
+fn mid_run_snapshot(bench: &dyn Benchmark) -> Vec<u8> {
+    let mut snapshots = Vec::new();
+    Gpu::new(gc_config())
+        .run_kernel_checkpointed(bench, EVERY, |_, bytes| {
+            snapshots.push(bytes);
+            Ok(())
+        })
+        .expect("checkpointed run");
+    assert!(snapshots.len() >= 2, "run too short for a mid-run snapshot");
+    snapshots.swap_remove(snapshots.len() / 2)
+}
+
+#[test]
+fn damaged_snapshots_are_errors_never_panics_never_accepted() {
+    let bench = bfs();
+    let snapshot = mid_run_snapshot(bench.as_ref());
+    let restore = |bytes: &[u8]| Gpu::new(gc_config()).restore_checkpoint(bytes, bench.as_ref());
+    restore(&snapshot).expect("the undamaged snapshot restores");
+
+    let mut rng = SmallRng::seed_from_u64(0x5eed_c0de);
+    let mut damaged = snapshot.clone();
+    for _ in 0..2000 {
+        let bit = rng.gen_range(0..snapshot.len() as u64 * 8) as usize;
+        damaged[bit / 8] ^= 1 << (bit % 8);
+        assert!(
+            restore(&damaged).is_err(),
+            "bit {} of byte {} flipped, restore accepted it",
+            bit % 8,
+            bit / 8
+        );
+        damaged[bit / 8] = snapshot[bit / 8];
+    }
+
+    // Every length class: empty, inside the header, and 200 spread over
+    // the file (random, so section boundaries are not favoured).
+    let cuts = (0..=HEADER_LEN + 1)
+        .chain((0..200).map(|_| rng.gen_range(0..snapshot.len() as u64) as usize));
+    for cut in cuts {
+        assert!(
+            restore(&snapshot[..cut]).is_err(),
+            "file cut at {cut} of {}, restore accepted it",
+            snapshot.len()
+        );
+    }
+
+    let mut stale = snapshot;
+    stale[MAGIC.len()..HEADER_LEN].copy_from_slice(&1u32.to_le_bytes());
+    assert_eq!(
+        restore(&stale).unwrap_err(),
+        SnapshotError::BadVersion { found: 1 }
+    );
+}
+
+/// Runs the fixture point until its first checkpoint is on disk, then
+/// aborts (as a killed worker would) and returns the checkpoint file.
+fn interrupted_point(bench: &dyn Benchmark, stem: &str, dir: &Path) -> PathBuf {
+    let opts = RunOpts {
+        checkpoint: Some(CheckpointOpts {
+            write: Some(stem.to_string()),
+            every: EVERY,
+            resume: None,
+        }),
+        ..RunOpts::default()
+    };
+    let aborted = run_point_observed(gc_config(), bench, LABEL, &opts, &mut |event| match event {
+        PointEvent::Checkpointed { .. } => Err("killed".to_string()),
+        _ => Ok(()),
+    });
+    assert_eq!(
+        aborted.err().as_deref().map(|e| e.contains("killed")),
+        Some(true)
+    );
+    let mut files = std::fs::read_dir(dir)
+        .expect("scratch directory")
+        .map(|e| e.unwrap().path());
+    let file = files.next().expect("one checkpoint file");
+    assert!(files.next().is_none(), "exactly one checkpoint file");
+    file
+}
+
+/// Resumes the fixture point from `stem`; returns the stats' Debug
+/// rendering and what the observer heard about the checkpoint.
+fn resume_point(bench: &dyn Benchmark, stem: Option<&str>) -> (String, Vec<String>) {
+    let opts = RunOpts {
+        checkpoint: stem.map(|s| CheckpointOpts {
+            write: None,
+            every: EVERY,
+            resume: Some(s.to_string()),
+        }),
+        ..RunOpts::default()
+    };
+    let mut heard = Vec::new();
+    let (stats, _) = run_point_observed(gc_config(), bench, LABEL, &opts, &mut |event| {
+        match event {
+            PointEvent::Resumed { .. } => heard.push("resumed".to_string()),
+            PointEvent::CheckpointIgnored { reason, .. } => {
+                heard.push(format!("ignored: {reason}"))
+            }
+            PointEvent::Checkpointed { .. } | PointEvent::Finished { .. } => {}
+        }
+        Ok(())
+    })
+    .expect("the point completes");
+    (format!("{stats:?}"), heard)
+}
+
+#[test]
+fn unusable_checkpoint_files_are_ignored_and_the_point_reruns() {
+    let bench = bfs();
+    let dir = std::env::temp_dir().join(format!("gcache-ckpt-corruption-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    let stem = dir.join("ck").to_string_lossy().into_owned();
+    let file = interrupted_point(bench.as_ref(), &stem, &dir);
+    let intact = std::fs::read(&file).expect("checkpoint file");
+    let (fresh, heard) = resume_point(bench.as_ref(), None);
+    assert!(heard.is_empty());
+
+    // The file as written resumes, to the uninterrupted statistics.
+    let (stats, heard) = resume_point(bench.as_ref(), Some(&stem));
+    assert_eq!(heard, ["resumed"]);
+    assert_eq!(stats, fresh);
+
+    // A file from the version-1 format: rejected by its header, not
+    // migrated.
+    let mut stale = intact.clone();
+    stale[MAGIC.len()..HEADER_LEN].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&file, stale).expect("rewrite checkpoint");
+    let (stats, heard) = resume_point(bench.as_ref(), Some(&stem));
+    assert_eq!(heard.len(), 1, "{heard:?}");
+    assert!(
+        heard[0].starts_with("ignored: ") && heard[0].contains("version 1"),
+        "{heard:?}"
+    );
+    assert_eq!(stats, fresh);
+
+    // The outermost section's length field — the one value in the file no
+    // checksum covers — claiming almost 2^64 bytes.
+    let len_at = HEADER_LEN + 2 + "bench_ckpt".len();
+    let mut hostile = intact;
+    hostile[len_at..len_at + 8].copy_from_slice(&(u64::MAX - 3).to_le_bytes());
+    std::fs::write(&file, hostile).expect("rewrite checkpoint");
+    let (stats, heard) = resume_point(bench.as_ref(), Some(&stem));
+    assert_eq!(heard.len(), 1, "{heard:?}");
+    assert!(
+        heard[0].starts_with("ignored: ") && heard[0].contains("truncated"),
+        "{heard:?}"
+    );
+    assert_eq!(stats, fresh);
+    std::fs::remove_dir_all(&dir).expect("remove scratch directory");
+}

@@ -7,15 +7,18 @@ use std::fmt;
 /// The hierarchy is timing-only and non-inclusive, so a simple
 /// three-state machine suffices: a line is absent, present-clean, or
 /// present-dirty (L2 only — L1 is write-through and never holds dirty data).
+///
+/// The discriminants are the snapshot encoding (one byte per line).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+#[repr(u8)]
 pub enum LineState {
     /// No valid line in this slot.
     #[default]
-    Invalid,
+    Invalid = 0,
     /// Valid line, memory copy up to date.
-    Clean,
+    Clean = 1,
     /// Valid line, modified relative to memory (write-back caches only).
-    Dirty,
+    Dirty = 2,
 }
 
 impl LineState {

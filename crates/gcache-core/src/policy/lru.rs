@@ -89,25 +89,14 @@ impl ReplacementPolicy for Lru {
 impl Snapshot for Lru {
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("lru", |w| {
-            w.usize(self.stamp.len());
-            for &s in &self.stamp {
-                w.u64(s);
-            }
+            w.u64s(&self.stamp);
             w.u64(self.clock);
         });
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         r.section("lru", |r| {
-            let n = r.usize()?;
-            if n != self.stamp.len() {
-                return Err(SnapshotError::Mismatch {
-                    what: format!("LRU stamps ({n} saved, {} built)", self.stamp.len()),
-                });
-            }
-            for s in &mut self.stamp {
-                *s = r.u64()?;
-            }
+            r.u64s(&mut self.stamp, "LRU stamps")?;
             self.clock = r.u64()?;
             Ok(())
         })

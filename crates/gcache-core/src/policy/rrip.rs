@@ -148,24 +148,15 @@ impl RrpvTable {
 impl Snapshot for RrpvTable {
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("rrpv", |w| {
-            w.bytes(&self.rrpv);
+            w.u8s(self.rrpv.iter().copied());
         });
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         r.section("rrpv", |r| {
-            let bytes = r.bytes()?;
-            if bytes.len() != self.rrpv.len() {
-                return Err(SnapshotError::Mismatch {
-                    what: format!(
-                        "RRPV table size ({} saved, {} built)",
-                        bytes.len(),
-                        self.rrpv.len()
-                    ),
-                });
-            }
+            let bytes = r.u8s(self.rrpv.len(), "RRPV table size")?;
             let max = self.max;
-            for (slot, &b) in self.rrpv.iter_mut().zip(bytes.iter()) {
+            for (slot, &b) in self.rrpv.iter_mut().zip(bytes) {
                 if b > max {
                     return Err(SnapshotError::BadValue {
                         what: "RRPV".to_string(),

@@ -12,9 +12,9 @@
 //! * an 8-byte magic plus a format version up front, so a foreign or stale
 //!   file is rejected before any field is interpreted;
 //! * every component wraps its fields in a named **section** — a tag, a
-//!   64-bit payload length and a trailing FNV-1a checksum — so a truncated
-//!   or bit-flipped file fails with the section name, never with a
-//!   misaligned read silently corrupting downstream state;
+//!   64-bit payload length and a trailing [`checksum64`] of the payload —
+//!   so a truncated or bit-flipped file fails with the section name, never
+//!   with a misaligned read silently corrupting downstream state;
 //! * section nesting is enforced: a `restore` that consumes fewer or more
 //!   bytes than the matching `save` wrote trips
 //!   [`SnapshotError::SectionUnderrun`] / [`SnapshotError::Truncated`] at the
@@ -30,8 +30,25 @@ use std::fmt;
 
 /// File magic: identifies a G-Cache snapshot.
 pub const MAGIC: [u8; 8] = *b"GCSNAPSH";
-/// Format version; bump on any layout change.
-pub const VERSION: u32 = 1;
+/// Format version; bump on any layout change. Version 2 seals sections
+/// with [`checksum64`] instead of FNV-1a and encodes arrays in bulk; a
+/// version-1 file is rejected, never migrated (the point re-simulates).
+pub const VERSION: u32 = 2;
+/// Bytes of magic plus version that open every snapshot.
+pub const HEADER_LEN: usize = MAGIC.len() + 4;
+
+/// Encoded size of a section with a `payload`-byte payload: tag, length
+/// field, payload, checksum. With [`HEADER_LEN`] and [`bytes_len`] it lets
+/// a caller that knows its fields size a [`SnapshotWriter`] exactly.
+pub const fn section_len(tag: &str, payload: usize) -> usize {
+    2 + tag.len() + 8 + payload + 8
+}
+
+/// Encoded size of an `n`-byte [`SnapshotWriter::bytes`] /
+/// [`SnapshotWriter::str`] field: length prefix plus content.
+pub const fn bytes_len(n: usize) -> usize {
+    8 + n
+}
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,9 +146,10 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// 64-bit FNV-1a over a byte slice — the per-section checksum, also
-/// exported for cheap content fingerprints (e.g. the configuration hash a
-/// checkpoint header carries so resume can reject a mismatched machine).
+/// 64-bit FNV-1a over a byte slice — a cheap content fingerprint for short
+/// strings (the configuration hash a checkpoint header carries so resume
+/// can reject a mismatched machine, checkpoint file names). Sections are
+/// sealed with [`checksum64`], not with this.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -139,6 +157,67 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Odd multiplier of every [`checksum64`] step (2^64 / golden ratio).
+const SUM_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One [`checksum64`] step (see there for why it is a bijection in each
+/// argument). The rotation carries the multiply's well-mixed high half
+/// down, where the next step's multiply spreads it again.
+#[inline]
+fn sum_step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(SUM_MUL).rotate_left(32)
+}
+
+/// The per-section checksum. The bytes are read as little-endian `u64`
+/// words, the tail zero-padded to a whole word; word `i` is absorbed by
+/// lane `i % 8` with one step `h = rotl32((h ^ w) * 0x9e3779b97f4a7c15)`;
+/// the byte length and the eight lanes are then folded with the same
+/// step. Eight independent dependency chains at eight bytes per multiply
+/// mean the multiplier never waits on its own result. The step is a
+/// bijection of `h` for a fixed `w` and of `w` for a fixed `h`: xor,
+/// multiplication by an odd constant modulo 2^64 and rotation are each
+/// invertible.
+///
+/// Guarantee: two inputs of equal length that differ only inside one
+/// aligned 8-byte word have different sums. Such a change alters one word
+/// of one lane; every later step of that lane and every fold step is a
+/// bijection of the running value, so the difference can never cancel.
+/// Anything wider — several words, or a length change that is not
+/// zero-padding-neutral — collides with probability about 2^-64. It is
+/// not a cryptographic hash: it catches torn writes and flipped bits, not
+/// an adversary.
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    const SEEDS: [u64; 8] = [
+        0x243f_6a88_85a3_08d3,
+        0x1319_8a2e_0370_7344,
+        0xa409_3822_299f_31d0,
+        0x082e_fa98_ec4e_6c89,
+        0x4528_21e6_38d0_1377,
+        0xbe54_66cf_34e9_0c6c,
+        0xc0ac_29b7_c97c_50dd,
+        0x3f84_d5b5_b547_0917,
+    ];
+    // Up to eight bytes as a little-endian word, zero-padded.
+    let word = |c: &[u8]| {
+        let mut w = [0u8; 8];
+        w[..c.len()].copy_from_slice(c);
+        u64::from_le_bytes(w)
+    };
+    let mut lanes = SEEDS;
+    let mut blocks = bytes.chunks_exact(64);
+    for b in &mut blocks {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            *lane = sum_step(*lane, word(&b[8 * i..8 * i + 8]));
+        }
+    }
+    for (lane, c) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+        *lane = sum_step(*lane, word(c));
+    }
+    lanes
+        .iter()
+        .fold(bytes.len() as u64, |h, &l| sum_step(h, l))
 }
 
 /// Serializes state into the snapshot byte format.
@@ -152,7 +231,14 @@ pub struct SnapshotWriter {
 impl SnapshotWriter {
     /// Starts a snapshot: writes magic and version.
     pub fn new() -> Self {
-        let mut buf = Vec::with_capacity(64 * 1024);
+        Self::with_capacity(64 * 1024)
+    }
+
+    /// [`SnapshotWriter::new`] with room for `bytes` bytes of snapshot, so
+    /// a caller that knows the size (the previous snapshot of the same
+    /// run, an exactly computed wrapper) never regrows the buffer.
+    pub fn with_capacity(bytes: usize) -> Self {
+        let mut buf = Vec::with_capacity(bytes);
         buf.extend_from_slice(&MAGIC);
         buf.extend_from_slice(&VERSION.to_le_bytes());
         SnapshotWriter {
@@ -183,7 +269,7 @@ impl SnapshotWriter {
         let payload_start = len_pos + 8;
         let len = (self.buf.len() - payload_start) as u64;
         self.buf[len_pos..payload_start].copy_from_slice(&len.to_le_bytes());
-        let sum = fnv1a(&self.buf[payload_start..]);
+        let sum = checksum64(&self.buf[payload_start..]);
         self.buf.extend_from_slice(&sum.to_le_bytes());
     }
 
@@ -241,6 +327,34 @@ impl SnapshotWriter {
         self.buf.extend_from_slice(v);
     }
 
+    /// Writes a length-prefixed array of one-byte values (what
+    /// [`SnapshotReader::u8s`] reads back) with one reservation; an
+    /// iterator, so an array of byte-sized enums needs no staging copy.
+    pub fn u8s(&mut self, v: impl ExactSizeIterator<Item = u8>) {
+        self.usize(v.len());
+        self.buf.extend(v);
+    }
+
+    /// Writes a length-prefixed `u32` array with one reservation.
+    pub fn u32s(&mut self, v: &[u32]) {
+        self.usize(v.len());
+        let at = self.buf.len();
+        self.buf.resize(at + 4 * v.len(), 0);
+        for (dst, x) in self.buf[at..].chunks_exact_mut(4).zip(v) {
+            dst.copy_from_slice(&x.to_le_bytes());
+        }
+    }
+
+    /// Writes a length-prefixed `u64` array with one reservation.
+    pub fn u64s(&mut self, v: &[u64]) {
+        self.usize(v.len());
+        let at = self.buf.len();
+        self.buf.resize(at + 8 * v.len(), 0);
+        for (dst, x) in self.buf[at..].chunks_exact_mut(8).zip(v) {
+            dst.copy_from_slice(&x.to_le_bytes());
+        }
+    }
+
     /// Writes a length-prefixed UTF-8 string.
     pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
@@ -287,16 +401,16 @@ impl<'a> SnapshotReader<'a> {
     /// [`SnapshotError::BadMagic`] / [`SnapshotError::BadVersion`] when the
     /// buffer is not a snapshot this build can read.
     pub fn new(buf: &'a [u8]) -> Result<Self, SnapshotError> {
-        if buf.len() < MAGIC.len() + 4 || buf[..MAGIC.len()] != MAGIC {
+        if buf.len() < HEADER_LEN || buf[..MAGIC.len()] != MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        let found = u32::from_le_bytes(buf[MAGIC.len()..MAGIC.len() + 4].try_into().unwrap());
+        let found = u32::from_le_bytes(buf[MAGIC.len()..HEADER_LEN].try_into().unwrap());
         if found != VERSION {
             return Err(SnapshotError::BadVersion { found });
         }
         Ok(SnapshotReader {
             buf,
-            pos: MAGIC.len() + 4,
+            pos: HEADER_LEN,
             open: Vec::new(),
         })
     }
@@ -307,15 +421,19 @@ impl<'a> SnapshotReader<'a> {
         self.open.last().map_or(self.buf.len(), |s| s.end)
     }
 
+    /// `n` comes from the file as often as from the code, so the bound
+    /// test must not overflow: a length with its high bits set is a
+    /// truncated file, not a slice-index panic.
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.pos + n > self.bound() {
+        let end = self.pos.checked_add(n).filter(|&end| end <= self.bound());
+        let Some(end) = end else {
             return Err(SnapshotError::Truncated {
                 at: self.pos,
                 wanted: n,
             });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+        };
+        let s = &self.buf[self.pos..end];
+        self.pos = end;
         Ok(s)
     }
 
@@ -336,26 +454,18 @@ impl<'a> SnapshotReader<'a> {
                 found,
             });
         }
-        let len = u64::from_le_bytes(self.take(8)?.try_into().unwrap()) as usize;
-        if self.pos + len + 8 > self.bound() {
-            return Err(SnapshotError::Truncated {
-                at: self.pos,
-                wanted: len + 8,
-            });
-        }
-        let payload = &self.buf[self.pos..self.pos + len];
-        let stored = u64::from_le_bytes(
-            self.buf[self.pos + len..self.pos + len + 8]
-                .try_into()
-                .unwrap(),
-        );
-        if fnv1a(payload) != stored {
-            return Err(SnapshotError::BadChecksum {
-                section: found.clone(),
-            });
+        let len = self.usize()?;
+        // Payload and checksum must both fit; `take` bounds-checks the sum
+        // without overflowing, and the cursor goes back to the payload.
+        let start = self.pos;
+        let sealed = self.take(len.saturating_add(8))?;
+        self.pos = start;
+        let (payload, sum) = sealed.split_at(len);
+        if checksum64(payload) != u64::from_le_bytes(sum.try_into().unwrap()) {
+            return Err(SnapshotError::BadChecksum { section: found });
         }
         self.open.push(OpenSection {
-            end: self.pos + len,
+            end: start + len,
             tag: found,
         });
         Ok(())
@@ -457,6 +567,57 @@ impl<'a> SnapshotReader<'a> {
     pub fn str(&mut self) -> Result<String, SnapshotError> {
         Ok(String::from_utf8_lossy(self.bytes()?).into_owned())
     }
+
+    /// The bytes of a length-prefixed array that must hold exactly `built`
+    /// elements of `width` bytes — the constructor sized the destination
+    /// from the configuration, so any other count is a different machine.
+    fn array(&mut self, built: usize, width: usize, what: &str) -> Result<&'a [u8], SnapshotError> {
+        let saved = self.usize()?;
+        if saved != built {
+            return Err(SnapshotError::Mismatch {
+                what: format!("{what} ({saved} saved, {built} built)"),
+            });
+        }
+        self.take(built * width)
+    }
+
+    /// Reads an array of exactly `built` one-byte values written by
+    /// [`SnapshotWriter::u8s`]; the caller validates and converts them.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Mismatch`] naming `what` on any other count.
+    pub fn u8s(&mut self, built: usize, what: &str) -> Result<&'a [u8], SnapshotError> {
+        self.array(built, 1, what)
+    }
+
+    /// Fills `dst` from an array written by [`SnapshotWriter::u32s`].
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Mismatch`] naming `what` when the saved count is
+    /// not `dst.len()`.
+    pub fn u32s(&mut self, dst: &mut [u32], what: &str) -> Result<(), SnapshotError> {
+        let src = self.array(dst.len(), 4, what)?;
+        for (x, c) in dst.iter_mut().zip(src.chunks_exact(4)) {
+            *x = u32::from_le_bytes(c.try_into().unwrap());
+        }
+        Ok(())
+    }
+
+    /// Fills `dst` from an array written by [`SnapshotWriter::u64s`].
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Mismatch`] naming `what` when the saved count is
+    /// not `dst.len()`.
+    pub fn u64s(&mut self, dst: &mut [u64], what: &str) -> Result<(), SnapshotError> {
+        let src = self.array(dst.len(), 8, what)?;
+        for (x, c) in dst.iter_mut().zip(src.chunks_exact(8)) {
+            *x = u64::from_le_bytes(c.try_into().unwrap());
+        }
+        Ok(())
+    }
 }
 
 /// The save/restore capability every stateful component implements.
@@ -552,6 +713,59 @@ mod tests {
     }
 
     #[test]
+    fn arrays_round_trip_and_reject_other_counts() {
+        let (a, b, c) = (
+            [u64::MAX, 1, 0x0102_0304_0506_0708],
+            [7u32, u32::MAX],
+            [9u8, 0, 255],
+        );
+        let mut w = SnapshotWriter::new();
+        w.section("arrays", |w| {
+            w.u64s(&a);
+            w.u32s(&b);
+            w.u8s(c.iter().copied());
+            w.u64s(&[]);
+        });
+        let bytes = w.finish();
+        let mut r = SnapshotReader::new(&bytes).unwrap();
+        r.section("arrays", |r| {
+            let (mut a2, mut b2) = ([0u64; 3], [0u32; 2]);
+            r.u64s(&mut a2, "a")?;
+            r.u32s(&mut b2, "b")?;
+            assert_eq!((a2, b2), (a, b));
+            assert_eq!(r.u8s(3, "c")?, c);
+            r.u64s(&mut [], "empty")
+        })
+        .unwrap();
+
+        let mut r = SnapshotReader::new(&bytes).unwrap();
+        r.begin_section("arrays").unwrap();
+        assert_eq!(
+            r.u64s(&mut [0; 4], "stamps").unwrap_err(),
+            SnapshotError::Mismatch {
+                what: "stamps (3 saved, 4 built)".to_string()
+            }
+        );
+    }
+
+    #[test]
+    fn checksum_sees_every_bit_and_every_appended_zero() {
+        let pattern: Vec<u8> = (0..72u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=pattern.len() {
+            let data = &pattern[..len];
+            let sum = checksum64(data);
+            let mut grown = data.to_vec();
+            grown.push(0);
+            assert_ne!(checksum64(&grown), sum, "appended zero at length {len}");
+            for bit in 0..len * 8 {
+                let mut flipped = data.to_vec();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(checksum64(&flipped), sum, "bit {bit} of {len} bytes");
+            }
+        }
+    }
+
+    #[test]
     fn nested_sections_round_trip() {
         let mut w = SnapshotWriter::new();
         w.section("outer", |w| {
@@ -596,12 +810,36 @@ mod tests {
     }
 
     #[test]
+    fn huge_length_fields_are_truncation_not_a_panic() {
+        // A section header claiming almost 2^64 payload bytes.
+        let mut w = SnapshotWriter::new();
+        w.section("s", |w| w.u64(7));
+        let mut bytes = w.finish();
+        let len_at = HEADER_LEN + 2 + 1;
+        bytes[len_at..len_at + 8].copy_from_slice(&(u64::MAX - 3).to_le_bytes());
+        let mut r = SnapshotReader::new(&bytes).unwrap();
+        assert!(matches!(
+            r.begin_section("s"),
+            Err(SnapshotError::Truncated { at, .. }) if at == len_at + 8
+        ));
+
+        // A `bytes()` prefix doing the same inside a correctly sealed
+        // section.
+        let mut w = SnapshotWriter::new();
+        w.section("s", |w| w.u64(u64::MAX - 1));
+        let bytes = w.finish();
+        let mut r = SnapshotReader::new(&bytes).unwrap();
+        r.begin_section("s").unwrap();
+        assert!(matches!(r.bytes(), Err(SnapshotError::Truncated { .. })));
+    }
+
+    #[test]
     fn truncation_fails_loudly() {
         let mut w = SnapshotWriter::new();
         w.section("s", |w| w.u64(7));
         let bytes = w.finish();
         // Cut the file anywhere inside the section: the open fails.
-        for cut in MAGIC.len() + 4..bytes.len() {
+        for cut in HEADER_LEN..bytes.len() {
             let mut r = SnapshotReader::new(&bytes[..cut]).unwrap();
             assert!(r.begin_section("s").is_err(), "cut at {cut} must fail");
         }

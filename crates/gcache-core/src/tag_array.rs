@@ -267,37 +267,25 @@ impl TagArray {
     }
 }
 
-/// Wire format unchanged from the array-of-slots layout: the *logical*
-/// slots (tag, state, reuse per line) are serialized; the packed mask words
-/// are acceleration state and are rebuilt on restore, exactly like the
-/// mesh's head caches.
+/// Wire format: the struct-of-arrays the memory layout already is — all
+/// tags, then all states (one byte each), then all reuse counters. These
+/// are the *logical* slots; the packed mask words are acceleration state
+/// and are rebuilt on restore, exactly like the mesh's head caches.
 impl Snapshot for TagArray {
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("tags", |w| {
-            w.usize(self.tags.len());
-            for i in 0..self.tags.len() {
-                w.u64(self.tags[i]);
-                w.u8(match self.state[i] {
-                    LineState::Invalid => 0,
-                    LineState::Clean => 1,
-                    LineState::Dirty => 2,
-                });
-                w.u32(self.reuse[i]);
-            }
+            w.u64s(&self.tags);
+            w.u8s(self.state.iter().map(|&s| s as u8));
+            w.u32s(&self.reuse);
         });
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         r.section("tags", |r| {
-            let n = r.usize()?;
-            if n != self.tags.len() {
-                return Err(SnapshotError::Mismatch {
-                    what: format!("tag array size ({n} saved, {} built)", self.tags.len()),
-                });
-            }
-            for i in 0..n {
-                self.tags[i] = r.u64()?;
-                self.state[i] = match r.u8()? {
+            r.u64s(&mut self.tags, "tag array size")?;
+            let states = r.u8s(self.state.len(), "tag array states")?;
+            for (state, &v) in self.state.iter_mut().zip(states) {
+                *state = match v {
                     0 => LineState::Invalid,
                     1 => LineState::Clean,
                     2 => LineState::Dirty,
@@ -308,8 +296,8 @@ impl Snapshot for TagArray {
                         })
                     }
                 };
-                self.reuse[i] = r.u32()?;
             }
+            r.u32s(&mut self.reuse, "tag array reuse counters")?;
             // Rebuild the packed masks from the restored slot states.
             for set in 0..self.geom.sets() as usize {
                 let (valid, dirty) = self.recompute_masks(set);

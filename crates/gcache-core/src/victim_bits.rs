@@ -241,10 +241,7 @@ impl VictimBits {
 impl Snapshot for VictimBits {
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("victim_bits", |w| {
-            w.usize(self.bits.len());
-            for &mask in &self.bits {
-                w.u64(mask);
-            }
+            w.u64s(&self.bits);
             w.u64(self.stats.sets);
             w.u64(self.stats.hits);
             w.u64(self.stats.clears);
@@ -253,15 +250,7 @@ impl Snapshot for VictimBits {
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         r.section("victim_bits", |r| {
-            let n = r.usize()?;
-            if n != self.bits.len() {
-                return Err(SnapshotError::Mismatch {
-                    what: format!("victim-bit lines ({n} saved, {} built)", self.bits.len()),
-                });
-            }
-            for mask in &mut self.bits {
-                *mask = r.u64()?;
-            }
+            r.u64s(&mut self.bits, "victim-bit lines")?;
             self.stats.sets = r.u64()?;
             self.stats.hits = r.u64()?;
             self.stats.clears = r.u64()?;

@@ -93,6 +93,10 @@ const WATCHDOG_PATIENCE: u64 = 500_000;
 #[derive(Debug)]
 pub struct Gpu {
     cfg: GpuConfig,
+    /// Fingerprint of `cfg` (which never changes after [`Gpu::new`]),
+    /// embedded in every checkpoint so resume rejects a differently built
+    /// machine instead of silently diverging.
+    cfg_fingerprint: u64,
     cores: CoreComplex,
     icnt: Interconnect,
     clusters: ClusterComplex,
@@ -111,6 +115,10 @@ pub struct Gpu {
     /// next `run_kernel*` call (which then continues the interrupted
     /// kernel instead of starting it over).
     resume: Option<ResumeState>,
+    /// Length of the last snapshot this machine wrote or restored: the
+    /// next one of the same run is within a few bytes of it, so its buffer
+    /// is sized once instead of doubling up from the default.
+    snapshot_len: usize,
 }
 
 /// The `run_kernel` locals a checkpoint has to carry across processes:
@@ -137,6 +145,7 @@ impl Gpu {
         let clusters = ClusterComplex::new(&cfg, icnt.topology());
         let mem = MemorySystem::new(&cfg);
         Gpu {
+            cfg_fingerprint: fnv1a(format!("{cfg:?}").as_bytes()),
             cfg,
             cores,
             icnt,
@@ -147,6 +156,7 @@ impl Gpu {
             profile: None,
             trace: None,
             resume: None,
+            snapshot_len: 0,
         }
     }
 
@@ -447,6 +457,7 @@ impl Gpu {
                 // `now`: the machine is exactly in its between-cycles
                 // state, which is what the snapshot captures.
                 let bytes = self.encode_checkpoint(kernel.name(), start_cycle, &watchdog);
+                self.snapshot_len = bytes.len();
                 let (every, sink) = ckpt.as_mut().expect("checkpoint due without a spec");
                 sink(now, bytes).map_err(|e| SimError::Checkpoint {
                     detail: format!("checkpoint at cycle {now} failed: {e}"),
@@ -477,10 +488,14 @@ impl Gpu {
         start_cycle: u64,
         watchdog: &Watchdog<(u64, u64, u64)>,
     ) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
+        let mut w = match self.snapshot_len {
+            0 => SnapshotWriter::new(),
+            // Queues and MSHRs breathe a little between two saves.
+            last => SnapshotWriter::with_capacity(last + last / 16),
+        };
         w.section("gpu", |w| {
             w.str(kernel_name);
-            w.u64(self.config_fingerprint());
+            w.u64(self.cfg_fingerprint);
             w.u64(self.cycle);
             w.u64(start_cycle);
             let (wd_cycle, sig) = watchdog.last_progress();
@@ -517,7 +532,6 @@ impl Gpu {
         bytes: &[u8],
         kernel: &dyn Kernel,
     ) -> Result<(), SnapshotError> {
-        let fp_expected = self.config_fingerprint();
         let mut r = SnapshotReader::new(bytes)?;
         let mut cycle = 0;
         let mut rs = ResumeState {
@@ -534,7 +548,7 @@ impl Gpu {
                 });
             }
             let fp = r.u64()?;
-            if fp != fp_expected {
+            if fp != self.cfg_fingerprint {
                 return Err(SnapshotError::Mismatch {
                     what: "configuration fingerprint".into(),
                 });
@@ -566,14 +580,8 @@ impl Gpu {
         }
         self.cycle = cycle;
         self.resume = Some(rs);
+        self.snapshot_len = bytes.len();
         Ok(())
-    }
-
-    /// A stable fingerprint of the active configuration, embedded in every
-    /// checkpoint so resume rejects a differently built machine instead of
-    /// silently diverging.
-    fn config_fingerprint(&self) -> u64 {
-        fnv1a(format!("{:?}", self.cfg).as_bytes())
     }
 
     /// Gathers the cumulative counters the sampler differences. Read-only:

@@ -61,6 +61,16 @@ curve_lines=$(printf '%s\n' "$noc_out" | grep -c "mean-lat") || true
   || { echo "noc microbench: expected 8 saturation points, got $curve_lines"; exit 1; }
 printf '%s\n' "$noc_out" | grep "mean-lat" | sed 's/^/   /'
 
+echo "==> snapshot microbench (checksum, whole-GPU save and restore, bytes)"
+# Smoke-gates the snapshot bench target: its four lines must appear. No
+# wall-clock threshold; speed questions go to `bash benchmark/run.sh`.
+snap_out=$(cargo bench -q -p gcache-bench --bench snapshot 2>/dev/null)
+for line in checksum_gbps save_us restore_us bytes; do
+  printf '%s\n' "$snap_out" | grep -q "^snapshot/$line " \
+    || { echo "snapshot microbench: $line line missing"; exit 1; }
+done
+printf '%s\n' "$snap_out" | sed 's/^/   /'
+
 echo "==> checkpoint round-trip (fig2 --checkpoint/--resume, release)"
 # Periodic snapshotting must be passive (no output byte changes), and an
 # interrupted run resumed from its checkpoints must reproduce the
