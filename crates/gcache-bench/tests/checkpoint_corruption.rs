@@ -11,9 +11,10 @@
 
 use gcache_bench::{run_point_observed, CheckpointOpts, PointEvent, RunOpts};
 use gcache_core::rng::SmallRng;
-use gcache_core::snapshot::{SnapshotError, HEADER_LEN, MAGIC};
-use gcache_sim::config::GpuConfig;
+use gcache_core::snapshot::{checksum64, SnapshotError, HEADER_LEN, MAGIC};
+use gcache_sim::config::{GpuConfig, Hierarchy};
 use gcache_sim::gpu::Gpu;
+use gcache_sim::telemetry::Sampler;
 use gcache_workloads::{by_name, Benchmark, Scale};
 use std::path::{Path, PathBuf};
 
@@ -32,23 +33,54 @@ fn gc_config() -> GpuConfig {
     GpuConfig::fermi_with_policy(policy).expect("valid config")
 }
 
-/// A snapshot from the middle of the run.
-fn mid_run_snapshot(bench: &dyn Benchmark) -> Vec<u8> {
+/// A snapshot from the middle of `gpu`'s run.
+fn mid_run_snapshot(mut gpu: Gpu, bench: &dyn Benchmark) -> Vec<u8> {
     let mut snapshots = Vec::new();
-    Gpu::new(gc_config())
-        .run_kernel_checkpointed(bench, EVERY, |_, bytes| {
-            snapshots.push(bytes);
-            Ok(())
-        })
-        .expect("checkpointed run");
+    gpu.run_kernel_checkpointed(bench, EVERY, |_, bytes| {
+        snapshots.push(bytes);
+        Ok(())
+    })
+    .expect("checkpointed run");
     assert!(snapshots.len() >= 2, "run too short for a mid-run snapshot");
     snapshots.swap_remove(snapshots.len() / 2)
+}
+
+/// The bytes of a snapshot are a contract with every checkpoint already on
+/// disk: a refactor of the encoders must reproduce them exactly, and a
+/// deliberate layout change must bump `VERSION` and re-capture these
+/// constants. The flat machine covers cores, meshes, partitions and DRAM;
+/// the clustered one adds the `l15`, `xbar` and `sampler` sections.
+#[test]
+fn snapshot_wire_format_is_pinned() {
+    let bench = bfs();
+    let flat = mid_run_snapshot(Gpu::new(gc_config()), bench.as_ref());
+    assert_eq!(
+        (flat.len(), checksum64(&flat)),
+        (340_192, 0x4129_54b3_419e_3264),
+        "flat BFS/GC"
+    );
+
+    let cfg = gc_config()
+        .with_hierarchy(Hierarchy::SharedL15 {
+            cluster_size: 4,
+            kb: 64,
+        })
+        .and_then(|c| c.with_cluster_ports(2))
+        .expect("valid hierarchy");
+    let mut gpu = Gpu::new(cfg);
+    gpu.attach_sampler(Sampler::new(700));
+    let clustered = mid_run_snapshot(gpu, bench.as_ref());
+    assert_eq!(
+        (clustered.len(), checksum64(&clustered)),
+        (394_574, 0x71cd_52e8_9847_5ab4),
+        "SharedL15 c4/64KB, 2 ports, sampled BFS/GC"
+    );
 }
 
 #[test]
 fn damaged_snapshots_are_errors_never_panics_never_accepted() {
     let bench = bfs();
-    let snapshot = mid_run_snapshot(bench.as_ref());
+    let snapshot = mid_run_snapshot(Gpu::new(gc_config()), bench.as_ref());
     let restore = |bytes: &[u8]| Gpu::new(gc_config()).restore_checkpoint(bytes, bench.as_ref());
     restore(&snapshot).expect("the undamaged snapshot restores");
 
