@@ -484,12 +484,10 @@ fn checkpoint_file(stem: &str, label: &str) -> PathBuf {
 }
 
 /// Atomically replaces `path` with a labelled checkpoint (the wrapped
-/// `Gpu` snapshot), via a temp file + rename so a kill mid-write leaves
-/// the previous checkpoint intact rather than a truncated file. The temp
-/// name carries the writer's PID: after a coordinator kill, an orphaned
-/// sweep-server worker and its respawned replacement may both checkpoint
-/// the same point, and distinct temp files keep those writes from tearing
-/// each other (the rename itself is atomic either way).
+/// `Gpu` snapshot): a kill mid-write leaves the previous checkpoint
+/// intact, and an orphaned sweep-server worker and its respawned
+/// replacement checkpointing the same point cannot tear each other (see
+/// [`obs::replace_atomic`]).
 fn write_labelled_checkpoint(path: &Path, label: &str, snapshot: &[u8]) -> std::io::Result<()> {
     const TAG: &str = "bench_ckpt";
     // The wrapper's exact size, so the one copy of `snapshot` lands in a
@@ -503,9 +501,7 @@ fn write_labelled_checkpoint(path: &Path, label: &str, snapshot: &[u8]) -> std::
     });
     let wrapper = w.finish();
     debug_assert_eq!(wrapper.len(), wrapped);
-    let tmp = path.with_extension(format!("ckpt.tmp.{}", std::process::id()));
-    std::fs::write(&tmp, wrapper)?;
-    std::fs::rename(&tmp, path)
+    obs::replace_atomic(path, &wrapper)
 }
 
 /// Reads a labelled checkpoint back, returning the wrapped `Gpu` snapshot.

@@ -77,12 +77,14 @@ pub fn status_path(dir: &Path) -> PathBuf {
 }
 
 /// Atomically replaces `path` with `body` (PID-suffixed temp + rename):
-/// a reader never observes a torn document, and concurrent writers (an
-/// orphaned worker racing its replacement) never tear each other.
-pub fn replace_atomic(path: &Path, body: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
+/// a reader never observes a torn file, a kill mid-write leaves the
+/// previous contents intact, and concurrent writers (an orphaned worker
+/// racing its replacement) never tear each other. Every file the harness
+/// rewrites in place — status, heartbeats, results, manifests,
+/// checkpoints — goes through here. The directory must exist: a
+/// `--checkpoint` stem in a directory that does not is an error, not
+/// something to paper over on every write.
+pub fn replace_atomic(path: &Path, body: &[u8]) -> std::io::Result<()> {
     let mut name = path.file_name().expect("non-empty file name").to_owned();
     name.push(format!(".tmp.{}", std::process::id()));
     let tmp = path.with_file_name(name);
@@ -383,11 +385,16 @@ pub struct HeartbeatWriter {
 }
 
 impl HeartbeatWriter {
-    /// A publisher writing into `dir` (pass `None` to disable).
+    /// A publisher writing into `dir` (pass `None` to disable), whose
+    /// `logs/` it creates if the logger has not already.
     pub fn new(dir: Option<&Path>, shard: usize, total: usize) -> HeartbeatWriter {
+        let path = dir.map(|d| heartbeat_path(d, shard));
+        if let Some(logs) = path.as_deref().and_then(Path::parent) {
+            let _ = std::fs::create_dir_all(logs);
+        }
         HeartbeatWriter {
             hb: Heartbeat::new(shard, total),
-            path: dir.map(|d| heartbeat_path(d, shard)),
+            path,
         }
     }
 
@@ -395,7 +402,7 @@ impl HeartbeatWriter {
     pub fn beat(&mut self) {
         if let Some(path) = &self.path {
             self.hb.updated_ms = unix_ms();
-            let _ = replace_atomic(path, &self.hb.to_json());
+            let _ = replace_atomic(path, self.hb.to_json().as_bytes());
         }
     }
 }
@@ -681,7 +688,7 @@ impl StatusPlane {
                         json = snap.to_json();
                         prom = snap.prometheus();
                         if let Some(path) = &status_file {
-                            let _ = replace_atomic(path, &json);
+                            let _ = replace_atomic(path, json.as_bytes());
                         }
                         last_pub = Some(Instant::now());
                     }
@@ -800,6 +807,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    #[test]
+    fn replace_atomic_replaces_contents() {
+        let dir = tmpdir("replace");
+        let path = dir.join("f.txt");
+        replace_atomic(&path, b"one").unwrap();
+        replace_atomic(&path, b"two").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"two");
+        // No temp litter left behind on the happy path.
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     fn snapshot() -> StatusSnapshot {

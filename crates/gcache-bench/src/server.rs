@@ -37,8 +37,8 @@
 //! [`parallel_map`]: crate::sweep::parallel_map
 
 use crate::obs::{
-    fresh_run_id, status_path, unix_ms, FleetState, Heartbeat, HeartbeatWriter, Logger,
-    ShardStatus, StatusPlane, StatusSnapshot,
+    fresh_run_id, replace_atomic, status_path, unix_ms, FleetState, Heartbeat, HeartbeatWriter,
+    Logger, ShardStatus, StatusPlane, StatusSnapshot,
 };
 use crate::sweep::{parallel_map, DesignPoint};
 use crate::{
@@ -312,16 +312,6 @@ fn ckpt_stem(dir: &Path, i: usize) -> String {
         .to_string()
 }
 
-/// Atomically replaces `path` with `body` (PID-suffixed temp + rename),
-/// so a kill mid-write can never publish a torn file.
-fn write_atomic(path: &Path, body: &str) -> std::io::Result<()> {
-    let mut name = path.file_name().expect("non-empty file name").to_owned();
-    name.push(format!(".tmp.{}", std::process::id()));
-    let tmp = path.with_file_name(name);
-    std::fs::write(&tmp, body)?;
-    std::fs::rename(&tmp, path)
-}
-
 /// Column header of the merged output (and, sans `index`/`point`, of
 /// each result line's payload).
 const RESULT_HEADER: &str =
@@ -470,7 +460,7 @@ fn run_worker(
                     if matches!(fault, Some(Fault::BeforeResult(n)) if results_written + 1 == n) {
                         abort("before result", results_written + 1);
                     }
-                    write_atomic(&res, &result_line(i, &label, stats))
+                    replace_atomic(&res, result_line(i, &label, stats).as_bytes())
                         .map_err(|e| format!("cannot publish {}: {e}", res.display()))?;
                     results_written += 1;
                 }
@@ -622,7 +612,7 @@ fn run_coordinator(
                 .emit();
         }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            write_atomic(&mpath, &manifest)
+            replace_atomic(&mpath, manifest.as_bytes())
                 .map_err(|e| format!("cannot write {}: {e}", mpath.display()))?;
         }
         Err(e) => return Err(format!("cannot read {}: {e}", mpath.display())),
@@ -689,7 +679,8 @@ fn run_coordinator(
     fleet.set_state("merging");
     let merged = merge(&opts.dir, grid)?;
     let out = opts.dir.join("merged.tsv");
-    write_atomic(&out, &merged).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+    replace_atomic(&out, merged.as_bytes())
+        .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
     fleet.set_state("complete");
     log.info("run_complete")
         .num("points", grid.len() as i64)
@@ -914,18 +905,5 @@ mod tests {
         assert!(line.starts_with("00007\tBFS|Lru|"), "got: {line}");
         assert!(line.ends_with('\n'));
         assert_eq!(line.split('\t').count(), 8, "got: {line}");
-    }
-
-    #[test]
-    fn write_atomic_replaces_contents() {
-        let dir = std::env::temp_dir().join(format!("gcache-sweep-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("f.txt");
-        write_atomic(&path, "one").unwrap();
-        write_atomic(&path, "two").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "two");
-        // No temp litter left behind on the happy path.
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

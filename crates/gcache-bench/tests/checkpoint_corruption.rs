@@ -118,8 +118,9 @@ fn damaged_snapshots_are_errors_never_panics_never_accepted() {
     );
 }
 
-/// Runs the fixture point until its first checkpoint is on disk, then
-/// aborts (as a killed worker would) and returns the checkpoint file.
+/// Runs the fixture point (sampled, so the file carries a `sampler`
+/// section) until its first checkpoint is on disk, then aborts (as a killed
+/// worker would) and returns the checkpoint file.
 fn interrupted_point(bench: &dyn Benchmark, stem: &str, dir: &Path) -> PathBuf {
     let opts = RunOpts {
         checkpoint: Some(CheckpointOpts {
@@ -127,6 +128,7 @@ fn interrupted_point(bench: &dyn Benchmark, stem: &str, dir: &Path) -> PathBuf {
             every: EVERY,
             resume: None,
         }),
+        sampled: true,
         ..RunOpts::default()
     };
     let aborted = run_point_observed(gc_config(), bench, LABEL, &opts, &mut |event| match event {
@@ -154,6 +156,7 @@ fn resume_point(bench: &dyn Benchmark, stem: Option<&str>) -> (String, Vec<Strin
             every: EVERY,
             resume: Some(s.to_string()),
         }),
+        sampled: true,
         ..RunOpts::default()
     };
     let mut heard = Vec::new();
@@ -204,8 +207,33 @@ fn unusable_checkpoint_files_are_ignored_and_the_point_reruns() {
     // The outermost section's length field — the one value in the file no
     // checksum covers — claiming almost 2^64 bytes.
     let len_at = HEADER_LEN + 2 + "bench_ckpt".len();
-    let mut hostile = intact;
+    let mut hostile = intact.clone();
     hostile[len_at..len_at + 8].copy_from_slice(&(u64::MAX - 3).to_le_bytes());
+    std::fs::write(&file, hostile).expect("rewrite checkpoint");
+    let (stats, heard) = resume_point(bench.as_ref(), Some(&stem));
+    assert_eq!(heard.len(), 1, "{heard:?}");
+    assert!(
+        heard[0].starts_with("ignored: ") && heard[0].contains("truncated"),
+        "{heard:?}"
+    );
+    assert_eq!(stats, fresh);
+
+    // An element count no checksum objects to: the sampler's row count
+    // (after its interval and capacity) raised to 2^63 - 1, then the
+    // `sampler` section and the wrapper around the snapshot sealed again.
+    // Reserving for that many rows would abort the worker.
+    let mut hostile = intact;
+    let tag = b"\x07\x00sampler";
+    let tag_at = (0..hostile.len() - tag.len())
+        .rfind(|&at| hostile[at..].starts_with(tag))
+        .expect("a sampler section");
+    let count_at = tag_at + tag.len() + 8 + 16;
+    hostile[count_at..count_at + 8].copy_from_slice(&(u64::MAX >> 1).to_le_bytes());
+    let end = hostile.len();
+    for (payload, sum_at) in [(tag_at + tag.len() + 8, end - 16), (len_at + 8, end - 8)] {
+        let sum = checksum64(&hostile[payload..sum_at]);
+        hostile[sum_at..sum_at + 8].copy_from_slice(&sum.to_le_bytes());
+    }
     std::fs::write(&file, hostile).expect("rewrite checkpoint");
     let (stats, heard) = resume_point(bench.as_ref(), Some(&stem));
     assert_eq!(heard.len(), 1, "{heard:?}");

@@ -729,7 +729,7 @@ impl Snapshot for Cache {
                 }
                 None => w.bool(false),
             }
-            self.stats.save(w);
+            w.section("cache_stats", |w| w.put(&self.stats));
             w.u64(self.accesses_since_epoch);
         });
     }
@@ -748,7 +748,7 @@ impl Snapshot for Cache {
                     })
                 }
             }
-            self.stats.restore(r)?;
+            self.stats = r.section("cache_stats", |r| r.get())?;
             self.accesses_since_epoch = r.u64()?;
             Ok(())
         })

@@ -23,7 +23,7 @@ use crate::addr::{CoreId, LineAddr};
 use crate::cache::{Cache, FillOutcome, Lookup, WriteMode};
 use crate::mshr::{MshrAlloc, MshrFile, MshrReject};
 use crate::policy::{AccessCtx, AccessKind, RequestClass};
-use crate::snapshot::{Snapshot, SnapshotError, SnapshotPayload, SnapshotReader, SnapshotWriter};
+use crate::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::CacheStats;
 use crate::trace::{TraceKind, TraceSink, TraceSource};
 
@@ -379,7 +379,7 @@ impl<T> CacheController<T> {
 /// Saves the controller's mutable state: the wrapped cache, the MSHR file
 /// and the blocked-access counter. Trace sinks are observation channels and
 /// are never serialized (see [`Cache`]'s snapshot notes).
-impl<T: SnapshotPayload> Snapshot for CacheController<T> {
+impl<T: Codec> Snapshot for CacheController<T> {
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("ctrl", |w| {
             self.cache.save(w);

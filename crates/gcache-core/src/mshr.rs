@@ -6,7 +6,7 @@
 //! entry. When the fill returns, all merged targets are released at once.
 
 use crate::addr::LineAddr;
-use crate::snapshot::{Snapshot, SnapshotError, SnapshotPayload, SnapshotReader, SnapshotWriter};
+use crate::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -194,21 +194,18 @@ impl<T> MshrFile<T> {
     }
 }
 
-impl<T: SnapshotPayload> Snapshot for MshrFile<T> {
-    /// Entries serialize sorted by line address: `HashMap` iteration order
-    /// is nondeterministic, and snapshot bytes must not be.
+impl<T: Codec> Snapshot for MshrFile<T> {
+    /// Entries serialize sorted by line address — `HashMap` iteration order
+    /// is nondeterministic, and snapshot bytes must not be — in the bytes
+    /// of a `Vec<(LineAddr, Vec<T>)>`, which is what restore reads.
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("mshr", |w| {
             let mut lines: Vec<LineAddr> = self.entries.keys().copied().collect();
             lines.sort_unstable_by_key(|l| l.raw());
             w.usize(lines.len());
             for line in lines {
-                let targets = &self.entries[&line];
-                w.u64(line.raw());
-                w.usize(targets.len());
-                for t in targets {
-                    t.save_payload(w);
-                }
+                w.put(&line);
+                w.put(&self.entries[&line]);
             }
             w.usize(self.peak_occupancy);
             w.u64(self.merges);
@@ -217,20 +214,9 @@ impl<T: SnapshotPayload> Snapshot for MshrFile<T> {
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         r.section("mshr", |r| {
+            let entries: Vec<(LineAddr, Vec<T>)> = r.get()?;
             self.entries.clear();
-            let n = r.usize()?;
-            for _ in 0..n {
-                let line = LineAddr::new(r.u64()?);
-                let count = r.usize()?;
-                let mut targets = self
-                    .free
-                    .pop()
-                    .unwrap_or_else(|| Vec::with_capacity(self.max_merge));
-                for _ in 0..count {
-                    targets.push(T::restore_payload(r)?);
-                }
-                self.entries.insert(line, targets);
-            }
+            self.entries.extend(entries);
             self.peak_occupancy = r.usize()?;
             self.merges = r.u64()?;
             Ok(())

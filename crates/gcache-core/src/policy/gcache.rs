@@ -304,13 +304,8 @@ impl Snapshot for GCache {
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("gcache", |w| {
             self.table.save(w);
-            w.usize(self.switch.len());
-            for &s in &self.switch {
-                w.bool(s);
-            }
-            for &c in &self.since_aging {
-                w.u32(c);
-            }
+            w.put(&self.switch);
+            w.put_each(&self.since_aging);
             w.u32(self.current_period);
             w.u64(self.epoch_bypasses);
             w.u64(self.epoch_hits);
@@ -322,18 +317,8 @@ impl Snapshot for GCache {
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         r.section("gcache", |r| {
             self.table.restore(r)?;
-            let n = r.usize()?;
-            if n != self.switch.len() {
-                return Err(SnapshotError::Mismatch {
-                    what: format!("G-Cache sets ({n} saved, {} built)", self.switch.len()),
-                });
-            }
-            for s in &mut self.switch {
-                *s = r.bool()?;
-            }
-            for c in &mut self.since_aging {
-                *c = r.u32()?;
-            }
+            r.fill(&mut self.switch, "G-Cache sets")?;
+            r.get_each(&mut self.since_aging)?;
             self.current_period = r.u32()?;
             self.epoch_bypasses = r.u64()?;
             self.epoch_hits = r.u64()?;

@@ -64,26 +64,12 @@ impl RpdTable {
 impl Snapshot for RpdTable {
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("rpd", |w| {
-            w.usize(self.rpd.len());
-            for &v in &self.rpd {
-                w.u16(v);
-            }
+            w.put(&self.rpd);
         });
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.section("rpd", |r| {
-            let n = r.usize()?;
-            if n != self.rpd.len() {
-                return Err(SnapshotError::Mismatch {
-                    what: format!("RPD table size ({n} saved, {} built)", self.rpd.len()),
-                });
-            }
-            for v in &mut self.rpd {
-                *v = r.u16()?;
-            }
-            Ok(())
-        })
+        r.section("rpd", |r| r.fill(&mut self.rpd, "RPD table size"))
     }
 }
 

@@ -286,15 +286,9 @@ impl Snapshot for DynamicPdp {
             w.u16(self.pd);
             w.usize(self.samplers.len());
             for s in &self.samplers {
-                w.usize(s.fifo.len());
-                for &tag in &s.fifo {
-                    w.u64(tag);
-                }
+                w.put(&s.fifo);
             }
-            w.usize(self.rdd.len());
-            for &c in &self.rdd {
-                w.u64(c);
-            }
+            w.put(&self.rdd);
             w.u64(self.rdd_overflow);
             w.u64(self.bypasses);
             w.u64(self.estimations);
@@ -305,37 +299,17 @@ impl Snapshot for DynamicPdp {
         r.section("pdp_dyn", |r| {
             self.table.restore(r)?;
             self.pd = r.u16()?;
-            let samplers = r.usize()?;
-            if samplers != self.samplers.len() {
-                return Err(SnapshotError::Mismatch {
-                    what: format!(
-                        "PDP samplers ({samplers} saved, {} built)",
-                        self.samplers.len()
-                    ),
-                });
-            }
+            r.count(self.samplers.len(), "PDP samplers")?;
             for s in &mut self.samplers {
-                let depth = r.usize()?;
-                if depth > self.cfg.sampler_depth {
+                s.fifo = r.get()?;
+                if s.fifo.len() > self.cfg.sampler_depth {
                     return Err(SnapshotError::BadValue {
                         what: "PDP sampler depth".to_string(),
-                        value: depth as u64,
+                        value: s.fifo.len() as u64,
                     });
                 }
-                s.fifo.clear();
-                for _ in 0..depth {
-                    s.fifo.push_back(r.u64()?);
-                }
             }
-            let bins = r.usize()?;
-            if bins != self.rdd.len() {
-                return Err(SnapshotError::Mismatch {
-                    what: format!("RDD bins ({bins} saved, {} built)", self.rdd.len()),
-                });
-            }
-            for c in &mut self.rdd {
-                *c = r.u64()?;
-            }
+            r.fill(&mut self.rdd, "RDD bins")?;
             self.rdd_overflow = r.u64()?;
             self.bypasses = r.u64()?;
             self.estimations = r.u64()?;

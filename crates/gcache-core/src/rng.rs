@@ -102,20 +102,11 @@ impl SmallRng {
 
 impl Snapshot for SmallRng {
     fn save(&self, w: &mut SnapshotWriter) {
-        w.section("rng", |w| {
-            for &word in &self.s {
-                w.u64(word);
-            }
-        });
+        w.section("rng", |w| w.put_each(&self.s));
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.section("rng", |r| {
-            for word in &mut self.s {
-                *word = r.u64()?;
-            }
-            Ok(())
-        })
+        r.section("rng", |r| r.get_each(&mut self.s))
     }
 }
 

@@ -1,8 +1,17 @@
 //! Versioned, length-prefixed binary snapshots of simulator state.
 //!
-//! Every stateful type in the workspace exposes a
-//! `save(&self, &mut SnapshotWriter)` / `restore(&mut self, &mut
-//! SnapshotReader)` pair built on this module (the [`Snapshot`] trait).
+//! There are two ways to put state into a snapshot, and no third:
+//!
+//! * a **component** — anything whose restore validates against, or
+//!   rebuilds derived state inside, an already constructed value —
+//!   implements the in-place [`Snapshot`] trait;
+//! * a **value** — a counter block, a queued packet, a telemetry row —
+//!   implements the by-value [`Codec`] trait, reached through
+//!   [`SnapshotWriter::put`] / [`SnapshotReader::get`]. Plain records are
+//!   not even implemented by hand: [`record!`](crate::record) declares the
+//!   struct and its codec from one field list, so a field cannot be saved
+//!   and not restored.
+//!
 //! The format is deliberately primitive — plain little-endian field dumps,
 //! no self-description, no serde — because both sides of the pipe are the
 //! same binary: a snapshot is only ever restored by the code revision that
@@ -26,6 +35,9 @@
 //! keeps the format small and makes "what is actually state?" an audited,
 //! executable question.
 
+use crate::addr::{CoreId, LineAddr};
+use crate::policy::{AccessKind, RequestClass};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// File magic: identifies a G-Cache snapshot.
@@ -360,6 +372,30 @@ impl SnapshotWriter {
         self.bytes(v.as_bytes());
     }
 
+    /// Writes one value in its [`Codec`] form.
+    pub fn put<T: Codec>(&mut self, v: &T) {
+        v.encode(self);
+    }
+
+    /// Writes every item, without a count: for sequences whose length the
+    /// restoring constructor fixes ([`SnapshotReader::get_each`] reads
+    /// them back). A `Vec` or `VecDeque` passed to [`SnapshotWriter::put`]
+    /// is its length followed by this.
+    pub fn put_each<'a, T: Codec + 'a>(&mut self, items: impl IntoIterator<Item = &'a T>) {
+        for item in items {
+            item.encode(self);
+        }
+    }
+
+    /// Writes a counted array of components, each through its own
+    /// [`Snapshot::save`] ([`SnapshotReader::restore_all`] reads it back).
+    pub fn save_all<S: Snapshot>(&mut self, parts: &[S]) {
+        self.usize(parts.len());
+        for part in parts {
+            part.save(self);
+        }
+    }
+
     /// Finishes the snapshot and returns its bytes.
     ///
     /// # Panics
@@ -572,13 +608,25 @@ impl<'a> SnapshotReader<'a> {
     /// elements of `width` bytes — the constructor sized the destination
     /// from the configuration, so any other count is a different machine.
     fn array(&mut self, built: usize, width: usize, what: &str) -> Result<&'a [u8], SnapshotError> {
+        self.count(built, what)?;
+        self.take(built * width)
+    }
+
+    /// Reads a saved element count that must equal `built`, the count the
+    /// constructor derived from the configuration. This is the one place a
+    /// length from the file is compared with a constructed one.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Mismatch`] naming `what` and both counts.
+    pub fn count(&mut self, built: usize, what: &str) -> Result<(), SnapshotError> {
         let saved = self.usize()?;
         if saved != built {
             return Err(SnapshotError::Mismatch {
                 what: format!("{what} ({saved} saved, {built} built)"),
             });
         }
-        self.take(built * width)
+        Ok(())
     }
 
     /// Reads an array of exactly `built` one-byte values written by
@@ -618,6 +666,65 @@ impl<'a> SnapshotReader<'a> {
         }
         Ok(())
     }
+
+    /// Reads the element count of a sequence whose length the file alone
+    /// decides. Every element takes at least one byte, so a count beyond
+    /// the bytes left in the enclosing section is a cut or hostile file —
+    /// reported before anything is reserved for it.
+    fn len(&mut self) -> Result<usize, SnapshotError> {
+        let n = self.usize()?;
+        if n > self.bound() - self.pos {
+            return Err(SnapshotError::Truncated {
+                at: self.pos,
+                wanted: n,
+            });
+        }
+        Ok(n)
+    }
+
+    /// Reads one value in its [`Codec`] form.
+    pub fn get<T: Codec>(&mut self) -> Result<T, SnapshotError> {
+        T::decode(self)
+    }
+
+    /// Overwrites every slot of `dst` with the next value, without a
+    /// count (written by [`SnapshotWriter::put_each`]).
+    pub fn get_each<T: Codec>(&mut self, dst: &mut [T]) -> Result<(), SnapshotError> {
+        dst.iter_mut().try_for_each(|slot| {
+            *slot = T::decode(self)?;
+            Ok(())
+        })
+    }
+
+    /// Overwrites the already-built `dst` from a counted sequence (a `Vec`
+    /// or `VecDeque` on the writing side), element by element; the arrays
+    /// that dominate a snapshot go through the bulk
+    /// [`SnapshotReader::u64s`] family instead.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Mismatch`] naming `what` when the saved count is
+    /// not `dst.len()`.
+    pub fn fill<T: Codec>(&mut self, dst: &mut [T], what: &str) -> Result<(), SnapshotError> {
+        self.count(dst.len(), what)?;
+        self.get_each(dst)
+    }
+
+    /// Restores a counted array of components in place (written by
+    /// [`SnapshotWriter::save_all`]).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Mismatch`] naming `what` when the saved count is
+    /// not `parts.len()`, or whatever a component's restore returns.
+    pub fn restore_all<S: Snapshot>(
+        &mut self,
+        parts: &mut [S],
+        what: &str,
+    ) -> Result<(), SnapshotError> {
+        self.count(parts.len(), what)?;
+        parts.iter_mut().try_for_each(|part| part.restore(self))
+    }
 }
 
 /// The save/restore capability every stateful component implements.
@@ -639,38 +746,374 @@ pub trait Snapshot {
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError>;
 }
 
-/// Encode/decode hooks for payload types carried by generic containers
-/// (mesh packets, MSHR targets, DRAM tokens).
-pub trait SnapshotPayload: Sized {
-    /// Serializes one payload value.
-    fn save_payload(&self, w: &mut SnapshotWriter);
+/// The by-value codec: how one value — a counter block, a queued packet, a
+/// completion token, a telemetry row — is written and read back whole.
+/// Containers are generic over it (`MshrFile<T: Codec>`, `Mesh<T: Codec>`),
+/// and [`record!`](crate::record) implements it for a plain struct from
+/// the struct's own field list. Enums implement it by hand so their
+/// on-wire tag bytes stay visible at the type.
+pub trait Codec: Sized {
+    /// Writes this value.
+    fn encode(&self, w: &mut SnapshotWriter);
 
-    /// Decodes one payload value.
+    /// Reads one value.
     ///
     /// # Errors
     ///
     /// Any [`SnapshotError`] when the bytes do not decode as this type.
-    fn restore_payload(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError>;
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError>;
 }
 
-impl SnapshotPayload for usize {
-    fn save_payload(&self, w: &mut SnapshotWriter) {
+impl Codec for u8 {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        w.u8(*self);
+    }
+
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        r.u8()
+    }
+}
+
+impl Codec for u16 {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        w.u16(*self);
+    }
+
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        r.u16()
+    }
+}
+
+impl Codec for u32 {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        w.u32(*self);
+    }
+
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        r.u32()
+    }
+}
+
+impl Codec for u64 {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        w.u64(*self);
+    }
+
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        r.u64()
+    }
+}
+
+impl Codec for usize {
+    fn encode(&self, w: &mut SnapshotWriter) {
         w.usize(*self);
     }
 
-    fn restore_payload(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         r.usize()
     }
 }
 
-impl SnapshotPayload for u64 {
-    fn save_payload(&self, w: &mut SnapshotWriter) {
-        w.u64(*self);
+impl Codec for bool {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        w.bool(*self);
     }
 
-    fn restore_payload(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        r.u64()
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        r.bool()
     }
+}
+
+impl Codec for f64 {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        w.f64(*self);
+    }
+
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        r.f64()
+    }
+}
+
+/// A presence byte, then the value if there is one.
+impl<T: Codec> Codec for Option<T> {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        w.bool(self.is_some());
+        if let Some(v) = self {
+            w.put(v);
+        }
+    }
+
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        r.bool()?.then(|| r.get()).transpose()
+    }
+}
+
+/// An optional request class is the single byte of
+/// [`RequestClass::to_wire`], not the two-part form above; the two impls
+/// coexist because `RequestClass` on its own is deliberately not a
+/// [`Codec`].
+impl Codec for Option<RequestClass> {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        w.u8(RequestClass::to_wire(*self));
+    }
+
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        RequestClass::from_wire(r.u8()?).map_err(|v| SnapshotError::BadValue {
+            what: "request class".to_string(),
+            value: v as u64,
+        })
+    }
+}
+
+/// A count, then the elements. Decoding reserves for no more elements than
+/// the enclosing section has bytes left, so a count from a hostile file is
+/// [`SnapshotError::Truncated`], never an allocation the size of the lie.
+impl<T: Codec> Codec for Vec<T> {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        w.usize(self.len());
+        w.put_each(self);
+    }
+
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let n = r.len()?;
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(r.get()?);
+        }
+        Ok(v)
+    }
+}
+
+/// Front to back, in the bytes of the equivalent `Vec`.
+impl<T: Codec> Codec for VecDeque<T> {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        w.usize(self.len());
+        w.put_each(self);
+    }
+
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Vec::decode(r)?.into())
+    }
+}
+
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        w.put(&self.0);
+        w.put(&self.1);
+    }
+
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok((r.get()?, r.get()?))
+    }
+}
+
+impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        w.put(&self.0);
+        w.put(&self.1);
+        w.put(&self.2);
+    }
+
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok((r.get()?, r.get()?, r.get()?))
+    }
+}
+
+impl<A: Codec, B: Codec, C: Codec, D: Codec> Codec for (A, B, C, D) {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        w.put(&self.0);
+        w.put(&self.1);
+        w.put(&self.2);
+        w.put(&self.3);
+    }
+
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok((r.get()?, r.get()?, r.get()?, r.get()?))
+    }
+}
+
+impl Codec for LineAddr {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        w.u64(self.raw());
+    }
+
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(LineAddr::new(r.u64()?))
+    }
+}
+
+impl Codec for CoreId {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        w.usize(self.index());
+    }
+
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(CoreId(r.usize()?))
+    }
+}
+
+impl Codec for AccessKind {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        w.u8(match self {
+            AccessKind::Read => 0,
+            AccessKind::Write => 1,
+            AccessKind::Atomic => 2,
+            AccessKind::CopyBack => 3,
+        });
+    }
+
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        match r.u8()? {
+            0 => Ok(AccessKind::Read),
+            1 => Ok(AccessKind::Write),
+            2 => Ok(AccessKind::Atomic),
+            3 => Ok(AccessKind::CopyBack),
+            v => Err(SnapshotError::BadValue {
+                what: "access kind".to_string(),
+                value: v as u64,
+            }),
+        }
+    }
+}
+
+/// Test support for every [`Codec`], hand-written or declared: `v` must
+/// decode from exactly the bytes it encoded to, and the decoded value must
+/// encode to those bytes again.
+///
+/// # Panics
+///
+/// Panics when either half of the round trip fails.
+pub fn assert_round_trip<T: Codec>(v: &T) {
+    let sealed = |v: &T| {
+        let mut w = SnapshotWriter::new();
+        w.section("value", |w| w.put(v));
+        w.finish()
+    };
+    let bytes = sealed(v);
+    let mut r = SnapshotReader::new(&bytes).expect("a snapshot header");
+    let back: T = r
+        .section("value", |r| r.get())
+        .expect("decoding consumes exactly what encoding wrote");
+    assert_eq!(
+        sealed(&back),
+        bytes,
+        "the decoded value encodes differently"
+    );
+}
+
+/// Declares a plain record — the struct and its [`Codec`] — from one field
+/// list: fields are written and read in declaration order, so the list
+/// *is* the wire layout and a field cannot be saved but not restored. The
+/// struct may take one type parameter (`struct Pending<T> { .. }`), which
+/// must itself be a [`Codec`].
+///
+/// Two optional trailers add what else would re-enumerate the fields:
+///
+/// * `impl merge;` — for counter blocks: `merge(&mut self, &Self)` adds
+///   field by field (every field type must be `AddAssign<&Self>`, as `u64`
+///   is);
+/// * `impl fields as dyn Trait;` — `FIELDS`, the comma-separated field
+///   names, and `fields()` / `fields_mut()`, each field as a
+///   `(name, &dyn Trait)` pair in declaration order, for code that walks
+///   the record as named columns.
+///
+/// # Examples
+///
+/// ```
+/// use gcache_core::record;
+/// use gcache_core::snapshot::{SnapshotReader, SnapshotWriter};
+///
+/// record! {
+///     /// Two counters.
+///     #[derive(Debug, Default, PartialEq)]
+///     pub struct Hits {
+///         /// Lookups that found the line.
+///         pub hits: u64,
+///         /// Lookups that did not.
+///         pub misses: u64,
+///     }
+///     impl merge;
+/// }
+///
+/// let mut total = Hits { hits: 1, misses: 2 };
+/// total.merge(&Hits { hits: 10, misses: 20 });
+/// let mut w = SnapshotWriter::new();
+/// w.put(&total);
+/// let bytes = w.finish();
+/// let mut r = SnapshotReader::new(&bytes).unwrap();
+/// assert_eq!(r.get::<Hits>().unwrap(), Hits { hits: 11, misses: 22 });
+/// ```
+#[macro_export]
+macro_rules! record {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident $(<$param:ident>)? {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $ty:ty ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name $(<$param>)? {
+            $( $(#[$fmeta])* $fvis $field: $ty, )+
+        }
+
+        impl<$($param: $crate::snapshot::Codec)?> $crate::snapshot::Codec for $name<$($param)?> {
+            fn encode(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+                $( w.put(&self.$field); )+
+            }
+
+            fn decode(
+                r: &mut $crate::snapshot::SnapshotReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                Ok($name { $( $field: r.get()?, )+ })
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $ty:ty ),+ $(,)?
+        }
+        impl merge;
+    ) => {
+        $crate::record! {
+            $(#[$meta])*
+            $vis struct $name { $( $(#[$fmeta])* $fvis $field: $ty, )+ }
+        }
+
+        impl $name {
+            /// Adds another instance's counters to this one, field by field.
+            pub fn merge(&mut self, other: &Self) {
+                $( self.$field += &other.$field; )+
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $ty:ty ),+ $(,)?
+        }
+        impl fields as dyn $view:path;
+    ) => {
+        $crate::record! {
+            $(#[$meta])*
+            $vis struct $name { $( $(#[$fmeta])* $fvis $field: $ty, )+ }
+        }
+
+        impl $name {
+            /// The field names in declaration order, comma-separated.
+            pub const FIELDS: &'static str = concat!($( ",", stringify!($field) ),+).split_at(1).1;
+
+            /// Every field, named, in declaration order.
+            pub fn fields(&self) -> Vec<(&'static str, &dyn $view)> {
+                vec![$( (stringify!($field), &self.$field as &dyn $view) ),+]
+            }
+
+            /// Every field, named and writable, in declaration order.
+            pub fn fields_mut(&mut self) -> Vec<(&'static str, &mut dyn $view)> {
+                vec![$( (stringify!($field), &mut self.$field as &mut dyn $view) ),+]
+            }
+        }
+    };
 }
 
 #[cfg(test)]
@@ -831,6 +1274,104 @@ mod tests {
         let mut r = SnapshotReader::new(&bytes).unwrap();
         r.begin_section("s").unwrap();
         assert!(matches!(r.bytes(), Err(SnapshotError::Truncated { .. })));
+    }
+
+    #[test]
+    fn hostile_element_counts_are_truncation_before_any_reservation() {
+        // A correctly sealed section whose only content is the count of a
+        // `Vec` that is not there. Reserving for it would abort the
+        // process; the count must be refused against the bytes left.
+        for count in [u64::MAX >> 1, 9] {
+            let mut w = SnapshotWriter::new();
+            w.section("s", |w| w.u64(count));
+            let bytes = w.finish();
+            let mut r = SnapshotReader::new(&bytes).unwrap();
+            r.begin_section("s").unwrap();
+            assert_eq!(
+                r.get::<Vec<(LineAddr, Vec<u64>)>>().unwrap_err(),
+                SnapshotError::Truncated {
+                    at: bytes.len() - 8,
+                    wanted: count as usize
+                }
+            );
+        }
+        // The same count in front of enough bytes is read as what it is.
+        let mut w = SnapshotWriter::new();
+        w.section("s", |w| w.put(&VecDeque::from([7u16, 8, 9])));
+        let bytes = w.finish();
+        let mut r = SnapshotReader::new(&bytes).unwrap();
+        r.begin_section("s").unwrap();
+        assert_eq!(r.get::<VecDeque<u16>>().unwrap(), [7, 8, 9]);
+    }
+
+    #[test]
+    fn every_value_codec_round_trips() {
+        assert_round_trip(&(0xabu8, 0xbeefu16, 0xdead_beefu32, u64::MAX - 7));
+        assert_round_trip(&(12345usize, true, false, std::f64::consts::PI));
+        assert_round_trip(&(Some(5u64), None::<u64>));
+        assert_round_trip(&vec![Some(LineAddr::new(9)), None]);
+        assert_round_trip(&VecDeque::from([(CoreId(3), AccessKind::Atomic)]));
+        for kind in [
+            AccessKind::Read,
+            AccessKind::Write,
+            AccessKind::Atomic,
+            AccessKind::CopyBack,
+        ] {
+            assert_round_trip(&kind);
+        }
+        // All ten bytes of an optional request class, and no eleventh.
+        for byte in 0..=9 {
+            let class = RequestClass::from_wire(byte).unwrap();
+            assert_round_trip(&class);
+            let mut w = SnapshotWriter::new();
+            w.put(&class);
+            assert_eq!(w.finish()[HEADER_LEN..], [byte]);
+        }
+        let mut w = SnapshotWriter::new();
+        w.u8(10);
+        let bytes = w.finish();
+        assert!(matches!(
+            SnapshotReader::new(&bytes)
+                .unwrap()
+                .get::<Option<RequestClass>>(),
+            Err(SnapshotError::BadValue { value: 10, .. })
+        ));
+    }
+
+    #[test]
+    fn counts_and_component_arrays_check_against_the_built_length() {
+        struct Part(u64);
+        impl Snapshot for Part {
+            fn save(&self, w: &mut SnapshotWriter) {
+                w.section("part", |w| w.u64(self.0));
+            }
+            fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+                self.0 = r.section("part", |r| r.u64())?;
+                Ok(())
+            }
+        }
+        let mut w = SnapshotWriter::new();
+        w.save_all(&[Part(4), Part(5)]);
+        w.put(&vec![1u32, 2, 3]);
+        w.put_each(&[6u8, 7]);
+        let bytes = w.finish();
+
+        let mut r = SnapshotReader::new(&bytes).unwrap();
+        let mut parts = [Part(0), Part(0)];
+        r.restore_all(&mut parts, "parts").unwrap();
+        assert_eq!((parts[0].0, parts[1].0), (4, 5));
+        let (mut words, mut tail) = ([0u32; 3], [0u8; 2]);
+        r.fill(&mut words, "words").unwrap();
+        r.get_each(&mut tail).unwrap();
+        assert_eq!((words, tail), ([1, 2, 3], [6, 7]));
+
+        let mut r = SnapshotReader::new(&bytes).unwrap();
+        assert_eq!(
+            r.restore_all(&mut [Part(0)], "parts").unwrap_err(),
+            SnapshotError::Mismatch {
+                what: "parts (2 saved, 1 built)".to_string()
+            }
+        );
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! histogram behind the paper's Figure 2.
 
 use crate::policy::AccessKind;
-use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::record;
+use crate::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use std::fmt;
+use std::ops::AddAssign;
 
 /// Number of explicit reuse-count buckets; counts of `REUSE_BUCKETS - 1` or
 /// more land in the final (saturating) bucket. Figure 2 plots buckets
@@ -80,65 +82,66 @@ impl ReuseHistogram {
         let sum: u64 = self.buckets[lo..=hi].iter().sum();
         sum as f64 / t as f64
     }
+}
 
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &ReuseHistogram) {
+/// Merges another histogram into this one, bucket by bucket.
+impl AddAssign<&ReuseHistogram> for ReuseHistogram {
+    fn add_assign(&mut self, other: &ReuseHistogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
         }
     }
 }
 
-impl Snapshot for ReuseHistogram {
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.section("reuse_hist", |w| {
-            for &b in &self.buckets {
-                w.u64(b);
-            }
-        });
+/// The buckets travel in a section of their own inside the owning
+/// [`CacheStats`].
+impl Codec for ReuseHistogram {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        w.section("reuse_hist", |w| w.put_each(&self.buckets));
     }
 
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.section("reuse_hist", |r| {
-            for b in &mut self.buckets {
-                *b = r.u64()?;
-            }
-            Ok(())
-        })
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let mut hist = ReuseHistogram::new();
+        r.section("reuse_hist", |r| r.get_each(&mut hist.buckets))?;
+        Ok(hist)
     }
 }
 
-/// Counters for a single cache.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Load accesses.
-    pub reads: u64,
-    /// Load hits.
-    pub read_hits: u64,
-    /// Store accesses.
-    pub writes: u64,
-    /// Store hits.
-    pub write_hits: u64,
-    /// Atomic read-modify-write accesses.
-    pub atomics: u64,
-    /// Atomic hits.
-    pub atomic_hits: u64,
-    /// Lines installed.
-    pub fills: u64,
-    /// Fills the policy chose to bypass.
-    pub bypassed_fills: u64,
-    /// Subset of `bypassed_fills` denied by the request-class bypass plane
-    /// ([`crate::cache::BypassPlane`]) before the policy was consulted.
-    pub plane_bypasses: u64,
-    /// Valid lines displaced by fills or invalidations.
-    pub evictions: u64,
-    /// Evictions of dirty lines (write-backs generated).
-    pub writebacks: u64,
-    /// Clean evictions the copy-back plane chose to push down anyway
-    /// ([`crate::cache::CopyBackPlane`], RDC-style clean copy-back).
-    pub clean_copy_backs: u64,
-    /// Reuse-count distribution over completed residencies.
-    pub reuse: ReuseHistogram,
+record! {
+    /// Counters for a single cache. [`CacheStats::merge`] aggregates the 16
+    /// per-core L1s.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct CacheStats {
+        /// Load accesses.
+        pub reads: u64,
+        /// Load hits.
+        pub read_hits: u64,
+        /// Store accesses.
+        pub writes: u64,
+        /// Store hits.
+        pub write_hits: u64,
+        /// Atomic read-modify-write accesses.
+        pub atomics: u64,
+        /// Atomic hits.
+        pub atomic_hits: u64,
+        /// Lines installed.
+        pub fills: u64,
+        /// Fills the policy chose to bypass.
+        pub bypassed_fills: u64,
+        /// Subset of `bypassed_fills` denied by the request-class bypass plane
+        /// ([`crate::cache::BypassPlane`]) before the policy was consulted.
+        pub plane_bypasses: u64,
+        /// Valid lines displaced by fills or invalidations.
+        pub evictions: u64,
+        /// Evictions of dirty lines (write-backs generated).
+        pub writebacks: u64,
+        /// Clean evictions the copy-back plane chose to push down anyway
+        /// ([`crate::cache::CopyBackPlane`], RDC-style clean copy-back).
+        pub clean_copy_backs: u64,
+        /// Reuse-count distribution over completed residencies.
+        pub reuse: ReuseHistogram,
+    }
+    impl merge;
 }
 
 impl CacheStats {
@@ -219,62 +222,6 @@ impl CacheStats {
             self.bypassed_fills as f64 / a as f64
         }
     }
-
-    /// Merges another cache's counters into this one (used to aggregate the
-    /// 16 per-core L1s).
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.reads += other.reads;
-        self.read_hits += other.read_hits;
-        self.writes += other.writes;
-        self.write_hits += other.write_hits;
-        self.atomics += other.atomics;
-        self.atomic_hits += other.atomic_hits;
-        self.fills += other.fills;
-        self.bypassed_fills += other.bypassed_fills;
-        self.plane_bypasses += other.plane_bypasses;
-        self.evictions += other.evictions;
-        self.writebacks += other.writebacks;
-        self.clean_copy_backs += other.clean_copy_backs;
-        self.reuse.merge(&other.reuse);
-    }
-}
-
-impl Snapshot for CacheStats {
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.section("cache_stats", |w| {
-            w.u64(self.reads);
-            w.u64(self.read_hits);
-            w.u64(self.writes);
-            w.u64(self.write_hits);
-            w.u64(self.atomics);
-            w.u64(self.atomic_hits);
-            w.u64(self.fills);
-            w.u64(self.bypassed_fills);
-            w.u64(self.plane_bypasses);
-            w.u64(self.evictions);
-            w.u64(self.writebacks);
-            w.u64(self.clean_copy_backs);
-            self.reuse.save(w);
-        });
-    }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.section("cache_stats", |r| {
-            self.reads = r.u64()?;
-            self.read_hits = r.u64()?;
-            self.writes = r.u64()?;
-            self.write_hits = r.u64()?;
-            self.atomics = r.u64()?;
-            self.atomic_hits = r.u64()?;
-            self.fills = r.u64()?;
-            self.bypassed_fills = r.u64()?;
-            self.plane_bypasses = r.u64()?;
-            self.evictions = r.u64()?;
-            self.writebacks = r.u64()?;
-            self.clean_copy_backs = r.u64()?;
-            self.reuse.restore(r)
-        })
-    }
 }
 
 impl fmt::Display for CacheStats {
@@ -294,6 +241,7 @@ impl fmt::Display for CacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::assert_round_trip;
 
     #[test]
     fn histogram_saturates() {
@@ -331,7 +279,7 @@ mod tests {
         a.record(0);
         b.record(0);
         b.record(5);
-        a.merge(&b);
+        a += &b;
         assert_eq!(a.bucket(0), 2);
         assert_eq!(a.bucket(5), 1);
         assert_eq!(a.total(), 3);
@@ -392,5 +340,27 @@ mod tests {
         let d = s.to_string();
         assert!(d.contains("1 accesses"));
         assert!(d.contains("100.0% miss"));
+    }
+
+    #[test]
+    fn stats_round_trip_through_a_snapshot() {
+        let mut reuse = ReuseHistogram::new();
+        reuse.record(0);
+        reuse.record(7);
+        assert_round_trip(&CacheStats {
+            reads: 1,
+            read_hits: 2,
+            writes: 3,
+            write_hits: 4,
+            atomics: 5,
+            atomic_hits: 6,
+            fills: 7,
+            bypassed_fills: 8,
+            plane_bypasses: 9,
+            evictions: 10,
+            writebacks: 11,
+            clean_copy_backs: 12,
+            reuse,
+        });
     }
 }

@@ -16,6 +16,7 @@
 
 use crate::addr::CoreId;
 use crate::geometry::CacheGeometry;
+use crate::record;
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// An injected core→victim-bit-group mapping: group *g* owns bit *g* of
@@ -98,28 +99,22 @@ impl CoreGrouping {
     }
 }
 
-/// Running counters over a [`VictimBits`] tracker's activity, for
-/// time-series telemetry (set/hit/clear rates across a kernel).
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct VictimBitStats {
-    /// Observations that newly set a bit (first request from a group since
-    /// the line was filled).
-    pub sets: u64,
-    /// Observations that found the bit already set — each one is a
-    /// contention signal (a victim hint sent back to an L1).
-    pub hits: u64,
-    /// Line clears that actually dropped at least one set bit (fills and
-    /// evictions of untouched lines are not counted).
-    pub clears: u64,
-}
-
-impl VictimBitStats {
-    /// Accumulates another tracker's counters.
-    pub fn merge(&mut self, other: &VictimBitStats) {
-        self.sets += other.sets;
-        self.hits += other.hits;
-        self.clears += other.clears;
+record! {
+    /// Running counters over a [`VictimBits`] tracker's activity, for
+    /// time-series telemetry (set/hit/clear rates across a kernel).
+    #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+    pub struct VictimBitStats {
+        /// Observations that newly set a bit (first request from a group since
+        /// the line was filled).
+        pub sets: u64,
+        /// Observations that found the bit already set — each one is a
+        /// contention signal (a victim hint sent back to an L1).
+        pub hits: u64,
+        /// Line clears that actually dropped at least one set bit (fills and
+        /// evictions of untouched lines are not counted).
+        pub clears: u64,
     }
+    impl merge;
 }
 
 /// Per-line victim-bit storage for one L2 bank.
@@ -242,18 +237,14 @@ impl Snapshot for VictimBits {
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("victim_bits", |w| {
             w.u64s(&self.bits);
-            w.u64(self.stats.sets);
-            w.u64(self.stats.hits);
-            w.u64(self.stats.clears);
+            w.put(&self.stats);
         });
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         r.section("victim_bits", |r| {
             r.u64s(&mut self.bits, "victim-bit lines")?;
-            self.stats.sets = r.u64()?;
-            self.stats.hits = r.u64()?;
-            self.stats.clears = r.u64()?;
+            self.stats = r.get()?;
             Ok(())
         })
     }
@@ -262,6 +253,7 @@ impl Snapshot for VictimBits {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::assert_round_trip;
 
     fn geom() -> CacheGeometry {
         CacheGeometry::new(128 * 1024, 16, 128).unwrap() // 64 sets, 16 ways
@@ -402,5 +394,14 @@ mod tests {
     #[should_panic(expected = "at least one core")]
     fn rejects_empty_map() {
         let _ = CoreGrouping::from_map(Vec::new());
+    }
+
+    #[test]
+    fn stats_round_trip_through_a_snapshot() {
+        assert_round_trip(&VictimBitStats {
+            sets: 1,
+            hits: 2,
+            clears: 3,
+        });
     }
 }

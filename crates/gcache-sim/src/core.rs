@@ -5,16 +5,13 @@ use crate::coalescer::coalesce_into;
 use crate::config::GpuConfig;
 use crate::isa::{Kernel, Op, WarpProgram};
 use crate::l1::{L1Controller, L1Outcome};
-use crate::request::{
-    restore_access_kind, restore_request_class, save_access_kind, save_request_class, MemRequest,
-    MemResponse, WarpSlot,
-};
+use crate::request::{MemRequest, MemResponse, WarpSlot};
 use gcache_core::addr::{CoreId, LineAddr};
 use gcache_core::cache::CacheConfig;
 use gcache_core::geometry::CacheGeometry;
 use gcache_core::policy::{AccessKind, PolicyKind, RequestClass};
-use gcache_core::snapshot::SnapshotPayload;
-use gcache_core::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+use gcache_core::record;
+use gcache_core::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use std::collections::VecDeque;
 
 use crate::scheduler::WarpScheduler;
@@ -82,32 +79,37 @@ struct LdstTxn {
     class: Option<RequestClass>,
 }
 
-#[derive(Debug)]
-struct CtaState {
-    cta_id: usize,
-    threads: usize,
-    warp_slots: Vec<usize>,
-    warps_done: usize,
-    at_barrier: usize,
+record! {
+    #[derive(Debug)]
+    struct CtaState {
+        cta_id: usize,
+        threads: usize,
+        warp_slots: Vec<usize>,
+        warps_done: usize,
+        at_barrier: usize,
+    }
 }
 
-/// Per-core issue/stall statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CoreStats {
-    /// Warp instructions issued.
-    pub instructions: u64,
-    /// Memory instructions among them.
-    pub mem_instructions: u64,
-    /// Coalesced line transactions generated.
-    pub transactions: u64,
-    /// Cycles with no ready warp to issue.
-    pub idle_cycles: u64,
-    /// Issue slots lost because the LD/ST queue was full.
-    pub ldst_full_stalls: u64,
-    /// LD/ST-pipeline cycles lost to MSHR or network backpressure.
-    pub mem_stall_cycles: u64,
-    /// CTAs run to completion on this core.
-    pub ctas_completed: u64,
+record! {
+    /// Per-core issue/stall statistics.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct CoreStats {
+        /// Warp instructions issued.
+        pub instructions: u64,
+        /// Memory instructions among them.
+        pub mem_instructions: u64,
+        /// Coalesced line transactions generated.
+        pub transactions: u64,
+        /// Cycles with no ready warp to issue.
+        pub idle_cycles: u64,
+        /// Issue slots lost because the LD/ST queue was full.
+        pub ldst_full_stalls: u64,
+        /// LD/ST-pipeline cycles lost to MSHR or network backpressure.
+        pub mem_stall_cycles: u64,
+        /// CTAs run to completion on this core.
+        pub ctas_completed: u64,
+    }
+    impl merge;
 }
 
 /// One SIMT core.
@@ -640,257 +642,55 @@ impl SimtCore {
         }
     }
 
-    /// Serializes this core's mutable state (warp/CTA contexts, L1,
-    /// LD/ST queue, scheduler, stats) into `w`.
+    /// Second half of a restore: [`Snapshot::restore`] leaves every warp
+    /// with a stand-in program (a [`WarpProgram`] is a pure function of
+    /// its kernel coordinates, so the snapshot records only how many ops
+    /// each warp has pulled); this rebuilds each program from `kernel` —
+    /// which must be the kernel that was running when the snapshot was
+    /// taken — and replays it to its recorded position.
     ///
-    /// Warp programs are not serialized: a [`WarpProgram`] is a pure
-    /// function of its kernel coordinates, so the snapshot records only
-    /// how many ops each warp has pulled (`Warp::ops_pulled`) and
-    /// [`SimtCore::restore_snapshot`] rebuilds the program from the
-    /// kernel and replays it to the same point. CTAs are written before
-    /// warps so restore has each warp's coordinates at hand.
-    pub fn save_snapshot(&self, w: &mut SnapshotWriter) {
-        w.section("core", |w| {
-            w.usize(self.ctas.len());
-            for cta in &self.ctas {
-                match cta {
-                    Some(c) => {
-                        w.bool(true);
-                        w.usize(c.cta_id);
-                        w.usize(c.threads);
-                        w.usize(c.warp_slots.len());
-                        for &s in &c.warp_slots {
-                            w.usize(s);
-                        }
-                        w.usize(c.warps_done);
-                        w.usize(c.at_barrier);
-                    }
-                    None => w.bool(false),
+    /// # Errors
+    ///
+    /// [`SnapshotError`] when the restored warp and CTA tables contradict
+    /// each other or `kernel` (a warp outside its CTA, a program shorter
+    /// than its recorded position).
+    pub fn replay(&mut self, kernel: &dyn Kernel) -> Result<(), SnapshotError> {
+        for (slot, warp) in self.warps.iter_mut().enumerate() {
+            let Some(warp) = warp else { continue };
+            let cta_slot = warp.cta_slot;
+            let cta = self
+                .ctas
+                .get(cta_slot)
+                .and_then(|c| c.as_ref())
+                .ok_or_else(|| SnapshotError::Mismatch {
+                    what: format!("warp {slot} references empty CTA slot {cta_slot}"),
+                })?;
+            let warp_in_cta = cta
+                .warp_slots
+                .iter()
+                .position(|&s| s == slot)
+                .ok_or_else(|| SnapshotError::Mismatch {
+                    what: format!("warp {slot} missing from CTA slot {cta_slot}"),
+                })?;
+            let mut program = kernel.warp_program(cta.cta_id, warp_in_cta);
+            let mut last = None;
+            for pulled in 0..warp.ops_pulled {
+                last = program.next_op();
+                if last.is_none() {
+                    return Err(SnapshotError::BadValue {
+                        what: format!("warp replay underrun (program ended after {pulled} ops)"),
+                        value: warp.ops_pulled,
+                    });
                 }
             }
-            w.usize(self.warps.len());
-            for warp in &self.warps {
-                match warp {
-                    Some(wp) => {
-                        w.bool(true);
-                        w.usize(wp.cta_slot);
-                        match wp.state {
-                            WarpState::Ready => w.u8(0),
-                            WarpState::ComputeUntil(t) => {
-                                w.u8(1);
-                                w.u64(t);
-                            }
-                            WarpState::WaitMem => w.u8(2),
-                            WarpState::Barrier => w.u8(3),
-                            WarpState::Done => w.u8(4),
-                        }
-                        w.u32(wp.outstanding);
-                        w.u64(wp.age);
-                        w.u64(wp.ops_pulled);
-                        // The pending op itself is the last pulled op
-                        // (see `Warp::ops_pulled`); only its presence is
-                        // recorded.
-                        w.bool(wp.pending_op.is_some());
-                        save_request_class(w, wp.class);
-                    }
-                    None => w.bool(false),
-                }
+            if warp.pending_op.is_some() {
+                warp.pending_op = Some(last.ok_or_else(|| SnapshotError::Mismatch {
+                    what: format!("warp {slot} has a pending op but pulled none"),
+                })?);
             }
-            w.usize(self.threads_resident);
-            self.l1.save(w);
-            // Only the logical triple goes on the wire; the set/tag decode
-            // is derived state, recomputed on restore (same format as the
-            // pre-batching layout).
-            w.usize(self.ldst_queue.len());
-            for txn in &self.ldst_queue {
-                w.u64(txn.line.raw());
-                save_access_kind(w, txn.kind);
-                w.usize(txn.warp);
-                save_request_class(w, txn.class);
-            }
-            w.usize(self.copyback_queue.len());
-            for req in &self.copyback_queue {
-                req.save_payload(w);
-            }
-            self.sched.save(w);
-            w.u64(self.launch_seq);
-            w.u64(self.stats.instructions);
-            w.u64(self.stats.mem_instructions);
-            w.u64(self.stats.transactions);
-            w.u64(self.stats.idle_cycles);
-            w.u64(self.stats.ldst_full_stalls);
-            w.u64(self.stats.mem_stall_cycles);
-            w.u64(self.stats.ctas_completed);
-        });
-    }
-
-    /// Restores state saved by [`SimtCore::save_snapshot`] into this
-    /// already-constructed core. `kernel` must be the kernel that was
-    /// running when the snapshot was taken — warp programs are rebuilt
-    /// from its coordinates and replayed to their recorded position.
-    pub fn restore_snapshot(
-        &mut self,
-        r: &mut SnapshotReader<'_>,
-        kernel: &dyn Kernel,
-    ) -> Result<(), SnapshotError> {
-        r.section("core", |r| {
-            let n_ctas = r.usize()?;
-            if n_ctas != self.ctas.len() {
-                return Err(SnapshotError::Mismatch {
-                    what: format!(
-                        "CTA slot count (snapshot {n_ctas}, core {})",
-                        self.ctas.len()
-                    ),
-                });
-            }
-            for slot in self.ctas.iter_mut() {
-                *slot = if r.bool()? {
-                    let cta_id = r.usize()?;
-                    let threads = r.usize()?;
-                    let n = r.usize()?;
-                    let mut warp_slots = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        warp_slots.push(r.usize()?);
-                    }
-                    Some(CtaState {
-                        cta_id,
-                        threads,
-                        warp_slots,
-                        warps_done: r.usize()?,
-                        at_barrier: r.usize()?,
-                    })
-                } else {
-                    None
-                };
-            }
-            let n_warps = r.usize()?;
-            if n_warps != self.warps.len() {
-                return Err(SnapshotError::Mismatch {
-                    what: format!(
-                        "warp slot count (snapshot {n_warps}, core {})",
-                        self.warps.len()
-                    ),
-                });
-            }
-            for slot in 0..n_warps {
-                if !r.bool()? {
-                    self.warps[slot] = None;
-                    continue;
-                }
-                let cta_slot = r.usize()?;
-                let state = match r.u8()? {
-                    0 => WarpState::Ready,
-                    1 => WarpState::ComputeUntil(r.u64()?),
-                    2 => WarpState::WaitMem,
-                    3 => WarpState::Barrier,
-                    4 => WarpState::Done,
-                    v => {
-                        return Err(SnapshotError::BadValue {
-                            what: "warp state".to_string(),
-                            value: v as u64,
-                        })
-                    }
-                };
-                let outstanding = r.u32()?;
-                let age = r.u64()?;
-                let ops_pulled = r.u64()?;
-                let has_pending = r.bool()?;
-                let class = restore_request_class(r)?;
-                let (cta_id, warp_in_cta) = {
-                    let cta = self
-                        .ctas
-                        .get(cta_slot)
-                        .and_then(|c| c.as_ref())
-                        .ok_or_else(|| SnapshotError::Mismatch {
-                            what: format!("warp {slot} references empty CTA slot {cta_slot}"),
-                        })?;
-                    let w = cta
-                        .warp_slots
-                        .iter()
-                        .position(|&s| s == slot)
-                        .ok_or_else(|| SnapshotError::Mismatch {
-                            what: format!("warp {slot} missing from CTA slot {cta_slot}"),
-                        })?;
-                    (cta.cta_id, w)
-                };
-                let mut program = kernel.warp_program(cta_id, warp_in_cta);
-                let mut last = None;
-                for pulled in 0..ops_pulled {
-                    last = program.next_op();
-                    if last.is_none() {
-                        return Err(SnapshotError::BadValue {
-                            what: format!(
-                                "warp replay underrun (program ended after {pulled} ops)"
-                            ),
-                            value: ops_pulled,
-                        });
-                    }
-                }
-                let pending_op = if has_pending {
-                    Some(last.ok_or_else(|| SnapshotError::Mismatch {
-                        what: format!("warp {slot} has a pending op but pulled none"),
-                    })?)
-                } else {
-                    None
-                };
-                self.warps[slot] = Some(Warp {
-                    program,
-                    pending_op,
-                    cta_slot,
-                    state,
-                    outstanding,
-                    age,
-                    ops_pulled,
-                    class,
-                });
-            }
-            // Rebuild the ready/compute words from the restored warp
-            // states — maintained acceleration state, never serialized
-            // (the mesh head-cache pattern).
-            self.ready_mask = 0;
-            self.compute_mask = 0;
-            for (s, w) in self.warps.iter().enumerate() {
-                match w.as_ref().map(|w| w.state) {
-                    Some(WarpState::Ready) => self.ready_mask |= 1 << s,
-                    Some(WarpState::ComputeUntil(_)) => self.compute_mask |= 1 << s,
-                    _ => {}
-                }
-            }
-            self.threads_resident = r.usize()?;
-            self.l1.restore(r)?;
-            let n = r.usize()?;
-            self.ldst_queue.clear();
-            for _ in 0..n {
-                let line = LineAddr::new(r.u64()?);
-                let kind = restore_access_kind(r)?;
-                let warp = r.usize()?;
-                let class = restore_request_class(r)?;
-                self.ldst_queue.push_back(LdstTxn {
-                    line,
-                    set: self.l1_geom.set_of(line),
-                    tag: self.l1_geom.tag_of(line),
-                    kind,
-                    warp,
-                    class,
-                });
-            }
-            let n_cb = r.usize()?;
-            self.copyback_queue.clear();
-            for _ in 0..n_cb {
-                self.copyback_queue
-                    .push_back(MemRequest::restore_payload(r)?);
-            }
-            self.sched.restore(r)?;
-            self.launch_seq = r.u64()?;
-            self.stats.instructions = r.u64()?;
-            self.stats.mem_instructions = r.u64()?;
-            self.stats.transactions = r.u64()?;
-            self.stats.idle_cycles = r.u64()?;
-            self.stats.ldst_full_stalls = r.u64()?;
-            self.stats.mem_stall_cycles = r.u64()?;
-            self.stats.ctas_completed = r.u64()?;
-            Ok(())
-        })
+            warp.program = program;
+        }
+        Ok(())
     }
 
     /// Whether the maintained ready/compute words equal the reference
@@ -935,5 +735,172 @@ impl SimtCore {
             }
         }
         cta.at_barrier = 0;
+    }
+}
+
+/// Tag byte, then the wake cycle of a computing warp.
+impl Codec for WarpState {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        match *self {
+            WarpState::Ready => w.u8(0),
+            WarpState::ComputeUntil(t) => {
+                w.u8(1);
+                w.u64(t);
+            }
+            WarpState::WaitMem => w.u8(2),
+            WarpState::Barrier => w.u8(3),
+            WarpState::Done => w.u8(4),
+        }
+    }
+
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        match r.u8()? {
+            0 => Ok(WarpState::Ready),
+            1 => Ok(WarpState::ComputeUntil(r.u64()?)),
+            2 => Ok(WarpState::WaitMem),
+            3 => Ok(WarpState::Barrier),
+            4 => Ok(WarpState::Done),
+            v => Err(SnapshotError::BadValue {
+                what: "warp state".to_string(),
+                value: v as u64,
+            }),
+        }
+    }
+}
+
+/// What a restored warp runs until [`SimtCore::replay`] gives it its
+/// kernel's program back: nothing, loudly.
+struct Unreplayed;
+
+impl WarpProgram for Unreplayed {
+    fn next_op(&mut self) -> Option<Op> {
+        panic!("warp restored from a snapshot stepped before SimtCore::replay");
+    }
+}
+
+/// This core's mutable state: warp/CTA contexts, L1, LD/ST queue,
+/// scheduler, stats. CTAs are written before warps, each warp as its
+/// scalars plus *whether* an op is pending — the op itself is the last one
+/// pulled (see `Warp::ops_pulled`) and comes back in [`SimtCore::replay`],
+/// until which a pending op is held as an [`Op::Shared`] stand-in.
+impl Snapshot for SimtCore {
+    fn save(&self, w: &mut SnapshotWriter) {
+        w.section("core", |w| {
+            w.put(&self.ctas);
+            w.usize(self.warps.len());
+            for warp in &self.warps {
+                w.bool(warp.is_some());
+                if let Some(wp) = warp {
+                    w.usize(wp.cta_slot);
+                    w.put(&wp.state);
+                    w.u32(wp.outstanding);
+                    w.u64(wp.age);
+                    w.u64(wp.ops_pulled);
+                    w.bool(wp.pending_op.is_some());
+                    w.put(&wp.class);
+                }
+            }
+            w.usize(self.threads_resident);
+            self.l1.save(w);
+            // Only the logical fields go on the wire; the set/tag decode
+            // is derived state, recomputed on restore.
+            w.usize(self.ldst_queue.len());
+            for txn in &self.ldst_queue {
+                w.put(&(txn.line, txn.kind, txn.warp, txn.class));
+            }
+            w.put(&self.copyback_queue);
+            self.sched.save(w);
+            w.u64(self.launch_seq);
+            w.put(&self.stats);
+        });
+    }
+
+    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        r.section("core", |r| {
+            r.fill(&mut self.ctas, "CTA slots")?;
+            r.count(self.warps.len(), "warp slots")?;
+            for slot in &mut self.warps {
+                *slot = if r.bool()? {
+                    Some(Warp {
+                        program: Box::new(Unreplayed),
+                        cta_slot: r.usize()?,
+                        state: r.get()?,
+                        outstanding: r.u32()?,
+                        age: r.u64()?,
+                        ops_pulled: r.u64()?,
+                        pending_op: r.bool()?.then_some(Op::Shared),
+                        class: r.get()?,
+                    })
+                } else {
+                    None
+                };
+            }
+            // Rebuild the ready/compute words from the restored warp
+            // states — maintained acceleration state, never serialized
+            // (the mesh head-cache pattern).
+            self.ready_mask = 0;
+            self.compute_mask = 0;
+            for (s, w) in self.warps.iter().enumerate() {
+                match w.as_ref().map(|w| w.state) {
+                    Some(WarpState::Ready) => self.ready_mask |= 1 << s,
+                    Some(WarpState::ComputeUntil(_)) => self.compute_mask |= 1 << s,
+                    _ => {}
+                }
+            }
+            self.threads_resident = r.usize()?;
+            self.l1.restore(r)?;
+            let txns: Vec<(LineAddr, AccessKind, WarpSlot, Option<RequestClass>)> = r.get()?;
+            self.ldst_queue.clear();
+            for (line, kind, warp, class) in txns {
+                self.ldst_queue.push_back(LdstTxn {
+                    line,
+                    set: self.l1_geom.set_of(line),
+                    tag: self.l1_geom.tag_of(line),
+                    kind,
+                    warp,
+                    class,
+                });
+            }
+            self.copyback_queue = r.get()?;
+            self.sched.restore(r)?;
+            self.launch_seq = r.u64()?;
+            self.stats = r.get()?;
+            Ok(())
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gcache_core::snapshot::assert_round_trip;
+
+    #[test]
+    fn records_round_trip_through_a_snapshot() {
+        assert_round_trip(&CoreStats {
+            instructions: 1,
+            mem_instructions: 2,
+            transactions: 3,
+            idle_cycles: 4,
+            ldst_full_stalls: 5,
+            mem_stall_cycles: 6,
+            ctas_completed: 7,
+        });
+        assert_round_trip(&CtaState {
+            cta_id: 1,
+            threads: 2,
+            warp_slots: vec![3, 4],
+            warps_done: 5,
+            at_barrier: 6,
+        });
+        for state in [
+            WarpState::Ready,
+            WarpState::ComputeUntil(9),
+            WarpState::WaitMem,
+            WarpState::Barrier,
+            WarpState::Done,
+        ] {
+            assert_round_trip(&state);
+        }
     }
 }

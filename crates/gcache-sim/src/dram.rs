@@ -8,9 +8,8 @@
 
 use crate::config::DramTiming;
 use gcache_core::addr::LineAddr;
-use gcache_core::snapshot::{
-    Snapshot, SnapshotError, SnapshotPayload, SnapshotReader, SnapshotWriter,
-};
+use gcache_core::record;
+use gcache_core::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use gcache_core::trace::{DramRowOutcome, TraceKind, TraceSink, TraceSource};
 use std::fmt;
 
@@ -26,23 +25,26 @@ impl fmt::Display for DramQueueFull {
 
 impl std::error::Error for DramQueueFull {}
 
-/// DRAM access statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DramStats {
-    /// Read bursts serviced.
-    pub reads: u64,
-    /// Write bursts serviced.
-    pub writes: u64,
-    /// CAS issued to an already-open row.
-    pub row_hits: u64,
-    /// Activations of a closed bank.
-    pub row_opens: u64,
-    /// Precharge+activate cycles (row conflicts).
-    pub row_conflicts: u64,
-    /// Sum of queueing+service latencies of completed requests.
-    pub total_latency: u64,
-    /// Completed requests (for averaging).
-    pub completed: u64,
+record! {
+    /// DRAM access statistics.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct DramStats {
+        /// Read bursts serviced.
+        pub reads: u64,
+        /// Write bursts serviced.
+        pub writes: u64,
+        /// CAS issued to an already-open row.
+        pub row_hits: u64,
+        /// Activations of a closed bank.
+        pub row_opens: u64,
+        /// Precharge+activate cycles (row conflicts).
+        pub row_conflicts: u64,
+        /// Sum of queueing+service latencies of completed requests.
+        pub total_latency: u64,
+        /// Completed requests (for averaging).
+        pub completed: u64,
+    }
+    impl merge;
 }
 
 impl DramStats {
@@ -66,31 +68,37 @@ impl DramStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Bank {
-    open_row: Option<u64>,
-    /// Earliest cycle a CAS/PRE/ACT may be issued to this bank.
-    ready_at: u64,
-    /// Cycle of the last activation (for tRAS/tRC).
-    activated_at: u64,
+record! {
+    #[derive(Clone, Copy, Debug)]
+    struct Bank {
+        open_row: Option<u64>,
+        /// Earliest cycle a CAS/PRE/ACT may be issued to this bank.
+        ready_at: u64,
+        /// Cycle of the last activation (for tRAS/tRC).
+        activated_at: u64,
+    }
 }
 
-#[derive(Debug)]
-struct Pending<T> {
-    /// Bank/row of `line`, fixed at enqueue so the per-cycle scheduler
-    /// scans never redo the division-heavy address mapping.
-    bank: usize,
-    row: u64,
-    write: bool,
-    token: T,
-    arrived: u64,
+record! {
+    #[derive(Debug)]
+    struct Pending<T> {
+        /// Bank/row of `line`, fixed at enqueue so the per-cycle scheduler
+        /// scans never redo the division-heavy address mapping.
+        bank: usize,
+        row: u64,
+        write: bool,
+        token: T,
+        arrived: u64,
+    }
 }
 
-#[derive(Debug)]
-struct Completion<T> {
-    token: T,
-    ready_at: u64,
-    write: bool,
+record! {
+    #[derive(Debug)]
+    struct Completion<T> {
+        token: T,
+        ready_at: u64,
+        write: bool,
+    }
 }
 
 /// One GDDR5 channel with FR-FCFS scheduling, generic over the caller's
@@ -437,7 +445,7 @@ impl<T> Dram<T> {
     }
 }
 
-impl<T: SnapshotPayload> Snapshot for Dram<T> {
+impl<T: Codec> Snapshot for Dram<T> {
     /// Saves the banks, the pending queue (whose `Vec` order *is* the
     /// FCFS order, so it is authoritative), buffered completions, the
     /// bus/activation windows and statistics. The trace sink is an
@@ -445,110 +453,36 @@ impl<T: SnapshotPayload> Snapshot for Dram<T> {
     /// re-derived on the first gated tick.
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("dram", |w| {
-            w.usize(self.banks.len());
-            for b in &self.banks {
-                match b.open_row {
-                    Some(row) => {
-                        w.bool(true);
-                        w.u64(row);
-                    }
-                    None => w.bool(false),
-                }
-                w.u64(b.ready_at);
-                w.u64(b.activated_at);
-            }
-            w.usize(self.queue.len());
-            for p in &self.queue {
-                w.usize(p.bank);
-                w.u64(p.row);
-                w.bool(p.write);
-                p.token.save_payload(w);
-                w.u64(p.arrived);
-            }
-            w.usize(self.completions.len());
-            for c in &self.completions {
-                c.token.save_payload(w);
-                w.u64(c.ready_at);
-                w.bool(c.write);
-            }
+            w.put(&self.banks);
+            w.put(&self.queue);
+            w.put(&self.completions);
             w.u64(self.bus_busy_until);
             w.u64(self.last_activate_any);
-            w.u64(self.stats.reads);
-            w.u64(self.stats.writes);
-            w.u64(self.stats.row_hits);
-            w.u64(self.stats.row_opens);
-            w.u64(self.stats.row_conflicts);
-            w.u64(self.stats.total_latency);
-            w.u64(self.stats.completed);
+            w.put(&self.stats);
         });
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         r.section("dram", |r| {
-            let banks = r.usize()?;
-            if banks != self.banks.len() {
-                return Err(SnapshotError::Mismatch {
-                    what: format!(
-                        "DRAM bank count (snapshot {banks}, channel {})",
-                        self.banks.len()
-                    ),
-                });
-            }
-            for b in &mut self.banks {
-                b.open_row = if r.bool()? { Some(r.u64()?) } else { None };
-                b.ready_at = r.u64()?;
-                b.activated_at = r.u64()?;
-            }
-            let n = r.usize()?;
-            if n > self.queue_cap {
+            r.fill(&mut self.banks, "DRAM banks")?;
+            self.queue = r.get()?;
+            if self.queue.len() > self.queue_cap {
                 return Err(SnapshotError::BadValue {
                     what: "DRAM queue length".to_string(),
-                    value: n as u64,
+                    value: self.queue.len() as u64,
                 });
             }
-            self.queue.clear();
-            for _ in 0..n {
-                let bank = r.usize()?;
-                if bank >= banks {
-                    return Err(SnapshotError::BadValue {
-                        what: "DRAM request bank".to_string(),
-                        value: bank as u64,
-                    });
-                }
-                let row = r.u64()?;
-                let write = r.bool()?;
-                let token = T::restore_payload(r)?;
-                let arrived = r.u64()?;
-                self.queue.push(Pending {
-                    bank,
-                    row,
-                    write,
-                    token,
-                    arrived,
+            if let Some(p) = self.queue.iter().find(|p| p.bank >= self.banks.len()) {
+                return Err(SnapshotError::BadValue {
+                    what: "DRAM request bank".to_string(),
+                    value: p.bank as u64,
                 });
             }
-            let n = r.usize()?;
-            self.completions.clear();
-            for _ in 0..n {
-                let token = T::restore_payload(r)?;
-                let ready_at = r.u64()?;
-                let write = r.bool()?;
-                self.completions.push(Completion {
-                    token,
-                    ready_at,
-                    write,
-                });
-            }
+            self.completions = r.get()?;
             self.bus_busy_until = r.u64()?;
             self.last_activate_any = r.u64()?;
             self.wake = 0;
-            self.stats.reads = r.u64()?;
-            self.stats.writes = r.u64()?;
-            self.stats.row_hits = r.u64()?;
-            self.stats.row_opens = r.u64()?;
-            self.stats.row_conflicts = r.u64()?;
-            self.stats.total_latency = r.u64()?;
-            self.stats.completed = r.u64()?;
+            self.stats = r.get()?;
             Ok(())
         })
     }
@@ -571,6 +505,7 @@ impl<T> crate::clocked::Clocked for Dram<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcache_core::snapshot::assert_round_trip;
 
     fn dram() -> Dram<u64> {
         Dram::new(DramTiming::default(), 4, 2048, 32, 128)
@@ -722,5 +657,37 @@ mod tests {
         let mut d = dram();
         run_one(&mut d, 0, false, 1, 0);
         assert!(d.stats().mean_latency() >= 28.0);
+    }
+
+    #[test]
+    fn records_round_trip_through_a_snapshot() {
+        assert_round_trip(&DramStats {
+            reads: 1,
+            writes: 2,
+            row_hits: 3,
+            row_opens: 4,
+            row_conflicts: 5,
+            total_latency: 6,
+            completed: 7,
+        });
+        for open_row in [Some(1), None] {
+            assert_round_trip(&Bank {
+                open_row,
+                ready_at: 2,
+                activated_at: 3,
+            });
+        }
+        assert_round_trip(&Pending {
+            bank: 1,
+            row: 2,
+            write: true,
+            token: 3u32,
+            arrived: 4,
+        });
+        assert_round_trip(&Completion {
+            token: 1u32,
+            ready_at: 2,
+            write: false,
+        });
     }
 }

@@ -505,7 +505,7 @@ impl Gpu {
             w.u64(sig.2);
             w.bool(self.sampler.is_some());
         });
-        self.cores.save_snapshot(&mut w);
+        self.cores.save(&mut w);
         self.icnt.save(&mut w);
         self.clusters.save(&mut w);
         self.mem.save(&mut w);
@@ -560,7 +560,7 @@ impl Gpu {
             has_sampler = r.bool()?;
             Ok(())
         })?;
-        self.cores.restore_snapshot(&mut r, kernel)?;
+        self.cores.restore(&mut r)?;
         self.icnt.restore(&mut r)?;
         self.clusters.restore(&mut r)?;
         self.mem.restore(&mut r)?;
@@ -578,6 +578,9 @@ impl Gpu {
                 });
             }
         }
+        // Every byte has been checked and decoded; only now is the kernel
+        // asked to rebuild and fast-forward the warp programs.
+        self.cores.replay(kernel)?;
         self.cycle = cycle;
         self.resume = Some(rs);
         self.snapshot_len = bytes.len();

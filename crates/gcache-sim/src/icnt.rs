@@ -28,9 +28,8 @@
 //! queues, and [`crate::clocked::Clocked::next_event`]/[`Mesh::is_idle`]
 //! are O(1) counter reads under event gating.
 
-use gcache_core::snapshot::{
-    Snapshot, SnapshotError, SnapshotPayload, SnapshotReader, SnapshotWriter,
-};
+use gcache_core::record;
+use gcache_core::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -45,19 +44,21 @@ const PORTS: usize = 5;
 /// Sentinel in `head_ready` marking an empty input queue.
 const EMPTY: u64 = u64::MAX;
 
-/// Aggregate network statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NocStats {
-    /// Packets successfully injected.
-    pub packets: u64,
-    /// Total flits injected.
-    pub flits: u64,
-    /// Packets delivered to their destination's local port.
-    pub delivered: u64,
-    /// Failed injection attempts (local queue full).
-    pub inject_fails: u64,
-    /// Sum of per-packet latencies (inject → delivery), for averaging.
-    pub total_latency: u64,
+record! {
+    /// Aggregate network statistics.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct NocStats {
+        /// Packets successfully injected.
+        pub packets: u64,
+        /// Total flits injected.
+        pub flits: u64,
+        /// Packets delivered to their destination's local port.
+        pub delivered: u64,
+        /// Failed injection attempts (local queue full).
+        pub inject_fails: u64,
+        /// Sum of per-packet latencies (inject → delivery), for averaging.
+        pub total_latency: u64,
+    }
 }
 
 impl NocStats {
@@ -639,7 +640,7 @@ impl<T> Mesh<T> {
     }
 }
 
-impl<T: SnapshotPayload> Snapshot for Mesh<T> {
+impl<T: Codec> Snapshot for Mesh<T> {
     /// Saves queued packets (per ring queue, head to tail), output-port
     /// serialisation windows, round-robin cursors, delivered-but-not-
     /// ejected packets and statistics. The head caches, wake words and
@@ -665,50 +666,21 @@ impl<T: SnapshotPayload> Snapshot for Mesh<T> {
                     w.u32(slot.dst);
                     w.u32(slot.flits);
                     w.u8(slot.out);
-                    slot.payload
-                        .as_ref()
-                        .expect("occupied ring slot")
-                        .save_payload(w);
+                    w.put(slot.payload.as_ref().expect("occupied ring slot"));
                 }
             }
-            for &b in &self.out_busy {
-                w.u64(b);
-            }
-            for &c in &self.rr {
-                w.u8(c);
-            }
-            for node in 0..nodes {
-                w.usize(self.delivered[node].len());
-                for (p, at) in &self.delivered[node] {
-                    p.save_payload(w);
-                    w.u64(*at);
-                }
-            }
-            w.u64(self.stats.packets);
-            w.u64(self.stats.flits);
-            w.u64(self.stats.delivered);
-            w.u64(self.stats.inject_fails);
-            w.u64(self.stats.total_latency);
+            w.put_each(&self.out_busy);
+            w.put_each(&self.rr);
+            w.put_each(&self.delivered);
+            w.put(&self.stats);
         });
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         r.section("mesh", |r| {
-            let nodes = r.usize()?;
-            if nodes != self.nodes() {
-                return Err(SnapshotError::Mismatch {
-                    what: format!("mesh node count (snapshot {nodes}, mesh {})", self.nodes()),
-                });
-            }
-            let cap = r.usize()?;
-            if cap != self.queue_cap {
-                return Err(SnapshotError::Mismatch {
-                    what: format!(
-                        "mesh queue capacity (snapshot {cap}, mesh {})",
-                        self.queue_cap
-                    ),
-                });
-            }
+            let nodes = self.nodes();
+            r.count(nodes, "mesh nodes")?;
+            r.count(self.queue_cap, "mesh queue capacity")?;
             for s in &mut self.slots {
                 s.payload = None;
             }
@@ -730,7 +702,7 @@ impl<T: SnapshotPayload> Snapshot for Mesh<T> {
                     let dst = r.u32()?;
                     let flits = r.u32()?;
                     let out = r.u8()?;
-                    let payload = T::restore_payload(r)?;
+                    let payload = r.get()?;
                     if dst as usize >= nodes || out as usize >= PORTS {
                         return Err(SnapshotError::BadValue {
                             what: "packet routing field".to_string(),
@@ -750,25 +722,14 @@ impl<T: SnapshotPayload> Snapshot for Mesh<T> {
                     );
                 }
             }
-            for b in &mut self.out_busy {
-                *b = r.u64()?;
-            }
-            for c in &mut self.rr {
-                *c = r.u8()?;
-            }
+            r.get_each(&mut self.out_busy)?;
+            r.get_each(&mut self.rr)?;
+            r.get_each(&mut self.delivered)?;
             self.pending = 0;
             for node in 0..nodes {
-                let len = r.usize()?;
-                self.delivered[node].clear();
-                for _ in 0..len {
-                    let p = T::restore_payload(r)?;
-                    let at = r.u64()?;
-                    self.delivered[node].push_back((p, at));
-                }
+                let len = self.delivered[node].len();
                 self.delivered_len[node] = len as u32;
                 self.pending += len;
-            }
-            for node in 0..nodes {
                 self.local_len[node] = u32::from(self.q_len[node * PORTS + LOCAL]);
             }
             self.in_network = self.q_len.iter().map(|&l| l as usize).sum();
@@ -777,11 +738,7 @@ impl<T: SnapshotPayload> Snapshot for Mesh<T> {
             // gated tick.
             self.wake = 0;
             self.rwake.fill(0);
-            self.stats.packets = r.u64()?;
-            self.stats.flits = r.u64()?;
-            self.stats.delivered = r.u64()?;
-            self.stats.inject_fails = r.u64()?;
-            self.stats.total_latency = r.u64()?;
+            self.stats = r.get()?;
             Ok(())
         })
     }
@@ -819,6 +776,7 @@ impl<T> crate::clocked::Clocked for Mesh<T> {
 mod tests {
     use super::*;
     use gcache_core::rng::SmallRng;
+    use gcache_core::snapshot::assert_round_trip;
 
     fn run_until_delivered(mesh: &mut Mesh<u32>, node: usize, max: u64) -> Option<(u32, u64)> {
         for cycle in 1..=max {
@@ -1382,5 +1340,16 @@ mod tests {
             other.restore(&mut r),
             Err(SnapshotError::Mismatch { .. })
         ));
+    }
+
+    #[test]
+    fn stats_round_trip_through_a_snapshot() {
+        assert_round_trip(&NocStats {
+            packets: 1,
+            flits: 2,
+            delivered: 3,
+            inject_fails: 4,
+            total_latency: 5,
+        });
     }
 }

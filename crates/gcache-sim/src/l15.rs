@@ -35,31 +35,18 @@ use gcache_core::cache::{Cache, CacheConfig};
 use gcache_core::controller::{AtomicHandling, CacheController, ControllerOutcome, FillParams};
 use gcache_core::policy::lru::Lru;
 use gcache_core::policy::AccessKind;
-use gcache_core::snapshot::{
-    Snapshot, SnapshotError, SnapshotPayload, SnapshotReader, SnapshotWriter,
-};
+use gcache_core::record;
+use gcache_core::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use gcache_core::stats::CacheStats;
 use gcache_core::trace::{SharedTraceRing, TraceLevel, TraceSource};
 use std::collections::VecDeque;
 
-/// A merged requester waiting on one L1.5 miss.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct L15Target {
-    core: CoreId,
-    warp: WarpSlot,
-}
-
-impl SnapshotPayload for L15Target {
-    fn save_payload(&self, w: &mut SnapshotWriter) {
-        w.usize(self.core.index());
-        w.usize(self.warp);
-    }
-
-    fn restore_payload(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(L15Target {
-            core: CoreId(r.usize()?),
-            warp: r.usize()?,
-        })
+record! {
+    /// A merged requester waiting on one L1.5 miss.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    struct L15Target {
+        core: CoreId,
+        warp: WarpSlot,
     }
 }
 
@@ -301,19 +288,9 @@ impl Snapshot for L15Cluster {
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("l15", |w| {
             self.ctrl.save(w);
-            w.usize(self.incoming.len());
-            for req in &self.incoming {
-                req.save_payload(w);
-            }
-            w.usize(self.forward.len());
-            for req in &self.forward {
-                req.save_payload(w);
-            }
-            w.usize(self.outgoing.len());
-            for (resp, ready) in &self.outgoing {
-                resp.save_payload(w);
-                w.u64(*ready);
-            }
+            w.put(&self.incoming);
+            w.put(&self.forward);
+            w.put(&self.outgoing);
             w.u64(self.stall_cycles);
         });
     }
@@ -321,23 +298,9 @@ impl Snapshot for L15Cluster {
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         r.section("l15", |r| {
             self.ctrl.restore(r)?;
-            let n = r.usize()?;
-            self.incoming.clear();
-            for _ in 0..n {
-                self.incoming.push_back(MemRequest::restore_payload(r)?);
-            }
-            let n = r.usize()?;
-            self.forward.clear();
-            for _ in 0..n {
-                self.forward.push_back(MemRequest::restore_payload(r)?);
-            }
-            let n = r.usize()?;
-            self.outgoing.clear();
-            for _ in 0..n {
-                let resp = MemResponse::restore_payload(r)?;
-                let ready = r.u64()?;
-                self.outgoing.push_back((resp, ready));
-            }
+            self.incoming = r.get()?;
+            self.forward = r.get()?;
+            self.outgoing = r.get()?;
             self.stall_cycles = r.u64()?;
             Ok(())
         })
@@ -349,6 +312,7 @@ mod tests {
     use super::*;
     use crate::config::Hierarchy;
     use gcache_core::addr::LineAddr;
+    use gcache_core::snapshot::assert_round_trip;
 
     /// Queue-backed fake of a mesh port pair: `to_l15` is what the mesh
     /// would deliver, `from_l15` collects injections.
@@ -523,5 +487,13 @@ mod tests {
         let l15 = cluster();
         assert_eq!(l15.next_event(0), None);
         assert!(l15.is_idle());
+    }
+
+    #[test]
+    fn target_round_trips_through_a_snapshot() {
+        assert_round_trip(&L15Target {
+            core: CoreId(1),
+            warp: 2,
+        });
     }
 }

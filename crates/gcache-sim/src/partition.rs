@@ -16,18 +16,14 @@
 use crate::clocked::Clocked;
 use crate::config::GpuConfig;
 use crate::dram::Dram;
-use crate::request::{
-    partition_local_line, restore_request_class, save_request_class, MemRequest, MemResponse,
-    WarpSlot,
-};
+use crate::request::{partition_local_line, MemRequest, MemResponse, WarpSlot};
 use gcache_core::addr::{CoreId, LineAddr, PartitionId};
 use gcache_core::cache::{Cache, CacheConfig};
 use gcache_core::controller::{AtomicHandling, CacheController, ControllerOutcome, FillParams};
 use gcache_core::policy::lru::Lru;
 use gcache_core::policy::{AccessCtx, AccessKind, RequestClass};
-use gcache_core::snapshot::{
-    Snapshot, SnapshotError, SnapshotPayload, SnapshotReader, SnapshotWriter,
-};
+use gcache_core::record;
+use gcache_core::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use gcache_core::stats::CacheStats;
 use std::collections::VecDeque;
 
@@ -57,34 +53,34 @@ enum DramToken {
     Writeback,
 }
 
-impl SnapshotPayload for L2Target {
-    fn save_payload(&self, w: &mut SnapshotWriter) {
+impl Codec for L2Target {
+    fn encode(&self, w: &mut SnapshotWriter) {
         match self {
             L2Target::Read { core, warp, class } => {
                 w.u8(0);
-                w.usize(core.index());
-                w.usize(*warp);
-                save_request_class(w, *class);
+                w.put(core);
+                w.put(warp);
+                w.put(class);
             }
             L2Target::Atomic { core, warp } => {
                 w.u8(1);
-                w.usize(core.index());
-                w.usize(*warp);
+                w.put(core);
+                w.put(warp);
             }
             L2Target::Write => w.u8(2),
         }
     }
 
-    fn restore_payload(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         match r.u8()? {
             0 => Ok(L2Target::Read {
-                core: CoreId(r.usize()?),
-                warp: r.usize()?,
-                class: restore_request_class(r)?,
+                core: r.get()?,
+                warp: r.get()?,
+                class: r.get()?,
             }),
             1 => Ok(L2Target::Atomic {
-                core: CoreId(r.usize()?),
-                warp: r.usize()?,
+                core: r.get()?,
+                warp: r.get()?,
             }),
             2 => Ok(L2Target::Write),
             v => Err(SnapshotError::BadValue {
@@ -95,20 +91,20 @@ impl SnapshotPayload for L2Target {
     }
 }
 
-impl SnapshotPayload for DramToken {
-    fn save_payload(&self, w: &mut SnapshotWriter) {
+impl Codec for DramToken {
+    fn encode(&self, w: &mut SnapshotWriter) {
         match self {
             DramToken::Fill(line) => {
                 w.u8(0);
-                w.u64(line.raw());
+                w.put(line);
             }
             DramToken::Writeback => w.u8(1),
         }
     }
 
-    fn restore_payload(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         match r.u8()? {
-            0 => Ok(DramToken::Fill(LineAddr::new(r.u64()?))),
+            0 => Ok(DramToken::Fill(r.get()?)),
             1 => Ok(DramToken::Writeback),
             v => Err(SnapshotError::BadValue {
                 what: "DRAM token kind".to_string(),
@@ -118,13 +114,16 @@ impl SnapshotPayload for DramToken {
     }
 }
 
-/// Partition-level counters beyond the embedded cache/DRAM stats.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PartitionStats {
-    /// Atomic operations serviced by the AOU.
-    pub atomics: u64,
-    /// Requests stalled because the L2 MSHR or DRAM queue was full.
-    pub stall_cycles: u64,
+record! {
+    /// Partition-level counters beyond the embedded cache/DRAM stats.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct PartitionStats {
+        /// Atomic operations serviced by the AOU.
+        pub atomics: u64,
+        /// Requests stalled because the L2 MSHR or DRAM queue was full.
+        pub stall_cycles: u64,
+    }
+    impl merge;
 }
 
 /// One memory partition.
@@ -540,18 +539,10 @@ impl Snapshot for Partition {
         w.section("part", |w| {
             self.l2.save(w);
             self.dram.save(w);
-            w.usize(self.incoming.len());
-            for req in &self.incoming {
-                req.save_payload(w);
-            }
-            w.usize(self.outgoing.len());
-            for (resp, ready) in &self.outgoing {
-                resp.save_payload(w);
-                w.u64(*ready);
-            }
+            w.put(&self.incoming);
+            w.put(&self.outgoing);
             w.u64(self.aou_busy_until);
-            w.u64(self.stats.atomics);
-            w.u64(self.stats.stall_cycles);
+            w.put(&self.stats);
         });
     }
 
@@ -559,21 +550,10 @@ impl Snapshot for Partition {
         r.section("part", |r| {
             self.l2.restore(r)?;
             self.dram.restore(r)?;
-            let n = r.usize()?;
-            self.incoming.clear();
-            for _ in 0..n {
-                self.incoming.push_back(MemRequest::restore_payload(r)?);
-            }
-            let n = r.usize()?;
-            self.outgoing.clear();
-            for _ in 0..n {
-                let resp = MemResponse::restore_payload(r)?;
-                let ready = r.u64()?;
-                self.outgoing.push_back((resp, ready));
-            }
+            self.incoming = r.get()?;
+            self.outgoing = r.get()?;
             self.aou_busy_until = r.u64()?;
-            self.stats.atomics = r.u64()?;
-            self.stats.stall_cycles = r.u64()?;
+            self.stats = r.get()?;
             Ok(())
         })
     }
@@ -597,6 +577,7 @@ impl Clocked for Partition {
 mod tests {
     use super::*;
     use crate::request::partition_of;
+    use gcache_core::snapshot::assert_round_trip;
 
     fn partition() -> Partition {
         let cfg = GpuConfig::fermi().unwrap();
@@ -787,5 +768,26 @@ mod tests {
         assert!(p.is_idle(), "partition should drain");
         assert!(p.l2_stats().writebacks >= 16, "expected dirty evictions");
         assert!(p.dram_stats().writes >= 1, "write-backs must reach DRAM");
+    }
+
+    #[test]
+    fn payloads_and_stats_round_trip_through_a_snapshot() {
+        assert_round_trip(&PartitionStats {
+            atomics: 1,
+            stall_cycles: 2,
+        });
+        assert_round_trip(&vec![
+            L2Target::Read {
+                core: CoreId(1),
+                warp: 2,
+                class: RequestClass::from_wire(9).unwrap(),
+            },
+            L2Target::Atomic {
+                core: CoreId(3),
+                warp: 4,
+            },
+            L2Target::Write,
+        ]);
+        assert_round_trip(&(DramToken::Fill(LineAddr::new(5)), DramToken::Writeback));
     }
 }

@@ -2,66 +2,29 @@
 
 use gcache_core::addr::{CoreId, LineAddr, PartitionId};
 use gcache_core::policy::{AccessKind, RequestClass};
-use gcache_core::snapshot::{SnapshotError, SnapshotPayload, SnapshotReader, SnapshotWriter};
-
-/// Stable wire encoding for [`AccessKind`] inside snapshots.
-pub(crate) fn save_access_kind(w: &mut SnapshotWriter, kind: AccessKind) {
-    w.u8(match kind {
-        AccessKind::Read => 0,
-        AccessKind::Write => 1,
-        AccessKind::Atomic => 2,
-        AccessKind::CopyBack => 3,
-    });
-}
-
-/// Inverse of [`save_access_kind`].
-pub(crate) fn restore_access_kind(r: &mut SnapshotReader<'_>) -> Result<AccessKind, SnapshotError> {
-    match r.u8()? {
-        0 => Ok(AccessKind::Read),
-        1 => Ok(AccessKind::Write),
-        2 => Ok(AccessKind::Atomic),
-        3 => Ok(AccessKind::CopyBack),
-        v => Err(SnapshotError::BadValue {
-            what: "access kind".to_string(),
-            value: v as u64,
-        }),
-    }
-}
-
-/// Stable wire encoding for an optional [`RequestClass`] inside snapshots.
-pub(crate) fn save_request_class(w: &mut SnapshotWriter, class: Option<RequestClass>) {
-    w.u8(RequestClass::to_wire(class));
-}
-
-/// Inverse of [`save_request_class`].
-pub(crate) fn restore_request_class(
-    r: &mut SnapshotReader<'_>,
-) -> Result<Option<RequestClass>, SnapshotError> {
-    RequestClass::from_wire(r.u8()?).map_err(|v| SnapshotError::BadValue {
-        what: "request class".to_string(),
-        value: v as u64,
-    })
-}
+use gcache_core::record;
 
 /// A core-local warp slot index, used to wake the right warp when its
 /// memory transactions return.
 pub type WarpSlot = usize;
 
-/// A request travelling from an L1 towards a memory partition.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MemRequest {
-    /// Requested line.
-    pub line: LineAddr,
-    /// Access kind. Reads and atomics generate a response; stores and
-    /// clean copy-backs are fire-and-forget.
-    pub kind: AccessKind,
-    /// Requesting core.
-    pub core: CoreId,
-    /// Warp to wake on response (meaningless for stores).
-    pub warp: WarpSlot,
-    /// Request class the issuing warp declared (deadline slack + declared
-    /// reuse); `None` for unclassified traffic.
-    pub class: Option<RequestClass>,
+record! {
+    /// A request travelling from an L1 towards a memory partition.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct MemRequest {
+        /// Requested line.
+        pub line: LineAddr,
+        /// Access kind. Reads and atomics generate a response; stores and
+        /// clean copy-backs are fire-and-forget.
+        pub kind: AccessKind,
+        /// Requesting core.
+        pub core: CoreId,
+        /// Warp to wake on response (meaningless for stores).
+        pub warp: WarpSlot,
+        /// Request class the issuing warp declared (deadline slack + declared
+        /// reuse); `None` for unclassified traffic.
+        pub class: Option<RequestClass>,
+    }
 }
 
 impl MemRequest {
@@ -82,44 +45,26 @@ impl MemRequest {
     }
 }
 
-impl SnapshotPayload for MemRequest {
-    fn save_payload(&self, w: &mut SnapshotWriter) {
-        w.u64(self.line.raw());
-        save_access_kind(w, self.kind);
-        w.usize(self.core.index());
-        w.usize(self.warp);
-        save_request_class(w, self.class);
+record! {
+    /// A response travelling from a memory partition back to a core.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct MemResponse {
+        /// The line whose data is returning.
+        pub line: LineAddr,
+        /// Original access kind (read or atomic).
+        pub kind: AccessKind,
+        /// Destination core.
+        pub core: CoreId,
+        /// Warp to wake.
+        pub warp: WarpSlot,
+        /// G-Cache victim hint observed by the L2 (see
+        /// [`gcache_core::victim_bits`]); travels with the data at no extra
+        /// traffic cost (§4.3).
+        pub victim_hint: bool,
+        /// The primary requester's declared class, echoed back so the L1's
+        /// fill decision sees it without any MSHR-side storage.
+        pub class: Option<RequestClass>,
     }
-
-    fn restore_payload(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(MemRequest {
-            line: LineAddr::new(r.u64()?),
-            kind: restore_access_kind(r)?,
-            core: CoreId(r.usize()?),
-            warp: r.usize()?,
-            class: restore_request_class(r)?,
-        })
-    }
-}
-
-/// A response travelling from a memory partition back to a core.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MemResponse {
-    /// The line whose data is returning.
-    pub line: LineAddr,
-    /// Original access kind (read or atomic).
-    pub kind: AccessKind,
-    /// Destination core.
-    pub core: CoreId,
-    /// Warp to wake.
-    pub warp: WarpSlot,
-    /// G-Cache victim hint observed by the L2 (see
-    /// [`gcache_core::victim_bits`]); travels with the data at no extra
-    /// traffic cost (§4.3).
-    pub victim_hint: bool,
-    /// The primary requester's declared class, echoed back so the L1's
-    /// fill decision sees it without any MSHR-side storage.
-    pub class: Option<RequestClass>,
 }
 
 impl MemResponse {
@@ -130,28 +75,6 @@ impl MemResponse {
             AccessKind::Atomic => 8 + line_size / 4,
             _ => line_size + 8,
         }
-    }
-}
-
-impl SnapshotPayload for MemResponse {
-    fn save_payload(&self, w: &mut SnapshotWriter) {
-        w.u64(self.line.raw());
-        save_access_kind(w, self.kind);
-        w.usize(self.core.index());
-        w.usize(self.warp);
-        w.bool(self.victim_hint);
-        save_request_class(w, self.class);
-    }
-
-    fn restore_payload(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(MemResponse {
-            line: LineAddr::new(r.u64()?),
-            kind: restore_access_kind(r)?,
-            core: CoreId(r.usize()?),
-            warp: r.usize()?,
-            victim_hint: r.bool()?,
-            class: restore_request_class(r)?,
-        })
     }
 }
 
@@ -177,6 +100,7 @@ pub fn global_line(local: LineAddr, part: PartitionId, partitions: usize) -> Lin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcache_core::snapshot::assert_round_trip;
 
     #[test]
     fn consecutive_lines_interleave() {
@@ -240,5 +164,25 @@ mod tests {
             ..resp
         };
         assert_eq!(at.packet_bytes(128), 40);
+    }
+
+    #[test]
+    fn messages_round_trip_through_a_snapshot() {
+        let class = RequestClass::from_wire(6).unwrap();
+        assert_round_trip(&MemRequest {
+            line: LineAddr::new(1),
+            kind: AccessKind::Atomic,
+            core: CoreId(2),
+            warp: 3,
+            class,
+        });
+        assert_round_trip(&MemResponse {
+            line: LineAddr::new(4),
+            kind: AccessKind::Read,
+            core: CoreId(5),
+            warp: 6,
+            victim_hint: true,
+            class,
+        });
     }
 }

@@ -133,20 +133,14 @@ impl Snapshot for WarpScheduler {
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("sched", |w| {
             w.usize(self.rr_next);
-            match self.current {
-                Some(c) => {
-                    w.bool(true);
-                    w.usize(c);
-                }
-                None => w.bool(false),
-            }
+            w.put(&self.current);
         });
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         r.section("sched", |r| {
             self.rr_next = r.usize()?;
-            self.current = if r.bool()? { Some(r.usize()?) } else { None };
+            self.current = r.get()?;
             Ok(())
         })
     }

@@ -8,40 +8,6 @@ use crate::xbar::XbarStats;
 use gcache_core::stats::CacheStats;
 use std::fmt;
 
-impl CoreStats {
-    /// Accumulates another core's counters.
-    pub fn merge(&mut self, other: &CoreStats) {
-        self.instructions += other.instructions;
-        self.mem_instructions += other.mem_instructions;
-        self.transactions += other.transactions;
-        self.idle_cycles += other.idle_cycles;
-        self.ldst_full_stalls += other.ldst_full_stalls;
-        self.mem_stall_cycles += other.mem_stall_cycles;
-        self.ctas_completed += other.ctas_completed;
-    }
-}
-
-impl DramStats {
-    /// Accumulates another channel's counters.
-    pub fn merge(&mut self, other: &DramStats) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.row_hits += other.row_hits;
-        self.row_opens += other.row_opens;
-        self.row_conflicts += other.row_conflicts;
-        self.total_latency += other.total_latency;
-        self.completed += other.completed;
-    }
-}
-
-impl PartitionStats {
-    /// Accumulates another partition's counters.
-    pub fn merge(&mut self, other: &PartitionStats) {
-        self.atomics += other.atomics;
-        self.stall_cycles += other.stall_cycles;
-    }
-}
-
 /// Everything a kernel run produced, aggregated across cores/partitions.
 #[derive(Clone, Debug)]
 pub struct SimStats {

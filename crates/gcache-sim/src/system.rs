@@ -188,14 +188,11 @@ impl Interconnect {
         if self.xbars.is_empty() {
             return None;
         }
-        Some(self.xbars.iter().fold(XbarStats::default(), |acc, xb| {
-            let s = xb.stats();
-            XbarStats {
-                grants: acc.grants + s.grants,
-                flit_cycles: acc.flit_cycles + s.flit_cycles,
-                inject_fails: acc.inject_fails + s.inject_fails,
-            }
-        }))
+        let mut total = XbarStats::default();
+        for xb in &self.xbars {
+            total.merge(&xb.stats());
+        }
+        Some(total)
     }
 
     /// Total transfer ports across all crossbar lanes (both directions) —
@@ -388,10 +385,7 @@ impl Snapshot for Interconnect {
         w.section("icnt", |w| {
             self.req.save(w);
             self.resp.save(w);
-            w.usize(self.xbars.len());
-            for xb in &self.xbars {
-                xb.save(w);
-            }
+            w.save_all(&self.xbars);
         });
     }
 
@@ -399,19 +393,7 @@ impl Snapshot for Interconnect {
         r.section("icnt", |r| {
             self.req.restore(r)?;
             self.resp.restore(r)?;
-            let n = r.usize()?;
-            if n != self.xbars.len() {
-                return Err(SnapshotError::Mismatch {
-                    what: format!(
-                        "cluster crossbar count (snapshot {n}, machine {})",
-                        self.xbars.len()
-                    ),
-                });
-            }
-            for xb in &mut self.xbars {
-                xb.restore(r)?;
-            }
-            Ok(())
+            r.restore_all(&mut self.xbars, "cluster crossbars")
         })
     }
 }
@@ -768,17 +750,22 @@ impl CoreComplex {
         self.wake_skips
     }
 
-    /// Serializes the core array and the CTA dispatcher state. The
-    /// per-core wake caches are *not* serialized: restore parks them at
-    /// "tick next cycle", which is state-identical (a tick on an
-    /// event-free cycle equals the replayed skip) and they re-tighten on
-    /// the first real tick.
-    pub fn save_snapshot(&self, w: &mut SnapshotWriter) {
+    /// Second half of a restore: rebuilds every restored warp's program
+    /// from `kernel` (see [`SimtCore::replay`]).
+    pub fn replay(&mut self, kernel: &dyn Kernel) -> Result<(), SnapshotError> {
+        self.cores.iter_mut().try_for_each(|c| c.replay(kernel))
+    }
+}
+
+impl Snapshot for CoreComplex {
+    /// Saves the core array and the CTA dispatcher state. The per-core
+    /// wake caches are *not* serialized: restore parks them at "tick next
+    /// cycle", which is state-identical (a tick on an event-free cycle
+    /// equals the replayed skip) and they re-tighten on the first real
+    /// tick.
+    fn save(&self, w: &mut SnapshotWriter) {
         w.section("core_complex", |w| {
-            w.usize(self.cores.len());
-            for core in &self.cores {
-                core.save_snapshot(w);
-            }
+            w.save_all(&self.cores);
             w.usize(self.next_cta);
             w.usize(self.total_ctas);
             w.usize(self.rr_core);
@@ -787,24 +774,10 @@ impl CoreComplex {
         });
     }
 
-    /// Restores state saved by [`CoreComplex::save_snapshot`]. `kernel`
-    /// must be the kernel that was running at save time (see
-    /// [`SimtCore::restore_snapshot`]).
-    pub fn restore_snapshot(
-        &mut self,
-        r: &mut SnapshotReader<'_>,
-        kernel: &dyn Kernel,
-    ) -> Result<(), SnapshotError> {
+    /// Warp programs come back in [`CoreComplex::replay`].
+    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         r.section("core_complex", |r| {
-            let n = r.usize()?;
-            if n != self.cores.len() {
-                return Err(SnapshotError::Mismatch {
-                    what: format!("core count (snapshot {n}, machine {})", self.cores.len()),
-                });
-            }
-            for core in &mut self.cores {
-                core.restore_snapshot(r, kernel)?;
-            }
+            r.restore_all(&mut self.cores, "cores")?;
             self.next_cta = r.usize()?;
             self.total_ctas = r.usize()?;
             self.rr_core = r.usize()?;
@@ -962,31 +935,17 @@ impl MemorySystem {
 impl Snapshot for MemorySystem {
     /// Saves every partition. The wake cache is not serialized; restore
     /// parks every partition at "tick next cycle" (state-identical, see
-    /// [`CoreComplex::save_snapshot`]).
+    /// [`CoreComplex`]'s snapshot notes).
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("mem_system", |w| {
-            w.usize(self.partitions.len());
-            for part in &self.partitions {
-                part.save(w);
-            }
+            w.save_all(&self.partitions);
             w.u64(self.wake_skips);
         });
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         r.section("mem_system", |r| {
-            let n = r.usize()?;
-            if n != self.partitions.len() {
-                return Err(SnapshotError::Mismatch {
-                    what: format!(
-                        "partition count (snapshot {n}, machine {})",
-                        self.partitions.len()
-                    ),
-                });
-            }
-            for part in &mut self.partitions {
-                part.restore(r)?;
-            }
+            r.restore_all(&mut self.partitions, "partitions")?;
             self.wake_skips = r.u64()?;
             self.wake.fill(0);
             Ok(())
@@ -1104,28 +1063,14 @@ impl Snapshot for ClusterComplex {
     /// wake cache is rebuilt, not serialized.
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("cluster_complex", |w| {
-            w.usize(self.clusters.len());
-            for cl in &self.clusters {
-                cl.save(w);
-            }
+            w.save_all(&self.clusters);
             w.u64(self.wake_skips);
         });
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         r.section("cluster_complex", |r| {
-            let n = r.usize()?;
-            if n != self.clusters.len() {
-                return Err(SnapshotError::Mismatch {
-                    what: format!(
-                        "cluster count (snapshot {n}, machine {})",
-                        self.clusters.len()
-                    ),
-                });
-            }
-            for cl in &mut self.clusters {
-                cl.restore(r)?;
-            }
+            r.restore_all(&mut self.clusters, "clusters")?;
             self.wake_skips = r.u64()?;
             self.wake.fill(0);
             Ok(())

@@ -43,7 +43,10 @@
 //! assert_eq!(Sample::parse_csv(&parsed.csv_row()), Some(parsed));
 //! ```
 
+use gcache_core::record;
 use gcache_core::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+use std::fmt;
+use std::str::FromStr;
 
 /// Default sampling interval in cycles.
 pub const DEFAULT_INTERVAL: u64 = 4096;
@@ -51,107 +54,127 @@ pub const DEFAULT_INTERVAL: u64 = 4096;
 /// Default ring capacity in samples.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
-/// Cumulative counter snapshot of the whole machine at one cycle — the
-/// sampler's input, produced by `Gpu::telemetry_snapshot`. All counter
-/// fields are running totals; the `switch_*`, `mshr_peak` and `noc_*`
-/// fields are point-in-time gauges.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct TelemetrySnapshot {
-    /// Cycle at which the snapshot was taken.
-    pub cycle: u64,
-    /// Warp instructions issued so far.
-    pub instructions: u64,
-    /// L1 accesses (all cores).
-    pub l1_accesses: u64,
-    /// L1 misses (all cores).
-    pub l1_misses: u64,
-    /// L1 fills (all cores).
-    pub l1_fills: u64,
-    /// L1 fills bypassed (all cores).
-    pub l1_bypassed: u64,
-    /// L1.5 accesses (all clusters; 0 on a flat machine).
-    pub l15_accesses: u64,
-    /// L1.5 misses.
-    pub l15_misses: u64,
-    /// L2 accesses (all banks).
-    pub l2_accesses: u64,
-    /// L2 misses.
-    pub l2_misses: u64,
-    /// Victim bits newly set (all L2 banks).
-    pub victim_sets: u64,
-    /// Victim-bit observations that found the bit set (contention hints).
-    pub victim_hits: u64,
-    /// Victim-bit line clears that dropped at least one set bit.
-    pub victim_clears: u64,
-    /// DRAM row-buffer hits (all channels).
-    pub dram_row_hits: u64,
-    /// DRAM row activations of any kind (hits + opens + conflicts).
-    pub dram_row_total: u64,
-    /// Gauge: L1 sets with the G-Cache bypass switch open, summed over
-    /// cores (0 under non-G-Cache policies).
-    pub switch_open: u64,
-    /// Gauge: total L1 sets with a switch, summed over cores.
-    pub switch_sets: u64,
-    /// Gauge: highest L1 MSHR occupancy seen so far on any core.
-    pub mshr_peak: u64,
-    /// Gauge: packets currently inside both meshes.
-    pub noc_in_flight: u64,
-    /// Gauge: deepest per-router injection queue across both meshes.
-    pub noc_queue_depth: u64,
-    /// Packets injected into either mesh.
-    pub noc_packets: u64,
-    /// Failed mesh injection attempts (local queue full), both meshes.
-    pub noc_inject_fails: u64,
-    /// Packets delivered by either mesh.
-    pub noc_delivered: u64,
-    /// Summed inject→delivery latency of delivered packets, both meshes.
-    pub noc_total_latency: u64,
+record! {
+    /// Cumulative counter snapshot of the whole machine at one cycle — the
+    /// sampler's input, produced by `Gpu::telemetry_snapshot`. All counter
+    /// fields are running totals; the `switch_*`, `mshr_peak` and `noc_*`
+    /// fields are point-in-time gauges.
+    #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+    pub struct TelemetrySnapshot {
+        /// Cycle at which the snapshot was taken.
+        pub cycle: u64,
+        /// Warp instructions issued so far.
+        pub instructions: u64,
+        /// L1 accesses (all cores).
+        pub l1_accesses: u64,
+        /// L1 misses (all cores).
+        pub l1_misses: u64,
+        /// L1 fills (all cores).
+        pub l1_fills: u64,
+        /// L1 fills bypassed (all cores).
+        pub l1_bypassed: u64,
+        /// L1.5 accesses (all clusters; 0 on a flat machine).
+        pub l15_accesses: u64,
+        /// L1.5 misses.
+        pub l15_misses: u64,
+        /// L2 accesses (all banks).
+        pub l2_accesses: u64,
+        /// L2 misses.
+        pub l2_misses: u64,
+        /// Victim bits newly set (all L2 banks).
+        pub victim_sets: u64,
+        /// Victim-bit observations that found the bit set (contention hints).
+        pub victim_hits: u64,
+        /// Victim-bit line clears that dropped at least one set bit.
+        pub victim_clears: u64,
+        /// DRAM row-buffer hits (all channels).
+        pub dram_row_hits: u64,
+        /// DRAM row activations of any kind (hits + opens + conflicts).
+        pub dram_row_total: u64,
+        /// Gauge: L1 sets with the G-Cache bypass switch open, summed over
+        /// cores (0 under non-G-Cache policies).
+        pub switch_open: u64,
+        /// Gauge: total L1 sets with a switch, summed over cores.
+        pub switch_sets: u64,
+        /// Gauge: highest L1 MSHR occupancy seen so far on any core.
+        pub mshr_peak: u64,
+        /// Gauge: packets currently inside both meshes.
+        pub noc_in_flight: u64,
+        /// Gauge: deepest per-router injection queue across both meshes.
+        pub noc_queue_depth: u64,
+        /// Packets injected into either mesh.
+        pub noc_packets: u64,
+        /// Failed mesh injection attempts (local queue full), both meshes.
+        pub noc_inject_fails: u64,
+        /// Packets delivered by either mesh.
+        pub noc_delivered: u64,
+        /// Summed inject→delivery latency of delivered packets, both meshes.
+        pub noc_total_latency: u64,
+    }
 }
 
-/// One per-interval telemetry row (deltas of two [`TelemetrySnapshot`]s,
-/// rates already derived; gauges carried through).
-#[derive(Clone, Copy, Default, PartialEq, Debug)]
-pub struct Sample {
-    /// Cycle at the end of the interval.
-    pub cycle: u64,
-    /// Interval length in cycles (the final row of a kernel may be
-    /// shorter than the configured interval).
-    pub cycles: u64,
-    /// Instructions issued in the interval.
-    pub instructions: u64,
-    /// Instructions per cycle over the interval.
-    pub ipc: f64,
-    /// L1 miss rate over the interval's L1 accesses (0 if none).
-    pub l1_miss_rate: f64,
-    /// Bypassed fraction of the interval's L1 fills (0 if none).
-    pub l1_bypass_ratio: f64,
-    /// L1.5 miss rate over the interval (0 if none / flat machine).
-    pub l15_miss_rate: f64,
-    /// L2 miss rate over the interval (0 if none).
-    pub l2_miss_rate: f64,
-    /// Gauge: fraction of L1 sets with the bypass switch open at the
-    /// sample point (0 under non-G-Cache policies).
-    pub switch_on_frac: f64,
-    /// Victim bits newly set per L2 access in the interval.
-    pub victim_set_rate: f64,
-    /// Victim-bit hits (contention signals) per L2 access.
-    pub victim_hit_rate: f64,
-    /// Victim-bit clears per L2 access.
-    pub victim_clear_rate: f64,
-    /// Gauge: highest L1 MSHR occupancy seen so far on any core.
-    pub mshr_peak: u64,
-    /// Gauge: packets inside both meshes at the sample point.
-    pub noc_in_flight: u64,
-    /// Gauge: deepest per-router injection queue at the sample point.
-    pub noc_queue_depth: u64,
-    /// DRAM row-hit rate over the interval's activations (0 if none).
-    pub dram_row_hit_rate: f64,
-    /// Failed fraction of the interval's mesh injection attempts
-    /// (fails / (packets + fails), both meshes; 0 if none).
-    pub noc_inject_fail_rate: f64,
-    /// Mean inject→delivery latency of the packets delivered in the
-    /// interval, in cycles (both meshes; 0 if none).
-    pub noc_mean_latency: f64,
+record! {
+    /// One per-interval telemetry row (deltas of two [`TelemetrySnapshot`]s,
+    /// rates already derived; gauges carried through).
+    #[derive(Clone, Copy, Default, PartialEq, Debug)]
+    pub struct Sample {
+        /// Cycle at the end of the interval.
+        pub cycle: u64,
+        /// Interval length in cycles (the final row of a kernel may be
+        /// shorter than the configured interval).
+        pub cycles: u64,
+        /// Instructions issued in the interval.
+        pub instructions: u64,
+        /// Instructions per cycle over the interval.
+        pub ipc: f64,
+        /// L1 miss rate over the interval's L1 accesses (0 if none).
+        pub l1_miss_rate: f64,
+        /// Bypassed fraction of the interval's L1 fills (0 if none).
+        pub l1_bypass_ratio: f64,
+        /// L1.5 miss rate over the interval (0 if none / flat machine).
+        pub l15_miss_rate: f64,
+        /// L2 miss rate over the interval (0 if none).
+        pub l2_miss_rate: f64,
+        /// Gauge: fraction of L1 sets with the bypass switch open at the
+        /// sample point (0 under non-G-Cache policies).
+        pub switch_on_frac: f64,
+        /// Victim bits newly set per L2 access in the interval.
+        pub victim_set_rate: f64,
+        /// Victim-bit hits (contention signals) per L2 access.
+        pub victim_hit_rate: f64,
+        /// Victim-bit clears per L2 access.
+        pub victim_clear_rate: f64,
+        /// Gauge: highest L1 MSHR occupancy seen so far on any core.
+        pub mshr_peak: u64,
+        /// Gauge: packets inside both meshes at the sample point.
+        pub noc_in_flight: u64,
+        /// Gauge: deepest per-router injection queue at the sample point.
+        pub noc_queue_depth: u64,
+        /// DRAM row-hit rate over the interval's activations (0 if none).
+        pub dram_row_hit_rate: f64,
+        /// Failed fraction of the interval's mesh injection attempts
+        /// (fails / (packets + fails), both meshes; 0 if none).
+        pub noc_inject_fail_rate: f64,
+        /// Mean inject→delivery latency of the packets delivered in the
+        /// interval, in cycles (both meshes; 0 if none).
+        pub noc_mean_latency: f64,
+    }
+    impl fields as dyn Column;
+}
+
+/// One cell of a telemetry row: a number that prints in its shortest
+/// round-trippable form and parses back as its own type, so an integer
+/// column rejects `1.5`, `-1` and `NaN` instead of rounding them in.
+pub trait Column: fmt::Display {
+    /// Overwrites the cell from `text`; `None` if it is not this type.
+    fn parse_from(&mut self, text: &str) -> Option<()>;
+}
+
+impl<T: fmt::Display + FromStr> Column for T {
+    fn parse_from(&mut self, text: &str) -> Option<()> {
+        *self = text.parse().ok()?;
+        Some(())
+    }
 }
 
 fn ratio(num: u64, den: u64) -> f64 {
@@ -163,11 +186,9 @@ fn ratio(num: u64, den: u64) -> f64 {
 }
 
 impl Sample {
-    /// The CSV column names, in [`Sample::csv_row`] order.
-    pub const CSV_HEADER: &'static str = "cycle,cycles,instructions,ipc,l1_miss_rate,\
-        l1_bypass_ratio,l15_miss_rate,l2_miss_rate,switch_on_frac,victim_set_rate,\
-        victim_hit_rate,victim_clear_rate,mshr_peak,noc_in_flight,noc_queue_depth,\
-        dram_row_hit_rate,noc_inject_fail_rate,noc_mean_latency";
+    /// The CSV column names, in [`Sample::csv_row`] order: the field
+    /// names of the declaration above.
+    pub const CSV_HEADER: &'static str = Sample::FIELDS;
 
     /// Derives one row from two snapshots (`prev` earlier, `cur` later).
     pub fn between(prev: &TelemetrySnapshot, cur: &TelemetrySnapshot) -> Self {
@@ -215,107 +236,30 @@ impl Sample {
     /// shortest round-trippable representation, so
     /// [`Sample::parse_csv`] recovers the exact value.
     pub fn csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            self.cycle,
-            self.cycles,
-            self.instructions,
-            self.ipc,
-            self.l1_miss_rate,
-            self.l1_bypass_ratio,
-            self.l15_miss_rate,
-            self.l2_miss_rate,
-            self.switch_on_frac,
-            self.victim_set_rate,
-            self.victim_hit_rate,
-            self.victim_clear_rate,
-            self.mshr_peak,
-            self.noc_in_flight,
-            self.noc_queue_depth,
-            self.dram_row_hit_rate,
-            self.noc_inject_fail_rate,
-            self.noc_mean_latency
-        )
+        let cells: Vec<String> = self.fields().iter().map(|(_, v)| v.to_string()).collect();
+        cells.join(",")
     }
 
-    /// Parses one [`Sample::csv_row`]-formatted row; `None` on any column
-    /// count or number-format mismatch.
+    /// Parses one [`Sample::csv_row`]-formatted row, each cell as its
+    /// column's own type; `None` on any column count or number-format
+    /// mismatch.
     pub fn parse_csv(row: &str) -> Option<Sample> {
-        let mut it = row.trim().split(',');
-        let mut int = || it.next()?.trim().parse::<u64>().ok();
-        let cycle = int()?;
-        let cycles = int()?;
-        let instructions = int()?;
-        let mut it2 = it;
-        let mut float = || it2.next()?.trim().parse::<f64>().ok();
-        let ipc = float()?;
-        let l1_miss_rate = float()?;
-        let l1_bypass_ratio = float()?;
-        let l15_miss_rate = float()?;
-        let l2_miss_rate = float()?;
-        let switch_on_frac = float()?;
-        let victim_set_rate = float()?;
-        let victim_hit_rate = float()?;
-        let victim_clear_rate = float()?;
-        let mshr_peak = float()? as u64;
-        let noc_in_flight = float()? as u64;
-        let noc_queue_depth = float()? as u64;
-        let dram_row_hit_rate = float()?;
-        let noc_inject_fail_rate = float()?;
-        let noc_mean_latency = float()?;
-        if it2.next().is_some() {
-            return None;
+        let mut sample = Sample::default();
+        let mut cells = row.trim().split(',');
+        for (_, column) in sample.fields_mut() {
+            column.parse_from(cells.next()?.trim())?;
         }
-        Some(Sample {
-            cycle,
-            cycles,
-            instructions,
-            ipc,
-            l1_miss_rate,
-            l1_bypass_ratio,
-            l15_miss_rate,
-            l2_miss_rate,
-            switch_on_frac,
-            victim_set_rate,
-            victim_hit_rate,
-            victim_clear_rate,
-            mshr_peak,
-            noc_in_flight,
-            noc_queue_depth,
-            dram_row_hit_rate,
-            noc_inject_fail_rate,
-            noc_mean_latency,
-        })
+        cells.next().is_none().then_some(sample)
     }
 
     /// One JSON object with the CSV columns as keys.
     pub fn json_object(&self) -> String {
-        format!(
-            "{{\"cycle\":{},\"cycles\":{},\"instructions\":{},\"ipc\":{},\
-             \"l1_miss_rate\":{},\"l1_bypass_ratio\":{},\"l15_miss_rate\":{},\
-             \"l2_miss_rate\":{},\"switch_on_frac\":{},\"victim_set_rate\":{},\
-             \"victim_hit_rate\":{},\"victim_clear_rate\":{},\"mshr_peak\":{},\
-             \"noc_in_flight\":{},\"noc_queue_depth\":{},\"dram_row_hit_rate\":{},\
-             \"noc_inject_fail_rate\":{},\"noc_mean_latency\":{}}}",
-            self.cycle,
-            self.cycles,
-            self.instructions,
-            self.ipc,
-            self.l1_miss_rate,
-            self.l1_bypass_ratio,
-            self.l15_miss_rate,
-            self.l2_miss_rate,
-            self.switch_on_frac,
-            self.victim_set_rate,
-            self.victim_hit_rate,
-            self.victim_clear_rate,
-            self.mshr_peak,
-            self.noc_in_flight,
-            self.noc_queue_depth,
-            self.dram_row_hit_rate,
-            self.noc_inject_fail_rate,
-            self.noc_mean_latency
-        )
+        let pairs: Vec<String> = self
+            .fields()
+            .iter()
+            .map(|(name, v)| format!("\"{name}\":{v}"))
+            .collect();
+        format!("{{{}}}", pairs.join(","))
     }
 }
 
@@ -457,112 +401,6 @@ impl Sampler {
         out
     }
 
-    fn save_snapshot_fields(w: &mut SnapshotWriter, s: &TelemetrySnapshot) {
-        for v in [
-            s.cycle,
-            s.instructions,
-            s.l1_accesses,
-            s.l1_misses,
-            s.l1_fills,
-            s.l1_bypassed,
-            s.l15_accesses,
-            s.l15_misses,
-            s.l2_accesses,
-            s.l2_misses,
-            s.victim_sets,
-            s.victim_hits,
-            s.victim_clears,
-            s.dram_row_hits,
-            s.dram_row_total,
-            s.switch_open,
-            s.switch_sets,
-            s.mshr_peak,
-            s.noc_in_flight,
-            s.noc_queue_depth,
-            s.noc_packets,
-            s.noc_inject_fails,
-            s.noc_delivered,
-            s.noc_total_latency,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    fn restore_snapshot_fields(
-        r: &mut SnapshotReader<'_>,
-    ) -> Result<TelemetrySnapshot, SnapshotError> {
-        Ok(TelemetrySnapshot {
-            cycle: r.u64()?,
-            instructions: r.u64()?,
-            l1_accesses: r.u64()?,
-            l1_misses: r.u64()?,
-            l1_fills: r.u64()?,
-            l1_bypassed: r.u64()?,
-            l15_accesses: r.u64()?,
-            l15_misses: r.u64()?,
-            l2_accesses: r.u64()?,
-            l2_misses: r.u64()?,
-            victim_sets: r.u64()?,
-            victim_hits: r.u64()?,
-            victim_clears: r.u64()?,
-            dram_row_hits: r.u64()?,
-            dram_row_total: r.u64()?,
-            switch_open: r.u64()?,
-            switch_sets: r.u64()?,
-            mshr_peak: r.u64()?,
-            noc_in_flight: r.u64()?,
-            noc_queue_depth: r.u64()?,
-            noc_packets: r.u64()?,
-            noc_inject_fails: r.u64()?,
-            noc_delivered: r.u64()?,
-            noc_total_latency: r.u64()?,
-        })
-    }
-
-    fn save_row(w: &mut SnapshotWriter, s: &Sample) {
-        w.u64(s.cycle);
-        w.u64(s.cycles);
-        w.u64(s.instructions);
-        w.f64(s.ipc);
-        w.f64(s.l1_miss_rate);
-        w.f64(s.l1_bypass_ratio);
-        w.f64(s.l15_miss_rate);
-        w.f64(s.l2_miss_rate);
-        w.f64(s.switch_on_frac);
-        w.f64(s.victim_set_rate);
-        w.f64(s.victim_hit_rate);
-        w.f64(s.victim_clear_rate);
-        w.u64(s.mshr_peak);
-        w.u64(s.noc_in_flight);
-        w.u64(s.noc_queue_depth);
-        w.f64(s.dram_row_hit_rate);
-        w.f64(s.noc_inject_fail_rate);
-        w.f64(s.noc_mean_latency);
-    }
-
-    fn restore_row(r: &mut SnapshotReader<'_>) -> Result<Sample, SnapshotError> {
-        Ok(Sample {
-            cycle: r.u64()?,
-            cycles: r.u64()?,
-            instructions: r.u64()?,
-            ipc: r.f64()?,
-            l1_miss_rate: r.f64()?,
-            l1_bypass_ratio: r.f64()?,
-            l15_miss_rate: r.f64()?,
-            l2_miss_rate: r.f64()?,
-            switch_on_frac: r.f64()?,
-            victim_set_rate: r.f64()?,
-            victim_hit_rate: r.f64()?,
-            victim_clear_rate: r.f64()?,
-            mshr_peak: r.u64()?,
-            noc_in_flight: r.u64()?,
-            noc_queue_depth: r.u64()?,
-            dram_row_hit_rate: r.f64()?,
-            noc_inject_fail_rate: r.f64()?,
-            noc_mean_latency: r.f64()?,
-        })
-    }
-
     /// The whole series as a JSON document.
     pub fn to_json(&self) -> String {
         let rows: Vec<String> = self.samples().iter().map(Sample::json_object).collect();
@@ -584,16 +422,10 @@ impl Snapshot for Sampler {
         w.section("sampler", |w| {
             w.u64(self.interval);
             w.usize(self.cap);
-            w.usize(self.ring.len());
-            for s in &self.ring {
-                Sampler::save_row(w, s);
-            }
+            w.put(&self.ring);
             w.usize(self.head);
             w.u64(self.dropped);
-            w.bool(self.prev.is_some());
-            if let Some(p) = &self.prev {
-                Sampler::save_snapshot_fields(w, p);
-            }
+            w.put(&self.prev);
             w.u64(self.next_due);
         });
     }
@@ -609,24 +441,19 @@ impl Snapshot for Sampler {
                     ),
                 });
             }
-            let cap = r.usize()?;
-            if cap != self.cap {
-                return Err(SnapshotError::Mismatch {
-                    what: format!("sampler capacity (snapshot {cap}, machine {})", self.cap),
-                });
-            }
-            let len = r.usize()?;
-            if len > cap {
+            r.count(self.cap, "sampler capacity")?;
+            let rows: Vec<Sample> = r.get()?;
+            let len = rows.len();
+            if len > self.cap {
                 return Err(SnapshotError::BadValue {
                     what: "sampler ring length".into(),
                     value: len as u64,
                 });
             }
+            // Into the ring allocated at construction, so the resumed run
+            // still records without allocating.
             self.ring.clear();
-            for _ in 0..len {
-                let row = Sampler::restore_row(r)?;
-                self.ring.push(row);
-            }
+            self.ring.extend(rows);
             self.head = r.usize()?;
             if self.head >= len.max(1) {
                 return Err(SnapshotError::BadValue {
@@ -635,11 +462,7 @@ impl Snapshot for Sampler {
                 });
             }
             self.dropped = r.u64()?;
-            self.prev = if r.bool()? {
-                Some(Sampler::restore_snapshot_fields(r)?)
-            } else {
-                None
-            };
+            self.prev = r.get()?;
             self.next_due = r.u64()?;
             Ok(())
         })
@@ -685,6 +508,7 @@ impl Profile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcache_core::snapshot::assert_round_trip;
 
     fn snap(cycle: u64) -> TelemetrySnapshot {
         TelemetrySnapshot {
@@ -809,6 +633,20 @@ mod tests {
             Sample::parse_csv(&format!("{row},9")).is_none(),
             "extra column"
         );
+        // An integer column takes what `csv_row` can have written there,
+        // not anything a float parser would round or saturate into it.
+        let cells: Vec<&str> = row.split(',').collect();
+        for column in ["mshr_peak", "noc_in_flight", "noc_queue_depth"] {
+            let at = Sample::CSV_HEADER
+                .split(',')
+                .position(|name| name == column)
+                .expect("an integer gauge column");
+            for bad in ["-1", "1.5", "NaN", "1e30"] {
+                let mut cells = cells.clone();
+                cells[at] = bad;
+                assert_eq!(Sample::parse_csv(&cells.join(",")), None, "{column}={bad}");
+            }
+        }
     }
 
     #[test]
@@ -833,5 +671,13 @@ mod tests {
             ..Profile::default()
         };
         assert_eq!(p.total_ns(), 101);
+    }
+
+    #[test]
+    fn rows_and_snapshots_round_trip_through_a_snapshot() {
+        // `snap` leaves the L1.5 pair at zero; every other field differs.
+        let (a, b) = (snap(1024), snap(4096));
+        assert_round_trip(&b);
+        assert_round_trip(&Sample::between(&a, &b));
     }
 }

@@ -21,21 +21,23 @@
 use std::collections::VecDeque;
 
 use crate::clocked::Clocked;
-use gcache_core::snapshot::{
-    Snapshot, SnapshotError, SnapshotPayload, SnapshotReader, SnapshotWriter,
-};
+use gcache_core::record;
+use gcache_core::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 
-/// Aggregate crossbar statistics (both lanes of one cluster, or summed
-/// over clusters by [`crate::system::Interconnect::xbar_stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct XbarStats {
-    /// Packets granted a transfer port.
-    pub grants: u64,
-    /// Port·cycles spent serialising packets — divide by
-    /// `ports × cycles` for mean port occupancy.
-    pub flit_cycles: u64,
-    /// Failed enqueue attempts (source queue full).
-    pub inject_fails: u64,
+record! {
+    /// Aggregate crossbar statistics (both lanes of one cluster, or summed
+    /// over clusters by [`crate::system::Interconnect::xbar_stats`]).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct XbarStats {
+        /// Packets granted a transfer port.
+        pub grants: u64,
+        /// Port·cycles spent serialising packets — divide by
+        /// `ports × cycles` for mean port occupancy.
+        pub flit_cycles: u64,
+        /// Failed enqueue attempts (source queue full).
+        pub inject_fails: u64,
+    }
+    impl merge;
 }
 
 /// One direction of the crossbar: `sources` bounded input queues feeding
@@ -199,114 +201,33 @@ impl<T> XbarLane<T> {
     }
 }
 
-impl<T: SnapshotPayload> Snapshot for XbarLane<T> {
+impl<T: Codec> Snapshot for XbarLane<T> {
     /// Saves the input queues, port serialisation windows, round-robin
     /// cursor, in-traversal packets, delivery queues and statistics.
     /// `occupancy` is recounted on restore rather than trusted from the
     /// snapshot.
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("xbar_lane", |w| {
-            w.usize(self.queues.len());
-            for q in &self.queues {
-                w.usize(q.len());
-                for &(flits, ready_at, dst, ref payload) in q {
-                    w.u32(flits);
-                    w.u64(ready_at);
-                    w.usize(dst);
-                    payload.save_payload(w);
-                }
-            }
-            w.usize(self.port_busy.len());
-            for &b in &self.port_busy {
-                w.u64(b);
-            }
+            w.put(&self.queues);
+            w.put(&self.port_busy);
             w.usize(self.rr);
-            w.usize(self.in_flight.len());
-            for &(arrive, dst, ref payload) in &self.in_flight {
-                w.u64(arrive);
-                w.usize(dst);
-                payload.save_payload(w);
-            }
-            w.usize(self.delivered.len());
-            for d in &self.delivered {
-                w.usize(d.len());
-                for payload in d {
-                    payload.save_payload(w);
-                }
-            }
-            w.u64(self.stats.grants);
-            w.u64(self.stats.flit_cycles);
-            w.u64(self.stats.inject_fails);
+            w.put(&self.in_flight);
+            w.put(&self.delivered);
+            w.put(&self.stats);
         });
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         r.section("xbar_lane", |r| {
-            let sources = r.usize()?;
-            if sources != self.queues.len() {
-                return Err(SnapshotError::Mismatch {
-                    what: format!(
-                        "crossbar source count (snapshot {sources}, lane {})",
-                        self.queues.len()
-                    ),
-                });
-            }
-            let mut occupancy = 0;
-            for q in &mut self.queues {
-                let len = r.usize()?;
-                q.clear();
-                for _ in 0..len {
-                    let flits = r.u32()?;
-                    let ready_at = r.u64()?;
-                    let dst = r.usize()?;
-                    let payload = T::restore_payload(r)?;
-                    q.push_back((flits, ready_at, dst, payload));
-                }
-                occupancy += len;
-            }
-            let ports = r.usize()?;
-            if ports != self.port_busy.len() {
-                return Err(SnapshotError::Mismatch {
-                    what: format!(
-                        "crossbar port count (snapshot {ports}, lane {})",
-                        self.port_busy.len()
-                    ),
-                });
-            }
-            for b in &mut self.port_busy {
-                *b = r.u64()?;
-            }
+            r.fill(&mut self.queues, "crossbar sources")?;
+            r.fill(&mut self.port_busy, "crossbar ports")?;
             self.rr = r.usize()?;
-            let n = r.usize()?;
-            self.in_flight.clear();
-            for _ in 0..n {
-                let arrive = r.u64()?;
-                let dst = r.usize()?;
-                let payload = T::restore_payload(r)?;
-                self.in_flight.push_back((arrive, dst, payload));
-            }
-            occupancy += n;
-            let dsts = r.usize()?;
-            if dsts != self.delivered.len() {
-                return Err(SnapshotError::Mismatch {
-                    what: format!(
-                        "crossbar sink count (snapshot {dsts}, lane {})",
-                        self.delivered.len()
-                    ),
-                });
-            }
-            for d in &mut self.delivered {
-                let len = r.usize()?;
-                d.clear();
-                for _ in 0..len {
-                    d.push_back(T::restore_payload(r)?);
-                }
-                occupancy += len;
-            }
-            self.occupancy = occupancy;
-            self.stats.grants = r.u64()?;
-            self.stats.flit_cycles = r.u64()?;
-            self.stats.inject_fails = r.u64()?;
+            self.in_flight = r.get()?;
+            r.fill(&mut self.delivered, "crossbar sinks")?;
+            self.occupancy = self.in_flight.len()
+                + self.queues.iter().map(VecDeque::len).sum::<usize>()
+                + self.delivered.iter().map(VecDeque::len).sum::<usize>();
+            self.stats = r.get()?;
             Ok(())
         })
     }
@@ -354,12 +275,9 @@ impl ClusterXbar {
 
     /// Combined statistics of both lanes.
     pub fn stats(&self) -> XbarStats {
-        let (u, d) = (self.up.stats(), self.down.stats());
-        XbarStats {
-            grants: u.grants + d.grants,
-            flit_cycles: u.flit_cycles + d.flit_cycles,
-            inject_fails: u.inject_fails + d.inject_fails,
-        }
+        let mut both = *self.up.stats();
+        both.merge(self.down.stats());
+        both
     }
 
     /// Gauge: packets anywhere in either lane (telemetry).
@@ -389,6 +307,7 @@ mod tests {
     use crate::request::{MemRequest, MemResponse};
     use gcache_core::addr::{CoreId, LineAddr};
     use gcache_core::policy::AccessKind;
+    use gcache_core::snapshot::assert_round_trip;
 
     fn req(core: usize, line: u64) -> MemRequest {
         MemRequest {
@@ -507,5 +426,14 @@ mod tests {
         }
         assert!(xb.up.has_delivered(0));
         assert_eq!(Clocked::next_event(&xb, 6), Some(7));
+    }
+
+    #[test]
+    fn stats_round_trip_through_a_snapshot() {
+        assert_round_trip(&XbarStats {
+            grants: 1,
+            flit_cycles: 2,
+            inject_fails: 3,
+        });
     }
 }

@@ -138,8 +138,12 @@ echo "==> telemetry smoke (per-epoch switch-on fraction, GC design)"
 # STL is pure streaming with no reuse to protect: its switches stay shut.
 tele_csv=$(mktemp)
 ./target/release/fig8_fig9 --quick --bench BFS,STL --telemetry "$tele_csv" >/dev/null 2>&1
-awk -F, 'NR > 1 { if ($11 > m[$1] + 0) m[$1] = $11 }
+# The column is looked up by name in the header row, so a column added
+# before it cannot silently re-point the gate at another series.
+awk -F, 'NR == 1 { for (i = 1; i <= NF; i++) if ($i == "switch_on_frac") col = i; next }
+  col && $col > m[$1] + 0 { m[$1] = $col }
   END {
+    if (!col) { print "telemetry: no switch_on_frac column in the header"; exit 1 }
     if (m["BFS"] + 0 <= 0) { print "telemetry: BFS switch_on_frac never nonzero"; exit 1 }
     if (m["STL"] + 0 > 0.01) { print "telemetry: STL switch_on_frac " m["STL"] " (expected ~0)"; exit 1 }
     printf "    BFS max switch_on_frac %.3f, STL %.3f\n", m["BFS"] + 0, m["STL"] + 0
