@@ -16,11 +16,12 @@
 
 use gcache_bench::sweep::{parallel_map, run_design_points_with, DesignPoint};
 use gcache_bench::{
-    bench_cli, pct, speedup, write_telemetry_series, PolicyPlanes, RunOpts, Table, TelemetrySeries,
+    bench_cli, pct, speedup, usage_exit, write_telemetry_series, PolicyPlanes, RunOpts, Table,
+    TelemetrySeries,
 };
 use gcache_core::policy::gcache::GCacheConfig;
 use gcache_sim::config::L1PolicyKind;
-use gcache_workloads::{ml_registry, Benchmark};
+use gcache_workloads::ml_registry;
 
 /// The swept plane compositions, in presentation order.
 fn compositions() -> Vec<(&'static str, PolicyPlanes)> {
@@ -40,10 +41,9 @@ fn compositions() -> Vec<(&'static str, PolicyPlanes)> {
 
 fn main() {
     let cli = bench_cli();
-    let benches: Vec<Box<dyn Benchmark>> = ml_registry(cli.scale())
-        .into_iter()
-        .filter(|b| cli.only.is_empty() || cli.only.iter().any(|n| n == b.info().name))
-        .collect();
+    let benches = cli
+        .select(ml_registry(cli.scale()))
+        .unwrap_or_else(|e| usage_exit(&e));
     let jobs = cli.jobs();
     let opts = cli.run_opts();
 

@@ -227,10 +227,7 @@ impl Cli {
     /// Parses `std::env::args()`-style arguments, exiting with the usage
     /// message on any error (unknown flag, missing or malformed value).
     pub fn parse(args: impl Iterator<Item = String>) -> Cli {
-        Cli::try_parse(args).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n\n{USAGE}");
-            std::process::exit(2);
-        })
+        Cli::try_parse(args).unwrap_or_else(|e| usage_exit(&e))
     }
 
     /// Fallible flavour of [`Cli::parse`]: returns a description of the
@@ -394,13 +391,45 @@ impl Cli {
         }
     }
 
-    /// The selected benchmarks.
-    pub fn benchmarks(&self) -> Vec<Box<dyn Benchmark>> {
-        gcache_workloads::registry(self.scale())
+    /// The benchmarks of `all` that `--bench` names (any case), in
+    /// `all`'s order; every one of them without `--bench`.
+    ///
+    /// # Errors
+    ///
+    /// A requested name that `all` does not hold: a typo must not shrink
+    /// the set a table or a geomean is computed over.
+    pub fn select(&self, all: Vec<Box<dyn Benchmark>>) -> Result<Vec<Box<dyn Benchmark>>, String> {
+        let named = |b: &dyn Benchmark, n: &str| b.info().name.eq_ignore_ascii_case(n);
+        if let Some(unknown) = self
+            .only
+            .iter()
+            .find(|n| !all.iter().any(|b| named(b.as_ref(), n)))
+        {
+            let known: Vec<_> = all.iter().map(|b| b.info().name).collect();
+            return Err(format!(
+                "--bench: unknown benchmark '{unknown}' (known: {})",
+                known.join(", ")
+            ));
+        }
+        Ok(all
             .into_iter()
-            .filter(|b| self.only.is_empty() || self.only.iter().any(|n| n == b.info().name))
-            .collect()
+            .filter(|b| self.only.is_empty() || self.only.iter().any(|n| named(b.as_ref(), n)))
+            .collect())
     }
+
+    /// The selected Table 1 benchmarks; exits with the usage message when
+    /// `--bench` names one that is not in Table 1.
+    pub fn benchmarks(&self) -> Vec<Box<dyn Benchmark>> {
+        self.select(gcache_workloads::registry(self.scale()))
+            .unwrap_or_else(|e| usage_exit(&e))
+    }
+}
+
+/// Prints a command-line error with the usage text and exits with
+/// status 2.
+pub fn usage_exit(err: &str) -> ! {
+    eprintln!("error: {err}\n\n{USAGE}");
+    std::process::exit(2);
 }
 
 /// Parses the process command line for an experiment binary — the one
@@ -956,6 +985,45 @@ mod tests {
         assert!(!cli.quick);
         assert!(cli.jobs.is_none());
         assert_eq!(cli.benchmarks().len(), 17);
+    }
+
+    #[test]
+    fn select_rejects_unknown_names() {
+        let cli = |names: &str| Cli::try_parse(["--bench", names].map(String::from).into_iter());
+        let table1 = || gcache_workloads::registry(Scale::Test);
+        let names = |picked: Vec<Box<dyn Benchmark>>| -> Vec<_> {
+            picked.iter().map(|b| b.info().name).collect()
+        };
+
+        // A typo is an error naming the offender and the choices, whether
+        // it stands alone or beside a good name.
+        for bad in ["NOPE", "BFS,SPVM", ""] {
+            let err = cli(bad).unwrap().select(table1()).err().expect(bad);
+            let offender = bad.rsplit(',').next().unwrap();
+            assert!(err.contains(&format!("'{offender}'")), "got: {err}");
+            assert!(err.contains("BFS, KMN, PVC"), "got: {err}");
+        }
+        // Known names in any case, reported in registry order.
+        let mixed = cli("spmv,Bfs").unwrap().select(table1()).unwrap();
+        assert_eq!(names(mixed), ["BFS", "SPMV"]);
+        // No filter selects everything.
+        assert_eq!(Cli::default().select(table1()).unwrap().len(), 17);
+        // ablation's default trio, set on `only` directly.
+        let trio = Cli {
+            only: vec!["SPMV".into(), "SYRK".into(), "KMN".into()],
+            ..Cli::default()
+        };
+        assert_eq!(
+            names(trio.select(table1()).unwrap()),
+            ["KMN", "SPMV", "SYRK"]
+        );
+        // A Table 1 name is unknown to another registry.
+        let ml = gcache_workloads::ml_registry(Scale::Test);
+        let err = cli("GEMM,BFS").unwrap().select(ml).err().unwrap();
+        assert!(
+            err.contains("'BFS'") && err.contains("GEMM, CONV, ATTN"),
+            "got: {err}"
+        );
     }
 
     #[test]

@@ -131,3 +131,17 @@ fn fig8_fig9_quick_without_fast_forward_matches_golden() {
         include_str!("golden/fig8_fig9_quick.txt"),
     );
 }
+
+/// A `--bench` name the registry does not hold is a usage error, not an
+/// empty table whose geomean rows read 1.000x.
+#[test]
+fn unknown_bench_name_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fig8_fig9"))
+        .args(["--quick", "--bench", "NOPE"])
+        .output()
+        .expect("spawn fig8_fig9");
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+    assert!(out.stdout.is_empty(), "no table for a misspelt benchmark");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown benchmark 'NOPE'"), "got: {stderr}");
+}

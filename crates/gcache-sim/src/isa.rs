@@ -113,7 +113,8 @@ pub trait WarpProgram: Send {
 }
 
 /// A trivial [`WarpProgram`] replaying a pre-built vector — convenient for
-/// tests and tiny examples.
+/// tests and tiny examples. It holds the whole stream from construction
+/// on, so a kernel of any length belongs on [`steps`] instead.
 #[derive(Debug, Clone, Default)]
 pub struct TraceProgram {
     ops: std::vec::IntoIter<Op>,
@@ -131,6 +132,72 @@ impl TraceProgram {
 impl WarpProgram for TraceProgram {
     fn next_op(&mut self) -> Option<Op> {
         self.ops.next()
+    }
+}
+
+/// A [`WarpProgram`] that makes its ops one loop step at a time; built by
+/// [`steps`].
+pub struct StepProgram<F> {
+    body: F,
+    /// The steps `body` has not run yet.
+    steps: std::ops::Range<usize>,
+    /// The current step's ops not yet handed out, last first.
+    pending: Vec<Op>,
+}
+
+/// The way to write a kernel's warp program: `body(step, ops)` pushes the
+/// ops of loop step `step` onto `ops`, and is called for steps `0..n` in
+/// order, each only once the ops of the step before are used up. A step
+/// may push nothing. Whatever `body` captures (an RNG, a walk position)
+/// carries over from step to step, so a `for step in 0..n { … }` loop
+/// that pushed a warp's whole op list becomes this closure unchanged —
+/// and the program holds one step of ops instead of all of them.
+///
+/// ```
+/// use gcache_core::addr::Addr;
+/// use gcache_sim::isa::{self, Op, WarpProgram};
+///
+/// let mut p = isa::steps(2, |step, ops| {
+///     ops.push(Op::strided_load(Addr::new(step as u64 * 128), 4, 32));
+///     ops.push(Op::Compute { cycles: 2 });
+/// });
+/// assert!(matches!(p.next_op(), Some(Op::Load { .. })));
+/// assert_eq!(p.next_op(), Some(Op::Compute { cycles: 2 }));
+/// assert!(matches!(p.next_op(), Some(Op::Load { .. })));
+/// assert_eq!(p.next_op(), Some(Op::Compute { cycles: 2 }));
+/// assert_eq!(p.next_op(), None);
+/// ```
+pub fn steps<F>(n: usize, body: F) -> StepProgram<F>
+where
+    F: FnMut(usize, &mut Vec<Op>) + Send,
+{
+    StepProgram {
+        body,
+        steps: 0..n,
+        pending: Vec::new(),
+    }
+}
+
+impl<F> fmt::Debug for StepProgram<F> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StepProgram")
+            .field("steps", &self.steps)
+            .field("pending", &self.pending.len())
+            .finish()
+    }
+}
+
+impl<F> WarpProgram for StepProgram<F>
+where
+    F: FnMut(usize, &mut Vec<Op>) + Send,
+{
+    fn next_op(&mut self) -> Option<Op> {
+        while self.pending.is_empty() {
+            let step = self.steps.next()?;
+            (self.body)(step, &mut self.pending);
+            self.pending.reverse();
+        }
+        self.pending.pop()
     }
 }
 
@@ -158,8 +225,12 @@ impl GridDim {
 /// A kernel: a grid of CTAs, each CTA a set of warp programs.
 ///
 /// The CTA scheduler instantiates warp programs lazily as CTAs are placed
-/// on cores, so arbitrarily large grids cost memory proportional to the
-/// *resident* thread count only.
+/// on cores, and the contract of [`Kernel::warp_program`] is that a program
+/// holds the ops of one loop step, not of the whole warp (write it with
+/// [`steps`]). Together they make a grid cost memory proportional to the
+/// *resident* warp count only, whatever its size and however long its
+/// warps run: a grid that fits the machine in its first dispatch wave
+/// would otherwise be written out whole before cycle 1.
 ///
 /// Kernels are `Send + Sync`: a kernel is an immutable description of the
 /// work (all mutable per-warp state lives in the [`WarpProgram`]s it
@@ -173,7 +244,8 @@ pub trait Kernel: Send + Sync {
     fn grid(&self) -> GridDim;
 
     /// Creates the instruction stream of warp `warp_in_cta` of CTA
-    /// `cta_id`. Must be deterministic in its arguments.
+    /// `cta_id`. Must be deterministic in its arguments, and cheap: the
+    /// ops themselves are made as the warp pulls them.
     fn warp_program(&self, cta_id: usize, warp_in_cta: usize) -> Box<dyn WarpProgram>;
 }
 
@@ -214,6 +286,59 @@ mod tests {
         assert_eq!(p.next_op(), Some(Op::Shared));
         assert_eq!(p.next_op(), Some(Op::Barrier));
         assert_eq!(p.next_op(), None);
+    }
+
+    #[test]
+    fn step_program_without_steps_is_empty() {
+        let mut p = steps(0, |_, _| panic!("no step to run"));
+        assert_eq!(p.next_op(), None);
+        assert_eq!(p.next_op(), None);
+    }
+
+    #[test]
+    fn step_program_skips_empty_steps_and_keeps_push_order() {
+        // Steps 0, 2 and 5 push nothing; step s otherwise pushes s ops.
+        let mut p = steps(6, |step, ops| {
+            if step != 2 && step != 5 {
+                ops.extend((0..step).map(|i| Op::Compute {
+                    cycles: (10 * step + i) as u32,
+                }));
+            }
+        });
+        let got: Vec<u32> = std::iter::from_fn(|| p.next_op())
+            .map(|op| match op {
+                Op::Compute { cycles } => cycles,
+                other => panic!("unexpected {other}"),
+            })
+            .collect();
+        assert_eq!(got, vec![10, 30, 31, 32, 40, 41, 42, 43]);
+        assert_eq!(p.next_op(), None, "stays finished");
+    }
+
+    #[test]
+    fn step_program_runs_each_step_once_and_only_when_reached() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&calls);
+        let mut p = steps(3, move |step, ops| {
+            assert_eq!(step, seen.fetch_add(1, Ordering::Relaxed), "in order");
+            ops.push(Op::Shared);
+            ops.push(Op::Barrier);
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "building runs nothing");
+        for step in 1..=3 {
+            assert_eq!(p.next_op(), Some(Op::Shared));
+            assert_eq!(calls.load(Ordering::Relaxed), step);
+            assert_eq!(p.next_op(), Some(Op::Barrier));
+            assert_eq!(
+                calls.load(Ordering::Relaxed),
+                step,
+                "not ahead of the consumer"
+            );
+        }
+        assert_eq!(p.next_op(), None);
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
     }
 
     #[test]

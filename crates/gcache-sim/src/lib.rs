@@ -24,7 +24,7 @@
 //! ```
 //! use gcache_sim::config::{GpuConfig, L1PolicyKind};
 //! use gcache_sim::gpu::Gpu;
-//! use gcache_sim::isa::{GridDim, Kernel, Op, TraceProgram, WarpProgram};
+//! use gcache_sim::isa::{self, GridDim, Kernel, Op, WarpProgram};
 //! use gcache_core::addr::Addr;
 //! use gcache_core::policy::gcache::GCacheConfig;
 //!
@@ -34,9 +34,10 @@
 //!     fn grid(&self) -> GridDim { GridDim { ctas: 4, threads_per_cta: 64 } }
 //!     fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
 //!         let tid = cta * 2 + warp;
-//!         Box::new(TraceProgram::new(
-//!             (0..8).map(|i| Op::strided_load(Addr::new(((tid * 8 + i) * 128) as u64), 4, 32)).collect(),
-//!         ))
+//!         // Eight loop steps of one load each, made as the warp gets to them.
+//!         Box::new(isa::steps(8, move |i, ops| {
+//!             ops.push(Op::strided_load(Addr::new(((tid * 8 + i) * 128) as u64), 4, 32));
+//!         }))
 //!     }
 //! }
 //!
@@ -77,7 +78,7 @@ pub mod prelude {
     pub use crate::config::{DramTiming, GpuConfig, L1PolicyKind, WarpSchedKind};
     pub use crate::energy::{EnergyBreakdown, EnergyModel};
     pub use crate::gpu::{Gpu, SimError};
-    pub use crate::isa::{GridDim, Kernel, Op, TraceProgram, WarpProgram};
+    pub use crate::isa::{self, GridDim, Kernel, Op, StepProgram, TraceProgram, WarpProgram};
     pub use crate::port::{RxPort, TxPort};
     pub use crate::stats::{geomean, SimStats};
     pub use crate::system::{ClusterComplex, CoreComplex, Interconnect, MemorySystem, Topology};

@@ -6,8 +6,12 @@ use gcache_core::policy::lru::Lru;
 use gcache_core::policy::AccessKind;
 use gcache_sim::config::GpuConfig;
 use gcache_sim::core::SimtCore;
-use gcache_sim::isa::{GridDim, Kernel, Op, TraceProgram, WarpProgram};
+use gcache_sim::gpu::Gpu;
+use gcache_sim::isa::{self, GridDim, Kernel, Op, TraceProgram, WarpProgram};
 use gcache_sim::request::MemResponse;
+use gcache_sim::telemetry::Sampler;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 struct K {
     grid: GridDim,
@@ -275,4 +279,117 @@ fn l1_hit_completes_without_network() {
     }
     assert!(c.is_idle());
     assert_eq!(c.l1().stats().hits(), 1);
+}
+
+/// One warp on [`isa::steps`] whose steps emit 0, 1 and 5 ops in turn: a
+/// one-cycle compute, then five stores of 32 lines each. The stores
+/// outrun the LD/ST queue (128 transactions, one retired a cycle), so
+/// from the second round on the warp spends most cycles parked on a store
+/// it has pulled but cannot issue. `pulled` counts the ops handed out.
+struct Stepped {
+    rounds: usize,
+    pulled: Arc<AtomicU64>,
+}
+
+struct CountPulls<P> {
+    program: P,
+    pulled: Arc<AtomicU64>,
+}
+
+impl<P: WarpProgram> WarpProgram for CountPulls<P> {
+    fn next_op(&mut self) -> Option<Op> {
+        let op = self.program.next_op();
+        self.pulled
+            .fetch_add(op.is_some() as u64, Ordering::Relaxed);
+        op
+    }
+}
+
+impl Kernel for Stepped {
+    fn name(&self) -> &str {
+        "stepped"
+    }
+    fn grid(&self) -> GridDim {
+        GridDim {
+            ctas: 1,
+            threads_per_cta: 32,
+        }
+    }
+    fn warp_program(&self, _cta: usize, _warp: usize) -> Box<dyn WarpProgram> {
+        let program = isa::steps(3 * self.rounds, |step, ops| match step % 3 {
+            0 => {}
+            1 => ops.push(Op::Compute { cycles: 1 }),
+            _ => ops.extend((0..5).map(|j| {
+                let first_line = ((step * 5 + j) * 32) as u64;
+                Op::strided_store(Addr::new(first_line * 128), 128, 32)
+            })),
+        });
+        Box::new(CountPulls {
+            program,
+            pulled: Arc::clone(&self.pulled),
+        })
+    }
+}
+
+/// A snapshot taken while the warp is parked on a pulled op in the middle
+/// of a step restores to the uninterrupted run: the restore replays the
+/// program to its pull count, which lands inside the step, and the parked
+/// op comes back as the last one pulled.
+#[test]
+fn restore_lands_mid_step_with_a_pending_op() {
+    const EVERY: u64 = 50;
+    let cfg = GpuConfig::fermi().unwrap();
+    let kernel = || Stepped {
+        rounds: 4,
+        pulled: Arc::new(AtomicU64::new(0)),
+    };
+    let straight = Gpu::new(cfg.clone()).run_kernel(&kernel()).unwrap();
+
+    // The same run, snapshotted every EVERY cycles. A sampler on the same
+    // grid says how many ops had issued by each snapshot; the kernel's
+    // counter says how many had been pulled.
+    let hooked_kernel = kernel();
+    let mut gpu = Gpu::new(cfg.clone());
+    gpu.attach_sampler(Sampler::new(EVERY));
+    let mut snapshots = Vec::new();
+    let hooked = gpu
+        .run_kernel_checkpointed(&hooked_kernel, EVERY, |cycle, bytes| {
+            let pulled = hooked_kernel.pulled.load(Ordering::Relaxed);
+            snapshots.push((cycle, pulled, bytes));
+            Ok(())
+        })
+        .unwrap();
+    assert_eq!(format!("{straight:?}"), format!("{hooked:?}"));
+    let samples = gpu.take_sampler().unwrap().samples();
+
+    let mut resumed_mid_step = 0;
+    for (cycle, pulled, bytes) in &snapshots {
+        let issued: u64 = samples
+            .iter()
+            .filter(|s| s.cycle <= *cycle)
+            .map(|s| s.instructions)
+            .sum();
+        // A round is six ops, the last five of them one step: the parked
+        // op is mid-step unless it is the step's last.
+        let parked = pulled - issued == 1;
+        if !(parked && (2..=5).contains(&(pulled % 6))) {
+            continue;
+        }
+        let mut gpu = Gpu::new(cfg.clone());
+        gpu.attach_sampler(Sampler::new(EVERY));
+        let kernel = kernel();
+        gpu.restore_checkpoint(bytes, &kernel).unwrap();
+        let resumed = gpu.run_kernel(&kernel).unwrap();
+        assert_eq!(
+            format!("{straight:?}"),
+            format!("{resumed:?}"),
+            "resumed from cycle {cycle} with {pulled} ops pulled, {issued} issued"
+        );
+        resumed_mid_step += 1;
+    }
+    assert!(
+        resumed_mid_step >= 4,
+        "only {resumed_mid_step} of {} snapshots caught the warp parked mid-step",
+        snapshots.len()
+    );
 }

@@ -21,7 +21,7 @@ use crate::gen::{
     LINE,
 };
 use crate::spec::{Benchmark, Category, Scale, WorkloadInfo};
-use gcache_sim::isa::{GridDim, Kernel, Op, TraceProgram, WarpProgram};
+use gcache_sim::isa::{self, GridDim, Kernel, Op, WarpProgram};
 
 const CTAS: usize = 128;
 const TPC: usize = 128; // 4 warps per CTA
@@ -66,17 +66,18 @@ impl Kernel for Bfs {
     }
 
     fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
-        let mut rng = warp_rng(self.seed, cta, warp);
+        let k = *self;
+        let mut rng = warp_rng(k.seed, cta, warp);
         let w = wid(cta, warp);
         // Hub nodes' visited/level flags: a shared hot region revisited by
         // every warp (phase-shifted), per-set footprint ≈ hot_lines / 64
         // ≈ the paper's optimal PD of 14 for BFS.
-        let mut hubs = CyclicWalk::new(region(3), self.hot_lines, rng.gen_range(0..self.hot_lines));
-        let tail_lines = self.hot_lines * 128; // cold graph tail
-        let mut ops = Vec::new();
-        for i in 0..self.iters as u64 {
+        let mut hubs = CyclicWalk::new(region(3), k.hot_lines, rng.gen_range(0..k.hot_lines));
+        let tail_lines = k.hot_lines * 128; // cold graph tail
+        Box::new(isa::steps(k.iters, move |i, ops| {
+            let i = i as u64;
             // Frontier chunk: streaming, coalesced.
-            ops.push(coalesced_load(region(0), (w * self.iters as u64 + i) * 32));
+            ops.push(coalesced_load(region(0), (w * k.iters as u64 + i) * 32));
             // Hub visited flags: clustered gathers walking the hot region.
             for _ in 0..4 {
                 ops.push(hubs.next_gather(&mut rng, 2));
@@ -89,8 +90,7 @@ impl Kernel for Bfs {
                 &clustered_indices(&mut rng, base, 2),
             ));
             ops.push(Op::Compute { cycles: 2 });
-        }
-        Box::new(TraceProgram::new(ops))
+        }))
     }
 }
 
@@ -141,22 +141,23 @@ impl Kernel for Spmv {
     }
 
     fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
-        let mut rng = warp_rng(self.seed, cta, warp);
+        let k = *self;
+        let mut rng = warp_rng(k.seed, cta, warp);
         let w = wid(cta, warp);
-        let mut ops = Vec::new();
         // The Figure 7 mixture: the matrix streams, the x vector is a hot
         // shared region re-walked by every warp (phase-shifted). Per-set
         // footprint ≈ x_lines / 64 = 6 — the paper's optimal PD for SPMV.
-        let mut x = CyclicWalk::new(region(3), self.x_lines, rng.gen_range(0..self.x_lines));
-        for r in 0..self.rows as u64 {
-            let row = w * self.rows as u64 + r;
+        let mut x = CyclicWalk::new(region(3), k.x_lines, rng.gen_range(0..k.x_lines));
+        Box::new(isa::steps(k.rows, move |r, ops| {
+            let r = r as u64;
+            let row = w * k.rows as u64 + r;
             // Matrix data: streaming arrays (each coalesced load covers a
             // 32-nonzero chunk, so the stream is thin relative to the
             // per-nonzero x gathers).
-            if r % 2 == 0 {
+            if r.is_multiple_of(2) {
                 ops.push(coalesced_load(region(0), row * 32)); // col_idx + vals
             }
-            if r % 4 == 0 {
+            if r.is_multiple_of(4) {
                 ops.push(coalesced_load(region(1), row * 32)); // row_ptr
             }
             // Vector x: the hot walk (gathered at line granularity).
@@ -167,8 +168,7 @@ impl Kernel for Spmv {
             if r % 4 == 3 {
                 ops.push(coalesced_store(region(4), row * 32)); // y
             }
-        }
-        Box::new(TraceProgram::new(ops))
+        }))
     }
 }
 
@@ -219,25 +219,25 @@ impl Kernel for Cfd {
     }
 
     fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
-        let mut rng = warp_rng(self.seed, cta, warp);
+        let k = *self;
+        let mut rng = warp_rng(k.seed, cta, warp);
         let w = wid(cta, warp);
-        let mut ops = Vec::new();
-        for i in 0..self.iters as u64 {
+        Box::new(isa::steps(k.iters, move |i, ops| {
+            let i = i as u64;
             // Own cell data: streaming (fluxes, normals).
-            ops.push(coalesced_load(region(0), (w * self.iters as u64 + i) * 32));
-            ops.push(coalesced_load(region(1), (w * self.iters as u64 + i) * 32));
+            ops.push(coalesced_load(region(0), (w * k.iters as u64 + i) * 32));
+            ops.push(coalesced_load(region(1), (w * k.iters as u64 + i) * 32));
             // Neighbour cells: clustered gathers over the shared mesh.
             for _ in 0..2 {
-                let base = rng.gen_range(0..self.cell_lines - 8);
+                let base = rng.gen_range(0..k.cell_lines - 8);
                 ops.push(gather_load(
                     region(2),
                     &clustered_indices(&mut rng, base, 8),
                 ));
             }
             ops.push(Op::Compute { cycles: 4 });
-            ops.push(coalesced_store(region(3), (w * self.iters as u64 + i) * 32));
-        }
-        Box::new(TraceProgram::new(ops))
+            ops.push(coalesced_store(region(3), (w * k.iters as u64 + i) * 32));
+        }))
     }
 }
 
@@ -295,18 +295,20 @@ impl Kernel for Nw {
         // Each warp cyclically re-walks its own DP slice (the wavefront
         // re-reading the previous diagonal), so every line's reuse distance
         // is the whole slice.
-        let mut walk = CyclicWalk::new(region(0), self.slice_lines, 0);
+        let k = *self;
+        let mut walk = CyclicWalk::new(region(0), k.slice_lines, 0);
         let elems = LINE / 4;
-        let mut ops = Vec::new();
-        for i in 0..self.iters as u64 {
-            let l1 = w * self.slice_lines + walk.next_line();
-            let l2 = w * self.slice_lines + walk.next_line();
+        Box::new(isa::steps(k.iters, move |i, ops| {
+            let l1 = w * k.slice_lines + walk.next_line();
+            let l2 = w * k.slice_lines + walk.next_line();
             ops.push(coalesced_load(region(0), l1 * elems));
             ops.push(coalesced_load(region(0), l2 * elems));
             ops.push(Op::Compute { cycles: 3 });
-            ops.push(coalesced_store(region(1), (w * self.iters as u64 + i) * 32));
-        }
-        Box::new(TraceProgram::new(ops))
+            ops.push(coalesced_store(
+                region(1),
+                (w * k.iters as u64 + i as u64) * 32,
+            ));
+        }))
     }
 }
 

@@ -16,7 +16,7 @@
 
 use crate::gen::{coalesced_load, coalesced_store, region, warp_rng, CyclicWalk, LINE};
 use crate::spec::{Benchmark, Category, Scale, WorkloadInfo};
-use gcache_sim::isa::{GridDim, Kernel, Op, TraceProgram, WarpProgram};
+use gcache_sim::isa::{self, GridDim, Kernel, Op, WarpProgram};
 
 const CTAS: usize = 128;
 const TPC: usize = 128;
@@ -65,28 +65,25 @@ impl Kernel for Kmn {
     }
 
     fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
-        let mut rng = warp_rng(self.seed, cta, warp);
+        let k = *self;
+        let mut rng = warp_rng(k.seed, cta, warp);
         let w = wid(cta, warp);
         // Random phase decorrelates warps: the centroid table is shared but
         // walked out of sync, so per-set contention is genuine.
-        let phase = rng.gen_range(0..self.table_lines);
-        let mut walk = CyclicWalk::new(region(1), self.table_lines, phase);
-        let mut ops = Vec::new();
-        for p in 0..self.points as u64 {
+        let phase = rng.gen_range(0..k.table_lines);
+        let mut walk = CyclicWalk::new(region(1), k.table_lines, phase);
+        Box::new(isa::steps(k.points, move |p, ops| {
+            let p = p as u64;
             // The point itself: streaming.
-            ops.push(coalesced_load(region(0), (w * self.points as u64 + p) * 32));
+            ops.push(coalesced_load(region(0), (w * k.points as u64 + p) * 32));
             // Distance computation against a stretch of the centroid table.
-            for _ in 0..self.walk_per_point {
+            for _ in 0..k.walk_per_point {
                 ops.push(walk.next_broadcast());
             }
             ops.push(Op::Compute { cycles: 4 });
             // Membership update.
-            ops.push(coalesced_store(
-                region(2),
-                (w * self.points as u64 + p) * 32,
-            ));
-        }
-        Box::new(TraceProgram::new(ops))
+            ops.push(coalesced_store(region(2), (w * k.points as u64 + p) * 32));
+        }))
     }
 }
 
@@ -138,25 +135,23 @@ impl Kernel for Syrk {
     }
 
     fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
-        let mut rng = warp_rng(self.seed, cta, warp);
+        let k = *self;
+        let mut rng = warp_rng(k.seed, cta, warp);
         let w = wid(cta, warp);
         // Rows of A: a shared hot tile cyclically re-read by every warp in
         // the rank-K inner loop (phase-shifted per warp).
-        let mut a = CyclicWalk::new(
-            region(0),
-            self.tile_lines,
-            rng.gen_range(0..self.tile_lines),
-        );
-        let mut ops = Vec::new();
-        for i in 0..self.iters as u64 {
+        let mut a = CyclicWalk::new(region(0), k.tile_lines, rng.gen_range(0..k.tile_lines));
+        Box::new(isa::steps(k.iters, move |i, ops| {
             for _ in 0..6 {
                 ops.push(a.next_coalesced());
             }
             ops.push(Op::Compute { cycles: 6 });
             // C update: streaming.
-            ops.push(coalesced_store(region(1), (w * self.iters as u64 + i) * 32));
-        }
-        Box::new(TraceProgram::new(ops))
+            ops.push(coalesced_store(
+                region(1),
+                (w * k.iters as u64 + i as u64) * 32,
+            ));
+        }))
     }
 }
 
@@ -209,25 +204,25 @@ impl Kernel for Fft {
     fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
         let w = wid(cta, warp);
         let elems = LINE / 4;
-        let mut walk = CyclicWalk::new(region(2), self.twiddle_lines, w * 7);
-        let mut ops = Vec::new();
-        for s in 0..self.stages as u64 {
+        let k = *self;
+        let mut walk = CyclicWalk::new(region(2), k.twiddle_lines, w * 7);
+        // One step per butterfly, stage-major.
+        Box::new(isa::steps(k.stages * k.butterflies, move |step, ops| {
+            let s = (step / k.butterflies) as u64;
+            let b = (step % k.butterflies) as u64;
             let stride_lines = 1u64 << s;
-            for b in 0..self.butterflies as u64 {
-                let base = w * 512 + b * 2 * stride_lines;
-                // The two butterfly inputs, `stride` lines apart.
-                ops.push(coalesced_load(region(0), (base % (1 << 20)) * elems));
-                ops.push(coalesced_load(
-                    region(0),
-                    ((base + stride_lines) % (1 << 20)) * elems,
-                ));
-                // Twiddle factors: shared table walk.
-                ops.push(walk.next_broadcast());
-                ops.push(Op::Compute { cycles: 3 });
-                ops.push(coalesced_store(region(1), (base % (1 << 20)) * elems));
-            }
-        }
-        Box::new(TraceProgram::new(ops))
+            let base = w * 512 + b * 2 * stride_lines;
+            // The two butterfly inputs, `stride` lines apart.
+            ops.push(coalesced_load(region(0), (base % (1 << 20)) * elems));
+            ops.push(coalesced_load(
+                region(0),
+                ((base + stride_lines) % (1 << 20)) * elems,
+            ));
+            // Twiddle factors: shared table walk.
+            ops.push(walk.next_broadcast());
+            ops.push(Op::Compute { cycles: 3 });
+            ops.push(coalesced_store(region(1), (base % (1 << 20)) * elems));
+        }))
     }
 }
 
@@ -277,17 +272,21 @@ impl Kernel for Bp {
 
     fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
         let w = wid(cta, warp);
-        let mut walk = CyclicWalk::new(region(1), self.act_lines, w % self.act_lines);
-        let mut ops = Vec::new();
-        for i in 0..self.iters as u64 {
+        let k = *self;
+        let mut walk = CyclicWalk::new(region(1), k.act_lines, w % k.act_lines);
+        Box::new(isa::steps(k.iters, move |i, ops| {
             // Weight matrix row: pure streaming.
-            ops.push(coalesced_load(region(0), (w * self.iters as u64 + i) * 32));
+            ops.push(coalesced_load(
+                region(0),
+                (w * k.iters as u64 + i as u64) * 32,
+            ));
             // Activations: tiny shared set, trivially cached.
             ops.push(walk.next_broadcast());
             ops.push(Op::Compute { cycles: 2 });
-        }
-        ops.push(coalesced_store(region(2), w * 32));
-        Box::new(TraceProgram::new(ops))
+            if i + 1 == k.iters {
+                ops.push(coalesced_store(region(2), w * 32));
+            }
+        }))
     }
 }
 
@@ -337,19 +336,18 @@ impl Kernel for Fwt {
     fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
         let w = wid(cta, warp);
         let elems = LINE / 4;
-        let mut ops = Vec::new();
+        let k = *self;
         // Every line index below is unique per (warp, stage, i): no line is
-        // ever touched twice by anyone.
-        for s in 0..self.stages as u64 {
-            for i in 0..self.per_stage as u64 {
-                let idx = ((w * self.stages as u64 + s) * self.per_stage as u64 + i) * 2;
-                ops.push(coalesced_load(region(0), idx * elems));
-                ops.push(coalesced_load(region(0), (idx + 1) * elems));
-                ops.push(Op::Compute { cycles: 2 });
-                ops.push(coalesced_store(region(1), idx * elems));
-            }
-        }
-        Box::new(TraceProgram::new(ops))
+        // ever touched twice by anyone. One step per i, stage-major.
+        Box::new(isa::steps(k.stages * k.per_stage, move |step, ops| {
+            let s = (step / k.per_stage) as u64;
+            let i = (step % k.per_stage) as u64;
+            let idx = ((w * k.stages as u64 + s) * k.per_stage as u64 + i) * 2;
+            ops.push(coalesced_load(region(0), idx * elems));
+            ops.push(coalesced_load(region(0), (idx + 1) * elems));
+            ops.push(Op::Compute { cycles: 2 });
+            ops.push(coalesced_store(region(1), idx * elems));
+        }))
     }
 }
 

@@ -19,7 +19,7 @@ use crate::gen::{
     CyclicWalk, LINE,
 };
 use crate::spec::{Benchmark, Category, Scale, WorkloadInfo};
-use gcache_sim::isa::{GridDim, Kernel, Op, TraceProgram, WarpProgram};
+use gcache_sim::isa::{self, GridDim, Kernel, Op, WarpProgram};
 
 const CTAS: usize = 128;
 const TPC: usize = 128;
@@ -65,31 +65,30 @@ impl Kernel for Pvc {
     }
 
     fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
-        let mut rng = warp_rng(self.seed, cta, warp);
+        let k = *self;
+        let mut rng = warp_rng(k.seed, cta, warp);
         let w = wid(cta, warp);
         // Popular pages' buckets: a shared hot region every warp keeps
         // revisiting (phase-shifted walk).
-        let mut buckets =
-            CyclicWalk::new(region(1), self.hot_lines, rng.gen_range(0..self.hot_lines));
-        let mut ops = Vec::new();
-        for i in 0..self.iters as u64 {
+        let mut buckets = CyclicWalk::new(region(1), k.hot_lines, rng.gen_range(0..k.hot_lines));
+        Box::new(isa::steps(k.iters, move |i, ops| {
+            let i = i as u64;
             // Log records: streaming.
-            ops.push(coalesced_load(region(0), (w * self.iters as u64 + i) * 32));
+            ops.push(coalesced_load(region(0), (w * k.iters as u64 + i) * 32));
             // Bucket probes over the hot set.
             for _ in 0..3 {
                 ops.push(buckets.next_gather(&mut rng, 2));
             }
             // Count update: clustered atomic into the hot buckets.
             if i % 4 == 3 {
-                let base = rng.gen_range(0..self.hot_lines - 2);
+                let base = rng.gen_range(0..k.hot_lines - 2);
                 ops.push(scatter_atomic(
                     region(1),
                     &clustered_indices(&mut rng, base, 1),
                 ));
             }
             ops.push(Op::Compute { cycles: 2 });
-        }
-        Box::new(TraceProgram::new(ops))
+        }))
     }
 }
 
@@ -139,17 +138,13 @@ impl Kernel for Ssc {
     }
 
     fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
-        let mut rng = warp_rng(self.seed, cta, warp);
+        let k = *self;
+        let mut rng = warp_rng(k.seed, cta, warp);
         let w = wid(cta, warp);
         // Document feature vectors: the shared hot table re-walked by all
         // warps — per-set footprint ≈ 20, SSC's optimal PD.
-        let mut table = CyclicWalk::new(
-            region(2),
-            self.table_lines,
-            rng.gen_range(0..self.table_lines),
-        );
-        let mut ops = Vec::new();
-        for p in 0..self.pairs as u64 {
+        let mut table = CyclicWalk::new(region(2), k.table_lines, rng.gen_range(0..k.table_lines));
+        Box::new(isa::steps(k.pairs, move |p, ops| {
             for _ in 0..3u64 {
                 // Compare features of the pair against the shared table.
                 ops.push(table.next_coalesced());
@@ -158,9 +153,11 @@ impl Kernel for Ssc {
                 ops.push(Op::Compute { cycles: 3 });
             }
             // Pair list: streaming.
-            ops.push(coalesced_load(region(1), (w * self.pairs as u64 + p) * 32));
-        }
-        Box::new(TraceProgram::new(ops))
+            ops.push(coalesced_load(
+                region(1),
+                (w * k.pairs as u64 + p as u64) * 32,
+            ));
+        }))
     }
 }
 
@@ -211,18 +208,17 @@ impl Kernel for Iix {
     }
 
     fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
-        let mut rng = warp_rng(self.seed, cta, warp);
+        let k = *self;
+        let mut rng = warp_rng(k.seed, cta, warp);
         let w = wid(cta, warp);
         // Common words' dictionary entries: shared hot walk.
-        let mut dict = CyclicWalk::new(
-            region(1),
-            self.dict_lines,
-            rng.gen_range(0..self.dict_lines),
-        );
-        let mut ops = Vec::new();
-        for i in 0..self.iters as u64 {
+        let mut dict = CyclicWalk::new(region(1), k.dict_lines, rng.gen_range(0..k.dict_lines));
+        Box::new(isa::steps(k.iters, move |i, ops| {
             // Input text: streaming.
-            ops.push(coalesced_load(region(0), (w * self.iters as u64 + i) * 32));
+            ops.push(coalesced_load(
+                region(0),
+                (w * k.iters as u64 + i as u64) * 32,
+            ));
             // Dictionary probes over the hot set.
             for _ in 0..3 {
                 ops.push(dict.next_gather(&mut rng, 2));
@@ -234,8 +230,7 @@ impl Kernel for Iix {
                 &clustered_indices(&mut rng, base, 1),
             ));
             ops.push(Op::Compute { cycles: 2 });
-        }
-        Box::new(TraceProgram::new(ops))
+        }))
     }
 }
 
@@ -286,14 +281,17 @@ impl Kernel for Pvr {
     }
 
     fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
-        let mut rng = warp_rng(self.seed, cta, warp);
+        let k = *self;
+        let mut rng = warp_rng(k.seed, cta, warp);
         let w = wid(cta, warp);
         let elems = LINE / 4;
-        let rank_elems = self.rank_lines * elems;
-        let mut ops = Vec::new();
-        for i in 0..self.iters as u64 {
+        let rank_elems = k.rank_lines * elems;
+        Box::new(isa::steps(k.iters, move |i, ops| {
             // Edge list: streaming.
-            ops.push(coalesced_load(region(0), (w * self.iters as u64 + i) * 32));
+            ops.push(coalesced_load(
+                region(0),
+                (w * k.iters as u64 + i as u64) * 32,
+            ));
             // Rank lookups: weak skew over a huge table — a thin layer of
             // genuinely hot lines keeps triggering contention detection
             // without giving a bypass policy much to save.
@@ -302,8 +300,7 @@ impl Kernel for Pvr {
                 .collect();
             ops.push(gather_load(region(1), &idx));
             ops.push(Op::Compute { cycles: 2 });
-        }
-        Box::new(TraceProgram::new(ops))
+        }))
     }
 }
 

@@ -30,7 +30,7 @@
 use crate::gen::{coalesced_load, coalesced_store, region, warp_rng, CyclicWalk};
 use crate::spec::{Benchmark, Category, Scale, WorkloadInfo};
 use gcache_core::policy::{RequestClass, ReuseClass, SlackBucket};
-use gcache_sim::isa::{GridDim, Kernel, Op, TraceProgram, WarpProgram};
+use gcache_sim::isa::{self, GridDim, Kernel, Op, WarpProgram};
 
 const CTAS: usize = 128;
 const TPC: usize = 128;
@@ -84,22 +84,17 @@ impl Kernel for Gemm {
     }
 
     fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
-        let mut rng = warp_rng(self.seed, cta, warp);
+        let g = *self;
+        let mut rng = warp_rng(g.seed, cta, warp);
         let w = wid(cta, warp);
         // Phase-shifted walks over the two shared operand tiles.
-        let mut a = CyclicWalk::new(
-            region(0),
-            self.tile_lines,
-            rng.gen_range(0..self.tile_lines),
-        );
-        let mut b = CyclicWalk::new(
-            region(1),
-            self.tile_lines,
-            rng.gen_range(0..self.tile_lines),
-        );
-        let mut ops = Vec::new();
-        ops.push(set_class(SlackBucket::Relaxed, ReuseClass::High));
-        for k in 0..self.k_steps as u64 {
+        let mut a = CyclicWalk::new(region(0), g.tile_lines, rng.gen_range(0..g.tile_lines));
+        let mut b = CyclicWalk::new(region(1), g.tile_lines, rng.gen_range(0..g.tile_lines));
+        Box::new(isa::steps(g.k_steps, move |k, ops| {
+            let k = k as u64;
+            if k == 0 {
+                ops.push(set_class(SlackBucket::Relaxed, ReuseClass::High));
+            }
             // One A row and one B column stripe per k-step: the walks wrap
             // the shared tiles every `tile_lines / 8` steps, so every tile
             // line carries a tile-sized reuse distance.
@@ -111,14 +106,10 @@ impl Kernel for Gemm {
             // Epilogue every few steps: the C tile streams out once.
             if (k + 1).is_multiple_of(4) {
                 ops.push(set_class(SlackBucket::Relaxed, ReuseClass::Streaming));
-                ops.push(coalesced_store(
-                    region(2),
-                    (w * self.k_steps as u64 + k) * 32,
-                ));
+                ops.push(coalesced_store(region(2), (w * g.k_steps as u64 + k) * 32));
                 ops.push(set_class(SlackBucket::Relaxed, ReuseClass::High));
             }
-        }
-        Box::new(TraceProgram::new(ops))
+        }))
     }
 }
 
@@ -174,15 +165,16 @@ impl Kernel for Conv {
     fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
         let w = wid(cta, warp);
         let elems = 32; // elements per line
-        let mut taps = CyclicWalk::new(region(2), self.tap_lines, w % self.tap_lines);
-        let mut ops = Vec::new();
+        let k = *self;
+        let mut taps = CyclicWalk::new(region(2), k.tap_lines, w % k.tap_lines);
         // Each warp owns one input row; rows do not alias across warps.
-        let row_base = w * (self.outputs as u64 + self.window);
-        for o in 0..self.outputs as u64 {
+        let row_base = w * (k.outputs as u64 + k.window);
+        Box::new(isa::steps(k.outputs, move |o, ops| {
+            let o = o as u64;
             // The sliding window: lines [o, o + window) of this warp's row.
             // Line o+window-1 is new; the rest are re-reads of recent lines.
             ops.push(set_class(SlackBucket::Tight, ReuseClass::Moderate));
-            for t in 0..self.window {
+            for t in 0..k.window {
                 ops.push(coalesced_load(region(0), (row_base + o + t) * elems));
             }
             // Filter taps: tiny hot set.
@@ -192,8 +184,7 @@ impl Kernel for Conv {
             // One output element per position: streaming store.
             ops.push(set_class(SlackBucket::Tight, ReuseClass::Streaming));
             ops.push(coalesced_store(region(1), (row_base + o) * elems));
-        }
-        Box::new(TraceProgram::new(ops))
+        }))
     }
 }
 
@@ -256,33 +247,33 @@ impl Kernel for Attn {
         let elems = 32;
         // Each warp's scan window starts at a random phase of the shared
         // panel, so panel lines really do carry panel-sized distances.
-        let mut kv = CyclicWalk::new(
-            region(0),
-            self.panel_lines,
-            rng.gen_range(0..self.panel_lines),
-        );
-        let mut q = CyclicWalk::new(region(1), self.q_lines, 0);
-        let mut ops = Vec::new();
-        for qy in 0..self.queries as u64 {
-            for s in 0..self.scan_lines {
-                // K/V panel: declared streaming — one visit per query.
-                ops.push(set_class(SlackBucket::Tight, ReuseClass::Streaming));
-                ops.push(kv.next_coalesced());
-                // Softmax accumulator: the hot tile the scan thrashes,
-                // touched once per few panel lines.
-                if s.is_multiple_of(4) {
-                    ops.push(set_class(SlackBucket::Relaxed, ReuseClass::High));
-                    ops.push(q.next_broadcast());
-                }
+        let k = *self;
+        let mut kv = CyclicWalk::new(region(0), k.panel_lines, rng.gen_range(0..k.panel_lines));
+        let mut q = CyclicWalk::new(region(1), k.q_lines, 0);
+        // One step per scan line, query-major: a whole query's scan is 60
+        // memory ops, too many for every resident warp to hold at once.
+        let scan_steps = k.queries * k.scan_lines as usize;
+        Box::new(isa::steps(scan_steps, move |step, ops| {
+            let (qy, s) = (step as u64 / k.scan_lines, step as u64 % k.scan_lines);
+            // K/V panel: declared streaming — one visit per query.
+            ops.push(set_class(SlackBucket::Tight, ReuseClass::Streaming));
+            ops.push(kv.next_coalesced());
+            // Softmax accumulator: the hot tile the scan thrashes,
+            // touched once per few panel lines.
+            if s.is_multiple_of(4) {
+                ops.push(set_class(SlackBucket::Relaxed, ReuseClass::High));
+                ops.push(q.next_broadcast());
             }
-            ops.push(Op::Compute { cycles: 6 });
-            ops.push(set_class(SlackBucket::Relaxed, ReuseClass::Streaming));
-            ops.push(coalesced_store(
-                region(2),
-                (w * self.queries as u64 + qy) * elems,
-            ));
-        }
-        Box::new(TraceProgram::new(ops))
+            // The query's last scan line: normalise and write its row out.
+            if s + 1 == k.scan_lines {
+                ops.push(Op::Compute { cycles: 6 });
+                ops.push(set_class(SlackBucket::Relaxed, ReuseClass::Streaming));
+                ops.push(coalesced_store(
+                    region(2),
+                    (w * k.queries as u64 + qy) * elems,
+                ));
+            }
+        }))
     }
 }
 

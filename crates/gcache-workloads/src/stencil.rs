@@ -15,7 +15,7 @@
 
 use crate::gen::{broadcast_load, coalesced_load, coalesced_store, region, CyclicWalk, LINE};
 use crate::spec::{Benchmark, Category, Scale, WorkloadInfo};
-use gcache_sim::isa::{GridDim, Kernel, Op, TraceProgram, WarpProgram};
+use gcache_sim::isa::{self, GridDim, Kernel, Op, WarpProgram};
 
 const CTAS: usize = 128;
 const TPC: usize = 128;
@@ -62,8 +62,9 @@ impl Kernel for Sd2 {
     }
 
     fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
+        let k = *self;
         let w = wid(cta, warp);
-        let cols = self.cols as u64;
+        let cols = k.cols as u64;
         // The diffusion image wraps at `grid_lines` (per-set footprint 16 —
         // SD2's optimal PD). Each warp's sweep starts at a decorrelated
         // phase (real srad warps drift apart after the first border sync),
@@ -71,27 +72,25 @@ impl Kernel for Sd2 {
         let grid_lines = 1024u64;
         let phase = (w.wrapping_mul(0x9e37_79b9) >> 3) % grid_lines;
         let mut walk = CyclicWalk::new(region(0), grid_lines, phase);
-        let mut ops = Vec::new();
-        for s in 0..self.sweeps as u64 {
-            for c in 0..cols {
-                // North/centre/south rows of the 5-point stencil — disjoint
-                // line triples per step (the halo overlap lives *between*
-                // warps at shifted phases, not inside one warp's window).
-                let base = walk.next_window(3);
-                for dr in 0..3u64 {
-                    ops.push(coalesced_load(
-                        region(0),
-                        ((base + dr) % grid_lines) * elems(),
-                    ));
-                }
-                ops.push(Op::Compute { cycles: 3 });
-                ops.push(coalesced_store(
-                    region(1),
-                    ((phase + s * cols + c) % grid_lines) * elems(),
+        // One step per column, sweep-major.
+        Box::new(isa::steps(k.sweeps * k.cols, move |step, ops| {
+            let (s, c) = (step as u64 / cols, step as u64 % cols);
+            // North/centre/south rows of the 5-point stencil — disjoint
+            // line triples per step (the halo overlap lives *between*
+            // warps at shifted phases, not inside one warp's window).
+            let base = walk.next_window(3);
+            for dr in 0..3u64 {
+                ops.push(coalesced_load(
+                    region(0),
+                    ((base + dr) % grid_lines) * elems(),
                 ));
             }
-        }
-        Box::new(TraceProgram::new(ops))
+            ops.push(Op::Compute { cycles: 3 });
+            ops.push(coalesced_store(
+                region(1),
+                ((phase + s * cols + c) % grid_lines) * elems(),
+            ));
+        }))
     }
 }
 
@@ -139,8 +138,8 @@ impl Kernel for Sd1 {
     fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
         let w = wid(cta, warp);
         let cols = self.cols as u64;
-        let mut ops = Vec::new();
-        for c in 0..cols {
+        Box::new(isa::steps(self.cols, move |c, ops| {
+            let c = c as u64;
             // Rows are strided 3 apart: no sharing between warps, and no
             // second sweep: every line is touched once.
             for dr in 0..3u64 {
@@ -149,8 +148,7 @@ impl Kernel for Sd1 {
             }
             ops.push(Op::Compute { cycles: 3 });
             ops.push(coalesced_store(region(1), (w * cols + c) * elems()));
-        }
-        Box::new(TraceProgram::new(ops))
+        }))
     }
 }
 
@@ -199,26 +197,26 @@ impl Kernel for Stl {
     }
 
     fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
+        let k = *self;
         let w = wid(cta, warp);
-        let mut ops = Vec::new();
-        for i in 0..self.iters as u64 {
+        Box::new(isa::steps(k.iters, move |i, ops| {
+            let i = i as u64;
             // Three z-planes: all unique lines, pure streaming.
             for plane in 0..3u64 {
-                let line = (w * self.iters as u64 + i) * 3 + plane;
+                let line = (w * k.iters as u64 + i) * 3 + plane;
                 ops.push(coalesced_load(region(0), line * elems()));
             }
             // Shared boundary: sparse re-reads — contention signal, no win.
-            if i % 4 == 0 {
-                let line = (w + i) % self.boundary_lines;
+            if i.is_multiple_of(4) {
+                let line = (w + i) % k.boundary_lines;
                 ops.push(broadcast_load(region(2), line));
             }
             ops.push(Op::Compute { cycles: 3 });
             ops.push(coalesced_store(
                 region(1),
-                (w * self.iters as u64 + i) * elems(),
+                (w * k.iters as u64 + i) * elems(),
             ));
-        }
-        Box::new(TraceProgram::new(ops))
+        }))
     }
 }
 
@@ -268,26 +266,23 @@ impl Kernel for Wp {
     }
 
     fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
+        let k = *self;
         let w = wid(cta, warp);
-        let mut ops = Vec::new();
-        for i in 0..self.iters as u64 {
+        Box::new(isa::steps(k.iters, move |i, ops| {
+            let i = i as u64;
             // Eight field arrays per cell: streaming from separate regions.
             for f in 0..8u64 {
-                ops.push(coalesced_load(region(f), (w * self.iters as u64 + i) * 32));
+                ops.push(coalesced_load(region(f), (w * k.iters as u64 + i) * 32));
             }
             // Physics constants: shared table, cyclically re-read but
             // drowned by 8:1 stream pressure.
             ops.push(broadcast_load(
                 region(9),
-                (w * self.iters as u64 + i) % self.const_lines,
+                (w * k.iters as u64 + i) % k.const_lines,
             ));
             ops.push(Op::Compute { cycles: 5 });
-            ops.push(coalesced_store(
-                region(10),
-                (w * self.iters as u64 + i) * 32,
-            ));
-        }
-        Box::new(TraceProgram::new(ops))
+            ops.push(coalesced_store(region(10), (w * k.iters as u64 + i) * 32));
+        }))
     }
 }
 

@@ -31,6 +31,7 @@ impl Kernel for Histogram {
 
     fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
         let wid = (cta * 4 + warp) as u64;
+        let (items, hot_lines) = (self.items_per_warp as u64, self.hot_bins_lines);
         // A deterministic pseudo-random walk keyed by the warp id.
         let mut state = wid.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
         let mut next = move || {
@@ -39,19 +40,17 @@ impl Kernel for Histogram {
             state ^= state << 17;
             state
         };
-        let mut ops = Vec::new();
-        for i in 0..self.items_per_warp as u64 {
+        // One step per input item: the closure keeps the walk's state from
+        // item to item, and the program holds one item's ops at a time.
+        Box::new(isa::steps(self.items_per_warp, move |i, ops| {
+            let i = i as u64;
             // Input chunk: coalesced stream.
-            ops.push(Op::strided_load(
-                Addr::new((wid * self.items_per_warp as u64 + i) * 128),
-                4,
-                32,
-            ));
+            ops.push(Op::strided_load(Addr::new((wid * items + i) * 128), 4, 32));
             // Bin lookups: 80% of keys land in the hot bins.
             let line = if next() % 10 < 8 {
-                next() % self.hot_bins_lines
+                next() % hot_lines
             } else {
-                self.hot_bins_lines + next() % (self.hot_bins_lines * 64)
+                hot_lines + next() % (hot_lines * 64)
             };
             ops.push(Op::Load {
                 addrs: (0..32)
@@ -59,15 +58,14 @@ impl Kernel for Histogram {
                     .collect(),
             });
             // Count bump (coalesced atomic on the same bin line).
-            if i % 4 == 0 {
+            if i.is_multiple_of(4) {
                 ops.push(Op::Atomic {
                     addrs: (0..32)
                         .map(|_| Some(Addr::new((1 << 36) + line * 128)))
                         .collect(),
                 });
             }
-        }
-        Box::new(TraceProgram::new(ops))
+        }))
     }
 }
 

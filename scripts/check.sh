@@ -34,6 +34,13 @@ diff crates/gcache-bench/tests/golden/mlsweep_quick.txt \
      <(./target/release/mlsweep --quick 2>/dev/null) \
   || { echo "golden mismatch: mlsweep"; exit 1; }
 
+echo "==> Table 1 at paper scale (release table1 vs results/table1.txt)"
+# Every golden above is --quick. This is the gate's look at the
+# paper-scale op streams: op counts, transactions per memory op and
+# footprints of four warps per kernel, in under a second.
+diff results/table1.txt <(./target/release/table1 2>/dev/null) \
+  || { echo "paper-scale op streams moved: table1"; exit 1; }
+
 echo "==> fast-forward differential (release, --no-fast-forward vs golden)"
 # Ticking every cycle must reproduce the same bytes the fast-forwarding
 # golden was captured with.
@@ -132,6 +139,23 @@ echo "==> benchmark package (offline build + harness self-tests)"
 # steps share run.sh's target directory (benchmark/.cargo/config.toml).
 CARGO_TARGET_DIR=target/perf cargo build --release --offline --manifest-path benchmark/Cargo.toml
 (cd benchmark && cargo test --offline -q) | sed 's/^/   /'
+
+echo "==> paper-scale smoke (one sensitive_full pass through the benchmark)"
+# The 8 cache-sensitive kernels at paper scale under BS and GC, once: the
+# benchmark's own output check, the exact simulated IPC, and the peak
+# resident set, which is what a warp program that stockpiles its ops
+# moves first (75 MB when every generator did, 11.6 MB streaming).
+smoke=$(target/perf/release/gcache-perf --workload sensitive_full --quick --trace 0 2>/dev/null | tail -n 1)
+python3 - "$smoke" <<'EOF'
+import json, sys
+result = json.loads(sys.argv[1])
+metric = lambda name: result["metrics"][name]["value"]
+assert result["correct"] is True and result["failed"] == 0, result
+assert metric("sim_ipc_gm") == 1.5070255171022573, metric("sim_ipc_gm")
+assert metric("peak_rss_mb") < 25, metric("peak_rss_mb")
+print(f"    {result['attempted']} points, sim_ipc_gm {metric('sim_ipc_gm')}, "
+      f"peak_rss_mb {metric('peak_rss_mb'):.1f}")
+EOF
 
 echo "==> telemetry smoke (per-epoch switch-on fraction, GC design)"
 # BFS is contention-heavy: its G-Cache switches must open in some interval.
