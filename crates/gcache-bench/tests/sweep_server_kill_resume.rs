@@ -13,6 +13,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 /// Grid flags shared by every scenario: 2 benchmarks × 6 designs = 12
 /// points, two worker processes, checkpoints every 1200 cycles (each
@@ -51,6 +52,28 @@ fn run_sweep(dir: &Path, fault: Option<&str>) -> Output {
         None => cmd.env_remove("GCACHE_SWEEP_FAULT"),
     };
     cmd.output().expect("spawn sweep_server")
+}
+
+/// Returns once the sweep running in `dir` has a checkpoint file on
+/// disk: from then on a point is provably in flight, however fast the
+/// simulator is (a fixed sleep is a bet on it being slow).
+fn wait_for_checkpoint(dir: &Path) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let has_checkpoint = || {
+        std::fs::read_dir(dir.join("ckpt")).is_ok_and(|entries| {
+            entries
+                .flatten()
+                .any(|entry| entry.path().extension().is_some_and(|ext| ext == "ckpt"))
+        })
+    };
+    while !has_checkpoint() {
+        assert!(
+            Instant::now() < deadline,
+            "no checkpoint appeared under {}",
+            dir.display()
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
 }
 
 fn assert_ok(out: &Output, ctx: &str) {
@@ -120,7 +143,7 @@ fn interrupted_sweeps_merge_byte_identical() {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn coordinator");
-    std::thread::sleep(std::time::Duration::from_millis(700));
+    wait_for_checkpoint(&dir_c);
     child.kill().expect("SIGKILL coordinator");
     let status = child.wait().expect("reap coordinator");
     assert!(!status.success(), "coordinator survived SIGKILL");

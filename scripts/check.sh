@@ -59,14 +59,20 @@ l1_lines=$(printf '%s\n' "$l1_out" | grep -c "l1/access_loop/") || true
   || { echo "l1 microbench: expected 5 access-loop lines, got $l1_lines"; exit 1; }
 printf '%s\n' "$l1_out" | sed 's/^/   /'
 
-echo "==> NoC saturation microbench (uniform + hotspot injection sweep)"
-# Smoke-gates the mesh traffic driver: the sweep must complete and report
-# a latency for every pattern x rate point (8 curve lines).
+echo "==> NoC microbench (saturation sweep + tick and move cost at paper-scale load)"
+# Smoke-gates the mesh traffic drivers: the sweep must complete and report
+# a latency for every pattern x rate point (8 curve lines), and both
+# paper-load lines must appear. No wall-clock threshold; speed questions
+# go to `bash benchmark/run.sh`.
 noc_out=$(cargo bench -q -p gcache-bench --bench noc 2>/dev/null)
 curve_lines=$(printf '%s\n' "$noc_out" | grep -c "mean-lat") || true
 [ "$curve_lines" -eq 8 ] \
   || { echo "noc microbench: expected 8 saturation points, got $curve_lines"; exit 1; }
-printf '%s\n' "$noc_out" | grep "mean-lat" | sed 's/^/   /'
+for line in request response; do
+  printf '%s\n' "$noc_out" | grep -q "^noc/paper_load_$line .* ns/tick .* ns/move" \
+    || { echo "noc microbench: paper_load_$line line missing"; exit 1; }
+done
+printf '%s\n' "$noc_out" | grep -E "mean-lat|^noc/paper_load" | sed 's/^/   /'
 
 echo "==> snapshot microbench (checksum, whole-GPU save and restore, bytes)"
 # Smoke-gates the snapshot bench target: its four lines must appear. No
@@ -109,6 +115,10 @@ rm -rf "$ckdir"
 
 echo "==> sweep-server kill-resume smoke (worker abort + coordinator SIGKILL)"
 ./scripts/kill_resume_smoke.sh | sed 's/^/   /'
+# The same contract as an integration test, in release: `cargo test
+# --workspace` above ran it in debug, where the sweep is five times
+# slower and a kill that depends on timing cannot miss.
+cargo test --release -q -p gcache-bench --test sweep_server_kill_resume | sed 's/^/   /'
 
 echo "==> status-endpoint smoke (live /metrics + /status.json during a sweep)"
 # The curl-equivalent probe lives in the observability integration test:
