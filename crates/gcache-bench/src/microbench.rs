@@ -78,8 +78,7 @@ pub fn black_box<T>(x: T) -> T {
     std::hint::black_box(x)
 }
 
-/// Policies the `benches/l1.rs` access-loop microbenchmark exercises
-/// (the same set `benches/policies.rs` compares).
+/// Policies the `benches/l1.rs` access-loop microbenchmark exercises.
 pub const L1_BENCH_POLICIES: &[&str] = &["lru", "srrip3", "gcache", "spdp8", "pdp3_dyn"];
 
 /// Builds one of the [`L1_BENCH_POLICIES`] by name.
@@ -100,8 +99,7 @@ pub fn l1_bench_policy(name: &str, geom: &CacheGeometry) -> PolicyKind {
 
 /// The synthetic access stream the L1 microbenchmark replays: a cyclic
 /// hot walk (resident working set → probe hits) with every 4th access
-/// streaming (compulsory misses → MSHR allocate + fill), the same mix
-/// `benches/policies.rs` uses.
+/// streaming (compulsory misses → MSHR allocate + fill).
 pub fn l1_mixed_stream(n: usize) -> Vec<LineAddr> {
     let mut out = Vec::with_capacity(n);
     let mut hot = 0u64;

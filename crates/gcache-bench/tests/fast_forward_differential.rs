@@ -35,6 +35,25 @@ fn test_scale(names: &[&str]) -> Vec<Box<dyn Benchmark>> {
     benches
 }
 
+/// The differential itself: `bench` on `cfg`, jumping idle cycles and
+/// ticking every one, must give the same [`SimStats`].
+fn assert_same_with_and_without_fast_forward(bench: &dyn Benchmark, cfg: &GpuConfig, shape: &str) {
+    let fast = simulate(bench, cfg, true);
+    let slow = simulate(bench, cfg, false);
+    let point = format!("{} / {} / {shape}", bench.info().name, fast.design);
+    assert_eq!(
+        fast.cycles, slow.cycles,
+        "{point}: fast-forward changed the cycle count"
+    );
+    // SimStats has no PartialEq; its Debug rendering covers every
+    // field (and nested stats struct) by derivation.
+    assert_eq!(
+        format!("{fast:?}"),
+        format!("{slow:?}"),
+        "{point}: fast-forward changed the statistics"
+    );
+}
+
 #[test]
 fn fast_forward_stats_match_plain_loop() {
     // BFS (cache-sensitive), CFD (moderate, exercises G-Cache bypass),
@@ -60,24 +79,62 @@ fn fast_forward_stats_match_plain_loop() {
                     .expect("valid config")
                     .with_hierarchy(hierarchy)
                     .expect("valid hierarchy");
-                let fast = simulate(bench.as_ref(), &cfg, true);
-                let slow = simulate(bench.as_ref(), &cfg, false);
-                assert_eq!(
-                    fast.cycles,
-                    slow.cycles,
-                    "{} / {} / {hierarchy:?}: fast-forward changed the cycle count",
-                    bench.info().name,
-                    fast.design,
+                assert_same_with_and_without_fast_forward(
+                    bench.as_ref(),
+                    &cfg,
+                    &format!("{hierarchy:?}"),
                 );
-                // SimStats has no PartialEq; its Debug rendering covers every
-                // field (and nested stats struct) by derivation.
-                assert_eq!(
-                    format!("{fast:?}"),
-                    format!("{slow:?}"),
-                    "{} / {} / {hierarchy:?}: fast-forward changed the statistics",
-                    bench.info().name,
-                    fast.design,
-                );
+            }
+        }
+    }
+}
+
+/// Odd but legal machines — the first piece of ROADMAP 4.iii's config
+/// fuzz: each must build, finish both kernels without an error, and make
+/// the same statistics with and without fast-forward.
+#[test]
+fn odd_but_legal_machines_match_plain_loop() {
+    fn clustered(cfg: GpuConfig, cluster_size: usize) -> GpuConfig {
+        let shape = Hierarchy::SharedL15 {
+            cluster_size,
+            kb: 64,
+        };
+        cfg.with_hierarchy(shape).expect("valid hierarchy")
+    }
+    fn mesh(cfg: GpuConfig, mesh_width: usize, mesh_height: usize) -> GpuConfig {
+        GpuConfig {
+            mesh_width,
+            mesh_height,
+            ..cfg
+        }
+    }
+    /// A label and the reshaping of Table 2's machine it names.
+    type Shape = (&'static str, fn(GpuConfig) -> GpuConfig);
+    #[rustfmt::skip]
+    let shapes: [Shape; 15] = [
+        ("cores=1", |c| GpuConfig { cores: 1, ..c }),
+        ("partitions=1", |c| GpuConfig { partitions: 1, ..c }),
+        ("24x1 mesh", |c| mesh(c, 24, 1)),
+        ("1x24 mesh", |c| mesh(c, 1, 24)),
+        // Crosses the 64-router word of the mesh's due-mask.
+        ("10x10 mesh", |c| mesh(c, 10, 10)),
+        ("warp_width=16", |c| GpuConfig { warp_width: 16, ..c }),
+        ("warp_width=64", |c| GpuConfig { warp_width: 64, ..c }),
+        ("l2_period=3", |c| GpuConfig { l2_period: 3, ..c }),
+        ("l2_latency=0", |c| GpuConfig { l2_latency: 0, ..c }),
+        ("dram_row_bytes=128", |c| GpuConfig { dram_row_bytes: 128, ..c }),
+        ("victim_bit_share=16", |c| GpuConfig { victim_bit_share: 16, ..c }),
+        ("c1", |c| clustered(c, 1)),
+        ("c16", |c| clustered(c, 16)),
+        ("c4, 64 ports", |c| clustered(c, 4).with_cluster_ports(64).expect("valid ports")),
+        ("c4, l15_latency=0", |c| GpuConfig { l15_latency: 0, ..clustered(c, 4) }),
+    ];
+    let designs = gcache_bench::designs(6);
+    for bench in &test_scale(&["BFS", "STL"]) {
+        for policy in [designs[0], designs[5]] {
+            for (shape, reshape) in shapes {
+                let cfg = reshape(GpuConfig::fermi_with_policy(policy).expect("valid config"));
+                assert_same_with_and_without_fast_forward(bench.as_ref(), &cfg, shape);
             }
         }
     }

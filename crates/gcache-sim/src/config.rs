@@ -87,11 +87,12 @@ pub enum Hierarchy {
 pub const L15_WAYS: u32 = 8;
 
 impl Hierarchy {
-    /// Number of cluster nodes this hierarchy adds to the mesh (0 = flat).
+    /// Number of cluster nodes this hierarchy adds to the mesh (0 = flat,
+    /// and for the cluster size of zero no machine is built with).
     pub const fn clusters(&self, cores: usize) -> usize {
         match self {
-            Hierarchy::Flat => 0,
-            Hierarchy::SharedL15 { cluster_size, .. } => cores / *cluster_size,
+            Hierarchy::SharedL15 { cluster_size, .. } if *cluster_size > 0 => cores / *cluster_size,
+            _ => 0,
         }
     }
 
@@ -336,32 +337,18 @@ impl GpuConfig {
     ///
     /// # Errors
     ///
-    /// Returns a descriptive message if `cluster_size` does not evenly
-    /// divide the core count, nests incompatibly with `victim_bit_share`,
-    /// or the L1.5 capacity is not a valid cache geometry.
+    /// Returns [`GpuConfig::check`]'s message for the reshaped machine:
+    /// `cluster_size` does not evenly divide the core count, nests
+    /// incompatibly with `victim_bit_share`, or the L1.5 capacity is not
+    /// a valid cache geometry.
     pub fn with_hierarchy(mut self, hierarchy: Hierarchy) -> Result<Self, String> {
-        if let Hierarchy::SharedL15 { cluster_size, kb } = hierarchy {
-            if cluster_size == 0 || !self.cores.is_multiple_of(cluster_size) {
-                return Err(format!(
-                    "cluster size {cluster_size} must evenly divide the {} cores",
-                    self.cores
-                ));
-            }
-            let share = self.victim_bit_share;
-            if !share.is_multiple_of(cluster_size) && !cluster_size.is_multiple_of(share) {
-                return Err(format!(
-                    "victim_bit_share {share} and cluster_size {cluster_size} must nest \
-                     (one must evenly divide the other)"
-                ));
-            }
-            CacheGeometry::new(kb * 1024, L15_WAYS, self.line_size())
-                .map_err(|e| format!("invalid L1.5 capacity {kb} KB: {e}"))?;
-            let nodes = self.cores + self.partitions + self.cores / cluster_size;
-            while self.mesh_width * self.mesh_height < nodes {
-                self.mesh_height += 1;
-            }
-        }
         self.hierarchy = hierarchy;
+        if hierarchy != Hierarchy::Flat {
+            let nodes = self.cores + self.partitions + hierarchy.clusters(self.cores);
+            let rows = nodes.div_ceil(self.mesh_width.max(1));
+            self.mesh_height = self.mesh_height.max(rows);
+        }
+        self.check()?;
         Ok(self)
     }
 
@@ -373,12 +360,10 @@ impl GpuConfig {
     ///
     /// # Errors
     ///
-    /// Returns a descriptive message when `ports` is zero.
+    /// Returns [`GpuConfig::check`]'s message when `ports` is zero.
     pub fn with_cluster_ports(mut self, ports: usize) -> Result<Self, String> {
-        if ports == 0 {
-            return Err("cluster_ports must be at least 1".to_string());
-        }
         self.cluster_ports = ports;
+        self.check()?;
         Ok(self)
     }
 
@@ -431,67 +416,109 @@ impl GpuConfig {
         }
     }
 
-    /// Validates cross-field invariants.
+    /// Every invariant a machine must hold before it is built, in one
+    /// list: [`GpuConfig::validate`], [`GpuConfig::with_hierarchy`] and
+    /// [`GpuConfig::with_cluster_ports`] all ask here, and no component
+    /// constructor is reached with a value it would panic on. What a
+    /// kernel's grid asks of a core is not a property of the machine and
+    /// is checked at launch ([`crate::gpu::SimError::CtaNeverFits`]).
+    ///
+    /// # Errors
+    ///
+    /// The first broken invariant, as `field = value: rule`.
+    pub fn check(&self) -> Result<(), String> {
+        let broken = |field: &str, value: &dyn fmt::Display, rule: &str| {
+            Err(format!("{field} = {value}: {rule}"))
+        };
+        let positive = [
+            ("cores", self.cores as u64),
+            ("partitions", self.partitions as u64),
+            ("warp_width", self.warp_width as u64),
+            ("max_warps_per_core", self.max_warps_per_core as u64),
+            ("l1_mshr_entries", self.l1_mshr_entries as u64),
+            ("l1_mshr_merge", self.l1_mshr_merge as u64),
+            ("l2_mshr_entries", self.l2_mshr_entries as u64),
+            ("l2_mshr_merge", self.l2_mshr_merge as u64),
+            ("l2_period", self.l2_period),
+            ("victim_bit_share", self.victim_bit_share as u64),
+            ("cluster_ports", self.cluster_ports as u64),
+            ("mesh_width", self.mesh_width as u64),
+            ("mesh_height", self.mesh_height as u64),
+            ("channel_bytes", u64::from(self.channel_bytes)),
+            ("router_queue", self.router_queue as u64),
+            ("hop_latency", self.hop_latency),
+            ("dram_banks", self.dram_banks as u64),
+            ("dram_queue", self.dram_queue as u64),
+            ("max_cycles", self.max_cycles),
+        ];
+        if let Some((field, _)) = positive.into_iter().find(|&(_, value)| value == 0) {
+            return broken(field, &0, "must be at least 1");
+        }
+        // Lane and warp-ready masks are one 64-bit word each; the mesh
+        // counts the packets of a queue in 16 bits.
+        let capped = [
+            ("warp_width", self.warp_width, 64),
+            ("max_warps_per_core", self.max_warps_per_core, 64),
+            ("router_queue", self.router_queue, usize::from(u16::MAX)),
+        ];
+        if let Some((field, value, most)) = capped.into_iter().find(|&(_, v, most)| v > most) {
+            return broken(field, &value, &format!("must be at most {most}"));
+        }
+        if !self.partitions.is_power_of_two() {
+            return broken("partitions", &self.partitions, "must be a power of two");
+        }
+        let share = self.victim_bit_share;
+        if !self.cores.is_multiple_of(share) {
+            let rule = format!("must evenly divide the {} cores", self.cores);
+            return broken("victim_bit_share", &share, &rule);
+        }
+        if let Hierarchy::SharedL15 { cluster_size, kb } = self.hierarchy {
+            if cluster_size == 0 || !self.cores.is_multiple_of(cluster_size) {
+                let rule = format!("must evenly divide the {} cores", self.cores);
+                return broken("cluster_size", &cluster_size, &rule);
+            }
+            if !share.is_multiple_of(cluster_size) && !cluster_size.is_multiple_of(share) {
+                let rule = format!(
+                    "must nest with victim_bit_share = {share} (one evenly divides the other)"
+                );
+                return broken("cluster_size", &cluster_size, &rule);
+            }
+            if let Err(e) = CacheGeometry::new(kb.saturating_mul(1024), L15_WAYS, self.line_size())
+            {
+                return broken("L1.5 kb", &kb, &format!("invalid capacity: {e}"));
+            }
+        }
+        let nodes = self.cores + self.partitions + self.hierarchy.clusters(self.cores);
+        if self.mesh_width.saturating_mul(self.mesh_height) < nodes {
+            let mesh = format!("{}x{}", self.mesh_width, self.mesh_height);
+            let rule = format!("mesh too small for {nodes} nodes");
+            return broken("mesh_width x mesh_height", &mesh, &rule);
+        }
+        if self.l1_geometry.line_size() != self.l2_geometry.line_size() {
+            let rule = format!(
+                "must equal the L2 line size {}",
+                self.l2_geometry.line_size()
+            );
+            return broken("l1_geometry line size", &self.line_size(), &rule);
+        }
+        if self.dram_row_bytes < self.line_size() {
+            let rule = format!("must hold a {} B line", self.line_size());
+            return broken("dram_row_bytes", &self.dram_row_bytes, &rule);
+        }
+        Ok(())
+    }
+
+    /// [`GpuConfig::check`] for callers that cannot go on without a
+    /// machine.
     ///
     /// # Panics
     ///
-    /// Panics with a descriptive message on an inconsistent configuration;
+    /// Panics with `check`'s message on an inconsistent configuration;
     /// call at construction time of the GPU.
     pub fn validate(&self) {
-        assert!(self.cores > 0, "need at least one core");
-        assert!(self.partitions > 0, "need at least one partition");
-        assert!(
-            self.partitions.is_power_of_two(),
-            "partition count must be a power of two"
-        );
-        assert!(
-            self.warp_width > 0 && self.warp_width <= 64,
-            "warp width must be 1..=64"
-        );
-        assert!(self.max_warps_per_core > 0, "need at least one warp slot");
-        assert!(
-            self.victim_bit_share > 0 && self.cores.is_multiple_of(self.victim_bit_share),
-            "victim_bit_share {} must evenly divide the {} cores",
-            self.victim_bit_share,
-            self.cores
-        );
-        if let Hierarchy::SharedL15 { cluster_size, kb } = self.hierarchy {
-            assert!(
-                cluster_size > 0 && self.cores.is_multiple_of(cluster_size),
-                "cluster size {cluster_size} must evenly divide the {} cores",
-                self.cores
-            );
-            assert!(
-                self.victim_bit_share.is_multiple_of(cluster_size)
-                    || cluster_size.is_multiple_of(self.victim_bit_share),
-                "victim_bit_share {} and cluster_size {cluster_size} must nest",
-                self.victim_bit_share
-            );
-            assert!(
-                CacheGeometry::new(kb * 1024, L15_WAYS, self.line_size()).is_ok(),
-                "invalid L1.5 capacity {kb} KB"
-            );
+        if let Err(e) = self.check() {
+            panic!("invalid GpuConfig: {e}");
         }
-        assert!(self.cluster_ports > 0, "cluster_ports must be at least 1");
-        let nodes = self.cores + self.partitions + self.hierarchy.clusters(self.cores);
-        assert!(
-            self.mesh_width * self.mesh_height >= nodes,
-            "mesh too small: {}x{} < {} nodes",
-            self.mesh_width,
-            self.mesh_height,
-            nodes
-        );
-        assert_eq!(
-            self.l1_geometry.line_size(),
-            self.l2_geometry.line_size(),
-            "L1 and L2 must share a line size"
-        );
-        assert!(
-            self.dram_row_bytes >= self.line_size(),
-            "DRAM row smaller than a line"
-        );
-        assert!(self.l2_period > 0, "l2_period must be positive");
-        assert!(self.max_cycles > 0, "max_cycles must be positive");
     }
 }
 
@@ -600,11 +627,85 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mesh too small")]
-    fn validate_rejects_small_mesh() {
+    fn check_names_the_broken_field() {
+        fn l15(cluster_size: usize, kb: u64) -> Hierarchy {
+            Hierarchy::SharedL15 { cluster_size, kb }
+        }
+        /// A field (the head of the message it must draw) and a way to break it.
+        type Mutation = (&'static str, fn(&mut GpuConfig));
+        let mutations: [Mutation; 32] = [
+            ("cores", |c| c.cores = 0),
+            ("partitions", |c| c.partitions = 0),
+            ("partitions", |c| c.partitions = 6),
+            ("warp_width", |c| c.warp_width = 0),
+            ("warp_width", |c| c.warp_width = 65),
+            ("max_warps_per_core", |c| c.max_warps_per_core = 0),
+            ("max_warps_per_core", |c| c.max_warps_per_core = 65),
+            ("l1_mshr_entries", |c| c.l1_mshr_entries = 0),
+            ("l1_mshr_merge", |c| c.l1_mshr_merge = 0),
+            ("l2_mshr_entries", |c| c.l2_mshr_entries = 0),
+            ("l2_mshr_merge", |c| c.l2_mshr_merge = 0),
+            ("l2_period", |c| c.l2_period = 0),
+            ("victim_bit_share", |c| c.victim_bit_share = 0),
+            ("victim_bit_share", |c| c.victim_bit_share = 3),
+            ("cluster_ports", |c| c.cluster_ports = 0),
+            ("mesh_width", |c| c.mesh_width = 0),
+            ("mesh_height", |c| c.mesh_height = 0),
+            ("mesh_width x mesh_height", |c| c.mesh_height = 3),
+            ("channel_bytes", |c| c.channel_bytes = 0),
+            ("router_queue", |c| c.router_queue = 0),
+            ("router_queue", |c| c.router_queue = 1 << 16),
+            ("hop_latency", |c| c.hop_latency = 0),
+            ("dram_banks", |c| c.dram_banks = 0),
+            ("dram_queue", |c| c.dram_queue = 0),
+            ("dram_row_bytes", |c| c.dram_row_bytes = 64),
+            ("max_cycles", |c| c.max_cycles = 0),
+            ("l1_geometry line size", |c| {
+                c.l1_geometry = CacheGeometry::new(32 * 1024, 4, 64).unwrap();
+            }),
+            ("cluster_size", |c| c.hierarchy = l15(0, 64)),
+            ("cluster_size", |c| c.hierarchy = l15(5, 64)),
+            // 4 and 6 both divide 12 cores, but neither divides the other:
+            // victim-bit groups would straddle cluster boundaries.
+            ("cluster_size", |c| {
+                (c.cores, c.victim_bit_share, c.hierarchy) = (12, 4, l15(6, 64));
+            }),
+            ("L1.5 kb", |c| c.hierarchy = l15(4, 48)),
+            // A hierarchy set by hand does not grow the mesh for its nodes.
+            ("mesh_width x mesh_height", |c| c.hierarchy = l15(4, 64)),
+        ];
+        for (field, mutate) in mutations {
+            let mut c = GpuConfig::fermi().unwrap();
+            mutate(&mut c);
+            let err = c.check().expect_err(field);
+            assert!(err.starts_with(&format!("{field} = ")), "{field}: {err}");
+        }
+    }
+
+    #[test]
+    fn check_accepts_fermi_and_every_cluster_shape() {
+        let fermi = GpuConfig::fermi().unwrap();
+        assert_eq!(fermi.check(), Ok(()));
+        // Every `cN:KB` the command line takes for the Table 2 machine.
+        for cluster_size in [1, 2, 4, 8, 16] {
+            for kb in [1, 16, 64, 1024] {
+                let shape = Hierarchy::SharedL15 { cluster_size, kb };
+                // Both builders end in `check`.
+                let c = fermi.clone().with_hierarchy(shape);
+                let c = c.unwrap_or_else(|e| panic!("{}: {e}", shape.label()));
+                for ports in [1, 2, 64] {
+                    let c = c.clone().with_cluster_ports(ports);
+                    assert_eq!(c.err(), None, "{} x{ports}", shape.label());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid GpuConfig: channel_bytes = 0: must be at least 1")]
+    fn validate_panics_with_the_check_message() {
         let mut c = GpuConfig::fermi().unwrap();
-        c.mesh_width = 2;
-        c.mesh_height = 2;
+        c.channel_bytes = 0;
         c.validate();
     }
 
@@ -649,25 +750,23 @@ mod tests {
     }
 
     #[test]
-    fn with_hierarchy_rejects_incompatible_share() {
-        // Sharing factor 6 neither divides nor is divided by cluster size
-        // 4: victim-bit groups would straddle cluster boundaries.
-        let mut c = GpuConfig::fermi().unwrap();
-        c.victim_bit_share = 6;
+    fn builders_return_the_check_message() {
+        let fermi = GpuConfig::fermi().unwrap();
+        let err = fermi.clone().with_cluster_ports(0).unwrap_err();
+        assert!(err.starts_with("cluster_ports = 0"), "got: {err}");
         let h = Hierarchy::SharedL15 {
             cluster_size: 4,
-            kb: 64,
+            kb: 48,
         };
-        let err = c.with_hierarchy(h).unwrap_err();
-        assert!(err.contains("nest"), "got: {err}");
-    }
-
-    #[test]
-    #[should_panic(expected = "victim_bit_share")]
-    fn validate_rejects_non_dividing_share() {
-        let mut c = GpuConfig::fermi().unwrap();
-        c.victim_bit_share = 3; // does not divide 16
-        c.validate();
+        let err = fermi.clone().with_hierarchy(h).unwrap_err();
+        assert!(err.starts_with("L1.5 kb = 48"), "got: {err}");
+        // No mesh of no columns can be grown to seat the cluster nodes.
+        let no_columns = GpuConfig {
+            mesh_width: 0,
+            ..fermi
+        };
+        let err = no_columns.with_hierarchy(h).unwrap_err();
+        assert!(err.starts_with("mesh_width = 0"), "got: {err}");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 
 use crate::coalescer::coalesce_into;
 use crate::config::GpuConfig;
-use crate::isa::{Kernel, Op, WarpProgram};
+use crate::gpu::SimError;
+use crate::isa::{GridDim, Kernel, Op, WarpProgram};
 use crate::l1::{L1Controller, L1Outcome};
 use crate::request::{MemRequest, MemResponse, WarpSlot};
 use gcache_core::addr::{CoreId, LineAddr};
@@ -226,6 +227,45 @@ impl SimtCore {
         self.ctas.iter().any(|c| c.is_none())
             && free_warp_slots >= wpc
             && self.threads_resident + grid.threads_per_cta <= self.max_threads
+    }
+
+    /// Whether one CTA of `grid` fits a core of `cfg` with nothing
+    /// resident — [`SimtCore::can_launch`]'s three limits against the
+    /// core's whole capacity. A grid with no CTAs asks for nothing and
+    /// always fits.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::CtaNeverFits`] naming the first limit one CTA exceeds.
+    pub fn check_cta_fits(cfg: &GpuConfig, grid: GridDim) -> Result<(), SimError> {
+        let never = |limit, asked, allowed| {
+            Err(SimError::CtaNeverFits {
+                limit,
+                asked,
+                allowed,
+            })
+        };
+        if grid.ctas == 0 {
+            return Ok(());
+        }
+        if grid.threads_per_cta == 0 {
+            return never("min threads_per_cta", 0, 1);
+        }
+        let warps = grid.warps_per_cta(cfg.warp_width);
+        for (limit, asked, allowed) in [
+            (
+                "max_threads_per_core",
+                grid.threads_per_cta,
+                cfg.max_threads_per_core,
+            ),
+            ("max_warps_per_core", warps, cfg.max_warps_per_core),
+            ("max_ctas_per_core", 1, cfg.max_ctas_per_core),
+        ] {
+            if asked > allowed {
+                return never(limit, asked, allowed);
+            }
+        }
+        Ok(())
     }
 
     /// Places CTA `cta_id` of `kernel` on this core.

@@ -5,6 +5,7 @@
 
 use crate::clocked::{min_event, Clocked, ClockedWith, Watchdog};
 use crate::config::GpuConfig;
+use crate::core::SimtCore;
 use crate::isa::Kernel;
 use crate::stats::SimStats;
 use crate::system::{ClusterComplex, CoreComplex, Interconnect, MemorySystem};
@@ -38,6 +39,17 @@ pub enum SimError {
         /// What went wrong, including the cycle.
         detail: String,
     },
+    /// One CTA of the kernel asks for more than a core has, so no CTA
+    /// could ever be placed. Found before the first cycle.
+    CtaNeverFits {
+        /// The limit it breaks: a [`GpuConfig`] field, or `"min
+        /// threads_per_cta"` for a CTA of no threads.
+        limit: &'static str,
+        /// What one CTA comes to.
+        asked: usize,
+        /// What the limit allows.
+        allowed: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -48,6 +60,14 @@ impl fmt::Display for SimError {
                 write!(f, "no progress by cycle {cycle}: {detail}")
             }
             SimError::Checkpoint { detail } => write!(f, "{detail}"),
+            SimError::CtaNeverFits {
+                limit,
+                asked,
+                allowed,
+            } => write!(
+                f,
+                "no CTA can ever be placed: {limit} is {allowed}, the kernel's CTA comes to {asked}"
+            ),
         }
     }
 }
@@ -256,6 +276,8 @@ impl Gpu {
     ///
     /// # Errors
     ///
+    /// [`SimError::CtaNeverFits`], before the first cycle, if one CTA of
+    /// the kernel asks for more than an empty core has;
     /// [`SimError::CycleLimit`] if `max_cycles` is exceeded;
     /// [`SimError::Deadlock`] if the watchdog detects no forward progress
     /// (a bug in the simulator or a malformed kernel, e.g. mismatched
@@ -314,6 +336,7 @@ impl Gpu {
                 ),
             ),
             None => {
+                SimtCore::check_cta_fits(&self.cfg, kernel.grid())?;
                 let start = self.cycle;
                 self.cores.begin_kernel(kernel);
                 let watchdog = Watchdog::new(

@@ -6,7 +6,7 @@ use gcache_core::addr::Addr;
 use gcache_core::policy::gcache::GCacheConfig;
 use gcache_core::policy::pdp_dyn::DynamicPdpConfig;
 use gcache_sim::config::{GpuConfig, Hierarchy, L1PolicyKind, WarpSchedKind};
-use gcache_sim::gpu::Gpu;
+use gcache_sim::gpu::{Gpu, SimError};
 use gcache_sim::isa::{GridDim, Kernel, Op, TraceProgram, WarpProgram};
 use gcache_sim::stats::SimStats;
 
@@ -80,8 +80,52 @@ fn empty_grid_finishes_immediately() {
         gen: |_, _| vec![],
     };
     let stats = run(L1PolicyKind::Lru, &k);
+    assert_eq!(stats.cycles, 0);
     assert_eq!(stats.instructions, 0);
     assert_eq!(stats.core.ctas_completed, 0);
+}
+
+/// A CTA no core could ever seat is turned down before the first cycle,
+/// not found by the watchdog half a million idle cycles later.
+#[test]
+fn unplaceable_cta_is_an_error_at_cycle_zero() {
+    let kernel = |threads_per_cta| FnKernel {
+        name: "wide",
+        grid: GridDim {
+            ctas: 2,
+            threads_per_cta,
+        },
+        gen: |_, _| vec![Op::Compute { cycles: 1 }],
+    };
+    let fermi = || GpuConfig::fermi().unwrap();
+    let (mut two_warps, mut no_ctas) = (fermi(), fermi());
+    two_warps.max_warps_per_core = 2;
+    no_ctas.max_ctas_per_core = 0;
+    // (machine, threads per CTA, limit, asked, allowed)
+    let cases = [
+        (fermi(), 1568, "max_threads_per_core", 1568, 1536),
+        (two_warps, 128, "max_warps_per_core", 4, 2),
+        (no_ctas, 128, "max_ctas_per_core", 1, 0),
+        (fermi(), 0, "min threads_per_cta", 0, 1),
+    ];
+    for (cfg, threads, limit, asked, allowed) in cases {
+        let mut gpu = Gpu::new(cfg);
+        let err = gpu.run_kernel(&kernel(threads)).unwrap_err();
+        let expect = SimError::CtaNeverFits {
+            limit,
+            asked,
+            allowed,
+        };
+        assert_eq!(err, expect);
+        assert_eq!(gpu.cycle(), 0, "{err}");
+        for part in [limit.to_string(), asked.to_string(), allowed.to_string()] {
+            assert!(err.to_string().contains(&part), "{err}");
+        }
+    }
+    // A core's worth of threads in one CTA is the most that fits, and runs.
+    let stats = run(L1PolicyKind::Lru, &kernel(1536));
+    assert_eq!(stats.core.ctas_completed, 2);
+    assert_eq!(stats.instructions, 2 * 48);
 }
 
 #[test]

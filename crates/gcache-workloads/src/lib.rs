@@ -2,7 +2,9 @@
 //!
 //! Synthetic kernel generators reproducing the memory-access patterns of
 //! the 17 benchmarks evaluated in the G-Cache paper (Table 1): Rodinia,
-//! Parboil, Mars (MapReduce), PolyBench and CUDA SDK applications.
+//! Parboil, Mars (MapReduce), PolyBench and CUDA SDK applications, plus
+//! three ML-era kernels (GEMM, CONV, ATTN) kept in a registry of their
+//! own.
 //!
 //! The real benchmarks are CUDA programs; this crate substitutes each with
 //! a deterministic generator that emits the same *locality structure* —
@@ -33,6 +35,27 @@
 //! # Ok(())
 //! # }
 //! ```
+
+//!
+//! ## Adding a kernel
+//!
+//! From outside this crate, implement [`gcache_sim::isa::Kernel`] (and
+//! [`Benchmark`] if the harness should list it) for a type of your own,
+//! as `examples/custom_workload.rs` does. Inside it a built-in kernel is
+//! not a type but two declarations:
+//!
+//! 1. the generator, in the module it belongs to ([`graph`], [`linalg`],
+//!    [`mapreduce`], [`stencil`], [`ml`]): a `pub(crate) fn name(loops,
+//!    cta, warp) -> Box<dyn WarpProgram>` whose body is one
+//!    [`gcache_sim::isa::steps`] closure, with its fixed sizes and seed
+//!    as documented `const`s beside it;
+//! 2. the row, in `spec.rs`'s `TABLE_1` (or `ML_KERNELS`): name,
+//!    description, suite, [`Category`], paper-scale CTAs and loop trips,
+//!    and that function.
+//!
+//! [`registry`], [`by_name`], `Kernel::name`, the harness's `--bench`
+//! filter and Table 1 all read the row; `tests/signatures.rs` then pins
+//! the new op stream.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -15,361 +15,145 @@
 //!   all: the 0 %-bypass control row of Table 3.
 
 use crate::gen::{coalesced_load, coalesced_store, region, warp_rng, CyclicWalk, LINE};
-use crate::spec::{Benchmark, Category, Scale, WorkloadInfo};
-use gcache_sim::isa::{self, GridDim, Kernel, Op, WarpProgram};
+use crate::spec::wid;
+use gcache_sim::isa::{self, Op, WarpProgram};
 
-const CTAS: usize = 128;
-const TPC: usize = 128;
-const WARPS_PER_CTA: usize = 4;
-
-fn wid(cta: usize, warp: usize) -> u64 {
-    (cta * WARPS_PER_CTA + warp) as u64
-}
+/// Total lines of KMN's centroid table (~192 KB: per-set distance ≈ 24).
+pub(crate) const KMN_TABLE_LINES: u64 = 1536;
 
 /// K-means Clustering (Rodinia). Cache sensitive, with reuse distances at
 /// the edge of what bypass policies can protect.
-#[derive(Clone, Copy, Debug)]
-pub struct Kmn {
-    ctas: usize,
+pub(crate) fn kmn(
     points: usize,
-    /// Centroid-table lines walked per point.
-    walk_per_point: usize,
-    /// Total centroid-table lines (~192 KB: per-set distance ≈ 24).
+    cta: usize,
+    warp: usize,
     table_lines: u64,
-    seed: u64,
-}
-
-impl Kmn {
-    /// Creates the benchmark at `scale`.
-    pub fn new(scale: Scale) -> Self {
-        Kmn {
-            ctas: scale.ctas(CTAS),
-            points: scale.iters(12),
-            walk_per_point: 16,
-            table_lines: 1536,
-            seed: 0x4a3,
+) -> Box<dyn WarpProgram> {
+    /// Centroid-table lines walked per point.
+    const WALK_PER_POINT: usize = 16;
+    const SEED: u64 = 0x4a3;
+    let mut rng = warp_rng(SEED, cta, warp);
+    let w = wid(cta, warp);
+    // Random phase decorrelates warps: the centroid table is shared but
+    // walked out of sync, so per-set contention is genuine.
+    let phase = rng.gen_range(0..table_lines);
+    let mut walk = CyclicWalk::new(region(1), table_lines, phase);
+    Box::new(isa::steps(points, move |p, ops| {
+        let p = p as u64;
+        // The point itself: streaming.
+        ops.push(coalesced_load(region(0), (w * points as u64 + p) * 32));
+        // Distance computation against a stretch of the centroid table.
+        for _ in 0..WALK_PER_POINT {
+            ops.push(walk.next_broadcast());
         }
-    }
-}
-
-impl Kernel for Kmn {
-    fn name(&self) -> &str {
-        "KMN"
-    }
-
-    fn grid(&self) -> GridDim {
-        GridDim {
-            ctas: self.ctas,
-            threads_per_cta: TPC,
-        }
-    }
-
-    fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
-        let k = *self;
-        let mut rng = warp_rng(k.seed, cta, warp);
-        let w = wid(cta, warp);
-        // Random phase decorrelates warps: the centroid table is shared but
-        // walked out of sync, so per-set contention is genuine.
-        let phase = rng.gen_range(0..k.table_lines);
-        let mut walk = CyclicWalk::new(region(1), k.table_lines, phase);
-        Box::new(isa::steps(k.points, move |p, ops| {
-            let p = p as u64;
-            // The point itself: streaming.
-            ops.push(coalesced_load(region(0), (w * k.points as u64 + p) * 32));
-            // Distance computation against a stretch of the centroid table.
-            for _ in 0..k.walk_per_point {
-                ops.push(walk.next_broadcast());
-            }
-            ops.push(Op::Compute { cycles: 4 });
-            // Membership update.
-            ops.push(coalesced_store(region(2), (w * k.points as u64 + p) * 32));
-        }))
-    }
-}
-
-impl Benchmark for Kmn {
-    fn info(&self) -> WorkloadInfo {
-        WorkloadInfo {
-            name: "KMN",
-            description: "K-means Clustering",
-            suite: "Rodinia",
-            category: Category::Sensitive,
-        }
-    }
+        ops.push(Op::Compute { cycles: 4 });
+        // Membership update.
+        ops.push(coalesced_store(region(2), (w * points as u64 + p) * 32));
+    }))
 }
 
 /// Symmetric Rank-K update (PolyBench). Cache sensitive with short reuse
 /// distances — G-Cache's comfort zone.
-#[derive(Clone, Copy, Debug)]
-pub struct Syrk {
-    ctas: usize,
-    iters: usize,
-    /// Lines of the shared A tile (~48 KB).
-    tile_lines: u64,
-    seed: u64,
-}
-
-impl Syrk {
-    /// Creates the benchmark at `scale`.
-    pub fn new(scale: Scale) -> Self {
-        // Tile sized for a per-set footprint of 9 — SYRK's optimal PD.
-        Syrk {
-            ctas: scale.ctas(CTAS),
-            iters: scale.iters(32),
-            tile_lines: 576,
-            seed: 0x777,
+pub(crate) fn syrk(iters: usize, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
+    /// Lines of the shared A tile (~48 KB), sized for a per-set footprint
+    /// of 9 — SYRK's optimal PD.
+    const TILE_LINES: u64 = 576;
+    const SEED: u64 = 0x777;
+    let mut rng = warp_rng(SEED, cta, warp);
+    let w = wid(cta, warp);
+    // Rows of A: a shared hot tile cyclically re-read by every warp in
+    // the rank-K inner loop (phase-shifted per warp).
+    let mut a = CyclicWalk::new(region(0), TILE_LINES, rng.gen_range(0..TILE_LINES));
+    Box::new(isa::steps(iters, move |i, ops| {
+        for _ in 0..6 {
+            ops.push(a.next_coalesced());
         }
-    }
-}
-
-impl Kernel for Syrk {
-    fn name(&self) -> &str {
-        "SYRK"
-    }
-
-    fn grid(&self) -> GridDim {
-        GridDim {
-            ctas: self.ctas,
-            threads_per_cta: TPC,
-        }
-    }
-
-    fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
-        let k = *self;
-        let mut rng = warp_rng(k.seed, cta, warp);
-        let w = wid(cta, warp);
-        // Rows of A: a shared hot tile cyclically re-read by every warp in
-        // the rank-K inner loop (phase-shifted per warp).
-        let mut a = CyclicWalk::new(region(0), k.tile_lines, rng.gen_range(0..k.tile_lines));
-        Box::new(isa::steps(k.iters, move |i, ops| {
-            for _ in 0..6 {
-                ops.push(a.next_coalesced());
-            }
-            ops.push(Op::Compute { cycles: 6 });
-            // C update: streaming.
-            ops.push(coalesced_store(
-                region(1),
-                (w * k.iters as u64 + i as u64) * 32,
-            ));
-        }))
-    }
-}
-
-impl Benchmark for Syrk {
-    fn info(&self) -> WorkloadInfo {
-        WorkloadInfo {
-            name: "SYRK",
-            description: "Symmetric Rank-K",
-            suite: "PolyBench",
-            category: Category::Sensitive,
-        }
-    }
+        ops.push(Op::Compute { cycles: 6 });
+        // C update: streaming.
+        ops.push(coalesced_store(
+            region(1),
+            (w * iters as u64 + i as u64) * 32,
+        ));
+    }))
 }
 
 /// Fast Fourier Transform (Parboil). Moderately sensitive: butterfly
 /// strides give phase-dependent, partially recoverable locality.
-#[derive(Clone, Copy, Debug)]
-pub struct Fft {
-    ctas: usize,
-    stages: usize,
-    butterflies: usize,
+pub(crate) fn fft(butterflies: usize, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
+    const STAGES: usize = 6;
     /// Twiddle-factor table lines (hot, moderate size).
-    twiddle_lines: u64,
-}
-
-impl Fft {
-    /// Creates the benchmark at `scale`.
-    pub fn new(scale: Scale) -> Self {
-        Fft {
-            ctas: scale.ctas(CTAS),
-            stages: 6,
-            butterflies: scale.iters(8),
-            twiddle_lines: 512,
-        }
-    }
-}
-
-impl Kernel for Fft {
-    fn name(&self) -> &str {
-        "FFT"
-    }
-
-    fn grid(&self) -> GridDim {
-        GridDim {
-            ctas: self.ctas,
-            threads_per_cta: TPC,
-        }
-    }
-
-    fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
-        let w = wid(cta, warp);
-        let elems = LINE / 4;
-        let k = *self;
-        let mut walk = CyclicWalk::new(region(2), k.twiddle_lines, w * 7);
-        // One step per butterfly, stage-major.
-        Box::new(isa::steps(k.stages * k.butterflies, move |step, ops| {
-            let s = (step / k.butterflies) as u64;
-            let b = (step % k.butterflies) as u64;
-            let stride_lines = 1u64 << s;
-            let base = w * 512 + b * 2 * stride_lines;
-            // The two butterfly inputs, `stride` lines apart.
-            ops.push(coalesced_load(region(0), (base % (1 << 20)) * elems));
-            ops.push(coalesced_load(
-                region(0),
-                ((base + stride_lines) % (1 << 20)) * elems,
-            ));
-            // Twiddle factors: shared table walk.
-            ops.push(walk.next_broadcast());
-            ops.push(Op::Compute { cycles: 3 });
-            ops.push(coalesced_store(region(1), (base % (1 << 20)) * elems));
-        }))
-    }
-}
-
-impl Benchmark for Fft {
-    fn info(&self) -> WorkloadInfo {
-        WorkloadInfo {
-            name: "FFT",
-            description: "Fast Fourier Transform",
-            suite: "Parboil",
-            category: Category::Moderate,
-        }
-    }
+    const TWIDDLE_LINES: u64 = 512;
+    let w = wid(cta, warp);
+    let elems = LINE / 4;
+    let mut walk = CyclicWalk::new(region(2), TWIDDLE_LINES, w * 7);
+    // One step per butterfly, stage-major.
+    Box::new(isa::steps(STAGES * butterflies, move |step, ops| {
+        let s = (step / butterflies) as u64;
+        let b = (step % butterflies) as u64;
+        let stride_lines = 1u64 << s;
+        let base = w * 512 + b * 2 * stride_lines;
+        // The two butterfly inputs, `stride` lines apart.
+        ops.push(coalesced_load(region(0), (base % (1 << 20)) * elems));
+        ops.push(coalesced_load(
+            region(0),
+            ((base + stride_lines) % (1 << 20)) * elems,
+        ));
+        // Twiddle factors: shared table walk.
+        ops.push(walk.next_broadcast());
+        ops.push(Op::Compute { cycles: 3 });
+        ops.push(coalesced_store(region(1), (base % (1 << 20)) * elems));
+    }))
 }
 
 /// Back Propagation (Rodinia). Cache insensitive: weights stream once,
 /// the small activation set never leaves the cache.
-#[derive(Clone, Copy, Debug)]
-pub struct Bp {
-    ctas: usize,
-    iters: usize,
+pub(crate) fn bp(iters: usize, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
     /// Activation lines (tiny: always resident).
-    act_lines: u64,
-}
-
-impl Bp {
-    /// Creates the benchmark at `scale`.
-    pub fn new(scale: Scale) -> Self {
-        Bp {
-            ctas: scale.ctas(CTAS),
-            iters: scale.iters(48),
-            act_lines: 32,
+    const ACT_LINES: u64 = 32;
+    let w = wid(cta, warp);
+    let mut walk = CyclicWalk::new(region(1), ACT_LINES, w % ACT_LINES);
+    Box::new(isa::steps(iters, move |i, ops| {
+        // Weight matrix row: pure streaming.
+        ops.push(coalesced_load(
+            region(0),
+            (w * iters as u64 + i as u64) * 32,
+        ));
+        // Activations: tiny shared set, trivially cached.
+        ops.push(walk.next_broadcast());
+        ops.push(Op::Compute { cycles: 2 });
+        if i + 1 == iters {
+            ops.push(coalesced_store(region(2), w * 32));
         }
-    }
-}
-
-impl Kernel for Bp {
-    fn name(&self) -> &str {
-        "BP"
-    }
-
-    fn grid(&self) -> GridDim {
-        GridDim {
-            ctas: self.ctas,
-            threads_per_cta: TPC,
-        }
-    }
-
-    fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
-        let w = wid(cta, warp);
-        let k = *self;
-        let mut walk = CyclicWalk::new(region(1), k.act_lines, w % k.act_lines);
-        Box::new(isa::steps(k.iters, move |i, ops| {
-            // Weight matrix row: pure streaming.
-            ops.push(coalesced_load(
-                region(0),
-                (w * k.iters as u64 + i as u64) * 32,
-            ));
-            // Activations: tiny shared set, trivially cached.
-            ops.push(walk.next_broadcast());
-            ops.push(Op::Compute { cycles: 2 });
-            if i + 1 == k.iters {
-                ops.push(coalesced_store(region(2), w * 32));
-            }
-        }))
-    }
-}
-
-impl Benchmark for Bp {
-    fn info(&self) -> WorkloadInfo {
-        WorkloadInfo {
-            name: "BP",
-            description: "Back Propagation",
-            suite: "Rodinia",
-            category: Category::Insensitive,
-        }
-    }
+    }))
 }
 
 /// Fast Walsh Transform (CUDA SDK). Cache insensitive; pure strided
 /// streaming with no re-reference — Table 3's 0 %-bypass control.
-#[derive(Clone, Copy, Debug)]
-pub struct Fwt {
-    ctas: usize,
-    stages: usize,
-    per_stage: usize,
-}
-
-impl Fwt {
-    /// Creates the benchmark at `scale`.
-    pub fn new(scale: Scale) -> Self {
-        Fwt {
-            ctas: scale.ctas(CTAS),
-            stages: 4,
-            per_stage: scale.iters(12),
-        }
-    }
-}
-
-impl Kernel for Fwt {
-    fn name(&self) -> &str {
-        "FWT"
-    }
-
-    fn grid(&self) -> GridDim {
-        GridDim {
-            ctas: self.ctas,
-            threads_per_cta: TPC,
-        }
-    }
-
-    fn warp_program(&self, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
-        let w = wid(cta, warp);
-        let elems = LINE / 4;
-        let k = *self;
-        // Every line index below is unique per (warp, stage, i): no line is
-        // ever touched twice by anyone. One step per i, stage-major.
-        Box::new(isa::steps(k.stages * k.per_stage, move |step, ops| {
-            let s = (step / k.per_stage) as u64;
-            let i = (step % k.per_stage) as u64;
-            let idx = ((w * k.stages as u64 + s) * k.per_stage as u64 + i) * 2;
-            ops.push(coalesced_load(region(0), idx * elems));
-            ops.push(coalesced_load(region(0), (idx + 1) * elems));
-            ops.push(Op::Compute { cycles: 2 });
-            ops.push(coalesced_store(region(1), idx * elems));
-        }))
-    }
-}
-
-impl Benchmark for Fwt {
-    fn info(&self) -> WorkloadInfo {
-        WorkloadInfo {
-            name: "FWT",
-            description: "Fast Walsh Transform",
-            suite: "CUDA SDK",
-            category: Category::Insensitive,
-        }
-    }
+pub(crate) fn fwt(per_stage: usize, cta: usize, warp: usize) -> Box<dyn WarpProgram> {
+    const STAGES: usize = 4;
+    let w = wid(cta, warp);
+    let elems = LINE / 4;
+    // Every line index below is unique per (warp, stage, i): no line is
+    // ever touched twice by anyone. One step per i, stage-major.
+    Box::new(isa::steps(STAGES * per_stage, move |step, ops| {
+        let s = (step / per_stage) as u64;
+        let i = (step % per_stage) as u64;
+        let idx = ((w * STAGES as u64 + s) * per_stage as u64 + i) * 2;
+        ops.push(coalesced_load(region(0), idx * elems));
+        ops.push(coalesced_load(region(0), (idx + 1) * elems));
+        ops.push(Op::Compute { cycles: 2 });
+        ops.push(coalesced_store(region(1), idx * elems));
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{by_name, Scale};
     use gcache_core::reuse::ReuseProfiler;
 
-    fn profile_loads(k: &dyn Kernel, cta: usize, warp: usize, depth: usize) -> ReuseProfiler {
+    fn profile_loads(mut p: Box<dyn WarpProgram>, depth: usize) -> ReuseProfiler {
         let mut prof = ReuseProfiler::new(depth);
-        let mut p = k.warp_program(cta, warp);
         while let Some(op) = p.next_op() {
             if let Op::Load { addrs } = op {
                 // Coalesce first: the cache sees line transactions, not lanes.
@@ -383,7 +167,8 @@ mod tests {
 
     #[test]
     fn fwt_is_pure_streaming() {
-        let prof = profile_loads(&Fwt::new(Scale::Test), 0, 0, 256);
+        let fwt = by_name("FWT", Scale::Test).unwrap();
+        let prof = profile_loads(fwt.warp_program(0, 0), 256);
         assert_eq!(prof.overflow_accesses(), 0);
         assert!(
             (prof.single_use_fraction() - 1.0).abs() < 1e-9,
@@ -393,7 +178,8 @@ mod tests {
 
     #[test]
     fn bp_activations_have_tiny_footprint() {
-        let prof = profile_loads(&Bp::new(Scale::Paper), 0, 0, 256);
+        let bp = by_name("BP", Scale::Paper).unwrap();
+        let prof = profile_loads(bp.warp_program(0, 0), 256);
         // Streaming weights + a 32-line activation loop: hot lines reused.
         assert!(prof.mean_distance().is_some());
         let d = prof.mean_distance().unwrap();
@@ -402,14 +188,7 @@ mod tests {
 
     #[test]
     fn kmn_reuse_distance_is_table_sized() {
-        let kmn = Kmn {
-            ctas: 1,
-            points: 300,
-            walk_per_point: 12,
-            table_lines: 96,
-            seed: 1,
-        };
-        let prof = profile_loads(&kmn, 0, 0, 256);
+        let prof = profile_loads(kmn(300, 0, 0, 96), 256);
         let d = prof.mean_distance().expect("centroid walk re-uses lines");
         // One full table walk between re-uses: distance ≈ table + stream.
         assert!(
@@ -422,7 +201,7 @@ mod tests {
     fn syrk_warps_share_the_tile() {
         // Reuse is cross-warp: phase-shifted walks over one shared tile.
         use std::collections::HashSet;
-        let syrk = Syrk::new(Scale::Paper);
+        let syrk = by_name("SYRK", Scale::Paper).unwrap();
         let lines = |warp: usize| -> HashSet<u64> {
             let mut out = HashSet::new();
             let mut p = syrk.warp_program(0, warp);
@@ -445,17 +224,12 @@ mod tests {
 
     #[test]
     fn deterministic_generation() {
-        for k in [
-            &Kmn::new(Scale::Test) as &dyn Kernel,
-            &Syrk::new(Scale::Test),
-            &Fft::new(Scale::Test),
-            &Bp::new(Scale::Test),
-            &Fwt::new(Scale::Test),
-        ] {
+        for name in ["KMN", "SYRK", "FFT", "BP", "FWT"] {
+            let k = by_name(name, Scale::Test).unwrap();
             let mut a = k.warp_program(2, 3);
             let mut b = k.warp_program(2, 3);
             for _ in 0..30 {
-                assert_eq!(a.next_op(), b.next_op(), "{} not deterministic", k.name());
+                assert_eq!(a.next_op(), b.next_op(), "{name} not deterministic");
             }
         }
     }

@@ -184,4 +184,7 @@ awk -F, 'NR == 1 { for (i = 1; i <= NF; i++) if ($i == "switch_on_frac") col = i
   }' "$tele_csv" || { rm -f "$tele_csv"; exit 1; }
 rm -f "$tele_csv"
 
+echo "==> line counts (scripts/loc.sh; ROADMAP item 2 quotes these)"
+./scripts/loc.sh | sed 's/^/   /'
+
 echo "==> all checks passed"
