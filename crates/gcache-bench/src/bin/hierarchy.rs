@@ -18,11 +18,10 @@
 //!
 //! Run with `cargo run --release -p gcache-bench --bin hierarchy`.
 //! `--hierarchy flat,c4,c8:128` overrides the swept shapes,
-//! `--cluster-ports 1,2,4` the swept port counts, `--jobs N` fans the
-//! grid out over worker threads; stdout is byte-identical for every N.
+//! `--cluster-ports 1,2,4` the swept port counts.
 
-use gcache_bench::sweep::{run_design_points_with, DesignPoint};
-use gcache_bench::{bench_cli, export_telemetry, export_trace, pct, speedup, Table};
+use gcache_bench::sweep::{DesignPoint, Sweep};
+use gcache_bench::{bench_cli, pct, speedup, Table, SIMULATE};
 use gcache_core::policy::gcache::GCacheConfig;
 use gcache_sim::config::{Hierarchy, L1PolicyKind};
 use gcache_sim::stats::{geomean, SimStats};
@@ -73,51 +72,26 @@ fn noc_fail_rate(s: &SimStats) -> f64 {
 }
 
 fn main() {
-    let cli = bench_cli();
-    let benches = cli.benchmarks();
-    let jobs = cli.jobs();
-    let shapes = cli.hierarchies(&[
-        Hierarchy::Flat,
-        Hierarchy::SharedL15 {
-            cluster_size: 4,
-            kb: 64,
-        },
-        Hierarchy::SharedL15 {
-            cluster_size: 8,
-            kb: 64,
-        },
-    ]);
-    let ports = cli.port_counts(&[1, 2]);
+    let takes = [SIMULATE, &["--hierarchy", "--cluster-ports"]].concat();
+    let sweep = Sweep::new(bench_cli("hierarchy", &takes));
+    let c = |cluster_size| Hierarchy::SharedL15 {
+        cluster_size,
+        kb: 64,
+    };
+    let combos = sweep.cli.shapes(&[Hierarchy::Flat, c(4), c(8)], &[1, 2]);
 
-    // The swept configurations: the port axis applies to clustered shapes
-    // only (a flat machine has no cluster node to widen).
-    let combos: Vec<(Hierarchy, usize)> = shapes
-        .iter()
-        .flat_map(|&shape| match shape {
-            Hierarchy::Flat => vec![(shape, 1)],
-            Hierarchy::SharedL15 { .. } => ports.iter().map(|&p| (shape, p)).collect(),
-        })
-        .collect();
-
-    // One flat grid: benchmark-major, then configuration, then policy — so
-    // each benchmark's runs are contiguous and the flat/BS baseline of a
-    // benchmark is the first run of its chunk.
-    let grid: Vec<DesignPoint<'_>> = benches
-        .iter()
-        .flat_map(|b| {
-            combos.iter().flat_map(move |&(hierarchy, cluster_ports)| {
-                policies().into_iter().map(move |policy| DesignPoint {
-                    hierarchy,
-                    cluster_ports,
-                    ..DesignPoint::flat(b.as_ref(), policy)
-                })
+    // Per benchmark: configuration-major, then policy — so the flat/BS
+    // baseline of a benchmark is the first run of its chunk.
+    let all = sweep.grid("shapes", None, |b| {
+        combos.iter().flat_map(move |&(hierarchy, cluster_ports)| {
+            policies().map(|policy| DesignPoint {
+                hierarchy,
+                cluster_ports,
+                ..DesignPoint::flat(b, policy)
             })
         })
-        .collect();
-    eprintln!("[hierarchy] grid: {} runs on {jobs} jobs ...", grid.len());
-    let all = run_design_points_with(&grid, jobs, &cli.run_opts());
+    });
 
-    let per_bench = combos.len() * policies().len();
     for (ci, &(shape, nports)) in combos.iter().enumerate() {
         let mut table = Table::new(&[
             "Bench",
@@ -132,9 +106,7 @@ fn main() {
             "GC xbar occ",
         ]);
         let mut gc_speedups = Vec::new();
-        for (bi, b) in benches.iter().enumerate() {
-            let chunk = &all[bi * per_bench..(bi + 1) * per_bench];
-            // Chunk layout mirrors grid construction: configuration-major.
+        for (b, chunk) in sweep.benches.iter().zip(&all) {
             let flat_bs = &chunk[0];
             let runs = &chunk[ci * policies().len()..(ci + 1) * policies().len()];
             let (bs, bss, gc) = (&runs[0], &runs[1], &runs[2]);
@@ -180,6 +152,5 @@ fn main() {
         println!("{}", table.render());
     }
 
-    export_telemetry(&cli);
-    export_trace(&cli);
+    sweep.finish(None);
 }

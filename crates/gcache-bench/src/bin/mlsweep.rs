@@ -9,23 +9,19 @@
 //! * `GC+HYDRA+CB` — both planes composed.
 //!
 //! Run with `cargo run --release -p gcache-bench --bin mlsweep`.
-//! `--quick` shrinks the kernels for smoke runs, `--bench NAMES`
-//! restricts the kernel set, `--jobs N` fans the grid out (stdout is
-//! byte-identical for every N) and `--telemetry PATH` re-runs the grid
-//! with the per-epoch sampler attached and writes the combined series.
+//! `--bench NAMES` restricts the kernel set (GEMM, CONV, ATTN — not the
+//! Table 1 names) and `--telemetry PATH` re-runs the grid with the
+//! per-epoch sampler attached and writes the combined series.
 
-use gcache_bench::sweep::{parallel_map, run_design_points_with, DesignPoint};
-use gcache_bench::{
-    bench_cli, pct, speedup, usage_exit, write_telemetry_series, PolicyPlanes, RunOpts, Table,
-    TelemetrySeries,
-};
+use gcache_bench::sweep::{DesignPoint, Sweep};
+use gcache_bench::{bench_cli, pct, speedup, usage_exit, PolicyPlanes, Table, SIMULATE};
 use gcache_core::policy::gcache::GCacheConfig;
 use gcache_sim::config::L1PolicyKind;
-use gcache_workloads::ml_registry;
+use gcache_workloads::{ml_registry, Benchmark};
 
 /// The swept plane compositions, in presentation order.
-fn compositions() -> Vec<(&'static str, PolicyPlanes)> {
-    vec![
+fn compositions() -> [(&'static str, PolicyPlanes); 4] {
+    [
         ("GC", PolicyPlanes::default()),
         ("GC+HYDRA", PolicyPlanes::hydra()),
         ("GC+CB", PolicyPlanes::clean_copy_back(2)),
@@ -39,26 +35,26 @@ fn compositions() -> Vec<(&'static str, PolicyPlanes)> {
     ]
 }
 
+/// `b` under G-Cache with each composition around it.
+fn variants(b: &dyn Benchmark) -> impl Iterator<Item = DesignPoint<'_>> {
+    let gc = L1PolicyKind::GCache(GCacheConfig::default());
+    compositions()
+        .into_iter()
+        .map(move |(_, planes)| DesignPoint {
+            planes,
+            ..DesignPoint::flat(b, gc)
+        })
+}
+
 fn main() {
-    let cli = bench_cli();
+    let cli = bench_cli("mlsweep", SIMULATE);
     let benches = cli
         .select(ml_registry(cli.scale()))
-        .unwrap_or_else(|e| usage_exit(&e));
-    let jobs = cli.jobs();
-    let opts = cli.run_opts();
+        .unwrap_or_else(|e| usage_exit(&e, &cli.usage));
+    let sweep = Sweep::over(cli, benches);
 
     let combos = compositions();
-    let grid: Vec<DesignPoint<'_>> = benches
-        .iter()
-        .flat_map(|b| {
-            combos.iter().map(move |&(_, planes)| DesignPoint {
-                planes,
-                ..DesignPoint::flat(b.as_ref(), L1PolicyKind::GCache(GCacheConfig::default()))
-            })
-        })
-        .collect();
-    eprintln!("[mlsweep] {} runs on {jobs} jobs ...", grid.len());
-    let mut results = run_design_points_with(&grid, jobs, &opts).into_iter();
+    let runs = sweep.grid("planes", None, variants);
 
     let mut t = Table::new(&[
         "Bench",
@@ -69,10 +65,9 @@ fn main() {
         "Plane byp",
         "Clean CB",
     ]);
-    for b in &benches {
-        let runs: Vec<_> = results.by_ref().take(combos.len()).collect();
+    for (b, runs) in sweep.benches.iter().zip(&runs) {
         let base = &runs[0]; // plain GC is the first composition
-        for ((name, _), stats) in combos.iter().zip(&runs) {
+        for ((name, _), stats) in combos.iter().zip(runs) {
             t.row(vec![
                 b.info().name.to_string(),
                 name.to_string(),
@@ -88,23 +83,16 @@ fn main() {
     println!("## ML workload plane sweep (G-Cache replacement x L1 policy planes)\n");
     println!("{}", t.render());
 
-    if let Some(path) = &cli.telemetry {
-        // The same grid once more, this time through the sampler.
-        let sampled = RunOpts {
-            sampled: true,
-            ..opts
-        };
-        let labels = benches
-            .iter()
-            .flat_map(|b| combos.iter().map(move |&(name, _)| (b.info().name, name)));
-        let series: Vec<TelemetrySeries> = labels
-            .zip(parallel_map(&grid, jobs, |p| p.run(&sampled)))
-            .map(|((bench, name), (_, sampler))| {
-                let sampler = sampler.expect("a sampled run returns its series");
-                (bench.to_string(), name, sampler)
-            })
-            .collect();
-        write_telemetry_series(path, &series);
-    }
-    gcache_bench::export_trace(&cli);
+    // `--telemetry`: the same grid once more, this time through the sampler.
+    let series = sweep.cli.telemetry.is_some().then(|| {
+        let mut samplers = Vec::new();
+        sweep.grid("planes, sampled", Some(&mut samplers), variants);
+        let per_bench = sweep.benches.iter().zip(samplers);
+        let labelled = per_bench.flat_map(|(b, samplers)| {
+            let named = combos.iter().zip(samplers);
+            named.map(move |(&(name, _), s)| (b.info().name.to_string(), name, s))
+        });
+        labelled.collect()
+    });
+    sweep.finish(series);
 }

@@ -9,7 +9,7 @@ use gcache_sim::isa::Op;
 use std::collections::HashSet;
 
 fn main() {
-    let cli = bench_cli();
+    let cli = bench_cli("table1", &["--quick", "--bench"]);
     let mut t = Table::new(&[
         "Benchmark",
         "Description",

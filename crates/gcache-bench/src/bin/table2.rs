@@ -3,10 +3,12 @@
 //!
 //! Run with `cargo run --release -p gcache-bench --bin table2`.
 
+use gcache_bench::bench_cli;
 use gcache_core::overhead::OverheadModel;
 use gcache_sim::config::GpuConfig;
 
 fn main() {
+    bench_cli("table2", &[]);
     let cfg = GpuConfig::fermi().expect("table 2 configuration is valid");
     println!("## Table 2: simulation configuration\n");
     println!("{cfg}\n");

@@ -3,37 +3,17 @@
 //! SPDP-B sweep.
 //!
 //! Run with `cargo run --release -p gcache-bench --bin table3`.
-//! `--jobs N` fans the runs out over worker threads; stdout is
-//! byte-identical for every N.
 
-use gcache_bench::sweep::{run_design_points_with, DesignPoint};
-use gcache_bench::{
-    bench_cli, export_telemetry, export_trace, pct, select_optimal_pd, Table, PD_CANDIDATES,
-};
+use gcache_bench::sweep::{DesignPoint, Sweep};
+use gcache_bench::{bench_cli, pct, Table, SIMULATE};
 use gcache_core::policy::gcache::GCacheConfig;
 use gcache_sim::config::L1PolicyKind;
 
 fn main() {
-    let cli = bench_cli();
-    let benches = cli.benchmarks();
-    let jobs = cli.jobs();
-
-    // One flat grid: per benchmark, the GC run followed by the SPDP-B
-    // candidate sweep. Chunks are reduced per benchmark afterwards.
-    let grid: Vec<DesignPoint<'_>> = benches
-        .iter()
-        .flat_map(|b| {
-            std::iter::once(L1PolicyKind::GCache(GCacheConfig::default()))
-                .chain(
-                    PD_CANDIDATES
-                        .iter()
-                        .map(|&pd| L1PolicyKind::StaticPdp { pd }),
-                )
-                .map(|policy| DesignPoint::flat(b.as_ref(), policy))
-        })
-        .collect();
-    eprintln!("[table3] {} runs on {jobs} jobs ...", grid.len());
-    let mut results = run_design_points_with(&grid, jobs, &cli.run_opts()).into_iter();
+    let sweep = Sweep::new(bench_cli("table3", SIMULATE));
+    let oracle = sweep.oracle(None);
+    let gc = L1PolicyKind::GCache(GCacheConfig::default());
+    let runs = sweep.grid("GC", None, |b| [DesignPoint::flat(b, gc)]);
 
     let mut t = Table::new(&[
         "Benchmark",
@@ -41,14 +21,10 @@ fn main() {
         "SPDP-B Bypass Ratio",
         "Optimal PD of SPDP-B",
     ]);
-    for b in &benches {
-        let info = b.info();
-        let gc = results.next().expect("GC run present");
-        let sweep = results.by_ref().take(PD_CANDIDATES.len());
-        let (best_pd, spdp) = select_optimal_pd(PD_CANDIDATES.iter().copied().zip(sweep));
+    for ((b, (best_pd, spdp)), run) in sweep.benches.iter().zip(&oracle).zip(&runs) {
         t.row(vec![
-            info.name.to_string(),
-            pct(gc.l1_bypass_ratio()),
+            b.info().name.to_string(),
+            pct(run[0].l1_bypass_ratio()),
             pct(spdp.l1_bypass_ratio()),
             format!("{best_pd}"),
         ]);
@@ -56,6 +32,5 @@ fn main() {
     println!("## Table 3: bypass control of G-Cache and SPDP-B (32KB 4-way L1)\n");
     println!("{}", t.render());
 
-    export_telemetry(&cli);
-    export_trace(&cli);
+    sweep.finish(None);
 }

@@ -13,12 +13,13 @@
 //! | `table3` | Table 3 — bypass ratios and optimal PDs |
 //! | `fig10` | Figure 10 — 64 KB-L1 scalability study |
 //!
-//! All binaries accept `--quick` (shrunk workloads for smoke runs) and
-//! `--bench NAME[,NAME...]` to restrict the benchmark set, plus
-//! checkpoint/resume flags (`--checkpoint`, `--checkpoint-every`,
-//! `--resume`) so interrupted runs can continue byte-identically.
-//! Beyond the per-artefact binaries, `sweep_server` runs whole
-//! design-point grids as a kill-safe sharded service (see [`server`]).
+//! A binary is its variants and its report: it parses its command line
+//! through the one flag loop ([`Cli::try_parse`], naming the shared
+//! flags it honours — [`SIMULATE`], say — and any of its own) and
+//! runs its grids through the one runner ([`sweep::Sweep`]). A flag a
+//! binary does not honour is a usage error there. Beyond the
+//! per-artefact binaries, `sweep_server` runs whole design-point grids
+//! as a kill-safe sharded service (see [`server`]).
 
 #![warn(missing_docs)]
 
@@ -27,7 +28,7 @@ pub mod obs;
 pub mod server;
 pub mod sweep;
 
-use crate::sweep::{parallel_map, DesignPoint};
+use crate::sweep::DesignPoint;
 use gcache_core::cache::{BypassPlane, CopyBackPlane};
 use gcache_core::policy::gcache::GCacheConfig;
 use gcache_core::policy::pdp_dyn::DynamicPdpConfig;
@@ -38,9 +39,9 @@ use gcache_core::trace::SharedTraceRing;
 use gcache_core::trace_export::ChromeTraceBuilder;
 use gcache_sim::config::{GpuConfig, Hierarchy, L1PolicyKind};
 use gcache_sim::gpu::Gpu;
-use gcache_sim::stats::SimStats;
+use gcache_sim::stats::{geomean, SimStats};
 use gcache_sim::telemetry::{Profile, Sample, Sampler};
-use gcache_workloads::{Benchmark, Scale};
+use gcache_workloads::{Benchmark, Category, Scale};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -94,61 +95,204 @@ impl Default for RunOpts {
 /// optimum (Table 3's right column).
 pub const PD_CANDIDATES: &[u16] = &[2, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96];
 
-/// Usage text printed when argument parsing fails.
-pub const USAGE: &str = "\
-usage: <experiment> [--quick] [--bench NAME[,NAME...]] [--jobs N]
-                    [--hierarchy SHAPE[,SHAPE...]] [--cluster-ports N[,N...]]
-                    [--no-fast-forward] [--telemetry PATH] [--trace-out PATH]
-                    [--checkpoint PATH] [--checkpoint-every N] [--resume PATH]
+/// One flag's usage entry: the flag followed by its value placeholder,
+/// if it takes one (`"--jobs N"`), and the help text, its lines
+/// separated by `\n`.
+pub type FlagDoc = (&'static str, &'static str);
 
-  --quick        use shrunk workloads (smoke-test scale)
-  --bench NAMES  restrict to these benchmarks (paper abbreviations)
-  --jobs N       run sweeps on N worker threads (default: GCACHE_JOBS
-                 env var, else the host's available parallelism);
-                 results are bit-identical for every N
-  --hierarchy SHAPES
-                 memory-hierarchy shapes to sweep: 'flat' (Table 2
-                 machine) or 'cN[:KB]' for N-core clusters sharing a
-                 KB-sized L1.5 (default 64 KB), e.g.
-                 --hierarchy flat,c4,c8:128
-  --cluster-ports N[,N...]
-                 cluster-crossbar port counts to sweep on clustered
-                 shapes (hierarchy binary; default 1,2). 1 = the legacy
-                 single-injection-port mesh node; >= 2 models a
-                 core<->L1.5 crossbar with that many transfer ports
-  --no-fast-forward
-                 tick every cycle instead of skipping provably idle
-                 ones; slower, bit-identical output (cross-checking)
-  --telemetry PATH
-                 additionally run the selected benchmarks under the GC
-                 design with the per-epoch time-series sampler attached
-                 and write the combined series to PATH (CSV; a .json
-                 extension selects JSON). The experiment's own stdout
-                 stays byte-identical
-  --trace-out PATH
-                 additionally run the selected benchmarks under the GC
-                 design with the event trace ring and self-profiler
-                 attached, and write the combined timeline to PATH as
-                 Chrome trace_event JSON (load in ui.perfetto.dev).
-                 Simulated cycles map to microseconds, each cache/DRAM
-                 instance gets its own track, and G-Cache switch flips
-                 appear as instant events. The experiment's own stdout
-                 stays byte-identical
-  --checkpoint PATH
-                 periodically snapshot each in-flight simulation to
-                 PATH.<point-hash>.ckpt (atomic write; file removed when
-                 the point completes), so an interrupted run can continue
-                 instead of restarting. Output stays byte-identical
-  --checkpoint-every N
-                 checkpoint cadence in cycles (default 65536); requires
-                 --checkpoint
-  --resume PATH  before simulating each point, restore its checkpoint
-                 file under the PATH stem when one exists; the resumed
-                 run's output is bit-identical to an uninterrupted one";
+/// Every flag the experiment binaries share. A binary honours a subset
+/// ([`SIMULATE`], or a list of its own) and names it where it
+/// parses; any other flag is a usage error there, and its usage text
+/// lists only what it takes.
+const SHARED_FLAGS: &[FlagDoc] = &[
+    ("--quick", "use shrunk workloads (smoke-test scale)"),
+    (
+        "--bench NAME[,NAME...]",
+        "restrict to these benchmarks (paper abbreviations)",
+    ),
+    (
+        "--jobs N",
+        "run sweeps on N worker threads (default: GCACHE_JOBS\n\
+         env var, else the host's available parallelism);\n\
+         results are bit-identical for every N",
+    ),
+    (
+        "--hierarchy SHAPE[,SHAPE...]",
+        "memory-hierarchy shapes to sweep: 'flat' (Table 2\n\
+         machine) or 'cN[:KB]' for N-core clusters sharing a\n\
+         KB-sized L1.5 (default 64 KB), e.g.\n\
+         --hierarchy flat,c4,c8:128",
+    ),
+    (
+        "--cluster-ports N[,N...]",
+        "cluster-crossbar port counts to sweep on clustered\n\
+         shapes. 1 = the legacy single-injection-port mesh\n\
+         node; >= 2 models a core<->L1.5 crossbar with that\n\
+         many transfer ports",
+    ),
+    (
+        "--no-fast-forward",
+        "tick every cycle instead of skipping provably idle\n\
+         ones; slower, bit-identical output (cross-checking)",
+    ),
+    (
+        "--telemetry PATH",
+        "additionally run the selected benchmarks under the GC\n\
+         design with the per-epoch time-series sampler attached\n\
+         and write the combined series to PATH (CSV; a .json\n\
+         extension selects JSON). The experiment's own stdout\n\
+         stays byte-identical",
+    ),
+    (
+        "--trace-out PATH",
+        "additionally run the selected benchmarks under the GC\n\
+         design with the event trace ring and self-profiler\n\
+         attached, and write the combined timeline to PATH as\n\
+         Chrome trace_event JSON (load in ui.perfetto.dev).\n\
+         Simulated cycles map to microseconds, each cache/DRAM\n\
+         instance gets its own track, and G-Cache switch flips\n\
+         appear as instant events. The experiment's own stdout\n\
+         stays byte-identical",
+    ),
+    (
+        "--checkpoint PATH",
+        "periodically snapshot each in-flight simulation to\n\
+         PATH.<point-hash>.ckpt (atomic write; file removed when\n\
+         the point completes), so an interrupted run can continue\n\
+         instead of restarting. Output stays byte-identical",
+    ),
+    (
+        "--checkpoint-every N",
+        "checkpoint cadence in cycles (default 65536)",
+    ),
+    (
+        "--resume PATH",
+        "before simulating each point, restore its checkpoint\n\
+         file under the PATH stem when one exists; the resumed\n\
+         run's output is bit-identical to an uninterrupted one",
+    ),
+];
 
-/// Command-line options shared by all experiment binaries.
+/// The shared flags of a binary that simulates on the flat Table 2
+/// machine: every figure, `table3`, `energy`, `ablation`, `mlsweep`.
+pub const SIMULATE: &[&str] = &[
+    "--quick",
+    "--bench",
+    "--jobs",
+    "--no-fast-forward",
+    "--telemetry",
+    "--trace-out",
+    "--checkpoint",
+    "--checkpoint-every",
+    "--resume",
+];
+
+/// The flag a usage entry documents.
+fn flag_of((head, _): &FlagDoc) -> &'static str {
+    head.split_once(' ').map_or(head, |(flag, _)| flag)
+}
+
+/// The usage text of `binary`: the shared flags it `takes` and its `own`.
+pub fn usage(binary: &str, takes: &[&str], own: &[FlagDoc]) -> String {
+    let mut synopsis = format!("usage: {binary}");
+    let mut help = String::new();
+    let shared = SHARED_FLAGS
+        .iter()
+        .filter(|doc| takes.contains(&flag_of(doc)));
+    for (head, text) in own.iter().chain(shared) {
+        let _ = write!(synopsis, " [{head}]");
+        let _ = writeln!(help, "  {head}");
+        for line in text.lines() {
+            let _ = writeln!(help, "                 {line}");
+        }
+    }
+    format!("{synopsis}\n\n{help}")
+}
+
+/// Prints a command-line error above `usage` and exits with status 2.
+pub fn usage_exit(err: &str, usage: &str) -> ! {
+    eprintln!("error: {err}\n\n{usage}");
+    std::process::exit(2);
+}
+
+/// The process command line of a binary with no flags of its own (see
+/// [`Cli::parse`]): the shared flags in `takes` and nothing else.
+pub fn bench_cli(binary: &'static str, takes: &[&str]) -> Cli {
+    Cli::parse(binary, takes, &[], |_, _| Ok(()))
+}
+
+/// Parses `s` as an integer of at least 1, naming `what` (a flag, an
+/// environment variable) in the error.
+pub fn positive<T>(what: &str, s: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + Default,
+{
+    let n = s.trim().parse::<T>().ok();
+    n.filter(|n| *n > T::default())
+        .ok_or_else(|| format!("{what} expects a positive integer, got '{s}'"))
+}
+
+/// The value of the flag being parsed. Shared and binary-specific flags
+/// take their values through these methods, so a missing value, a
+/// non-positive integer or a destination in a missing directory reads
+/// the same for every flag of every binary.
+pub struct Value<'a> {
+    flag: &'a str,
+    args: &'a mut dyn Iterator<Item = String>,
+    taken: Vec<String>,
+}
+
+impl Value<'_> {
+    /// The next argument as it stands.
+    pub fn string(&mut self) -> Result<String, String> {
+        let v = self.args.next();
+        let v = v.ok_or_else(|| format!("{} requires a value", self.flag))?;
+        self.taken.push(v.clone());
+        Ok(v)
+    }
+
+    /// An integer of at least 1.
+    pub fn positive<T>(&mut self) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialOrd + Default,
+    {
+        positive(self.flag, &self.string()?)
+    }
+
+    /// A file to write or a stem to write under. Its parent directory
+    /// must exist, so a mistyped destination fails at the command line
+    /// instead of deep into a run at first write.
+    pub fn path(&mut self) -> Result<String, String> {
+        let path = self.string()?;
+        let parent = Path::new(&path).parent();
+        match parent.filter(|p| !p.as_os_str().is_empty() && !p.is_dir()) {
+            Some(p) => Err(format!(
+                "{} {path}: parent directory '{}' does not exist",
+                self.flag,
+                p.display()
+            )),
+            None => Ok(path),
+        }
+    }
+
+    /// A comma-separated list, each trimmed element through `item`.
+    pub fn list<T>(&mut self, item: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
+        self.string()?.split(',').map(|s| item(s.trim())).collect()
+    }
+}
+
+/// The parsed command line of an experiment binary.
 #[derive(Clone, Debug, Default)]
 pub struct Cli {
+    /// The binary's name: it tags progress lines and usage errors.
+    pub binary: &'static str,
+    /// The binary's usage text, for errors found after parsing (an
+    /// unknown `--bench` name).
+    pub usage: String,
+    /// The shared flags as they were given, values included — what a
+    /// process re-issues to a child that must make the same selection
+    /// (the sweep server's workers).
+    pub shared_args: Vec<String>,
     /// Use shrunk workloads (4× fewer CTAs/iterations).
     pub quick: bool,
     /// Restrict to these benchmark names (paper abbreviations).
@@ -156,11 +300,10 @@ pub struct Cli {
     /// Worker-thread count from `--jobs` (`None` = not given; see
     /// [`Cli::jobs`] for the resolution order).
     pub jobs: Option<usize>,
-    /// Hierarchy shapes from `--hierarchy` (empty = the binary's default,
-    /// usually just [`Hierarchy::Flat`]).
+    /// Hierarchy shapes from `--hierarchy` (empty = the binary's default).
     pub hierarchy: Vec<Hierarchy>,
     /// Cluster-crossbar port counts from `--cluster-ports` (empty = the
-    /// binary's default; only the hierarchy sweep uses the axis).
+    /// binary's default).
     pub cluster_ports: Vec<usize>,
     /// Tick every cycle instead of fast-forwarding over idle ones.
     pub no_fast_forward: bool,
@@ -177,38 +320,18 @@ pub struct Cli {
     pub resume: Option<String>,
 }
 
-/// Validates at parse time that `path`'s parent directory exists, so a
-/// mistyped `--telemetry`/`--checkpoint`/`--resume` destination fails at
-/// the command line instead of deep into a run at first write.
-pub fn ensure_parent_dir(flag: &str, path: &str) -> Result<(), String> {
-    match Path::new(path)
-        .parent()
-        .filter(|p| !p.as_os_str().is_empty())
-    {
-        Some(p) if !p.is_dir() => Err(format!(
-            "{flag} {path}: parent directory '{}' does not exist",
-            p.display()
-        )),
-        _ => Ok(()),
-    }
-}
-
 /// Parses one `--hierarchy` shape: `flat`, `cN` or `cN:KB` (cluster size
 /// `N`, shared L1.5 of `KB` kilobytes, default 64). The shape is validated
 /// against the Table 2 machine immediately so errors surface at the
 /// command line, not mid-sweep.
 pub fn parse_hierarchy(s: &str) -> Result<Hierarchy, String> {
-    let s = s.trim();
     if s.eq_ignore_ascii_case("flat") {
         return Ok(Hierarchy::Flat);
     }
     let body = s
         .strip_prefix('c')
         .ok_or_else(|| format!("hierarchy shape '{s}' must be 'flat' or 'cN[:KB]'"))?;
-    let (size, kb) = match body.split_once(':') {
-        Some((size, kb)) => (size, kb),
-        None => (body, "64"),
-    };
+    let (size, kb) = body.split_once(':').unwrap_or((body, "64"));
     let cluster_size: usize = size
         .parse()
         .map_err(|_| format!("hierarchy shape '{s}': cluster size must be an integer"))?;
@@ -224,94 +347,73 @@ pub fn parse_hierarchy(s: &str) -> Result<Hierarchy, String> {
 }
 
 impl Cli {
-    /// Parses `std::env::args()`-style arguments, exiting with the usage
-    /// message on any error (unknown flag, missing or malformed value).
-    pub fn parse(args: impl Iterator<Item = String>) -> Cli {
-        Cli::try_parse(args).unwrap_or_else(|e| usage_exit(&e))
-    }
-
-    /// Fallible flavour of [`Cli::parse`]: returns a description of the
-    /// first problem instead of exiting.
-    pub fn try_parse(args: impl Iterator<Item = String>) -> Result<Cli, String> {
-        let mut cli = Cli::default();
-        let mut args = args.peekable();
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--quick" => cli.quick = true,
-                "--bench" => {
-                    let names = args.next().ok_or("--bench requires a value")?;
-                    cli.only = names
-                        .split(',')
-                        .map(|s| s.trim().to_ascii_uppercase())
-                        .collect();
-                }
-                "--jobs" => {
-                    let n = args.next().ok_or("--jobs requires a value")?;
-                    let jobs: usize = n
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("--jobs expects a positive integer, got '{n}'"))?;
-                    if jobs == 0 {
-                        return Err("--jobs must be at least 1".into());
-                    }
-                    cli.jobs = Some(jobs);
-                }
-                "--hierarchy" => {
-                    let shapes = args.next().ok_or("--hierarchy requires a value")?;
-                    cli.hierarchy = shapes
-                        .split(',')
-                        .map(parse_hierarchy)
-                        .collect::<Result<_, _>>()?;
-                }
-                "--cluster-ports" => {
-                    let counts = args.next().ok_or("--cluster-ports requires a value")?;
-                    cli.cluster_ports = counts
-                        .split(',')
-                        .map(|s| {
-                            s.trim().parse::<usize>().ok().filter(|&p| p >= 1).ok_or({
-                                format!("--cluster-ports expects positive integers, got '{s}'")
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-                "--no-fast-forward" => cli.no_fast_forward = true,
-                "--telemetry" => {
-                    let path = args.next().ok_or("--telemetry requires a value")?;
-                    ensure_parent_dir("--telemetry", &path)?;
-                    cli.telemetry = Some(path);
-                }
-                "--trace-out" => {
-                    let path = args.next().ok_or("--trace-out requires a value")?;
-                    ensure_parent_dir("--trace-out", &path)?;
-                    cli.trace_out = Some(path);
-                }
-                "--checkpoint" => {
-                    let path = args.next().ok_or("--checkpoint requires a value")?;
-                    ensure_parent_dir("--checkpoint", &path)?;
-                    cli.checkpoint = Some(path);
-                }
-                "--checkpoint-every" => {
-                    let n = args.next().ok_or("--checkpoint-every requires a value")?;
-                    let every: u64 = n.trim().parse().map_err(|_| {
-                        format!("--checkpoint-every expects a positive integer, got '{n}'")
-                    })?;
-                    if every == 0 {
-                        return Err("--checkpoint-every must be at least 1".into());
-                    }
-                    cli.checkpoint_every = Some(every);
-                }
-                "--resume" => {
-                    let path = args.next().ok_or("--resume requires a value")?;
-                    ensure_parent_dir("--resume", &path)?;
-                    cli.resume = Some(path);
-                }
-                other => return Err(format!("unknown flag '{other}'")),
+    /// The one flag loop. `binary` honours the shared flags named in
+    /// `takes` and the flags documented in `own`; each of the latter is
+    /// handed to `on_own` with its [`Value`]. Anything else — a shared
+    /// flag this binary would silently ignore included — is an error
+    /// naming the flag and the binary.
+    pub fn try_parse(
+        binary: &'static str,
+        takes: &[&str],
+        own: &[FlagDoc],
+        mut args: impl Iterator<Item = String>,
+        mut on_own: impl FnMut(&str, &mut Value<'_>) -> Result<(), String>,
+    ) -> Result<Cli, String> {
+        let mut cli = Cli {
+            binary,
+            usage: usage(binary, takes, own),
+            ..Cli::default()
+        };
+        while let Some(flag) = args.next() {
+            let mut v = Value {
+                flag: &flag,
+                args: &mut args,
+                taken: Vec::new(),
+            };
+            if own.iter().any(|doc| flag_of(doc) == flag) {
+                on_own(&flag, &mut v)?;
+                continue;
             }
+            if !takes.contains(&flag.as_str()) {
+                return Err(format!("{binary} does not take '{flag}'"));
+            }
+            match flag.as_str() {
+                "--quick" => cli.quick = true,
+                "--bench" => cli.only = v.list(|s| Ok(s.to_ascii_uppercase()))?,
+                "--jobs" => cli.jobs = Some(v.positive()?),
+                "--hierarchy" => cli.hierarchy = v.list(parse_hierarchy)?,
+                "--cluster-ports" => cli.cluster_ports = v.list(|s| positive(&flag, s))?,
+                "--no-fast-forward" => cli.no_fast_forward = true,
+                "--telemetry" => cli.telemetry = Some(v.path()?),
+                "--trace-out" => cli.trace_out = Some(v.path()?),
+                "--checkpoint" => cli.checkpoint = Some(v.path()?),
+                "--checkpoint-every" => cli.checkpoint_every = Some(v.positive()?),
+                "--resume" => cli.resume = Some(v.path()?),
+                other => unreachable!("{other} is in `takes` but not a shared flag"),
+            }
+            let taken = v.taken;
+            cli.shared_args.push(flag);
+            cli.shared_args.extend(taken);
         }
-        if cli.checkpoint_every.is_some() && cli.checkpoint.is_none() {
+        if takes.contains(&"--checkpoint")
+            && cli.checkpoint_every.is_some()
+            && cli.checkpoint.is_none()
+        {
             return Err("--checkpoint-every requires --checkpoint".into());
         }
         Ok(cli)
+    }
+
+    /// The process command line through [`Cli::try_parse`]; any error
+    /// prints the binary's usage text and exits with status 2.
+    pub fn parse(
+        binary: &'static str,
+        takes: &[&str],
+        own: &[FlagDoc],
+        on_own: impl FnMut(&str, &mut Value<'_>) -> Result<(), String>,
+    ) -> Cli {
+        Cli::try_parse(binary, takes, own, std::env::args().skip(1), on_own)
+            .unwrap_or_else(|e| usage_exit(&e, &usage(binary, takes, own)))
     }
 
     /// The worker-thread count for sweeps: `--jobs` if given, else the
@@ -335,9 +437,9 @@ impl Cli {
             return oversubscribed(j, "--jobs");
         }
         if let Ok(v) = std::env::var("GCACHE_JOBS") {
-            match v.trim().parse::<usize>() {
-                Ok(j) if j >= 1 => return oversubscribed(j, "GCACHE_JOBS"),
-                _ => eprintln!("warning: ignoring malformed GCACHE_JOBS='{v}'"),
+            match positive("GCACHE_JOBS", &v) {
+                Ok(j) => return oversubscribed(j, "GCACHE_JOBS"),
+                Err(_) => eprintln!("warning: ignoring malformed GCACHE_JOBS='{v}'"),
             }
         }
         host
@@ -369,26 +471,23 @@ impl Cli {
         }
     }
 
-    /// The hierarchy shapes to sweep: `--hierarchy` if given, else
-    /// `default` (each binary picks its own — most sweep only the flat
-    /// Table 2 machine).
-    pub fn hierarchies(&self, default: &[Hierarchy]) -> Vec<Hierarchy> {
-        if self.hierarchy.is_empty() {
-            default.to_vec()
-        } else {
-            self.hierarchy.clone()
-        }
-    }
-
-    /// The crossbar port counts to sweep: `--cluster-ports` if given,
-    /// else `default` (the hierarchy binary sweeps `[1, 2]`; binaries
-    /// without the axis pass `[1]`).
-    pub fn port_counts(&self, default: &[usize]) -> Vec<usize> {
-        if self.cluster_ports.is_empty() {
-            default.to_vec()
-        } else {
-            self.cluster_ports.clone()
-        }
+    /// The machine shapes to sweep, each with a crossbar port count:
+    /// `--hierarchy` (else `shapes`) × `--cluster-ports` (else `ports`).
+    /// The port axis applies to clustered shapes only — a flat machine
+    /// has no cluster node to widen.
+    pub fn shapes(&self, shapes: &[Hierarchy], ports: &[usize]) -> Vec<(Hierarchy, usize)> {
+        let (no_shapes, no_ports) = (self.hierarchy.is_empty(), self.cluster_ports.is_empty());
+        let shapes = if no_shapes { shapes } else { &self.hierarchy };
+        let ports = if no_ports { ports } else { &self.cluster_ports };
+        let ports_of = |shape| {
+            if shape == Hierarchy::Flat {
+                &[1]
+            } else {
+                ports
+            }
+        };
+        let with_ports = |&shape| ports_of(shape).iter().map(move |&p| (shape, p));
+        shapes.iter().flat_map(with_ports).collect()
     }
 
     /// The benchmarks of `all` that `--bench` names (any case), in
@@ -421,35 +520,8 @@ impl Cli {
     /// `--bench` names one that is not in Table 1.
     pub fn benchmarks(&self) -> Vec<Box<dyn Benchmark>> {
         self.select(gcache_workloads::registry(self.scale()))
-            .unwrap_or_else(|e| usage_exit(&e))
+            .unwrap_or_else(|e| usage_exit(&e, &self.usage))
     }
-}
-
-/// Prints a command-line error with the usage text and exits with
-/// status 2.
-pub fn usage_exit(err: &str) -> ! {
-    eprintln!("error: {err}\n\n{USAGE}");
-    std::process::exit(2);
-}
-
-/// Parses the process command line for an experiment binary — the one
-/// entry point every `src/bin/*` main uses, so shared flags (and their
-/// validation) land everywhere at once.
-pub fn bench_cli() -> Cli {
-    Cli::parse(std::env::args().skip(1))
-}
-
-/// [`bench_cli`] plus binary-specific boolean switches (e.g. fig3_fig4's
-/// `--all`): returns the parsed shared flags and, per switch, whether it
-/// was present.
-pub fn bench_cli_with_switches(switches: &[&str]) -> (Cli, Vec<bool>) {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let present = switches
-        .iter()
-        .map(|&s| args.iter().any(|a| a == s))
-        .collect();
-    args.retain(|a| !switches.contains(&a.as_str()));
-    (Cli::parse(args.into_iter()), present)
 }
 
 /// The orthogonal L1 policy-plane axes of one design point: the
@@ -733,67 +805,30 @@ pub fn telemetry_json(series: &[TelemetrySeries]) -> String {
     format!("{{\"series\":[{}]}}", rows.join(","))
 }
 
-/// Honours `--telemetry PATH`: re-runs the selected benchmarks under the
-/// GC design (flat Table 2 machine) with the sampler attached and writes
-/// the combined series to `PATH` — CSV, or JSON when the path ends in
-/// `.json`. A no-op when the flag was not given, so every experiment's
-/// own stdout stays byte-identical.
-///
-/// # Panics
-///
-/// Panics if a simulation fails or the file cannot be written.
-pub fn export_telemetry(cli: &Cli) {
-    let Some(path) = &cli.telemetry else {
-        return;
-    };
-    let benches = cli.benchmarks();
-    let grid: Vec<DesignPoint<'_>> = benches
-        .iter()
-        .map(|b| DesignPoint::flat(b.as_ref(), L1PolicyKind::GCache(GCacheConfig::default())))
-        .collect();
-    let opts = RunOpts {
-        sampled: true,
-        ..cli.run_opts()
-    };
-    let series: Vec<TelemetrySeries> = benches
-        .iter()
-        .zip(parallel_map(&grid, cli.jobs(), |p| p.run(&opts)))
-        .map(|(b, (stats, sampler))| {
-            let sampler = sampler.expect("a sampled run returns its series");
-            (b.info().name.to_string(), stats.design, sampler)
-        })
-        .collect();
-    write_telemetry_series(path, &series);
-}
-
 /// Trace-ring capacity used by [`export_trace`]: large enough to hold a
 /// whole `--quick` run's event stream; a longer run keeps the newest
 /// events and the export records how many older ones the ring dropped.
 pub const TRACE_EXPORT_CAPACITY: usize = 1 << 21;
 
-/// Honours `--trace-out PATH`: re-runs the selected benchmarks under the
-/// GC design (flat Table 2 machine) with the event trace ring and the
-/// self-profiler attached, and writes the combined timeline to `PATH` as
-/// Chrome `trace_event` JSON (loadable in Perfetto). One Perfetto
-/// process per benchmark (its caches/DRAM as tracks, simulated cycles as
+/// The `--trace-out PATH` export: runs `benches` under the GC design (flat
+/// Table 2 machine) with the event trace ring and the self-profiler
+/// attached, and writes the combined timeline to `path` as Chrome
+/// `trace_event` JSON (loadable in Perfetto). One Perfetto process per
+/// benchmark (its caches/DRAM as tracks, simulated cycles as
 /// microseconds), plus one per-benchmark host-stage process from the
-/// profiler's wall-clock spans. A no-op when the flag was not given, so
-/// every experiment's own stdout stays byte-identical.
+/// profiler's wall-clock spans.
 ///
 /// # Panics
 ///
 /// Panics if a simulation fails or the file cannot be written.
-pub fn export_trace(cli: &Cli) {
-    let Some(path) = &cli.trace_out else {
-        return;
-    };
+pub fn export_trace(path: &str, benches: &[Box<dyn Benchmark>], fast_forward: bool) {
     let mut b = ChromeTraceBuilder::new();
     let mut total_events = 0usize;
     let mut total_dropped = 0u64;
-    for (i, bench) in cli.benchmarks().iter().enumerate() {
+    for (i, bench) in benches.iter().enumerate() {
         let name = bench.info().name;
         let pid = (i + 1) as u32;
-        let (ring, profile) = trace_gc_run(bench.as_ref(), !cli.no_fast_forward);
+        let (ring, profile) = trace_gc_run(bench.as_ref(), fast_forward);
         b.add_process(pid, name);
         total_events += b.add_sim_events(pid, &ring.events());
         total_dropped += ring.dropped();
@@ -922,6 +957,24 @@ impl Table {
         self
     }
 
+    /// Appends the "GM (sensitive)" and "GM (all)" rows of a table whose
+    /// columns are `Bench`, `Cat`, then one speedup per design:
+    /// `speedups[b]` holds benchmark `b`'s speedups, `cats[b]` its
+    /// category.
+    pub fn gm_rows(&mut self, cats: &[Category], speedups: &[Vec<f64>]) {
+        for (label, only) in [
+            ("GM (sensitive)", Some(Category::Sensitive)),
+            ("GM (all)", None),
+        ] {
+            let rows = || speedups.iter().zip(cats);
+            let picked = || rows().filter(|(_, c)| only.is_none_or(|o| **c == o));
+            let gm = |i: usize| speedup(geomean(picked().map(|(row, _)| row[i])));
+            let head = [label.to_string(), String::new()];
+            let gms = (0..self.headers.len() - 2).map(gm);
+            self.row(head.into_iter().chain(gms).collect());
+        }
+    }
+
     /// Renders the table as pipe-aligned markdown.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
@@ -967,29 +1020,42 @@ pub fn speedup(x: f64) -> String {
 mod tests {
     use super::*;
 
+    fn parse(takes: &[&str], args: &[&str]) -> Result<Cli, String> {
+        let args = args.iter().map(|s| s.to_string());
+        Cli::try_parse("exp", takes, &[], args, |_, _| Ok(()))
+    }
+
     #[test]
     fn cli_parses_flags() {
-        let cli = Cli::parse(
-            ["--quick", "--bench", "spmv,BFS"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
+        let cli = parse(SIMULATE, &["--quick", "--bench", "spmv,BFS", "--jobs", "8"]).unwrap();
         assert!(cli.quick);
         assert_eq!(cli.only, vec!["SPMV", "BFS"]);
         assert_eq!(cli.benchmarks().len(), 2);
+        assert_eq!((cli.jobs, cli.jobs()), (Some(8), 8));
+        assert_eq!(
+            cli.shared_args,
+            ["--quick", "--bench", "spmv,BFS", "--jobs", "8"]
+        );
+        assert!(
+            !parse(SIMULATE, &["--no-fast-forward"])
+                .unwrap()
+                .run_opts()
+                .fast_forward
+        );
     }
 
     #[test]
     fn cli_defaults_to_all() {
-        let cli = Cli::parse(std::iter::empty());
+        let cli = parse(SIMULATE, &[]).unwrap();
         assert!(!cli.quick);
         assert!(cli.jobs.is_none());
         assert_eq!(cli.benchmarks().len(), 17);
+        assert_eq!(cli.run_opts(), RunOpts::default());
     }
 
     #[test]
     fn select_rejects_unknown_names() {
-        let cli = |names: &str| Cli::try_parse(["--bench", names].map(String::from).into_iter());
+        let cli = |names: &str| parse(&["--bench"], &["--bench", names]);
         let table1 = || gcache_workloads::registry(Scale::Test);
         let names = |picked: Vec<Box<dyn Benchmark>>| -> Vec<_> {
             picked.iter().map(|b| b.info().name).collect()
@@ -1026,43 +1092,58 @@ mod tests {
         );
     }
 
+    /// A flag the binary does not honour is an error naming both, whether
+    /// another binary knows the flag or none does; the usage text lists
+    /// only what the binary takes.
     #[test]
-    fn cli_parses_jobs() {
-        let cli = Cli::try_parse(["--jobs", "8"].iter().map(|s| s.to_string())).unwrap();
-        assert_eq!(cli.jobs, Some(8));
-        assert_eq!(cli.jobs(), 8);
+    fn cli_rejects_flags_the_binary_does_not_take() {
+        for (takes, flag) in [
+            (SIMULATE, "--frobnicate"),
+            (SIMULATE, "--hierarchy"),
+            (&["--quick", "--bench"], "--jobs"),
+            (&[][..], "--quick"),
+        ] {
+            let err = parse(takes, &[flag, "x"]).unwrap_err();
+            assert_eq!(err, format!("exp does not take '{flag}'"));
+        }
+        let text = usage("exp", &["--quick", "--bench"], &[("--all", "everything")]);
+        assert!(text.starts_with("usage: exp [--all] [--quick] [--bench NAME[,NAME...]]\n"));
+        assert!(!text.contains("--jobs"), "got: {text}");
     }
 
+    /// The value parsers every flag goes through: one wording per kind
+    /// of mistake, naming the flag.
     #[test]
-    fn cli_parses_no_fast_forward() {
-        let cli = Cli::try_parse(["--no-fast-forward"].iter().map(|s| s.to_string())).unwrap();
-        assert!(cli.no_fast_forward);
-        assert!(!cli.run_opts().fast_forward);
-        let cli = Cli::try_parse(std::iter::empty()).unwrap();
-        assert!(!cli.no_fast_forward);
-        assert_eq!(cli.run_opts(), RunOpts::default());
-    }
-
-    #[test]
-    fn cli_rejects_unknown_flags() {
-        let err = Cli::try_parse(["--frobnicate"].iter().map(|s| s.to_string())).unwrap_err();
-        assert!(err.contains("unknown flag '--frobnicate'"), "got: {err}");
-    }
-
-    #[test]
-    fn cli_rejects_malformed_jobs() {
-        let err = Cli::try_parse(["--jobs", "many"].iter().map(|s| s.to_string())).unwrap_err();
-        assert!(err.contains("positive integer"), "got: {err}");
-        let err = Cli::try_parse(["--jobs", "0"].iter().map(|s| s.to_string())).unwrap_err();
-        assert!(err.contains("at least 1"), "got: {err}");
-        let err = Cli::try_parse(["--jobs"].iter().map(|s| s.to_string())).unwrap_err();
-        assert!(err.contains("requires a value"), "got: {err}");
-    }
-
-    #[test]
-    fn cli_rejects_missing_bench_value() {
-        let err = Cli::try_parse(["--bench"].iter().map(|s| s.to_string())).unwrap_err();
-        assert!(err.contains("requires a value"), "got: {err}");
+    fn cli_value_parsers() {
+        let shapes = [SIMULATE, &["--hierarchy", "--cluster-ports"]].concat();
+        for flag in ["--jobs", "--checkpoint-every", "--cluster-ports"] {
+            for bad in ["many", "0", "-3", ""] {
+                let err = parse(&shapes, &[flag, bad]).unwrap_err();
+                let want = format!("{flag} expects a positive integer, got '{bad}'");
+                assert_eq!(err, want);
+            }
+        }
+        assert_eq!(positive::<u64>("N", " 7 "), Ok(7));
+        for flag in ["--bench", "--jobs", "--telemetry", "--hierarchy"] {
+            let err = parse(&shapes, &[flag]).unwrap_err();
+            assert_eq!(err, format!("{flag} requires a value"));
+        }
+        for flag in ["--telemetry", "--trace-out", "--checkpoint", "--resume"] {
+            let err = parse(&shapes, &[flag, "/no/such/dir/out"]).unwrap_err();
+            assert!(
+                err.starts_with(flag) && err.contains("'/no/such/dir'"),
+                "got: {err}"
+            );
+        }
+        let cli = parse(
+            &shapes,
+            &["--cluster-ports", "1, 4", "--hierarchy", "flat,c4:128"],
+        )
+        .unwrap();
+        assert_eq!(cli.cluster_ports, [1, 4]);
+        assert_eq!(cli.hierarchy.len(), 2);
+        let err = parse(&shapes, &["--checkpoint-every", "5"]).unwrap_err();
+        assert_eq!(err, "--checkpoint-every requires --checkpoint");
     }
 
     #[test]

@@ -42,8 +42,8 @@ use crate::obs::{
 };
 use crate::sweep::{parallel_map, DesignPoint};
 use crate::{
-    designs, run_point_observed, CheckpointOpts, Cli, PointEvent, RunOpts,
-    DEFAULT_CHECKPOINT_EVERY, USAGE,
+    designs, run_point_observed, CheckpointOpts, Cli, FlagDoc, PointEvent, RunOpts,
+    DEFAULT_CHECKPOINT_EVERY,
 };
 use gcache_sim::config::Hierarchy;
 use gcache_sim::stats::SimStats;
@@ -77,42 +77,61 @@ const MANIFEST_HEADER: &str = "gcache-sweep-server v1";
 /// shard 0 only, so the respawned replacement runs clean.
 pub const FAULT_ENV: &str = "GCACHE_SWEEP_FAULT";
 
-/// Usage text for the `sweep_server` binary.
-pub const SERVER_USAGE: &str = "\
-usage: sweep_server --dir RUNDIR [--workers N] [--checkpoint-every N]
-                    [--status-addr ADDR] [--stale-after-ms N] [--no-logs]
-                    [--quick] [--bench NAME[,NAME...]]
-                    [--hierarchy SHAPE[,SHAPE...]] [--cluster-ports N[,N...]]
-                    [--no-fast-forward]
+/// The flags of `sweep_server`'s own. `--shard` and `--run-id` are how
+/// the coordinator addresses a worker process it spawns, not part of the
+/// public interface.
+const OWN_FLAGS: &[FlagDoc] = &[
+    (
+        "--dir RUNDIR",
+        "run directory (required): manifest, per-point\n\
+         checkpoints and results, and the final merged.tsv live\n\
+         here. Re-running the same command against the same\n\
+         directory resumes an interrupted sweep; the merged\n\
+         output is byte-identical to an uninterrupted run",
+    ),
+    (
+        "--workers N",
+        "worker *processes* to shard the grid across (default:\n\
+         the --jobs resolution order). The count may differ\n\
+         between a run and its resumption",
+    ),
+    (
+        "--status-addr ADDR",
+        "serve live fleet status over HTTP on ADDR (e.g.\n\
+         127.0.0.1:0; the bound port is logged at startup).\n\
+         GET /metrics for a Prometheus-style exposition,\n\
+         GET /status.json for the aggregated JSON document",
+    ),
+    (
+        "--stale-after-ms N",
+        "flag a shard stale when its heartbeat is older than N ms\n\
+         while work is still in flight (default 30000; detection\n\
+         only — a warning event plus a status gauge)",
+    ),
+    (
+        "--no-logs",
+        "disable the observability files (logs/*.jsonl,\n\
+         heartbeats, status.json); structured records still go\n\
+         to stderr, and stale-shard detection is off (there are\n\
+         no heartbeats to age). The sweep output is\n\
+         byte-identical either way",
+    ),
+    ("--shard INDEX", "(internal) run as this shard's worker"),
+    ("--run-id ID", "(internal) the coordinator's run identity"),
+];
 
-  --dir RUNDIR   run directory: manifest, per-point checkpoints and
-                 results, and the final merged.tsv live here. Re-running
-                 the same command against the same directory resumes an
-                 interrupted sweep; the merged output is byte-identical
-                 to an uninterrupted run
-  --workers N    worker *processes* to shard the grid across (default:
-                 the --jobs resolution order). The count may differ
-                 between a run and its resumption
-  --checkpoint-every N
-                 in-flight points snapshot every N cycles (default 65536)
-  --status-addr ADDR
-                 serve live fleet status over HTTP on ADDR (e.g.
-                 127.0.0.1:0; the bound port is logged at startup).
-                 GET /metrics for a Prometheus-style exposition,
-                 GET /status.json for the aggregated JSON document
-  --stale-after-ms N
-                 flag a shard stale when its heartbeat is older than N ms
-                 while work is still in flight (default 30000; detection
-                 only — a warning event plus a status gauge)
-  --no-logs      disable the observability files (logs/*.jsonl,
-                 heartbeats, status.json); structured records still go
-                 to stderr, and stale-shard detection is off (there are
-                 no heartbeats to age). The sweep output is
-                 byte-identical either way
-
-The remaining flags select the grid and behave exactly as in the other
-experiment binaries:
-";
+/// The shared flags `sweep_server` honours: the grid selection, and
+/// `--checkpoint-every` for the cadence of the checkpoints it always
+/// takes into RUNDIR/ckpt (so `--checkpoint`/`--resume` do not apply).
+const SHARED_FLAGS: &[&str] = &[
+    "--quick",
+    "--bench",
+    "--jobs",
+    "--hierarchy",
+    "--cluster-ports",
+    "--no-fast-forward",
+    "--checkpoint-every",
+];
 
 /// The sweep grid in submission order: every benchmark of `benches` × the
 /// six Figure 8 designs (SPDP-B pinned at PD 8 — a fixed grid, not the
@@ -122,24 +141,15 @@ experiment binaries:
 /// worker process reconstruct the identical grid from the identical
 /// flags.
 fn grid<'a>(cli: &Cli, benches: &'a [Box<dyn Benchmark>]) -> Vec<DesignPoint<'a>> {
-    let shapes = cli.hierarchies(&[Hierarchy::Flat]);
-    let ports = cli.port_counts(&[1]);
+    let shapes = cli.shapes(&[Hierarchy::Flat], &[1]);
     let mut points = Vec::new();
     for bench in benches {
-        for &hierarchy in &shapes {
-            let ports: &[usize] = match hierarchy {
-                Hierarchy::Flat => &[1],
-                Hierarchy::SharedL15 { .. } => &ports,
-            };
-            for &cluster_ports in ports {
-                for policy in designs(8) {
-                    points.push(DesignPoint {
-                        hierarchy,
-                        cluster_ports,
-                        ..DesignPoint::flat(bench.as_ref(), policy)
-                    });
-                }
-            }
+        for &(hierarchy, cluster_ports) in &shapes {
+            points.extend(designs(8).into_iter().map(|policy| DesignPoint {
+                hierarchy,
+                cluster_ports,
+                ..DesignPoint::flat(bench.as_ref(), policy)
+            }));
         }
     }
     points
@@ -187,106 +197,58 @@ pub struct ServerOpts {
     passthrough: Vec<String>,
 }
 
-/// Removes `flag value` from `args`, returning the value. Errors when
-/// the flag is present without a value; the *last* occurrence wins.
-fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    let mut found = None;
-    while let Some(i) = args.iter().position(|a| a == flag) {
-        if i + 1 >= args.len() {
-            return Err(format!("{flag} requires a value"));
-        }
-        found = Some(args.remove(i + 1));
-        args.remove(i);
-    }
-    Ok(found)
-}
-
-/// Removes every occurrence of the bare `flag` from `args`, returning
-/// whether it was present.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let mut found = false;
-    while let Some(i) = args.iter().position(|a| a == flag) {
-        args.remove(i);
-        found = true;
-    }
-    found
-}
-
 impl ServerOpts {
     /// Parses a `sweep_server` argument list (no program name).
-    pub fn parse(mut args: Vec<String>) -> Result<ServerOpts, String> {
-        let dir = take_flag_value(&mut args, "--dir")?
-            .ok_or("--dir RUNDIR is required (the sweep's state lives there)")?;
-        let shard = take_flag_value(&mut args, "--shard")?
-            .map(|s| {
-                s.parse::<usize>()
-                    .map_err(|_| format!("--shard expects an index, got '{s}'"))
-            })
-            .transpose()?;
-        let every = match take_flag_value(&mut args, "--checkpoint-every")? {
-            Some(n) => match n.trim().parse::<u64>() {
-                Ok(e) if e >= 1 => e,
-                _ => {
-                    return Err(format!(
-                        "--checkpoint-every expects a positive integer, got '{n}'"
-                    ))
+    pub fn parse(args: Vec<String>) -> Result<ServerOpts, String> {
+        let (mut dir, mut shard, mut workers) = (None, None, None);
+        let (mut status_addr, mut run_id, mut no_logs) = (None, None, false);
+        let mut stale_after_ms = DEFAULT_STALE_AFTER_MS;
+        let cli = Cli::try_parse(
+            "sweep_server",
+            SHARED_FLAGS,
+            OWN_FLAGS,
+            args.into_iter(),
+            |flag, v| {
+                match flag {
+                    "--dir" => dir = Some(v.string()?),
+                    "--workers" => workers = Some(v.positive()?),
+                    "--status-addr" => status_addr = Some(v.string()?),
+                    "--stale-after-ms" => stale_after_ms = v.positive()?,
+                    "--no-logs" => no_logs = true,
+                    "--shard" => {
+                        let s = v.string()?;
+                        let index = s.parse::<usize>();
+                        shard = Some(
+                            index.map_err(|_| format!("--shard expects an index, got '{s}'"))?,
+                        );
+                    }
+                    "--run-id" => run_id = Some(v.string()?),
+                    other => unreachable!("{other} is not in OWN_FLAGS"),
                 }
+                Ok(())
             },
-            None => DEFAULT_CHECKPOINT_EVERY,
-        };
-        let explicit_workers = match take_flag_value(&mut args, "--workers")? {
-            Some(n) => match n.trim().parse::<usize>() {
-                Ok(w) if w >= 1 => Some(w),
-                _ => return Err(format!("--workers expects a positive integer, got '{n}'")),
-            },
-            None => None,
-        };
-        let status_addr = take_flag_value(&mut args, "--status-addr")?;
-        let stale_after_ms = match take_flag_value(&mut args, "--stale-after-ms")? {
-            Some(n) => match n.trim().parse::<u64>() {
-                Ok(ms) if ms >= 1 => ms,
-                _ => {
-                    return Err(format!(
-                        "--stale-after-ms expects a positive integer, got '{n}'"
-                    ))
-                }
-            },
-            None => DEFAULT_STALE_AFTER_MS,
-        };
-        let run_id = take_flag_value(&mut args, "--run-id")?;
-        let no_logs = take_flag(&mut args, "--no-logs");
-        let cli = Cli::try_parse(args.iter().cloned())?;
+        )?;
+        let dir: String = dir.ok_or("--dir RUNDIR is required (the sweep's state lives there)")?;
         // Worker-process count: `--workers`, falling back to the shared
         // `--jobs` resolution order.
-        let workers = explicit_workers.unwrap_or_else(|| cli.jobs());
-        // `--shard`/`--run-id` (re-issued per spawn) and the
-        // coordinator-only status flags are stripped; everything else is
-        // re-issued to worker processes so they rebuild the identical
-        // grid. The resolved worker count and cadence are pinned
-        // explicitly — the round-robin deal must match between
-        // coordinator and workers even when the coordinator's count came
-        // from the environment.
+        let workers = workers.unwrap_or_else(|| cli.jobs());
+        // What a worker process is spawned with: the run directory, the
+        // shared flags as given (so it rebuilds the identical grid at the
+        // identical cadence) and the resolved worker count — the
+        // round-robin deal must match between coordinator and workers
+        // even when the coordinator's count came from the environment.
+        // `--shard`/`--run-id` are added per spawn; the status flags are
+        // the coordinator's alone.
         let mut passthrough = vec!["--dir".into(), dir.clone()];
-        passthrough.extend(["--checkpoint-every".to_string(), every.to_string()]);
         passthrough.extend(["--workers".to_string(), workers.to_string()]);
         if no_logs {
             passthrough.push("--no-logs".into());
         }
-        passthrough.extend(args.iter().cloned());
-        if cli.checkpoint.is_some() || cli.resume.is_some() {
-            return Err(
-                "--checkpoint/--resume do not apply: the sweep server always checkpoints \
-                 into RUNDIR/ckpt and always resumes from it"
-                    .into(),
-            );
-        }
-        if cli.telemetry.is_some() {
-            return Err("--telemetry is not supported by the sweep server".into());
-        }
+        passthrough.extend(cli.shared_args.iter().cloned());
         Ok(ServerOpts {
             dir: PathBuf::from(dir),
             workers,
-            every,
+            every: cli.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY),
             shard,
             status_addr,
             stale_after_ms,
@@ -802,10 +764,9 @@ pub fn run(opts: &ServerOpts) -> Result<(), String> {
     }
 }
 
-/// Prints a `sweep_server` usage failure and exits.
+/// Prints a `sweep_server` usage failure and exits with status 2.
 pub fn usage_exit(err: &str) -> ! {
-    eprintln!("error: {err}\n\n{SERVER_USAGE}{USAGE}");
-    std::process::exit(2);
+    crate::usage_exit(err, &crate::usage("sweep_server", SHARED_FLAGS, OWN_FLAGS))
 }
 
 #[cfg(test)]
@@ -813,7 +774,8 @@ mod tests {
     use super::*;
 
     fn cli(args: &[&str]) -> Cli {
-        Cli::try_parse(args.iter().map(|s| s.to_string())).expect("valid flags")
+        let args = args.iter().map(|s| s.to_string());
+        Cli::try_parse("sweep_server", SHARED_FLAGS, &[], args, |_, _| Ok(())).expect("valid flags")
     }
 
     #[test]
@@ -890,8 +852,17 @@ mod tests {
 
         let err = ServerOpts::parse(args(&["--quick"])).unwrap_err();
         assert!(err.contains("--dir"), "got: {err}");
-        let err = ServerOpts::parse(args(&["--dir", "d", "--checkpoint", "x"])).unwrap_err();
-        assert!(err.contains("sweep server"), "got: {err}");
+        // The server always checkpoints into RUNDIR/ckpt and samples
+        // nothing: flags it would have to ignore are errors.
+        for flag in ["--checkpoint", "--resume", "--telemetry", "--trace-out"] {
+            let err = ServerOpts::parse(args(&["--dir", "d", flag, "x"])).unwrap_err();
+            assert!(
+                err.contains("sweep_server") && err.contains(flag),
+                "got: {err}"
+            );
+        }
+        let err = ServerOpts::parse(args(&["--dir", "d", "--workers", "0"])).unwrap_err();
+        assert!(err.contains("--workers expects a positive"), "got: {err}");
         let err = ServerOpts::parse(args(&["--dir", "d", "--shard", "zero"])).unwrap_err();
         assert!(err.contains("--shard"), "got: {err}");
     }

@@ -10,18 +10,22 @@
 //! `--jobs`. Each simulation stays single-threaded and seeded; parallelism
 //! never changes what is computed, only when.
 //!
-//! Entry points: [`parallel_map`] for arbitrary job types (a sampled
-//! grid is `parallel_map(&grid, jobs, |p| p.run(&opts))`),
+//! Entry points: [`Sweep`], the run context every experiment binary
+//! drives its grids through; [`parallel_map`] for arbitrary job types;
 //! [`run_design_points_with`] for the stats of a benchmark grid under
 //! explicit [`RunOpts`], and [`run_design_points`] as its
 //! default-options form.
 
-use crate::{run_point, PolicyPlanes, RunOpts};
+use crate::{
+    export_trace, run_point, select_optimal_pd, write_telemetry_series, Cli, PolicyPlanes, RunOpts,
+    TelemetrySeries, PD_CANDIDATES,
+};
+use gcache_core::policy::gcache::GCacheConfig;
 use gcache_sim::config::{GpuConfig, Hierarchy, L1PolicyKind};
 use gcache_sim::stats::SimStats;
 use gcache_sim::telemetry::Sampler;
 use gcache_workloads::Benchmark;
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Mutex;
 
 /// One cell of an experiment grid: a benchmark run under one L1 policy,
@@ -114,6 +118,174 @@ impl<'a> DesignPoint<'a> {
     /// and, when `opts.sampled`, its telemetry series.
     pub fn run(&self, opts: &RunOpts) -> (SimStats, Option<Sampler>) {
         run_point(self.config(), self.bench, &self.label(opts.sampled), opts)
+    }
+}
+
+/// One run of a grid: a design point, or a design point's machine with
+/// one more [`GpuConfig`] field changed (`ablation`'s sharing factor,
+/// epoch length and warp scheduler, which [`DesignPoint`] has no axis
+/// for).
+pub struct Cell<'a> {
+    point: DesignPoint<'a>,
+    cfg: GpuConfig,
+    tag: String,
+}
+
+impl<'a> From<DesignPoint<'a>> for Cell<'a> {
+    fn from(point: DesignPoint<'a>) -> Self {
+        Cell {
+            cfg: point.config(),
+            point,
+            tag: String::new(),
+        }
+    }
+}
+
+impl<'a> Cell<'a> {
+    /// `point` on its machine after `tweak`. `tag` names the change; it
+    /// is appended to the point's label, so the tweaked cell and the
+    /// plain one never share a checkpoint file.
+    pub fn tweaked(point: DesignPoint<'a>, tag: &str, tweak: impl FnOnce(&mut GpuConfig)) -> Self {
+        let mut cell = Cell::from(point);
+        tweak(&mut cell.cfg);
+        cell.tag = format!("|{tag}");
+        cell
+    }
+}
+
+/// The run context of one experiment binary: the command line, the
+/// benchmarks it selected and how its points run, resolved once. Every
+/// grid of every binary goes through [`Sweep::grid`].
+pub struct Sweep {
+    /// The parsed command line.
+    pub cli: Cli,
+    /// The selected benchmarks, in registry order.
+    pub benches: Vec<Box<dyn Benchmark>>,
+    jobs: usize,
+    opts: RunOpts,
+}
+
+impl Sweep {
+    /// A sweep over the Table 1 benchmarks `cli` selects.
+    pub fn new(cli: Cli) -> Sweep {
+        let benches = cli.benchmarks();
+        Sweep::over(cli, benches)
+    }
+
+    /// A sweep over `benches` (a selection from another registry).
+    pub fn over(cli: Cli, benches: Vec<Box<dyn Benchmark>>) -> Sweep {
+        Sweep {
+            jobs: cli.jobs(),
+            opts: cli.run_opts(),
+            cli,
+            benches,
+        }
+    }
+
+    /// Runs `variants(b)` for every selected benchmark `b` as one flat
+    /// grid on the `--jobs` worker threads and hands the stats back per
+    /// benchmark, in the order the variants were given. `what` names the
+    /// grid in the progress line on stderr. With `series`, every run
+    /// carries the telemetry sampler and the recorded series are appended
+    /// there, likewise one `Vec` per benchmark.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two cells of the grid share a label — labels name
+    /// checkpoint files, so `--resume` would cross wires between them —
+    /// or if a simulation fails (see [`run_point`]).
+    pub fn grid<'a, I>(
+        &'a self,
+        what: &str,
+        mut series: Option<&mut Vec<Vec<Sampler>>>,
+        mut variants: impl FnMut(&'a dyn Benchmark) -> I,
+    ) -> Vec<Vec<SimStats>>
+    where
+        I: IntoIterator,
+        I::Item: Into<Cell<'a>>,
+    {
+        let opts = RunOpts {
+            sampled: series.is_some(),
+            ..self.opts.clone()
+        };
+        let mut sizes = Vec::new();
+        let mut cells = Vec::new();
+        let mut labels = HashSet::new();
+        for b in &self.benches {
+            let before = cells.len();
+            for cell in variants(b.as_ref()) {
+                let Cell { point, cfg, tag } = cell.into();
+                let label = point.label(opts.sampled) + &tag;
+                assert!(labels.insert(label.clone()), "two cells labelled {label}");
+                cells.push((cfg, point.bench, label));
+            }
+            sizes.push(cells.len() - before);
+        }
+        let (binary, jobs) = (self.cli.binary, self.jobs);
+        eprintln!("[{binary}] {what}: {} runs on {jobs} jobs ...", cells.len());
+        let mut runs = parallel_map(&cells, jobs, |(cfg, bench, label)| {
+            run_point(cfg.clone(), *bench, label, &opts)
+        })
+        .into_iter();
+        sizes
+            .into_iter()
+            .map(|n| {
+                let (stats, sampled): (Vec<_>, Vec<_>) = runs.by_ref().take(n).unzip();
+                if let Some(series) = series.as_deref_mut() {
+                    series.push(sampled.into_iter().flatten().collect());
+                }
+                stats
+            })
+            .collect()
+    }
+
+    /// The SPDP-B oracle at an L1 size (`None` = Table 2's 32 KB): every
+    /// selected benchmark under each of [`PD_CANDIDATES`], reduced per
+    /// benchmark to `(best_pd, stats at best_pd)` by
+    /// [`select_optimal_pd`].
+    pub fn oracle(&self, l1_kb: Option<u64>) -> Vec<(u16, SimStats)> {
+        let sweep = self.grid("SPDP-B sweep", None, |b| {
+            PD_CANDIDATES.iter().map(move |&pd| DesignPoint {
+                l1_kb,
+                ..DesignPoint::flat(b, L1PolicyKind::StaticPdp { pd })
+            })
+        });
+        sweep
+            .into_iter()
+            .map(|runs| select_optimal_pd(PD_CANDIDATES.iter().copied().zip(runs)))
+            .collect()
+    }
+
+    /// Honours `--telemetry` and `--trace-out` once the binary has
+    /// printed its report (both are no-ops without their flag, so stdout
+    /// stays byte-identical). `series` is what the binary sampled itself;
+    /// `None` asks for the default, the selected benchmarks under GC.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a simulation fails or a file cannot be written.
+    pub fn finish(&self, series: Option<Vec<TelemetrySeries>>) {
+        if let Some(path) = &self.cli.telemetry {
+            let series = series.unwrap_or_else(|| {
+                let gc = L1PolicyKind::GCache(GCacheConfig::default());
+                let mut samplers = Vec::new();
+                let runs = self.grid("telemetry", Some(&mut samplers), |b| {
+                    [DesignPoint::flat(b, gc)]
+                });
+                let named = self
+                    .benches
+                    .iter()
+                    .zip(runs)
+                    .zip(samplers.into_iter().flatten());
+                named
+                    .map(|((b, run), s)| (b.info().name.to_string(), run[0].design, s))
+                    .collect()
+            });
+            write_telemetry_series(path, &series);
+        }
+        if let Some(path) = &self.cli.trace_out {
+            export_trace(path, &self.benches, self.opts.fast_forward);
+        }
     }
 }
 

@@ -12,7 +12,7 @@
 //! must agree, and parsing a command line cannot steer a later run.
 
 use gcache_bench::sweep::{run_design_points, run_design_points_with, DesignPoint};
-use gcache_bench::{CheckpointOpts, Cli, RunOpts};
+use gcache_bench::{CheckpointOpts, Cli, RunOpts, SIMULATE};
 use gcache_sim::config::{GpuConfig, Hierarchy};
 use gcache_sim::gpu::Gpu;
 use gcache_sim::stats::SimStats;
@@ -189,7 +189,8 @@ fn sweep_engine_ab_in_one_process() {
         "--checkpoint-every",
         "500",
     ];
-    let cli = Cli::parse(args.iter().map(|s| s.to_string()));
+    let args = args.iter().map(|s| s.to_string());
+    let cli = Cli::try_parse("test", SIMULATE, &[], args, |_, _| Ok(())).expect("valid flags");
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
     let want = RunOpts {
         fast_forward: false,

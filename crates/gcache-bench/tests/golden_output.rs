@@ -81,6 +81,22 @@ fn fig10_quick_stdout_matches_golden() {
     );
 }
 
+/// fig2 and energy fan their runs out over `--jobs` like every other
+/// figure; the goldens were captured from the serial loops they replace.
+#[test]
+fn fig2_quick_stdout_matches_golden() {
+    let golden = include_str!("golden/fig2_quick.txt");
+    run_quick(env!("CARGO_BIN_EXE_fig2"), golden);
+    run_quick_with(env!("CARGO_BIN_EXE_fig2"), &["--jobs", "4"], golden);
+}
+
+#[test]
+fn energy_quick_stdout_matches_golden() {
+    let golden = include_str!("golden/energy_quick.txt");
+    run_quick(env!("CARGO_BIN_EXE_energy"), golden);
+    run_quick_with(env!("CARGO_BIN_EXE_energy"), &["--jobs", "4"], golden);
+}
+
 #[test]
 fn ablation_quick_stdout_matches_golden() {
     run_quick(
@@ -132,16 +148,71 @@ fn fig8_fig9_quick_without_fast_forward_matches_golden() {
     );
 }
 
+/// `bin args` must be refused at the command line: exit status 2,
+/// nothing on stdout, `needle` on stderr.
+fn assert_usage_error(bin: &str, args: &[&str], needle: &str) {
+    let out = Command::new(bin).args(args).output().expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{bin} {args:?} printed a report");
+    assert!(stderr.contains(needle), "{bin} {args:?}: {stderr}");
+}
+
 /// A `--bench` name the registry does not hold is a usage error, not an
 /// empty table whose geomean rows read 1.000x.
 #[test]
 fn unknown_bench_name_is_a_usage_error() {
-    let out = Command::new(env!("CARGO_BIN_EXE_fig8_fig9"))
-        .args(["--quick", "--bench", "NOPE"])
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_fig8_fig9"),
+        &["--quick", "--bench", "NOPE"],
+        "unknown benchmark 'NOPE'",
+    );
+}
+
+/// The hierarchy axes exist in `hierarchy` and `sweep_server` only; a
+/// flat-machine figure must not print the flat numbers under a
+/// `--hierarchy c4` heading it never read.
+#[test]
+fn hierarchy_flags_outside_the_hierarchy_sweep_are_usage_errors() {
+    let fig2 = env!("CARGO_BIN_EXE_fig2");
+    assert_usage_error(
+        fig2,
+        &["--quick", "--hierarchy", "c4"],
+        "fig2 does not take '--hierarchy'",
+    );
+    assert_usage_error(
+        env!("CARGO_BIN_EXE_fig8_fig9"),
+        &["--quick", "--cluster-ports", "2"],
+        "fig8_fig9 does not take '--cluster-ports'",
+    );
+    // The usage text lists what the binary takes and nothing else.
+    let out = Command::new(fig2)
+        .arg("--hierarchy")
         .output()
-        .expect("spawn fig8_fig9");
-    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
-    assert!(out.stdout.is_empty(), "no table for a misspelt benchmark");
+        .expect("spawn");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown benchmark 'NOPE'"), "got: {stderr}");
+    assert!(stderr.contains("usage: fig2 [--quick]"), "got: {stderr}");
+    assert!(!stderr.contains("SHAPE"), "got: {stderr}");
+}
+
+/// `table1` simulates nothing, so every flag that steers a simulation
+/// is refused instead of exiting 0 with nothing written.
+#[test]
+fn table1_refuses_simulation_flags() {
+    let table1 = env!("CARGO_BIN_EXE_table1");
+    for flag in ["--jobs", "--telemetry", "--trace-out", "--checkpoint"] {
+        let needle = format!("table1 does not take '{flag}'");
+        assert_usage_error(table1, &[flag, "x"], &needle);
+    }
+    for flag in ["--checkpoint-every", "--resume", "--no-fast-forward"] {
+        let needle = format!("table1 does not take '{flag}'");
+        assert_usage_error(table1, &[flag], &needle);
+    }
+}
+
+#[test]
+fn table2_refuses_any_argument() {
+    let table2 = env!("CARGO_BIN_EXE_table2");
+    assert_usage_error(table2, &["--quick"], "table2 does not take '--quick'");
+    assert_usage_error(table2, &["extra"], "table2 does not take 'extra'");
 }

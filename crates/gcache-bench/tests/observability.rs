@@ -264,13 +264,13 @@ fn no_logs_with_status_endpoint_never_flags_stale() {
 
 #[test]
 fn trace_out_round_trips() {
-    let cli =
-        gcache_bench::Cli::try_parse(["--quick", "--bench", "BFS"].iter().map(|s| s.to_string()))
-            .expect("valid flags");
+    let cli = gcache_bench::Cli {
+        quick: true,
+        only: vec!["BFS".into()],
+        ..gcache_bench::Cli::default()
+    };
     let path = std::env::temp_dir().join(format!("gcache-trace-rt-{}.json", std::process::id()));
-    let mut cli = cli;
-    cli.trace_out = Some(path.to_string_lossy().into_owned());
-    gcache_bench::export_trace(&cli);
+    gcache_bench::export_trace(&path.to_string_lossy(), &cli.benchmarks(), true);
 
     let doc = Json::parse(&std::fs::read_to_string(&path).expect("trace file written"))
         .expect("trace file is valid JSON");

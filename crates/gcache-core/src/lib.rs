@@ -47,7 +47,7 @@
 //! | [`addr`], [`geometry`], [`line`](mod@line) | addresses, cache shapes, line state |
 //! | [`tag_array`] | the set-associative tag store |
 //! | [`mshr`] | miss-status holding registers with merging |
-//! | [`policy`] | LRU, SRRIP/BRRIP, G-Cache, static & dynamic PDP |
+//! | [`policy`] | LRU, SRRIP, G-Cache, static & dynamic PDP |
 //! | [`victim_bits`] | the L2 tag extension of §4.1 |
 //! | [`cache`] | the assembled cache (lookup / fill / flush) |
 //! | [`controller`] | cache + MSHRs + the generic miss-handling machine |

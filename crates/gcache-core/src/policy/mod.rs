@@ -7,7 +7,6 @@
 //! |---|---|---|
 //! | BS | [`lru::Lru`] | LRU replacement, always insert |
 //! | BS-S | [`rrip::Rrip`] | 3-bit SRRIP, always insert |
-//! | — | [`rrip::Drrip`] | set-duelling DRRIP (SRRIP vs BRRIP steered by a PSEL counter) |
 //! | GC | [`gcache::GCache`] | SRRIP + adaptive bypass/insertion (the paper's contribution) |
 //! | SPDP-B | [`pdp::StaticPdp`] | static protection-distance policy with bypass |
 //! | PDP-3 / PDP-8 | [`pdp_dyn::DynamicPdp`] | dynamic PDP, PD re-estimated from sampled reuse distances |
@@ -287,10 +286,8 @@ pub trait ReplacementPolicy: fmt::Debug + Send {
 pub enum PolicyKind {
     /// LRU (`BS`).
     Lru(lru::Lru),
-    /// SRRIP / BRRIP (`BS-S`).
+    /// SRRIP (`BS-S`).
     Rrip(rrip::Rrip),
-    /// Set-duelling DRRIP.
-    Drrip(rrip::Drrip),
     /// The paper's adaptive bypass/insertion policy (`GC`).
     GCache(gcache::GCache),
     /// Static protection-distance policy with bypass (`SPDP-B`).
@@ -306,7 +303,6 @@ macro_rules! dispatch {
         match $self {
             PolicyKind::Lru($p) => $body,
             PolicyKind::Rrip($p) => $body,
-            PolicyKind::Drrip($p) => $body,
             PolicyKind::GCache($p) => $body,
             PolicyKind::StaticPdp($p) => $body,
             PolicyKind::DynamicPdp($p) => $body,
@@ -399,12 +395,12 @@ impl ReplacementPolicy for PolicyKind {
 
 impl PolicyKind {
     /// Stable discriminant used in snapshots to catch a policy mismatch
-    /// between the saving and restoring configuration.
+    /// between the saving and restoring configuration. Tag 2 is retired
+    /// (it was DRRIP's) and must not be handed to a new policy.
     fn variant_tag(&self) -> u8 {
         match self {
             PolicyKind::Lru(_) => 0,
             PolicyKind::Rrip(_) => 1,
-            PolicyKind::Drrip(_) => 2,
             PolicyKind::GCache(_) => 3,
             PolicyKind::StaticPdp(_) => 4,
             PolicyKind::DynamicPdp(_) => 5,
@@ -446,12 +442,6 @@ impl From<lru::Lru> for PolicyKind {
 impl From<rrip::Rrip> for PolicyKind {
     fn from(p: rrip::Rrip) -> Self {
         PolicyKind::Rrip(p)
-    }
-}
-
-impl From<rrip::Drrip> for PolicyKind {
-    fn from(p: rrip::Drrip) -> Self {
-        PolicyKind::Drrip(p)
     }
 }
 

@@ -8,21 +8,6 @@ use super::{first_invalid_way, AccessCtx, FillDecision, ReplacementPolicy};
 use crate::geometry::CacheGeometry;
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 
-/// How RRIP assigns the RRPV of a newly inserted line.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum InsertionMode {
-    /// Static RRIP: every insertion predicts a *long* re-reference interval
-    /// (RRPV = max − 1).
-    Long,
-    /// Bimodal RRIP: insertions predict a *distant* interval (RRPV = max)
-    /// except every `period`-th insertion, which predicts long. Implemented
-    /// with a deterministic counter for reproducibility.
-    Bimodal {
-        /// Every `period`-th insertion is long; the rest are distant.
-        period: u32,
-    },
-}
-
 /// The per-line RRPV state shared by [`Rrip`] and
 /// [`crate::policy::gcache::GCache`].
 #[derive(Clone, Debug)]
@@ -170,7 +155,8 @@ impl Snapshot for RrpvTable {
     }
 }
 
-/// SRRIP / BRRIP replacement. Never bypasses — this is the paper's `BS-S`
+/// SRRIP replacement: every insertion predicts a *long* re-reference
+/// interval (RRPV = max − 1). Never bypasses — this is the paper's `BS-S`
 /// when configured as `Rrip::srrip(&geom, 3)`.
 ///
 /// # Examples
@@ -190,7 +176,8 @@ impl Snapshot for RrpvTable {
 #[derive(Clone, Debug)]
 pub struct Rrip {
     table: RrpvTable,
-    mode: InsertionMode,
+    /// Fills so far. Nothing reads it; it is counted because the
+    /// snapshot format has carried it since version 1.
     insertions: u64,
 }
 
@@ -203,22 +190,6 @@ impl Rrip {
     pub fn srrip(geom: &CacheGeometry, bits: u8) -> Self {
         Rrip {
             table: RrpvTable::new(geom, bits),
-            mode: InsertionMode::Long,
-            insertions: 0,
-        }
-    }
-
-    /// Bimodal RRIP: distant insertion except every `period`-th fill.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is outside `1..=7` or `period` is 0.
-    pub fn brrip(geom: &CacheGeometry, bits: u8, period: u32) -> Self {
-        assert!(period > 0, "bimodal period must be positive");
-        RrpvTable::new(geom, bits); // validate bits early
-        Rrip {
-            table: RrpvTable::new(geom, bits),
-            mode: InsertionMode::Bimodal { period },
             insertions: 0,
         }
     }
@@ -227,28 +198,11 @@ impl Rrip {
     pub fn table(&self) -> &RrpvTable {
         &self.table
     }
-
-    fn insertion_rrpv(&mut self) -> u8 {
-        self.insertions += 1;
-        match self.mode {
-            InsertionMode::Long => self.table.max() - 1,
-            InsertionMode::Bimodal { period } => {
-                if self.insertions.is_multiple_of(period as u64) {
-                    self.table.max() - 1
-                } else {
-                    self.table.max()
-                }
-            }
-        }
-    }
 }
 
 impl ReplacementPolicy for Rrip {
     fn name(&self) -> &'static str {
-        match self.mode {
-            InsertionMode::Long => "SRRIP",
-            InsertionMode::Bimodal { .. } => "BRRIP",
-        }
+        "SRRIP"
     }
 
     fn on_hit(&mut self, set: usize, way: usize) {
@@ -267,8 +221,8 @@ impl ReplacementPolicy for Rrip {
     }
 
     fn on_insert(&mut self, set: usize, way: usize, _ctx: &AccessCtx) {
-        let rrpv = self.insertion_rrpv();
-        self.table.set(set, way, rrpv);
+        self.insertions += 1;
+        self.table.set(set, way, self.table.max() - 1);
     }
 }
 
@@ -284,147 +238,6 @@ impl Snapshot for Rrip {
         r.section("srrip", |r| {
             self.table.restore(r)?;
             self.insertions = r.u64()?;
-            Ok(())
-        })
-    }
-}
-
-/// Dynamic RRIP with set dueling (Jaleel ISCA'10 §4) — an extension beyond
-/// the paper's evaluation, included for completeness of the RRIP family.
-///
-/// A few *leader sets* always insert SRRIP-style, another few always
-/// BRRIP-style; a saturating policy-selection counter (`PSEL`) tracks
-/// which leaders miss less and steers all follower sets.
-///
-/// # Examples
-///
-/// ```
-/// use gcache_core::geometry::CacheGeometry;
-/// use gcache_core::policy::rrip::Drrip;
-/// use gcache_core::policy::ReplacementPolicy;
-///
-/// # fn main() -> Result<(), gcache_core::geometry::GeometryError> {
-/// let geom = CacheGeometry::new(32 * 1024, 4, 128)?;
-/// let drrip = Drrip::new(&geom, 3);
-/// assert_eq!(drrip.name(), "DRRIP");
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone, Debug)]
-pub struct Drrip {
-    table: RrpvTable,
-    sets: usize,
-    /// Saturating counter; high = BRRIP winning.
-    psel: i32,
-    psel_max: i32,
-    brrip_tick: u64,
-}
-
-/// Leader-set spacing: every 32nd set leads for SRRIP, the next one for
-/// BRRIP.
-const DUEL_STRIDE: usize = 32;
-
-impl Drrip {
-    /// Creates a DRRIP policy with `bits`-bit RRPVs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is outside `1..=7`.
-    pub fn new(geom: &CacheGeometry, bits: u8) -> Self {
-        Drrip {
-            table: RrpvTable::new(geom, bits),
-            sets: geom.sets() as usize,
-            psel: 0,
-            psel_max: 512,
-            brrip_tick: 0,
-        }
-    }
-
-    fn leader_kind(&self, set: usize) -> Option<bool> {
-        // Some(false) = SRRIP leader, Some(true) = BRRIP leader.
-        match set % DUEL_STRIDE {
-            0 => Some(false),
-            1 if self.sets > 1 => Some(true),
-            _ => None,
-        }
-    }
-
-    /// Whether followers currently use BRRIP insertion.
-    pub fn brrip_selected(&self) -> bool {
-        self.psel < 0
-    }
-
-    /// The policy-selection counter (positive = SRRIP leaders missing more).
-    pub const fn psel(&self) -> i32 {
-        self.psel
-    }
-
-    fn use_brrip(&self, set: usize) -> bool {
-        match self.leader_kind(set) {
-            Some(kind) => kind,
-            None => self.brrip_selected(),
-        }
-    }
-}
-
-impl ReplacementPolicy for Drrip {
-    fn name(&self) -> &'static str {
-        "DRRIP"
-    }
-
-    fn on_set_access(&mut self, _set: usize) {}
-
-    fn on_hit(&mut self, set: usize, way: usize) {
-        self.table.promote(set, way);
-    }
-
-    fn fill_decision(&mut self, set: usize, valid_mask: u64, _ctx: &AccessCtx) -> FillDecision {
-        // A fill means the access missed: leaders vote. An SRRIP-leader
-        // miss nudges towards BRRIP and vice versa.
-        match self.leader_kind(set) {
-            Some(false) => self.psel = (self.psel - 1).max(-self.psel_max),
-            Some(true) => self.psel = (self.psel + 1).min(self.psel_max),
-            None => {}
-        }
-        if let Some(way) = first_invalid_way(valid_mask, self.table.ways()) {
-            return FillDecision::Insert { way };
-        }
-        let way = self
-            .table
-            .find_victim(set, valid_mask)
-            .expect("set is full");
-        FillDecision::Insert { way }
-    }
-
-    fn on_insert(&mut self, set: usize, way: usize, _ctx: &AccessCtx) {
-        let rrpv = if self.use_brrip(set) {
-            self.brrip_tick += 1;
-            if self.brrip_tick.is_multiple_of(32) {
-                self.table.max() - 1
-            } else {
-                self.table.max()
-            }
-        } else {
-            self.table.max() - 1
-        };
-        self.table.set(set, way, rrpv);
-    }
-}
-
-impl Snapshot for Drrip {
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.section("drrip", |w| {
-            self.table.save(w);
-            w.i32(self.psel);
-            w.u64(self.brrip_tick);
-        });
-    }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.section("drrip", |r| {
-            self.table.restore(r)?;
-            self.psel = r.i32()?;
-            self.brrip_tick = r.u64()?;
             Ok(())
         })
     }
@@ -561,86 +374,5 @@ mod tests {
         p.on_hit(0, 0); // way 0 hot (RRPV 0), way 1 at 6
         let d = p.fill_decision(0, 0b11, &ctx());
         assert_eq!(d, FillDecision::Insert { way: 1 });
-    }
-
-    #[test]
-    fn brrip_mostly_distant() {
-        let g = geom(2);
-        let mut p = Rrip::brrip(&g, 3, 32);
-        let mut distant = 0;
-        let mut long = 0;
-        for _ in 0..64 {
-            p.on_insert(0, 0, &ctx());
-            match p.table().get(0, 0) {
-                7 => distant += 1,
-                6 => long += 1,
-                v => panic!("unexpected insertion RRPV {v}"),
-            }
-        }
-        assert_eq!(long, 2);
-        assert_eq!(distant, 62);
-        assert_eq!(p.name(), "BRRIP");
-    }
-
-    #[test]
-    #[should_panic(expected = "bimodal period")]
-    fn brrip_rejects_zero_period() {
-        let _ = Rrip::brrip(&geom(2), 3, 0);
-    }
-
-    #[test]
-    fn drrip_leaders_steer_psel() {
-        // 64 sets: set 0 leads SRRIP, set 1 leads BRRIP.
-        let g = CacheGeometry::with_sets(64, 4, 128).unwrap();
-        let mut d = Drrip::new(&g, 3);
-        assert!(!d.brrip_selected());
-        // Misses in the SRRIP leader push PSEL negative -> BRRIP selected.
-        for _ in 0..10 {
-            let _ = d.fill_decision(0, 0b1111, &ctx());
-        }
-        assert!(d.psel() < 0);
-        assert!(d.brrip_selected());
-        // Misses in the BRRIP leader pull it back.
-        for _ in 0..20 {
-            let _ = d.fill_decision(1, 0b1111, &ctx());
-        }
-        assert!(d.psel() > 0);
-        assert!(!d.brrip_selected());
-    }
-
-    #[test]
-    fn drrip_followers_obey_selection() {
-        let g = CacheGeometry::with_sets(64, 4, 128).unwrap();
-        let mut d = Drrip::new(&g, 3);
-        // Follower set 5 under SRRIP selection: long insertion (max-1).
-        d.on_insert(5, 0, &ctx());
-        assert_eq!(d.table.get(5, 0), 6);
-        // Flip to BRRIP and insert many times: mostly distant (max).
-        for _ in 0..10 {
-            let _ = d.fill_decision(0, 0b1111, &ctx());
-        }
-        let mut distant = 0;
-        for _ in 0..31 {
-            d.on_insert(5, 0, &ctx());
-            if d.table.get(5, 0) == 7 {
-                distant += 1;
-            }
-        }
-        assert!(
-            distant >= 29,
-            "BRRIP insertion must be mostly distant, got {distant}"
-        );
-    }
-
-    #[test]
-    fn drrip_leader_sets_never_flip_insertion() {
-        let g = CacheGeometry::with_sets(64, 4, 128).unwrap();
-        let mut d = Drrip::new(&g, 3);
-        // SRRIP leader (set 32): always long regardless of PSEL.
-        for _ in 0..50 {
-            let _ = d.fill_decision(0, 0b1111, &ctx());
-        }
-        d.on_insert(32, 0, &ctx());
-        assert_eq!(d.table.get(32, 0), 6);
     }
 }

@@ -12,7 +12,7 @@ use gcache_core::policy::gcache::{GCache, GCacheConfig};
 use gcache_core::policy::lru::Lru;
 use gcache_core::policy::pdp::StaticPdp;
 use gcache_core::policy::pdp_dyn::{estimate_pd, DynamicPdp, DynamicPdpConfig};
-use gcache_core::policy::rrip::{Drrip, Rrip, RrpvTable};
+use gcache_core::policy::rrip::{Rrip, RrpvTable};
 use gcache_core::policy::{AccessCtx, FillDecision, ReplacementPolicy};
 use gcache_core::rng::SmallRng;
 use gcache_core::victim_bits::VictimBits;
@@ -28,8 +28,6 @@ fn all_policies() -> Vec<Box<dyn ReplacementPolicy>> {
     vec![
         Box::new(Lru::new(&g)),
         Box::new(Rrip::srrip(&g, 3)),
-        Box::new(Rrip::brrip(&g, 3, 32)),
-        Box::new(Drrip::new(&g, 3)),
         Box::new(GCache::with_defaults(&g)),
         Box::new(GCache::new(&g, GCacheConfig::adaptive())),
         Box::new(StaticPdp::new(&g, 6)),
@@ -100,11 +98,8 @@ fn non_bypassing_policies_always_insert() {
         let mut rng = SmallRng::seed_from_u64(0x5eed_0002 ^ case);
         let n = rng.gen_range(1..200) as usize;
         let sets: Vec<usize> = (0..n).map(|_| rng.gen_range(0..4) as usize).collect();
-        let non_bypassing: Vec<Box<dyn ReplacementPolicy>> = vec![
-            Box::new(Lru::new(&g)),
-            Box::new(Rrip::srrip(&g, 3)),
-            Box::new(Drrip::new(&g, 3)),
-        ];
+        let non_bypassing: Vec<Box<dyn ReplacementPolicy>> =
+            vec![Box::new(Lru::new(&g)), Box::new(Rrip::srrip(&g, 3))];
         for mut p in non_bypassing {
             let name = p.name();
             for (i, &set) in sets.iter().enumerate() {
@@ -203,104 +198,6 @@ fn victim_bits_model() {
                 assert_eq!(got, expected, "case {case}: observe mismatch");
                 model[idx][core / share] = true;
             }
-        }
-    }
-}
-
-/// DRRIP set duelling: leader-set misses steer PSEL exactly (SRRIP
-/// leaders decrement, BRRIP leaders increment, saturating at ±512;
-/// follower misses leave it untouched), and follower sets obey the
-/// currently winning insertion policy — observable because a BRRIP
-/// distant insert (RRPV = max) is evicted by the very next fill while an
-/// SRRIP insert (max − 1) survives it.
-#[test]
-fn drrip_leader_sets_steer_followers() {
-    // 64 sets: set 0 leads for SRRIP, set 1 for BRRIP, sets 32/33 lead
-    // again, everything else follows.
-    let g = CacheGeometry::with_sets(64, 4, 128).unwrap();
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0x5eed_0007 ^ case);
-        let mut d = Drrip::new(&g, 3);
-        let mut model_psel: i32 = 0;
-        let mut model_tick: u64 = 0;
-        // Duelling phase: random misses over leader-heavy sets.
-        let n = rng.gen_range(50..600) as usize;
-        for i in 0..n {
-            // Bias towards leader sets so PSEL actually moves.
-            let set = match rng.gen_range(0..4) {
-                0 => 0,
-                1 => 1,
-                2 => 32,
-                _ => rng.gen_range(0..64) as usize,
-            };
-            let ctx = AccessCtx::plain(LineAddr::new(i as u64 * 64 + set as u64), CoreId(0));
-            let decision = d.fill_decision(set, 0b1111, &ctx);
-            match set % 32 {
-                0 => model_psel = (model_psel - 1).max(-512),
-                1 => model_psel = (model_psel + 1).min(512),
-                _ => {}
-            }
-            assert_eq!(
-                d.psel(),
-                model_psel,
-                "case {case}: psel diverged at miss {i}"
-            );
-            assert_eq!(
-                d.brrip_selected(),
-                model_psel < 0,
-                "case {case}: selection bit inconsistent with psel"
-            );
-            let FillDecision::Insert { way } = decision else {
-                panic!("case {case}: DRRIP never bypasses");
-            };
-            d.on_insert(set, way, &ctx);
-            // Leaders insert with their own policy, followers with the
-            // winner's; only BRRIP-mode inserts advance the tick.
-            let brrip_insert = match set % 32 {
-                0 => false,
-                1 => true,
-                _ => model_psel < 0,
-            };
-            if brrip_insert {
-                model_tick += 1;
-            }
-        }
-        // Obedience phase: a virgin follower set (all RRPVs still at max)
-        // reveals the follower insertion depth through eviction order. A
-        // 1-in-32 BRRIP insert is intentionally long-lived (max − 1) and
-        // indistinguishable from SRRIP here, so skip that alignment.
-        let brrip_mode = d.brrip_selected();
-        if brrip_mode && (model_tick + 1).is_multiple_of(32) {
-            continue;
-        }
-        let set = 2 + (case as usize % 30); // a follower set, virgin in `fresh`
-        let mut fresh = Drrip::new(&g, 3);
-        // Transplant the duelled PSEL by replaying leader misses only.
-        let leader = if brrip_mode { 0 } else { 1 };
-        for i in 0..d.psel().unsigned_abs() as u64 {
-            let ctx = AccessCtx::plain(LineAddr::new(i * 64 + leader), CoreId(0));
-            fresh.fill_decision(leader as usize, 0b1111, &ctx);
-        }
-        assert_eq!(fresh.brrip_selected(), brrip_mode, "case {case}");
-        let ctx_a = AccessCtx::plain(LineAddr::new(set as u64), CoreId(0));
-        let FillDecision::Insert { way: way_a } = fresh.fill_decision(set, 0b1111, &ctx_a) else {
-            panic!("case {case}: DRRIP never bypasses");
-        };
-        fresh.on_insert(set, way_a, &ctx_a);
-        let ctx_b = AccessCtx::plain(LineAddr::new(64 + set as u64), CoreId(0));
-        let FillDecision::Insert { way: way_b } = fresh.fill_decision(set, 0b1111, &ctx_b) else {
-            panic!("case {case}: DRRIP never bypasses");
-        };
-        if fresh.brrip_selected() {
-            assert_eq!(
-                way_b, way_a,
-                "case {case}: BRRIP-mode follower insert must be distant (evicted next)"
-            );
-        } else {
-            assert_ne!(
-                way_b, way_a,
-                "case {case}: SRRIP-mode follower insert must survive the next fill"
-            );
         }
     }
 }

@@ -325,12 +325,12 @@ impl SimtCore {
     pub fn on_response(&mut self, resp: MemResponse) {
         match resp.kind {
             AccessKind::Read => {
-                // Borrow dance: take the scratch buffer so `fill_into` and
+                // Borrow dance: take the scratch buffer so `fill` and
                 // `complete_mem` don't alias `self`.
                 let mut woken = std::mem::take(&mut self.woken_scratch);
-                let copy_back =
-                    self.l1
-                        .fill_into(resp.line, resp.victim_hint, resp.class, &mut woken);
+                let copy_back = self
+                    .l1
+                    .fill(resp.line, resp.victim_hint, resp.class, &mut woken);
                 if let Some(cb) = copy_back {
                     self.copyback_queue.push_back(cb);
                 }
@@ -487,7 +487,7 @@ impl SimtCore {
             self.stats.mem_stall_cycles += 1;
             return None;
         }
-        match self.l1.access_decoded(line, set, tag, kind, warp, class) {
+        match self.l1.access(line, set, tag, kind, warp, class) {
             L1Outcome::Hit => {
                 self.ldst_queue.pop_front();
                 self.complete_mem(warp);

@@ -133,25 +133,12 @@ impl L1Controller {
         self.ctrl.quiesced()
     }
 
-    /// Presents one coalesced transaction to the L1. `class` is the
-    /// issuing warp's declared request class; it rides any generated
-    /// downstream request.
+    /// Presents one coalesced transaction to the L1, its `set`/`tag`
+    /// already decoded: the batched coalesce→access pipeline decodes a
+    /// warp's whole coalesced group once at issue time (see
+    /// [`CacheController::access_decoded`]). `class` is the issuing warp's
+    /// declared request class; it rides any generated downstream request.
     pub fn access(
-        &mut self,
-        line: LineAddr,
-        kind: AccessKind,
-        warp: WarpSlot,
-        class: Option<RequestClass>,
-    ) -> L1Outcome {
-        let out = self.ctrl.access(line, kind, self.core, warp);
-        translate(line, kind, self.core, warp, class, out)
-    }
-
-    /// [`L1Controller::access`] with the set/tag decode already done — the
-    /// batched coalesce→access pipeline decodes a warp's whole coalesced
-    /// group once at issue time and presents each transaction through this
-    /// entry point (see [`CacheController::access_decoded`]).
-    pub fn access_decoded(
         &mut self,
         line: LineAddr,
         set: usize,
@@ -167,23 +154,10 @@ impl L1Controller {
     }
 
     /// Handles a returning read fill: applies the (possibly bypassing)
-    /// fill decision with the L2's victim hint and releases the merged
-    /// warps. Returns the warps to wake.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no MSHR entry exists for `line` — a response the L1 never
-    /// requested indicates a protocol bug.
-    pub fn fill(&mut self, line: LineAddr, victim_hint: bool) -> Vec<WarpSlot> {
-        let mut woken = Vec::new();
-        self.fill_into(line, victim_hint, None, &mut woken);
-        woken
-    }
-
-    /// Allocation-free flavour of [`L1Controller::fill`]: clears `out` and
-    /// fills it with the warps to wake, recycling the MSHR entry's storage.
-    /// The per-cycle response path calls this with a scratch buffer owned
-    /// by the core, so steady-state fills perform no heap allocation.
+    /// fill decision with the L2's victim hint, clears `out` and fills it
+    /// with the warps to wake, recycling the MSHR entry's storage. The
+    /// per-cycle response path calls this with a scratch buffer owned by
+    /// the core, so steady-state fills perform no heap allocation.
     ///
     /// `class` is the primary requester's class echoed back by the L2 (it
     /// feeds the bypass plane's fill decision). When the copy-back plane
@@ -195,7 +169,7 @@ impl L1Controller {
     ///
     /// Panics if no MSHR entry exists for `line` — a response the L1 never
     /// requested indicates a protocol bug.
-    pub fn fill_into(
+    pub fn fill(
         &mut self,
         line: LineAddr,
         victim_hint: bool,
@@ -277,11 +251,30 @@ mod tests {
         L1Controller::new(CoreId(3), CacheConfig::l1(geom, 0), Lru::new(&geom), 4, 2)
     }
 
+    /// Decodes `line` through the L1's own geometry, as the core does at
+    /// issue time, and presents it unclassed.
+    fn access(
+        l1: &mut L1Controller,
+        line: LineAddr,
+        kind: AccessKind,
+        warp: WarpSlot,
+    ) -> L1Outcome {
+        let geom = *l1.cache().geometry();
+        l1.access(line, geom.set_of(line), geom.tag_of(line), kind, warp, None)
+    }
+
+    /// An unclassed fill; the warps it wakes.
+    fn fill(l1: &mut L1Controller, line: LineAddr) -> Vec<WarpSlot> {
+        let mut woken = Vec::new();
+        l1.fill(line, false, None, &mut woken);
+        woken
+    }
+
     #[test]
     fn read_miss_primary_then_merge() {
         let mut l1 = l1();
         let line = LineAddr::new(0x10);
-        let o = l1.access(line, AccessKind::Read, 0, None);
+        let o = access(&mut l1, line, AccessKind::Read, 0);
         let req = match o {
             L1Outcome::MissPrimary(r) => r,
             other => panic!("expected primary miss, got {other:?}"),
@@ -289,12 +282,12 @@ mod tests {
         assert_eq!(req.core, CoreId(3));
         assert_eq!(req.line, line);
         assert_eq!(
-            l1.access(line, AccessKind::Read, 1, None),
+            access(&mut l1, line, AccessKind::Read, 1),
             L1Outcome::MissMerged
         );
-        let woken = l1.fill(line, false);
+        let woken = fill(&mut l1, line);
         assert_eq!(woken, vec![0, 1]);
-        assert_eq!(l1.access(line, AccessKind::Read, 2, None), L1Outcome::Hit);
+        assert_eq!(access(&mut l1, line, AccessKind::Read, 2), L1Outcome::Hit);
         assert!(l1.quiesced());
     }
 
@@ -303,22 +296,22 @@ mod tests {
         let mut l1 = l1();
         for i in 0..4 {
             assert!(matches!(
-                l1.access(LineAddr::new(i), AccessKind::Read, 0, None),
+                access(&mut l1, LineAddr::new(i), AccessKind::Read, 0),
                 L1Outcome::MissPrimary(_)
             ));
         }
         assert_eq!(
-            l1.access(LineAddr::new(9), AccessKind::Read, 0, None),
+            access(&mut l1, LineAddr::new(9), AccessKind::Read, 0),
             L1Outcome::Blocked
         );
         assert_eq!(l1.replays(), 1);
         // Merge-depth exhaustion also blocks.
-        l1.fill(LineAddr::new(0), false);
+        fill(&mut l1, LineAddr::new(0));
         let line = LineAddr::new(10);
-        l1.access(line, AccessKind::Read, 0, None);
-        l1.access(line, AccessKind::Read, 1, None);
+        access(&mut l1, line, AccessKind::Read, 0);
+        access(&mut l1, line, AccessKind::Read, 1);
         assert_eq!(
-            l1.access(line, AccessKind::Read, 2, None),
+            access(&mut l1, line, AccessKind::Read, 2),
             L1Outcome::Blocked
         );
     }
@@ -327,7 +320,7 @@ mod tests {
     fn stores_always_forward_and_never_allocate() {
         let mut l1 = l1();
         let line = LineAddr::new(0x20);
-        let o = l1.access(line, AccessKind::Write, 5, None);
+        let o = access(&mut l1, line, AccessKind::Write, 5);
         assert!(matches!(o, L1Outcome::WriteForward(_)));
         assert!(!l1.cache().contains(line), "write miss must not allocate");
         assert!(l1.quiesced(), "stores must not occupy MSHRs");
@@ -337,9 +330,9 @@ mod tests {
     fn store_to_resident_line_stays_clean() {
         let mut l1 = l1();
         let line = LineAddr::new(0);
-        l1.access(line, AccessKind::Read, 0, None);
-        l1.fill(line, false);
-        let o = l1.access(line, AccessKind::Write, 0, None);
+        access(&mut l1, line, AccessKind::Read, 0);
+        fill(&mut l1, line);
+        let o = access(&mut l1, line, AccessKind::Write, 0);
         assert!(matches!(o, L1Outcome::WriteForward(_)));
         assert!(
             l1.cache_mut().flush().is_empty(),
@@ -350,7 +343,7 @@ mod tests {
     #[test]
     fn atomics_forward() {
         let mut l1 = l1();
-        let o = l1.access(LineAddr::new(4), AccessKind::Atomic, 7, None);
+        let o = access(&mut l1, LineAddr::new(4), AccessKind::Atomic, 7);
         let req = o.request().unwrap();
         assert_eq!(req.kind, AccessKind::Atomic);
         assert!(req.wants_response());
@@ -360,10 +353,10 @@ mod tests {
     fn atomic_invalidates_resident_copy() {
         let mut l1 = l1();
         let line = LineAddr::new(0);
-        l1.access(line, AccessKind::Read, 0, None);
-        l1.fill(line, false);
+        access(&mut l1, line, AccessKind::Read, 0);
+        fill(&mut l1, line);
         assert!(l1.cache().contains(line));
-        l1.access(line, AccessKind::Atomic, 0, None);
+        access(&mut l1, line, AccessKind::Atomic, 0);
         assert!(
             !l1.cache().contains(line),
             "atomic must drop the stale L1 copy"
@@ -383,11 +376,11 @@ mod tests {
         );
         // Fill both ways (protected), then a third line must bypass.
         for i in 0..2u64 {
-            l1.access(LineAddr::new(i), AccessKind::Read, 0, None);
-            l1.fill(LineAddr::new(i), false);
+            access(&mut l1, LineAddr::new(i), AccessKind::Read, 0);
+            fill(&mut l1, LineAddr::new(i));
         }
-        l1.access(LineAddr::new(2), AccessKind::Read, 9, None);
-        let woken = l1.fill(LineAddr::new(2), false);
+        access(&mut l1, LineAddr::new(2), AccessKind::Read, 9);
+        let woken = fill(&mut l1, LineAddr::new(2));
         assert_eq!(woken, vec![9], "bypass must still deliver data");
         assert!(!l1.cache().contains(LineAddr::new(2)));
         assert_eq!(l1.stats().bypassed_fills, 1);
@@ -397,6 +390,6 @@ mod tests {
     #[should_panic(expected = "without an outstanding")]
     fn unsolicited_fill_panics() {
         let mut l1 = l1();
-        l1.fill(LineAddr::new(0), false);
+        fill(&mut l1, LineAddr::new(0));
     }
 }

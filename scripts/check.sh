@@ -22,11 +22,19 @@ echo "==> golden-output equivalence (release binaries vs tests/golden)"
 # The same byte-compare the gcache-bench integration test performs in the
 # debug profile, repeated here against the release binaries: optimization
 # level must never change a simulated number.
-for exp in fig8_fig9 table3 fig10 ablation fig3_fig4 hierarchy; do
+for exp in fig2 energy fig8_fig9 table3 fig10 ablation fig3_fig4 hierarchy; do
   diff "crates/gcache-bench/tests/golden/${exp}_quick.txt" \
        <(./target/release/"$exp" --quick --bench BFS,CFD,STL 2>/dev/null) \
     || { echo "golden mismatch: $exp"; exit 1; }
 done
+
+echo "==> usage-error smoke (a flag a binary does not honour exits 2, prints nothing)"
+# fig2 runs the flat machine only: accepting --hierarchy would print the
+# flat numbers under a shape it never read.
+status=0
+out=$(./target/release/fig2 --quick --hierarchy c4 2>/dev/null) || status=$?
+[ "$status" -eq 2 ] && [ -z "$out" ] \
+  || { echo "fig2 --hierarchy c4: expected exit 2 and empty stdout, got $status"; exit 1; }
 
 echo "==> ML plane-sweep golden (release mlsweep --quick vs tests/golden)"
 # mlsweep runs its own GEMM/CONV/ATTN registry, so no --bench filter.

@@ -5,7 +5,7 @@
 //! paper), built as three layers re-exported here:
 //!
 //! * [`core`] ([`gcache_core`]) — the cache substrate and every management
-//!   policy the paper evaluates: LRU, SRRIP/BRRIP, static & dynamic PDP,
+//!   policy the paper evaluates: LRU, SRRIP, static & dynamic PDP,
 //!   and G-Cache itself with its victim-bit and bypass-switch hardware
 //!   extensions;
 //! * [`sim`] ([`gcache_sim`]) — a cycle-level GPU timing simulator (SIMT
