@@ -30,6 +30,7 @@ pub mod sweep;
 
 use crate::sweep::DesignPoint;
 use gcache_core::cache::{BypassPlane, CopyBackPlane};
+use gcache_core::json::JsonWriter;
 use gcache_core::policy::gcache::GCacheConfig;
 use gcache_core::policy::pdp_dyn::DynamicPdpConfig;
 use gcache_core::snapshot::{
@@ -793,16 +794,16 @@ pub fn telemetry_csv(series: &[TelemetrySeries]) -> String {
 
 /// Renders labelled telemetry series as one JSON document.
 pub fn telemetry_json(series: &[TelemetrySeries]) -> String {
-    let rows: Vec<String> = series
-        .iter()
-        .map(|(bench, design, sampler)| {
-            format!(
-                "{{\"bench\":\"{bench}\",\"design\":\"{design}\",\"telemetry\":{}}}",
-                sampler.to_json()
-            )
-        })
-        .collect();
-    format!("{{\"series\":[{}]}}", rows.join(","))
+    let mut w = JsonWriter::new();
+    w.begin_obj().key("series").begin_arr();
+    for (bench, design, sampler) in series {
+        w.begin_obj().key("bench").str(bench);
+        w.key("design").str(design).key("telemetry");
+        sampler.write_json(&mut w);
+        w.end_obj();
+    }
+    w.end_arr().end_obj();
+    w.finish()
 }
 
 /// Trace-ring capacity used by [`export_trace`]: large enough to hold a
@@ -1192,5 +1193,57 @@ mod tests {
         let d = designs(14);
         let names: Vec<_> = d.iter().map(|p| p.design_name()).collect();
         assert_eq!(names, vec!["BS", "BS-S", "PDP-3", "PDP-8", "SPDP-B", "GC"]);
+    }
+
+    #[test]
+    fn telemetry_documents_are_pinned() {
+        // Byte pins (captured at the parent of the writer fold).
+        use gcache_sim::telemetry::TelemetrySnapshot;
+        let snap = |cycle: u64| TelemetrySnapshot {
+            cycle,
+            instructions: cycle * 3 / 4,
+            l1_accesses: cycle / 2,
+            l1_misses: cycle / 8,
+            switch_open: 8,
+            switch_sets: 64,
+            mshr_peak: 5,
+            ..Default::default()
+        };
+        let series: Vec<TelemetrySeries> = ["BFS", "STL"]
+            .into_iter()
+            .map(|bench| {
+                let mut s = Sampler::new(1000);
+                s.seed(snap(0));
+                s.record(snap(1000));
+                if bench == "BFS" {
+                    s.record(snap(2500));
+                }
+                (bench.to_string(), "GC", s)
+            })
+            .collect();
+        let tail = r#""l1_bypass_ratio":0,"l15_miss_rate":0,"l2_miss_rate":0,"switch_on_frac":0.125,"victim_set_rate":0,"victim_hit_rate":0,"victim_clear_rate":0,"mshr_peak":5,"noc_in_flight":0,"noc_queue_depth":0,"dram_row_hit_rate":0,"noc_inject_fail_rate":0,"noc_mean_latency":0}"#;
+        let first = format!(
+            r#"{{"cycle":1000,"cycles":1000,"instructions":750,"ipc":0.75,"l1_miss_rate":0.25,{tail}"#
+        );
+        let second = format!(
+            r#"{{"cycle":2500,"cycles":1500,"instructions":1125,"ipc":0.75,"l1_miss_rate":0.24933333333333332,{tail}"#
+        );
+        assert_eq!(
+            telemetry_json(&series),
+            format!(
+                r#"{{"series":[{{"bench":"BFS","design":"GC","telemetry":{{"interval":1000,"dropped":0,"samples":[{first},{second}]}}}},{{"bench":"STL","design":"GC","telemetry":{{"interval":1000,"dropped":0,"samples":[{first}]}}}}]}}"#
+            )
+        );
+        assert_eq!(telemetry_json(&[]), r#"{"series":[]}"#);
+        assert_eq!(
+            telemetry_csv(&series),
+            format!(
+                "bench,design,{}\n\
+                 BFS,GC,1000,1000,750,0.75,0.25,0,0,0,0.125,0,0,0,5,0,0,0,0,0\n\
+                 BFS,GC,2500,1500,1125,0.75,0.24933333333333332,0,0,0,0.125,0,0,0,5,0,0,0,0,0\n\
+                 STL,GC,1000,1000,750,0.75,0.25,0,0,0,0.125,0,0,0,5,0,0,0,0,0\n",
+                Sample::CSV_HEADER
+            )
+        );
     }
 }

@@ -30,8 +30,9 @@
 //! text exposition and `GET /` or `GET /status.json` with the same JSON
 //! document written to `status.json`.
 
-use gcache_core::json::{escape, Json};
+use gcache_core::json::{Json, JsonWriter};
 use std::fmt::Write as _;
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -92,38 +93,13 @@ pub fn replace_atomic(path: &Path, body: &[u8]) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Log severity. There is deliberately no runtime filtering: a sweep's
-/// log volume is bounded by its point count, and post-hoc filtering of
-/// JSONL (`grep '"level":"warn"'`) beats losing records.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Level {
-    /// High-volume progress detail.
-    Debug,
-    /// Normal lifecycle events.
-    Info,
-    /// Something odd but survivable (stale shard, ignored checkpoint).
-    Warn,
-    /// The sweep is in trouble (respawn budget exhausted).
-    Error,
-}
-
-impl Level {
-    /// The stable lower-case name emitted in records.
-    pub const fn as_str(self) -> &'static str {
-        match self {
-            Level::Debug => "debug",
-            Level::Info => "info",
-            Level::Warn => "warn",
-            Level::Error => "error",
-        }
-    }
-}
-
 /// A levelled JSONL event logger: one per process, writing the
 /// coordinator or shard log file (append-only) and mirroring every
 /// record to stderr. Construction never fails the sweep — if the log
 /// file cannot be opened the logger degrades to stderr-only with a
-/// warning.
+/// warning. There is deliberately no runtime level filter: a sweep's log
+/// volume is bounded by its point count, and post-hoc filtering of JSONL
+/// (`grep '"level":"warn"'`) beats losing records.
 #[derive(Debug)]
 pub struct Logger {
     file: Option<Mutex<std::fs::File>>,
@@ -134,22 +110,23 @@ pub struct Logger {
 }
 
 impl Logger {
-    fn open(path: Option<&Path>, run_id: &str, shard: Option<usize>) -> Logger {
-        let file = path.and_then(|path| {
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            match std::fs::OpenOptions::new()
+    /// The logger of worker `shard` (`logs/shard-NNNN.jsonl`) or, with
+    /// `None`, of the coordinator (`logs/coordinator.jsonl`) in run
+    /// directory `dir`. Without a directory (`--no-logs`) it is
+    /// stderr-only: records keep their structure, nothing is written.
+    pub fn new(dir: Option<&Path>, run_id: &str, shard: Option<usize>) -> Logger {
+        let file = dir.and_then(|dir| {
+            let path = shard.map_or(coordinator_log_path(dir), |s| shard_log_path(dir, s));
+            let _ = std::fs::create_dir_all(dir.join("logs"));
+            let opened = std::fs::OpenOptions::new()
                 .append(true)
                 .create(true)
-                .open(path)
-            {
+                .open(&path);
+            match opened {
                 Ok(f) => Some(Mutex::new(f)),
                 Err(e) => {
-                    eprintln!(
-                        "warning: cannot open log file {} ({e}); logging to stderr only",
-                        path.display()
-                    );
+                    let path = path.display();
+                    eprintln!("warning: cannot open log file {path} ({e}); logging to stderr only");
                     None
                 }
             }
@@ -162,51 +139,46 @@ impl Logger {
         }
     }
 
-    /// The coordinator's logger (`logs/coordinator.jsonl`).
-    pub fn coordinator(dir: &Path, run_id: &str) -> Logger {
-        Logger::open(Some(&coordinator_log_path(dir)), run_id, None)
-    }
-
-    /// Worker `shard`'s logger (`logs/shard-NNNN.jsonl`).
-    pub fn shard(dir: &Path, run_id: &str, shard: usize) -> Logger {
-        Logger::open(Some(&shard_log_path(dir, shard)), run_id, Some(shard))
-    }
-
-    /// A stderr-only logger (`--no-logs`): records keep their structure,
-    /// nothing is written into the run directory.
-    pub fn stderr_only(run_id: &str, shard: Option<usize>) -> Logger {
-        Logger::open(None, run_id, shard)
-    }
-
     /// The run identity this logger stamps onto records.
     pub fn run_id(&self) -> &str {
         &self.run_id
     }
 
-    /// Starts an event record (finish it with [`Event::emit`]).
-    pub fn event(&self, level: Level, event: &str) -> Event<'_> {
+    /// Starts an event record with the keys every record opens with —
+    /// the one list of them.
+    fn event(&self, level: &str, event: &str) -> Event<'_> {
+        let mut record = JsonWriter::new();
+        record.begin_obj().key("ts_ms").num(unix_ms());
+        record
+            .key("elapsed_ms")
+            .num(self.start.elapsed().as_millis());
+        record.key("level").str(level);
+        record.key("run_id").str(&self.run_id);
+        record.key("shard").opt_num(self.shard);
+        record.key("event").str(event);
         Event {
             log: self,
-            level,
-            event: event.to_string(),
-            fields: String::new(),
+            record,
             msg: None,
         }
     }
 
-    /// [`Level::Info`] shorthand.
+    /// Starts an `info` record — a normal lifecycle event (finish it
+    /// with [`Event::emit`]).
     pub fn info(&self, event: &str) -> Event<'_> {
-        self.event(Level::Info, event)
+        self.event("info", event)
     }
 
-    /// [`Level::Warn`] shorthand.
+    /// Starts a `warn` record: something odd but survivable (stale
+    /// shard, ignored checkpoint).
     pub fn warn(&self, event: &str) -> Event<'_> {
-        self.event(Level::Warn, event)
+        self.event("warn", event)
     }
 
-    /// [`Level::Error`] shorthand.
+    /// Starts an `error` record: the sweep is in trouble (respawn budget
+    /// exhausted).
     pub fn error(&self, event: &str) -> Event<'_> {
-        self.event(Level::Error, event)
+        self.event("error", event)
     }
 
     fn write_line(&self, line: &str) {
@@ -225,16 +197,14 @@ impl Logger {
 #[must_use = "an un-emitted event records nothing"]
 pub struct Event<'a> {
     log: &'a Logger,
-    level: Level,
-    event: String,
-    fields: String,
+    record: JsonWriter,
     msg: Option<String>,
 }
 
 impl Event<'_> {
     /// Adds an integer field.
     pub fn num(mut self, key: &str, value: impl Into<i128>) -> Self {
-        let _ = write!(self.fields, ",\"{}\":{}", escape(key), value.into());
+        self.record.key(key).num(value.into());
         self
     }
 
@@ -242,23 +212,19 @@ impl Event<'_> {
     /// Non-finite values render as `null`: `NaN`/`inf` are not valid
     /// JSON and would corrupt the record.
     pub fn float(mut self, key: &str, value: f64) -> Self {
-        if value.is_finite() {
-            let _ = write!(self.fields, ",\"{}\":{value:.3}", escape(key));
-        } else {
-            let _ = write!(self.fields, ",\"{}\":null", escape(key));
-        }
+        self.record.key(key).fixed(value, 3);
         self
     }
 
     /// Adds a string field.
     pub fn str_field(mut self, key: &str, value: &str) -> Self {
-        let _ = write!(self.fields, ",\"{}\":\"{}\"", escape(key), escape(value));
+        self.record.key(key).str(value);
         self
     }
 
     /// Adds a boolean field.
     pub fn flag(mut self, key: &str, value: bool) -> Self {
-        let _ = write!(self.fields, ",\"{}\":{value}", escape(key));
+        self.record.key(key).bool(value);
         self
     }
 
@@ -268,53 +234,110 @@ impl Event<'_> {
         self
     }
 
-    /// Renders and writes the record (file + stderr mirror).
-    pub fn emit(self) {
-        let shard = match self.log.shard {
-            Some(s) => s.to_string(),
-            None => "null".to_string(),
-        };
-        let msg = match &self.msg {
-            Some(m) => format!(",\"msg\":\"{}\"", escape(m)),
-            None => String::new(),
-        };
-        let line = format!(
-            "{{\"ts_ms\":{},\"elapsed_ms\":{},\"level\":\"{}\",\"run_id\":\"{}\",\
-             \"shard\":{shard},\"event\":\"{}\"{}{msg}}}",
-            unix_ms(),
-            self.log.start.elapsed().as_millis(),
-            self.level.as_str(),
-            escape(&self.log.run_id),
-            escape(&self.event),
-            self.fields,
-        );
-        self.log.write_line(&line);
+    /// Finishes and writes the record (file + stderr mirror).
+    pub fn emit(mut self) {
+        if let Some(msg) = &self.msg {
+            self.record.key("msg").str(msg);
+        }
+        self.record.end_obj();
+        self.log.write_line(&self.record.finish());
     }
 }
 
-/// One worker's progress record, replaced atomically on every update so
-/// the coordinator (and anything else watching the run directory) always
-/// reads a consistent snapshot.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Heartbeat {
+/// The type of a [`Heartbeat`] field: written as itself, and read back
+/// only as itself — a count never rounds a fraction in, wraps a negative
+/// or saturates an overflow.
+trait Field: Sized {
+    fn write(&self, w: &mut JsonWriter);
+    fn read(j: &Json) -> Option<Self>;
+}
+
+macro_rules! uint_field {
+    ($($ty:ty),+) => {$(
+        impl Field for $ty {
+            fn write(&self, w: &mut JsonWriter) {
+                w.num(self);
+            }
+            fn read(j: &Json) -> Option<Self> {
+                j.as_uint()
+            }
+        }
+    )+};
+}
+uint_field!(u32, u64, usize);
+
+impl Field for Option<usize> {
+    fn write(&self, w: &mut JsonWriter) {
+        w.opt_num(*self);
+    }
+    fn read(j: &Json) -> Option<Self> {
+        match j {
+            Json::Null => Some(None),
+            j => j.as_uint().map(Some),
+        }
+    }
+}
+
+impl Field for String {
+    fn write(&self, w: &mut JsonWriter) {
+        w.str(self);
+    }
+    fn read(j: &Json) -> Option<Self> {
+        j.as_str().map(str::to_string)
+    }
+}
+
+/// Declares [`Heartbeat`] from its one field list: the struct, its JSON
+/// rendering (keys are the field names, in order) and its parser.
+macro_rules! heartbeat {
+    ($( $(#[$doc:meta])* $field:ident: $ty:ty, )+) => {
+        /// One worker's progress record, replaced atomically on every
+        /// update so the coordinator (and anything else watching the run
+        /// directory) always reads a consistent snapshot.
+        #[derive(Clone, Debug, PartialEq)]
+        pub struct Heartbeat {
+            $( $(#[$doc])* pub $field: $ty, )+
+        }
+
+        impl Heartbeat {
+            /// Writes the record as one JSON object.
+            pub fn write_json(&self, w: &mut JsonWriter) {
+                w.begin_obj();
+                $( self.$field.write(w.key(stringify!($field))); )+
+                w.end_obj();
+            }
+
+            /// Parses a record previously rendered by
+            /// [`Heartbeat::to_json`]; `None` if a field is missing or
+            /// is not a value of its type.
+            pub fn from_json(j: &Json) -> Option<Heartbeat> {
+                Some(Heartbeat {
+                    $( $field: Field::read(j.get(stringify!($field))?)?, )+
+                })
+            }
+        }
+    };
+}
+
+heartbeat! {
     /// Shard index.
-    pub shard: usize,
+    shard: usize,
     /// Worker process id.
-    pub pid: u32,
+    pid: u32,
     /// Points of this shard already complete (result file published or
     /// found published on arrival).
-    pub done: usize,
+    done: usize,
     /// Points dealt to this shard.
-    pub total: usize,
+    total: usize,
     /// Grid index of the point in flight (`None` between points / done).
-    pub current_index: Option<usize>,
+    current_index: Option<usize>,
     /// Label of the point in flight (empty when idle).
-    pub current_label: String,
+    current_label: String,
     /// Simulated cycle of the last checkpoint written for the in-flight
     /// point (0 before the first).
-    pub last_ckpt_cycle: u64,
+    last_ckpt_cycle: u64,
     /// Wall-clock stamp of this record (Unix ms).
-    pub updated_ms: u64,
+    updated_ms: u64,
 }
 
 impl Heartbeat {
@@ -334,35 +357,9 @@ impl Heartbeat {
 
     /// Renders the record as one JSON object.
     pub fn to_json(&self) -> String {
-        let current = match self.current_index {
-            Some(i) => i.to_string(),
-            None => "null".into(),
-        };
-        format!(
-            "{{\"shard\":{},\"pid\":{},\"done\":{},\"total\":{},\"current_index\":{current},\
-             \"current_label\":\"{}\",\"last_ckpt_cycle\":{},\"updated_ms\":{}}}",
-            self.shard,
-            self.pid,
-            self.done,
-            self.total,
-            escape(&self.current_label),
-            self.last_ckpt_cycle,
-            self.updated_ms,
-        )
-    }
-
-    /// Parses a record previously rendered by [`Heartbeat::to_json`].
-    pub fn from_json(j: &Json) -> Option<Heartbeat> {
-        Some(Heartbeat {
-            shard: j.get("shard")?.as_f64()? as usize,
-            pid: j.get("pid")?.as_f64()? as u32,
-            done: j.get("done")?.as_f64()? as usize,
-            total: j.get("total")?.as_f64()? as usize,
-            current_index: j.get("current_index")?.as_f64().map(|v| v as usize),
-            current_label: j.get("current_label")?.as_str()?.to_string(),
-            last_ckpt_cycle: j.get("last_ckpt_cycle")?.as_f64()? as u64,
-            updated_ms: j.get("updated_ms")?.as_f64()? as u64,
-        })
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w);
+        w.finish()
     }
 
     /// Reads the heartbeat of `shard` from a run directory (`None` when
@@ -407,6 +404,33 @@ impl HeartbeatWriter {
     }
 }
 
+/// The coarse state of a run: `running` → `merging` → `complete`, or
+/// `failed`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum RunState {
+    /// Workers are (or are about to be) walking their shards.
+    Running,
+    /// Every point is published; the coordinator is merging.
+    Merging,
+    /// `merged.tsv` is written.
+    Complete,
+    /// A shard exhausted its respawn budget.
+    Failed,
+}
+
+impl RunState {
+    /// The stable lower-case name in `status.json` and on the
+    /// `gcache_sweep_state` label.
+    pub const fn as_str(self) -> &'static str {
+        match self {
+            RunState::Running => "running",
+            RunState::Merging => "merging",
+            RunState::Complete => "complete",
+            RunState::Failed => "failed",
+        }
+    }
+}
+
 /// Coordinator-side fleet bookkeeping shared between the supervisor
 /// threads (which count respawns) and the status plane (which exposes
 /// them): everything the heartbeat files cannot carry because the
@@ -417,8 +441,8 @@ pub struct FleetState {
     pub respawns: Vec<std::sync::atomic::AtomicU64>,
     /// Per-shard "respawn budget exhausted" flags.
     pub gave_up: Vec<AtomicBool>,
-    /// Coarse run state: `running` → `merging` → `complete` / `failed`.
-    pub state: Mutex<String>,
+    /// Coarse run state.
+    pub state: Mutex<RunState>,
     /// The fault-injection spec in force, if any ([`crate::server::FAULT_ENV`]).
     pub fault: Option<String>,
 }
@@ -429,14 +453,14 @@ impl FleetState {
         FleetState {
             respawns: (0..workers).map(|_| Default::default()).collect(),
             gave_up: (0..workers).map(|_| Default::default()).collect(),
-            state: Mutex::new("running".to_string()),
+            state: Mutex::new(RunState::Running),
             fault,
         }
     }
 
     /// Sets the coarse run state.
-    pub fn set_state(&self, state: &str) {
-        *self.state.lock().unwrap() = state.to_string();
+    pub fn set_state(&self, state: RunState) {
+        *self.state.lock().unwrap() = state;
     }
 }
 
@@ -462,8 +486,8 @@ pub struct ShardStatus {
 pub struct StatusSnapshot {
     /// Run identity.
     pub run_id: String,
-    /// Coarse run state (`running`, `merging`, `complete`, `failed`).
-    pub state: String,
+    /// Coarse run state.
+    pub state: RunState,
     /// Points in the grid.
     pub points_total: usize,
     /// Points with a published result.
@@ -483,145 +507,182 @@ pub struct StatusSnapshot {
     pub shards: Vec<ShardStatus>,
 }
 
-impl StatusSnapshot {
-    /// Renders the status document (the `status.json` body).
-    pub fn to_json(&self) -> String {
-        let mut shards = String::new();
-        for (i, s) in self.shards.iter().enumerate() {
-            let hb = match &s.heartbeat {
-                Some(hb) => hb.to_json(),
-                None => "null".into(),
-            };
-            let age = match s.age_ms {
-                Some(a) => a.to_string(),
-                None => "null".into(),
-            };
-            let _ = write!(
-                shards,
-                "{}{{\"shard\":{i},\"respawns\":{},\"gave_up\":{},\"stale\":{},\
-                 \"heartbeat_age_ms\":{age},\"heartbeat\":{hb}}}",
-                if i > 0 { "," } else { "" },
-                s.respawns,
-                s.gave_up,
-                s.stale,
-            );
-        }
-        let eta = match self.eta_ms {
-            Some(e) => e.to_string(),
-            None => "null".into(),
-        };
-        let fault = match &self.fault {
-            Some(f) => format!("\"{}\"", escape(f)),
-            None => "null".into(),
-        };
-        format!(
-            "{{\"run_id\":\"{}\",\"state\":\"{}\",\"points_total\":{},\"points_done\":{},\
-             \"workers\":{},\"elapsed_ms\":{},\"eta_ms\":{eta},\"stale_after_ms\":{},\
-             \"fault\":{fault},\"shards\":[{shards}]}}\n",
-            escape(&self.run_id),
-            escape(&self.state),
-            self.points_total,
-            self.points_done,
-            self.workers,
-            self.elapsed_ms,
-            self.stale_after_ms,
-        )
+/// What a gauge reads. `status.json` and `/metrics` spell it differently
+/// — `true`/`false` against 1/0, `null` against -1 — and agree on
+/// everything else.
+#[derive(Clone, Copy, Debug)]
+enum Reading {
+    /// A count, or `None` while it is unknown.
+    Num(Option<u64>),
+    /// A yes/no fact.
+    Flag(bool),
+}
+
+impl Reading {
+    fn count(n: usize) -> Reading {
+        Reading::Num(Some(n as u64))
     }
 
-    /// Renders the Prometheus-style text exposition (`/metrics`).
+    fn write_json(self, w: &mut JsonWriter) {
+        match self {
+            Reading::Num(n) => w.opt_num(n),
+            Reading::Flag(b) => w.bool(b),
+        };
+    }
+
+    fn metric(self) -> i128 {
+        match self {
+            Reading::Num(n) => n.map_or(-1, i128::from),
+            Reading::Flag(b) => i128::from(b),
+        }
+    }
+}
+
+/// One row of a gauge table: the member key in `status.json` (prefixed,
+/// the `/metrics` series name), the help text, and how to read it off
+/// `T`. Both renderers walk the same table, so a gauge added here shows
+/// up in both documents.
+type Gauge<T> = (&'static str, &'static str, fn(&T) -> Reading);
+
+/// The fleet-wide gauges.
+const FLEET_GAUGES: [Gauge<StatusSnapshot>; 5] = [
+    ("points_total", "Design points in the sweep grid.", |s| {
+        Reading::count(s.points_total)
+    }),
+    (
+        "points_done",
+        "Design points with a published result.",
+        |s| Reading::count(s.points_done),
+    ),
+    (
+        "workers",
+        "Worker processes the grid is dealt across.",
+        |s| Reading::count(s.workers),
+    ),
+    (
+        "elapsed_ms",
+        "Wall-clock milliseconds since the coordinator started.",
+        |s| Reading::Num(Some(s.elapsed_ms)),
+    ),
+    (
+        "eta_ms",
+        "Naive completion estimate in milliseconds (-1 = unknown).",
+        |s| Reading::Num(s.eta_ms),
+    ),
+];
+
+/// The per-shard gauges. The first [`HEARTBEAT_GAUGES`] restate
+/// heartbeat fields: `/metrics` lists them as series, `status.json`
+/// carries them inside the shard's `heartbeat` object instead.
+const SHARD_GAUGES: [Gauge<ShardStatus>; 6] = [
+    (
+        "points_done",
+        "Points of this shard already complete.",
+        |s| Reading::count(s.heartbeat.as_ref().map_or(0, |hb| hb.done)),
+    ),
+    ("points_total", "Points dealt to this shard.", |s| {
+        Reading::count(s.heartbeat.as_ref().map_or(0, |hb| hb.total))
+    }),
+    (
+        "respawns",
+        "Times the coordinator respawned this shard's worker.",
+        |s| Reading::Num(Some(s.respawns)),
+    ),
+    (
+        "gave_up",
+        "Whether this shard exhausted its respawn budget.",
+        |s| Reading::Flag(s.gave_up),
+    ),
+    (
+        "stale",
+        "Whether this shard's heartbeat is older than the staleness threshold.",
+        |s| Reading::Flag(s.stale),
+    ),
+    (
+        "heartbeat_age_ms",
+        "Milliseconds since this shard's last heartbeat (-1 = none yet).",
+        |s| Reading::Num(s.age_ms),
+    ),
+];
+
+/// How many leading [`SHARD_GAUGES`] come out of the heartbeat.
+const HEARTBEAT_GAUGES: usize = 2;
+
+/// Appends one `/metrics` gauge family: its `HELP` and `TYPE` lines and
+/// one `(labels, value)` sample per series.
+fn gauge_family(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    samples: impl IntoIterator<Item = (String, i128)>,
+) {
+    let _ = writeln!(out, "# HELP gcache_sweep_{name} {help}");
+    let _ = writeln!(out, "# TYPE gcache_sweep_{name} gauge");
+    for (labels, value) in samples {
+        let _ = writeln!(out, "gcache_sweep_{name}{labels} {value}");
+    }
+}
+
+impl StatusSnapshot {
+    /// Renders the status document (the `status.json` body): identity
+    /// and state, the fleet gauges, the threshold and fault spec in
+    /// force, then one row of shard gauges plus the latest heartbeat per
+    /// shard.
+    pub fn to_json(&self) -> String {
+        let mut w = JsonWriter::new();
+        w.begin_obj().key("run_id").str(&self.run_id);
+        w.key("state").str(self.state.as_str());
+        for (key, _, read) in FLEET_GAUGES {
+            read(self).write_json(w.key(key));
+        }
+        w.key("stale_after_ms").num(self.stale_after_ms);
+        match &self.fault {
+            Some(spec) => w.key("fault").str(spec),
+            None => w.key("fault").null(),
+        };
+        w.key("shards").begin_arr();
+        for (i, shard) in self.shards.iter().enumerate() {
+            w.begin_obj().key("shard").num(i);
+            for (key, _, read) in &SHARD_GAUGES[HEARTBEAT_GAUGES..] {
+                read(shard).write_json(w.key(key));
+            }
+            w.key("heartbeat");
+            if let Some(hb) = &shard.heartbeat {
+                hb.write_json(&mut w);
+            } else {
+                w.null();
+            }
+            w.end_obj();
+        }
+        w.end_arr().end_obj().space("\n");
+        w.finish()
+    }
+
+    /// Renders the Prometheus-style text exposition (`/metrics`): the
+    /// same gauges, plus the document's two strings as series — whether
+    /// a fault spec is armed, and the run state as a label.
     pub fn prometheus(&self) -> String {
         let mut out = String::new();
-        let mut gauge = |name: &str, help: &str, value: String| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {value}");
-        };
-        gauge(
-            "gcache_sweep_points_total",
-            "Design points in the sweep grid.",
-            self.points_total.to_string(),
-        );
-        gauge(
-            "gcache_sweep_points_done",
-            "Design points with a published result.",
-            self.points_done.to_string(),
-        );
-        gauge(
-            "gcache_sweep_workers",
-            "Worker processes the grid is dealt across.",
-            self.workers.to_string(),
-        );
-        gauge(
-            "gcache_sweep_elapsed_ms",
-            "Wall-clock milliseconds since the coordinator started.",
-            self.elapsed_ms.to_string(),
-        );
-        gauge(
-            "gcache_sweep_eta_ms",
-            "Naive completion estimate in milliseconds (-1 = unknown).",
-            self.eta_ms.map_or("-1".into(), |e| e.to_string()),
-        );
-        gauge(
-            "gcache_sweep_fault_active",
+        for (name, help, read) in FLEET_GAUGES {
+            gauge_family(&mut out, name, help, [(String::new(), read(self).metric())]);
+        }
+        gauge_family(
+            &mut out,
+            "fault_active",
             "Whether a deterministic fault-injection spec is armed.",
-            u32::from(self.fault.is_some()).to_string(),
+            [(String::new(), i128::from(self.fault.is_some()))],
         );
-        let _ = writeln!(
-            out,
-            "# HELP gcache_sweep_state Coarse run state (1 on the active label)."
+        gauge_family(
+            &mut out,
+            "state",
+            "Coarse run state (1 on the active label).",
+            [(format!("{{state=\"{}\"}}", self.state.as_str()), 1)],
         );
-        let _ = writeln!(out, "# TYPE gcache_sweep_state gauge");
-        let _ = writeln!(
-            out,
-            "gcache_sweep_state{{state=\"{}\"}} 1",
-            escape(&self.state)
-        );
-
-        let mut shard_gauge = |name: &str, help: &str, value: &dyn Fn(&ShardStatus) -> String| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            for (i, s) in self.shards.iter().enumerate() {
-                let _ = writeln!(out, "{name}{{shard=\"{i}\"}} {}", value(s));
-            }
-        };
-        shard_gauge(
-            "gcache_sweep_shard_points_done",
-            "Points of this shard already complete.",
-            &|s| {
-                s.heartbeat
-                    .as_ref()
-                    .map_or("0".into(), |hb| hb.done.to_string())
-            },
-        );
-        shard_gauge(
-            "gcache_sweep_shard_points_total",
-            "Points dealt to this shard.",
-            &|s| {
-                s.heartbeat
-                    .as_ref()
-                    .map_or("0".into(), |hb| hb.total.to_string())
-            },
-        );
-        shard_gauge(
-            "gcache_sweep_shard_respawns",
-            "Times the coordinator respawned this shard's worker.",
-            &|s| s.respawns.to_string(),
-        );
-        shard_gauge(
-            "gcache_sweep_shard_gave_up",
-            "Whether this shard exhausted its respawn budget.",
-            &|s| u32::from(s.gave_up).to_string(),
-        );
-        shard_gauge(
-            "gcache_sweep_shard_stale",
-            "Whether this shard's heartbeat is older than the staleness threshold.",
-            &|s| u32::from(s.stale).to_string(),
-        );
-        shard_gauge(
-            "gcache_sweep_shard_heartbeat_age_ms",
-            "Milliseconds since this shard's last heartbeat (-1 = none yet).",
-            &|s| s.age_ms.map_or("-1".into(), |a| a.to_string()),
-        );
+        for (name, help, read) in SHARD_GAUGES {
+            let shards = self.shards.iter().enumerate();
+            let samples = shards.map(|(i, s)| (format!("{{shard=\"{i}\"}}"), read(s).metric()));
+            gauge_family(&mut out, &format!("shard_{name}"), help, samples);
+        }
         out
     }
 }
@@ -632,7 +693,9 @@ pub const STATUS_POLL_MS: u64 = 250;
 /// The coordinator's status plane: a background thread that periodically
 /// builds a [`StatusSnapshot`] (via the supplied closure), atomically
 /// replaces `status.json`, and — when a listen address is given — serves
-/// the snapshot over TCP.
+/// the snapshot over TCP, each connection on a short-lived thread of its
+/// own with one deadline for its whole request head, so no client can
+/// hold up a publish or another client.
 #[derive(Debug)]
 pub struct StatusPlane {
     stop: Arc<AtomicBool>,
@@ -677,27 +740,40 @@ impl StatusPlane {
                 // `None` forces the first publish; `Instant` arithmetic
                 // below an hour of host uptime would panic here.
                 let mut last_pub: Option<Instant> = None;
-                let mut json = String::new();
-                let mut prom = String::new();
+                // `status.json` and `/metrics` as last published.
+                let mut docs = Arc::new((String::new(), String::new()));
+                let mut serving: Vec<std::thread::JoinHandle<()>> = Vec::new();
                 loop {
                     let stopping = stop2.load(Ordering::Relaxed);
                     let due =
                         last_pub.is_none_or(|t| t.elapsed().as_millis() as u64 >= STATUS_POLL_MS);
                     if stopping || due {
                         let snap = make();
-                        json = snap.to_json();
-                        prom = snap.prometheus();
+                        docs = Arc::new((snap.to_json(), snap.prometheus()));
                         if let Some(path) = &status_file {
-                            let _ = replace_atomic(path, json.as_bytes());
+                            let _ = replace_atomic(path, docs.0.as_bytes());
                         }
                         last_pub = Some(Instant::now());
                     }
                     if let Some(l) = &listener {
                         while let Ok((stream, _)) = l.accept() {
-                            serve_one(stream, &json, &prom);
+                            serving.retain(|thread| !thread.is_finished());
+                            // Past the cap (or out of threads) the stream
+                            // just drops: closed unanswered.
+                            if serving.len() < MAX_CONNECTIONS {
+                                let docs = Arc::clone(&docs);
+                                let serve = move || serve_one(stream, &docs.0, &docs.1);
+                                if let Ok(thread) = std::thread::Builder::new().spawn(serve) {
+                                    serving.push(thread);
+                                }
+                            }
                         }
                     }
                     if stopping {
+                        // Each is at most two deadlines from done.
+                        for thread in serving {
+                            let _ = thread.join();
+                        }
                         return;
                     }
                     std::thread::sleep(Duration::from_millis(25));
@@ -711,13 +787,9 @@ impl StatusPlane {
         })
     }
 
-    /// Publishes one final snapshot and stops the plane.
-    pub fn finish(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+    /// Publishes one final snapshot and stops the plane, as dropping it
+    /// does.
+    pub fn finish(self) {}
 }
 
 impl Drop for StatusPlane {
@@ -729,37 +801,59 @@ impl Drop for StatusPlane {
     }
 }
 
+/// The most a request head may take to arrive in full, and then a
+/// response to be taken.
+const CONNECTION_DEADLINE: Duration = Duration::from_millis(500);
+
+/// The longest request head accepted (the request line is all that is
+/// parsed).
+const MAX_REQUEST_HEAD: usize = 2048;
+
+/// Status-endpoint connections served at once; one arriving past that is
+/// closed unanswered.
+const MAX_CONNECTIONS: usize = 32;
+
 /// Answers one status-endpoint connection: a minimal HTTP/1.1 exchange
-/// (GET only, connection closed after the response).
+/// (GET only, connection closed after the response). The whole request
+/// head has one deadline, so a client that sends nothing, a byte at a
+/// time, or more than [`MAX_REQUEST_HEAD`] is refused in bounded time.
 fn serve_one(mut stream: TcpStream, json: &str, prom: &str) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-    let mut buf = [0u8; 2048];
+    const TEXT: &str = "text/plain; charset=utf-8";
+    let deadline = Instant::now() + CONNECTION_DEADLINE;
+    // Where accepted sockets inherit the listener's mode.
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.set_write_timeout(Some(CONNECTION_DEADLINE));
+    let mut buf = [0u8; MAX_REQUEST_HEAD];
     let mut len = 0;
-    // Read until the end of the request head (or the buffer fills — the
-    // request line is all we parse).
-    while len < buf.len() {
-        match stream.read(&mut buf[len..]) {
-            Ok(0) => break,
-            Ok(n) => {
-                len += n;
-                if buf[..len].windows(4).any(|w| w == b"\r\n\r\n") {
-                    break;
-                }
-            }
-            Err(_) => break,
+    let refusal = loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break Some(("408 Request Timeout", "timed out\n"));
         }
-    }
+        match stream.read(&mut buf[len..]) {
+            // The peer finished sending: answer what it sent.
+            Ok(0) => break None,
+            Ok(n) => len += n,
+            // A timeout or a signal: the deadline decides.
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => continue,
+            Err(_) => return,
+        }
+        if buf[..len].windows(4).any(|w| w == b"\r\n\r\n") {
+            break None;
+        } else if len == buf.len() {
+            break Some(("431 Request Header Fields Too Large", "too large\n"));
+        }
+    };
     let head = String::from_utf8_lossy(&buf[..len]);
     let path = head
         .lines()
         .next()
-        .and_then(|line| line.split_whitespace().nth(1))
-        .unwrap_or("/");
-    let (status, ctype, body) = match path {
-        "/metrics" => ("200 OK", "text/plain; version=0.0.4; charset=utf-8", prom),
-        "/" | "/status.json" => ("200 OK", "application/json", json),
-        _ => ("404 Not Found", "text/plain; charset=utf-8", "not found\n"),
+        .and_then(|l| l.split_whitespace().nth(1));
+    let (status, ctype, body) = match (refusal, path.unwrap_or("/")) {
+        (Some((status, body)), _) => (status, TEXT, body),
+        (None, "/metrics") => ("200 OK", "text/plain; version=0.0.4; charset=utf-8", prom),
+        (None, "/" | "/status.json") => ("200 OK", "application/json", json),
+        (None, _) => ("404 Not Found", TEXT, "not found\n"),
     };
     let _ = write!(
         stream,
@@ -824,14 +918,14 @@ mod tests {
     fn snapshot() -> StatusSnapshot {
         StatusSnapshot {
             run_id: "r1".into(),
-            state: "running".into(),
+            state: RunState::Running,
             points_total: 12,
             points_done: 5,
             workers: 2,
             elapsed_ms: 1000,
             eta_ms: Some(1400),
             stale_after_ms: 30_000,
-            fault: Some("ckpt:2".into()),
+            fault: Some("ckpt:2 \"q\" b\\s".into()),
             shards: vec![
                 ShardStatus {
                     heartbeat: Some(Heartbeat {
@@ -852,7 +946,7 @@ mod tests {
                 ShardStatus {
                     heartbeat: None,
                     respawns: 0,
-                    gave_up: false,
+                    gave_up: true,
                     age_ms: None,
                     stale: true,
                 },
@@ -860,60 +954,68 @@ mod tests {
         }
     }
 
+    /// A log line minus its two clock fields (`ts_ms`, `elapsed_ms`).
+    fn after_clock(line: &str) -> &str {
+        let at = line.find(",\"level\"").expect("level follows the clock");
+        &line[at..]
+    }
+
     #[test]
     fn log_records_have_stable_keys_and_parse() {
+        // Byte pins (captured at the parent of the writer fold) of
+        // everything after the two clock fields. Coordinator events about
+        // a worker use the `worker` key — the `shard` prefix key names the
+        // *emitting* process.
         let dir = tmpdir("log");
-        let log = Logger::coordinator(&dir, "run-1");
-        log.info("run_start")
-            .num("points", 36)
-            .str_field("dir", "/tmp/x")
-            .flag("resumed", false)
-            .msg("36 points")
-            .emit();
-        // Coordinator events about a worker use the `worker` key — the
-        // `shard` prefix key names the *emitting* process.
+        let log = Logger::new(Some(&dir), "run-1", None);
         log.warn("shard_stale").num("worker", 2).emit();
-
         let text = std::fs::read_to_string(coordinator_log_path(&dir)).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let j = Json::parse(lines[0]).expect("valid JSONL record");
-        let keys: Vec<&str> = j
-            .as_obj()
-            .unwrap()
-            .iter()
-            .map(|(k, _)| k.as_str())
-            .collect();
+        assert!(text.starts_with("{\"ts_ms\":") && text.contains(",\"elapsed_ms\":"));
         assert_eq!(
-            keys,
-            [
-                "ts_ms",
-                "elapsed_ms",
-                "level",
-                "run_id",
-                "shard",
-                "event",
-                "points",
-                "dir",
-                "resumed",
-                "msg"
-            ]
+            after_clock(&text),
+            concat!(
+                r#","level":"warn","run_id":"run-1","shard":null,"event":"shard_stale","worker":2}"#,
+                "\n"
+            )
         );
-        assert_eq!(j.get("shard").unwrap(), &Json::Null, "coordinator shard");
-        assert_eq!(j.get("event").unwrap().as_str(), Some("run_start"));
-        assert_eq!(j.get("points").unwrap().as_f64(), Some(36.0));
+        assert!(Json::parse(&text).is_ok(), "valid JSONL record");
 
-        let j = Json::parse(lines[1]).unwrap();
-        assert_eq!(j.get("level").unwrap().as_str(), Some("warn"));
-        assert_eq!(j.get("worker").unwrap().as_f64(), Some(2.0));
+        // Every field type, a key and strings that need escaping,
+        // non-finite floats, a worker's `shard` prefix, the message last.
+        let log = Logger::new(Some(&dir), "run \"1\"", Some(3));
+        log.info("every\tfield")
+            .num("points", 36)
+            .num("neg", -7i64)
+            .float("ms", 12.34567)
+            .float("nan", f64::NAN)
+            .float("inf", f64::INFINITY)
+            .str_field("dir", "/tmp/\"x\"\\y\n")
+            .flag("resumed", false)
+            .flag("k\"ey", true)
+            .msg("36 points\u{1}")
+            .emit();
+        let text = std::fs::read_to_string(shard_log_path(&dir, 3)).unwrap();
+        assert_eq!(
+            after_clock(&text),
+            concat!(
+                r#","level":"info","run_id":"run \"1\"","shard":3,"event":"every\tfield","points":36,"#,
+                r#""neg":-7,"ms":12.346,"nan":null,"inf":null,"dir":"/tmp/\"x\"\\y\n","resumed":false,"#,
+                r#""k\"ey":true,"msg":"36 points\u0001"}"#,
+                "\n"
+            )
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn shard_logger_appends_across_instances() {
         let dir = tmpdir("append");
-        Logger::shard(&dir, "a", 3).info("worker_start").emit();
-        Logger::shard(&dir, "b", 3).info("worker_start").emit();
+        Logger::new(Some(&dir), "a", Some(3))
+            .info("worker_start")
+            .emit();
+        Logger::new(Some(&dir), "b", Some(3))
+            .info("worker_start")
+            .emit();
         let text = std::fs::read_to_string(shard_log_path(&dir, 3)).unwrap();
         assert_eq!(text.lines().count(), 2, "respawn logs append, not truncate");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -934,6 +1036,26 @@ mod tests {
         assert_eq!(back.current_label, "BFS|GCache");
         assert!(back.updated_ms > 0);
 
+        // Byte pin (captured at the parent of the writer fold).
+        let hb = Heartbeat {
+            shard: 1,
+            pid: 4242,
+            done: 2,
+            total: 6,
+            current_index: None,
+            current_label: "a\"b\\c\n".into(),
+            last_ckpt_cycle: 65_536,
+            updated_ms: 1_700_000_000_123,
+        };
+        assert_eq!(
+            hb.to_json(),
+            r#"{"shard":1,"pid":4242,"done":2,"total":6,"current_index":null,"current_label":"a\"b\\c\n","last_ckpt_cycle":65536,"updated_ms":1700000000123}"#
+        );
+        assert_eq!(
+            Heartbeat::from_json(&Json::parse(&hb.to_json()).unwrap()),
+            Some(hb)
+        );
+
         // A disabled writer writes nothing.
         let mut off = HeartbeatWriter::new(None, 2, 6);
         off.beat();
@@ -941,64 +1063,237 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// `/metrics` for [`snapshot`], byte for byte (captured at the parent
+    /// of the gauge-table fold).
+    const PROMETHEUS_PIN: &str = "\
+# HELP gcache_sweep_points_total Design points in the sweep grid.
+# TYPE gcache_sweep_points_total gauge
+gcache_sweep_points_total 12
+# HELP gcache_sweep_points_done Design points with a published result.
+# TYPE gcache_sweep_points_done gauge
+gcache_sweep_points_done 5
+# HELP gcache_sweep_workers Worker processes the grid is dealt across.
+# TYPE gcache_sweep_workers gauge
+gcache_sweep_workers 2
+# HELP gcache_sweep_elapsed_ms Wall-clock milliseconds since the coordinator started.
+# TYPE gcache_sweep_elapsed_ms gauge
+gcache_sweep_elapsed_ms 1000
+# HELP gcache_sweep_eta_ms Naive completion estimate in milliseconds (-1 = unknown).
+# TYPE gcache_sweep_eta_ms gauge
+gcache_sweep_eta_ms 1400
+# HELP gcache_sweep_fault_active Whether a deterministic fault-injection spec is armed.
+# TYPE gcache_sweep_fault_active gauge
+gcache_sweep_fault_active 1
+# HELP gcache_sweep_state Coarse run state (1 on the active label).
+# TYPE gcache_sweep_state gauge
+gcache_sweep_state{state=\"running\"} 1
+# HELP gcache_sweep_shard_points_done Points of this shard already complete.
+# TYPE gcache_sweep_shard_points_done gauge
+gcache_sweep_shard_points_done{shard=\"0\"} 3
+gcache_sweep_shard_points_done{shard=\"1\"} 0
+# HELP gcache_sweep_shard_points_total Points dealt to this shard.
+# TYPE gcache_sweep_shard_points_total gauge
+gcache_sweep_shard_points_total{shard=\"0\"} 6
+gcache_sweep_shard_points_total{shard=\"1\"} 0
+# HELP gcache_sweep_shard_respawns Times the coordinator respawned this shard's worker.
+# TYPE gcache_sweep_shard_respawns gauge
+gcache_sweep_shard_respawns{shard=\"0\"} 1
+gcache_sweep_shard_respawns{shard=\"1\"} 0
+# HELP gcache_sweep_shard_gave_up Whether this shard exhausted its respawn budget.
+# TYPE gcache_sweep_shard_gave_up gauge
+gcache_sweep_shard_gave_up{shard=\"0\"} 0
+gcache_sweep_shard_gave_up{shard=\"1\"} 1
+# HELP gcache_sweep_shard_stale Whether this shard's heartbeat is older than the staleness threshold.
+# TYPE gcache_sweep_shard_stale gauge
+gcache_sweep_shard_stale{shard=\"0\"} 0
+gcache_sweep_shard_stale{shard=\"1\"} 1
+# HELP gcache_sweep_shard_heartbeat_age_ms Milliseconds since this shard's last heartbeat (-1 = none yet).
+# TYPE gcache_sweep_shard_heartbeat_age_ms gauge
+gcache_sweep_shard_heartbeat_age_ms{shard=\"0\"} 120
+gcache_sweep_shard_heartbeat_age_ms{shard=\"1\"} -1
+";
+
+    #[test]
+    fn heartbeat_fields_read_as_their_own_type() {
+        let dir = tmpdir("hbtypes");
+        std::fs::create_dir_all(dir.join("logs")).unwrap();
+        let hb = Heartbeat {
+            done: 2,
+            current_index: Some(7),
+            current_label: "BFS|GCache".into(),
+            ..Heartbeat::new(1, 6)
+        };
+        let good = hb.to_json();
+        let put = |text: &str| std::fs::write(heartbeat_path(&dir, 1), text).unwrap();
+        put(&good);
+        assert_eq!(Heartbeat::read(&dir, 1), Some(hb));
+
+        // Anything else is no heartbeat — never a rounded, wrapped or
+        // saturated one (`"done":1e99` used to read as "complete").
+        let pid = format!("\"pid\":{}", std::process::id());
+        let bad = [
+            ("truncated file", good[..good.len() / 2].to_string()),
+            ("missing field", good.replace("\"total\":6,", "")),
+            ("wrong-typed count", good.replace(&pid, "\"pid\":\"42\"")),
+            ("negative count", good.replace("\"done\":2", "\"done\":-1")),
+            (
+                "overflowing count",
+                good.replace("\"done\":2", "\"done\":1e99"),
+            ),
+            (
+                "fractional count",
+                good.replace("\"total\":6", "\"total\":6.5"),
+            ),
+            ("pid past u32", good.replace(&pid, "\"pid\":4294967296")),
+            (
+                "wrong-typed index",
+                good.replace("\"current_index\":7", "\"current_index\":\"7\""),
+            ),
+            ("wrong-typed label", good.replace("\"BFS|GCache\"", "null")),
+        ];
+        for (what, text) in bad {
+            assert_ne!(text, good, "{what}: the edit applied");
+            put(&text);
+            assert_eq!(Heartbeat::read(&dir, 1), None, "{what}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn status_json_and_prometheus_render() {
+        // Byte pins: two shards, one without a heartbeat, a fault spec
+        // that needs escaping.
         let snap = snapshot();
-        let j = Json::parse(&snap.to_json()).expect("valid status.json");
-        assert_eq!(j.get("points_done").unwrap().as_f64(), Some(5.0));
-        assert_eq!(j.get("fault").unwrap().as_str(), Some("ckpt:2"));
-        let shards = j.get("shards").unwrap().as_arr().unwrap();
-        assert_eq!(shards.len(), 2);
         assert_eq!(
-            shards[0]
-                .at(&["heartbeat", "current_label"])
-                .unwrap()
-                .as_str(),
-            Some("BFS|Lru")
+            snap.to_json(),
+            concat!(
+                r#"{"run_id":"r1","state":"running","points_total":12,"points_done":5,"workers":2,"#,
+                r#""elapsed_ms":1000,"eta_ms":1400,"stale_after_ms":30000,"fault":"ckpt:2 \"q\" b\\s","#,
+                r#""shards":[{"shard":0,"respawns":1,"gave_up":false,"stale":false,"heartbeat_age_ms":120,"#,
+                r#""heartbeat":{"shard":0,"pid":42,"done":3,"total":6,"current_index":6,"#,
+                r#""current_label":"BFS|Lru","last_ckpt_cycle":130000,"updated_ms":1000000}},"#,
+                r#"{"shard":1,"respawns":0,"gave_up":true,"stale":true,"heartbeat_age_ms":null,"#,
+                r#""heartbeat":null}]}"#,
+                "\n"
+            )
         );
-        assert_eq!(shards[1].get("heartbeat").unwrap(), &Json::Null);
-        assert_eq!(shards[1].get("stale").unwrap().as_bool(), Some(true));
+        assert_eq!(snap.prometheus(), PROMETHEUS_PIN);
 
-        let prom = snap.prometheus();
-        assert!(prom.contains("gcache_sweep_points_total 12\n"));
-        assert!(prom.contains("gcache_sweep_points_done 5\n"));
-        assert!(prom.contains("gcache_sweep_fault_active 1\n"));
-        assert!(prom.contains("gcache_sweep_state{state=\"running\"} 1\n"));
-        assert!(prom.contains("gcache_sweep_shard_respawns{shard=\"0\"} 1\n"));
-        assert!(prom.contains("gcache_sweep_shard_stale{shard=\"1\"} 1\n"));
-        assert!(prom.contains("gcache_sweep_shard_heartbeat_age_ms{shard=\"1\"} -1\n"));
-        // Every TYPE line declares a gauge (no typos in the plumbing).
-        for line in prom.lines().filter(|l| l.starts_with("# TYPE")) {
-            assert!(line.ends_with("gauge"), "got: {line}");
-        }
+        // The unknowns: `null` in the document, -1 / 0 in the exposition.
+        let idle = StatusSnapshot {
+            eta_ms: None,
+            fault: None,
+            state: RunState::Complete,
+            ..snap
+        };
+        assert!(idle
+            .to_json()
+            .contains(r#""state":"complete","points_total":12,"points_done":5,"workers":2,"elapsed_ms":1000,"eta_ms":null,"stale_after_ms":30000,"fault":null,"#));
+        let prom = idle.prometheus();
+        assert!(prom.contains("\ngcache_sweep_eta_ms -1\n"));
+        assert!(prom.contains("\ngcache_sweep_fault_active 0\n"));
+
+        // The state label is one of four static words, so it needs no
+        // exposition-format escaping (which is not JSON's).
+        let states = [
+            RunState::Running,
+            RunState::Merging,
+            RunState::Complete,
+            RunState::Failed,
+        ];
+        let labels = states.map(|state| {
+            let prom = StatusSnapshot {
+                state,
+                ..idle.clone()
+            }
+            .prometheus();
+            let series = prom.lines().filter(|l| l.starts_with("gcache_sweep_state"));
+            series.collect::<Vec<_>>().join(" + ")
+        });
+        assert_eq!(
+            labels,
+            [
+                "gcache_sweep_state{state=\"running\"} 1",
+                "gcache_sweep_state{state=\"merging\"} 1",
+                "gcache_sweep_state{state=\"complete\"} 1",
+                "gcache_sweep_state{state=\"failed\"} 1",
+            ]
+        );
     }
 
     #[test]
     fn status_plane_serves_metrics_and_json() {
+        use std::sync::atomic::AtomicU64;
         let dir = tmpdir("plane");
         let status_file = status_path(&dir);
-        let plane = StatusPlane::start(Some("127.0.0.1:0"), Some(status_file.clone()), snapshot)
+        // `elapsed_ms` counts the publishes, so the file shows them advance.
+        let publishes = AtomicU64::new(0);
+        let make = move || StatusSnapshot {
+            elapsed_ms: publishes.fetch_add(1, Ordering::Relaxed),
+            ..snapshot()
+        };
+        let plane = StatusPlane::start(Some("127.0.0.1:0"), Some(status_file.clone()), make)
             .expect("plane starts");
         let addr = plane.addr.expect("bound address");
-
-        let (code, body) = http_get(addr, "/metrics").expect("GET /metrics");
-        assert_eq!(code, 200);
-        assert!(body.contains("gcache_sweep_points_done 5"));
 
         let (code, body) = http_get(addr, "/status.json").expect("GET /status.json");
         assert_eq!(code, 200);
         let j = Json::parse(&body).expect("valid JSON body");
         assert_eq!(j.get("run_id").unwrap().as_str(), Some("r1"));
-
         let (code, _) = http_get(addr, "/nope").expect("GET /nope");
         assert_eq!(code, 404);
 
+        // Clients that stall cost nobody else anything: three that say
+        // nothing, one that sends a byte every 50 ms and never finishes
+        // its head, one whose head outgrows the limit.
+        let connect = || TcpStream::connect(addr).expect("connects");
+        let mut silent: Vec<TcpStream> = (0..3).map(|_| connect()).collect();
+        let stop = Arc::new(AtomicBool::new(false));
+        let (dripping, first_byte) = std::sync::mpsc::channel();
+        let drip = std::thread::spawn({
+            let (stop, mut stream) = (Arc::clone(&stop), connect());
+            move || {
+                let head = b"GET /metrics HTTP/1.1\r\nX-Slow: ";
+                for byte in head.iter().chain(std::iter::repeat(&b'a')) {
+                    if stop.load(Ordering::Relaxed) || stream.write_all(&[*byte]).is_err() {
+                        return;
+                    }
+                    let _ = dripping.send(());
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+            }
+        });
+        first_byte.recv().expect("the drip client is sending");
+        let mut oversized = connect();
+        oversized.write_all(&[b'A'; 2 * MAX_REQUEST_HEAD]).unwrap();
+
+        let published = || {
+            let doc = std::fs::read_to_string(&status_file).ok()?;
+            Json::parse(&doc).ok()?.get("elapsed_ms")?.as_f64()
+        };
+        let before = published();
+        let asked = Instant::now();
+        let (code, body) = http_get(addr, "/metrics").expect("GET /metrics");
+        let took = asked.elapsed();
+        assert!(took < Duration::from_secs(1), "/metrics took {took:?}");
+        assert_eq!(code, 200);
+        assert!(body.contains("gcache_sweep_points_done 5"));
+        while published() <= before {
+            let stuck = asked.elapsed() > Duration::from_secs(2);
+            assert!(!stuck, "status.json stopped advancing");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+
+        // A silent client is told so once its deadline passes.
+        let mut reply = String::new();
+        let _ = silent[0].read_to_string(&mut reply);
+        assert!(reply.starts_with("HTTP/1.1 408 "), "got: {reply:?}");
+
+        stop.store(true, Ordering::Relaxed);
+        drip.join().expect("drip client exits");
         plane.finish();
-        let text = std::fs::read_to_string(&status_file).expect("status.json published");
-        assert_eq!(
-            Json::parse(&text).unwrap().get("workers").unwrap().as_f64(),
-            Some(2.0)
-        );
+        let last = published().expect("a final snapshot is published");
+        assert!(last > before.unwrap_or(0.0));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1007,9 +1302,9 @@ mod tests {
         let fs = FleetState::new(3, None);
         fs.respawns[1].fetch_add(1, Ordering::Relaxed);
         fs.gave_up[2].store(true, Ordering::Relaxed);
-        fs.set_state("merging");
+        fs.set_state(RunState::Merging);
         assert_eq!(fs.respawns[1].load(Ordering::Relaxed), 1);
         assert!(fs.gave_up[2].load(Ordering::Relaxed));
-        assert_eq!(&*fs.state.lock().unwrap(), "merging");
+        assert_eq!(*fs.state.lock().unwrap(), RunState::Merging);
     }
 }

@@ -38,7 +38,7 @@
 
 use crate::obs::{
     fresh_run_id, replace_atomic, status_path, unix_ms, FleetState, Heartbeat, HeartbeatWriter,
-    Logger, ShardStatus, StatusPlane, StatusSnapshot,
+    Logger, RunState, ShardStatus, StatusPlane, StatusSnapshot,
 };
 use crate::sweep::{parallel_map, DesignPoint};
 use crate::{
@@ -330,20 +330,13 @@ fn run_worker(
     workers: usize,
 ) -> Result<(), String> {
     let run_id = opts.run_id.clone().unwrap_or_else(fresh_run_id);
-    let log = if opts.no_logs {
-        Logger::stderr_only(&run_id, Some(shard))
-    } else {
-        Logger::shard(&opts.dir, &run_id, shard)
-    };
+    let logs = (!opts.no_logs).then_some(opts.dir.as_path());
+    let log = Logger::new(logs, &run_id, Some(shard));
     let fault = parse_fault();
     let mine: Vec<usize> = (0..grid.len())
         .filter(|&i| owner(i, workers) == shard)
         .collect();
-    let mut hb = HeartbeatWriter::new(
-        (!opts.no_logs).then_some(opts.dir.as_path()),
-        shard,
-        mine.len(),
-    );
+    let mut hb = HeartbeatWriter::new(logs, shard, mine.len());
     hb.beat();
     log.info("worker_start")
         .num("points", mine.len() as i64)
@@ -547,11 +540,8 @@ fn run_coordinator(
         .map_err(|e| format!("cannot prepare {}: {e}", opts.dir.display()))?;
 
     let run_id = opts.run_id.clone().unwrap_or_else(fresh_run_id);
-    let log = Arc::new(if opts.no_logs {
-        Logger::stderr_only(&run_id, None)
-    } else {
-        Logger::coordinator(&opts.dir, &run_id)
-    });
+    let logs = (!opts.no_logs).then_some(opts.dir.as_path());
+    let log = Arc::new(Logger::new(logs, &run_id, None));
 
     // The manifest pins the grid to the directory: resuming with
     // different flags (a different grid) must fail loudly instead of
@@ -630,7 +620,7 @@ fn run_coordinator(
         });
         let failures: Vec<String> = outcomes.into_iter().filter_map(Result::err).collect();
         if !failures.is_empty() {
-            fleet.set_state("failed");
+            fleet.set_state(RunState::Failed);
             if let Some(plane) = plane {
                 plane.finish();
             }
@@ -638,12 +628,12 @@ fn run_coordinator(
         }
     }
 
-    fleet.set_state("merging");
+    fleet.set_state(RunState::Merging);
     let merged = merge(&opts.dir, grid)?;
     let out = opts.dir.join("merged.tsv");
     replace_atomic(&out, merged.as_bytes())
         .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-    fleet.set_state("complete");
+    fleet.set_state(RunState::Complete);
     log.info("run_complete")
         .num("points", grid.len() as i64)
         .msg(format!(
@@ -689,8 +679,8 @@ fn start_status_plane(
     let start = Instant::now();
     let mut warned = vec![false; workers];
     let make = move || {
-        let state = fleet.state.lock().unwrap().clone();
-        let running = state == "running";
+        let state = *fleet.state.lock().unwrap();
+        let running = state == RunState::Running;
         let elapsed_ms = start.elapsed().as_millis() as u64;
         let now = unix_ms();
         let points_done = (0..points_total)

@@ -17,7 +17,7 @@ use crate::policy::{
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::CacheStats;
 use crate::tag_array::{Evicted, TagArray};
-use crate::trace::{TraceKind, TraceSink, TraceSource};
+use crate::trace::{SharedTraceRing, TraceKind, TraceSource, Tracer};
 use crate::victim_bits::{CoreGrouping, VictimBitStats, VictimBits};
 
 /// How stores interact with allocation — the correctness half of the
@@ -252,9 +252,9 @@ pub struct Cache {
     victim_bits: Option<VictimBits>,
     stats: CacheStats,
     accesses_since_epoch: u64,
-    /// Opt-in event sink (see [`crate::trace`]); `None` costs one
+    /// Opt-in event hook (see [`crate::trace`]); detached it costs one
     /// discriminant test per hook site.
-    trace: Option<(TraceSource, Box<dyn TraceSink>)>,
+    trace: Tracer,
 }
 
 impl Cache {
@@ -272,7 +272,7 @@ impl Cache {
             victim_bits: None,
             stats: CacheStats::new(),
             accesses_since_epoch: 0,
-            trace: None,
+            trace: Tracer::default(),
         }
     }
 
@@ -342,15 +342,10 @@ impl Cache {
         self.victim_bits.as_ref().map(|vb| vb.stats())
     }
 
-    /// Attaches a trace sink; subsequent accesses, fills, switch flips and
-    /// epoch resets are recorded against `src`. See [`crate::trace`].
-    pub fn set_trace(&mut self, src: TraceSource, sink: Box<dyn TraceSink>) {
-        self.trace = Some((src, sink));
-    }
-
-    /// Detaches any trace sink, restoring untraced operation.
-    pub fn clear_trace(&mut self) {
-        self.trace = None;
+    /// Attaches the trace ring; subsequent accesses, fills, switch flips
+    /// and epoch resets are recorded against `src`. See [`crate::trace`].
+    pub fn attach_trace(&mut self, src: TraceSource, ring: &SharedTraceRing) {
+        self.trace = Tracer::attached(src, ring);
     }
 
     /// Fills the policy's bypass count into the stats before reading them.
@@ -433,34 +428,24 @@ impl Cache {
                     _ => false,
                 };
                 self.stats.record_access(kind, true);
-                if let Some((src, sink)) = &mut self.trace {
-                    sink.record(
-                        *src,
-                        TraceKind::Access {
-                            line,
-                            kind,
-                            core,
-                            hit: true,
-                            victim_hint,
-                        },
-                    );
-                }
+                self.trace.emit(TraceKind::Access {
+                    line,
+                    kind,
+                    core,
+                    hit: true,
+                    victim_hint,
+                });
                 Lookup::Hit { victim_hint }
             }
             None => {
                 self.stats.record_access(kind, false);
-                if let Some((src, sink)) = &mut self.trace {
-                    sink.record(
-                        *src,
-                        TraceKind::Access {
-                            line,
-                            kind,
-                            core,
-                            hit: false,
-                            victim_hint: false,
-                        },
-                    );
-                }
+                self.trace.emit(TraceKind::Access {
+                    line,
+                    kind,
+                    core,
+                    hit: false,
+                    victim_hint: false,
+                });
                 Lookup::Miss
             }
         }
@@ -492,14 +477,12 @@ impl Cache {
         if self.cfg.bypass.denies(&ctx) {
             self.stats.bypassed_fills += 1;
             self.stats.plane_bypasses += 1;
-            if self.trace.is_some() {
-                self.emit_fill_trace(set, None, None, &ctx);
-            }
+            self.emit_fill_trace(set, None, None, &ctx);
             return FillOutcome::clean(true);
         }
         // The fill decision may open the set's bypass switch (a victim
         // hint); capture the pre-state so tracing can report the flip.
-        let pre_switch = if self.trace.is_some() {
+        let pre_switch = if self.trace.is_attached() {
             self.policy.switch_open(set)
         } else {
             None
@@ -544,16 +527,11 @@ impl Cache {
                     if copy_back_victim {
                         self.stats.clean_copy_backs += 1;
                         copy_back = Some(*ev);
-                        if let Some((src, sink)) = &mut self.trace {
-                            sink.record(
-                                *src,
-                                TraceKind::CleanCopyBack {
-                                    line: ev.line,
-                                    set: set as u32,
-                                    reuse: ev.reuse,
-                                },
-                            );
-                        }
+                        self.trace.emit(TraceKind::CleanCopyBack {
+                            line: ev.line,
+                            set: set as u32,
+                            reuse: ev.reuse,
+                        });
                     }
                 }
                 if let Some(vb) = &mut self.victim_bits {
@@ -583,23 +561,17 @@ impl Cache {
         way: Option<usize>,
         ctx: &AccessCtx,
     ) {
-        if self.trace.is_none() {
+        if !self.trace.is_attached() {
             return;
         }
         let post_switch = self.policy.switch_open(set);
         let depth = way.and_then(|w| self.policy.rrpv_of(set, w)).unwrap_or(0);
-        let Some((src, sink)) = &mut self.trace else {
-            return;
-        };
         if let (Some(pre), Some(post)) = (pre_switch, post_switch) {
             if pre != post {
-                sink.record(
-                    *src,
-                    TraceKind::SwitchFlip {
-                        set: set as u32,
-                        open: post,
-                    },
-                );
+                self.trace.emit(TraceKind::SwitchFlip {
+                    set: set as u32,
+                    open: post,
+                });
             }
         }
         let event = match way {
@@ -618,7 +590,7 @@ impl Cache {
                 set: set as u32,
             },
         };
-        sink.record(*src, event);
+        self.trace.emit(event);
     }
 
     /// Observes (and sets) the victim bit of a *resident* line for `core`
@@ -697,16 +669,11 @@ impl Cache {
         self.accesses_since_epoch += 1;
         if self.accesses_since_epoch >= self.cfg.epoch_len {
             self.accesses_since_epoch = 0;
-            if self.trace.is_some() {
+            if self.trace.is_attached() {
                 let open = self.policy.switch_summary().map_or(0, |(o, _)| o) as u32;
-                if let Some((src, sink)) = &mut self.trace {
-                    sink.record(
-                        *src,
-                        TraceKind::EpochReset {
-                            open_switches: open,
-                        },
-                    );
-                }
+                self.trace.emit(TraceKind::EpochReset {
+                    open_switches: open,
+                });
             }
             self.policy.on_epoch();
         }
@@ -714,7 +681,7 @@ impl Cache {
 }
 
 /// Saves the cache's mutable state: tags, policy, victim bits, stats and
-/// the epoch phase. The attached trace sink (if any) is *not* serialized —
+/// the epoch phase. The attached trace ring (if any) is *not* serialized —
 /// tracing is an observation channel, reattached by the harness after a
 /// restore.
 impl Snapshot for Cache {
@@ -948,7 +915,7 @@ mod tests {
         let g = geom();
         let mut c = Cache::new(CacheConfig::l1(g, 4), GCache::with_defaults(&g));
         let ring = SharedTraceRing::new(64);
-        c.set_trace(TraceSource::new(TraceLevel::L1, 0), ring.sink());
+        c.attach_trace(TraceSource::new(TraceLevel::L1, 0), &ring);
 
         // A hinted fill into an empty set: opens the switch (flip event)
         // and inserts hot (depth 0).
@@ -993,7 +960,7 @@ mod tests {
             let mut c = Cache::new(CacheConfig::l1(g, 8), GCache::with_defaults(&g));
             if traced {
                 let ring = SharedTraceRing::new(16);
-                c.set_trace(TraceSource::new(TraceLevel::L1, 0), ring.sink());
+                c.attach_trace(TraceSource::new(TraceLevel::L1, 0), &ring);
             }
             for &a in &walk {
                 let line = LineAddr::new(a);
@@ -1096,7 +1063,7 @@ mod tests {
         use crate::trace::{SharedTraceRing, TraceLevel, TraceSource};
         let mut c = hydra_l1();
         let ring = SharedTraceRing::new(16);
-        c.set_trace(TraceSource::new(TraceLevel::L1, 0), ring.sink());
+        c.attach_trace(TraceSource::new(TraceLevel::L1, 0), &ring);
         let line = LineAddr::new(0);
         let out = c.fill(
             AccessCtx::plain(line, C0)
@@ -1181,7 +1148,7 @@ mod tests {
             Lru::new(&g),
         );
         let ring = SharedTraceRing::new(16);
-        c.set_trace(TraceSource::new(TraceLevel::L1, 0), ring.sink());
+        c.attach_trace(TraceSource::new(TraceLevel::L1, 0), &ring);
         let victim = LineAddr::new(0);
         c.fill(AccessCtx::plain(victim, C0), false);
         c.access(victim, AccessKind::Read, C0);

@@ -25,7 +25,7 @@ use crate::mshr::{MshrAlloc, MshrFile, MshrReject};
 use crate::policy::{AccessCtx, AccessKind, RequestClass};
 use crate::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::CacheStats;
-use crate::trace::{TraceKind, TraceSink, TraceSource};
+use crate::trace::{SharedTraceRing, TraceKind, TraceSource, Tracer};
 
 /// How the controller treats [`AccessKind::Atomic`] accesses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -118,9 +118,9 @@ pub struct CacheController<T> {
     mshr: MshrFile<T>,
     atomics: AtomicHandling,
     blocked: u64,
-    /// Opt-in MSHR event sink (see [`crate::trace`]); the wrapped cache
-    /// carries its own sink for lookup/fill events.
-    trace: Option<(TraceSource, Box<dyn TraceSink>)>,
+    /// Opt-in MSHR event hook (see [`crate::trace`]); the wrapped cache
+    /// carries its own for lookup/fill events.
+    trace: Tracer,
 }
 
 impl<T> CacheController<T> {
@@ -142,21 +142,16 @@ impl<T> CacheController<T> {
             mshr: MshrFile::new(mshr_entries, mshr_merge),
             atomics,
             blocked: 0,
-            trace: None,
+            trace: Tracer::default(),
         }
     }
 
-    /// Attaches a trace sink for MSHR allocate/merge/release events,
-    /// recorded against `src`. Lookup and fill events come from the
-    /// wrapped cache's own sink ([`Cache::set_trace`] via
-    /// [`CacheController::cache_mut`]).
-    pub fn set_trace(&mut self, src: TraceSource, sink: Box<dyn TraceSink>) {
-        self.trace = Some((src, sink));
-    }
-
-    /// Detaches any MSHR trace sink.
-    pub fn clear_trace(&mut self) {
-        self.trace = None;
+    /// Attaches the trace ring: MSHR allocate/merge/release events here
+    /// and the wrapped cache's lookups and fills
+    /// ([`Cache::attach_trace`]) are all recorded against `src`.
+    pub fn attach_trace(&mut self, src: TraceSource, ring: &SharedTraceRing) {
+        self.trace = Tracer::attached(src, ring);
+        self.cache.attach_trace(src, ring);
     }
 
     /// Presents one access.
@@ -230,16 +225,11 @@ impl<T> CacheController<T> {
                 Ok(alloc) => {
                     let lookup = self.cache.access_probed(line, set, tag, None, kind, core);
                     debug_assert!(!lookup.is_hit(), "probe said miss");
-                    if let Some((src, sink)) = &mut self.trace {
-                        sink.record(
-                            *src,
-                            TraceKind::MshrAlloc {
-                                line,
-                                merged: alloc == MshrAlloc::Merged,
-                                occupancy: self.mshr.len() as u16,
-                            },
-                        );
-                    }
+                    self.trace.emit(TraceKind::MshrAlloc {
+                        line,
+                        merged: alloc == MshrAlloc::Merged,
+                        occupancy: self.mshr.len() as u16,
+                    });
                     match alloc {
                         MshrAlloc::Primary => ControllerOutcome::MissPrimary,
                         MshrAlloc::Merged => ControllerOutcome::MissMerged,
@@ -280,15 +270,10 @@ impl<T> CacheController<T> {
         self.mshr
             .complete_into(line, out)
             .expect("fill without an outstanding MSHR entry");
-        if let Some((src, sink)) = &mut self.trace {
-            sink.record(
-                *src,
-                TraceKind::MshrRelease {
-                    line,
-                    targets: out.len() as u16,
-                },
-            );
-        }
+        self.trace.emit(TraceKind::MshrRelease {
+            line,
+            targets: out.len() as u16,
+        });
         let p = decide(out);
         self.cache.fill(
             AccessCtx {

@@ -1,13 +1,15 @@
-//! A minimal JSON reader (and string escaper) for the observability
+//! A minimal JSON reader and the one JSON writer of the observability
 //! plane.
 //!
 //! The build environment is offline and the workspace is dependency-free
-//! by policy, so the pieces of the repo that *consume* JSON — the
-//! repo benchmark reading its own result files, the trace
-//! round-trip test parsing emitted Chrome `trace_event` documents, the
-//! status-endpoint smoke reading `status.json` — share this hand-rolled
-//! recursive-descent parser instead of pulling in serde. It accepts
-//! strict JSON (RFC 8259) minus two deliberate simplifications:
+//! by policy, so every piece of the repo that *emits* JSON — log records,
+//! heartbeats, `status.json`, Chrome `trace_event` documents, telemetry —
+//! goes through [`JsonWriter`], and the pieces that *consume* it — the
+//! repo benchmark reading its own result files, the trace round-trip
+//! test, the status-endpoint smoke, the coordinator reading heartbeats —
+//! share this hand-rolled recursive-descent parser instead of pulling in
+//! serde. It accepts strict JSON (RFC 8259) minus two deliberate
+//! simplifications:
 //!
 //! * numbers are surfaced as `f64` (every producer in this repo stays
 //!   well inside the exact-integer range of a double), and
@@ -18,7 +20,7 @@
 //! map): the writers in this repo emit stable key orders and the tests
 //! assert on them.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// One parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -77,6 +79,18 @@ impl Json {
         }
     }
 
+    /// The number behind this value as an unsigned integer of type `T`:
+    /// `None` for a negative, fractional or out-of-range number, never a
+    /// rounded or saturated one.
+    pub fn as_uint<T: TryFrom<u64>>(&self) -> Option<T> {
+        let n = self.as_f64()?;
+        // 2^64 is the first double past `u64::MAX`; below it the cast is exact.
+        if n < 0.0 || n.fract() != 0.0 || n >= 18_446_744_073_709_551_616.0 {
+            return None;
+        }
+        T::try_from(n as u64).ok()
+    }
+
     /// The string behind this value, if it is one.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -111,11 +125,15 @@ impl Json {
 }
 
 /// Escapes `s` as the *body* of a JSON string literal (no surrounding
-/// quotes) — the one escaping routine every JSON writer in the workspace
-/// shares, so log records, trace exports and status documents all emit
-/// identically valid strings.
+/// quotes) — the one escaping routine, which [`JsonWriter`] applies to
+/// every key and string it writes.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -129,7 +147,152 @@ pub fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
+}
+
+/// The one JSON writer: a compact (no whitespace) streaming emitter that
+/// places the commas, escapes every key and string, and writes a
+/// non-finite number as `null`. Calls chain; the caller keeps
+/// `begin_*`/`end_*` balanced and gives every object value a [`key`].
+///
+/// [`key`]: JsonWriter::key
+///
+/// ```
+/// use gcache_core::json::JsonWriter;
+///
+/// let mut w = JsonWriter::new();
+/// w.begin_obj().key("ev\"ent").str("a\nb").key("ms").fixed(1.0 / 3.0, 3);
+/// w.key("rows").begin_arr().num(7).num(0.5).num(f64::NAN).end_arr();
+/// w.key("next").opt_num(None::<u64>).end_obj();
+/// assert_eq!(
+///     w.finish(),
+///     r#"{"ev\"ent":"a\nb","ms":0.333,"rows":[7,0.5,null],"next":null}"#
+/// );
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    /// Whether the next value or key follows a sibling.
+    comma: bool,
+}
+
+impl JsonWriter {
+    /// An empty document.
+    pub fn new() -> Self {
+        JsonWriter::default()
+    }
+
+    /// The text written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    fn value(&mut self, write: impl FnOnce(&mut String)) -> &mut Self {
+        if self.comma {
+            self.out.push(',');
+        }
+        write(&mut self.out);
+        self.comma = true;
+        self
+    }
+
+    fn open(&mut self, bracket: char) -> &mut Self {
+        self.value(|out| out.push(bracket)).comma = false;
+        self
+    }
+
+    fn close(&mut self, bracket: char) -> &mut Self {
+        self.out.push(bracket);
+        self.comma = true;
+        self
+    }
+
+    /// Opens an object.
+    pub fn begin_obj(&mut self) -> &mut Self {
+        self.open('{')
+    }
+
+    /// Closes the innermost object.
+    pub fn end_obj(&mut self) -> &mut Self {
+        self.close('}')
+    }
+
+    /// Opens an array.
+    pub fn begin_arr(&mut self) -> &mut Self {
+        self.open('[')
+    }
+
+    /// Closes the innermost array.
+    pub fn end_arr(&mut self) -> &mut Self {
+        self.close(']')
+    }
+
+    /// Writes a member key; the member's value comes next.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.str(key).out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// Writes a string value.
+    pub fn str(&mut self, value: &str) -> &mut Self {
+        self.value(|out| {
+            out.push('"');
+            escape_into(out, value);
+            out.push('"');
+        })
+    }
+
+    /// Writes a number as it displays: an integer of any width, or a
+    /// float in its shortest round-trip form.
+    pub fn num(&mut self, value: impl fmt::Display) -> &mut Self {
+        self.value(|out| {
+            let start = out.len();
+            let _ = write!(out, "{value}");
+            // A float that is not finite displays as `NaN` or `inf`.
+            if out[start..].contains(['N', 'i']) {
+                out.replace_range(start.., "null");
+            }
+        })
+    }
+
+    /// Writes [`num`](JsonWriter::num), or `null` for `None`.
+    pub fn opt_num(&mut self, value: Option<impl fmt::Display>) -> &mut Self {
+        match value {
+            Some(v) => self.num(v),
+            None => self.null(),
+        }
+    }
+
+    /// Writes a float with exactly `decimals` fractional digits.
+    pub fn fixed(&mut self, value: f64, decimals: usize) -> &mut Self {
+        if !value.is_finite() {
+            return self.null();
+        }
+        self.value(|out| {
+            let _ = write!(out, "{value:.decimals$}");
+        })
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, value: bool) -> &mut Self {
+        self.raw(if value { "true" } else { "false" })
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.raw("null")
+    }
+
+    /// Splices in a value another [`JsonWriter`] rendered.
+    pub fn raw(&mut self, rendered: &str) -> &mut Self {
+        self.value(|out| out.push_str(rendered))
+    }
+
+    /// Lays out the document: whitespace between two tokens.
+    pub fn space(&mut self, whitespace: &str) -> &mut Self {
+        self.out.push_str(whitespace);
+        self
+    }
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -328,6 +491,22 @@ mod tests {
         assert_eq!(Json::parse("false").unwrap(), Json::Bool(false));
         assert_eq!(Json::parse("-12.5e2").unwrap(), Json::Num(-1250.0));
         assert_eq!(Json::parse("\"hi\"").unwrap(), Json::Str("hi".into()));
+    }
+
+    #[test]
+    fn uints_read_as_their_own_type() {
+        let uint = |text: &str| Json::parse(text).unwrap().as_uint::<u32>();
+        assert_eq!(uint("0"), Some(0));
+        assert_eq!(uint("4294967295"), Some(u32::MAX));
+        for bad in ["-1", "1.5", "4294967296", "1e99", "\"7\"", "null"] {
+            assert_eq!(uint(bad), None, "{bad}");
+        }
+        let big = Json::parse("18446744073709549568").unwrap();
+        assert_eq!(big.as_uint::<u64>(), Some(u64::MAX - 2047));
+        assert_eq!(
+            Json::Num(18_446_744_073_709_551_616.0).as_uint::<u64>(),
+            None
+        );
     }
 
     #[test]

@@ -102,7 +102,7 @@ pub mod prelude {
     pub use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
     pub use crate::stats::CacheStats;
     pub use crate::trace::{
-        dump_filtered, SharedTraceRing, TraceEvent, TraceFilter, TraceKind, TraceLevel, TraceRing,
-        TraceSink, TraceSource,
+        dump_filtered, SharedTraceRing, TraceEvent, TraceFilter, TraceKind, TraceLevel,
+        TraceSource, Tracer,
     };
 }

@@ -3,21 +3,24 @@
 //!
 //! Aggregate counters ([`crate::stats::CacheStats`]) answer "how often";
 //! this module answers "when, and to which line". A component that supports
-//! tracing holds an `Option<Box<dyn TraceSink>>` and emits a
-//! [`TraceKind`] at each interesting decision point — cache lookups, fill
-//! insert/bypass outcomes with their insertion depth, G-Cache switch flips
-//! and epoch resets, MSHR allocate/merge/release, DRAM row activations.
-//! With no sink attached the hooks reduce to a single `Option`
-//! discriminant test, so the traced and untraced simulations are
-//! behaviourally identical (the golden-output tests enforce this).
+//! tracing holds a [`Tracer`] and emits a [`TraceKind`] at each
+//! interesting decision point — cache lookups, fill insert/bypass outcomes
+//! with their insertion depth, G-Cache switch flips and epoch resets, MSHR
+//! allocate/merge/release, DRAM row activations. A detached tracer's
+//! `emit` is a single `Option` discriminant test, so the traced and
+//! untraced simulations are behaviourally identical (the golden-output
+//! tests enforce this).
 //!
-//! The stock sink is [`TraceRing`], a bounded ring of fixed-size
-//! [`TraceEvent`] rows (old events are overwritten, never reallocated);
-//! [`SharedTraceRing`] is the cloneable handle used to attach one ring to
-//! many components while keeping a read side. [`dump_filtered`] renders a
-//! ring's contents as text, optionally restricted by a [`TraceFilter`] —
-//! e.g. one line's contention anatomy (see `examples/contention_anatomy.rs`
-//! in the workspace root).
+//! Events land in a [`SharedTraceRing`], a bounded ring of fixed-size
+//! [`TraceEvent`] rows (old events are overwritten, never reallocated)
+//! behind a cloneable handle that attaches one ring to many components
+//! while keeping a read side. Every event kind is
+//! described once, by [`TraceKind::describe`]: its stable name and its
+//! ordered `(key, value)` arguments. The text dump ([`dump_filtered`],
+//! optionally restricted by a [`TraceFilter`] — e.g. one line's contention
+//! anatomy, see `examples/contention_anatomy.rs` in the workspace root),
+//! the filter's line and core lookups and the Perfetto export
+//! ([`crate::trace_export`]) are all derived from that description.
 
 use crate::addr::{CoreId, LineAddr};
 use crate::policy::AccessKind;
@@ -177,12 +180,142 @@ pub enum TraceKind {
     },
 }
 
-/// One recorded event: sequence number and sink-local timestamp (the
-/// simulated cycle when the owner keeps [`TraceRing::set_time`] updated;
+/// One argument of a described event ([`TraceKind::describe`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum TraceArg {
+    /// A line address (a hex string in JSON, since 64-bit addresses
+    /// outgrow a double).
+    Line(LineAddr),
+    /// A count, index or id.
+    Num(u64),
+    /// A yes/no fact.
+    Flag(bool),
+    /// One of a fixed set of words.
+    Word(&'static str),
+}
+
+impl fmt::Display for TraceArg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceArg::Line(line) => line.fmt(f),
+            TraceArg::Num(n) => n.fmt(f),
+            TraceArg::Flag(b) => b.fmt(f),
+            TraceArg::Word(w) => f.write_str(w),
+        }
+    }
+}
+
+/// How a [`TraceKind`] field of each type is shown.
+macro_rules! trace_arg_from {
+    ($($ty:ty => |$v:ident| $arg:expr),+ $(,)?) => {$(
+        impl From<$ty> for TraceArg {
+            fn from($v: $ty) -> Self {
+                $arg
+            }
+        }
+    )+};
+}
+trace_arg_from! {
+    LineAddr => |v| TraceArg::Line(v),
+    CoreId => |v| TraceArg::Num(v.index() as u64),
+    u64 => |v| TraceArg::Num(v),
+    u32 => |v| TraceArg::Num(v.into()),
+    u16 => |v| TraceArg::Num(v.into()),
+    u8 => |v| TraceArg::Num(v.into()),
+    bool => |v| TraceArg::Flag(v),
+    &'static str => |v| TraceArg::Word(v),
+}
+
+impl TraceKind {
+    /// The one description of every event kind: its stable name (what
+    /// Perfetto shows on the track and what queries match on — facts that
+    /// split a kind, such as hit/miss or open/close, are part of the name)
+    /// and its arguments in display order, each keyed by the name of the
+    /// field it shows. Adding an event kind is one variant above and one
+    /// arm here.
+    pub fn describe(&self) -> (&'static str, Vec<(&'static str, TraceArg)>) {
+        use TraceKind::*;
+        macro_rules! args {
+            ($($field:ident),+) => { vec![$((stringify!($field), TraceArg::from($field))),+] };
+        }
+        match *self {
+            Access {
+                line,
+                kind,
+                core,
+                hit,
+                victim_hint,
+            } => {
+                let name = match (kind, hit) {
+                    (AccessKind::Read, true) => "ld hit",
+                    (AccessKind::Read, false) => "ld miss",
+                    (AccessKind::Write, true) => "st hit",
+                    (AccessKind::Write, false) => "st miss",
+                    (AccessKind::Atomic, true) => "atomic hit",
+                    (AccessKind::Atomic, false) => "atomic miss",
+                    (AccessKind::CopyBack, true) => "copy-back hit",
+                    (AccessKind::CopyBack, false) => "copy-back miss",
+                };
+                (name, args![line, core, victim_hint])
+            }
+            FillInsert {
+                line,
+                core,
+                victim_hint,
+                set,
+                way,
+                depth,
+            } => (
+                "fill insert",
+                args![line, core, victim_hint, set, way, depth],
+            ),
+            FillBypass {
+                line,
+                core,
+                victim_hint,
+                set,
+            } => ("fill bypass", args![line, core, victim_hint, set]),
+            CleanCopyBack { line, set, reuse } => ("clean copy-back", args![line, set, reuse]),
+            SwitchFlip { set, open } => (
+                if open { "switch open" } else { "switch close" },
+                args![set, open],
+            ),
+            EpochReset { open_switches } => ("epoch reset", args![open_switches]),
+            MshrAlloc {
+                line,
+                merged,
+                occupancy,
+            } => (
+                if merged { "mshr merge" } else { "mshr alloc" },
+                args![line, occupancy],
+            ),
+            MshrRelease { line, targets } => ("mshr release", args![line, targets]),
+            DramAccess {
+                bank,
+                row,
+                outcome,
+                write,
+            } => {
+                let row_buffer = match outcome {
+                    DramRowOutcome::Hit => "hit",
+                    DramRowOutcome::Open => "open",
+                    DramRowOutcome::Conflict => "conflict",
+                };
+                (
+                    if write { "dram wr" } else { "dram rd" },
+                    args![bank, row, row_buffer],
+                )
+            }
+        }
+    }
+}
+
+/// One recorded event: sequence number and ring-local timestamp (the
+/// simulated cycle when the owner keeps [`SharedTraceRing::set_time`] updated;
 /// the event ordinal otherwise) plus source and payload.
 #[derive(Clone, Copy, Debug)]
 pub struct TraceEvent {
-    /// Monotonic per-sink sequence number.
+    /// Monotonic per-ring sequence number.
     pub seq: u64,
     /// Timestamp (see type docs).
     pub time: u64,
@@ -193,230 +326,55 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
+    fn arg(&self, key: &str) -> Option<TraceArg> {
+        let (_, args) = self.kind.describe();
+        args.into_iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
     /// The line address this event concerns, if it has one.
     pub fn line(&self) -> Option<LineAddr> {
-        match self.kind {
-            TraceKind::Access { line, .. }
-            | TraceKind::FillInsert { line, .. }
-            | TraceKind::FillBypass { line, .. }
-            | TraceKind::CleanCopyBack { line, .. }
-            | TraceKind::MshrAlloc { line, .. }
-            | TraceKind::MshrRelease { line, .. } => Some(line),
+        match self.arg("line")? {
+            TraceArg::Line(line) => Some(line),
             _ => None,
         }
     }
 
     /// The requesting core this event concerns, if it carries one.
     pub fn core(&self) -> Option<CoreId> {
-        match self.kind {
-            TraceKind::Access { core, .. }
-            | TraceKind::FillInsert { core, .. }
-            | TraceKind::FillBypass { core, .. } => Some(core),
+        match self.arg("core")? {
+            TraceArg::Num(core) => Some(CoreId(core as usize)),
             _ => None,
         }
     }
 }
 
+/// The text dump's row: `seq @time src name key=value …`.
 impl fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let src = self.src.to_string();
-        write!(f, "{:>6} @{:<8} {src:<7} ", self.seq, self.time)?;
-        match self.kind {
-            TraceKind::Access {
-                line,
-                kind,
-                core,
-                hit,
-                victim_hint,
-            } => {
-                let k = match kind {
-                    AccessKind::Read => "ld",
-                    AccessKind::Write => "st",
-                    AccessKind::Atomic => "at",
-                    AccessKind::CopyBack => "cb",
-                };
-                write!(
-                    f,
-                    "{k} {line} core {} -> {}{}",
-                    core.index(),
-                    if hit { "hit" } else { "miss" },
-                    if victim_hint { " (victim hint)" } else { "" }
-                )
-            }
-            TraceKind::FillInsert {
-                line,
-                core,
-                victim_hint,
-                set,
-                way,
-                depth,
-            } => write!(
-                f,
-                "fill {line} core {} -> set {set} way {way} depth {depth}{}",
-                core.index(),
-                if victim_hint { " (hinted hot)" } else { "" }
-            ),
-            TraceKind::FillBypass {
-                line,
-                core,
-                victim_hint,
-                set,
-            } => write!(
-                f,
-                "fill {line} core {} -> BYPASS (set {set}){}",
-                core.index(),
-                if victim_hint { " (hinted)" } else { "" }
-            ),
-            TraceKind::CleanCopyBack { line, set, reuse } => {
-                write!(f, "copy-back {line} set {set} (clean, reuse {reuse})")
-            }
-            TraceKind::SwitchFlip { set, open } => {
-                write!(
-                    f,
-                    "switch set {set} -> {}",
-                    if open { "OPEN" } else { "closed" }
-                )
-            }
-            TraceKind::EpochReset { open_switches } => {
-                write!(f, "epoch reset ({open_switches} switches open)")
-            }
-            TraceKind::MshrAlloc {
-                line,
-                merged,
-                occupancy,
-            } => write!(
-                f,
-                "mshr {} {line} (occupancy {occupancy})",
-                if merged { "merge" } else { "alloc" }
-            ),
-            TraceKind::MshrRelease { line, targets } => {
-                write!(f, "mshr release {line} ({targets} targets)")
-            }
-            TraceKind::DramAccess {
-                bank,
-                row,
-                outcome,
-                write,
-            } => write!(
-                f,
-                "dram {} bank {bank} row {row} -> {}",
-                if write { "wr" } else { "rd" },
-                match outcome {
-                    DramRowOutcome::Hit => "row hit",
-                    DramRowOutcome::Open => "row open",
-                    DramRowOutcome::Conflict => "row conflict",
-                }
-            ),
-        }
+        let (src, (name, args)) = (self.src.to_string(), self.kind.describe());
+        write!(f, "{:>6} @{:<8} {src:<7} {name}", self.seq, self.time)?;
+        args.iter().try_for_each(|(k, v)| write!(f, " {k}={v}"))
     }
 }
 
-/// A consumer of trace events.
-///
-/// Components call [`TraceSink::record`] at each decision point; the sink
-/// stamps sequence numbers and timestamps. Implementations must be cheap —
-/// they run on cache hot paths whenever tracing is attached.
-pub trait TraceSink: fmt::Debug + Send {
-    /// Records one event.
-    fn record(&mut self, src: TraceSource, kind: TraceKind);
-}
-
-/// A bounded ring of trace events: fixed capacity allocated up front, old
-/// events overwritten once full (the `dropped` counter keeps the total).
+/// The ring behind a [`SharedTraceRing`].
 #[derive(Debug)]
-pub struct TraceRing {
+struct Ring {
     buf: Vec<TraceEvent>,
     cap: usize,
-    /// Index of the oldest event when the ring has wrapped.
+    /// Index of the oldest event once the ring has wrapped.
     head: usize,
     seq: u64,
     time: u64,
     dropped: u64,
 }
 
-impl TraceRing {
-    /// Creates a ring holding at most `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "trace ring capacity must be positive");
-        TraceRing {
-            buf: Vec::with_capacity(capacity),
-            cap: capacity,
-            head: 0,
-            seq: 0,
-            time: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Sets the timestamp stamped onto subsequently recorded events
-    /// (typically the simulated cycle).
-    pub fn set_time(&mut self, time: u64) {
-        self.time = time;
-    }
-
-    /// Events currently held, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
-    }
-
-    /// Number of events currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether no events have been recorded (or all were cleared).
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events overwritten because the ring was full.
-    pub const fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Total events ever recorded.
-    pub const fn recorded(&self) -> u64 {
-        self.seq
-    }
-
-    /// Discards all held events (capacity is retained).
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.head = 0;
-    }
-}
-
-impl TraceSink for TraceRing {
-    fn record(&mut self, src: TraceSource, kind: TraceKind) {
-        let ev = TraceEvent {
-            seq: self.seq,
-            time: self.time,
-            src,
-            kind,
-        };
-        self.seq += 1;
-        if self.buf.len() < self.cap {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.head] = ev;
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-}
-
-/// A cloneable handle to one shared [`TraceRing`]: clone it into every
-/// component that should feed the ring, keep one clone to read the events
-/// back out.
+/// A bounded ring of trace events — fixed capacity allocated up front,
+/// old events overwritten once full (`dropped` keeps the count) — behind
+/// a cloneable handle: clone it into every component that should feed the
+/// ring (a [`Tracer`] does), keep one clone to read the events back out.
 #[derive(Clone, Debug)]
-pub struct SharedTraceRing(Arc<Mutex<TraceRing>>);
+pub struct SharedTraceRing(Arc<Mutex<Ring>>);
 
 impl SharedTraceRing {
     /// Creates a shared ring holding at most `capacity` events.
@@ -425,43 +383,99 @@ impl SharedTraceRing {
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        SharedTraceRing(Arc::new(Mutex::new(TraceRing::new(capacity))))
+        assert!(capacity > 0, "trace ring capacity must be positive");
+        SharedTraceRing(Arc::new(Mutex::new(Ring {
+            buf: Vec::with_capacity(capacity),
+            cap: capacity,
+            head: 0,
+            seq: 0,
+            time: 0,
+            dropped: 0,
+        })))
     }
 
-    /// Sets the timestamp stamped onto subsequent events from any clone.
+    fn ring(&self) -> std::sync::MutexGuard<'_, Ring> {
+        self.0.lock().expect("no emitter panics holding the ring")
+    }
+
+    /// Sets the timestamp stamped onto subsequent events from any clone
+    /// (typically the simulated cycle).
     pub fn set_time(&self, time: u64) {
-        self.0.lock().unwrap().set_time(time);
+        self.ring().time = time;
     }
 
     /// Snapshot of the held events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.0.lock().unwrap().events()
+        let ring = self.ring();
+        [&ring.buf[ring.head..], &ring.buf[..ring.head]].concat()
     }
 
     /// Events overwritten because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.0.lock().unwrap().dropped()
+        self.ring().dropped
     }
 
     /// Total events ever recorded.
     pub fn recorded(&self) -> u64 {
-        self.0.lock().unwrap().recorded()
+        self.ring().seq
     }
 
-    /// Discards all held events.
+    /// Discards all held events (capacity and sequence are retained).
     pub fn clear(&self) {
-        self.0.lock().unwrap().clear();
+        let mut ring = self.ring();
+        ring.buf.clear();
+        ring.head = 0;
     }
 
-    /// A boxed sink clone, ready to hand to a component's `set_trace`.
-    pub fn sink(&self) -> Box<dyn TraceSink> {
-        Box::new(self.clone())
+    /// Records one event through any clone, stamping its sequence number
+    /// and timestamp.
+    pub fn record(&self, src: TraceSource, kind: TraceKind) {
+        let mut ring = self.ring();
+        let ev = TraceEvent {
+            seq: ring.seq,
+            time: ring.time,
+            src,
+            kind,
+        };
+        ring.seq += 1;
+        if ring.buf.len() < ring.cap {
+            ring.buf.push(ev);
+        } else {
+            let head = ring.head;
+            ring.buf[head] = ev;
+            ring.head = (head + 1) % ring.cap;
+            ring.dropped += 1;
+        }
     }
 }
 
-impl TraceSink for SharedTraceRing {
-    fn record(&mut self, src: TraceSource, kind: TraceKind) {
-        self.0.lock().unwrap().record(src, kind);
+/// A component's trace hook: detached (the default), or attached to a
+/// shared ring under the component's [`TraceSource`]. Detached, [`emit`]
+/// costs one `Option` discriminant test; the hook is an observation
+/// channel and is never part of a component's snapshot.
+///
+/// [`emit`]: Tracer::emit
+#[derive(Debug, Default)]
+pub struct Tracer(Option<(TraceSource, SharedTraceRing)>);
+
+impl Tracer {
+    /// A hook feeding `ring` as `src`.
+    pub fn attached(src: TraceSource, ring: &SharedTraceRing) -> Self {
+        Tracer(Some((src, ring.clone())))
+    }
+
+    /// Whether events go anywhere — the guard for a payload that costs
+    /// something to compute.
+    pub const fn is_attached(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// Records `kind` if attached.
+    #[inline]
+    pub fn emit(&self, kind: TraceKind) {
+        if let Some((src, ring)) = &self.0 {
+            ring.record(*src, kind);
+        }
     }
 }
 
@@ -496,27 +510,10 @@ impl TraceFilter {
 
     /// Whether `ev` passes the filter.
     pub fn matches(&self, ev: &TraceEvent) -> bool {
-        if let Some(level) = self.level {
-            if ev.src.level != level {
-                return false;
-            }
-        }
-        if let Some(index) = self.index {
-            if ev.src.index != index {
-                return false;
-            }
-        }
-        if let Some(line) = self.line {
-            if ev.line() != Some(line) {
-                return false;
-            }
-        }
-        if let Some(core) = self.core {
-            if ev.core() != Some(core) {
-                return false;
-            }
-        }
-        true
+        self.level.is_none_or(|level| ev.src.level == level)
+            && self.index.is_none_or(|index| ev.src.index == index)
+            && self.line.is_none_or(|line| ev.line() == Some(line))
+            && self.core.is_none_or(|core| ev.core() == Some(core))
     }
 }
 
@@ -532,10 +529,86 @@ pub fn dump_filtered(events: &[TraceEvent], filter: &TraceFilter) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     const SRC: TraceSource = TraceSource::new(TraceLevel::L1, 3);
+
+    /// One event of every [`TraceKind`] variant (and of every name a
+    /// variant can take), spread over four tracks.
+    pub(crate) fn one_of_each_kind() -> Vec<TraceEvent> {
+        let l1 = TraceSource::new(TraceLevel::L1, 3);
+        let l15 = TraceSource::new(TraceLevel::L15, 1);
+        let l2 = TraceSource::new(TraceLevel::L2, 0);
+        let dram = TraceSource::new(TraceLevel::Dram, 2);
+        let line = LineAddr::new(0x1234);
+        let access = |kind, core, hit, victim_hint| TraceKind::Access {
+            line,
+            kind,
+            core: CoreId(core),
+            hit,
+            victim_hint,
+        };
+        let dram_access = |bank, row, outcome, write| TraceKind::DramAccess {
+            bank,
+            row,
+            outcome,
+            write,
+        };
+        let flip = |open| TraceKind::SwitchFlip { set: 5, open };
+        let mshr = |merged, occupancy| TraceKind::MshrAlloc {
+            line,
+            merged,
+            occupancy,
+        };
+        let fill = TraceKind::FillInsert {
+            line,
+            core: CoreId(1),
+            victim_hint: true,
+            set: 2,
+            way: 3,
+            depth: 1,
+        };
+        let bypass = TraceKind::FillBypass {
+            line,
+            core: CoreId(1),
+            victim_hint: false,
+            set: 2,
+        };
+        let copy_back = TraceKind::CleanCopyBack {
+            line,
+            set: 9,
+            reuse: 4,
+        };
+        let kinds = [
+            (l1, access(AccessKind::Read, 3, false, false)),
+            (l2, access(AccessKind::Write, 3, true, true)),
+            (l2, access(AccessKind::Atomic, 1, false, false)),
+            (l15, access(AccessKind::CopyBack, 1, true, false)),
+            (l1, fill),
+            (l1, bypass),
+            (l15, copy_back),
+            (l1, flip(true)),
+            (l1, flip(false)),
+            (l1, TraceKind::EpochReset { open_switches: 12 }),
+            (l1, mshr(false, 7)),
+            (l2, mshr(true, 8)),
+            (l2, TraceKind::MshrRelease { line, targets: 2 }),
+            (dram, dram_access(1, 77, DramRowOutcome::Hit, false)),
+            (dram, dram_access(2, 78, DramRowOutcome::Open, true)),
+            (dram, dram_access(3, 79, DramRowOutcome::Conflict, false)),
+        ];
+        kinds
+            .into_iter()
+            .enumerate()
+            .map(|(i, (src, kind))| TraceEvent {
+                seq: i as u64,
+                time: 10 * i as u64 + 5,
+                src,
+                kind,
+            })
+            .collect()
+    }
 
     fn access(line: u64, hit: bool) -> TraceKind {
         TraceKind::Access {
@@ -549,7 +622,7 @@ mod tests {
 
     #[test]
     fn ring_keeps_insertion_order() {
-        let mut ring = TraceRing::new(8);
+        let ring = SharedTraceRing::new(8);
         for i in 0..5 {
             ring.set_time(i * 10);
             ring.record(SRC, access(i, false));
@@ -564,7 +637,7 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_when_full() {
-        let mut ring = TraceRing::new(3);
+        let ring = SharedTraceRing::new(3);
         for i in 0..5 {
             ring.record(SRC, access(i, false));
         }
@@ -579,8 +652,8 @@ mod tests {
     #[test]
     fn shared_ring_clones_feed_one_buffer() {
         let ring = SharedTraceRing::new(16);
-        let mut a = ring.clone();
-        let mut b = ring.clone();
+        let a = ring.clone();
+        let b = ring.clone();
         a.record(SRC, access(1, false));
         b.record(TraceSource::new(TraceLevel::L2, 0), access(1, true));
         let evs = ring.events();
@@ -592,7 +665,7 @@ mod tests {
 
     #[test]
     fn filter_selects_by_line_and_level() {
-        let mut ring = TraceRing::new(16);
+        let ring = SharedTraceRing::new(16);
         ring.record(SRC, access(1, false));
         ring.record(SRC, access(2, false));
         ring.record(SRC, TraceKind::SwitchFlip { set: 0, open: true });
@@ -622,14 +695,14 @@ mod tests {
         // sequence numbers, oldest-first readout, one shared dropped
         // counter.
         let ring = SharedTraceRing::new(4);
-        let mut sinks = [
+        let sinks = [
             (TraceSource::new(TraceLevel::L1, 0), ring.clone()),
             (TraceSource::new(TraceLevel::L15, 1), ring.clone()),
             (TraceSource::new(TraceLevel::L2, 2), ring.clone()),
         ];
         for i in 0..10u64 {
             ring.set_time(i * 100);
-            let (src, sink) = &mut sinks[(i % 3) as usize];
+            let (src, sink) = &sinks[(i % 3) as usize];
             sink.record(*src, access(i, false));
         }
         assert_eq!(ring.recorded(), 10);
@@ -658,19 +731,18 @@ mod tests {
         // After exactly 2x capacity the head is back at slot 0: the
         // readout must still be oldest-first (a regression guard for
         // the head-split concatenation in `events`).
-        let mut ring = TraceRing::new(4);
+        let ring = SharedTraceRing::new(4);
         for i in 0..8 {
             ring.record(SRC, access(i, false));
         }
         let seqs: Vec<u64> = ring.events().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, [4, 5, 6, 7]);
-        assert_eq!(ring.len(), 4);
         assert_eq!(ring.dropped(), 4);
     }
 
     #[test]
     fn filter_fields_combine_conjunctively() {
-        let mut ring = TraceRing::new(16);
+        let ring = SharedTraceRing::new(16);
         let l1a = TraceSource::new(TraceLevel::L1, 0);
         let l1b = TraceSource::new(TraceLevel::L1, 1);
         let l2 = TraceSource::new(TraceLevel::L2, 0);
@@ -726,20 +798,54 @@ mod tests {
 
     #[test]
     fn display_is_stable_and_readable() {
-        let ev = TraceEvent {
-            seq: 7,
-            time: 123,
-            src: SRC,
-            kind: TraceKind::FillBypass {
-                line: LineAddr::new(0x40),
-                core: CoreId(2),
-                victim_hint: true,
-                set: 5,
-            },
-        };
-        let s = ev.to_string();
-        assert!(s.contains("L1#3"));
-        assert!(s.contains("BYPASS"));
-        assert!(s.contains("(hinted)"));
+        // The text dump of every kind: `seq @time src name key=value …`,
+        // the same names and arguments the Perfetto export carries.
+        let dump = dump_filtered(&one_of_each_kind(), &TraceFilter::all());
+        assert_eq!(
+            dump,
+            "     0 @5        L1#3    ld miss line=0x1234 core=3 victim_hint=false
+     1 @15       L2#0    st hit line=0x1234 core=3 victim_hint=true
+     2 @25       L2#0    atomic miss line=0x1234 core=1 victim_hint=false
+     3 @35       L1.5#1  copy-back hit line=0x1234 core=1 victim_hint=false
+     4 @45       L1#3    fill insert line=0x1234 core=1 victim_hint=true set=2 way=3 depth=1
+     5 @55       L1#3    fill bypass line=0x1234 core=1 victim_hint=false set=2
+     6 @65       L1.5#1  clean copy-back line=0x1234 set=9 reuse=4
+     7 @75       L1#3    switch open set=5 open=true
+     8 @85       L1#3    switch close set=5 open=false
+     9 @95       L1#3    epoch reset open_switches=12
+    10 @105      L1#3    mshr alloc line=0x1234 occupancy=7
+    11 @115      L2#0    mshr merge line=0x1234 occupancy=8
+    12 @125      L2#0    mshr release line=0x1234 targets=2
+    13 @135      DRAM#2  dram rd bank=1 row=77 row_buffer=hit
+    14 @145      DRAM#2  dram wr bank=2 row=78 row_buffer=open
+    15 @155      DRAM#2  dram rd bank=3 row=79 row_buffer=conflict
+"
+        );
+    }
+
+    #[test]
+    fn line_and_core_come_from_the_description() {
+        let events = one_of_each_kind();
+        let with_line = events.iter().filter(|e| e.line().is_some()).count();
+        let with_core = events.iter().filter(|e| e.core().is_some()).count();
+        assert_eq!((with_line, with_core), (10, 6));
+        assert_eq!(events[0].line(), Some(LineAddr::new(0x1234)));
+        assert_eq!(events[0].core(), Some(CoreId(3)));
+        assert_eq!(events[9].line(), None, "an epoch reset has no line");
+    }
+
+    #[test]
+    fn detached_tracer_records_nothing() {
+        let ring = SharedTraceRing::new(4);
+        let (off, on) = (Tracer::default(), Tracer::attached(SRC, &ring));
+        assert!(!off.is_attached() && on.is_attached());
+        off.emit(access(1, true));
+        on.emit(access(2, false));
+        let events = ring.events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(
+            (events[0].src, events[0].line()),
+            (SRC, Some(LineAddr::new(2)))
+        );
     }
 }

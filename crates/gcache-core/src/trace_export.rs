@@ -31,9 +31,8 @@
 //! the experiment binaries does exactly that, one process per selected
 //! benchmark).
 
-use crate::json::escape;
-use crate::trace::{DramRowOutcome, TraceEvent, TraceKind, TraceLevel, TraceSource};
-use std::fmt::Write as _;
+use crate::json::JsonWriter;
+use crate::trace::{TraceArg, TraceEvent, TraceLevel, TraceSource};
 
 /// The stable thread id of a component track within its process: levels
 /// are spaced far apart so tracks sort by hierarchy level first, then by
@@ -63,38 +62,65 @@ impl ChromeTraceBuilder {
         ChromeTraceBuilder::default()
     }
 
+    /// Appends one event object: `name` and `ph`, then whatever `rest`
+    /// writes (`ts`, `pid`, `tid`, `args`, …).
+    fn entry(&mut self, name: &str, phase: &str, rest: impl FnOnce(&mut JsonWriter)) {
+        let mut w = JsonWriter::new();
+        w.begin_obj().key("name").str(name).key("ph").str(phase);
+        rest(&mut w);
+        w.end_obj();
+        self.entries.push(w.finish());
+    }
+
+    /// Appends one naming record (`"ph":"M"`): process or thread `name`.
+    fn name_record(&mut self, record: &str, pid: u32, tid: u32, name: &str) {
+        self.entry(record, "M", |w| {
+            w.key("pid").num(pid).key("tid").num(tid);
+            w.key("args").begin_obj().key("name").str(name).end_obj();
+        });
+    }
+
     /// Names process `pid` (a Perfetto process groups that simulation's
     /// tracks under this label).
     pub fn add_process(&mut self, pid: u32, name: &str) {
-        self.entries.push(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape(name)
-        ));
+        self.name_record("process_name", pid, 0, name);
     }
 
     /// Renders `events` into process `pid`: one thread-name metadata
     /// record per distinct [`TraceSource`] plus one instant event per
-    /// trace event (cycle → µs). Returns the number of *instant* events
-    /// emitted (metadata excluded).
+    /// trace event (cycle → µs), named and argued as
+    /// [`TraceKind::describe`](crate::trace::TraceKind::describe) says.
+    /// Returns the number of *instant* events emitted (metadata excluded).
     pub fn add_sim_events(&mut self, pid: u32, events: &[TraceEvent]) -> usize {
         let mut named: Vec<TraceSource> = Vec::new();
         for ev in events {
+            let tid = track_id(ev.src);
             if !named.contains(&ev.src) {
                 named.push(ev.src);
-                self.entries.push(format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{},\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    track_id(ev.src),
-                    ev.src
-                ));
-                self.entries.push(format!(
-                    "{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-                     \"args\":{{\"sort_index\":{tid}}}}}",
-                    tid = track_id(ev.src)
-                ));
+                self.name_record("thread_name", pid, tid, &ev.src.to_string());
+                self.entry("thread_sort_index", "M", |w| {
+                    w.key("pid").num(pid).key("tid").num(tid);
+                    w.key("args")
+                        .begin_obj()
+                        .key("sort_index")
+                        .num(tid)
+                        .end_obj();
+                });
             }
-            self.entries.push(render_instant(pid, ev));
+            let (name, args) = ev.kind.describe();
+            self.entry(name, "i", |w| {
+                w.key("ts").num(ev.time).key("pid").num(pid);
+                w.key("tid").num(tid).key("s").str("t");
+                w.key("args").begin_obj();
+                for (key, arg) in args {
+                    match arg {
+                        TraceArg::Flag(b) => w.key(key).bool(b),
+                        TraceArg::Num(n) => w.key(key).num(n),
+                        TraceArg::Line(_) | TraceArg::Word(_) => w.key(key).str(&arg.to_string()),
+                    };
+                }
+                w.end_obj();
+            });
         }
         events.len()
     }
@@ -105,234 +131,46 @@ impl ChromeTraceBuilder {
     /// confused with simulated time.
     pub fn add_host_stages(&mut self, pid: u32, name: &str, stages: &[(&str, u64)]) {
         self.add_process(pid, name);
-        self.entries.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":1,\
-             \"args\":{{\"name\":\"host stages\"}}}}"
-        ));
+        self.name_record("thread_name", pid, 1, "host stages");
         let mut at_ns: u64 = 0;
         for (stage, ns) in stages {
-            self.entries.push(format!(
-                "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
-                 \"pid\":{pid},\"tid\":1,\"args\":{{\"ns\":{ns}}}}}",
-                escape(stage),
-                at_ns as f64 / 1e3,
-                (*ns).max(1) as f64 / 1e3,
-            ));
+            self.entry(stage, "X", |w| {
+                w.key("ts").fixed(at_ns as f64 / 1e3, 3);
+                w.key("dur").fixed((*ns).max(1) as f64 / 1e3, 3);
+                w.key("pid").num(pid).key("tid").num(1);
+                w.key("args").begin_obj().key("ns").num(ns).end_obj();
+            });
             at_ns += ns;
         }
     }
 
-    /// Attaches one `otherData` string member (e.g. provenance notes).
+    /// Attaches one `otherData` string member (e.g. provenance notes,
+    /// such as how many events the ring dropped — so a truncated timeline
+    /// is never mistaken for a complete one).
     pub fn note(&mut self, key: &str, value: &str) {
         self.other.push((key.to_string(), value.to_string()));
     }
 
-    /// Renders the finished document.
+    /// Renders the finished document, one event per line.
     pub fn finish(self) -> String {
-        let mut out = String::from("{\"traceEvents\":[\n");
-        out.push_str(&self.entries.join(",\n"));
-        out.push_str("\n],\"displayTimeUnit\":\"ms\",\"otherData\":{");
-        for (i, (k, v)) in self.other.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\"{}\":\"{}\"",
-                if i > 0 { "," } else { "" },
-                escape(k),
-                escape(v)
-            );
+        let mut w = JsonWriter::new();
+        w.begin_obj().key("traceEvents").begin_arr().space("\n");
+        w.raw(&self.entries.join(",\n")).space("\n").end_arr();
+        w.key("displayTimeUnit").str("ms");
+        w.key("otherData").begin_obj();
+        for (k, v) in &self.other {
+            w.key(k).str(v);
         }
-        out.push_str("}}\n");
-        out
+        w.end_obj().end_obj().space("\n");
+        w.finish()
     }
-}
-
-/// One-call convenience: a single simulation's events (plus optional
-/// host stages) as a complete document. `name` labels the simulated
-/// process; `dropped` is the ring's overwrite count, recorded in
-/// `otherData` so a truncated timeline is never mistaken for a complete
-/// one.
-pub fn chrome_trace_json(
-    name: &str,
-    events: &[TraceEvent],
-    host_stages: &[(&str, u64)],
-    dropped: u64,
-) -> String {
-    let mut b = ChromeTraceBuilder::new();
-    b.add_process(1, name);
-    b.add_sim_events(1, events);
-    if !host_stages.is_empty() {
-        b.add_host_stages(1_000_000, &format!("host: {name}"), host_stages);
-    }
-    b.note("events", &events.len().to_string());
-    b.note("dropped", &dropped.to_string());
-    b.finish()
-}
-
-/// The stable instant-event name of a trace kind (what Perfetto shows on
-/// the track and what queries match on).
-pub fn event_name(kind: &TraceKind) -> &'static str {
-    match kind {
-        TraceKind::Access { kind, hit, .. } => match (kind, hit) {
-            (crate::policy::AccessKind::Read, true) => "ld hit",
-            (crate::policy::AccessKind::Read, false) => "ld miss",
-            (crate::policy::AccessKind::Write, true) => "st hit",
-            (crate::policy::AccessKind::Write, false) => "st miss",
-            (crate::policy::AccessKind::Atomic, true) => "atomic hit",
-            (crate::policy::AccessKind::Atomic, false) => "atomic miss",
-            (crate::policy::AccessKind::CopyBack, true) => "copy-back hit",
-            (crate::policy::AccessKind::CopyBack, false) => "copy-back miss",
-        },
-        TraceKind::FillInsert { .. } => "fill insert",
-        TraceKind::FillBypass { .. } => "fill bypass",
-        TraceKind::CleanCopyBack { .. } => "clean copy-back",
-        TraceKind::SwitchFlip { open: true, .. } => "switch open",
-        TraceKind::SwitchFlip { open: false, .. } => "switch close",
-        TraceKind::EpochReset { .. } => "epoch reset",
-        TraceKind::MshrAlloc { merged: true, .. } => "mshr merge",
-        TraceKind::MshrAlloc { merged: false, .. } => "mshr alloc",
-        TraceKind::MshrRelease { .. } => "mshr release",
-        TraceKind::DramAccess { write: true, .. } => "dram wr",
-        TraceKind::DramAccess { write: false, .. } => "dram rd",
-    }
-}
-
-/// Renders one trace event as a thread-scoped instant event object.
-fn render_instant(pid: u32, ev: &TraceEvent) -> String {
-    let mut args = String::new();
-    let mut arg = |k: &str, v: String| {
-        let _ = write!(
-            args,
-            "{}\"{k}\":{v}",
-            if args.is_empty() { "" } else { "," }
-        );
-    };
-    match ev.kind {
-        TraceKind::Access {
-            line,
-            core,
-            victim_hint,
-            ..
-        } => {
-            arg("line", format!("\"{line}\""));
-            arg("core", core.index().to_string());
-            arg("victim_hint", victim_hint.to_string());
-        }
-        TraceKind::FillInsert {
-            line,
-            core,
-            victim_hint,
-            set,
-            way,
-            depth,
-        } => {
-            arg("line", format!("\"{line}\""));
-            arg("core", core.index().to_string());
-            arg("victim_hint", victim_hint.to_string());
-            arg("set", set.to_string());
-            arg("way", way.to_string());
-            arg("depth", depth.to_string());
-        }
-        TraceKind::FillBypass {
-            line,
-            core,
-            victim_hint,
-            set,
-        } => {
-            arg("line", format!("\"{line}\""));
-            arg("core", core.index().to_string());
-            arg("victim_hint", victim_hint.to_string());
-            arg("set", set.to_string());
-        }
-        TraceKind::CleanCopyBack { line, set, reuse } => {
-            arg("line", format!("\"{line}\""));
-            arg("set", set.to_string());
-            arg("reuse", reuse.to_string());
-        }
-        TraceKind::SwitchFlip { set, open } => {
-            arg("set", set.to_string());
-            arg("open", open.to_string());
-        }
-        TraceKind::EpochReset { open_switches } => {
-            arg("open_switches", open_switches.to_string());
-        }
-        TraceKind::MshrAlloc {
-            line, occupancy, ..
-        } => {
-            arg("line", format!("\"{line}\""));
-            arg("occupancy", occupancy.to_string());
-        }
-        TraceKind::MshrRelease { line, targets } => {
-            arg("line", format!("\"{line}\""));
-            arg("targets", targets.to_string());
-        }
-        TraceKind::DramAccess {
-            bank, row, outcome, ..
-        } => {
-            arg("bank", bank.to_string());
-            arg("row", row.to_string());
-            let o = match outcome {
-                DramRowOutcome::Hit => "hit",
-                DramRowOutcome::Open => "open",
-                DramRowOutcome::Conflict => "conflict",
-            };
-            arg("row_buffer", format!("\"{o}\""));
-        }
-    }
-    format!(
-        "{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{},\"pid\":{pid},\"tid\":{},\
-         \"s\":\"t\",\"args\":{{{args}}}}}",
-        event_name(&ev.kind),
-        ev.time,
-        track_id(ev.src),
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::{CoreId, LineAddr};
     use crate::json::Json;
-    use crate::policy::AccessKind;
-
-    fn ev(seq: u64, time: u64, src: TraceSource, kind: TraceKind) -> TraceEvent {
-        TraceEvent {
-            seq,
-            time,
-            src,
-            kind,
-        }
-    }
-
-    fn sample_events() -> Vec<TraceEvent> {
-        let l1 = TraceSource::new(TraceLevel::L1, 3);
-        let l2 = TraceSource::new(TraceLevel::L2, 0);
-        vec![
-            ev(
-                0,
-                10,
-                l1,
-                TraceKind::Access {
-                    line: LineAddr::new(0x40),
-                    kind: AccessKind::Read,
-                    core: CoreId(3),
-                    hit: false,
-                    victim_hint: false,
-                },
-            ),
-            ev(1, 12, l1, TraceKind::SwitchFlip { set: 5, open: true }),
-            ev(
-                2,
-                20,
-                l2,
-                TraceKind::DramAccess {
-                    bank: 1,
-                    row: 77,
-                    outcome: DramRowOutcome::Conflict,
-                    write: true,
-                },
-            ),
-        ]
-    }
+    use crate::trace::tests::one_of_each_kind;
 
     #[test]
     fn track_ids_are_stable_and_disjoint_per_level() {
@@ -343,62 +181,11 @@ mod tests {
     }
 
     #[test]
-    fn document_parses_and_counts_match() {
-        let events = sample_events();
-        let doc = chrome_trace_json("BFS", &events, &[("core", 1500), ("icnt", 2500)], 0);
-        let j = Json::parse(&doc).expect("valid JSON");
-        let te = j.get("traceEvents").unwrap().as_arr().unwrap();
-
-        let instants: Vec<&Json> = te
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("i"))
-            .collect();
-        assert_eq!(instants.len(), events.len(), "one instant per trace event");
-
-        // Thread-scoped, on the right track, at the cycle-as-µs time.
-        let first = instants[0];
-        assert_eq!(first.get("s").unwrap().as_str(), Some("t"));
-        assert_eq!(first.get("tid").unwrap().as_f64(), Some(1003.0));
-        assert_eq!(first.get("ts").unwrap().as_f64(), Some(10.0));
-        assert_eq!(first.get("name").unwrap().as_str(), Some("ld miss"));
-
-        // The switch flip is present, named, and carries its payload.
-        let flip = instants
-            .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("switch open"))
-            .expect("switch-flip instant");
-        assert_eq!(flip.at(&["args", "set"]).unwrap().as_f64(), Some(5.0));
-
-        // Host stages: complete events laid end-to-end in µs.
-        let spans: Vec<&Json> = te
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
-            .collect();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].get("ts").unwrap().as_f64(), Some(0.0));
-        assert_eq!(spans[0].get("dur").unwrap().as_f64(), Some(1.5));
-        assert_eq!(spans[1].get("ts").unwrap().as_f64(), Some(1.5));
-
-        // Track metadata names each source once.
-        let names: Vec<&str> = te
-            .iter()
-            .filter(|e| e.get("name").and_then(Json::as_str) == Some("thread_name"))
-            .map(|e| e.at(&["args", "name"]).unwrap().as_str().unwrap())
-            .collect();
-        assert!(names.contains(&"L1#3"));
-        assert!(names.contains(&"L2#0"));
-        assert!(names.contains(&"host stages"));
-
-        // Provenance notes.
-        assert_eq!(j.at(&["otherData", "events"]).unwrap().as_str(), Some("3"));
-    }
-
-    #[test]
     fn multi_process_documents_keep_benchmarks_apart() {
-        let events = sample_events();
+        let events = one_of_each_kind();
         let mut b = ChromeTraceBuilder::new();
         b.add_process(1, "BFS");
-        b.add_sim_events(1, &events);
+        b.add_sim_events(1, &events[..3]);
         b.add_process(2, "SPMV");
         b.add_sim_events(2, &events[..1]);
         let j = Json::parse(&b.finish()).expect("valid JSON");
@@ -413,53 +200,60 @@ mod tests {
 
     #[test]
     fn every_kind_renders_valid_json() {
-        let src = TraceSource::new(TraceLevel::L1, 0);
-        let line = LineAddr::new(0x1234);
-        let kinds = [
-            TraceKind::FillInsert {
-                line,
-                core: CoreId(1),
-                victim_hint: true,
-                set: 2,
-                way: 3,
-                depth: 1,
-            },
-            TraceKind::FillBypass {
-                line,
-                core: CoreId(1),
-                victim_hint: false,
-                set: 2,
-            },
-            TraceKind::CleanCopyBack {
-                line,
-                set: 9,
-                reuse: 4,
-            },
-            TraceKind::EpochReset { open_switches: 12 },
-            TraceKind::MshrAlloc {
-                line,
-                merged: true,
-                occupancy: 7,
-            },
-            TraceKind::MshrRelease { line, targets: 2 },
-            TraceKind::SwitchFlip {
-                set: 1,
-                open: false,
-            },
-        ];
-        for (i, kind) in kinds.into_iter().enumerate() {
-            let doc = chrome_trace_json("x", &[ev(i as u64, i as u64, src, kind)], &[], 0);
-            let j = Json::parse(&doc).unwrap_or_else(|e| panic!("{kind:?}: {e}"));
-            assert_eq!(
-                j.get("traceEvents")
-                    .unwrap()
-                    .as_arr()
-                    .unwrap()
-                    .iter()
-                    .filter(|e| e.get("ph").and_then(Json::as_str) == Some("i"))
-                    .count(),
-                1
-            );
-        }
+        // Byte pin (captured at the parent of the describe-once fold):
+        // every instant, the process/thread metadata, host spans and
+        // notes, with names that need escaping.
+        let mut b = ChromeTraceBuilder::new();
+        b.add_process(1, "B\"FS");
+        assert_eq!(b.add_sim_events(1, &one_of_each_kind()), 16);
+        b.add_host_stages(
+            1_000_001,
+            "host: B\"FS",
+            &[("core", 1500), ("ic\\nt", 2501), ("idle", 0)],
+        );
+        b.note("events", "16");
+        b.note("no\"te", "a\\b");
+        let doc = b.finish();
+        Json::parse(&doc).expect("valid JSON");
+        assert_eq!(
+            doc,
+            r#"{"traceEvents":[
+{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"B\"FS"}},
+{"name":"thread_name","ph":"M","pid":1,"tid":1003,"args":{"name":"L1#3"}},
+{"name":"thread_sort_index","ph":"M","pid":1,"tid":1003,"args":{"sort_index":1003}},
+{"name":"ld miss","ph":"i","ts":5,"pid":1,"tid":1003,"s":"t","args":{"line":"0x1234","core":3,"victim_hint":false}},
+{"name":"thread_name","ph":"M","pid":1,"tid":3000,"args":{"name":"L2#0"}},
+{"name":"thread_sort_index","ph":"M","pid":1,"tid":3000,"args":{"sort_index":3000}},
+{"name":"st hit","ph":"i","ts":15,"pid":1,"tid":3000,"s":"t","args":{"line":"0x1234","core":3,"victim_hint":true}},
+{"name":"atomic miss","ph":"i","ts":25,"pid":1,"tid":3000,"s":"t","args":{"line":"0x1234","core":1,"victim_hint":false}},
+{"name":"thread_name","ph":"M","pid":1,"tid":2001,"args":{"name":"L1.5#1"}},
+{"name":"thread_sort_index","ph":"M","pid":1,"tid":2001,"args":{"sort_index":2001}},
+{"name":"copy-back hit","ph":"i","ts":35,"pid":1,"tid":2001,"s":"t","args":{"line":"0x1234","core":1,"victim_hint":false}},
+{"name":"fill insert","ph":"i","ts":45,"pid":1,"tid":1003,"s":"t","args":{"line":"0x1234","core":1,"victim_hint":true,"set":2,"way":3,"depth":1}},
+{"name":"fill bypass","ph":"i","ts":55,"pid":1,"tid":1003,"s":"t","args":{"line":"0x1234","core":1,"victim_hint":false,"set":2}},
+{"name":"clean copy-back","ph":"i","ts":65,"pid":1,"tid":2001,"s":"t","args":{"line":"0x1234","set":9,"reuse":4}},
+{"name":"switch open","ph":"i","ts":75,"pid":1,"tid":1003,"s":"t","args":{"set":5,"open":true}},
+{"name":"switch close","ph":"i","ts":85,"pid":1,"tid":1003,"s":"t","args":{"set":5,"open":false}},
+{"name":"epoch reset","ph":"i","ts":95,"pid":1,"tid":1003,"s":"t","args":{"open_switches":12}},
+{"name":"mshr alloc","ph":"i","ts":105,"pid":1,"tid":1003,"s":"t","args":{"line":"0x1234","occupancy":7}},
+{"name":"mshr merge","ph":"i","ts":115,"pid":1,"tid":3000,"s":"t","args":{"line":"0x1234","occupancy":8}},
+{"name":"mshr release","ph":"i","ts":125,"pid":1,"tid":3000,"s":"t","args":{"line":"0x1234","targets":2}},
+{"name":"thread_name","ph":"M","pid":1,"tid":4002,"args":{"name":"DRAM#2"}},
+{"name":"thread_sort_index","ph":"M","pid":1,"tid":4002,"args":{"sort_index":4002}},
+{"name":"dram rd","ph":"i","ts":135,"pid":1,"tid":4002,"s":"t","args":{"bank":1,"row":77,"row_buffer":"hit"}},
+{"name":"dram wr","ph":"i","ts":145,"pid":1,"tid":4002,"s":"t","args":{"bank":2,"row":78,"row_buffer":"open"}},
+{"name":"dram rd","ph":"i","ts":155,"pid":1,"tid":4002,"s":"t","args":{"bank":3,"row":79,"row_buffer":"conflict"}},
+{"name":"process_name","ph":"M","pid":1000001,"tid":0,"args":{"name":"host: B\"FS"}},
+{"name":"thread_name","ph":"M","pid":1000001,"tid":1,"args":{"name":"host stages"}},
+{"name":"core","ph":"X","ts":0.000,"dur":1.500,"pid":1000001,"tid":1,"args":{"ns":1500}},
+{"name":"ic\\nt","ph":"X","ts":1.500,"dur":2.501,"pid":1000001,"tid":1,"args":{"ns":2501}},
+{"name":"idle","ph":"X","ts":4.001,"dur":0.001,"pid":1000001,"tid":1,"args":{"ns":0}}
+],"displayTimeUnit":"ms","otherData":{"events":"16","no\"te":"a\\b"}}
+"#
+        );
+        assert_eq!(
+            ChromeTraceBuilder::new().finish(),
+            "{\"traceEvents\":[\n\n],\"displayTimeUnit\":\"ms\",\"otherData\":{}}\n"
+        );
     }
 }

@@ -10,7 +10,7 @@ use crate::config::DramTiming;
 use gcache_core::addr::LineAddr;
 use gcache_core::record;
 use gcache_core::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
-use gcache_core::trace::{DramRowOutcome, TraceKind, TraceSink, TraceSource};
+use gcache_core::trace::{DramRowOutcome, SharedTraceRing, TraceKind, TraceSource, Tracer};
 use std::fmt;
 
 /// Error returned by [`Dram::enqueue`] when the controller queue is full.
@@ -144,9 +144,9 @@ pub struct Dram<T> {
     /// Cached scan wake-up cycle; 0 forces a scan (reset on enqueue).
     wake: u64,
     stats: DramStats,
-    /// Optional structured-event sink; when absent (the default) the
-    /// scheduler's only extra work is this discriminant test.
-    trace: Option<(TraceSource, Box<dyn TraceSink>)>,
+    /// Optional structured-event hook; detached (the default) the
+    /// scheduler's only extra work is its discriminant test.
+    trace: Tracer,
 }
 
 impl<T> Dram<T> {
@@ -185,20 +185,14 @@ impl<T> Dram<T> {
             event_gated: false,
             wake: 0,
             stats: DramStats::default(),
-            trace: None,
+            trace: Tracer::default(),
         }
     }
 
-    /// Attaches a structured-event sink; every scheduled DRAM command
-    /// emits a [`TraceKind::DramAccess`] with its row-buffer outcome.
-    pub fn set_trace(&mut self, src: TraceSource, sink: Box<dyn TraceSink>) {
-        self.trace = Some((src, sink));
-    }
-
-    /// Detaches the event sink, returning the scheduler to its zero-cost
-    /// untraced mode.
-    pub fn clear_trace(&mut self) {
-        self.trace = None;
+    /// Attaches the trace ring; every scheduled DRAM command emits a
+    /// [`TraceKind::DramAccess`] with its row-buffer outcome.
+    pub fn attach_trace(&mut self, src: TraceSource, ring: &SharedTraceRing) {
+        self.trace = Tracer::attached(src, ring);
     }
 
     /// Enables or disables the internal scan elision (see `event_gated`).
@@ -426,17 +420,12 @@ impl<T> Dram<T> {
         self.bus_busy_until = data_at + t.t_burst as u64;
         let done_at = data_at + t.t_burst as u64;
         self.stats.total_latency += done_at.saturating_sub(p.arrived);
-        if let Some((src, sink)) = &mut self.trace {
-            sink.record(
-                *src,
-                TraceKind::DramAccess {
-                    bank: bank_id as u16,
-                    row,
-                    outcome,
-                    write: p.write,
-                },
-            );
-        }
+        self.trace.emit(TraceKind::DramAccess {
+            bank: bank_id as u16,
+            row,
+            outcome,
+            write: p.write,
+        });
         self.completions.push(Completion {
             token: p.token,
             ready_at: done_at,
@@ -448,7 +437,7 @@ impl<T> Dram<T> {
 impl<T: Codec> Snapshot for Dram<T> {
     /// Saves the banks, the pending queue (whose `Vec` order *is* the
     /// FCFS order, so it is authoritative), buffered completions, the
-    /// bus/activation windows and statistics. The trace sink is an
+    /// bus/activation windows and statistics. The trace hook is an
     /// observation channel and is never serialized; the `wake` cache is
     /// re-derived on the first gated tick.
     fn save(&self, w: &mut SnapshotWriter) {

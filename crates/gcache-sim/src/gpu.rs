@@ -246,13 +246,13 @@ impl Gpu {
     /// [`gcache_core::trace`] for the event taxonomy.
     pub fn attach_trace(&mut self, ring: &SharedTraceRing) {
         for c in self.cores.cores_mut() {
-            c.l1_mut().set_trace(ring);
+            c.l1_mut().attach_trace(ring);
         }
         for (i, cl) in self.clusters.clusters_mut().iter_mut().enumerate() {
-            cl.set_trace(i, ring);
+            cl.attach_trace(i, ring);
         }
         for p in self.mem.partitions_mut() {
-            p.set_trace(ring);
+            p.attach_trace(ring);
         }
         self.trace = Some(ring.clone());
     }

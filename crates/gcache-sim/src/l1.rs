@@ -108,10 +108,9 @@ impl L1Controller {
 
     /// Attaches a shared event-trace ring to this L1 (cache fill/epoch
     /// events plus MSHR allocate/release events), tagged `L1#<core>`.
-    pub fn set_trace(&mut self, ring: &SharedTraceRing) {
+    pub fn attach_trace(&mut self, ring: &SharedTraceRing) {
         let src = TraceSource::new(TraceLevel::L1, self.core.0 as u16);
-        self.ctrl.set_trace(src, ring.sink());
-        self.ctrl.cache_mut().set_trace(src, ring.sink());
+        self.ctrl.attach_trace(src, ring);
     }
 
     /// Whether presenting (`line`, `kind`) right now would return

@@ -123,10 +123,9 @@ impl L15Cluster {
 
     /// Attaches a shared event-trace ring to this cluster cache (fill
     /// events plus MSHR allocate/release events), tagged `L1.5#<cluster>`.
-    pub fn set_trace(&mut self, cluster: usize, ring: &SharedTraceRing) {
+    pub fn attach_trace(&mut self, cluster: usize, ring: &SharedTraceRing) {
         let src = TraceSource::new(TraceLevel::L15, cluster as u16);
-        self.ctrl.set_trace(src, ring.sink());
-        self.ctrl.cache_mut().set_trace(src, ring.sink());
+        self.ctrl.attach_trace(src, ring);
     }
 
     /// Whether everything has drained: no queued traffic in either

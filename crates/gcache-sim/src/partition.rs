@@ -225,15 +225,13 @@ impl Partition {
     /// Attaches a shared event-trace ring to this partition: L2 fill and
     /// MSHR events tagged `L2#<id>`, DRAM row-buffer events tagged
     /// `DRAM#<id>`.
-    pub fn set_trace(&mut self, ring: &gcache_core::trace::SharedTraceRing) {
+    pub fn attach_trace(&mut self, ring: &gcache_core::trace::SharedTraceRing) {
         use gcache_core::trace::{TraceLevel, TraceSource};
-        let src = TraceSource::new(TraceLevel::L2, self.id.0 as u16);
-        self.l2.set_trace(src, ring.sink());
-        self.l2.cache_mut().set_trace(src, ring.sink());
-        self.dram.set_trace(
-            TraceSource::new(TraceLevel::Dram, self.id.0 as u16),
-            ring.sink(),
-        );
+        let id = self.id.0 as u16;
+        self.l2
+            .attach_trace(TraceSource::new(TraceLevel::L2, id), ring);
+        self.dram
+            .attach_trace(TraceSource::new(TraceLevel::Dram, id), ring);
     }
 
     /// Hands over a request ejected from the request network.

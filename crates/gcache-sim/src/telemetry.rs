@@ -43,6 +43,7 @@
 //! assert_eq!(Sample::parse_csv(&parsed.csv_row()), Some(parsed));
 //! ```
 
+use gcache_core::json::JsonWriter;
 use gcache_core::record;
 use gcache_core::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use std::fmt;
@@ -252,14 +253,13 @@ impl Sample {
         cells.next().is_none().then_some(sample)
     }
 
-    /// One JSON object with the CSV columns as keys.
-    pub fn json_object(&self) -> String {
-        let pairs: Vec<String> = self
-            .fields()
-            .iter()
-            .map(|(name, v)| format!("\"{name}\":{v}"))
-            .collect();
-        format!("{{{}}}", pairs.join(","))
+    /// Writes one JSON object with the CSV columns as keys.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_obj();
+        for (name, v) in self.fields() {
+            w.key(name).num(v);
+        }
+        w.end_obj();
     }
 }
 
@@ -401,15 +401,22 @@ impl Sampler {
         out
     }
 
+    /// Writes the whole series as one JSON object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_obj().key("interval").num(self.interval);
+        w.key("dropped").num(self.dropped);
+        w.key("samples").begin_arr();
+        for s in self.samples() {
+            s.write_json(w);
+        }
+        w.end_arr().end_obj();
+    }
+
     /// The whole series as a JSON document.
     pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self.samples().iter().map(Sample::json_object).collect();
-        format!(
-            "{{\"interval\":{},\"dropped\":{},\"samples\":[{}]}}",
-            self.interval,
-            self.dropped,
-            rows.join(",")
-        )
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w);
+        w.finish()
     }
 }
 
@@ -651,13 +658,32 @@ mod tests {
 
     #[test]
     fn json_export_is_structured() {
-        let mut s = Sampler::new(1000);
+        // Byte pin (captured at the parent of the writer fold): a wrapped
+        // two-row ring, integers and shortest round-trip floats.
+        let mut s = Sampler::with_capacity(1000, 2);
         s.seed(snap(0));
         s.record(snap(1000));
-        let j = s.to_json();
-        assert!(j.starts_with("{\"interval\":1000,"));
-        assert!(j.contains("\"samples\":[{"));
-        assert!(j.contains("\"switch_on_frac\":"));
+        s.record(snap(3000));
+        s.record(snap(3500));
+        assert_eq!(
+            s.to_json(),
+            concat!(
+                r#"{"interval":1000,"dropped":1,"samples":[{"cycle":3000,"cycles":2000,"instructions":4000,"#,
+                r#""ipc":2,"l1_miss_rate":0.5,"l1_bypass_ratio":0.3333333333333333,"l15_miss_rate":0,"#,
+                r#""l2_miss_rate":0.25,"switch_on_frac":0.125,"victim_set_rate":0.25,"victim_hit_rate":0.125,"#,
+                r#""victim_clear_rate":0.062,"mshr_peak":5,"noc_in_flight":3,"noc_queue_depth":2,"#,
+                r#""dram_row_hit_rate":0.5,"noc_inject_fail_rate":0.2,"noc_mean_latency":16},"#,
+                r#"{"cycle":3500,"cycles":500,"instructions":1000,"ipc":2,"l1_miss_rate":0.5,"#,
+                r#""l1_bypass_ratio":0.3315508021390374,"l15_miss_rate":0,"l2_miss_rate":0.248,"#,
+                r#""switch_on_frac":0.125,"victim_set_rate":0.248,"victim_hit_rate":0.124,"#,
+                r#""victim_clear_rate":0.064,"mshr_peak":5,"noc_in_flight":3,"noc_queue_depth":2,"#,
+                r#""dram_row_hit_rate":0.5,"noc_inject_fail_rate":0.1987179487179487,"noc_mean_latency":16}]}"#,
+            )
+        );
+        assert_eq!(
+            Sampler::new(7).to_json(),
+            r#"{"interval":7,"dropped":0,"samples":[]}"#
+        );
     }
 
     #[test]

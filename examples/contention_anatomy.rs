@@ -22,8 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One shared trace ring records what both caches did, event by event.
     let ring = SharedTraceRing::new(256);
-    l1.set_trace(TraceSource::new(TraceLevel::L1, 0), ring.sink());
-    l2.set_trace(TraceSource::new(TraceLevel::L2, 0), ring.sink());
+    l1.attach_trace(TraceSource::new(TraceLevel::L1, 0), &ring);
+    l2.attach_trace(TraceSource::new(TraceLevel::L2, 0), &ring);
 
     let core = CoreId(0);
     let a1 = LineAddr::new(0); // hot

@@ -3,8 +3,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# What the gate measures along the way (microbench output, line counts)
+# is kept here; CI uploads the directory instead of measuring twice.
+kept=target/check
+rm -rf "$kept" && mkdir -p "$kept"
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+
+echo "==> one JSON writer (no hand-formatted JSON object outside json.rs)"
+# `{{\"` is how a format string opens a JSON object; gcache_core::json's
+# JsonWriter is the only thing that may write one.
+if grep -rn '{{\\"' crates/*/src | grep -v '^crates/gcache-core/src/json.rs:'; then
+  echo "hand-formatted JSON: write it with gcache_core::json::JsonWriter"; exit 1
+fi
 
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
@@ -65,7 +77,7 @@ printf '%s\n' "$l1_out" | grep -q "l1/probe_hit_miss_mix" \
 l1_lines=$(printf '%s\n' "$l1_out" | grep -c "l1/access_loop/") || true
 [ "$l1_lines" -eq 5 ] \
   || { echo "l1 microbench: expected 5 access-loop lines, got $l1_lines"; exit 1; }
-printf '%s\n' "$l1_out" | sed 's/^/   /'
+printf '%s\n' "$l1_out" | tee "$kept/l1_microbench.txt" | sed 's/^/   /'
 
 echo "==> NoC microbench (saturation sweep + tick and move cost at paper-scale load)"
 # Smoke-gates the mesh traffic drivers: the sweep must complete and report
@@ -80,6 +92,7 @@ for line in request response; do
   printf '%s\n' "$noc_out" | grep -q "^noc/paper_load_$line .* ns/tick .* ns/move" \
     || { echo "noc microbench: paper_load_$line line missing"; exit 1; }
 done
+printf '%s\n' "$noc_out" > "$kept/noc_microbench.txt"
 printf '%s\n' "$noc_out" | grep -E "mean-lat|^noc/paper_load" | sed 's/^/   /'
 
 echo "==> snapshot microbench (checksum, whole-GPU save and restore, bytes)"
@@ -90,7 +103,7 @@ for line in checksum_gbps save_us restore_us bytes; do
   printf '%s\n' "$snap_out" | grep -q "^snapshot/$line " \
     || { echo "snapshot microbench: $line line missing"; exit 1; }
 done
-printf '%s\n' "$snap_out" | sed 's/^/   /'
+printf '%s\n' "$snap_out" | tee "$kept/snapshot_microbench.txt" | sed 's/^/   /'
 
 echo "==> checkpoint round-trip (fig2 --checkpoint/--resume, release)"
 # Periodic snapshotting must be passive (no output byte changes), and an
@@ -193,6 +206,6 @@ awk -F, 'NR == 1 { for (i = 1; i <= NF; i++) if ($i == "switch_on_frac") col = i
 rm -f "$tele_csv"
 
 echo "==> line counts (scripts/loc.sh; ROADMAP item 2 quotes these)"
-./scripts/loc.sh | sed 's/^/   /'
+./scripts/loc.sh | tee "$kept/loc.txt" | sed 's/^/   /'
 
 echo "==> all checks passed"
