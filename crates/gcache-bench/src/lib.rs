@@ -23,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod microbench;
 pub mod obs;
 pub mod server;
 pub mod sweep;

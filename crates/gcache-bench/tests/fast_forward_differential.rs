@@ -111,7 +111,7 @@ fn odd_but_legal_machines_match_plain_loop() {
     /// A label and the reshaping of Table 2's machine it names.
     type Shape = (&'static str, fn(GpuConfig) -> GpuConfig);
     #[rustfmt::skip]
-    let shapes: [Shape; 15] = [
+    let shapes: [Shape; 16] = [
         ("cores=1", |c| GpuConfig { cores: 1, ..c }),
         ("partitions=1", |c| GpuConfig { partitions: 1, ..c }),
         ("24x1 mesh", |c| mesh(c, 24, 1)),
@@ -124,6 +124,8 @@ fn odd_but_legal_machines_match_plain_loop() {
         ("l2_latency=0", |c| GpuConfig { l2_latency: 0, ..c }),
         ("dram_row_bytes=128", |c| GpuConfig { dram_row_bytes: 128, ..c }),
         ("victim_bit_share=16", |c| GpuConfig { victim_bit_share: 16, ..c }),
+        // 64 victim-bit groups: the whole mask word of an L2 line.
+        ("128 cores, share 2", |c| GpuConfig { cores: 128, victim_bit_share: 2, ..mesh(c, 12, 12) }),
         ("c1", |c| clustered(c, 1)),
         ("c16", |c| clustered(c, 16)),
         ("c4, 64 ports", |c| clustered(c, 4).with_cluster_ports(64).expect("valid ports")),

@@ -315,11 +315,6 @@ impl Cache {
         &self.cfg.geometry
     }
 
-    /// The policy's display name (e.g. `"GC"`).
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &CacheStats {
         &self.stats

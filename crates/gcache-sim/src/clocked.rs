@@ -1,17 +1,17 @@
 //! The common clocking contract of every simulated component.
 //!
 //! The GPU's cycle loop no longer hard-codes its topology as control flow:
-//! each hardware block implements [`Clocked`] (self-contained components:
-//! meshes, partitions, DRAM channels) or [`ClockedWith`] (components that
-//! exchange messages through ports on each tick: the core array and the
-//! memory system, both talking to the interconnect), and the
+//! each self-contained hardware block (meshes, crossbars, DRAM channels)
+//! implements [`Clocked`]; the arrays that exchange messages through ports
+//! on each tick ([`crate::system::CoreComplex`], [`crate::system::Gated`])
+//! have them as inherent methods with the interconnect passed in, and the
 //! [`crate::gpu::Gpu`] driver just ticks them in pipeline order. The
 //! [`Watchdog`] factors out the forward-progress check that guards the
 //! loop against protocol deadlocks.
 //!
 //! # Idle-cycle fast-forward
 //!
-//! Both traits carry a `next_event` hook: a **lower bound** on the
+//! Every component carries a `next_event` hook: a **lower bound** on the
 //! earliest cycle strictly after `now` at which ticking the component
 //! could change any observable state — statistics included — assuming no
 //! external input arrives in between. The driver jumps the global clock
@@ -50,31 +50,6 @@ pub trait Clocked {
     /// for components whose event-free ticks are pure no-ops.
     fn skip(&mut self, now: u64, cycles: u64) {
         let _ = (now, cycles);
-    }
-}
-
-/// A component that exchanges messages with its neighbours through a port
-/// bundle `P` while ticking — e.g. the SIMT core array draining response
-/// ports and feeding request ports of the interconnect.
-pub trait ClockedWith<P: ?Sized> {
-    /// Advances the component to cycle `now`, receiving and sending
-    /// through `ports`.
-    fn tick_with(&mut self, now: u64, ports: &mut P);
-
-    /// Whether all internal work has drained.
-    fn is_idle(&self) -> bool;
-
-    /// [`Clocked::next_event`], with read-only port visibility: the bound
-    /// may depend on port state (e.g. whether the network can accept an
-    /// injection), which is constant across an event-free gap.
-    fn next_event(&self, now: u64, ports: &P) -> Option<u64> {
-        let _ = ports;
-        Some(now + 1)
-    }
-
-    /// [`Clocked::skip`], with read-only port visibility.
-    fn skip(&mut self, now: u64, cycles: u64, ports: &P) {
-        let _ = (now, cycles, ports);
     }
 }
 

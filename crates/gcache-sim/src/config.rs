@@ -488,6 +488,17 @@ impl GpuConfig {
                 return broken("L1.5 kb", &kb, &format!("invalid capacity: {e}"));
             }
         }
+        // Past the two rules above, flat and clustered machines alike get
+        // `cores / share` groups from `Topology::victim_grouping`, and an
+        // L2 line keeps its victim bits in one 64-bit word.
+        let groups = self.cores / share;
+        if groups > 64 {
+            let rule = format!(
+                "at most 64 victim-bit groups fit a line, {} cores make {groups}",
+                self.cores
+            );
+            return broken("victim_bit_share", &share, &rule);
+        }
         let nodes = self.cores + self.partitions + self.hierarchy.clusters(self.cores);
         if self.mesh_width.saturating_mul(self.mesh_height) < nodes {
             let mesh = format!("{}x{}", self.mesh_width, self.mesh_height);
@@ -633,7 +644,7 @@ mod tests {
         }
         /// A field (the head of the message it must draw) and a way to break it.
         type Mutation = (&'static str, fn(&mut GpuConfig));
-        let mutations: [Mutation; 32] = [
+        let mutations: [Mutation; 34] = [
             ("cores", |c| c.cores = 0),
             ("partitions", |c| c.partitions = 0),
             ("partitions", |c| c.partitions = 6),
@@ -648,6 +659,15 @@ mod tests {
             ("l2_period", |c| c.l2_period = 0),
             ("victim_bit_share", |c| c.victim_bit_share = 0),
             ("victim_bit_share", |c| c.victim_bit_share = 3),
+            // 128 victim-bit groups, flat and as 32 clusters of 4: an L2
+            // line's mask word holds 64.
+            ("victim_bit_share", |c| {
+                (c.cores, c.victim_bit_share, c.mesh_width, c.mesh_height) = (128, 1, 12, 12);
+            }),
+            ("victim_bit_share", |c| {
+                (c.cores, c.victim_bit_share, c.mesh_width, c.mesh_height) = (128, 1, 13, 13);
+                c.hierarchy = l15(4, 64);
+            }),
             ("cluster_ports", |c| c.cluster_ports = 0),
             ("mesh_width", |c| c.mesh_width = 0),
             ("mesh_height", |c| c.mesh_height = 0),
@@ -696,6 +716,17 @@ mod tests {
                 for ports in [1, 2, 64] {
                     let c = c.clone().with_cluster_ports(ports);
                     assert_eq!(c.err(), None, "{} x{ports}", shape.label());
+                }
+                // The group count `check` caps is the one the topology
+                // builds, whichever way share and cluster size nest.
+                for victim_bit_share in [1, 2, 4, 8, 16] {
+                    let c = GpuConfig {
+                        victim_bit_share,
+                        ..c.clone()
+                    };
+                    assert_eq!(c.check(), Ok(()), "{} /{victim_bit_share}", shape.label());
+                    let grouping = c.topology().victim_grouping(victim_bit_share);
+                    assert_eq!(grouping.groups(), c.cores / victim_bit_share);
                 }
             }
         }

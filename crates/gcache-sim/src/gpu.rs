@@ -3,10 +3,12 @@
 //! cluster caches) ⇄ memory system — ticked in pipeline order each cycle
 //! and guarded by a forward-progress [`Watchdog`].
 
-use crate::clocked::{min_event, Clocked, ClockedWith, Watchdog};
+use crate::clocked::{min_event, Clocked, Watchdog};
 use crate::config::GpuConfig;
 use crate::core::SimtCore;
 use crate::isa::Kernel;
+use crate::l15::L15Cluster;
+use crate::partition::Partition;
 use crate::stats::SimStats;
 use crate::system::{ClusterComplex, CoreComplex, Interconnect, MemorySystem};
 use crate::telemetry::{Profile, Sampler, TelemetrySnapshot};
@@ -163,7 +165,7 @@ impl Gpu {
         let cores = CoreComplex::new(&cfg);
         let icnt = Interconnect::new(&cfg, cfg.topology());
         let clusters = ClusterComplex::new(&cfg, icnt.topology());
-        let mem = MemorySystem::new(&cfg);
+        let mem = MemorySystem::new(&cfg, icnt.topology());
         Gpu {
             cfg_fingerprint: fnv1a(format!("{cfg:?}").as_bytes()),
             cfg,
@@ -229,12 +231,12 @@ impl Gpu {
             .all(|c| c.l1().cache().tags().masks_consistent())
             && self
                 .clusters
-                .clusters()
+                .stations()
                 .iter()
                 .all(|cl| cl.cache().tags().masks_consistent())
             && self
                 .mem
-                .partitions()
+                .stations()
                 .iter()
                 .all(|p| p.l2().tags().masks_consistent())
     }
@@ -248,10 +250,10 @@ impl Gpu {
         for c in self.cores.cores_mut() {
             c.l1_mut().attach_trace(ring);
         }
-        for (i, cl) in self.clusters.clusters_mut().iter_mut().enumerate() {
+        for (i, cl) in self.clusters.stations_mut().iter_mut().enumerate() {
             cl.attach_trace(i, ring);
         }
-        for p in self.mem.partitions_mut() {
+        for p in self.mem.stations_mut() {
             p.attach_trace(ring);
         }
         self.trace = Some(ring.clone());
@@ -379,10 +381,10 @@ impl Gpu {
                     ev = min_event(ev, Clocked::next_event(&self.icnt, prev));
                 }
                 if ev != Some(prev + 1) && !self.clusters.is_empty() {
-                    ev = min_event(ev, self.clusters.next_event(prev, &self.icnt));
+                    ev = min_event(ev, self.clusters.next_event(prev));
                 }
                 if ev != Some(prev + 1) {
-                    ev = min_event(ev, self.mem.next_event(prev, &self.icnt));
+                    ev = min_event(ev, self.mem.next_event(prev));
                 }
                 let mut cap = watchdog
                     .next_sample(prev)
@@ -431,15 +433,15 @@ impl Gpu {
             // wall-clock stamp between stages.
             if let Some(mut p) = self.profile.take() {
                 let t0 = Instant::now();
-                self.cores.tick_with(now, &mut self.icnt);
+                self.cores.tick(now, &mut self.icnt);
                 let t1 = Instant::now();
                 self.icnt.tick(now);
                 let t2 = Instant::now();
                 if !self.clusters.is_empty() {
-                    self.clusters.tick_with(now, &mut self.icnt);
+                    self.clusters.tick(now, &mut self.icnt);
                 }
                 let t3 = Instant::now();
-                self.mem.tick_with(now, &mut self.icnt);
+                self.mem.tick(now, &mut self.icnt);
                 let t4 = Instant::now();
                 self.cores.dispatch(kernel);
                 let t5 = Instant::now();
@@ -451,12 +453,12 @@ impl Gpu {
                 p.ticked_cycles += 1;
                 self.profile = Some(p);
             } else {
-                self.cores.tick_with(now, &mut self.icnt);
+                self.cores.tick(now, &mut self.icnt);
                 self.icnt.tick(now);
                 if !self.clusters.is_empty() {
-                    self.clusters.tick_with(now, &mut self.icnt);
+                    self.clusters.tick(now, &mut self.icnt);
                 }
-                self.mem.tick_with(now, &mut self.icnt);
+                self.mem.tick(now, &mut self.icnt);
                 self.cores.dispatch(kernel);
             }
 
@@ -631,12 +633,12 @@ impl Gpu {
             }
             s.mshr_peak = s.mshr_peak.max(l1.mshr_peak() as u64);
         }
-        for cl in self.clusters.clusters() {
+        for cl in self.clusters.stations() {
             let st = cl.stats();
             s.l15_accesses += st.accesses();
             s.l15_misses += st.misses();
         }
-        for p in self.mem.partitions() {
+        for p in self.mem.stations() {
             let st = p.l2_stats();
             s.l2_accesses += st.accesses();
             s.l2_misses += st.misses();
@@ -660,10 +662,7 @@ impl Gpu {
     }
 
     fn all_idle(&self) -> bool {
-        ClockedWith::<Interconnect>::is_idle(&self.cores)
-            && self.icnt.is_idle()
-            && ClockedWith::<Interconnect>::is_idle(&self.clusters)
-            && ClockedWith::<Interconnect>::is_idle(&self.mem)
+        self.cores.is_idle() && self.icnt.is_idle() && self.clusters.is_idle() && self.mem.is_idle()
     }
 
     fn signature_of(
@@ -679,16 +678,30 @@ impl Gpu {
         Self::signature_of(&self.cores, &self.icnt, &self.mem)
     }
 
+    /// What a [`SimError::Deadlock`] reports: how much of each array has
+    /// drained, and the packets each network still holds — delivered ones
+    /// a stalled consumer has not ejected included.
     fn debug_state(&self) -> String {
-        let idle_cores = self.cores.cores().iter().filter(|c| c.is_idle()).count();
-        let idle_parts = self.mem.partitions().iter().filter(|p| p.is_idle()).count();
-        format!(
-            "{idle_cores}/{} cores idle, {idle_parts}/{} partitions idle, req_net idle={}, resp_net idle={}",
-            self.cores.cores().len(),
-            self.mem.partitions().len(),
-            self.icnt.req_stats().delivered == self.icnt.req_stats().packets,
-            self.icnt.resp_stats().delivered == self.icnt.resp_stats().packets
-        )
+        fn idle<T>(what: &str, all: &[T], is_idle: fn(&T) -> bool) -> String {
+            let idle = all.iter().filter(|x| is_idle(x)).count();
+            format!("{idle}/{} {what} idle", all.len())
+        }
+        let (req, resp, xbars) = self.icnt.in_flight_by_network();
+        let mut state = vec![idle("cores", self.cores.cores(), SimtCore::is_idle)];
+        if !self.clusters.is_empty() {
+            state.push(idle(
+                "cluster caches",
+                self.clusters.stations(),
+                L15Cluster::is_idle,
+            ));
+        }
+        state.push(idle("partitions", self.mem.stations(), Partition::is_idle));
+        let mut state = state.join(", ");
+        state += &format!("; packets in flight: request mesh {req}, response mesh {resp}");
+        if let Some(xbars) = xbars {
+            state += &format!(", cluster crossbars {xbars}");
+        }
+        state
     }
 
     /// Flushes all caches (end-of-measurement) and aggregates statistics.
@@ -701,14 +714,14 @@ impl Gpu {
             core.merge(c.stats());
         }
         let mut l15 = CacheStats::new();
-        for cl in self.clusters.clusters_mut() {
+        for cl in self.clusters.stations_mut() {
             cl.cache_mut().flush();
             l15.merge(cl.stats());
         }
         let mut l2 = CacheStats::new();
         let mut dram = crate::dram::DramStats::default();
         let mut partition = crate::partition::PartitionStats::default();
-        for p in self.mem.partitions_mut() {
+        for p in self.mem.stations_mut() {
             p.l2_mut().flush();
             l2.merge(p.l2_stats());
             dram.merge(p.dram_stats());
@@ -730,5 +743,57 @@ impl Gpu {
             core,
             partition,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::Hierarchy;
+    use crate::port::TxPort;
+    use crate::request::MemRequest;
+    use gcache_core::addr::{CoreId, LineAddr};
+    use gcache_core::policy::AccessKind;
+
+    /// A read from core 6 that reaches its first station's port and is
+    /// never ejected there — what a stalled consumer looks like.
+    fn with_a_stranded_request(cfg: GpuConfig) -> Gpu {
+        let mut gpu = Gpu::new(cfg);
+        let req = MemRequest {
+            line: LineAddr::new(5),
+            kind: AccessKind::Read,
+            core: CoreId(6),
+            warp: 0,
+            class: None,
+        };
+        gpu.icnt.core_ports(6).1.send(req, 0);
+        (1..100).for_each(|now| gpu.icnt.tick(now));
+        gpu
+    }
+
+    #[test]
+    fn deadlock_detail_counts_delivered_packets_nobody_ejected() {
+        let flat = with_a_stranded_request(GpuConfig::fermi().unwrap());
+        assert_eq!(flat.icnt.req_stats().delivered, 1, "it did arrive");
+        assert_eq!(
+            flat.debug_state(),
+            "16/16 cores idle, 8/8 partitions idle; \
+             packets in flight: request mesh 1, response mesh 0"
+        );
+    }
+
+    #[test]
+    fn deadlock_detail_names_cluster_caches_and_crossbars() {
+        let shape = Hierarchy::SharedL15 {
+            cluster_size: 4,
+            kb: 64,
+        };
+        let cfg = GpuConfig::fermi().unwrap().with_hierarchy(shape).unwrap();
+        let c4x2 = with_a_stranded_request(cfg.with_cluster_ports(2).unwrap());
+        assert_eq!(
+            c4x2.debug_state(),
+            "16/16 cores idle, 4/4 cluster caches idle, 8/8 partitions idle; \
+             packets in flight: request mesh 0, response mesh 0, cluster crossbars 1"
+        );
     }
 }

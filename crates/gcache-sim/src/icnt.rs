@@ -1082,6 +1082,74 @@ mod tests {
         assert!(mesh.stats().mean_latency() > 0.0);
     }
 
+    /// Bernoulli traffic of 2-flit packets at `offered` attempts per node
+    /// per cycle for `cycles`, then a drain; a refused packet retries the
+    /// next cycle. Half of `hotspot` traffic targets node 0, the rest is
+    /// uniform over the other nodes. Returns the packets offered and the
+    /// mesh's statistics.
+    fn synthetic_load(
+        side: usize,
+        hotspot: bool,
+        offered: f64,
+        cycles: u64,
+        seed: u64,
+    ) -> (u64, NocStats) {
+        let nodes = side * side;
+        let mut mesh: Mesh<u32> = Mesh::new(side, side, 8, 2, 1);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let threshold = (offered * 4_294_967_296.0) as u64;
+        let mut packets = 0;
+        let mut backlog: Vec<Option<usize>> = vec![None; nodes];
+        let mut now = 0;
+        while now < cycles || backlog.iter().any(Option::is_some) || !mesh.is_idle() {
+            now += 1;
+            for (src, slot) in backlog.iter_mut().enumerate() {
+                if now <= cycles && slot.is_none() && rng.gen_range(0..1u64 << 32) < threshold {
+                    packets += 1;
+                    let other = rng.gen_range(0..nodes as u64 - 1) as usize;
+                    let uniform = other + usize::from(other >= src);
+                    let hot = hotspot && src != 0 && rng.gen_range(0..2) == 0;
+                    *slot = Some(if hot { 0 } else { uniform });
+                }
+                if let Some(dst) = *slot {
+                    if mesh.inject_at(src, dst, 2, src as u32, now).is_ok() {
+                        *slot = None;
+                    }
+                }
+            }
+            mesh.tick(now);
+            for n in 0..nodes {
+                while mesh.eject(n).is_some() {}
+            }
+        }
+        (packets, *mesh.stats())
+    }
+
+    #[test]
+    fn synthetic_load_is_repeatable_lossless_and_hotspot_bound() {
+        let (offered, a) = synthetic_load(4, false, 0.1, 500, 7);
+        assert_eq!(
+            (offered, a),
+            synthetic_load(4, false, 0.1, 500, 7),
+            "same seed, same run"
+        );
+        assert!(offered > 0 && a.mean_latency() > 0.0, "traffic must flow");
+        assert_eq!(a.delivered, offered, "every offered packet arrives");
+        // Below saturation no injection attempt is ever refused.
+        let (offered, light) = synthetic_load(4, false, 0.02, 1000, 1);
+        assert_eq!((light.inject_fails, light.delivered), (0, offered));
+        // At a rate uniform traffic still sustains, the single hot
+        // ejection port is the bottleneck: latency is visibly worse.
+        let (_, uni) = synthetic_load(4, false, 0.2, 800, 3);
+        let (_, hot) = synthetic_load(4, true, 0.2, 800, 3);
+        assert!(
+            hot.mean_latency() > uni.mean_latency(),
+            "hotspot latency {} should exceed uniform {}",
+            hot.mean_latency(),
+            uni.mean_latency()
+        );
+    }
+
     #[test]
     fn packet_moves_one_hop_per_tick_at_most() {
         // hop_latency 1, distance 3: needs at least 3 ticks.

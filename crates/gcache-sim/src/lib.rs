@@ -74,7 +74,7 @@ pub mod xbar;
 
 /// Commonly used items, re-exported for glob import.
 pub mod prelude {
-    pub use crate::clocked::{Clocked, ClockedWith, Watchdog};
+    pub use crate::clocked::{Clocked, Watchdog};
     pub use crate::config::{DramTiming, GpuConfig, Hierarchy, L1PolicyKind, WarpSchedKind};
     pub use crate::energy::{EnergyBreakdown, EnergyModel};
     pub use crate::gpu::{Gpu, SimError};

@@ -13,7 +13,6 @@
 //! gates [`Partition::tick`]'s L2 work accordingly via `l2_period` while
 //! the DRAM ticks every core cycle.
 
-use crate::clocked::Clocked;
 use crate::config::GpuConfig;
 use crate::dram::Dram;
 use crate::request::{partition_local_line, MemRequest, MemResponse, WarpSlot};
@@ -215,11 +214,6 @@ impl Partition {
     /// Read access to the L2 (telemetry: victim-bit counters).
     pub fn l2(&self) -> &Cache {
         self.l2.cache()
-    }
-
-    /// Highest L2 MSHR occupancy seen so far (telemetry gauge).
-    pub fn l2_mshr_peak(&self) -> usize {
-        self.l2.mshr().peak_occupancy()
     }
 
     /// Attaches a shared event-trace ring to this partition: L2 fill and
@@ -554,20 +548,6 @@ impl Snapshot for Partition {
             self.stats = r.get()?;
             Ok(())
         })
-    }
-}
-
-impl Clocked for Partition {
-    fn tick(&mut self, now: u64) {
-        Partition::tick(self, now);
-    }
-
-    fn is_idle(&self) -> bool {
-        Partition::is_idle(self)
-    }
-
-    fn next_event(&self, now: u64) -> Option<u64> {
-        Partition::next_event(self, now)
     }
 }
 

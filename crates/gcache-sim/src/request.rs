@@ -32,11 +32,33 @@ impl MemRequest {
     pub fn wants_response(&self) -> bool {
         !matches!(self.kind, AccessKind::Write | AccessKind::CopyBack)
     }
+}
 
-    /// Payload size in bytes as seen by the interconnect: stores and clean
-    /// copy-backs carry the line's data plus a header; reads and atomics
-    /// are header-only.
-    pub fn packet_bytes(&self, line_size: u32) -> u32 {
+/// What the interconnect reads off a message to route and serialise it
+/// (see [`crate::system::Route`]).
+pub trait Packet {
+    /// The line the message is about (selects the owning partition).
+    fn line(&self) -> LineAddr;
+
+    /// The core the message came from or returns to.
+    fn core(&self) -> CoreId;
+
+    /// Payload size in bytes as seen by the interconnect.
+    fn packet_bytes(&self, line_size: u32) -> u32;
+}
+
+impl Packet for MemRequest {
+    fn line(&self) -> LineAddr {
+        self.line
+    }
+
+    fn core(&self) -> CoreId {
+        self.core
+    }
+
+    /// Stores and clean copy-backs carry the line's data plus a header;
+    /// reads and atomics are header-only.
+    fn packet_bytes(&self, line_size: u32) -> u32 {
         match self.kind {
             AccessKind::Write | AccessKind::CopyBack => line_size + 8,
             AccessKind::Read => 8,
@@ -67,10 +89,18 @@ record! {
     }
 }
 
-impl MemResponse {
-    /// Payload size in bytes: read responses carry the line, atomic
-    /// responses carry the old values (lane-sized, bounded by a line).
-    pub fn packet_bytes(&self, line_size: u32) -> u32 {
+impl Packet for MemResponse {
+    fn line(&self) -> LineAddr {
+        self.line
+    }
+
+    fn core(&self) -> CoreId {
+        self.core
+    }
+
+    /// Read responses carry the line, atomic responses carry the old
+    /// values (lane-sized, bounded by a line).
+    fn packet_bytes(&self, line_size: u32) -> u32 {
         match self.kind {
             AccessKind::Atomic => 8 + line_size / 4,
             _ => line_size + 8,

@@ -1,7 +1,8 @@
 //! The componentized GPU system: node placement as data
-//! ([`Topology`]), the dual-mesh interconnect with typed port views
-//! ([`Interconnect`]), the SIMT core array ([`CoreComplex`]) and the
-//! memory-partition array ([`MemorySystem`]).
+//! ([`Topology`]), the dual-mesh interconnect with its one typed port
+//! view ([`Interconnect`], [`Port`], [`Route`]), the SIMT core array
+//! ([`CoreComplex`]) and the gated station arrays behind it
+//! ([`Gated`]: [`MemorySystem`], [`ClusterComplex`]).
 //!
 //! [`crate::gpu::Gpu`] is only a driver over these components: it ticks
 //! them in pipeline order (cores → interconnect → memory) and watches for
@@ -10,7 +11,7 @@
 //! levels, different placement, a shared L1.5) is a new wiring, not a new
 //! cycle loop.
 
-use crate::clocked::{min_event, Clocked, ClockedWith};
+use crate::clocked::{min_event, Clocked};
 use crate::config::GpuConfig;
 use crate::core::SimtCore;
 use crate::icnt::{Mesh, NocStats};
@@ -18,7 +19,7 @@ use crate::isa::Kernel;
 use crate::l15::L15Cluster;
 use crate::partition::Partition;
 use crate::port::{RxPort, TxPort};
-use crate::request::{partition_of, MemRequest, MemResponse};
+use crate::request::{partition_of, MemRequest, MemResponse, Packet};
 use crate::xbar::{ClusterXbar, XbarLane, XbarStats};
 use gcache_core::addr::{CoreId, PartitionId};
 use gcache_core::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
@@ -90,12 +91,57 @@ impl Topology {
     }
 }
 
-/// The request/response mesh pair plus everything needed to address and
-/// serialise packets: the [`Topology`], the channel geometry and (with
-/// `cluster_ports ≥ 2`) the per-cluster core↔L1.5 crossbars.
+/// Everything a port needs to address and serialise a packet: the node
+/// placement and the channel geometry, fixed at construction.
+#[derive(Debug)]
+struct Wiring {
+    topo: Topology,
+    /// Cores per cluster (0 when not clustered) — cores of a cluster are
+    /// contiguous (see [`GpuConfig::topology`]), so a core's crossbar lane
+    /// slot is `core % cluster_size`.
+    cluster_size: usize,
+    line_size: u32,
+    channel_bytes: u32,
+    partitions: usize,
+}
+
+/// Where a [`Port`] sends a message: a mesh node, or a destination slot
+/// when the sending side sits on a crossbar lane.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Route {
+    /// The node of the partition owning the message's line.
+    Partition,
+    /// The node of the cluster cache serving the message's core.
+    ClusterOfCore,
+    /// The node of the message's core.
+    Core,
+    /// One fixed destination: a core's cluster node on the mesh, or the
+    /// L1.5 end (slot 0) of a crossbar up lane.
+    Fixed(usize),
+    /// The message's core's slot on its cluster's crossbar down lane.
+    CoreSlot,
+}
+
+impl Wiring {
+    /// The one place a destination is decided.
+    fn resolve<M: Packet>(&self, route: Route, msg: &M) -> usize {
+        let topo = &self.topo;
+        match route {
+            Route::Partition => topo.part_nodes[partition_of(msg.line(), self.partitions).index()],
+            Route::ClusterOfCore => topo.cluster_nodes[topo.cluster_of[msg.core().index()]],
+            Route::Core => topo.core_nodes[msg.core().index()],
+            Route::Fixed(dst) => dst,
+            Route::CoreSlot => msg.core().index() % self.cluster_size,
+        }
+    }
+}
+
+/// The request/response mesh pair, the per-cluster core↔L1.5 crossbars
+/// (with `cluster_ports ≥ 2`) and the wiring (node placement + channel
+/// geometry) that addresses and serialises packets on them.
 #[derive(Debug)]
 pub struct Interconnect {
-    topo: Topology,
+    wiring: Wiring,
     req: Mesh<MemRequest>,
     resp: Mesh<MemResponse>,
     /// One crossbar per cluster when `cluster_ports ≥ 2`; empty otherwise
@@ -103,15 +149,8 @@ pub struct Interconnect {
     /// mesh node). When present, core↔L1.5 traffic moves over these lanes
     /// and only L1.5↔partition traffic rides the meshes.
     xbars: Vec<ClusterXbar>,
-    /// Cores per cluster (0 when not clustered) — cores of a cluster are
-    /// contiguous (see [`GpuConfig::topology`]), so a core's crossbar lane
-    /// slot is `core % cluster_size`.
-    cluster_size: usize,
     /// Per-lane transfer ports of each crossbar.
     cluster_ports: usize,
-    line_size: u32,
-    channel_bytes: u32,
-    partitions: usize,
 }
 
 impl Interconnect {
@@ -119,57 +158,49 @@ impl Interconnect {
     /// the per-cluster crossbars when `cfg.cluster_ports ≥ 2` asks for the
     /// modeled core↔L1.5 link.
     pub fn new(cfg: &GpuConfig, topo: Topology) -> Self {
-        let mut req = Mesh::new(
-            cfg.mesh_width,
-            cfg.mesh_height,
-            cfg.router_queue,
-            cfg.hop_latency,
-            1,
-        );
-        let mut resp = Mesh::new(
-            cfg.mesh_width,
-            cfg.mesh_height,
-            cfg.router_queue,
-            cfg.hop_latency,
-            1,
-        );
-        req.set_event_gating(cfg.fast_forward);
-        resp.set_event_gating(cfg.fast_forward);
-        let cluster_size = if topo.is_clustered() {
-            topo.core_nodes.len() / topo.clusters()
+        fn mesh<M>(cfg: &GpuConfig) -> Mesh<M> {
+            let (w, h) = (cfg.mesh_width, cfg.mesh_height);
+            let mut mesh = Mesh::new(w, h, cfg.router_queue, cfg.hop_latency, 1);
+            mesh.set_event_gating(cfg.fast_forward);
+            mesh
+        }
+        let cluster_size = match topo.clusters() {
+            0 => 0,
+            clusters => topo.core_nodes.len() / clusters,
+        };
+        let lanes = if cfg.cluster_ports >= 2 {
+            topo.clusters()
         } else {
             0
         };
-        let xbars = if topo.is_clustered() && cfg.cluster_ports >= 2 {
-            (0..topo.clusters())
-                .map(|_| {
-                    ClusterXbar::new(
-                        cluster_size,
-                        cfg.cluster_ports,
-                        cfg.router_queue,
-                        cfg.hop_latency,
-                    )
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let xbars = (0..lanes)
+            .map(|_| {
+                ClusterXbar::new(
+                    cluster_size,
+                    cfg.cluster_ports,
+                    cfg.router_queue,
+                    cfg.hop_latency,
+                )
+            })
+            .collect();
         Interconnect {
-            topo,
-            req,
-            resp,
+            wiring: Wiring {
+                topo,
+                cluster_size,
+                line_size: cfg.line_size(),
+                channel_bytes: cfg.channel_bytes,
+                partitions: cfg.partitions,
+            },
+            req: mesh(cfg),
+            resp: mesh(cfg),
             xbars,
-            cluster_size,
             cluster_ports: cfg.cluster_ports,
-            line_size: cfg.line_size(),
-            channel_bytes: cfg.channel_bytes,
-            partitions: cfg.partitions,
         }
     }
 
     /// The node placement.
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        &self.wiring.topo
     }
 
     /// Request-mesh statistics.
@@ -185,14 +216,13 @@ impl Interconnect {
     /// Combined statistics of all cluster crossbars, `None` when the
     /// machine runs the legacy 1-port (or flat) wiring.
     pub fn xbar_stats(&self) -> Option<XbarStats> {
-        if self.xbars.is_empty() {
-            return None;
-        }
-        let mut total = XbarStats::default();
-        for xb in &self.xbars {
-            total.merge(&xb.stats());
-        }
-        Some(total)
+        self.xbars
+            .iter()
+            .map(ClusterXbar::stats)
+            .reduce(|mut total, xb| {
+                total.merge(&xb);
+                total
+            })
     }
 
     /// Total transfer ports across all crossbar lanes (both directions) —
@@ -201,12 +231,23 @@ impl Interconnect {
         self.xbars.len() * self.cluster_ports * 2
     }
 
+    /// Gauge: packets currently inside the request mesh, the response
+    /// mesh and the cluster crossbars (`None` without crossbars) — queued,
+    /// moving, or delivered and not yet ejected by a stalled consumer.
+    pub fn in_flight_by_network(&self) -> (usize, usize, Option<usize>) {
+        let xbars = self.xbars.iter().map(ClusterXbar::in_flight).sum();
+        (
+            self.req.in_flight(),
+            self.resp.in_flight(),
+            (!self.xbars.is_empty()).then_some(xbars),
+        )
+    }
+
     /// Gauge: packets currently inside either mesh or any cluster
     /// crossbar (telemetry).
     pub fn in_flight(&self) -> usize {
-        self.req.in_flight()
-            + self.resp.in_flight()
-            + self.xbars.iter().map(ClusterXbar::in_flight).sum::<usize>()
+        let (req, resp, xbars) = self.in_flight_by_network();
+        req + resp + xbars.unwrap_or(0)
     }
 
     /// Gauge: the deepest per-router injection queue across both meshes
@@ -215,63 +256,57 @@ impl Interconnect {
         self.req.max_local_queue().max(self.resp.max_local_queue())
     }
 
-    /// The port pair a core sees: responses in, requests out. On a
-    /// clustered topology the request view routes to the core's cluster
-    /// node instead of straight to the owning partition — and with
-    /// crossbars active, both views sit on the core's crossbar lanes
-    /// instead of the meshes. The wiring changes, the core does not.
-    pub fn core_ports(&mut self, core: usize) -> (CoreRx<'_>, ReqTx<'_>) {
+    /// The port pair a core sees: responses in, requests out. Requests
+    /// route to the owning partition — or, on a clustered topology, to the
+    /// core's cluster node; with crossbars active both ports sit on the
+    /// core's slot of its cluster's lanes instead of the meshes. The
+    /// wiring changes, the core does not.
+    pub fn core_ports(&mut self, core: usize) -> (Port<'_, MemResponse>, Port<'_, MemRequest>) {
         let Interconnect {
-            topo,
+            wiring,
             req,
             resp,
             xbars,
-            cluster_size,
-            line_size,
-            channel_bytes,
-            partitions,
             ..
         } = self;
+        let topo = &wiring.topo;
         let node = topo.core_nodes[core];
-        let via = topo
-            .is_clustered()
-            .then(|| topo.cluster_nodes[topo.cluster_of[core]]);
-        let (rx_lane, tx_lane) = match xbars.get_mut(topo.cluster_of[core]) {
-            Some(xb) => {
-                let slot = core % *cluster_size;
-                (Some((&mut xb.down, slot)), Some((&mut xb.up, slot)))
-            }
-            None => (None, None),
+        let cluster = topo.cluster_of[core];
+        let up = match topo.cluster_nodes.get(cluster) {
+            Some(&via) => Route::Fixed(via),
+            None => Route::Partition,
         };
-        (
-            CoreRx {
-                mesh: resp,
-                node,
-                xbar: rx_lane,
-            },
-            ReqTx {
-                mesh: req,
-                topo,
-                src: node,
-                via,
-                xbar: tx_lane,
-                line_size: *line_size,
-                channel_bytes: *channel_bytes,
-                partitions: *partitions,
-            },
-        )
+        let rx = Port::new(wiring, resp, node, Route::Core);
+        let tx = Port::new(wiring, req, node, up);
+        match xbars.get_mut(cluster) {
+            Some(xb) => {
+                let slot = core % wiring.cluster_size;
+                (
+                    rx.rx_on(&mut xb.down, slot),
+                    tx.tx_on(&mut xb.up, slot, Route::Fixed(0)),
+                )
+            }
+            None => (rx, tx),
+        }
     }
 
-    /// Whether core `core`'s local request port currently has room — the
-    /// read-only flavour of its `ReqTx::can_send` view, used by the
+    /// The crossbar of `core`'s cluster and the core's slot on its lanes,
+    /// `None` when the core's ports sit on the meshes.
+    fn core_lanes(&self, core: usize) -> Option<(&ClusterXbar, usize)> {
+        let xb = self.xbars.get(self.wiring.topo.cluster_of[core])?;
+        Some((xb, core % self.wiring.cluster_size))
+    }
+
+    /// Whether core `core`'s request port currently has room — the
+    /// read-only flavour of its port's `can_send`, used by the
     /// fast-forward probes. The answer is stable across event-free
     /// cycles: the queue (mesh injection queue, or crossbar up-lane
     /// source queue) drains only through interconnect movement and fills
     /// only through the owning core's own injections.
     pub fn can_inject_core(&self, core: usize) -> bool {
-        match self.xbars.get(self.topo.cluster_of[core]) {
-            Some(xb) => xb.up.can_accept(core % self.cluster_size),
-            None => self.req.can_inject(self.topo.core_nodes[core]),
+        match self.core_lanes(core) {
+            Some((xb, slot)) => xb.up.can_accept(slot),
+            None => self.req.can_inject(self.wiring.topo.core_nodes[core]),
         }
     }
 
@@ -279,108 +314,81 @@ impl Interconnect {
     /// "external input" test of the gated core loop, answerable without
     /// borrowing the port pair.
     pub fn resp_pending_core(&self, core: usize) -> bool {
-        match self.xbars.get(self.topo.cluster_of[core]) {
-            Some(xb) => xb.down.has_delivered(core % self.cluster_size),
-            None => self.resp.has_delivered(self.topo.core_nodes[core]),
+        match self.core_lanes(core) {
+            Some((xb, slot)) => xb.down.has_delivered(slot),
+            None => self.resp.has_delivered(self.wiring.topo.core_nodes[core]),
         }
     }
 
     /// Whether a request awaits ejection at partition `part`'s port.
     pub fn req_pending_part(&self, part: usize) -> bool {
-        self.req.has_delivered(self.topo.part_nodes[part])
+        self.req.has_delivered(self.wiring.topo.part_nodes[part])
     }
 
-    /// Whether a request awaits ejection at cluster `cluster`'s L1.5 —
-    /// from its crossbar up lane when active, else from its mesh node.
-    pub fn req_pending_cluster(&self, cluster: usize) -> bool {
-        match self.xbars.get(cluster) {
-            Some(xb) => xb.up.has_delivered(0),
-            None => self.req.has_delivered(self.topo.cluster_nodes[cluster]),
-        }
-    }
-
-    /// Whether a response awaits ejection at cluster `cluster`'s node.
-    pub fn resp_pending_cluster(&self, cluster: usize) -> bool {
-        self.resp.has_delivered(self.topo.cluster_nodes[cluster])
+    /// Whether anything awaits ejection at cluster `cluster`'s L1.5: a
+    /// partition response at its mesh node, or a core request at its
+    /// crossbar up lane when active, else at that node too.
+    pub fn pending_cluster(&self, cluster: usize) -> bool {
+        let node = self.wiring.topo.cluster_nodes[cluster];
+        self.resp.has_delivered(node)
+            || match self.xbars.get(cluster) {
+                Some(xb) => xb.up.has_delivered(0),
+                None => self.req.has_delivered(node),
+            }
     }
 
     /// The port pair a partition sees: requests in, responses out. On a
-    /// clustered topology the response view routes back to the requesting
-    /// core's cluster node (the L1.5 fills and re-distributes).
-    pub fn partition_ports(&mut self, part: usize) -> (MeshRx<'_, MemRequest>, RespTx<'_>) {
+    /// clustered topology responses route back to the requesting core's
+    /// cluster node (the L1.5 fills and re-distributes).
+    pub fn partition_ports(
+        &mut self,
+        part: usize,
+    ) -> (Port<'_, MemRequest>, Port<'_, MemResponse>) {
         let Interconnect {
-            topo,
-            req,
-            resp,
-            line_size,
-            channel_bytes,
-            ..
+            wiring, req, resp, ..
         } = self;
-        let node = topo.part_nodes[part];
-        let to_clusters = topo.is_clustered();
+        let node = wiring.topo.part_nodes[part];
+        let down = if wiring.topo.is_clustered() {
+            Route::ClusterOfCore
+        } else {
+            Route::Core
+        };
         (
-            MeshRx { mesh: req, node },
-            RespTx {
-                mesh: resp,
-                topo,
-                src: node,
-                to_clusters,
-                line_size: *line_size,
-                channel_bytes: *channel_bytes,
-            },
+            Port::new(wiring, req, node, Route::Partition),
+            Port::new(wiring, resp, node, down),
         )
     }
 
-    /// The combined port views a cluster's shared L1.5 sees: on the
-    /// request side it ejects its cores' requests (crossbar up lane when
-    /// active, else its mesh node) and injects misses towards the owning
-    /// partitions (always over the mesh); on the response side it ejects
-    /// partition responses (always the mesh) and injects per-core
-    /// responses (crossbar down lane when active, else the mesh).
-    pub fn cluster_io(&mut self, cluster: usize) -> (ClusterReqIo<'_>, ClusterRespIo<'_>) {
+    /// The two ports a cluster's shared L1.5 sees, both at its mesh node.
+    /// Request side: its cores' requests eject here (from the crossbar up
+    /// lane when active) and misses inject towards the owning partitions,
+    /// always over the mesh. Response side: partition responses eject
+    /// here, always from the mesh, and per-core responses inject towards
+    /// the cores (down the crossbar lane when active).
+    pub fn cluster_io(&mut self, cluster: usize) -> (Port<'_, MemRequest>, Port<'_, MemResponse>) {
         let Interconnect {
-            topo,
+            wiring,
             req,
             resp,
             xbars,
-            cluster_size,
-            line_size,
-            channel_bytes,
-            partitions,
             ..
         } = self;
-        let topo = &*topo;
-        let node = topo.cluster_nodes[cluster];
-        let (xbar_up, xbar_down) = match xbars.get_mut(cluster) {
-            Some(xb) => (Some(&mut xb.up), Some(&mut xb.down)),
-            None => (None, None),
-        };
-        (
-            ClusterReqIo {
-                mesh: req,
-                topo,
-                node,
-                xbar_up,
-                line_size: *line_size,
-                channel_bytes: *channel_bytes,
-                partitions: *partitions,
-            },
-            ClusterRespIo {
-                mesh: resp,
-                topo,
-                node,
-                xbar_down,
-                cluster_size: *cluster_size,
-                line_size: *line_size,
-                channel_bytes: *channel_bytes,
-            },
-        )
+        let node = wiring.topo.cluster_nodes[cluster];
+        let req_io = Port::new(wiring, req, node, Route::Partition);
+        let resp_io = Port::new(wiring, resp, node, Route::Core);
+        match xbars.get_mut(cluster) {
+            Some(xb) => (
+                req_io.rx_on(&mut xb.up, 0),
+                resp_io.tx_on(&mut xb.down, 0, Route::CoreSlot),
+            ),
+            None => (req_io, resp_io),
+        }
     }
 }
 
 impl Snapshot for Interconnect {
-    /// Saves both meshes and the cluster crossbars; the topology and
-    /// channel geometry are construction-time configuration.
+    /// Saves both meshes and the cluster crossbars; the wiring is
+    /// construction-time configuration.
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("icnt", |w| {
             self.req.save(w);
@@ -430,199 +438,94 @@ impl Clocked for Interconnect {
     }
 }
 
-/// Receiving port view: delivered packets at one mesh node.
+/// Which side of a [`Port`] sits on a crossbar lane instead of the mesh,
+/// and at which lane slot.
 #[derive(Debug)]
-pub struct MeshRx<'a, M> {
+enum Lane<'a, M> {
+    None,
+    /// Delivered packets eject from the lane's sink `slot`.
+    Rx(&'a mut XbarLane<M>, usize),
+    /// Sends enter the lane's source queue `slot`.
+    Tx(&'a mut XbarLane<M>, usize),
+}
+
+/// The one port view: what a station attached at mesh node `node` sees of
+/// one network. Delivered packets eject at the node, sends inject there
+/// towards wherever `route` resolves, serialised into channel-width flits
+/// — except that at most one side is moved onto a crossbar lane, which
+/// the station cannot tell.
+#[derive(Debug)]
+pub struct Port<'a, M> {
+    wiring: &'a Wiring,
     mesh: &'a mut Mesh<M>,
     node: usize,
+    route: Route,
+    lane: Lane<'a, M>,
 }
 
-impl<M> RxPort<M> for MeshRx<'_, M> {
+impl<'a, M> Port<'a, M> {
+    fn new(wiring: &'a Wiring, mesh: &'a mut Mesh<M>, node: usize, route: Route) -> Self {
+        Port {
+            wiring,
+            mesh,
+            node,
+            route,
+            lane: Lane::None,
+        }
+    }
+
+    /// Moves the receiving side onto sink `slot` of `lane`.
+    fn rx_on(self, lane: &'a mut XbarLane<M>, slot: usize) -> Self {
+        Port {
+            lane: Lane::Rx(lane, slot),
+            ..self
+        }
+    }
+
+    /// Moves the sending side onto source `slot` of `lane`, where `route`
+    /// resolves to a sink slot.
+    fn tx_on(self, lane: &'a mut XbarLane<M>, slot: usize, route: Route) -> Self {
+        Port {
+            lane: Lane::Tx(lane, slot),
+            route,
+            ..self
+        }
+    }
+}
+
+// `#[inline]`: every ticked core and station calls these each cycle, and
+// the benchmark's crossbar driver calls them from another crate.
+impl<M> RxPort<M> for Port<'_, M> {
+    #[inline]
     fn recv(&mut self) -> Option<M> {
-        self.mesh.eject(self.node)
-    }
-}
-
-/// A core's receiving port view: responses delivered at its mesh node —
-/// or, with cluster crossbars active, at its slot of the cluster's
-/// down lane (the mesh then never carries responses to core nodes).
-#[derive(Debug)]
-pub struct CoreRx<'a> {
-    mesh: &'a mut Mesh<MemResponse>,
-    node: usize,
-    xbar: Option<(&'a mut XbarLane<MemResponse>, usize)>,
-}
-
-impl RxPort<MemResponse> for CoreRx<'_> {
-    fn recv(&mut self) -> Option<MemResponse> {
-        match &mut self.xbar {
-            Some((lane, slot)) => lane.eject(*slot),
-            None => self.mesh.eject(self.node),
+        match &mut self.lane {
+            Lane::Rx(lane, slot) => lane.eject(*slot),
+            _ => self.mesh.eject(self.node),
         }
     }
 }
 
-/// Sending port view onto the request mesh: routes each request to the
-/// node of the partition owning its line — or, when the source core hangs
-/// off a cluster cache, to that cluster's node (`via`) — and serialises it
-/// into channel-width flits. With cluster crossbars active the request
-/// instead enters the core's slot of its cluster's up lane.
-#[derive(Debug)]
-pub struct ReqTx<'a> {
-    mesh: &'a mut Mesh<MemRequest>,
-    topo: &'a Topology,
-    src: usize,
-    via: Option<usize>,
-    xbar: Option<(&'a mut XbarLane<MemRequest>, usize)>,
-    line_size: u32,
-    channel_bytes: u32,
-    partitions: usize,
-}
-
-impl TxPort<MemRequest> for ReqTx<'_> {
+impl<M: Packet> TxPort<M> for Port<'_, M> {
+    #[inline]
     fn can_send(&self) -> bool {
-        match &self.xbar {
-            Some((lane, slot)) => lane.can_accept(*slot),
-            None => self.mesh.can_inject(self.src),
+        match &self.lane {
+            Lane::Tx(lane, slot) => lane.can_accept(*slot),
+            _ => self.mesh.can_inject(self.node),
         }
     }
 
-    fn send(&mut self, msg: MemRequest, now: u64) {
+    #[inline]
+    fn send(&mut self, msg: M, now: u64) {
+        let wiring = self.wiring;
         let flits = msg
-            .packet_bytes(self.line_size)
-            .div_ceil(self.channel_bytes);
-        if let Some((lane, slot)) = &mut self.xbar {
-            let ok = lane.push(*slot, 0, flits, msg, now);
-            assert!(ok, "injection gated by can_send");
-            return;
-        }
-        let dst = match self.via {
-            Some(node) => node,
-            None => self.topo.part_nodes[partition_of(msg.line, self.partitions).index()],
+            .packet_bytes(wiring.line_size)
+            .div_ceil(wiring.channel_bytes);
+        let dst = wiring.resolve(self.route, &msg);
+        let sent = match &mut self.lane {
+            Lane::Tx(lane, slot) => lane.push(*slot, dst, flits, msg, now),
+            _ => self.mesh.inject_at(self.node, dst, flits, msg, now).is_ok(),
         };
-        self.mesh
-            .inject_at(self.src, dst, flits, msg, now)
-            .expect("injection gated by can_send");
-    }
-}
-
-/// Sending port view onto the response mesh: routes each response to the
-/// node of its destination core — or, on a clustered topology, to that
-/// core's cluster node, where the L1.5 fills and re-distributes.
-#[derive(Debug)]
-pub struct RespTx<'a> {
-    mesh: &'a mut Mesh<MemResponse>,
-    topo: &'a Topology,
-    src: usize,
-    to_clusters: bool,
-    line_size: u32,
-    channel_bytes: u32,
-}
-
-impl TxPort<MemResponse> for RespTx<'_> {
-    fn can_send(&self) -> bool {
-        self.mesh.can_inject(self.src)
-    }
-
-    fn send(&mut self, msg: MemResponse, now: u64) {
-        let core = msg.core.index();
-        let dst = if self.to_clusters {
-            self.topo.cluster_nodes[self.topo.cluster_of[core]]
-        } else {
-            self.topo.core_nodes[core]
-        };
-        let flits = msg
-            .packet_bytes(self.line_size)
-            .div_ceil(self.channel_bytes);
-        self.mesh
-            .inject_at(self.src, dst, flits, msg, now)
-            .expect("injection gated by can_send");
-    }
-}
-
-/// A cluster cache's combined request-side view: requests from its cores
-/// eject here ([`RxPort`] — the crossbar up lane when active, else the
-/// cluster's mesh node), and misses inject towards the partition owning
-/// each line ([`TxPort`] — always over the mesh).
-#[derive(Debug)]
-pub struct ClusterReqIo<'a> {
-    mesh: &'a mut Mesh<MemRequest>,
-    topo: &'a Topology,
-    node: usize,
-    xbar_up: Option<&'a mut XbarLane<MemRequest>>,
-    line_size: u32,
-    channel_bytes: u32,
-    partitions: usize,
-}
-
-impl RxPort<MemRequest> for ClusterReqIo<'_> {
-    fn recv(&mut self) -> Option<MemRequest> {
-        match &mut self.xbar_up {
-            Some(lane) => lane.eject(0),
-            None => self.mesh.eject(self.node),
-        }
-    }
-}
-
-impl TxPort<MemRequest> for ClusterReqIo<'_> {
-    fn can_send(&self) -> bool {
-        self.mesh.can_inject(self.node)
-    }
-
-    fn send(&mut self, msg: MemRequest, now: u64) {
-        let dst = self.topo.part_nodes[partition_of(msg.line, self.partitions).index()];
-        let flits = msg
-            .packet_bytes(self.line_size)
-            .div_ceil(self.channel_bytes);
-        self.mesh
-            .inject_at(self.node, dst, flits, msg, now)
-            .expect("injection gated by can_send");
-    }
-}
-
-/// A cluster cache's combined response-side view: partition responses
-/// eject here ([`RxPort`] — always the mesh), and per-core responses
-/// inject towards each destination core ([`TxPort`] — the crossbar down
-/// lane when active, else the mesh).
-#[derive(Debug)]
-pub struct ClusterRespIo<'a> {
-    mesh: &'a mut Mesh<MemResponse>,
-    topo: &'a Topology,
-    node: usize,
-    xbar_down: Option<&'a mut XbarLane<MemResponse>>,
-    cluster_size: usize,
-    line_size: u32,
-    channel_bytes: u32,
-}
-
-impl RxPort<MemResponse> for ClusterRespIo<'_> {
-    fn recv(&mut self) -> Option<MemResponse> {
-        self.mesh.eject(self.node)
-    }
-}
-
-impl TxPort<MemResponse> for ClusterRespIo<'_> {
-    fn can_send(&self) -> bool {
-        match &self.xbar_down {
-            Some(lane) => lane.can_accept(0),
-            None => self.mesh.can_inject(self.node),
-        }
-    }
-
-    fn send(&mut self, msg: MemResponse, now: u64) {
-        let flits = msg
-            .packet_bytes(self.line_size)
-            .div_ceil(self.channel_bytes);
-        if let Some(lane) = &mut self.xbar_down {
-            let slot = msg.core.index() % self.cluster_size;
-            let ok = lane.push(0, slot, flits, msg, now);
-            assert!(ok, "injection gated by can_send");
-            return;
-        }
-        let dst = self.topo.core_nodes[msg.core.index()];
-        self.mesh
-            .inject_at(self.node, dst, flits, msg, now)
-            .expect("injection gated by can_send");
+        assert!(sent, "injection gated by can_send");
     }
 }
 
@@ -791,11 +694,11 @@ impl Snapshot for CoreComplex {
     }
 }
 
-impl ClockedWith<Interconnect> for CoreComplex {
+impl CoreComplex {
     /// One core-array cycle: each core first drains its response port
     /// (waking warps), then runs its LD/ST pipeline and issue stage,
     /// injecting at most one request if the network has room.
-    fn tick_with(&mut self, now: u64, icnt: &mut Interconnect) {
+    pub fn tick(&mut self, now: u64, icnt: &mut Interconnect) {
         for (i, core) in self.cores.iter_mut().enumerate() {
             // Gated pre-check, ordered cheapest-first and touching only
             // what the verdict needs: the cached wake bound, then the
@@ -838,295 +741,242 @@ impl ClockedWith<Interconnect> for CoreComplex {
         }
     }
 
-    fn is_idle(&self) -> bool {
+    /// Whether every core has drained.
+    pub fn is_idle(&self) -> bool {
         self.cores.iter().all(SimtCore::is_idle)
     }
 
-    /// Minimum of the per-core bounds. CTA dispatch needs no bound of its
+    /// [`Clocked::next_event`] with read-only port visibility (whether the
+    /// network can accept an injection is constant across an event-free
+    /// gap): the minimum of the per-core bounds. CTA dispatch needs no bound of its
     /// own: a launch requires a core to free resources first, which
     /// requires a pickable warp — already bounded at `now + 1` — and on
     /// event-free cycles the round-robin dispatch scan is a no-op (its
     /// cursor advances exactly one full lap).
-    fn next_event(&self, now: u64, icnt: &Interconnect) -> Option<u64> {
+    pub fn next_event(&self, now: u64, icnt: &Interconnect) -> Option<u64> {
         let mut ev: Option<u64> = None;
-        for (i, core) in self.cores.iter().enumerate() {
-            // Under event gating the cached per-core bounds are current
-            // (ticked cores were just refreshed, skipped cores are
-            // unchanged since theirs were computed), so the warp scan is
-            // elided.
-            let e = if self.ff {
-                if self.wake[i] <= now + 1 || (self.wake_on_inject[i] && icnt.can_inject_core(i)) {
-                    Some(now + 1)
-                } else if self.wake[i] == u64::MAX {
-                    None
-                } else {
-                    Some(self.wake[i])
-                }
-            } else {
-                core.next_event(now, icnt.can_inject_core(i))
-            };
-            if e == Some(now + 1) {
-                return e;
+        for (i, &wake) in self.wake.iter().enumerate() {
+            // The cached per-core bounds are current (ticked cores were
+            // just refreshed, skipped cores are unchanged since theirs
+            // were computed), so the warp scan is elided. Without event
+            // gating they stay 0: never skip.
+            if wake <= now + 1 || (self.wake_on_inject[i] && icnt.can_inject_core(i)) {
+                return Some(now + 1);
             }
-            ev = min_event(ev, e);
+            if wake != u64::MAX {
+                ev = min_event(ev, Some(wake));
+            }
         }
         ev
     }
 
-    fn skip(&mut self, now: u64, cycles: u64, icnt: &Interconnect) {
+    /// [`Clocked::skip`]: replays every core's per-cycle stall accounting
+    /// across a gap the driver proved event-free.
+    pub fn skip(&mut self, now: u64, cycles: u64, icnt: &Interconnect) {
         for (i, core) in self.cores.iter_mut().enumerate() {
             core.skip(now, cycles, icnt.can_inject_core(i));
         }
     }
 }
 
-/// The memory-partition array (L2 banks + AOUs + DRAM channels).
+/// One kind of memory-side station on the network — what [`Gated`] needs
+/// to build, gate and serve an array of them. A new hierarchy level is
+/// one impl of this (and, if its traffic goes somewhere new, one
+/// [`Route`] arm).
+pub trait Station: Snapshot + Sized {
+    /// Snapshot section tag of the array.
+    const SECTION: &'static str;
+
+    /// Builds the array `cfg` and `topo` describe (possibly empty).
+    fn build(cfg: &GpuConfig, topo: &Topology) -> Vec<Self>;
+
+    /// Whether traffic awaits ejection at station `index`'s ports — the
+    /// external input that overrides its cached wake-up cycle.
+    fn input_pending(icnt: &Interconnect, index: usize) -> bool;
+
+    /// One cycle of station `index` against its ports: drain what was
+    /// delivered, advance, inject what is ready while there is room.
+    fn serve(&mut self, now: u64, index: usize, icnt: &mut Interconnect);
+
+    /// Whether all internal work has drained.
+    fn is_idle(&self) -> bool;
+
+    /// [`Clocked::next_event`] of the station, given no new input.
+    fn next_event(&self, now: u64) -> Option<u64>;
+}
+
+impl Station for Partition {
+    const SECTION: &'static str = "mem_system";
+
+    fn build(cfg: &GpuConfig, _topo: &Topology) -> Vec<Self> {
+        (0..cfg.partitions)
+            .map(|p| Partition::new(PartitionId(p), cfg))
+            .collect()
+    }
+
+    fn input_pending(icnt: &Interconnect, index: usize) -> bool {
+        icnt.req_pending_part(index)
+    }
+
+    fn serve(&mut self, now: u64, index: usize, icnt: &mut Interconnect) {
+        let (mut rx, mut tx) = icnt.partition_ports(index);
+        while let Some(req) = rx.recv() {
+            self.push_request(req);
+        }
+        self.tick(now);
+        while tx.can_send() {
+            let Some(resp) = self.pop_response(now) else {
+                break;
+            };
+            tx.send(resp, now);
+        }
+    }
+
+    fn is_idle(&self) -> bool {
+        Partition::is_idle(self)
+    }
+
+    fn next_event(&self, now: u64) -> Option<u64> {
+        Partition::next_event(self, now)
+    }
+}
+
+impl Station for L15Cluster {
+    const SECTION: &'static str = "cluster_complex";
+
+    /// One shared L1.5 per cluster of `topo`; none on a flat machine, so
+    /// the flat pipeline pays nothing for the extra hierarchy level.
+    fn build(cfg: &GpuConfig, topo: &Topology) -> Vec<Self> {
+        (0..topo.clusters()).map(|_| L15Cluster::new(cfg)).collect()
+    }
+
+    fn input_pending(icnt: &Interconnect, index: usize) -> bool {
+        icnt.pending_cluster(index)
+    }
+
+    fn serve(&mut self, now: u64, index: usize, icnt: &mut Interconnect) {
+        let (mut req_io, mut resp_io) = icnt.cluster_io(index);
+        self.tick(now, &mut req_io, &mut resp_io);
+    }
+
+    fn is_idle(&self) -> bool {
+        L15Cluster::is_idle(self)
+    }
+
+    fn next_event(&self, now: u64) -> Option<u64> {
+        L15Cluster::next_event(self, now)
+    }
+}
+
+/// An array of [`Station`]s behind a per-station wake cache, mirroring
+/// [`CoreComplex`]'s event gating: a station whose cached wake-up cycle
+/// lies ahead and that has no traffic waiting at its ports is skipped
+/// outright — its event-free cycle is a pure no-op, so unlike cores there
+/// is no accounting to replay.
 #[derive(Debug)]
-pub struct MemorySystem {
-    partitions: Vec<Partition>,
-    /// Per-partition event gating, mirroring [`CoreComplex`]: a partition
-    /// whose cached wake-up cycle lies ahead (and that received no request
-    /// this cycle) is skipped outright — its event-free tick is a pure
-    /// no-op, so unlike cores there is no accounting to replay.
+pub struct Gated<S> {
+    stations: Vec<S>,
     ff: bool,
     wake: Vec<u64>,
-    /// Partition ticks elided by the wake cache (self-profiling counter).
+    /// Station ticks elided by the wake cache (self-profiling counter).
     wake_skips: u64,
+}
+
+/// The memory-partition array (L2 banks + AOUs + DRAM channels).
+pub type MemorySystem = Gated<Partition>;
+
+/// The cluster-cache array — one shared L1.5 per core cluster, empty on a
+/// flat machine.
+pub type ClusterComplex = Gated<L15Cluster>;
+
+impl<S: Station> Gated<S> {
+    /// Builds the stations `cfg` and `topo` describe.
+    pub fn new(cfg: &GpuConfig, topo: &Topology) -> Self {
+        let stations = S::build(cfg, topo);
+        Gated {
+            ff: cfg.fast_forward,
+            wake: vec![0; stations.len()],
+            stations,
+            wake_skips: 0,
+        }
+    }
+
+    /// Station ticks elided by the wake cache (self-profiling).
+    pub const fn wake_skips(&self) -> u64 {
+        self.wake_skips
+    }
+
+    /// Whether there is nothing to tick (cluster caches of a flat machine).
+    pub fn is_empty(&self) -> bool {
+        self.stations.is_empty()
+    }
+
+    /// The station array.
+    pub fn stations(&self) -> &[S] {
+        &self.stations
+    }
+
+    /// Mutable station array (kernel-end flush, stat collection).
+    pub fn stations_mut(&mut self) -> &mut [S] {
+        &mut self.stations
+    }
+
+    /// One cycle of the array: every station with queued input or an
+    /// internal event due is served against its ports.
+    pub fn tick(&mut self, now: u64, icnt: &mut Interconnect) {
+        for (i, station) in self.stations.iter_mut().enumerate() {
+            if self.ff && now < self.wake[i] && !S::input_pending(icnt, i) {
+                self.wake_skips += 1;
+                continue;
+            }
+            station.serve(now, i, icnt);
+            if self.ff {
+                self.wake[i] = station.next_event(now).unwrap_or(u64::MAX);
+            }
+        }
+    }
+
+    /// Whether every station has drained.
+    pub fn is_idle(&self) -> bool {
+        self.stations.iter().all(S::is_idle)
+    }
+
+    /// [`Clocked::next_event`] of the array, from the cached bounds: they
+    /// are current (ticked stations were just refreshed, skipped ones are
+    /// unchanged since theirs were computed), and without event gating
+    /// they stay 0 — "never skip". Arrival of new traffic is bounded by
+    /// the interconnect's own next event.
+    pub fn next_event(&self, now: u64) -> Option<u64> {
+        let m = self.wake.iter().copied().min().unwrap_or(u64::MAX);
+        (m != u64::MAX).then_some(m.max(now + 1))
+    }
 }
 
 impl MemorySystem {
-    /// Builds `cfg.partitions` memory partitions.
-    pub fn new(cfg: &GpuConfig) -> Self {
-        MemorySystem {
-            partitions: (0..cfg.partitions)
-                .map(|p| Partition::new(PartitionId(p), cfg))
-                .collect(),
-            ff: cfg.fast_forward,
-            wake: vec![0; cfg.partitions],
-            wake_skips: 0,
-        }
-    }
-
-    /// Partition ticks elided by the per-partition wake cache
-    /// (self-profiling).
-    pub const fn wake_skips(&self) -> u64 {
-        self.wake_skips
-    }
-
-    /// The partition array.
-    pub fn partitions(&self) -> &[Partition] {
-        &self.partitions
-    }
-
-    /// Mutable partition array (kernel-end flush, stat collection).
-    pub fn partitions_mut(&mut self) -> &mut [Partition] {
-        &mut self.partitions
-    }
-
     /// Total DRAM transactions completed (progress signature).
     pub fn dram_completed(&self) -> u64 {
-        self.partitions
-            .iter()
-            .map(|p| p.dram_stats().completed)
-            .sum()
+        self.stations.iter().map(|p| p.dram_stats().completed).sum()
     }
 }
 
-impl Snapshot for MemorySystem {
-    /// Saves every partition. The wake cache is not serialized; restore
-    /// parks every partition at "tick next cycle" (state-identical, see
-    /// [`CoreComplex`]'s snapshot notes).
+impl<S: Station> Snapshot for Gated<S> {
+    /// Saves every station under the array's section tag. The wake cache
+    /// is not serialized; restore parks every station at "tick next
+    /// cycle" (state-identical, see [`CoreComplex`]'s snapshot notes).
     fn save(&self, w: &mut SnapshotWriter) {
-        w.section("mem_system", |w| {
-            w.save_all(&self.partitions);
+        w.section(S::SECTION, |w| {
+            w.save_all(&self.stations);
             w.u64(self.wake_skips);
         });
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.section("mem_system", |r| {
-            r.restore_all(&mut self.partitions, "partitions")?;
+        r.section(S::SECTION, |r| {
+            r.restore_all(&mut self.stations, S::SECTION)?;
             self.wake_skips = r.u64()?;
             self.wake.fill(0);
             Ok(())
         })
-    }
-}
-
-impl ClockedWith<Interconnect> for MemorySystem {
-    /// One memory-system cycle: each partition drains its request port,
-    /// advances L2/AOU/DRAM, and injects ready responses while the
-    /// response mesh has room.
-    fn tick_with(&mut self, now: u64, icnt: &mut Interconnect) {
-        for (p, part) in self.partitions.iter_mut().enumerate() {
-            if self.ff && now < self.wake[p] && !icnt.req_pending_part(p) {
-                // No queued input and no internal event due: the whole
-                // partition cycle is a no-op.
-                self.wake_skips += 1;
-                continue;
-            }
-            let (mut rx, mut tx) = icnt.partition_ports(p);
-            while let Some(req) = rx.recv() {
-                part.push_request(req);
-            }
-            part.tick(now);
-            while tx.can_send() {
-                let Some(resp) = part.pop_response(now) else {
-                    break;
-                };
-                tx.send(resp, now);
-            }
-            if self.ff {
-                self.wake[p] = part.next_event(now).unwrap_or(u64::MAX);
-            }
-        }
-    }
-
-    fn is_idle(&self) -> bool {
-        self.partitions.iter().all(Partition::is_idle)
-    }
-
-    fn next_event(&self, now: u64, _icnt: &Interconnect) -> Option<u64> {
-        if self.ff {
-            // The cached per-partition bounds are current (same argument
-            // as for the cores); arrival of new requests is bounded by the
-            // request mesh's own next event.
-            let m = self.wake.iter().copied().min().unwrap_or(u64::MAX);
-            return if m == u64::MAX {
-                None
-            } else {
-                Some(m.max(now + 1))
-            };
-        }
-        let mut ev: Option<u64> = None;
-        for p in &self.partitions {
-            let e = p.next_event(now);
-            if e == Some(now + 1) {
-                return e;
-            }
-            ev = min_event(ev, e);
-        }
-        ev
-    }
-}
-
-/// The cluster-cache array — one shared L1.5 per core cluster. Empty on a
-/// flat machine, where every method is a no-op so the flat pipeline pays
-/// nothing for the extra hierarchy level.
-#[derive(Debug)]
-pub struct ClusterComplex {
-    clusters: Vec<L15Cluster>,
-    /// Per-cluster event gating, mirroring [`MemorySystem`]: a cluster
-    /// whose cached wake-up cycle lies ahead and that has no traffic
-    /// waiting at its node is skipped outright.
-    ff: bool,
-    wake: Vec<u64>,
-    /// Cluster ticks elided by the wake cache (self-profiling counter).
-    wake_skips: u64,
-}
-
-impl ClusterComplex {
-    /// Builds one shared L1.5 per cluster of `topo` (none when flat).
-    pub fn new(cfg: &GpuConfig, topo: &Topology) -> Self {
-        let n = topo.clusters();
-        ClusterComplex {
-            clusters: (0..n).map(|_| L15Cluster::new(cfg)).collect(),
-            ff: cfg.fast_forward,
-            wake: vec![0; n],
-            wake_skips: 0,
-        }
-    }
-
-    /// Cluster ticks elided by the per-cluster wake cache (self-profiling).
-    pub const fn wake_skips(&self) -> u64 {
-        self.wake_skips
-    }
-
-    /// Whether the machine is flat (no cluster caches to tick).
-    pub fn is_empty(&self) -> bool {
-        self.clusters.is_empty()
-    }
-
-    /// The cluster-cache array.
-    pub fn clusters(&self) -> &[L15Cluster] {
-        &self.clusters
-    }
-
-    /// Mutable cluster-cache array (kernel-end flush, stat collection).
-    pub fn clusters_mut(&mut self) -> &mut [L15Cluster] {
-        &mut self.clusters
-    }
-}
-
-impl Snapshot for ClusterComplex {
-    /// Saves every cluster cache (a no-op payload on a flat machine). The
-    /// wake cache is rebuilt, not serialized.
-    fn save(&self, w: &mut SnapshotWriter) {
-        w.section("cluster_complex", |w| {
-            w.save_all(&self.clusters);
-            w.u64(self.wake_skips);
-        });
-    }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.section("cluster_complex", |r| {
-            r.restore_all(&mut self.clusters, "clusters")?;
-            self.wake_skips = r.u64()?;
-            self.wake.fill(0);
-            Ok(())
-        })
-    }
-}
-
-impl ClockedWith<Interconnect> for ClusterComplex {
-    /// One cluster-array cycle: each L1.5 drains both its mesh ports,
-    /// serves one request, and injects ready forwards/responses while the
-    /// meshes have room.
-    fn tick_with(&mut self, now: u64, icnt: &mut Interconnect) {
-        for (c, cluster) in self.clusters.iter_mut().enumerate() {
-            if self.ff
-                && now < self.wake[c]
-                && !icnt.req_pending_cluster(c)
-                && !icnt.resp_pending_cluster(c)
-            {
-                // No queued input on either mesh and no internal event
-                // due: the whole cluster cycle is a no-op.
-                self.wake_skips += 1;
-                continue;
-            }
-            let (mut req_io, mut resp_io) = icnt.cluster_io(c);
-            cluster.tick(now, &mut req_io, &mut resp_io);
-            if self.ff {
-                self.wake[c] = cluster.next_event(now).unwrap_or(u64::MAX);
-            }
-        }
-    }
-
-    fn is_idle(&self) -> bool {
-        self.clusters.iter().all(L15Cluster::is_idle)
-    }
-
-    fn next_event(&self, now: u64, _icnt: &Interconnect) -> Option<u64> {
-        if self.ff {
-            // The cached per-cluster bounds are current (same argument as
-            // for the partitions); arrival of new traffic is bounded by
-            // each mesh's own next event.
-            let m = self.wake.iter().copied().min().unwrap_or(u64::MAX);
-            return if m == u64::MAX {
-                None
-            } else {
-                Some(m.max(now + 1))
-            };
-        }
-        let mut ev: Option<u64> = None;
-        for cluster in &self.clusters {
-            let e = cluster.next_event(now);
-            if e == Some(now + 1) {
-                return e;
-            }
-            ev = min_event(ev, e);
-        }
-        ev
     }
 }
 
@@ -1220,71 +1070,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn request_port_routes_to_owning_partition() {
-        let cfg = GpuConfig::fermi().unwrap();
-        let mut icnt = Interconnect::new(&cfg, cfg.topology());
-        // Line 5 lives in partition 5 (low-bit interleaving, node 16 + 5).
-        let req = MemRequest {
-            line: LineAddr::new(5),
-            kind: AccessKind::Read,
-            core: CoreId(0),
-            warp: 0,
-            class: None,
-        };
-        {
-            let (_, mut tx) = icnt.core_ports(0);
-            assert!(tx.can_send());
-            tx.send(req, 0);
-        }
-        let mut got = None;
-        for now in 1..200 {
-            icnt.tick(now);
-            let (mut rx, _) = icnt.partition_ports(5);
-            if let Some(r) = rx.recv() {
-                got = Some(r);
-                break;
-            }
-        }
-        assert_eq!(got, Some(req));
-        assert!(icnt.is_idle());
-    }
-
-    #[test]
-    fn response_port_routes_to_destination_core() {
-        let cfg = GpuConfig::fermi().unwrap();
-        let mut icnt = Interconnect::new(&cfg, cfg.topology());
-        let resp = MemResponse {
-            line: LineAddr::new(5),
-            kind: AccessKind::Read,
-            core: CoreId(7),
-            warp: 3,
-            victim_hint: true,
-            class: None,
-        };
-        {
-            let (_, mut tx) = icnt.partition_ports(5);
-            tx.send(resp, 0);
-        }
-        let mut got = None;
-        for now in 1..200 {
-            icnt.tick(now);
-            let (mut rx, _) = icnt.core_ports(7);
-            if let Some(r) = rx.recv() {
-                got = Some(r);
-                break;
-            }
-        }
-        assert_eq!(got, Some(resp));
-    }
-
-    /// Runs the mesh until `recv` yields a packet at its node (or panics).
-    fn pump<M, F>(icnt: &mut Interconnect, mut recv: F) -> M
-    where
-        F: FnMut(&mut Interconnect) -> Option<M>,
-    {
-        for now in 1..200 {
-            icnt.tick(now);
+    /// Ticks `icnt` until `recv` yields a packet (or panics).
+    fn pump<M>(
+        icnt: &mut Interconnect,
+        now: &mut u64,
+        mut recv: impl FnMut(&mut Interconnect) -> Option<M>,
+    ) -> M {
+        for _ in 0..200 {
+            *now += 1;
+            icnt.tick(*now);
             if let Some(m) = recv(icnt) {
                 return m;
             }
@@ -1292,139 +1086,156 @@ mod tests {
         panic!("packet never arrived");
     }
 
+    /// The routing table: on every shape the binaries sweep, a request
+    /// from every core for a line of every partition arrives at the owning
+    /// partition's port — through its cluster's `cluster_io` when
+    /// clustered — and the echoed response reaches the issuing core's port
+    /// and no other. The packet counts say which network carried each leg.
     #[test]
-    fn clustered_requests_route_via_cluster_node() {
-        let cfg = clustered_cfg(4);
-        let mut icnt = Interconnect::new(&cfg, cfg.topology());
-        let req = MemRequest {
-            line: LineAddr::new(5),
-            kind: AccessKind::Read,
-            core: CoreId(6), // cluster 1
-            warp: 0,
-            class: None,
-        };
-        {
-            let (_, mut tx) = icnt.core_ports(6);
-            tx.send(req, 0);
+    fn every_shape_routes_every_core_to_every_partition_and_back() {
+        for cluster_size in [0, 4, 8, 16] {
+            for ports in [1, 2, 4] {
+                let cfg = match cluster_size {
+                    0 => GpuConfig::fermi().unwrap(),
+                    n => clustered_cfg(n),
+                };
+                let cfg = cfg.with_cluster_ports(ports).unwrap();
+                let shape = format!("{} x{ports}", cfg.hierarchy.label());
+                let mut icnt = Interconnect::new(&cfg, cfg.topology());
+                let topo = cfg.topology();
+                let mut now = 0;
+                for core in 0..cfg.cores {
+                    for part in 0..cfg.partitions {
+                        let via = topo.is_clustered().then(|| topo.cluster_of[core]);
+                        let req = MemRequest {
+                            line: LineAddr::new((core * cfg.partitions + part) as u64),
+                            kind: AccessKind::Read,
+                            core: CoreId(core),
+                            warp: part,
+                            class: None,
+                        };
+                        icnt.core_ports(core).1.send(req, now);
+                        if let Some(c) = via {
+                            let got = pump(&mut icnt, &mut now, |i| i.cluster_io(c).0.recv());
+                            assert_eq!(got, req, "{shape}: core {core} up to cluster {c}");
+                            icnt.cluster_io(c).0.send(got, now);
+                        }
+                        let got = pump(&mut icnt, &mut now, |i| i.partition_ports(part).0.recv());
+                        assert_eq!(got, req, "{shape}: core {core} to partition {part}");
+                        let resp = MemResponse {
+                            line: req.line,
+                            kind: AccessKind::Read,
+                            core: req.core,
+                            warp: part,
+                            victim_hint: true,
+                            class: None,
+                        };
+                        icnt.partition_ports(part).1.send(resp, now);
+                        if let Some(c) = via {
+                            let got = pump(&mut icnt, &mut now, |i| i.cluster_io(c).1.recv());
+                            assert_eq!(got, resp, "{shape}: partition {part} to cluster {c}");
+                            icnt.cluster_io(c).1.send(got, now);
+                        }
+                        assert!(!icnt.resp_pending_core(core), "{shape}: not there yet");
+                        let got = pump(&mut icnt, &mut now, |i| i.core_ports(core).0.recv());
+                        assert_eq!(got, resp, "{shape}: partition {part} back to core {core}");
+                        // Nothing queued, moving or awaiting ejection at
+                        // any other port: the one copy went to `core`.
+                        assert!(icnt.is_idle(), "{shape}: core {core}, partition {part}");
+                    }
+                }
+                // Flat: one mesh packet per leg. Clustered through the
+                // cluster's mesh node (1 port, the legacy wiring): two.
+                // With crossbars the core-side legs never touch a mesh.
+                let trips = (cfg.cores * cfg.partitions) as u64;
+                let xbars = if cluster_size > 0 && ports >= 2 {
+                    Some((2 * trips, topo.clusters() * ports * 2))
+                } else {
+                    None
+                };
+                let mesh_legs = if cluster_size > 0 && ports == 1 { 2 } else { 1 };
+                assert_eq!(icnt.req_stats().packets, mesh_legs * trips, "{shape}");
+                assert_eq!(icnt.resp_stats().packets, mesh_legs * trips, "{shape}");
+                assert_eq!(
+                    icnt.xbar_stats().map(|s| s.grants),
+                    xbars.map(|x| x.0),
+                    "{shape}"
+                );
+                assert_eq!(icnt.xbar_ports_total(), xbars.map_or(0, |x| x.1), "{shape}");
+            }
         }
-        // The request ejects at cluster 1's node, not at partition 5.
-        let got = pump(&mut icnt, |icnt| icnt.cluster_io(1).0.recv());
-        assert_eq!(got, req);
-        // Forwarding from the cluster node reaches the owning partition.
-        {
-            let (mut req_io, _) = icnt.cluster_io(1);
-            assert!(TxPort::can_send(&req_io));
-            req_io.send(got, 0);
-        }
-        let got = pump(&mut icnt, |icnt| icnt.partition_ports(5).0.recv());
-        assert_eq!(got, req);
+    }
+
+    /// Every station's state, without the array's own skip counter (a
+    /// restored array re-ticks cycles the uninterrupted one skipped).
+    fn station_bytes<S: Station>(array: &Gated<S>) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.save_all(array.stations());
+        w.finish()
     }
 
     #[test]
-    fn crossbar_carries_core_requests_to_l15() {
+    fn restored_gated_arrays_tick_to_the_same_station_states() {
+        type Machine = (Interconnect, ClusterComplex, MemorySystem);
+        fn build(cfg: &GpuConfig) -> Machine {
+            let icnt = Interconnect::new(cfg, cfg.topology());
+            let clusters = Gated::new(cfg, icnt.topology());
+            let mem = Gated::new(cfg, icnt.topology());
+            (icnt, clusters, mem)
+        }
+        /// One cycle of the memory side; cores only inject (one read each
+        /// on the first 16 cycles) and drain their response ports.
+        fn step((icnt, clusters, mem): &mut Machine, now: u64, answered: &mut Vec<MemResponse>) {
+            for core in 0..16 {
+                let (mut rx, mut tx) = icnt.core_ports(core);
+                answered.extend(std::iter::from_fn(|| rx.recv()));
+                if now == core as u64 + 1 {
+                    let req = MemRequest {
+                        line: LineAddr::new(core as u64 * 3),
+                        kind: AccessKind::Read,
+                        core: CoreId(core),
+                        warp: 0,
+                        class: None,
+                    };
+                    tx.send(req, now);
+                }
+            }
+            icnt.tick(now);
+            clusters.tick(now, icnt);
+            mem.tick(now, icnt);
+        }
         let cfg = clustered_cfg(4).with_cluster_ports(2).unwrap();
-        let mut icnt = Interconnect::new(&cfg, cfg.topology());
-        let req = MemRequest {
-            line: LineAddr::new(5),
-            kind: AccessKind::Read,
-            core: CoreId(6), // cluster 1
-            warp: 0,
-            class: None,
-        };
-        {
-            let (_, mut tx) = icnt.core_ports(6);
-            assert!(tx.can_send());
-            tx.send(req, 0);
+        assert!(cfg.fast_forward, "the wake caches must be live");
+        let (mut straight, mut resumed) = (build(&cfg), build(&cfg));
+        let (mut answered, mut answered_after_resume) = (Vec::new(), Vec::new());
+        (1..=40).for_each(|now| step(&mut straight, now, &mut answered));
+        assert!(!straight.2.is_idle(), "snapshot mid-flight");
+        let mut w = SnapshotWriter::new();
+        straight.0.save(&mut w);
+        straight.1.save(&mut w);
+        straight.2.save(&mut w);
+        let bytes = w.finish();
+        // Restore over arrays whose wake caches say "nothing ever again".
+        (100..110).for_each(|now| step(&mut resumed, now, &mut Vec::new()));
+        assert_eq!(resumed.2.next_event(110), None);
+        let mut r = SnapshotReader::new(&bytes).unwrap();
+        resumed.0.restore(&mut r).unwrap();
+        resumed.1.restore(&mut r).unwrap();
+        resumed.2.restore(&mut r).unwrap();
+        answered_after_resume.clone_from(&answered);
+        for now in 41..=3000 {
+            step(&mut straight, now, &mut answered);
+            step(&mut resumed, now, &mut answered_after_resume);
+            if now % 100 == 0 {
+                let stations = |m: &Machine| (station_bytes(&m.1), station_bytes(&m.2));
+                assert!(stations(&resumed) == stations(&straight), "cycle {now}");
+            }
         }
-        // The request crosses cluster 1's up lane, never the mesh.
-        let got = pump(&mut icnt, |icnt| icnt.cluster_io(1).0.recv());
-        assert_eq!(got, req);
-        assert_eq!(icnt.req_stats().packets, 0, "mesh must not see the request");
-        assert_eq!(icnt.xbar_stats().unwrap().grants, 1);
-        // Misses still ride the mesh to the owning partition.
-        {
-            let (mut req_io, _) = icnt.cluster_io(1);
-            assert!(TxPort::can_send(&req_io));
-            req_io.send(got, 0);
-        }
-        let got = pump(&mut icnt, |icnt| icnt.partition_ports(5).0.recv());
-        assert_eq!(got, req);
-        assert_eq!(icnt.req_stats().packets, 1);
-    }
-
-    #[test]
-    fn crossbar_carries_l15_responses_to_cores() {
-        let cfg = clustered_cfg(4).with_cluster_ports(2).unwrap();
-        let mut icnt = Interconnect::new(&cfg, cfg.topology());
-        let resp = MemResponse {
-            line: LineAddr::new(5),
-            kind: AccessKind::Read,
-            core: CoreId(13), // cluster 3, slot 1
-            warp: 2,
-            victim_hint: true,
-            class: None,
-        };
-        // Partition responses still ride the mesh to the cluster node.
-        {
-            let (_, mut tx) = icnt.partition_ports(5);
-            tx.send(resp, 0);
-        }
-        let got = pump(&mut icnt, |icnt| icnt.cluster_io(3).1.recv());
-        assert_eq!(got, resp);
-        // The per-core redistribution crosses the down lane.
-        let before = icnt.resp_stats().packets;
-        {
-            let (_, mut resp_io) = icnt.cluster_io(3);
-            assert!(TxPort::can_send(&resp_io));
-            resp_io.send(got, 0);
-        }
-        assert!(!icnt.resp_pending_core(13));
-        let got = pump(&mut icnt, |icnt| icnt.core_ports(13).0.recv());
-        assert_eq!(got, resp);
-        assert_eq!(
-            icnt.resp_stats().packets,
-            before,
-            "redistribution must not touch the mesh"
-        );
-        assert!(icnt.is_idle());
-    }
-
-    #[test]
-    fn one_port_setting_keeps_legacy_mesh_wiring() {
-        // cluster_ports = 1 (the default) must not build crossbars: the
-        // cluster node's mesh port is the serialization-equivalent model,
-        // so pre-crossbar results reproduce bit-identically.
-        let cfg = clustered_cfg(4);
-        assert_eq!(cfg.cluster_ports, 1);
-        let icnt = Interconnect::new(&cfg, cfg.topology());
-        assert!(icnt.xbar_stats().is_none());
-        assert_eq!(icnt.xbar_ports_total(), 0);
-    }
-
-    #[test]
-    fn clustered_responses_route_via_cluster_node_then_core() {
-        let cfg = clustered_cfg(4);
-        let mut icnt = Interconnect::new(&cfg, cfg.topology());
-        let resp = MemResponse {
-            line: LineAddr::new(5),
-            kind: AccessKind::Read,
-            core: CoreId(13), // cluster 3
-            warp: 2,
-            victim_hint: true,
-            class: None,
-        };
-        {
-            let (_, mut tx) = icnt.partition_ports(5);
-            tx.send(resp, 0);
-        }
-        let got = pump(&mut icnt, |icnt| icnt.cluster_io(3).1.recv());
-        assert_eq!(got, resp);
-        {
-            let (_, mut resp_io) = icnt.cluster_io(3);
-            assert!(TxPort::can_send(&resp_io));
-            resp_io.send(got, 0);
-        }
-        let got = pump(&mut icnt, |icnt| icnt.core_ports(13).0.recv());
-        assert_eq!(got, resp);
+        assert_eq!(answered.len(), 16, "every read came back");
+        assert_eq!(answered_after_resume, answered);
+        assert!(straight.1.is_idle() && straight.2.is_idle() && straight.0.is_idle());
+        // The reset wake caches cost the resumed arrays their first skips.
+        assert!(resumed.2.wake_skips() < straight.2.wake_skips());
+        assert!(straight.2.wake_skips() > 0);
     }
 }
