@@ -111,7 +111,7 @@ fn odd_but_legal_machines_match_plain_loop() {
     /// A label and the reshaping of Table 2's machine it names.
     type Shape = (&'static str, fn(GpuConfig) -> GpuConfig);
     #[rustfmt::skip]
-    let shapes: [Shape; 16] = [
+    let shapes: [Shape; 19] = [
         ("cores=1", |c| GpuConfig { cores: 1, ..c }),
         ("partitions=1", |c| GpuConfig { partitions: 1, ..c }),
         ("24x1 mesh", |c| mesh(c, 24, 1)),
@@ -123,6 +123,10 @@ fn odd_but_legal_machines_match_plain_loop() {
         ("l2_period=3", |c| GpuConfig { l2_period: 3, ..c }),
         ("l2_latency=0", |c| GpuConfig { l2_latency: 0, ..c }),
         ("dram_row_bytes=128", |c| GpuConfig { dram_row_bytes: 128, ..c }),
+        // One bank takes every request; a one-deep queue stalls the L2.
+        ("dram_banks=1", |c| GpuConfig { dram_banks: 1, ..c }),
+        ("dram_banks=16", |c| GpuConfig { dram_banks: 16, ..c }),
+        ("dram_queue=1", |c| GpuConfig { dram_queue: 1, ..c }),
         ("victim_bit_share=16", |c| GpuConfig { victim_bit_share: 16, ..c }),
         // 64 victim-bit groups: the whole mask word of an L2 line.
         ("128 cores, share 2", |c| GpuConfig { cores: 128, victim_bit_share: 2, ..mesh(c, 12, 12) }),

@@ -9,6 +9,30 @@ use crate::addr::LineAddr;
 use crate::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes a line address with one folded multiply: the 128-bit product's
+/// halves XORed, so high address bits reach the low hash bits the map
+/// takes its bucket index from. Keys are addresses the simulated kernels
+/// generate, not input from outside the program, so the default hasher's
+/// protection against crafted collisions buys nothing here but its cost.
+#[derive(Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write_u64(&mut self, x: u64) {
+        let m = u128::from(self.0 ^ x) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Why an MSHR allocation failed. The requester must stall and retry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -61,7 +85,7 @@ pub enum MshrAlloc {
 pub struct MshrFile<T> {
     capacity: usize,
     max_merge: usize,
-    entries: HashMap<LineAddr, Vec<T>>,
+    entries: HashMap<LineAddr, Vec<T>, BuildHasherDefault<LineHasher>>,
     /// Recycled target vectors (empty, with their capacity retained), so
     /// the steady-state miss path allocates nothing: a primary miss pops a
     /// pooled vector and a completed fill returns it via
@@ -84,7 +108,7 @@ impl<T> MshrFile<T> {
         MshrFile {
             capacity,
             max_merge,
-            entries: HashMap::with_capacity(capacity),
+            entries: HashMap::with_capacity_and_hasher(capacity, Default::default()),
             free: Vec::with_capacity(capacity),
             peak_occupancy: 0,
             merges: 0,
@@ -186,11 +210,6 @@ impl<T> MshrFile<T> {
     /// Total number of merged (secondary) misses.
     pub fn merges(&self) -> u64 {
         self.merges
-    }
-
-    /// Iterates over outstanding lines.
-    pub fn lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.entries.keys().copied()
     }
 }
 
@@ -323,6 +342,21 @@ mod tests {
         assert_eq!(v2, vec![7]);
         assert_eq!(v2.as_ptr(), ptr, "pooled storage must be reused");
         assert_eq!(v2.capacity(), cap);
+    }
+
+    /// Lines a large power of two apart differ only in high bits; the map
+    /// takes its bucket index from the hash's low bits.
+    #[test]
+    fn line_hash_spreads_high_address_bits() {
+        use std::hash::{Hash, Hasher};
+        let buckets: std::collections::HashSet<u64> = (0..64u64)
+            .map(|k| {
+                let mut h = LineHasher::default();
+                LineAddr::new(k << 20).hash(&mut h);
+                h.finish() & 63
+            })
+            .collect();
+        assert!(buckets.len() >= 32, "{} of 64 buckets used", buckets.len());
     }
 
     #[test]

@@ -455,11 +455,14 @@ impl GpuConfig {
             return broken(field, &0, "must be at least 1");
         }
         // Lane and warp-ready masks are one 64-bit word each; the mesh
-        // counts the packets of a queue in 16 bits.
+        // counts the packets of a queue in 16 bits. A DRAM channel
+        // allocates its banks and its queue when it is built.
         let capped = [
             ("warp_width", self.warp_width, 64),
             ("max_warps_per_core", self.max_warps_per_core, 64),
             ("router_queue", self.router_queue, usize::from(u16::MAX)),
+            ("dram_banks", self.dram_banks, 64),
+            ("dram_queue", self.dram_queue, usize::from(u16::MAX)),
         ];
         if let Some((field, value, most)) = capped.into_iter().find(|&(_, v, most)| v > most) {
             return broken(field, &value, &format!("must be at most {most}"));
@@ -644,7 +647,7 @@ mod tests {
         }
         /// A field (the head of the message it must draw) and a way to break it.
         type Mutation = (&'static str, fn(&mut GpuConfig));
-        let mutations: [Mutation; 34] = [
+        let mutations: [Mutation; 36] = [
             ("cores", |c| c.cores = 0),
             ("partitions", |c| c.partitions = 0),
             ("partitions", |c| c.partitions = 6),
@@ -677,7 +680,9 @@ mod tests {
             ("router_queue", |c| c.router_queue = 1 << 16),
             ("hop_latency", |c| c.hop_latency = 0),
             ("dram_banks", |c| c.dram_banks = 0),
+            ("dram_banks", |c| c.dram_banks = 1 << 40),
             ("dram_queue", |c| c.dram_queue = 0),
+            ("dram_queue", |c| c.dram_queue = usize::MAX),
             ("dram_row_bytes", |c| c.dram_row_bytes = 64),
             ("max_cycles", |c| c.max_cycles = 0),
             ("l1_geometry line size", |c| {

@@ -5,6 +5,19 @@
 //! first-ready–first-come-first-served scheduler (row hits first, then
 //! oldest). Timing honours tCL/tRP/tRC/tRAS/tRCD/tRRD and the burst
 //! transfer time of a 128 B line over the 32 B channel.
+//!
+//! The scheduler decides from the banks, not the queue. Beside the queue
+//! (whose order is the FCFS order) each bank keeps two counts: requests
+//! queued for it and, of those, the ones whose row is its open row. Every
+//! request of one bank in one row-buffer category (hit, conflict, closed)
+//! has the same timing bound, so [`Dram::next_event`] folds over banks and
+//! is exactly the old per-request minimum; a scheduling pass walks the
+//! queue only when some bank says the walk will find a request, and then
+//! stops at the same entry the unconditional walk did. The counts move on
+//! enqueue and commit; an activation changes a bank's open row and
+//! recounts that one bank's hits. The scanning scheduler survives as the
+//! reference model (`RefDram`, in this file's tests) the property tests
+//! compare against.
 
 use crate::config::DramTiming;
 use gcache_core::addr::LineAddr;
@@ -101,6 +114,27 @@ record! {
     }
 }
 
+/// One bank's share of the queue. Acceleration state: never serialized,
+/// rebuilt from the queue and the banks on restore.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct BankLoad {
+    /// Requests queued for the bank.
+    queued: u32,
+    /// Of those, the ones whose row is the bank's open row.
+    open_hits: u32,
+}
+
+/// Counts every bank's load from scratch.
+fn count_load<T>(banks: &[Bank], queue: &[Pending<T>]) -> Vec<BankLoad> {
+    let mut load = vec![BankLoad::default(); banks.len()];
+    for p in queue {
+        let l = &mut load[p.bank];
+        l.queued += 1;
+        l.open_hits += u32::from(banks[p.bank].open_row == Some(p.row));
+    }
+    load
+}
+
 /// One GDDR5 channel with FR-FCFS scheduling, generic over the caller's
 /// completion token `T`.
 ///
@@ -131,6 +165,8 @@ pub struct Dram<T> {
     timing: DramTiming,
     lines_per_row: u64,
     banks: Vec<Bank>,
+    /// Per-bank counts of `queue`, indexed like `banks`.
+    load: Vec<BankLoad>,
     queue_cap: usize,
     queue: Vec<Pending<T>>,
     completions: Vec<Completion<T>>,
@@ -177,6 +213,7 @@ impl<T> Dram<T> {
                 };
                 banks
             ],
+            load: vec![BankLoad::default(); banks],
             queue_cap,
             queue: Vec::with_capacity(queue_cap),
             completions: Vec::new(),
@@ -240,6 +277,9 @@ impl<T> Dram<T> {
             return Err(DramQueueFull);
         }
         let (bank, row) = self.map(line);
+        let load = &mut self.load[bank];
+        load.queued += 1;
+        load.open_hits += u32::from(self.banks[bank].open_row == Some(row));
         self.queue.push(Pending {
             bank,
             row,
@@ -279,43 +319,49 @@ impl<T> Dram<T> {
     /// reject paths of `tick` mutate nothing), so per-request paths are
     /// stable across the gap; cross-request arbitration is ignored — it
     /// can only push the real commit later, never earlier.
+    ///
+    /// A request's path depends only on its bank and on whether its row is
+    /// the open one, so the minimum is taken over banks: a bank with open
+    /// hits contributes the hit path, a bank with any other request the
+    /// conflict or closed path.
     pub fn next_event(&self, now: u64) -> Option<u64> {
         if self.queue.is_empty() {
             return None;
         }
         let t = self.timing;
-        let mut ev: Option<u64> = None;
-        for p in &self.queue {
-            let (row, b) = (p.row, &self.banks[p.bank]);
-            let ready = match b.open_row {
-                // Row hit: CAS at `t0`, data at `t0 + tCL` must clear the bus.
-                Some(open) if open == row => b
-                    .ready_at
-                    .max(self.bus_busy_until.saturating_sub(t.t_cl as u64)),
-                // Conflict: precharge gated by tRAS/tRC/tRRD; CAS lands at
-                // `t0 + tRP + tRCD`.
-                Some(_) => b
-                    .ready_at
-                    .max(b.activated_at + t.t_ras as u64)
-                    .max((b.activated_at + t.t_rc as u64).saturating_sub(t.t_rp as u64))
-                    .max((self.last_activate_any + t.t_rrd as u64).saturating_sub(t.t_rp as u64))
-                    .max(
-                        self.bus_busy_until
-                            .saturating_sub((t.t_cl + t.t_rp + t.t_rcd) as u64),
-                    ),
-                // Closed bank: activate gated by tRRD; CAS lands at `t0 + tRCD`.
-                None => b.ready_at.max(self.last_activate_any + t.t_rrd as u64).max(
-                    self.bus_busy_until
-                        .saturating_sub((t.t_cl + t.t_rcd) as u64),
-                ),
+        // The terms of each path that every bank shares.
+        // Row hit: CAS at `t0`, data at `t0 + tCL` must clear the bus.
+        let hit_floor = self.bus_busy_until.saturating_sub(t.t_cl as u64);
+        // Conflict: precharge gated by tRAS/tRC/tRRD; CAS lands at
+        // `t0 + tRP + tRCD`.
+        let conflict_floor = (self.last_activate_any + t.t_rrd as u64)
+            .saturating_sub(t.t_rp as u64)
+            .max(
+                self.bus_busy_until
+                    .saturating_sub((t.t_cl + t.t_rp + t.t_rcd) as u64),
+            );
+        // Closed bank: activate gated by tRRD; CAS lands at `t0 + tRCD`.
+        let closed_floor = (self.last_activate_any + t.t_rrd as u64).max(
+            self.bus_busy_until
+                .saturating_sub((t.t_cl + t.t_rcd) as u64),
+        );
+        let mut ev = u64::MAX;
+        for (b, load) in self.banks.iter().zip(&self.load) {
+            if load.open_hits > 0 {
+                ev = ev.min(b.ready_at.max(hit_floor));
             }
-            .max(now + 1);
-            if ready == now + 1 {
-                return Some(ready);
+            if load.queued > load.open_hits {
+                ev = ev.min(match b.open_row {
+                    Some(_) => b
+                        .ready_at
+                        .max(b.activated_at + t.t_ras as u64)
+                        .max((b.activated_at + t.t_rc as u64).saturating_sub(t.t_rp as u64))
+                        .max(conflict_floor),
+                    None => b.ready_at.max(closed_floor),
+                });
             }
-            ev = Some(ev.map_or(ready, |e| e.min(ready)));
         }
-        ev
+        Some(ev.max(now + 1))
     }
 
     /// Advances the controller by one cycle: issues at most one CAS (FR:
@@ -341,48 +387,46 @@ impl<T> Dram<T> {
         }
     }
 
-    /// One FR-FCFS scheduling pass (the body of [`Dram::tick`]).
+    /// Whether bank `b` can start an activate/precharge sequence at `now`.
+    fn can_activate(&self, b: &Bank, now: u64) -> bool {
+        let t = self.timing;
+        b.ready_at <= now
+            && match b.open_row {
+                // Conflict: may precharge once tRAS honoured and
+                // re-activate once tRC honoured.
+                Some(_) => {
+                    now >= b.activated_at + t.t_ras as u64
+                        && now + t.t_rp as u64 >= b.activated_at + t.t_rc as u64
+                        && now + t.t_rp as u64 >= self.last_activate_any + t.t_rrd as u64
+                }
+                None => now >= self.last_activate_any + t.t_rrd as u64,
+            }
+    }
+
+    /// One FR-FCFS scheduling pass (the body of [`Dram::tick`]). A walk of
+    /// the queue runs only when some bank guarantees it finds a request.
     fn tick_scan(&mut self, now: u64) {
         let t = self.timing;
-        // First-ready pass: the oldest request whose bank has its row open
-        // and is ready, and for which the data bus is free at CAS+tCL.
-        let mut choice: Option<(usize, bool)> = None; // (queue idx, is_row_hit)
-        for (i, p) in self.queue.iter().enumerate() {
-            let bank = &self.banks[p.bank];
-            if bank.ready_at <= now && bank.open_row == Some(p.row) {
-                choice = Some((i, true));
-                break;
-            }
-        }
-        if choice.is_none() {
-            // FCFS pass: oldest request whose bank can start an
-            // activate/precharge sequence now.
-            for (i, p) in self.queue.iter().enumerate() {
+        let banks = || self.banks.iter().zip(&self.load);
+        let choice = if banks().any(|(b, l)| l.open_hits > 0 && b.ready_at <= now) {
+            // First-ready pass: the oldest request whose bank has its row
+            // open and is ready.
+            let hit = self.queue.iter().position(|p| {
                 let bank = &self.banks[p.bank];
-                if bank.ready_at > now {
-                    continue;
-                }
-                match bank.open_row {
-                    Some(_) => {
-                        // Conflict: may precharge once tRAS honoured and
-                        // re-activate once tRC honoured.
-                        if now >= bank.activated_at + t.t_ras as u64
-                            && now + t.t_rp as u64 >= bank.activated_at + t.t_rc as u64
-                            && now + t.t_rp as u64 >= self.last_activate_any + t.t_rrd as u64
-                        {
-                            choice = Some((i, false));
-                            break;
-                        }
-                    }
-                    None => {
-                        if now >= self.last_activate_any + t.t_rrd as u64 {
-                            choice = Some((i, false));
-                            break;
-                        }
-                    }
-                }
-            }
-        }
+                bank.ready_at <= now && bank.open_row == Some(p.row)
+            });
+            hit.map(|i| (i, true))
+        } else if banks().any(|(b, l)| l.queued > 0 && self.can_activate(b, now)) {
+            // FCFS pass: the oldest request whose bank can start an
+            // activate/precharge sequence now.
+            let first = self
+                .queue
+                .iter()
+                .position(|p| self.can_activate(&self.banks[p.bank], now));
+            first.map(|i| (i, false))
+        } else {
+            None
+        };
         let Some((idx, row_hit)) = choice else { return };
         let (bank_id, row) = (self.queue[idx].bank, self.queue[idx].row);
 
@@ -417,6 +461,19 @@ impl<T> Dram<T> {
         };
         bank.open_row = Some(row);
         bank.ready_at = cas_at + 1;
+        let load = &mut self.load[bank_id];
+        load.queued -= 1;
+        if row_hit {
+            load.open_hits -= 1;
+        } else {
+            // An activation: the open row changed, and with it which of the
+            // bank's queued requests hit.
+            let hits = self
+                .queue
+                .iter()
+                .filter(|q| q.bank == bank_id && q.row == row);
+            load.open_hits = hits.count() as u32;
+        }
         self.bus_busy_until = data_at + t.t_burst as u64;
         let done_at = data_at + t.t_burst as u64;
         self.stats.total_latency += done_at.saturating_sub(p.arrived);
@@ -439,7 +496,8 @@ impl<T: Codec> Snapshot for Dram<T> {
     /// FCFS order, so it is authoritative), buffered completions, the
     /// bus/activation windows and statistics. The trace hook is an
     /// observation channel and is never serialized; the `wake` cache is
-    /// re-derived on the first gated tick.
+    /// re-derived on the first gated tick, and the per-bank counts are
+    /// recounted from the restored queue and banks.
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("dram", |w| {
             w.put(&self.banks);
@@ -467,6 +525,7 @@ impl<T: Codec> Snapshot for Dram<T> {
                     value: p.bank as u64,
                 });
             }
+            self.load = count_load(&self.banks, &self.queue);
             self.completions = r.get()?;
             self.bus_busy_until = r.u64()?;
             self.last_activate_any = r.u64()?;
@@ -494,6 +553,7 @@ impl<T> crate::clocked::Clocked for Dram<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcache_core::rng::SmallRng;
     use gcache_core::snapshot::assert_round_trip;
 
     fn dram() -> Dram<u64> {
@@ -678,5 +738,423 @@ mod tests {
             ready_at: 2,
             write: false,
         });
+    }
+
+    impl<T> Dram<T> {
+        /// Whether the maintained per-bank counts equal a recount.
+        fn counts_consistent(&self) -> bool {
+            self.load == count_load(&self.banks, &self.queue)
+        }
+    }
+
+    /// The scheduler as it was before the per-bank counts: both passes and
+    /// the bound walk the whole queue every time. Ticked every cycle, it
+    /// is the reference the property tests hold [`Dram`] to.
+    struct RefDram {
+        timing: DramTiming,
+        lines_per_row: u64,
+        banks: Vec<Bank>,
+        queue_cap: usize,
+        queue: Vec<Pending<u64>>,
+        completions: Vec<Completion<u64>>,
+        bus_busy_until: u64,
+        last_activate_any: u64,
+        stats: DramStats,
+    }
+
+    impl RefDram {
+        fn new(timing: DramTiming, banks: usize, row_bytes: u32, queue_cap: usize) -> Self {
+            RefDram {
+                timing,
+                lines_per_row: (row_bytes / 128) as u64,
+                banks: vec![
+                    Bank {
+                        open_row: None,
+                        ready_at: 0,
+                        activated_at: 0
+                    };
+                    banks
+                ],
+                queue_cap,
+                queue: Vec::new(),
+                completions: Vec::new(),
+                bus_busy_until: 0,
+                last_activate_any: 0,
+                stats: DramStats::default(),
+            }
+        }
+
+        fn can_accept(&self) -> bool {
+            self.queue.len() < self.queue_cap
+        }
+
+        fn is_idle(&self) -> bool {
+            self.queue.is_empty() && self.completions.is_empty()
+        }
+
+        fn enqueue(&mut self, line: u64, write: bool, token: u64, now: u64) {
+            assert!(self.can_accept());
+            let row_id = line / self.lines_per_row;
+            let bank = (row_id % self.banks.len() as u64) as usize;
+            self.queue.push(Pending {
+                bank,
+                row: row_id / self.banks.len() as u64,
+                write,
+                token,
+                arrived: now,
+            });
+        }
+
+        fn pop_completed(&mut self, now: u64) -> Option<u64> {
+            let idx = self.completions.iter().position(|c| c.ready_at <= now)?;
+            let c = self.completions.swap_remove(idx);
+            self.stats.completed += 1;
+            if c.write {
+                self.stats.writes += 1;
+            } else {
+                self.stats.reads += 1;
+            }
+            Some(c.token)
+        }
+
+        fn next_event(&self, now: u64) -> Option<u64> {
+            if self.queue.is_empty() {
+                return None;
+            }
+            let t = self.timing;
+            let mut ev: Option<u64> = None;
+            for p in &self.queue {
+                let (row, b) = (p.row, &self.banks[p.bank]);
+                let ready = match b.open_row {
+                    Some(open) if open == row => b
+                        .ready_at
+                        .max(self.bus_busy_until.saturating_sub(t.t_cl as u64)),
+                    Some(_) => b
+                        .ready_at
+                        .max(b.activated_at + t.t_ras as u64)
+                        .max((b.activated_at + t.t_rc as u64).saturating_sub(t.t_rp as u64))
+                        .max(
+                            (self.last_activate_any + t.t_rrd as u64).saturating_sub(t.t_rp as u64),
+                        )
+                        .max(
+                            self.bus_busy_until
+                                .saturating_sub((t.t_cl + t.t_rp + t.t_rcd) as u64),
+                        ),
+                    None => b.ready_at.max(self.last_activate_any + t.t_rrd as u64).max(
+                        self.bus_busy_until
+                            .saturating_sub((t.t_cl + t.t_rcd) as u64),
+                    ),
+                }
+                .max(now + 1);
+                if ready == now + 1 {
+                    return Some(ready);
+                }
+                ev = Some(ev.map_or(ready, |e| e.min(ready)));
+            }
+            ev
+        }
+
+        fn tick(&mut self, now: u64) {
+            let t = self.timing;
+            let mut choice: Option<(usize, bool)> = None;
+            for (i, p) in self.queue.iter().enumerate() {
+                let bank = &self.banks[p.bank];
+                if bank.ready_at <= now && bank.open_row == Some(p.row) {
+                    choice = Some((i, true));
+                    break;
+                }
+            }
+            if choice.is_none() {
+                for (i, p) in self.queue.iter().enumerate() {
+                    let bank = &self.banks[p.bank];
+                    if bank.ready_at > now {
+                        continue;
+                    }
+                    match bank.open_row {
+                        Some(_) => {
+                            if now >= bank.activated_at + t.t_ras as u64
+                                && now + t.t_rp as u64 >= bank.activated_at + t.t_rc as u64
+                                && now + t.t_rp as u64 >= self.last_activate_any + t.t_rrd as u64
+                            {
+                                choice = Some((i, false));
+                                break;
+                            }
+                        }
+                        None => {
+                            if now >= self.last_activate_any + t.t_rrd as u64 {
+                                choice = Some((i, false));
+                                break;
+                            }
+                        }
+                    }
+                }
+            }
+            let Some((idx, row_hit)) = choice else { return };
+            let (bank_id, row) = (self.queue[idx].bank, self.queue[idx].row);
+            let cas_at = if row_hit {
+                now
+            } else if self.banks[bank_id].open_row.is_some() {
+                now + (t.t_rp + t.t_rcd) as u64
+            } else {
+                now + t.t_rcd as u64
+            };
+            let data_at = cas_at + t.t_cl as u64;
+            if data_at < self.bus_busy_until {
+                return;
+            }
+            let p = self.queue.remove(idx);
+            let bank = &mut self.banks[bank_id];
+            if row_hit {
+                self.stats.row_hits += 1;
+            } else if bank.open_row.is_some() {
+                self.stats.row_conflicts += 1;
+                bank.activated_at = now + t.t_rp as u64;
+                self.last_activate_any = bank.activated_at;
+            } else {
+                self.stats.row_opens += 1;
+                bank.activated_at = now;
+                self.last_activate_any = now;
+            }
+            bank.open_row = Some(row);
+            bank.ready_at = cas_at + 1;
+            self.bus_busy_until = data_at + t.t_burst as u64;
+            let done_at = data_at + t.t_burst as u64;
+            self.stats.total_latency += done_at.saturating_sub(p.arrived);
+            self.completions.push(Completion {
+                token: p.token,
+                ready_at: done_at,
+                write: p.write,
+            });
+        }
+    }
+
+    /// One seeded case: a channel shape and an arrival script (cycle, line,
+    /// write) that does not depend on any model's state. A request the
+    /// queue has no room for at its cycle is dropped; its token is its
+    /// index in the script.
+    struct Scenario {
+        timing: DramTiming,
+        banks: usize,
+        row_bytes: u32,
+        queue_cap: usize,
+        script: Vec<(u64, u64, bool)>,
+    }
+
+    /// Banks 1–8, queue capacities 1–32, Table 2's timing and seeded
+    /// variations of it, under three streams — row-hit heavy (a few hot
+    /// rows, mostly reads), conflict heavy (a new row nearly every time),
+    /// mixed (either, half of them writes) — each offered from a trickle
+    /// to two requests a cycle, which keeps small queues full.
+    fn scenarios() -> Vec<Scenario> {
+        const STREAMS: usize = 3;
+        const LOADS: [u64; 3] = [4, 24, 64];
+        let mut out = Vec::new();
+        for case in 0..48u64 {
+            let (stream, load) = (case as usize % STREAMS, LOADS[case as usize / 16]);
+            let mut rng = SmallRng::seed_from_u64(0xD7A4 ^ case);
+            let banks = rng.gen_range(1..9) as usize;
+            let row_bytes = if rng.gen_bool(0.5) { 2048 } else { 256 };
+            let lines_per_row = u64::from(row_bytes / 128);
+            let timing = if case % 2 == 0 {
+                DramTiming::default()
+            } else {
+                DramTiming {
+                    t_cl: rng.gen_range(1..16) as u32,
+                    t_rp: rng.gen_range(1..16) as u32,
+                    t_rc: rng.gen_range(1..48) as u32,
+                    t_ras: rng.gen_range(1..32) as u32,
+                    t_rcd: rng.gen_range(1..16) as u32,
+                    t_rrd: rng.gen_range(1..8) as u32,
+                    t_burst: rng.gen_range(1..6) as u32,
+                }
+            };
+            let mut hot_row = 0u64;
+            let mut script = Vec::new();
+            for cycle in 1..600u64 {
+                for _ in 0..2 {
+                    if rng.gen_range(0..64) >= load {
+                        continue;
+                    }
+                    let conflict = match stream {
+                        0 => rng.gen_bool(0.05),
+                        1 => rng.gen_bool(0.9),
+                        _ => rng.gen_bool(0.5),
+                    };
+                    if conflict {
+                        hot_row = rng.gen_range(0..banks as u64 * 64);
+                    }
+                    let line = hot_row * lines_per_row + rng.gen_range(0..lines_per_row);
+                    let write = rng.gen_bool(if stream == 2 { 0.5 } else { 0.1 });
+                    script.push((cycle, line, write));
+                }
+            }
+            out.push(Scenario {
+                timing,
+                banks,
+                row_bytes,
+                queue_cap: rng.gen_range(1..33) as usize,
+                script,
+            });
+        }
+        out
+    }
+
+    /// What a model did with a scenario: which scripted requests it
+    /// accepted, its completions `(token, cycle)` in pop order, its
+    /// `next_event` bound after every cycle, and its statistics.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        accepted: Vec<bool>,
+        completed: Vec<(u64, u64)>,
+        bounds: Vec<Option<u64>>,
+        stats: DramStats,
+    }
+
+    /// The reference, ticked every cycle until everything has completed.
+    fn reference_outcome(sc: &Scenario) -> Outcome {
+        let mut rf = RefDram::new(sc.timing, sc.banks, sc.row_bytes, sc.queue_cap);
+        let mut out = Outcome {
+            accepted: Vec::new(),
+            completed: Vec::new(),
+            bounds: Vec::new(),
+            stats: DramStats::default(),
+        };
+        let mut now = 0;
+        while out.accepted.len() < sc.script.len() || !rf.is_idle() {
+            now += 1;
+            assert!(now < 100_000, "reference model failed to drain");
+            while let Some(&(at, line, write)) = sc.script.get(out.accepted.len()) {
+                if at != now {
+                    break;
+                }
+                let room = rf.can_accept();
+                if room {
+                    rf.enqueue(line, write, out.accepted.len() as u64, now);
+                }
+                out.accepted.push(room);
+            }
+            rf.tick(now);
+            while let Some(token) = rf.pop_completed(now) {
+                out.completed.push((token, now));
+            }
+            out.bounds.push(rf.next_event(now));
+        }
+        out.stats = rf.stats;
+        out
+    }
+
+    fn build(sc: &Scenario, gated: bool) -> Dram<u64> {
+        let mut d = Dram::new(sc.timing, sc.banks, sc.row_bytes, sc.queue_cap, 128);
+        d.set_event_gating(gated);
+        d
+    }
+
+    /// The channel on the same scenario. With `jump` the driver never
+    /// ticks a cycle the channel has not asked for: it goes straight to
+    /// the earliest of the `next_event` bound, the next buffered
+    /// completion and the next scripted arrival, reading the bound of
+    /// every skipped cycle on the way (the state it would have had there).
+    /// With `restore_at`, the channel is saved after that cycle and the
+    /// run continues on a fresh channel restored from the bytes.
+    fn dram_outcome(sc: &Scenario, gated: bool, jump: bool, restore_at: Option<u64>) -> Outcome {
+        let mut d = build(sc, gated);
+        let mut out = Outcome {
+            accepted: Vec::new(),
+            completed: Vec::new(),
+            bounds: Vec::new(),
+            stats: DramStats::default(),
+        };
+        let mut now = 0;
+        while out.accepted.len() < sc.script.len() || !d.is_idle() {
+            let next = if jump {
+                let arrival = sc.script.get(out.accepted.len()).map(|&(at, ..)| at);
+                let events = [d.next_event(now), d.next_completion(), arrival];
+                let next = events.into_iter().flatten().min();
+                next.expect("a channel with work left has an event")
+                    .max(now + 1)
+            } else {
+                now + 1
+            };
+            out.bounds.extend((now + 1..next).map(|c| d.next_event(c)));
+            now = next;
+            assert!(now < 100_000, "channel failed to drain");
+            while let Some(&(at, line, write)) = sc.script.get(out.accepted.len()) {
+                if at != now {
+                    break;
+                }
+                let token = out.accepted.len() as u64;
+                let room = d.enqueue(LineAddr::new(line), write, token, now).is_ok();
+                out.accepted.push(room);
+            }
+            d.tick(now);
+            while let Some(token) = d.pop_completed(now) {
+                out.completed.push((token, now));
+            }
+            out.bounds.push(d.next_event(now));
+            assert!(d.counts_consistent(), "bank counts drifted at cycle {now}");
+            if restore_at == Some(now) {
+                let mut w = SnapshotWriter::new();
+                d.save(&mut w);
+                let bytes = w.finish();
+                d = build(sc, gated);
+                d.restore(&mut SnapshotReader::new(&bytes).unwrap())
+                    .unwrap();
+                assert!(d.counts_consistent(), "restore left counts unrebuilt");
+            }
+        }
+        out.stats = *d.stats();
+        out
+    }
+
+    /// Seeded property: on every scenario the channel accepts the same
+    /// requests as the scanning reference, completes the same tokens on
+    /// the same cycles in the same order, reports the same bound after
+    /// every cycle and ends with the same statistics.
+    fn assert_matches_reference(gated: bool, jump: bool, restore: bool) {
+        let mut total = DramStats::default();
+        let mut dropped = 0;
+        for (i, sc) in scenarios().iter().enumerate() {
+            let expect = reference_outcome(sc);
+            total.merge(&expect.stats);
+            dropped += expect.accepted.iter().filter(|&&a| !a).count();
+            // Mid-stream: a third of the way in, with the queue still busy.
+            let restore_at = restore.then_some(expect.bounds.len() as u64 / 3);
+            let got = dram_outcome(sc, gated, jump, restore_at);
+            assert_eq!(got, expect, "scenario {i}");
+        }
+        // The scenarios reach every commit kind and a full queue.
+        assert!(total.row_hits > 0 && total.row_opens > 0 && total.row_conflicts > 0);
+        assert!(
+            total.writes > 0 && dropped > 0,
+            "{total:?}, {dropped} dropped"
+        );
+    }
+
+    #[test]
+    fn dram_matches_reference_scheduler() {
+        assert_matches_reference(false, false, false);
+    }
+
+    /// Gating elides scheduler passes, never reorders or retimes a commit.
+    #[test]
+    fn gated_dram_matches_reference_scheduler() {
+        assert_matches_reference(true, false, false);
+    }
+
+    /// What the run loop's fast-forward relies on: a gated channel whose
+    /// driver jumps straight to its bound misses nothing the reference
+    /// does when ticked every cycle.
+    #[test]
+    fn fast_forwarded_dram_matches_reference_ticked_every_cycle() {
+        assert_matches_reference(true, true, false);
+    }
+
+    /// The counts are not in the snapshot: a channel restored mid-stream
+    /// into a fresh instance recounts them and continues as the
+    /// uninterrupted reference does, gated or not.
+    #[test]
+    fn restored_dram_recounts_its_banks_and_continues() {
+        assert_matches_reference(false, false, true);
+        assert_matches_reference(true, true, true);
     }
 }

@@ -147,22 +147,39 @@ echo "==> benchmark package (offline build + harness self-tests)"
 CARGO_TARGET_DIR=target/perf cargo build --release --offline --manifest-path benchmark/Cargo.toml
 (cd benchmark && cargo test --offline -q) | sed 's/^/   /'
 
-echo "==> paper-scale smoke (one sensitive_full pass through the benchmark)"
-# The 8 cache-sensitive kernels at paper scale under BS and GC, once: the
+echo "==> paper-scale smoke (one sensitive_full and one insensitive_full pass through the benchmark)"
+# The 8 cache-sensitive kernels at paper scale under BS and GC, where the
+# L1 controller and the mesh do the work, and the 5 memory-bound streaming
+# kernels, where the L2 and the DRAM scheduler do, once each: the
 # benchmark's own output check, the exact simulated IPC, and the peak
 # resident set, which is what a warp program that stockpiles its ops
 # moves first (75 MB when every generator did, 11.6 MB streaming).
-smoke=$(target/perf/release/gcache-perf --workload sensitive_full --quick --trace 0 2>/dev/null | tail -n 1)
-python3 - "$smoke" <<'EOF'
+for smoke in "sensitive_full 1.5070255171022573" "insensitive_full 0.8470923939763924"; do
+  read -r workload ipc <<< "$smoke"
+  result=$(target/perf/release/gcache-perf --workload "$workload" --quick --trace 0 2>/dev/null | tail -n 1)
+  python3 - "$workload" "$ipc" "$result" <<'EOF'
 import json, sys
-result = json.loads(sys.argv[1])
+workload, ipc, line = sys.argv[1:]
+result = json.loads(line)
 metric = lambda name: result["metrics"][name]["value"]
 assert result["correct"] is True and result["failed"] == 0, result
-assert metric("sim_ipc_gm") == 1.5070255171022573, metric("sim_ipc_gm")
-assert metric("peak_rss_mb") < 25, metric("peak_rss_mb")
-print(f"    {result['attempted']} points, sim_ipc_gm {metric('sim_ipc_gm')}, "
+assert metric("sim_ipc_gm") == float(ipc), (workload, metric("sim_ipc_gm"))
+assert metric("peak_rss_mb") < 25, (workload, metric("peak_rss_mb"))
+print(f"    {workload}: {result['attempted']} points, sim_ipc_gm {metric('sim_ipc_gm')}, "
       f"peak_rss_mb {metric('peak_rss_mb'):.1f}")
 EOF
+done
+
+echo "==> sampling profile smoke (scripts/profile.sh grid_smoke 2)"
+# The profiler every speed claim cites must still build, sample and
+# symbolize: enough samples, and the simulator's run loop on the stack.
+profile=$(scripts/profile.sh grid_smoke 2)
+samples=$(sed -n '1s/^grid_smoke: \([0-9]*\) samples$/\1/p' <<< "$profile")
+[ "${samples:-0}" -ge 100 ] \
+  || { echo "$profile"; echo "profile.sh: ${samples:-no} samples, expected at least 100"; exit 1; }
+sed -n '/^by inclusive time$/,$p' <<< "$profile" | grep -q 'gcache_sim::gpu::Gpu::run_kernel$' \
+  || { echo "$profile"; echo "profile.sh: Gpu::run_kernel is not among the inclusive rows"; exit 1; }
+echo "    $samples samples, Gpu::run_kernel on the stack"
 
 echo "==> telemetry smoke (per-epoch switch-on fraction, GC design)"
 # BFS is contention-heavy: its G-Cache switches must open in some interval.
