@@ -89,25 +89,40 @@ fn resumed_run_is_bit_identical() {
         .collect();
     assert_eq!(policies.len(), 2, "design roster changed");
 
-    let shapes = [
-        Hierarchy::Flat,
-        Hierarchy::SharedL15 {
+    fn clustered(cfg: GpuConfig) -> GpuConfig {
+        let shape = Hierarchy::SharedL15 {
             cluster_size: 4,
             kb: 64,
-        },
+        };
+        cfg.with_hierarchy(shape).expect("valid hierarchy")
+    }
+    /// A label and the reshaping of Table 2's machine it names. The last
+    /// two keep an L2 head and an L1.5 head parked on one MSHR entry for
+    /// much of the run, so checkpoints land while stations sleep on a
+    /// stalled head.
+    type Shape = (&'static str, fn(GpuConfig) -> GpuConfig);
+    let shapes: [Shape; 4] = [
+        ("flat", |c| c),
+        ("c4", clustered),
+        ("l2_mshr_entries=1", |c| GpuConfig {
+            l2_mshr_entries: 1,
+            ..c
+        }),
+        ("c4, l1_mshr_entries=1", |c| GpuConfig {
+            l1_mshr_entries: 1,
+            ..clustered(c)
+        }),
     ];
 
     for bench in &benches {
         for &policy in &policies {
-            for &hierarchy in &shapes {
+            for (shape, reshape) in shapes {
                 for fast_forward in [true, false] {
-                    let mut cfg = GpuConfig::fermi_with_policy(policy)
-                        .expect("valid config")
-                        .with_hierarchy(hierarchy)
-                        .expect("valid hierarchy");
+                    let mut cfg =
+                        reshape(GpuConfig::fermi_with_policy(policy).expect("valid config"));
                     cfg.fast_forward = fast_forward;
                     let ctx = format!(
-                        "{} / {} / {hierarchy:?} / ff={fast_forward}",
+                        "{} / {} / {shape} / ff={fast_forward}",
                         bench.info().name,
                         policy.design_name(),
                     );

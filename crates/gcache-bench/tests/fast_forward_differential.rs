@@ -13,6 +13,7 @@
 
 use gcache_bench::sweep::{run_design_points, run_design_points_with, DesignPoint};
 use gcache_bench::{CheckpointOpts, Cli, RunOpts, SIMULATE};
+use gcache_core::cache::CopyBackPlane;
 use gcache_sim::config::{GpuConfig, Hierarchy};
 use gcache_sim::gpu::Gpu;
 use gcache_sim::stats::SimStats;
@@ -111,7 +112,7 @@ fn odd_but_legal_machines_match_plain_loop() {
     /// A label and the reshaping of Table 2's machine it names.
     type Shape = (&'static str, fn(GpuConfig) -> GpuConfig);
     #[rustfmt::skip]
-    let shapes: [Shape; 19] = [
+    let shapes: [Shape; 23] = [
         ("cores=1", |c| GpuConfig { cores: 1, ..c }),
         ("partitions=1", |c| GpuConfig { partitions: 1, ..c }),
         ("24x1 mesh", |c| mesh(c, 24, 1)),
@@ -127,6 +128,12 @@ fn odd_but_legal_machines_match_plain_loop() {
         ("dram_banks=1", |c| GpuConfig { dram_banks: 1, ..c }),
         ("dram_banks=16", |c| GpuConfig { dram_banks: 16, ..c }),
         ("dram_queue=1", |c| GpuConfig { dram_queue: 1, ..c }),
+        // Each parks an L2 head on one wait reason: a DRAM slot or an MSHR
+        // entry, a fill, and (a clean copy-back evicting dirty) a slot.
+        ("l2_mshr_entries=1", |c| GpuConfig { l2_mshr_entries: 1, ..c }),
+        ("l2_mshr_merge=1", |c| GpuConfig { l2_mshr_merge: 1, ..c }),
+        ("dram_queue=1, clean copy-back", |c| GpuConfig { dram_queue: 1, ..c }
+            .with_l1_copy_back(CopyBackPlane::CleanReuse { min_reuse: 1 })),
         ("victim_bit_share=16", |c| GpuConfig { victim_bit_share: 16, ..c }),
         // 64 victim-bit groups: the whole mask word of an L2 line.
         ("128 cores, share 2", |c| GpuConfig { cores: 128, victim_bit_share: 2, ..mesh(c, 12, 12) }),
@@ -134,6 +141,8 @@ fn odd_but_legal_machines_match_plain_loop() {
         ("c16", |c| clustered(c, 16)),
         ("c4, 64 ports", |c| clustered(c, 4).with_cluster_ports(64).expect("valid ports")),
         ("c4, l15_latency=0", |c| GpuConfig { l15_latency: 0, ..clustered(c, 4) }),
+        // The L1.5 sizes its MSHR file from the L1's: its heads park.
+        ("c4, l1_mshr_entries=1", |c| GpuConfig { l1_mshr_entries: 1, ..clustered(c, 4) }),
     ];
     let designs = gcache_bench::designs(6);
     for bench in &test_scale(&["BFS", "STL"]) {

@@ -18,6 +18,11 @@
 //! recounts that one bank's hits. The scanning scheduler survives as the
 //! reference model (`RefDram`, in this file's tests) the property tests
 //! compare against.
+//!
+//! The bound itself is maintained, not folded per read: every term of it
+//! is fixed between commits, so an enqueue can only add terms (it lowers
+//! the bound to its bank's term) and only a commit moves the old ones (it
+//! refolds over the banks). Reading the bound is O(1).
 
 use crate::config::DramTiming;
 use gcache_core::addr::LineAddr;
@@ -135,6 +140,14 @@ fn count_load<T>(banks: &[Bank], queue: &[Pending<T>]) -> Vec<BankLoad> {
     load
 }
 
+/// The terms of the commit bound every bank shares, one per row-buffer
+/// path; like the banks' own terms they change only on a commit.
+struct Floors {
+    hit: u64,
+    conflict: u64,
+    closed: u64,
+}
+
 /// One GDDR5 channel with FR-FCFS scheduling, generic over the caller's
 /// completion token `T`.
 ///
@@ -177,8 +190,11 @@ pub struct Dram<T> {
     /// so the elision is exact). Off by default so the plain loop stays
     /// the reference implementation.
     event_gated: bool,
-    /// Cached scan wake-up cycle; 0 forces a scan (reset on enqueue).
-    wake: u64,
+    /// The earliest cycle any queued request could commit, unclamped
+    /// (`u64::MAX` with an empty queue): the minimum of the per-bank
+    /// terms, lowered on enqueue and refolded on commit. Acceleration
+    /// state: never serialized, refolded on restore.
+    bound: u64,
     stats: DramStats,
     /// Optional structured-event hook; detached (the default) the
     /// scheduler's only extra work is its discriminant test.
@@ -220,7 +236,7 @@ impl<T> Dram<T> {
             bus_busy_until: 0,
             last_activate_any: 0,
             event_gated: false,
-            wake: 0,
+            bound: u64::MAX,
             stats: DramStats::default(),
             trace: Tracer::default(),
         }
@@ -235,7 +251,6 @@ impl<T> Dram<T> {
     /// Enables or disables the internal scan elision (see `event_gated`).
     pub fn set_event_gating(&mut self, on: bool) {
         self.event_gated = on;
-        self.wake = 0;
     }
 
     /// The statistics so far.
@@ -287,7 +302,7 @@ impl<T> Dram<T> {
             token,
             arrived: now,
         });
-        self.wake = 0;
+        self.bound = self.bound.min(self.bank_term(&self.floors(), bank));
         Ok(())
     }
 
@@ -323,68 +338,75 @@ impl<T> Dram<T> {
     /// A request's path depends only on its bank and on whether its row is
     /// the open one, so the minimum is taken over banks: a bank with open
     /// hits contributes the hit path, a bank with any other request the
-    /// conflict or closed path.
+    /// conflict or closed path. That minimum is maintained as `bound`
+    /// (see the module docs), so this is a read.
     pub fn next_event(&self, now: u64) -> Option<u64> {
-        if self.queue.is_empty() {
-            return None;
-        }
+        (!self.queue.is_empty()).then(|| self.bound.max(now + 1))
+    }
+
+    /// The terms of each path that every bank shares.
+    fn floors(&self) -> Floors {
         let t = self.timing;
-        // The terms of each path that every bank shares.
-        // Row hit: CAS at `t0`, data at `t0 + tCL` must clear the bus.
-        let hit_floor = self.bus_busy_until.saturating_sub(t.t_cl as u64);
-        // Conflict: precharge gated by tRAS/tRC/tRRD; CAS lands at
-        // `t0 + tRP + tRCD`.
-        let conflict_floor = (self.last_activate_any + t.t_rrd as u64)
-            .saturating_sub(t.t_rp as u64)
-            .max(
+        Floors {
+            // Row hit: CAS at `t0`, data at `t0 + tCL` must clear the bus.
+            hit: self.bus_busy_until.saturating_sub(t.t_cl as u64),
+            // Conflict: precharge gated by tRAS/tRC/tRRD; CAS lands at
+            // `t0 + tRP + tRCD`.
+            conflict: (self.last_activate_any + t.t_rrd as u64)
+                .saturating_sub(t.t_rp as u64)
+                .max(
+                    self.bus_busy_until
+                        .saturating_sub((t.t_cl + t.t_rp + t.t_rcd) as u64),
+                ),
+            // Closed bank: activate gated by tRRD; CAS lands at `t0 + tRCD`.
+            closed: (self.last_activate_any + t.t_rrd as u64).max(
                 self.bus_busy_until
-                    .saturating_sub((t.t_cl + t.t_rp + t.t_rcd) as u64),
-            );
-        // Closed bank: activate gated by tRRD; CAS lands at `t0 + tRCD`.
-        let closed_floor = (self.last_activate_any + t.t_rrd as u64).max(
-            self.bus_busy_until
-                .saturating_sub((t.t_cl + t.t_rcd) as u64),
-        );
-        let mut ev = u64::MAX;
-        for (b, load) in self.banks.iter().zip(&self.load) {
-            if load.open_hits > 0 {
-                ev = ev.min(b.ready_at.max(hit_floor));
-            }
-            if load.queued > load.open_hits {
-                ev = ev.min(match b.open_row {
-                    Some(_) => b
-                        .ready_at
-                        .max(b.activated_at + t.t_ras as u64)
-                        .max((b.activated_at + t.t_rc as u64).saturating_sub(t.t_rp as u64))
-                        .max(conflict_floor),
-                    None => b.ready_at.max(closed_floor),
-                });
-            }
+                    .saturating_sub((t.t_cl + t.t_rcd) as u64),
+            ),
         }
-        Some(ev.max(now + 1))
+    }
+
+    /// Bank `bank`'s term of the bound: the earliest cycle one of its
+    /// queued requests could commit (`u64::MAX` with none queued).
+    fn bank_term(&self, floors: &Floors, bank: usize) -> u64 {
+        let (t, b, load) = (self.timing, &self.banks[bank], self.load[bank]);
+        let mut ev = u64::MAX;
+        if load.open_hits > 0 {
+            ev = b.ready_at.max(floors.hit);
+        }
+        if load.queued > load.open_hits {
+            ev = ev.min(match b.open_row {
+                Some(_) => b
+                    .ready_at
+                    .max(b.activated_at + t.t_ras as u64)
+                    .max((b.activated_at + t.t_rc as u64).saturating_sub(t.t_rp as u64))
+                    .max(floors.conflict),
+                None => b.ready_at.max(floors.closed),
+            });
+        }
+        ev
+    }
+
+    /// The bound folded from scratch over every bank.
+    fn fold_bound(&self) -> u64 {
+        let floors = self.floors();
+        (0..self.banks.len())
+            .map(|b| self.bank_term(&floors, b))
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Advances the controller by one cycle: issues at most one CAS (FR:
     /// oldest row hit first; FCFS otherwise).
     pub fn tick(&mut self, now: u64) {
-        if self.queue.is_empty() {
+        // A commit at cycle `c` requires the chosen request's whole timing
+        // path to be feasible at `c`, so `c` is at least the bound; every
+        // earlier tick is a pure no-op (the reject paths below mutate
+        // nothing) and may be elided.
+        if self.queue.is_empty() || (self.event_gated && now < self.bound) {
             return;
         }
-        // A commit at cycle `c` requires the chosen request's whole timing
-        // path to be feasible at `c`, so `c` is at least the
-        // [`Dram::next_event`] bound; every earlier tick is a pure no-op
-        // (the reject paths below mutate nothing) and may be elided.
-        if self.event_gated {
-            if now < self.wake {
-                return;
-            }
-            self.tick_scan(now);
-            // Recompute from post-pass state: a commit already updated the
-            // bank/bus bookkeeping, so the bound stays exact either way.
-            self.wake = self.next_event(now).unwrap_or(u64::MAX);
-        } else {
-            self.tick_scan(now);
-        }
+        self.tick_scan(now);
     }
 
     /// Whether bank `b` can start an activate/precharge sequence at `now`.
@@ -488,6 +510,9 @@ impl<T> Dram<T> {
             ready_at: done_at,
             write: p.write,
         });
+        // The commit moved the bus, the activation window and one bank:
+        // every term may have changed.
+        self.bound = self.fold_bound();
     }
 }
 
@@ -495,9 +520,9 @@ impl<T: Codec> Snapshot for Dram<T> {
     /// Saves the banks, the pending queue (whose `Vec` order *is* the
     /// FCFS order, so it is authoritative), buffered completions, the
     /// bus/activation windows and statistics. The trace hook is an
-    /// observation channel and is never serialized; the `wake` cache is
-    /// re-derived on the first gated tick, and the per-bank counts are
-    /// recounted from the restored queue and banks.
+    /// observation channel and is never serialized; the per-bank counts
+    /// are recounted from the restored queue and banks, and the bound is
+    /// refolded once every field it reads is back.
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("dram", |w| {
             w.put(&self.banks);
@@ -529,8 +554,8 @@ impl<T: Codec> Snapshot for Dram<T> {
             self.completions = r.get()?;
             self.bus_busy_until = r.u64()?;
             self.last_activate_any = r.u64()?;
-            self.wake = 0;
             self.stats = r.get()?;
+            self.bound = self.fold_bound();
             Ok(())
         })
     }
@@ -744,6 +769,11 @@ mod tests {
         /// Whether the maintained per-bank counts equal a recount.
         fn counts_consistent(&self) -> bool {
             self.load == count_load(&self.banks, &self.queue)
+        }
+
+        /// Whether the maintained bound equals a fold over the banks.
+        fn bound_consistent(&self) -> bool {
+            self.bound == self.fold_bound()
         }
     }
 
@@ -1092,6 +1122,7 @@ mod tests {
             }
             out.bounds.push(d.next_event(now));
             assert!(d.counts_consistent(), "bank counts drifted at cycle {now}");
+            assert!(d.bound_consistent(), "bound drifted at cycle {now}");
             if restore_at == Some(now) {
                 let mut w = SnapshotWriter::new();
                 d.save(&mut w);
@@ -1100,6 +1131,7 @@ mod tests {
                 d.restore(&mut SnapshotReader::new(&bytes).unwrap())
                     .unwrap();
                 assert!(d.counts_consistent(), "restore left counts unrebuilt");
+                assert!(d.bound_consistent(), "restore left the bound unfolded");
             }
         }
         out.stats = *d.stats();

@@ -66,6 +66,12 @@ pub struct L15Cluster {
     latency: u64,
     /// Cycles the head-of-line request was parked on MSHR resources.
     stall_cycles: u64,
+    /// Whether the head-of-line request stalled on MSHR resources and no
+    /// fill has arrived since. Acceleration state, like `counted_to`:
+    /// never serialized, reset on restore (the saved count was settled).
+    parked: bool,
+    /// The last cycle counted in `stall_cycles`.
+    counted_to: u64,
 }
 
 impl L15Cluster {
@@ -93,17 +99,14 @@ impl L15Cluster {
             target_scratch: Vec::with_capacity(cfg.l1_mshr_merge),
             latency: cfg.l15_latency,
             stall_cycles: 0,
+            parked: false,
+            counted_to: 0,
         }
     }
 
     /// L1.5 cache statistics.
     pub fn stats(&self) -> &CacheStats {
         self.ctrl.stats()
-    }
-
-    /// Cycles the head-of-line request was parked on MSHR resources.
-    pub const fn stall_cycles(&self) -> u64 {
-        self.stall_cycles
     }
 
     /// Direct access to the cache (kernel-end flush, tests).
@@ -140,18 +143,30 @@ impl L15Cluster {
     /// A lower bound on the cluster's next state-changing cycle (`None` =
     /// nothing internal pending; outstanding fills arrive through the
     /// response mesh, whose own `next_event` bounds them). Queued traffic
-    /// pins the bound to the next cycle — a stalled head-of-line request
-    /// mutates stall statistics there, so those cycles must be ticked.
+    /// pins the bound to the next cycle, except a parked head: only a
+    /// fill can unblock it, and a fill is port input, which wakes the
+    /// cluster anyway. The stalls of the cycles skipped meanwhile are
+    /// counted when it next ticks or settles.
     pub fn next_event(&self, now: u64) -> Option<u64> {
         let mut ev: Option<u64> = None;
         let mut fold = |t: u64| ev = Some(ev.map_or(t, |e: u64| e.min(t)));
         if let Some(&(_, ready)) = self.outgoing.front() {
             fold(ready.max(now + 1));
         }
-        if !self.incoming.is_empty() || !self.forward.is_empty() {
+        if !self.forward.is_empty() || (!self.incoming.is_empty() && !self.parked) {
             fold(now + 1);
         }
         ev
+    }
+
+    /// Counts the stalls of the cycles up to `now` that the cluster was
+    /// not ticked for, so `stall_cycles` reads as if it had been ticked
+    /// every cycle. Idempotent; the owner calls it before saving.
+    pub(crate) fn settle(&mut self, now: u64) {
+        if self.parked {
+            self.stall_cycles += now - self.counted_to;
+        }
+        self.counted_to = now;
     }
 
     /// One L1.5 cycle against its two mesh views: drain both ejection
@@ -163,6 +178,9 @@ impl L15Cluster {
         RQ: RxPort<MemRequest> + TxPort<MemRequest>,
         RS: RxPort<MemResponse> + TxPort<MemResponse>,
     {
+        // Every cycle since the last tick stalled a parked head again.
+        self.settle(now.saturating_sub(1));
+        self.counted_to = now;
         while let Some(resp) = resp_io.recv() {
             self.on_response(resp, now);
         }
@@ -191,6 +209,8 @@ impl L15Cluster {
     fn on_response(&mut self, resp: MemResponse, now: u64) {
         match resp.kind {
             AccessKind::Read => {
+                // The fill frees an MSHR entry and may make the head hit.
+                self.parked = false;
                 let mut targets = std::mem::take(&mut self.target_scratch);
                 self.ctrl
                     .fill_with(resp.line, &mut targets, |_| FillParams {
@@ -222,11 +242,15 @@ impl L15Cluster {
     /// Serves at most one incoming request per cycle. The MSHR resource
     /// check precedes the committed access (as in the partitions) so a
     /// stalled head-of-line request does not perturb statistics or policy
-    /// ageing while it waits.
+    /// ageing while it waits; it parks until a fill, unprobed.
     fn serve_one(&mut self, now: u64) {
         let Some(&req) = self.incoming.front() else {
             return;
         };
+        if self.parked {
+            self.stall_cycles += 1;
+            return;
+        }
         if req.kind == AccessKind::CopyBack {
             // Clean copy-backs are maintenance traffic destined for the
             // L2: they pass straight through without touching the L1.5
@@ -237,6 +261,7 @@ impl L15Cluster {
         }
         if self.ctrl.would_block(req.line, req.kind) {
             self.stall_cycles += 1;
+            self.parked = true;
             return;
         }
         let target = L15Target {
@@ -283,7 +308,9 @@ impl L15Cluster {
 impl Snapshot for L15Cluster {
     /// Saves the controller (cache + MSHRs), the three traffic queues and
     /// the stall counter. `latency` is configuration and `target_scratch`
-    /// is reusable scratch — neither is serialized.
+    /// is reusable scratch — neither is serialized, and neither is the
+    /// park bit: the owner settles before saving, and a restored head is
+    /// probed on its next tick, which parks it again.
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("l15", |w| {
             self.ctrl.save(w);
@@ -301,6 +328,8 @@ impl Snapshot for L15Cluster {
             self.forward = r.get()?;
             self.outgoing = r.get()?;
             self.stall_cycles = r.u64()?;
+            self.parked = false;
+            self.counted_to = 0;
             Ok(())
         })
     }
@@ -311,6 +340,7 @@ mod tests {
     use super::*;
     use crate::config::Hierarchy;
     use gcache_core::addr::LineAddr;
+    use gcache_core::rng::SmallRng;
     use gcache_core::snapshot::assert_round_trip;
 
     /// Queue-backed fake of a mesh port pair: `to_l15` is what the mesh
@@ -347,15 +377,18 @@ mod tests {
         }
     }
 
-    fn cluster() -> L15Cluster {
-        let cfg = GpuConfig::fermi()
+    fn cluster_cfg() -> GpuConfig {
+        GpuConfig::fermi()
             .unwrap()
             .with_hierarchy(Hierarchy::SharedL15 {
                 cluster_size: 4,
                 kb: 64,
             })
-            .unwrap();
-        L15Cluster::new(&cfg)
+            .unwrap()
+    }
+
+    fn cluster() -> L15Cluster {
+        L15Cluster::new(&cluster_cfg())
     }
 
     fn read(line: u64, core: usize, warp: WarpSlot) -> MemRequest {
@@ -494,5 +527,189 @@ mod tests {
             core: CoreId(1),
             warp: 2,
         });
+    }
+
+    /// One seeded case: a cluster with a tiny MSHR file (so heads park),
+    /// a core-request script `(cycle, request)` that ignores the cluster's
+    /// state, and the two ports refusing sends every `block[0]` /
+    /// `block[1]` cycles.
+    struct Case {
+        cfg: GpuConfig,
+        script: Vec<(u64, MemRequest)>,
+        block: [u64; 2],
+    }
+
+    fn cases() -> Vec<Case> {
+        const KINDS: [AccessKind; 4] = [
+            AccessKind::Read,
+            AccessKind::Write,
+            AccessKind::Atomic,
+            AccessKind::CopyBack,
+        ];
+        (0..48u64)
+            .map(|case| {
+                let mut rng = SmallRng::seed_from_u64(0x1150 ^ case);
+                let cfg = GpuConfig {
+                    l1_mshr_entries: rng.gen_range(1..5) as usize,
+                    l1_mshr_merge: rng.gen_range(1..3) as usize,
+                    ..cluster_cfg()
+                };
+                let load = rng.gen_range(8..64);
+                let mut script = Vec::new();
+                for cycle in 1..400 {
+                    for _ in 0..2 {
+                        if rng.gen_range(0..64) >= load {
+                            continue;
+                        }
+                        let kind = KINDS[[0, 0, 0, 0, 1, 2, 3, 3][rng.gen_range(0..8) as usize]];
+                        let line = rng.gen_range(0..24);
+                        let core = rng.gen_range(0..4) as usize;
+                        script.push((
+                            cycle,
+                            MemRequest {
+                                kind,
+                                ..read(line, core, script.len())
+                            },
+                        ));
+                    }
+                }
+                Case {
+                    cfg,
+                    script,
+                    block: [rng.gen_range(3..9), rng.gen_range(3..9)],
+                }
+            })
+            .collect()
+    }
+
+    /// The partitions' side of a forwarded request: a read's fill or an
+    /// atomic's completion, `(due cycle, response)`; stores and
+    /// copy-backs get none.
+    fn answer(req: MemRequest, now: u64) -> Option<(u64, MemResponse)> {
+        let latency = 5 + (req.line.raw() * 7 + now) % 30;
+        let resp = MemResponse {
+            line: req.line,
+            kind: req.kind,
+            core: req.core,
+            warp: req.warp,
+            victim_hint: req.line.raw().is_multiple_of(3),
+            class: None,
+        };
+        matches!(req.kind, AccessKind::Read | AccessKind::Atomic).then_some((now + latency, resp))
+    }
+
+    /// What a driver saw of one cluster over a case.
+    struct Run {
+        /// Every request forwarded and every response sent to a core, with
+        /// its cycle.
+        forwarded: Vec<(u64, MemRequest)>,
+        responses: Vec<(u64, MemResponse)>,
+        /// Settled snapshots: mid-stream and at the end.
+        bytes: Vec<Vec<u8>>,
+        end: L15Cluster,
+        parked: bool,
+        /// Ticks that counted the skipped cycles of a parked head in bulk.
+        bulk: u64,
+        ticks: u64,
+    }
+
+    fn settled_bytes(l15: &mut L15Cluster, now: u64) -> Vec<u8> {
+        l15.settle(now);
+        let mut w = SnapshotWriter::new();
+        l15.save(&mut w);
+        w.finish()
+    }
+
+    /// Drives a cluster over `case` the way [`crate::system::Gated`] does
+    /// when `gated` (ticked only at its `next_event` bound or when a port
+    /// holds input), else ticked every cycle and never left parked — the
+    /// reference. At `restore_at`, an arrival cycle, it is settled, saved
+    /// and restored into a fresh cluster.
+    fn drive(case: &Case, gated: bool, restore_at: u64) -> Run {
+        let mut l15 = L15Cluster::new(&case.cfg);
+        let (mut rq, mut rs) = io();
+        let mut due: Vec<(u64, MemResponse)> = Vec::new();
+        let (mut forwarded, mut responses, mut bytes) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut parked, mut bulk, mut ticks) = (false, 0, 0);
+        let (mut now, mut next, mut wake) = (0, 0, 0);
+        while next < case.script.len() || !due.is_empty() || !l15.is_idle() {
+            now += 1;
+            assert!(now < 100_000, "cluster failed to drain");
+            while let Some(&(_, req)) = case.script.get(next).filter(|&&(at, _)| at == now) {
+                rq.to_l15.push_back(req);
+                next += 1;
+            }
+            rs.to_l15
+                .extend(due.iter().filter(|d| d.0 == now).map(|d| d.1));
+            due.retain(|d| d.0 != now);
+            let input = !rq.to_l15.is_empty() || !rs.to_l15.is_empty();
+            if gated && now < wake && !input {
+                continue;
+            }
+            rq.blocked = now % case.block[0] == 0;
+            rs.blocked = now % case.block[1] == 0;
+            if !gated {
+                // The reference re-probes its head on every tick.
+                l15.parked = false;
+            }
+            bulk += u64::from(l15.parked && now - 1 > l15.counted_to);
+            l15.tick(now, &mut rq, &mut rs);
+            ticks += 1;
+            parked |= l15.parked;
+            for req in std::mem::take(&mut rq.from_l15) {
+                forwarded.push((now, req));
+                due.extend(answer(req, now));
+            }
+            responses.extend(rs.from_l15.drain(..).map(|r| (now, r)));
+            wake = l15.next_event(now).unwrap_or(u64::MAX);
+            if now == restore_at {
+                bytes.push(settled_bytes(&mut l15, now));
+                l15 = L15Cluster::new(&case.cfg);
+                l15.restore(&mut SnapshotReader::new(&bytes[0]).unwrap())
+                    .unwrap();
+                wake = 0;
+            }
+        }
+        bytes.push(settled_bytes(&mut l15, now));
+        Run {
+            forwarded,
+            responses,
+            bytes,
+            end: l15,
+            parked,
+            bulk,
+            ticks,
+        }
+    }
+
+    /// Seeded property: a cluster ticked only when it asks (or when a port
+    /// holds input, which is how a fill reaches it) forwards and answers
+    /// the same traffic on the same cycles as one ticked every cycle that
+    /// re-probes its stalled head each time, and once settled holds the
+    /// same stall count, statistics and bytes, across a mid-stream save
+    /// and restore.
+    #[test]
+    fn gated_cluster_matches_every_cycle_cluster() {
+        let (mut parked, mut bulk) = (0, 0);
+        for (i, case) in cases().iter().enumerate() {
+            let restore_at = case.script[case.script.len() / 2].0;
+            let every = drive(case, false, restore_at);
+            let gated = drive(case, true, restore_at);
+            assert_eq!(gated.forwarded, every.forwarded, "case {i}");
+            assert_eq!(gated.responses, every.responses, "case {i}");
+            assert_eq!(gated.end.stall_cycles, every.end.stall_cycles, "case {i}");
+            assert_eq!(gated.end.stats(), every.end.stats(), "case {i}");
+            assert!(
+                gated.bytes == every.bytes,
+                "case {i}: settled state differs"
+            );
+            assert!(gated.ticks < every.ticks, "case {i}: gating elided nothing");
+            parked += u64::from(gated.parked);
+            bulk += gated.bulk;
+        }
+        assert!(
+            parked > 0 && bulk > 0,
+            "{parked} cases parked, {bulk} bulk counts"
+        );
     }
 }

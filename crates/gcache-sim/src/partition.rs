@@ -113,6 +113,19 @@ impl Codec for DramToken {
     }
 }
 
+/// What a stalled head-of-line request waits for. Until it arrives the
+/// head would stall again on every L2 tick, so those ticks are counted
+/// without re-presenting it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Wait {
+    /// A clean copy-back whose fill may evict a dirty line: a DRAM slot.
+    DramSlot,
+    /// A primary miss: a DRAM slot and a free MSHR entry.
+    SlotAndMshr,
+    /// A merge into a full merge list (`Blocked`): the line's fill.
+    Fill,
+}
+
 record! {
     /// Partition-level counters beyond the embedded cache/DRAM stats.
     #[derive(Clone, Copy, Debug, Default)]
@@ -144,6 +157,12 @@ pub struct Partition {
     atomic_latency: u64,
     aou_busy_until: u64,
     stats: PartitionStats,
+    /// What the head-of-line request stalled on at its last L2 tick;
+    /// cleared by any fill. Acceleration state, like `counted_to`: never
+    /// serialized, reset on restore (the saved counts were settled).
+    wait: Option<Wait>,
+    /// The last cycle whose L2 tick is counted in the statistics.
+    counted_to: u64,
 }
 
 impl Partition {
@@ -183,6 +202,8 @@ impl Partition {
             atomic_latency: cfg.atomic_latency,
             aou_busy_until: 0,
             stats: PartitionStats::default(),
+            wait: None,
+            counted_to: 0,
         }
     }
 
@@ -252,8 +273,10 @@ impl Partition {
 
     /// A lower bound on the partition's next state-changing cycle
     /// (`None` = fully drained). Queued incoming work pins the bound to
-    /// the next L2 tick — a stalled head-of-line request mutates stall
-    /// statistics there, so those cycles must be ticked, never skipped.
+    /// the next L2 tick unless its head is parked: then only a DRAM
+    /// commit (a slot) or a fill (an MSHR entry, a merge slot) can move
+    /// it, both bounded below, and the stalls of the L2 ticks skipped
+    /// meanwhile are counted when the partition next ticks or settles.
     /// Everything else derives from response readiness and DRAM timing;
     /// a buffered DRAM completion is applied at the first L2 tick at or
     /// after its data-ready cycle.
@@ -264,7 +287,7 @@ impl Partition {
         if let Some(&(_, ready)) = self.outgoing.front() {
             fold(ready.max(now + 1));
         }
-        if !self.incoming.is_empty() {
+        if !self.incoming.is_empty() && !self.parked() {
             fold(next_l2_tick);
         }
         if let Some(ready) = self.dram.next_completion() {
@@ -278,11 +301,56 @@ impl Partition {
 
     /// Advances the partition by one core cycle.
     pub fn tick(&mut self, now: u64) {
+        // Every L2 tick since the last one this partition saw stalled its
+        // parked head again: nothing has changed since.
+        self.settle(now.saturating_sub(1));
+        self.counted_to = now;
         self.dram.tick(now);
         if now.is_multiple_of(self.l2_period) {
             self.drain_dram(now);
             self.serve_one(now);
         }
+    }
+
+    /// Counts the stalls of the L2 ticks up to `now` that the partition
+    /// was not ticked for, so the statistics read as if it had been
+    /// ticked every cycle. Idempotent; the owner calls it before saving
+    /// or reporting.
+    pub(crate) fn settle(&mut self, now: u64) {
+        if self.parked() {
+            let p = self.l2_period;
+            self.restall(now / p - self.counted_to / p);
+        }
+        self.counted_to = now;
+    }
+
+    /// Whether the head-of-line request still lacks what it stalled on
+    /// (O(1): a fill clears `wait`, and the DRAM and MSHR checks are
+    /// occupancy reads).
+    fn parked(&self) -> bool {
+        match self.wait {
+            None => false,
+            Some(Wait::DramSlot) => !self.dram.can_accept(),
+            Some(Wait::SlotAndMshr) => !self.dram.can_accept() || self.l2.mshr_full(),
+            Some(Wait::Fill) => true,
+        }
+    }
+
+    /// Accounts `n` more L2 ticks on which the parked head stalled, as
+    /// re-presenting it would have: a blocked merge counts as a rejected
+    /// controller access too.
+    fn restall(&mut self, n: u64) {
+        self.stats.stall_cycles += n;
+        if self.wait == Some(Wait::Fill) {
+            self.l2.note_blocked(n);
+        }
+    }
+
+    /// Parks the head-of-line request on `wait` and counts this tick's
+    /// stall.
+    fn park(&mut self, wait: Wait) {
+        self.stats.stall_cycles += 1;
+        self.wait = Some(wait);
     }
 
     /// Applies completed DRAM reads: fill the L2, release merged targets.
@@ -292,6 +360,9 @@ impl Partition {
             let DramToken::Fill(local) = token else {
                 continue;
             };
+            // A fill frees an MSHR entry and may make the head hit or
+            // merge: re-present it.
+            self.wait = None;
             // The fill decision derives from the merged targets: any store
             // or atomic among them dirties the allocate, and the first
             // responder becomes the primary core whose victim bit the fill
@@ -379,11 +450,17 @@ impl Partition {
     /// External-resource checks (DRAM queue space, MSHR entries) happen
     /// *before* the controller access is committed so a stalled
     /// head-of-line request does not re-access the L2 every tick (which
-    /// would corrupt statistics and policy ageing).
+    /// would corrupt statistics and policy ageing). A stalled head parks
+    /// on what it waits for and is not probed again until that changes.
     fn serve_one(&mut self, now: u64) {
         let Some(&req) = self.incoming.front() else {
             return;
         };
+        if self.parked() {
+            self.restall(1);
+            return;
+        }
+        self.wait = None;
         let local = partition_local_line(req.line, self.partitions);
 
         if req.kind == AccessKind::CopyBack {
@@ -396,7 +473,7 @@ impl Partition {
                 // A clean fill can still evict a dirty victim, which needs
                 // a DRAM write-back slot.
                 if !self.dram.can_accept() {
-                    self.stats.stall_cycles += 1;
+                    self.park(Wait::DramSlot);
                     return;
                 }
                 let outcome = self
@@ -421,7 +498,7 @@ impl Partition {
             && !self.l2.pending_miss(local)
             && (!self.dram.can_accept() || self.l2.mshr_full())
         {
-            self.stats.stall_cycles += 1;
+            self.park(Wait::SlotAndMshr);
             return;
         }
 
@@ -440,8 +517,8 @@ impl Partition {
         };
         match self.l2.access(local, req.kind, req.core, target) {
             ControllerOutcome::Blocked(_) => {
-                // Merge-list depth exhausted: replay next L2 cycle.
-                self.stats.stall_cycles += 1;
+                // Merge-list depth exhausted until the line's fill.
+                self.park(Wait::Fill);
                 return;
             }
             ControllerOutcome::MissPrimary => {
@@ -526,7 +603,10 @@ impl Partition {
 impl Snapshot for Partition {
     /// Saves the L2 controller, DRAM channel, traffic queues, AOU window
     /// and partition counters. `id`/`partitions`/latencies are
-    /// construction-time configuration.
+    /// construction-time configuration. The parked head is not saved: the
+    /// owner settles before saving, and a restored head is probed at its
+    /// next L2 tick, which stalls and parks it again exactly as a parked
+    /// one would count its stall.
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("part", |w| {
             self.l2.save(w);
@@ -546,6 +626,8 @@ impl Snapshot for Partition {
             self.outgoing = r.get()?;
             self.aou_busy_until = r.u64()?;
             self.stats = r.get()?;
+            self.wait = None;
+            self.counted_to = 0;
             Ok(())
         })
     }
@@ -555,6 +637,7 @@ impl Snapshot for Partition {
 mod tests {
     use super::*;
     use crate::request::partition_of;
+    use gcache_core::rng::SmallRng;
     use gcache_core::snapshot::assert_round_trip;
 
     fn partition() -> Partition {
@@ -767,5 +850,183 @@ mod tests {
             L2Target::Write,
         ]);
         assert_round_trip(&(DramToken::Fill(LineAddr::new(5)), DramToken::Writeback));
+    }
+
+    /// One seeded case: a tiny partition (so every wait reason occurs), a
+    /// request script `(cycle, request)` that ignores the partition's
+    /// state, and the response port refusing sends every `block_every`
+    /// cycles.
+    struct Case {
+        cfg: GpuConfig,
+        script: Vec<(u64, MemRequest)>,
+        block_every: u64,
+    }
+
+    fn cases() -> Vec<Case> {
+        const KINDS: [AccessKind; 4] = [
+            AccessKind::Read,
+            AccessKind::Write,
+            AccessKind::Atomic,
+            AccessKind::CopyBack,
+        ];
+        (0..48u64)
+            .map(|case| {
+                let mut rng = SmallRng::seed_from_u64(0x9A27 ^ case);
+                let cfg = GpuConfig {
+                    dram_queue: rng.gen_range(1..5) as usize,
+                    l2_mshr_entries: rng.gen_range(1..5) as usize,
+                    l2_mshr_merge: rng.gen_range(1..3) as usize,
+                    l2_period: rng.gen_range(1..4),
+                    ..GpuConfig::fermi().unwrap()
+                };
+                // 48 lines over two of the bank's 64 sets (16 ways each):
+                // hits, merges and dirty evictions.
+                let load = rng.gen_range(8..64);
+                let mut script = Vec::new();
+                for cycle in 1..400 {
+                    for _ in 0..2 {
+                        if rng.gen_range(0..64) >= load {
+                            continue;
+                        }
+                        let local = rng.gen_range(0..2) + 64 * rng.gen_range(0..24);
+                        let kind = KINDS[[0, 0, 0, 1, 1, 2, 3, 3][rng.gen_range(0..8) as usize]];
+                        script.push((
+                            cycle,
+                            MemRequest {
+                                line: line_for_p0(local),
+                                kind,
+                                core: CoreId(rng.gen_range(0..16) as usize),
+                                warp: script.len(),
+                                class: None,
+                            },
+                        ));
+                    }
+                }
+                Case {
+                    cfg,
+                    script,
+                    block_every: rng.gen_range(3..9),
+                }
+            })
+            .collect()
+    }
+
+    /// What a driver saw of one partition over a case.
+    struct Run {
+        /// Every response with the cycle it left the partition.
+        responses: Vec<(u64, MemResponse)>,
+        /// Settled snapshots: mid-stream (if asked) and at the end.
+        bytes: Vec<Vec<u8>>,
+        end: Partition,
+        /// Wait reasons seen after a tick.
+        waits: Vec<Wait>,
+        /// Ticks that counted skipped L2 ticks of a parked head in bulk.
+        bulk: u64,
+        ticks: u64,
+    }
+
+    fn settled_bytes(p: &mut Partition, now: u64) -> Vec<u8> {
+        p.settle(now);
+        let mut w = SnapshotWriter::new();
+        p.save(&mut w);
+        w.finish()
+    }
+
+    /// Drives a partition over `case` the way [`crate::system::Gated`]
+    /// does when `gated` (ticked only at its `next_event` bound or on an
+    /// arrival, DRAM gating on), else ticked every cycle and never left
+    /// parked — the reference. At `restore_at`, an arrival cycle, it is
+    /// settled, saved and restored into a fresh partition.
+    fn drive(case: &Case, gated: bool, restore_at: u64) -> Run {
+        let cfg = GpuConfig {
+            fast_forward: gated,
+            ..case.cfg.clone()
+        };
+        let period = cfg.l2_period;
+        let mut p = Partition::new(PartitionId(0), &cfg);
+        let (mut responses, mut bytes, mut waits) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut bulk, mut ticks) = (0, 0);
+        let (mut now, mut next, mut wake) = (0, 0, 0);
+        while next < case.script.len() || !p.is_idle() {
+            now += 1;
+            assert!(now < 100_000, "partition failed to drain");
+            let arrival = case.script.get(next).is_some_and(|&(at, _)| at == now);
+            if gated && now < wake && !arrival {
+                continue;
+            }
+            while let Some(&(_, req)) = case.script.get(next).filter(|&&(at, _)| at == now) {
+                p.push_request(req);
+                next += 1;
+            }
+            if !gated {
+                // The reference re-probes its head on every L2 tick.
+                p.wait = None;
+            }
+            bulk += u64::from(p.parked() && (now - 1) / period > p.counted_to / period);
+            p.tick(now);
+            ticks += 1;
+            if now % case.block_every != 0 {
+                while let Some(r) = p.pop_response(now) {
+                    responses.push((now, r));
+                }
+            }
+            if let Some(w) = p.wait.filter(|w| !waits.contains(w)) {
+                waits.push(w);
+            }
+            wake = p.next_event(now).unwrap_or(u64::MAX);
+            if now == restore_at {
+                bytes.push(settled_bytes(&mut p, now));
+                p = Partition::new(PartitionId(0), &cfg);
+                p.restore(&mut SnapshotReader::new(&bytes[0]).unwrap())
+                    .unwrap();
+                wake = 0;
+            }
+        }
+        bytes.push(settled_bytes(&mut p, now));
+        Run {
+            responses,
+            bytes,
+            end: p,
+            waits,
+            bulk,
+            ticks,
+        }
+    }
+
+    /// Seeded property: a partition ticked only when it asks (or when a
+    /// request arrives) answers the same requests on the same cycles as
+    /// one ticked every cycle that re-probes its stalled head each time,
+    /// and once settled holds the same counts and bytes — stall cycles
+    /// and blocked merges of the L2 ticks it slept through included,
+    /// across a mid-stream save and restore.
+    #[test]
+    fn gated_partition_matches_every_cycle_partition() {
+        let (mut waits, mut bulk, mut blocked) = (Vec::new(), 0, 0);
+        for (i, case) in cases().iter().enumerate() {
+            let restore_at = case.script[case.script.len() / 2].0;
+            let every = drive(case, false, restore_at);
+            let gated = drive(case, true, restore_at);
+            assert_eq!(gated.responses, every.responses, "case {i}");
+            let (g, e) = (&gated.end, &every.end);
+            assert_eq!(g.stats().stall_cycles, e.stats().stall_cycles, "case {i}");
+            assert_eq!(g.stats().atomics, e.stats().atomics, "case {i}");
+            assert_eq!(g.l2_stats(), e.l2_stats(), "case {i}");
+            assert_eq!(g.dram_stats(), e.dram_stats(), "case {i}");
+            assert!(
+                gated.bytes == every.bytes,
+                "case {i}: settled state differs"
+            );
+            assert!(gated.ticks < every.ticks, "case {i}: gating elided nothing");
+            waits.extend(gated.waits);
+            bulk += gated.bulk;
+            blocked += g.l2.blocked();
+        }
+        for wait in [Wait::DramSlot, Wait::SlotAndMshr, Wait::Fill] {
+            assert!(waits.contains(&wait), "no head ever waited on {wait:?}");
+        }
+        assert!(
+            bulk > 0 && blocked > 0,
+            "{bulk} bulk counts, {blocked} blocked"
+        );
     }
 }

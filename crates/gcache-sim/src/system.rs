@@ -303,7 +303,7 @@ impl Interconnect {
     /// cycles: the queue (mesh injection queue, or crossbar up-lane
     /// source queue) drains only through interconnect movement and fills
     /// only through the owning core's own injections.
-    pub fn can_inject_core(&self, core: usize) -> bool {
+    fn can_inject_core(&self, core: usize) -> bool {
         match self.core_lanes(core) {
             Some((xb, slot)) => xb.up.can_accept(slot),
             None => self.req.can_inject(self.wiring.topo.core_nodes[core]),
@@ -313,7 +313,7 @@ impl Interconnect {
     /// Whether a response awaits ejection at core `core`'s port — the
     /// "external input" test of the gated core loop, answerable without
     /// borrowing the port pair.
-    pub fn resp_pending_core(&self, core: usize) -> bool {
+    fn resp_pending_core(&self, core: usize) -> bool {
         match self.core_lanes(core) {
             Some((xb, slot)) => xb.down.has_delivered(slot),
             None => self.resp.has_delivered(self.wiring.topo.core_nodes[core]),
@@ -321,14 +321,14 @@ impl Interconnect {
     }
 
     /// Whether a request awaits ejection at partition `part`'s port.
-    pub fn req_pending_part(&self, part: usize) -> bool {
+    fn req_pending_part(&self, part: usize) -> bool {
         self.req.has_delivered(self.wiring.topo.part_nodes[part])
     }
 
     /// Whether anything awaits ejection at cluster `cluster`'s L1.5: a
     /// partition response at its mesh node, or a core request at its
     /// crossbar up lane when active, else at that node too.
-    pub fn pending_cluster(&self, cluster: usize) -> bool {
+    fn pending_cluster(&self, cluster: usize) -> bool {
         let node = self.wiring.topo.cluster_nodes[cluster];
         self.resp.has_delivered(node)
             || match self.xbars.get(cluster) {
@@ -340,10 +340,7 @@ impl Interconnect {
     /// The port pair a partition sees: requests in, responses out. On a
     /// clustered topology responses route back to the requesting core's
     /// cluster node (the L1.5 fills and re-distributes).
-    pub fn partition_ports(
-        &mut self,
-        part: usize,
-    ) -> (Port<'_, MemRequest>, Port<'_, MemResponse>) {
+    fn partition_ports(&mut self, part: usize) -> (Port<'_, MemRequest>, Port<'_, MemResponse>) {
         let Interconnect {
             wiring, req, resp, ..
         } = self;
@@ -803,6 +800,10 @@ pub trait Station: Snapshot + Sized {
 
     /// [`Clocked::next_event`] of the station, given no new input.
     fn next_event(&self, now: u64) -> Option<u64>;
+
+    /// Brings the station's per-cycle accounting up to `now` as if it had
+    /// been ticked on every cycle it was skipped.
+    fn settle(&mut self, now: u64);
 }
 
 impl Station for Partition {
@@ -839,6 +840,10 @@ impl Station for Partition {
     fn next_event(&self, now: u64) -> Option<u64> {
         Partition::next_event(self, now)
     }
+
+    fn settle(&mut self, now: u64) {
+        Partition::settle(self, now);
+    }
 }
 
 impl Station for L15Cluster {
@@ -866,13 +871,18 @@ impl Station for L15Cluster {
     fn next_event(&self, now: u64) -> Option<u64> {
         L15Cluster::next_event(self, now)
     }
+
+    fn settle(&mut self, now: u64) {
+        L15Cluster::settle(self, now);
+    }
 }
 
 /// An array of [`Station`]s behind a per-station wake cache, mirroring
 /// [`CoreComplex`]'s event gating: a station whose cached wake-up cycle
 /// lies ahead and that has no traffic waiting at its ports is skipped
-/// outright — its event-free cycle is a pure no-op, so unlike cores there
-/// is no accounting to replay.
+/// outright. Its event-free cycle changes nothing but the stall count of
+/// a parked head-of-line request, which the station replays itself on its
+/// next tick, or on [`Gated::settle`] before anyone reads it.
 #[derive(Debug)]
 pub struct Gated<S> {
     stations: Vec<S>,
@@ -941,6 +951,14 @@ impl<S: Station> Gated<S> {
         self.stations.iter().all(S::is_idle)
     }
 
+    /// [`Station::settle`] over the array: after it every count reads as
+    /// if each station had been ticked through cycle `now`.
+    pub fn settle(&mut self, now: u64) {
+        for station in &mut self.stations {
+            station.settle(now);
+        }
+    }
+
     /// [`Clocked::next_event`] of the array, from the cached bounds: they
     /// are current (ticked stations were just refreshed, skipped ones are
     /// unchanged since theirs were computed), and without event gating
@@ -960,9 +978,10 @@ impl MemorySystem {
 }
 
 impl<S: Station> Snapshot for Gated<S> {
-    /// Saves every station under the array's section tag. The wake cache
-    /// is not serialized; restore parks every station at "tick next
-    /// cycle" (state-identical, see [`CoreComplex`]'s snapshot notes).
+    /// Saves every station under the array's section tag; the owner
+    /// settles the array first. The wake cache is not serialized; restore
+    /// parks every station at "tick next cycle" (state-identical, see
+    /// [`CoreComplex`]'s snapshot notes).
     fn save(&self, w: &mut SnapshotWriter) {
         w.section(S::SECTION, |w| {
             w.save_all(&self.stations);
@@ -1167,7 +1186,8 @@ mod tests {
     }
 
     /// Every station's state, without the array's own skip counter (a
-    /// restored array re-ticks cycles the uninterrupted one skipped).
+    /// restored array re-ticks cycles the uninterrupted one skipped). The
+    /// array must be settled first.
     fn station_bytes<S: Station>(array: &Gated<S>) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         w.save_all(array.stations());
@@ -1210,6 +1230,8 @@ mod tests {
         let (mut answered, mut answered_after_resume) = (Vec::new(), Vec::new());
         (1..=40).for_each(|now| step(&mut straight, now, &mut answered));
         assert!(!straight.2.is_idle(), "snapshot mid-flight");
+        straight.1.settle(40);
+        straight.2.settle(40);
         let mut w = SnapshotWriter::new();
         straight.0.save(&mut w);
         straight.1.save(&mut w);
@@ -1227,8 +1249,15 @@ mod tests {
             step(&mut straight, now, &mut answered);
             step(&mut resumed, now, &mut answered_after_resume);
             if now % 100 == 0 {
-                let stations = |m: &Machine| (station_bytes(&m.1), station_bytes(&m.2));
-                assert!(stations(&resumed) == stations(&straight), "cycle {now}");
+                let stations = |m: &mut Machine| {
+                    m.1.settle(now);
+                    m.2.settle(now);
+                    (station_bytes(&m.1), station_bytes(&m.2))
+                };
+                assert!(
+                    stations(&mut resumed) == stations(&mut straight),
+                    "cycle {now}"
+                );
             }
         }
         assert_eq!(answered.len(), 16, "every read came back");

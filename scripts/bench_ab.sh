@@ -32,8 +32,12 @@ grep -q "\"name\": \"$workload\"" BENCHMARK.json \
 ab=$PWD/target/ab
 parent=$ab/${sha:0:12}
 if [ ! -d "$parent" ]; then
-  mkdir -p "$parent"
-  git archive "$sha" | tar -x -C "$parent"
+  # Extract beside the final name and move it into place only once tar has
+  # succeeded: an interrupted extraction must never pass for the parent.
+  rm -rf "$parent.tmp"
+  mkdir -p "$parent.tmp"
+  git archive "$sha" | tar -x -C "$parent.tmp"
+  mv "$parent.tmp" "$parent"
 fi
 
 # build <checkout> <target dir>: what benchmark/run.sh builds, once.

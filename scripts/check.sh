@@ -147,14 +147,17 @@ echo "==> benchmark package (offline build + harness self-tests)"
 CARGO_TARGET_DIR=target/perf cargo build --release --offline --manifest-path benchmark/Cargo.toml
 (cd benchmark && cargo test --offline -q) | sed 's/^/   /'
 
-echo "==> paper-scale smoke (one sensitive_full and one insensitive_full pass through the benchmark)"
+echo "==> paper-scale smoke (one sensitive_full, insensitive_full and cluster_ml pass through the benchmark)"
 # The 8 cache-sensitive kernels at paper scale under BS and GC, where the
-# L1 controller and the mesh do the work, and the 5 memory-bound streaming
-# kernels, where the L2 and the DRAM scheduler do, once each: the
-# benchmark's own output check, the exact simulated IPC, and the peak
-# resident set, which is what a warp program that stockpiles its ops
-# moves first (75 MB when every generator did, 11.6 MB streaming).
-for smoke in "sensitive_full 1.5070255171022573" "insensitive_full 0.8470923939763924"; do
+# L1 controller and the mesh do the work, the 5 memory-bound streaming
+# kernels, where the L2 and the DRAM scheduler do, and the clustered ML
+# kernels, the only workload that runs the L1.5, the crossbars and the
+# policy planes, once each: the benchmark's own output check, the exact
+# simulated IPC, and the peak resident set, which is what a warp program
+# that stockpiles its ops moves first (75 MB when every generator did,
+# 11.6 MB streaming).
+for smoke in "sensitive_full 1.5070255171022573" "insensitive_full 0.8470923939763924" \
+             "cluster_ml 1.7378452463558949"; do
   read -r workload ipc <<< "$smoke"
   result=$(target/perf/release/gcache-perf --workload "$workload" --quick --trace 0 2>/dev/null | tail -n 1)
   python3 - "$workload" "$ipc" "$result" <<'EOF'
