@@ -107,7 +107,7 @@ pub enum BypassPlane {
 impl BypassPlane {
     /// Whether this plane denies caching for a fill with the given
     /// context — checked ahead of the policy's `fill_decision`.
-    pub fn denies(self, ctx: &AccessCtx) -> bool {
+    fn denies(self, ctx: &AccessCtx) -> bool {
         match self {
             BypassPlane::Policy => false,
             BypassPlane::Hydra => match ctx.class {
@@ -341,14 +341,6 @@ impl Cache {
     /// and epoch resets are recorded against `src`. See [`crate::trace`].
     pub fn attach_trace(&mut self, src: TraceSource, ring: &SharedTraceRing) {
         self.trace = Tracer::attached(src, ring);
-    }
-
-    /// Fills the policy's bypass count into the stats before reading them.
-    /// Called implicitly by [`Cache::stats`]? No — bypasses are counted at
-    /// fill time by the cache itself, so this is just the policy's own view
-    /// (useful for cross-checking in tests).
-    pub fn policy_bypasses(&self) -> u64 {
-        self.policy.bypasses()
     }
 
     /// Whether `line` is resident (no side effects).
@@ -869,7 +861,7 @@ mod tests {
         let out = c.fill(AccessCtx::plain(LineAddr::new(8), C0), false);
         assert!(out.bypassed);
         assert_eq!(c.stats().bypassed_fills, 1);
-        assert_eq!(c.policy_bypasses(), 1);
+        assert_eq!(c.policy().bypasses(), 1);
         assert!(!c.contains(LineAddr::new(8)));
     }
 

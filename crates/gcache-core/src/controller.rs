@@ -2,22 +2,30 @@
 //! write discipline + optional victim-bit side channel) combined with one
 //! [`MshrFile`] and the miss-handling state machine that connects them.
 //!
-//! Both levels of the simulated hierarchy are thin adapters over this type:
+//! Every cache level of the simulated hierarchy is one `CacheController`
+//! held by its owner, with no wrapper type in between:
 //!
-//! * a GPU **L1** is a `CacheController` over a write-through/no-allocate
-//!   [`Cache`] with [`AtomicHandling::Forward`] — stores and atomics are
-//!   forwarded downstream, reads run the allocate-on-miss machine;
-//! * a GPU **L2 bank** is a `CacheController` over a write-back/allocate
+//! * each SIMT core owns an **L1**: a write-through/no-allocate [`Cache`]
+//!   with [`AtomicHandling::Forward`] — stores and atomics are forwarded
+//!   downstream, reads run the allocate-on-miss machine;
+//! * each cluster owns a shared **L1.5** of the same shape;
+//! * each memory partition owns an **L2 bank**: a write-back/allocate
 //!   [`Cache`] built with victim bits ([`Cache::with_victim_bits`]) and
 //!   [`AtomicHandling::Execute`] — every access kind runs the same machine,
-//!   and atomics are executed locally (by the owning partition's AOU).
+//!   and atomics are executed locally (by the partition's AOU).
 //!
-//! The controller is timing-free: the owner decides *when* to call
-//! [`CacheController::access`] and [`CacheController::fill_with`], and keeps
-//! any external resource gating (DRAM queue space, network credits) outside.
-//! `T` is the per-request bookkeeping returned when a fill releases the
-//! entry's merged targets (warp slots for an L1, response destinations for
-//! an L2).
+//! An owner presents a request in two steps. [`CacheController::admit`]
+//! probes the tags once and the MSHR file at most once, changes nothing,
+//! and answers with an [`Admission`]: forward, hit, merge, miss, or blocked
+//! and why. The owner weighs that against its own resources (network
+//! credits, DRAM queue space) and either holds the request or hands the
+//! admission to [`CacheController::commit`], which carries it out without
+//! probing again. [`CacheController::access`] is the two in one call.
+//!
+//! The controller is timing-free: the owner decides *when* to present an
+//! access and when to call [`CacheController::fill_with`]. `T` is the
+//! per-request bookkeeping returned when a fill releases the entry's merged
+//! targets (warp slots for an L1, response destinations for an L2).
 
 use crate::addr::{CoreId, LineAddr};
 use crate::cache::{Cache, FillOutcome, Lookup, WriteMode};
@@ -60,6 +68,28 @@ pub enum ControllerOutcome {
     Forward,
     /// No MSHR resources; the access must be replayed later. No cache or
     /// MSHR state was modified and no statistics were recorded.
+    Blocked(MshrReject),
+}
+
+/// What presenting one access right now would do: the answer of
+/// [`CacheController::admit`], carried out by [`CacheController::commit`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Admission {
+    /// A write-through store or a forwarded atomic: sent downstream as-is.
+    /// `way` is the resident copy a store updates (`None` for an atomic,
+    /// which drops any copy).
+    Forward {
+        /// The resident way, if any.
+        way: Option<usize>,
+    },
+    /// Resident in this way.
+    Hit(usize),
+    /// Not resident, already in flight, and the merge list has room.
+    Merge,
+    /// Not resident, not in flight, and an MSHR entry is free.
+    Miss,
+    /// Not resident and no MSHR room: [`MshrReject::Full`] for a first
+    /// miss, [`MshrReject::MergeFull`] for a merge.
     Blocked(MshrReject),
 }
 
@@ -108,7 +138,7 @@ pub struct FillParams {
 ///     class: None,
 /// });
 /// assert_eq!(woken, vec![7]);
-/// assert!(ctrl.contains(line));
+/// assert!(ctrl.cache().contains(line));
 /// # Ok(())
 /// # }
 /// ```
@@ -154,15 +184,8 @@ impl<T> CacheController<T> {
         self.cache.attach_trace(src, ring);
     }
 
-    /// Presents one access.
-    ///
-    /// `target` is recorded in the MSHR on the miss path and released by
-    /// the matching [`CacheController::fill_with`]; it is dropped on every
-    /// other outcome.
-    ///
-    /// The resource check precedes the committed cache access, so a
-    /// [`ControllerOutcome::Blocked`] access can be replayed later without
-    /// having perturbed statistics, policy ageing or epoch counters.
+    /// Presents one access: decode, [`CacheController::admit`], then
+    /// [`CacheController::commit`].
     pub fn access(
         &mut self,
         line: LineAddr,
@@ -172,17 +195,49 @@ impl<T> CacheController<T> {
     ) -> ControllerOutcome {
         let set = self.cache.geometry().set_of(line);
         let tag = self.cache.geometry().tag_of(line);
-        self.access_decoded(line, set, tag, kind, core, target)
+        let admission = self.admit(line, set, tag, kind);
+        self.commit(admission, line, set, tag, kind, core, target)
     }
 
-    /// [`CacheController::access`] with the set/tag decode already done.
-    /// The batched coalesce→access pipeline decodes a warp's whole
-    /// coalesced group once and presents each line through this entry
-    /// point; the tag compare runs exactly once per access — the probe
-    /// result gates the MSHR allocation *and* seeds the committed cache
-    /// access, with no second `contains` pass.
-    pub fn access_decoded(
+    /// What presenting (`line`, `kind`) right now would do, with the
+    /// set/tag decode already done: one tag probe, at most one MSHR
+    /// lookup, and nothing changed. Only a fill or a committed access can
+    /// change the answer, so an owner may hold a `Blocked` request across
+    /// idle cycles without asking again.
+    ///
+    /// A [`AccessKind::CopyBack`] is answered too (`Miss` or
+    /// `Blocked(Full)` meaning neither resident nor in flight), but is
+    /// never committed: the owner installs it with [`Cache::fill`].
+    pub fn admit(&self, line: LineAddr, set: usize, tag: u64, kind: AccessKind) -> Admission {
+        match (kind, self.cache.config().discipline.mode, self.atomics) {
+            (AccessKind::Write, WriteMode::ThroughNoAllocate, _) => Admission::Forward {
+                way: self.cache.probe_decoded(set, tag),
+            },
+            (AccessKind::Atomic, _, AtomicHandling::Forward) => Admission::Forward { way: None },
+            _ => match self.cache.probe_decoded(set, tag) {
+                Some(way) => Admission::Hit(way),
+                None => match self.mshr.admits(line) {
+                    Ok(MshrAlloc::Primary) => Admission::Miss,
+                    Ok(MshrAlloc::Merged) => Admission::Merge,
+                    Err(reject) => Admission::Blocked(reject),
+                },
+            },
+        }
+    }
+
+    /// Carries out `admission`, which [`CacheController::admit`] returned
+    /// for the same access with nothing committed or filled since.
+    ///
+    /// `target` is recorded in the MSHR on the miss path and released by
+    /// the matching [`CacheController::fill_with`]; it is dropped on every
+    /// other outcome. A `Blocked` admission changes no cache or MSHR
+    /// state, so the access can be replayed later without having
+    /// perturbed statistics, policy ageing or epoch counters; it only
+    /// counts one [`CacheController::blocked`] access.
+    #[allow(clippy::too_many_arguments)]
+    pub fn commit(
         &mut self,
+        admission: Admission,
         line: LineAddr,
         set: usize,
         tag: u64,
@@ -192,58 +247,53 @@ impl<T> CacheController<T> {
     ) -> ControllerOutcome {
         debug_assert!(
             kind != AccessKind::CopyBack,
-            "clean copy-backs are applied by the owner via Cache::fill, \
-             never presented to the miss machine"
+            "copy-backs are never committed"
         );
-        match (kind, self.cache.config().discipline.mode, self.atomics) {
-            (AccessKind::Write, WriteMode::ThroughNoAllocate, _) => {
-                // Update a resident copy (the access also refreshes
-                // replacement state) and forward downstream.
-                let way = self.cache.probe_decoded(set, tag);
-                let _ = self
-                    .cache
-                    .access_probed(line, set, tag, way, AccessKind::Write, core);
-                return ControllerOutcome::Forward;
-            }
-            (AccessKind::Atomic, _, AtomicHandling::Forward) => {
+        debug_assert_eq!(
+            admission,
+            self.admit(line, set, tag, kind),
+            "stale admission"
+        );
+        match admission {
+            Admission::Forward { .. } if kind == AccessKind::Atomic => {
                 // Executed at the next level; drop any stale resident copy
                 // and account the access as uncached.
                 self.cache.invalidate_line(line);
-                self.cache.note_uncached_access(AccessKind::Atomic);
-                return ControllerOutcome::Forward;
+                self.cache.note_uncached_access(kind);
+                ControllerOutcome::Forward
             }
-            _ => {}
-        }
-
-        // One probe serves both the resource check and the committed
-        // access. The MSHR allocation cannot change residency, and a
-        // Blocked outcome commits nothing, so the probe result stays
-        // valid across the branch.
-        let way = self.cache.probe_decoded(set, tag);
-        if way.is_none() {
-            return match self.mshr.allocate(line, target) {
-                Ok(alloc) => {
-                    let lookup = self.cache.access_probed(line, set, tag, None, kind, core);
-                    debug_assert!(!lookup.is_hit(), "probe said miss");
-                    self.trace.emit(TraceKind::MshrAlloc {
-                        line,
-                        merged: alloc == MshrAlloc::Merged,
-                        occupancy: self.mshr.len() as u16,
-                    });
-                    match alloc {
-                        MshrAlloc::Primary => ControllerOutcome::MissPrimary,
-                        MshrAlloc::Merged => ControllerOutcome::MissMerged,
-                    }
+            Admission::Forward { way } => {
+                // Update a resident copy (the access also refreshes
+                // replacement state) and forward downstream.
+                let _ = self.cache.access_probed(line, set, tag, way, kind, core);
+                ControllerOutcome::Forward
+            }
+            Admission::Hit(way) => {
+                match self
+                    .cache
+                    .access_probed(line, set, tag, Some(way), kind, core)
+                {
+                    Lookup::Hit { victim_hint } => ControllerOutcome::Hit { victim_hint },
+                    Lookup::Miss => unreachable!("admitted as a hit"),
                 }
-                Err(reject) => {
-                    self.blocked += 1;
-                    ControllerOutcome::Blocked(reject)
+            }
+            Admission::Merge | Admission::Miss => {
+                let alloc = self.mshr.allocate(line, target).expect("admitted");
+                let _ = self.cache.access_probed(line, set, tag, None, kind, core);
+                self.trace.emit(TraceKind::MshrAlloc {
+                    line,
+                    merged: alloc == MshrAlloc::Merged,
+                    occupancy: self.mshr.len() as u16,
+                });
+                match alloc {
+                    MshrAlloc::Primary => ControllerOutcome::MissPrimary,
+                    MshrAlloc::Merged => ControllerOutcome::MissMerged,
                 }
-            };
-        }
-        match self.cache.access_probed(line, set, tag, way, kind, core) {
-            Lookup::Hit { victim_hint } => ControllerOutcome::Hit { victim_hint },
-            Lookup::Miss => unreachable!("probe said hit"),
+            }
+            Admission::Blocked(reject) => {
+                self.blocked += 1;
+                ControllerOutcome::Blocked(reject)
+            }
         }
     }
 
@@ -286,42 +336,11 @@ impl<T> CacheController<T> {
         )
     }
 
-    /// Whether presenting (`line`, `kind`) right now would return
-    /// [`ControllerOutcome::Blocked`] — a side-effect-free probe mirroring
-    /// the resource gating of [`CacheController::access`], so an idle-cycle
-    /// fast-forward driver can tell a head-of-line access that will retire
-    /// next cycle from one parked on MSHR resources (freed only by a fill).
-    pub fn would_block(&self, line: LineAddr, kind: AccessKind) -> bool {
-        match (kind, self.cache.config().discipline.mode, self.atomics) {
-            // Same dispatch as `access`: these paths always forward.
-            (AccessKind::Write, WriteMode::ThroughNoAllocate, _)
-            | (AccessKind::Atomic, _, AtomicHandling::Forward) => false,
-            _ => {
-                !self.cache.contains(line)
-                    && if self.mshr.contains(line) {
-                        self.mshr.merge_full(line)
-                    } else {
-                        self.mshr.is_full()
-                    }
-            }
-        }
-    }
-
     /// Bulk-records `n` blocked replay attempts: a fast-forward driver that
     /// skips `n` cycles on which a blocked access would have been
     /// re-presented must account the replays it elided.
     pub fn note_blocked(&mut self, n: u64) {
         self.blocked += n;
-    }
-
-    /// Whether `line` is resident in the cache (no side effects).
-    pub fn contains(&self, line: LineAddr) -> bool {
-        self.cache.contains(line)
-    }
-
-    /// Whether a miss for `line` is already outstanding (would merge).
-    pub fn pending_miss(&self, line: LineAddr) -> bool {
-        self.mshr.contains(line)
     }
 
     /// Whether a *new* (non-merging) miss would be rejected.
@@ -436,8 +455,24 @@ mod tests {
             c.access(line, AccessKind::Write, C0, 0),
             ControllerOutcome::Forward
         );
-        assert!(!c.contains(line));
+        assert!(!c.cache().contains(line));
         assert!(c.quiesced(), "forwarded stores must not occupy MSHRs");
+    }
+
+    #[test]
+    fn write_through_hit_leaves_no_dirty_line() {
+        let mut c = l1_style();
+        let line = LineAddr::new(0);
+        c.access(line, AccessKind::Read, C0, 0);
+        fill(&mut c, line, false);
+        assert_eq!(
+            c.access(line, AccessKind::Write, C0, 1),
+            ControllerOutcome::Forward
+        );
+        assert!(
+            c.cache_mut().flush().is_empty(),
+            "WT cache holds no dirty lines"
+        );
     }
 
     #[test]
@@ -446,12 +481,12 @@ mod tests {
         let line = LineAddr::new(0);
         c.access(line, AccessKind::Read, C0, 0);
         fill(&mut c, line, false);
-        assert!(c.contains(line));
+        assert!(c.cache().contains(line));
         assert_eq!(
             c.access(line, AccessKind::Atomic, C0, 1),
             ControllerOutcome::Forward
         );
-        assert!(!c.contains(line), "atomic must drop the stale copy");
+        assert!(!c.cache().contains(line), "atomic must drop the stale copy");
     }
 
     #[test]
@@ -555,7 +590,7 @@ mod tests {
         }
         c.access(LineAddr::new(2), AccessKind::Read, C0, 9);
         assert_eq!(fill(&mut c, LineAddr::new(2), false), vec![9]);
-        assert!(!c.contains(LineAddr::new(2)));
+        assert!(!c.cache().contains(LineAddr::new(2)));
         assert_eq!(c.stats().bypassed_fills, 1);
     }
 

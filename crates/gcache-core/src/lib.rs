@@ -50,7 +50,7 @@
 //! | [`policy`] | LRU, SRRIP, G-Cache, static & dynamic PDP |
 //! | [`victim_bits`] | the L2 tag extension of §4.1 |
 //! | [`cache`] | the assembled cache (lookup / fill / flush) |
-//! | [`controller`] | cache + MSHRs + the generic miss-handling machine |
+//! | [`controller`] | cache + MSHRs + the generic miss-handling machine (admit, then commit) |
 //! | [`reuse`] | offline reuse profiling (Figure 2 infrastructure) |
 //! | [`trace`](mod@trace) | opt-in structured event tracing (sinks, ring buffer, text dumper) |
 //! | [`trace_export`] | trace ring → Chrome `trace_event` JSON (Perfetto-loadable timelines) |
@@ -87,7 +87,9 @@ pub mod prelude {
         BypassPlane, Cache, CacheConfig, CopyBackPlane, FillOutcome, Lookup, WriteDiscipline,
         WriteMode,
     };
-    pub use crate::controller::{AtomicHandling, CacheController, ControllerOutcome, FillParams};
+    pub use crate::controller::{
+        Admission, AtomicHandling, CacheController, ControllerOutcome, FillParams,
+    };
     pub use crate::geometry::CacheGeometry;
     pub use crate::mshr::{MshrAlloc, MshrFile, MshrReject};
     pub use crate::policy::gcache::{GCache, GCacheConfig};

@@ -88,8 +88,7 @@ pub struct MshrFile<T> {
     entries: HashMap<LineAddr, Vec<T>, BuildHasherDefault<LineHasher>>,
     /// Recycled target vectors (empty, with their capacity retained), so
     /// the steady-state miss path allocates nothing: a primary miss pops a
-    /// pooled vector and a completed fill returns it via
-    /// [`MshrFile::recycle`] / [`MshrFile::complete_into`].
+    /// pooled vector and [`MshrFile::complete_into`] returns it.
     free: Vec<Vec<T>>,
     peak_occupancy: usize,
     merges: u64,
@@ -115,6 +114,21 @@ impl<T> MshrFile<T> {
         }
     }
 
+    /// What [`MshrFile::allocate`] would return for `line` right now, from
+    /// one lookup and with nothing changed.
+    ///
+    /// # Errors
+    ///
+    /// The [`MshrReject`] that `allocate` would return.
+    pub fn admits(&self, line: LineAddr) -> Result<MshrAlloc, MshrReject> {
+        match self.entries.get(&line) {
+            Some(targets) if targets.len() >= self.max_merge => Err(MshrReject::MergeFull),
+            Some(_) => Ok(MshrAlloc::Merged),
+            None if self.is_full() => Err(MshrReject::Full),
+            None => Ok(MshrAlloc::Primary),
+        }
+    }
+
     /// Attempts to record a miss for `line` carrying `target`.
     ///
     /// # Errors
@@ -122,25 +136,24 @@ impl<T> MshrFile<T> {
     /// Returns [`MshrReject`] when the file or the line's merge list is
     /// full; the access must be replayed later.
     pub fn allocate(&mut self, line: LineAddr, target: T) -> Result<MshrAlloc, MshrReject> {
-        if let Some(targets) = self.entries.get_mut(&line) {
-            if targets.len() >= self.max_merge {
-                return Err(MshrReject::MergeFull);
+        let alloc = self.admits(line)?;
+        match alloc {
+            MshrAlloc::Merged => {
+                let targets = self.entries.get_mut(&line).expect("admitted as a merge");
+                targets.push(target);
+                self.merges += 1;
             }
-            targets.push(target);
-            self.merges += 1;
-            return Ok(MshrAlloc::Merged);
+            MshrAlloc::Primary => {
+                let mut targets = self
+                    .free
+                    .pop()
+                    .unwrap_or_else(|| Vec::with_capacity(self.max_merge));
+                targets.push(target);
+                self.entries.insert(line, targets);
+                self.peak_occupancy = self.peak_occupancy.max(self.entries.len());
+            }
         }
-        if self.entries.len() >= self.capacity {
-            return Err(MshrReject::Full);
-        }
-        let mut targets = self
-            .free
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(self.max_merge));
-        targets.push(target);
-        self.entries.insert(line, targets);
-        self.peak_occupancy = self.peak_occupancy.max(self.entries.len());
-        Ok(MshrAlloc::Primary)
+        Ok(alloc)
     }
 
     /// Whether an outstanding miss exists for `line`.
@@ -148,21 +161,11 @@ impl<T> MshrFile<T> {
         self.entries.contains_key(&line)
     }
 
-    /// Whether `line` has an entry whose merge list is at capacity — a
-    /// further [`MshrFile::allocate`] for it would return
-    /// [`MshrReject::MergeFull`]. `false` when no entry exists.
-    pub fn merge_full(&self, line: LineAddr) -> bool {
-        self.entries
-            .get(&line)
-            .is_some_and(|t| t.len() >= self.max_merge)
-    }
-
     /// Releases the entry for `line`, returning its merged targets in
     /// allocation order. `None` if no entry exists.
     ///
-    /// Hot paths should hand the vector back with [`MshrFile::recycle`]
-    /// once drained (or use [`MshrFile::complete_into`]) so steady-state
-    /// misses allocate nothing.
+    /// Hot paths use [`MshrFile::complete_into`] instead, which recycles
+    /// the entry's storage so steady-state misses allocate nothing.
     pub fn complete(&mut self, line: LineAddr) -> Option<Vec<T>> {
         self.entries.remove(&line)
     }
@@ -180,7 +183,7 @@ impl<T> MshrFile<T> {
 
     /// Returns a drained target vector to the internal pool so the next
     /// primary miss reuses its storage instead of allocating.
-    pub fn recycle(&mut self, mut v: Vec<T>) {
+    fn recycle(&mut self, mut v: Vec<T>) {
         v.clear();
         if self.free.len() < self.capacity {
             self.free.push(v);
@@ -357,6 +360,28 @@ mod tests {
             })
             .collect();
         assert!(buckets.len() >= 32, "{} of 64 buckets used", buckets.len());
+    }
+
+    /// `admits` answers what `allocate` then does, on a seeded stream of
+    /// allocations and completions that visits every outcome.
+    #[test]
+    fn admits_predicts_allocate() {
+        let mut rng = crate::rng::SmallRng::seed_from_u64(0x3511);
+        let mut m: MshrFile<u32> = MshrFile::new(4, 3);
+        let mut seen = Vec::new();
+        for t in 0..2_000 {
+            let line = LineAddr::new(rng.gen_range(0..8));
+            if rng.gen_bool(0.3) {
+                m.complete(line);
+                continue;
+            }
+            let admitted = m.admits(line);
+            assert_eq!(m.allocate(line, t), admitted, "step {t}");
+            if !seen.contains(&admitted) {
+                seen.push(admitted);
+            }
+        }
+        assert_eq!(seen.len(), 4, "outcomes seen: {seen:?}");
     }
 
     #[test]

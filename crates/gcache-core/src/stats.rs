@@ -203,15 +203,6 @@ impl CacheStats {
         }
     }
 
-    /// Load miss rate; 0 when no loads were recorded.
-    pub fn read_miss_rate(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            (self.reads - self.read_hits) as f64 / self.reads as f64
-        }
-    }
-
     /// Bypassed fills as a fraction of all accesses (Table 3's "bypass
     /// ratio"); 0 when no accesses were recorded.
     pub fn bypass_ratio(&self) -> f64 {
@@ -297,14 +288,12 @@ mod tests {
         assert_eq!(s.hits(), 6);
         assert_eq!(s.misses(), 6);
         assert!((s.miss_rate() - 0.5).abs() < 1e-12);
-        assert!((s.read_miss_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn empty_stats_rates_are_zero() {
         let s = CacheStats::new();
         assert_eq!(s.miss_rate(), 0.0);
-        assert_eq!(s.read_miss_rate(), 0.0);
         assert_eq!(s.bypass_ratio(), 0.0);
     }
 

@@ -238,27 +238,6 @@ impl TagArray {
         self.valid.iter().map(|m| m.count_ones() as usize).sum()
     }
 
-    /// Iterates over all valid lines as `(set, way, line, state, reuse)`.
-    pub fn iter_valid(
-        &self,
-    ) -> impl Iterator<Item = (usize, usize, LineAddr, LineState, u32)> + '_ {
-        let ways = self.ways;
-        self.state
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_valid())
-            .map(move |(i, s)| {
-                let set = i / ways;
-                (
-                    set,
-                    i % ways,
-                    self.geom.line_of(self.tags[i], set),
-                    *s,
-                    self.reuse[i],
-                )
-            })
-    }
-
     /// Whether every maintained mask word equals the reference recomputed
     /// from the slot states. Debug/restore verification only.
     pub fn masks_consistent(&self) -> bool {
@@ -418,19 +397,6 @@ mod tests {
         // The tag word still holds `a`'s tag; the validity mask must keep
         // the branchless compare from reporting it.
         assert_eq!(tags.probe(a), None);
-    }
-
-    #[test]
-    fn iter_valid_reports_all() {
-        let mut tags = small();
-        tags.fill(0, 0, LineAddr::new(0), false);
-        tags.fill(3, 1, LineAddr::new(7), true);
-        let mut v: Vec<_> = tags
-            .iter_valid()
-            .map(|(s, w, l, ..)| (s, w, l.raw()))
-            .collect();
-        v.sort_unstable();
-        assert_eq!(v, vec![(0, 0, 0), (3, 1, 7)]);
     }
 
     #[test]

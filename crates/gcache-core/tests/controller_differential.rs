@@ -1,14 +1,21 @@
 //! Differential test for the extracted [`CacheController`]: replays the
 //! same randomized access/fill trace through a reference implementation of
 //! the *old-shape* L1 miss machine (the write-through/no-allocate state
-//! machine that used to live inline in `gcache_sim::l1`, expressed directly
-//! over `Cache` + `MshrFile`) and through the generic controller, asserting
-//! identical per-step outcomes and identical hit/miss/bypass/MSHR
+//! machine that used to live inline in the simulator's L1, expressed
+//! directly over `Cache` + `MshrFile`) and through the generic controller,
+//! asserting identical per-step outcomes and identical hit/miss/bypass/MSHR
 //! statistics after every step.
+//!
+//! The controller is driven the way every owner drives it — `admit`, then
+//! `commit` — and each step also checks that `admit` changed nothing and
+//! that the committed outcome is the one admitted. An L2-shaped leg, which
+//! has no reference model, checks that agreement alone.
 
 use gcache_core::addr::{CoreId, LineAddr};
 use gcache_core::cache::{Cache, CacheConfig, Lookup};
-use gcache_core::controller::{AtomicHandling, CacheController, ControllerOutcome, FillParams};
+use gcache_core::controller::{
+    Admission, AtomicHandling, CacheController, ControllerOutcome, FillParams,
+};
 use gcache_core::geometry::CacheGeometry;
 use gcache_core::mshr::{MshrAlloc, MshrFile, MshrReject};
 use gcache_core::policy::gcache::GCache;
@@ -112,6 +119,58 @@ fn step_of(out: ControllerOutcome) -> Step {
     }
 }
 
+/// The class of an admission, and of the outcome that commits it.
+fn admitted_as(a: Admission) -> &'static str {
+    match a {
+        Admission::Forward { .. } => "forward",
+        Admission::Hit(_) => "hit",
+        Admission::Merge => "merge",
+        Admission::Miss => "miss",
+        Admission::Blocked(MshrReject::Full) => "blocked (full)",
+        Admission::Blocked(MshrReject::MergeFull) => "blocked (merge full)",
+    }
+}
+
+fn committed_as(out: ControllerOutcome) -> &'static str {
+    match out {
+        ControllerOutcome::Forward => "forward",
+        ControllerOutcome::Hit { .. } => "hit",
+        ControllerOutcome::MissMerged => "merge",
+        ControllerOutcome::MissPrimary => "miss",
+        ControllerOutcome::Blocked(MshrReject::Full) => "blocked (full)",
+        ControllerOutcome::Blocked(MshrReject::MergeFull) => "blocked (merge full)",
+    }
+}
+
+/// Presents one access as an owner does: decode, `admit`, `commit`.
+/// Asserts that admitting changed no count or occupancy, and that the
+/// commit did what was admitted.
+fn admit_then_commit(
+    ctrl: &mut CacheController<u32>,
+    line: LineAddr,
+    kind: AccessKind,
+    core: CoreId,
+    target: u32,
+) -> (Admission, ControllerOutcome) {
+    let geom = *ctrl.cache().geometry();
+    let (set, tag) = (geom.set_of(line), geom.tag_of(line));
+    let state = |c: &CacheController<u32>| (c.blocked(), c.stats().clone(), c.mshr().len());
+    let before = state(ctrl);
+    let admission = ctrl.admit(line, set, tag, kind);
+    assert_eq!(
+        state(ctrl),
+        before,
+        "admitting {kind:?} {line:?} changed state"
+    );
+    let out = ctrl.commit(admission, line, set, tag, kind, core, target);
+    assert_eq!(
+        admitted_as(admission),
+        committed_as(out),
+        "{kind:?} {line:?}: {admission:?} committed as {out:?}"
+    );
+    (admission, out)
+}
+
 /// Drives both machines through `steps` randomized accesses (with fills
 /// arriving for outstanding misses at random points) and asserts lockstep
 /// equivalence of outcomes, released targets, and statistics.
@@ -166,7 +225,7 @@ fn run_differential(policy: impl Into<PolicyKind> + Clone, epoch_len: u64, seed:
         };
 
         let expected = reference.access(line, kind, step);
-        let got = step_of(ctrl.access(line, kind, CORE, step));
+        let got = step_of(admit_then_commit(&mut ctrl, line, kind, CORE, step).1);
         assert_eq!(
             got, expected,
             "outcome diverged at step {step} ({kind:?} {line:?})"
@@ -243,4 +302,63 @@ fn gcache_epoch_traces_match_old_l1_machine() {
         // machines at identical points (blocked accesses record nothing).
         run_differential(GCache::with_defaults(&geom), 64, seed, 4_000);
     }
+}
+
+/// The L2 shape — write-back, write-allocate, executed atomics, victim
+/// bits for four cores — over a small MSHR file, so that every admission
+/// an L2 can give occurs: hit, merge, miss and both kinds of blocked.
+#[test]
+fn l2_shaped_admissions_match_commits() {
+    let geom = CacheGeometry::new(4 * 1024, 4, 128).unwrap();
+    const KINDS: [AccessKind; 4] = [
+        AccessKind::Read,
+        AccessKind::Read,
+        AccessKind::Write,
+        AccessKind::Atomic,
+    ];
+    let mut seen = Vec::new();
+    for seed in 0..4 {
+        let mut ctrl: CacheController<u32> = CacheController::new(
+            Cache::with_victim_bits(CacheConfig::l2(geom, 0), Lru::new(&geom), 4, 1),
+            4,
+            2,
+            AtomicHandling::Execute,
+        );
+        let mut rng = SmallRng::seed_from_u64(0x12 ^ seed);
+        let mut outstanding: Vec<LineAddr> = Vec::new();
+        let mut fill_buf = Vec::new();
+        for step in 0..4_000 {
+            if !outstanding.is_empty() && rng.gen_bool(0.3) {
+                let idx = rng.gen_range(0..outstanding.len() as u64) as usize;
+                let line = outstanding.swap_remove(idx);
+                ctrl.fill_with(line, &mut fill_buf, |_| FillParams {
+                    core: CORE,
+                    victim_hint: false,
+                    dirty: true,
+                    class: None,
+                });
+            }
+            let line = LineAddr::new(rng.gen_range(0..64));
+            let kind = KINDS[rng.gen_range(0..4) as usize];
+            let core = CoreId(rng.gen_range(0..4) as usize);
+            let (admission, out) = admit_then_commit(&mut ctrl, line, kind, core, step);
+            if out == ControllerOutcome::MissPrimary {
+                outstanding.push(line);
+            }
+            if !seen.contains(&admitted_as(admission)) {
+                seen.push(admitted_as(admission));
+            }
+        }
+    }
+    seen.sort_unstable();
+    assert_eq!(
+        seen,
+        [
+            "blocked (full)",
+            "blocked (merge full)",
+            "hit",
+            "merge",
+            "miss"
+        ]
+    );
 }

@@ -1,14 +1,19 @@
 //! The SIMT core: warp contexts, CTA slots, the issue stage, the LD/ST
 //! unit (coalescer → L1 → network), and barrier handling.
+//! The core owns its L1 as a plain [`CacheController`] (write-through,
+//! no-allocate, atomics forwarded); a primary miss, a store and an atomic
+//! each become one [`MemRequest`] (§2.2).
 
 use crate::coalescer::coalesce_into;
 use crate::config::GpuConfig;
 use crate::gpu::SimError;
 use crate::isa::{GridDim, Kernel, Op, WarpProgram};
-use crate::l1::{L1Controller, L1Outcome};
 use crate::request::{MemRequest, MemResponse, WarpSlot};
 use gcache_core::addr::{CoreId, LineAddr};
-use gcache_core::cache::CacheConfig;
+use gcache_core::cache::{Cache, CacheConfig};
+use gcache_core::controller::{
+    Admission, AtomicHandling, CacheController, ControllerOutcome, FillParams,
+};
 use gcache_core::geometry::CacheGeometry;
 use gcache_core::policy::{AccessKind, PolicyKind, RequestClass};
 use gcache_core::record;
@@ -80,6 +85,17 @@ struct LdstTxn {
     class: Option<RequestClass>,
 }
 
+impl LdstTxn {
+    /// Whether `l1` would hold this transaction for MSHR room, which only
+    /// a fill frees.
+    fn blocked(&self, l1: &CacheController<WarpSlot>) -> bool {
+        matches!(
+            l1.admit(self.line, self.set, self.tag, self.kind),
+            Admission::Blocked(_)
+        )
+    }
+}
+
 record! {
     #[derive(Debug)]
     struct CtaState {
@@ -125,7 +141,7 @@ pub struct SimtCore {
     warps: Vec<Option<Warp>>,
     ctas: Vec<Option<CtaState>>,
     threads_resident: usize,
-    l1: L1Controller,
+    l1: CacheController<WarpSlot>,
     /// L1 geometry, cached for the batched set/tag decode at issue time.
     l1_geom: CacheGeometry,
     /// Coalesced transactions awaiting L1/network issue, one per cycle.
@@ -157,14 +173,14 @@ impl SimtCore {
     /// Builds a core per `cfg` with the given (already constructed) L1
     /// policy.
     pub fn new(id: CoreId, cfg: &GpuConfig, policy: impl Into<PolicyKind>) -> Self {
-        let l1 = L1Controller::new(
-            id,
-            CacheConfig::l1(cfg.l1_geometry, cfg.l1_epoch_len)
-                .with_bypass(cfg.l1_bypass)
-                .with_copy_back(cfg.l1_copy_back),
-            policy,
+        let l1_cfg = CacheConfig::l1(cfg.l1_geometry, cfg.l1_epoch_len)
+            .with_bypass(cfg.l1_bypass)
+            .with_copy_back(cfg.l1_copy_back);
+        let l1 = CacheController::new(
+            Cache::new(l1_cfg, policy),
             cfg.l1_mshr_entries,
             cfg.l1_mshr_merge,
+            AtomicHandling::Forward,
         );
         assert!(
             cfg.max_warps_per_core <= 64,
@@ -204,13 +220,13 @@ impl SimtCore {
         &self.stats
     }
 
-    /// The L1 memory unit.
-    pub fn l1(&self) -> &L1Controller {
+    /// The L1 controller.
+    pub fn l1(&self) -> &CacheController<WarpSlot> {
         &self.l1
     }
 
-    /// Mutable access to the L1 (kernel-end flush).
-    pub fn l1_mut(&mut self) -> &mut L1Controller {
+    /// Mutable access to the L1 (kernel-end flush, trace attachment).
+    pub fn l1_mut(&mut self) -> &mut CacheController<WarpSlot> {
         &mut self.l1
     }
 
@@ -325,14 +341,29 @@ impl SimtCore {
     pub fn on_response(&mut self, resp: MemResponse) {
         match resp.kind {
             AccessKind::Read => {
-                // Borrow dance: take the scratch buffer so `fill` and
+                // Borrow dance: take the scratch buffer so `fill_with` and
                 // `complete_mem` don't alias `self`.
                 let mut woken = std::mem::take(&mut self.woken_scratch);
-                let copy_back = self
-                    .l1
-                    .fill(resp.line, resp.victim_hint, resp.class, &mut woken);
-                if let Some(cb) = copy_back {
-                    self.copyback_queue.push_back(cb);
+                let core = self.id;
+                let outcome = self.l1.fill_with(resp.line, &mut woken, |_| FillParams {
+                    core,
+                    victim_hint: resp.victim_hint,
+                    dirty: false,
+                    class: resp.class,
+                });
+                debug_assert!(
+                    outcome.evicted.is_none_or(|e| !e.dirty),
+                    "write-through L1 evicted a dirty line"
+                );
+                // The copy-back plane pushes some clean victims downstream.
+                if let Some(ev) = outcome.copy_back {
+                    self.copyback_queue.push_back(MemRequest {
+                        line: ev.line,
+                        kind: AccessKind::CopyBack,
+                        core,
+                        warp: 0,
+                        class: None,
+                    });
                 }
                 for &warp in &woken {
                     self.complete_mem(warp);
@@ -380,7 +411,7 @@ impl SimtCore {
         // parked on network backpressure or on L1 MSHR resources (both
         // freed only by external events).
         if let Some(txn) = self.ldst_queue.front() {
-            if can_inject && !self.l1.would_block(txn.line, txn.kind) {
+            if can_inject && !txn.blocked(&self.l1) {
                 return Some(now + 1);
             }
         }
@@ -422,7 +453,7 @@ impl SimtCore {
             || self
                 .ldst_queue
                 .front()
-                .is_some_and(|txn| !self.l1.would_block(txn.line, txn.kind))
+                .is_some_and(|txn| !txn.blocked(&self.l1))
     }
 
     /// Whether any LD/ST transaction (or pending clean copy-back) is
@@ -453,7 +484,7 @@ impl SimtCore {
             if can_inject {
                 // With network space, each skipped cycle would have
                 // re-presented the access and recorded a blocked replay.
-                debug_assert!(self.l1.would_block(txn.line, txn.kind));
+                debug_assert!(txn.blocked(&self.l1));
                 self.l1.note_blocked(cycles);
             }
         }
@@ -487,33 +518,32 @@ impl SimtCore {
             self.stats.mem_stall_cycles += 1;
             return None;
         }
-        match self.l1.access(line, set, tag, kind, warp, class) {
-            L1Outcome::Hit => {
-                self.ldst_queue.pop_front();
+        // The L1 commits every admission, a blocked one included: each
+        // cycle a blocked head is re-presented counts one blocked access.
+        let admission = self.l1.admit(line, set, tag, kind);
+        let out = self
+            .l1
+            .commit(admission, line, set, tag, kind, self.id, warp);
+        if let ControllerOutcome::Blocked(_) = out {
+            self.stats.mem_stall_cycles += 1;
+            return None;
+        }
+        self.ldst_queue.pop_front();
+        match out {
+            ControllerOutcome::Hit { .. } => {
                 self.complete_mem(warp);
                 None
             }
-            L1Outcome::MissMerged => {
-                self.ldst_queue.pop_front();
-                None
-            }
-            L1Outcome::Blocked => {
-                self.stats.mem_stall_cycles += 1;
-                None
-            }
-            L1Outcome::MissPrimary(req) => {
-                self.ldst_queue.pop_front();
-                Some(req)
-            }
-            L1Outcome::WriteForward(req) => {
-                self.ldst_queue.pop_front();
-                // Stores are fire-and-forget: nothing outstanding.
-                Some(req)
-            }
-            L1Outcome::AtomicForward(req) => {
-                self.ldst_queue.pop_front();
-                Some(req)
-            }
+            // A primary miss, a store (fire-and-forget: nothing
+            // outstanding) or an atomic goes downstream.
+            ControllerOutcome::MissPrimary | ControllerOutcome::Forward => Some(MemRequest {
+                line,
+                kind,
+                core: self.id,
+                warp,
+                class,
+            }),
+            ControllerOutcome::MissMerged | ControllerOutcome::Blocked(_) => None,
         }
     }
 

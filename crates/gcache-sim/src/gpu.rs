@@ -14,7 +14,7 @@ use crate::system::{ClusterComplex, CoreComplex, Interconnect, MemorySystem};
 use crate::telemetry::{Profile, Sampler, TelemetrySnapshot};
 use gcache_core::snapshot::{fnv1a, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use gcache_core::stats::CacheStats;
-use gcache_core::trace::SharedTraceRing;
+use gcache_core::trace::{SharedTraceRing, TraceLevel, TraceSource};
 use std::fmt;
 use std::time::Instant;
 
@@ -248,7 +248,8 @@ impl Gpu {
     /// [`gcache_core::trace`] for the event taxonomy.
     pub fn attach_trace(&mut self, ring: &SharedTraceRing) {
         for c in self.cores.cores_mut() {
-            c.l1_mut().attach_trace(ring);
+            let src = TraceSource::new(TraceLevel::L1, c.id().0 as u16);
+            c.l1_mut().attach_trace(src, ring);
         }
         for (i, cl) in self.clusters.stations_mut().iter_mut().enumerate() {
             cl.attach_trace(i, ring);
@@ -635,7 +636,7 @@ impl Gpu {
                 s.switch_open += open as u64;
                 s.switch_sets += sets as u64;
             }
-            s.mshr_peak = s.mshr_peak.max(l1.mshr_peak() as u64);
+            s.mshr_peak = s.mshr_peak.max(l1.mshr().peak_occupancy() as u64);
         }
         for cl in self.clusters.stations() {
             let st = cl.stats();

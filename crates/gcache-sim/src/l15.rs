@@ -2,7 +2,7 @@
 //! component model exists for (see README, "Adding a new hierarchy
 //! level").
 //!
-//! Like the per-core L1, the L1.5 is a thin adapter over the generic
+//! Like each core's L1, the L1.5 owns one generic
 //! [`CacheController`]: a write-through/no-allocate cache with
 //! [`AtomicHandling::Forward`], addressed by *global* line addresses (the
 //! partition interleaving is stripped only at the L2 banks). It sits at
@@ -32,7 +32,9 @@ use crate::port::{RxPort, TxPort};
 use crate::request::{MemRequest, MemResponse, WarpSlot};
 use gcache_core::addr::CoreId;
 use gcache_core::cache::{Cache, CacheConfig};
-use gcache_core::controller::{AtomicHandling, CacheController, ControllerOutcome, FillParams};
+use gcache_core::controller::{
+    Admission, AtomicHandling, CacheController, ControllerOutcome, FillParams,
+};
 use gcache_core::policy::lru::Lru;
 use gcache_core::policy::AccessKind;
 use gcache_core::record;
@@ -239,10 +241,10 @@ impl L15Cluster {
         }
     }
 
-    /// Serves at most one incoming request per cycle. The MSHR resource
-    /// check precedes the committed access (as in the partitions) so a
-    /// stalled head-of-line request does not perturb statistics or policy
-    /// ageing while it waits; it parks until a fill, unprobed.
+    /// Serves at most one incoming request per cycle. The head is decoded
+    /// and admitted once; a `Blocked` admission is never committed, so a
+    /// stalled head does not perturb statistics, policy ageing or the
+    /// blocked count while it waits. It parks until a fill, unprobed.
     fn serve_one(&mut self, now: u64) {
         let Some(&req) = self.incoming.front() else {
             return;
@@ -259,7 +261,10 @@ impl L15Cluster {
             self.incoming.pop_front();
             return;
         }
-        if self.ctrl.would_block(req.line, req.kind) {
+        let geom = self.ctrl.cache().geometry();
+        let (set, tag) = (geom.set_of(req.line), geom.tag_of(req.line));
+        let admission = self.ctrl.admit(req.line, set, tag, req.kind);
+        if let Admission::Blocked(_) = admission {
             self.stall_cycles += 1;
             self.parked = true;
             return;
@@ -268,14 +273,16 @@ impl L15Cluster {
             core: req.core,
             warp: req.warp,
         };
-        match self.ctrl.access(req.line, req.kind, req.core, target) {
-            ControllerOutcome::Blocked(_) => unreachable!("gated by would_block"),
+        match self
+            .ctrl
+            .commit(admission, req.line, set, tag, req.kind, req.core, target)
+        {
             // Forward the original request: the L2 sees the primary
             // requester's core id, so its victim bits observe real cores.
             ControllerOutcome::MissPrimary | ControllerOutcome::Forward => {
                 self.forward.push_back(req);
             }
-            ControllerOutcome::MissMerged => {}
+            ControllerOutcome::MissMerged | ControllerOutcome::Blocked(_) => {}
             ControllerOutcome::Hit { .. } => {
                 // Only reads reach the hit path under write-through/
                 // forward-atomics. An L1.5 hit never carries a hint: the

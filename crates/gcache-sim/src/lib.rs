@@ -61,7 +61,6 @@ pub mod energy;
 pub mod gpu;
 pub mod icnt;
 pub mod isa;
-pub mod l1;
 pub mod l15;
 pub mod partition;
 pub mod port;

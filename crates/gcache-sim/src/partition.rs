@@ -2,8 +2,8 @@
 //! the G-Cache victim-bit extension), one Atomic Operation Unit, and one
 //! FR-FCFS GDDR5 memory controller (§2.2, Figure 1).
 //!
-//! The L2 bank is a thin adapter over the generic
-//! [`CacheController`] — the same miss-handling machine the L1 uses, here
+//! The L2 bank is one generic [`CacheController`] — the same
+//! miss-handling machine the L1 uses, here
 //! wrapped around a write-back/allocate cache with victim bits and
 //! [`AtomicHandling::Execute`]. The partition keeps only what is genuinely
 //! partition-level: DRAM admission gating, response scheduling, and the
@@ -18,7 +18,10 @@ use crate::dram::Dram;
 use crate::request::{partition_local_line, MemRequest, MemResponse, WarpSlot};
 use gcache_core::addr::{CoreId, LineAddr, PartitionId};
 use gcache_core::cache::{Cache, CacheConfig};
-use gcache_core::controller::{AtomicHandling, CacheController, ControllerOutcome, FillParams};
+use gcache_core::controller::{
+    Admission, AtomicHandling, CacheController, ControllerOutcome, FillParams,
+};
+use gcache_core::mshr::MshrReject;
 use gcache_core::policy::lru::Lru;
 use gcache_core::policy::{AccessCtx, AccessKind, RequestClass};
 use gcache_core::record;
@@ -447,11 +450,12 @@ impl Partition {
 
     /// Serves at most one incoming request per L2 cycle.
     ///
-    /// External-resource checks (DRAM queue space, MSHR entries) happen
-    /// *before* the controller access is committed so a stalled
-    /// head-of-line request does not re-access the L2 every tick (which
-    /// would corrupt statistics and policy ageing). A stalled head parks
-    /// on what it waits for and is not probed again until that changes.
+    /// The head is decoded and admitted once, and the admission is
+    /// weighed against the DRAM queue *before* anything is committed, so
+    /// a stalled head-of-line request does not re-access the L2 every
+    /// tick (which would corrupt statistics and policy ageing). A stalled
+    /// head parks on what it waits for and is not admitted again until
+    /// that changes.
     fn serve_one(&mut self, now: u64) {
         let Some(&req) = self.incoming.front() else {
             return;
@@ -462,14 +466,17 @@ impl Partition {
         }
         self.wait = None;
         let local = partition_local_line(req.line, self.partitions);
+        let geom = self.l2.cache().geometry();
+        let (set, tag) = (geom.set_of(local), geom.tag_of(local));
+        let admission = self.l2.admit(local, set, tag, req.kind);
 
         if req.kind == AccessKind::CopyBack {
             // Clean copy-back from an upstream cache (RDC-style): install
             // the line clean, off the hit/miss bookkeeping — maintenance
-            // traffic must not perturb L2 statistics or MSHR state. If a
-            // demand miss for the line is already in flight the DRAM fill
-            // will install identical data, so the copy-back is dropped.
-            if !self.l2.contains(local) && !self.l2.pending_miss(local) {
+            // traffic must not perturb L2 statistics or MSHR state. If the
+            // line is resident, or a demand miss for it is in flight (whose
+            // DRAM fill will install identical data), it is dropped.
+            if let Admission::Miss | Admission::Blocked(MshrReject::Full) = admission {
                 // A clean fill can still evict a dirty victim, which needs
                 // a DRAM write-back slot.
                 if !self.dram.can_accept() {
@@ -494,10 +501,8 @@ impl Partition {
 
         // A primary miss needs both a DRAM queue slot and a free MSHR
         // entry; merging misses sidestep both.
-        if !self.l2.contains(local)
-            && !self.l2.pending_miss(local)
-            && (!self.dram.can_accept() || self.l2.mshr_full())
-        {
+        let no_slot = admission == Admission::Miss && !self.dram.can_accept();
+        if no_slot || admission == Admission::Blocked(MshrReject::Full) {
             self.park(Wait::SlotAndMshr);
             return;
         }
@@ -515,9 +520,14 @@ impl Partition {
             },
             AccessKind::CopyBack => unreachable!("handled above"),
         };
-        match self.l2.access(local, req.kind, req.core, target) {
+        match self
+            .l2
+            .commit(admission, local, set, tag, req.kind, req.core, target)
+        {
             ControllerOutcome::Blocked(_) => {
-                // Merge-list depth exhausted until the line's fill.
+                // Merge-list depth exhausted until the line's fill. The
+                // commit counts it as a blocked access, as `restall` does
+                // for every L2 tick it stays parked.
                 self.park(Wait::Fill);
                 return;
             }

@@ -3,12 +3,12 @@
 
 use gcache_core::addr::{Addr, CoreId};
 use gcache_core::policy::lru::Lru;
-use gcache_core::policy::AccessKind;
+use gcache_core::policy::{AccessKind, RequestClass};
 use gcache_sim::config::GpuConfig;
 use gcache_sim::core::SimtCore;
 use gcache_sim::gpu::Gpu;
 use gcache_sim::isa::{self, GridDim, Kernel, Op, TraceProgram, WarpProgram};
-use gcache_sim::request::MemResponse;
+use gcache_sim::request::{MemRequest, MemResponse};
 use gcache_sim::telemetry::Sampler;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -182,6 +182,45 @@ fn load_blocks_until_response() {
     }
     assert!(c.is_idle());
     assert_eq!(c.stats().instructions, 2);
+}
+
+/// The first request one warp's ops put on the network.
+fn first_request(c: &mut SimtCore, ops: Vec<Op>) -> MemRequest {
+    let k = K {
+        grid: GridDim {
+            ctas: 1,
+            threads_per_cta: 32,
+        },
+        ops,
+    };
+    c.launch_cta(&k, 0);
+    (1..20)
+        .find_map(|now| c.tick(now, true))
+        .expect("the op must emit a request")
+}
+
+#[test]
+fn primary_miss_request_carries_core_line_and_class() {
+    let cfg = GpuConfig::fermi().unwrap();
+    let mut c = SimtCore::new(CoreId(3), &cfg, Lru::new(&cfg.l1_geometry));
+    let class = RequestClass::from_wire(9).unwrap();
+    let base = Addr::new(0x4000);
+    let req = first_request(
+        &mut c,
+        vec![Op::SetClass { class }, Op::strided_load(base, 4, 32)],
+    );
+    assert_eq!(req.core, CoreId(3));
+    assert_eq!(req.line, base.to_line(cfg.line_size()));
+    assert_eq!(req.kind, AccessKind::Read);
+    assert_eq!(req.class, class);
+}
+
+#[test]
+fn atomic_request_wants_a_response() {
+    let addrs = (0..32).map(|l| Some(Addr::new(l * 4))).collect();
+    let req = first_request(&mut core(), vec![Op::Atomic { addrs }]);
+    assert_eq!(req.kind, AccessKind::Atomic);
+    assert!(req.wants_response());
 }
 
 #[test]

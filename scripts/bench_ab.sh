@@ -9,7 +9,9 @@
 # nothing to unregister afterwards), each side is built once into its own
 # target directory, and every pair runs
 #   gcache-perf --workload W --seed S --seconds <run_seconds> --trace 0
-# once per side, alternating which side goes first. Every run is printed
+# once per side, alternating which side goes first. Before the runs it
+# prints the length of each side's `Timer::calibrate` disassembly, with a
+# warning when they differ (ROADMAP item 1(b)). Every run is printed
 # as it finishes; then, for each end-to-end metric of BENCHMARK.json in
 # its `better` direction: median and quartiles per side, the relative
 # difference of the medians, pairs won and lost (ties count for neither)
@@ -49,6 +51,18 @@ build() {
 echo "==> building parent ${sha:0:12} and change (working tree)" >&2
 build "$parent" "$ab/parent-target"
 build "$PWD" "$ab/change-target"
+
+# The calibrated metrics divide by the cost of benchmark/src/cal.rs's loop,
+# whose codegen moves with unrelated changes elsewhere in the build. Two
+# different disassembly lengths mean the sides time different loops.
+cal_lines() {
+  objdump -d -C "$ab/$1-target/release/gcache-perf" | awk '/Timer::calibrate>:/,/ret/' | wc -l
+}
+cal_parent=$(cal_lines parent) cal_change=$(cal_lines change)
+echo "Timer::calibrate disassembly: parent $cal_parent lines, change $cal_change lines"
+if [ "$cal_parent" != "$cal_change" ]; then
+  echo "WARNING: the calibration loop compiled differently; host_cost and the calibrated rates are not comparable"
+fi
 
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 # run <side> <checkout>: one run, its result line on standard output.

@@ -31,6 +31,23 @@ if grep -n '^\[\[bench\]\]' crates/gcache-bench/Cargo.toml; then
   echo "speed is measured by benchmark/ (bash benchmark/run.sh), not by a bench target"; exit 1
 fi
 
+echo "==> census: no new file-local pub fn (scripts/census.sh vs scripts/census.allow)"
+# A `pub fn` no other file names is surface nothing uses. The allow-list
+# only shrinks: a new one fails, and so does a listed one that has since
+# been deleted, made private or found a caller elsewhere.
+census=$(scripts/census.sh)
+allowed=$(grep -v '^#' scripts/census.allow)
+new=$(LC_ALL=C comm -23 <(echo "$census") <(echo "$allowed"))
+gone=$(LC_ALL=C comm -13 <(echo "$census") <(echo "$allowed"))
+if [ -n "$new" ]; then
+  echo "$new" | sed 's/^/   file-local pub fn: /'
+  echo "make it private, move it under #[cfg(test)] or delete it"; exit 1
+fi
+if [ -n "$gone" ]; then
+  echo "$gone" | sed 's/^/   no longer file-local: /'
+  echo "delete these lines from scripts/census.allow"; exit 1
+fi
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
