@@ -324,7 +324,7 @@ pub struct Cli {
 /// `N`, shared L1.5 of `KB` kilobytes, default 64). The shape is validated
 /// against the Table 2 machine immediately so errors surface at the
 /// command line, not mid-sweep.
-pub fn parse_hierarchy(s: &str) -> Result<Hierarchy, String> {
+fn parse_hierarchy(s: &str) -> Result<Hierarchy, String> {
     if s.eq_ignore_ascii_case("flat") {
         return Ok(Hierarchy::Flat);
     }
@@ -792,7 +792,7 @@ pub fn telemetry_csv(series: &[TelemetrySeries]) -> String {
 }
 
 /// Renders labelled telemetry series as one JSON document.
-pub fn telemetry_json(series: &[TelemetrySeries]) -> String {
+fn telemetry_json(series: &[TelemetrySeries]) -> String {
     let mut w = JsonWriter::new();
     w.begin_obj().key("series").begin_arr();
     for (bench, design, sampler) in series {
@@ -808,7 +808,7 @@ pub fn telemetry_json(series: &[TelemetrySeries]) -> String {
 /// Trace-ring capacity used by [`export_trace`]: large enough to hold a
 /// whole `--quick` run's event stream; a longer run keeps the newest
 /// events and the export records how many older ones the ring dropped.
-pub const TRACE_EXPORT_CAPACITY: usize = 1 << 21;
+const TRACE_EXPORT_CAPACITY: usize = 1 << 21;
 
 /// The `--trace-out PATH` export: runs `benches` under the GC design (flat
 /// Table 2 machine) with the event trace ring and the self-profiler

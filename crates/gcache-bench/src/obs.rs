@@ -58,17 +58,17 @@ pub fn fresh_run_id() -> String {
 }
 
 /// The coordinator's JSONL log inside a run directory.
-pub fn coordinator_log_path(dir: &Path) -> PathBuf {
+fn coordinator_log_path(dir: &Path) -> PathBuf {
     dir.join("logs").join("coordinator.jsonl")
 }
 
 /// Worker `shard`'s JSONL log inside a run directory.
-pub fn shard_log_path(dir: &Path, shard: usize) -> PathBuf {
+fn shard_log_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join("logs").join(format!("shard-{shard:04}.jsonl"))
 }
 
 /// Worker `shard`'s heartbeat record inside a run directory.
-pub fn heartbeat_path(dir: &Path, shard: usize) -> PathBuf {
+fn heartbeat_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join("logs").join(format!("heartbeat-{shard:04}.json"))
 }
 
@@ -310,7 +310,7 @@ macro_rules! heartbeat {
             /// Parses a record previously rendered by
             /// [`Heartbeat::to_json`]; `None` if a field is missing or
             /// is not a value of its type.
-            pub fn from_json(j: &Json) -> Option<Heartbeat> {
+            fn from_json(j: &Json) -> Option<Heartbeat> {
                 Some(Heartbeat {
                     $( $field: Field::read(j.get(stringify!($field))?)?, )+
                 })
@@ -661,7 +661,7 @@ impl StatusSnapshot {
     /// Renders the Prometheus-style text exposition (`/metrics`): the
     /// same gauges, plus the document's two strings as series — whether
     /// a fault spec is armed, and the run state as a label.
-    pub fn prometheus(&self) -> String {
+    fn prometheus(&self) -> String {
         let mut out = String::new();
         for (name, help, read) in FLEET_GAUGES {
             gauge_family(&mut out, name, help, [(String::new(), read(self).metric())]);
@@ -688,7 +688,7 @@ impl StatusSnapshot {
 }
 
 /// How often the status plane re-aggregates and republishes.
-pub const STATUS_POLL_MS: u64 = 250;
+const STATUS_POLL_MS: u64 = 250;
 
 /// The coordinator's status plane: a background thread that periodically
 /// builds a [`StatusSnapshot`] (via the supplied closure), atomically

@@ -64,7 +64,7 @@ pub const MAX_RESPAWNS: usize = 5;
 /// Default `--stale-after-ms`: a worker whose heartbeat is older than
 /// this while its shard still has work in flight is flagged stale (a
 /// warning event plus a status gauge — detection only, never a kill).
-pub const DEFAULT_STALE_AFTER_MS: u64 = 30_000;
+const DEFAULT_STALE_AFTER_MS: u64 = 30_000;
 
 /// First line of `manifest.txt`; bumped if the run-directory layout ever
 /// changes incompatibly.

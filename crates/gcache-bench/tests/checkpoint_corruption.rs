@@ -58,7 +58,7 @@ fn snapshot_wire_format_is_pinned() {
     let flat = mid_run_snapshot(Gpu::new(gc_config()), bench.as_ref());
     assert_eq!(
         (flat.len(), checksum64(&flat)),
-        (340_192, 0x152d_8261_edc3_e5e5),
+        (339_808, 0x6535_fbc8_bd24_a4aa),
         "flat BFS/GC"
     );
 
@@ -74,7 +74,7 @@ fn snapshot_wire_format_is_pinned() {
     let clustered = mid_run_snapshot(gpu, bench.as_ref());
     assert_eq!(
         (clustered.len(), checksum64(&clustered)),
-        (394_574, 0xe6d8_e648_6d3b_ecd7),
+        (394_094, 0xf8df_1f42_e68c_e478),
         "SharedL15 c4/64KB, 2 ports, sampled BFS/GC"
     );
 }
@@ -193,15 +193,15 @@ fn unusable_checkpoint_files_are_ignored_and_the_point_reruns() {
     assert_eq!(heard, ["resumed"]);
     assert_eq!(stats, fresh);
 
-    // A file from the version-1 format: rejected by its header, not
+    // A file from the version-2 format: rejected by its header, not
     // migrated.
     let mut stale = intact.clone();
-    stale[MAGIC.len()..HEADER_LEN].copy_from_slice(&1u32.to_le_bytes());
+    stale[MAGIC.len()..HEADER_LEN].copy_from_slice(&2u32.to_le_bytes());
     std::fs::write(&file, stale).expect("rewrite checkpoint");
     let (stats, heard) = resume_point(bench.as_ref(), Some(&stem));
     assert_eq!(heard.len(), 1, "{heard:?}");
     assert!(
-        heard[0].starts_with("ignored: ") && heard[0].contains("version 1"),
+        heard[0].starts_with("ignored: ") && heard[0].contains("version 2"),
         "{heard:?}"
     );
     assert_eq!(stats, fresh);

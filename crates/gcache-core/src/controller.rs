@@ -147,7 +147,6 @@ pub struct CacheController<T> {
     cache: Cache,
     mshr: MshrFile<T>,
     atomics: AtomicHandling,
-    blocked: u64,
     /// Opt-in MSHR event hook (see [`crate::trace`]); the wrapped cache
     /// carries its own for lookup/fill events.
     trace: Tracer,
@@ -171,7 +170,6 @@ impl<T> CacheController<T> {
             cache,
             mshr: MshrFile::new(mshr_entries, mshr_merge),
             atomics,
-            blocked: 0,
             trace: Tracer::default(),
         }
     }
@@ -232,8 +230,7 @@ impl<T> CacheController<T> {
     /// the matching [`CacheController::fill_with`]; it is dropped on every
     /// other outcome. A `Blocked` admission changes no cache or MSHR
     /// state, so the access can be replayed later without having
-    /// perturbed statistics, policy ageing or epoch counters; it only
-    /// counts one [`CacheController::blocked`] access.
+    /// perturbed statistics, policy ageing or epoch counters.
     #[allow(clippy::too_many_arguments)]
     pub fn commit(
         &mut self,
@@ -290,10 +287,7 @@ impl<T> CacheController<T> {
                     MshrAlloc::Merged => ControllerOutcome::MissMerged,
                 }
             }
-            Admission::Blocked(reject) => {
-                self.blocked += 1;
-                ControllerOutcome::Blocked(reject)
-            }
+            Admission::Blocked(reject) => ControllerOutcome::Blocked(reject),
         }
     }
 
@@ -336,13 +330,6 @@ impl<T> CacheController<T> {
         )
     }
 
-    /// Bulk-records `n` blocked replay attempts: a fast-forward driver that
-    /// skips `n` cycles on which a blocked access would have been
-    /// re-presented must account the replays it elided.
-    pub fn note_blocked(&mut self, n: u64) {
-        self.blocked += n;
-    }
-
     /// Whether a *new* (non-merging) miss would be rejected.
     pub fn mshr_full(&self) -> bool {
         self.mshr.is_full()
@@ -351,11 +338,6 @@ impl<T> CacheController<T> {
     /// Whether all outstanding misses have been filled.
     pub fn quiesced(&self) -> bool {
         self.mshr.is_empty()
-    }
-
-    /// Accesses rejected for lack of MSHR resources (to be replayed).
-    pub const fn blocked(&self) -> u64 {
-        self.blocked
     }
 
     /// Cache statistics.
@@ -380,24 +362,21 @@ impl<T> CacheController<T> {
     }
 }
 
-/// Saves the controller's mutable state: the wrapped cache, the MSHR file
-/// and the blocked-access counter. Trace sinks are observation channels and
-/// are never serialized (see [`Cache`]'s snapshot notes).
+/// Saves the controller's mutable state: the wrapped cache and the MSHR
+/// file. Trace sinks are observation channels and are never serialized
+/// (see [`Cache`]'s snapshot notes).
 impl<T: Codec> Snapshot for CacheController<T> {
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("ctrl", |w| {
             self.cache.save(w);
             self.mshr.save(w);
-            w.u64(self.blocked);
         });
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         r.section("ctrl", |r| {
             self.cache.restore(r)?;
-            self.mshr.restore(r)?;
-            self.blocked = r.u64()?;
-            Ok(())
+            self.mshr.restore(r)
         })
     }
 }
@@ -505,7 +484,6 @@ mod tests {
             c.access(line, AccessKind::Read, C0, 12),
             ControllerOutcome::Blocked(MshrReject::MergeFull)
         );
-        assert_eq!(c.blocked(), 1);
         // A blocked access records nothing: two misses committed so far.
         assert_eq!(c.stats().misses(), 2);
         assert_eq!(fill(&mut c, line, false), vec![10, 11]);

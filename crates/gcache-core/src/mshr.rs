@@ -91,7 +91,6 @@ pub struct MshrFile<T> {
     /// pooled vector and [`MshrFile::complete_into`] returns it.
     free: Vec<Vec<T>>,
     peak_occupancy: usize,
-    merges: u64,
 }
 
 impl<T> MshrFile<T> {
@@ -110,7 +109,6 @@ impl<T> MshrFile<T> {
             entries: HashMap::with_capacity_and_hasher(capacity, Default::default()),
             free: Vec::with_capacity(capacity),
             peak_occupancy: 0,
-            merges: 0,
         }
     }
 
@@ -141,7 +139,6 @@ impl<T> MshrFile<T> {
             MshrAlloc::Merged => {
                 let targets = self.entries.get_mut(&line).expect("admitted as a merge");
                 targets.push(target);
-                self.merges += 1;
             }
             MshrAlloc::Primary => {
                 let mut targets = self
@@ -209,11 +206,6 @@ impl<T> MshrFile<T> {
     pub fn peak_occupancy(&self) -> usize {
         self.peak_occupancy
     }
-
-    /// Total number of merged (secondary) misses.
-    pub fn merges(&self) -> u64 {
-        self.merges
-    }
 }
 
 impl<T: Codec> Snapshot for MshrFile<T> {
@@ -230,7 +222,6 @@ impl<T: Codec> Snapshot for MshrFile<T> {
                 w.put(&self.entries[&line]);
             }
             w.usize(self.peak_occupancy);
-            w.u64(self.merges);
         });
     }
 
@@ -240,7 +231,6 @@ impl<T: Codec> Snapshot for MshrFile<T> {
             self.entries.clear();
             self.entries.extend(entries);
             self.peak_occupancy = r.usize()?;
-            self.merges = r.u64()?;
             Ok(())
         })
     }
@@ -256,7 +246,6 @@ mod tests {
         assert_eq!(m.allocate(LineAddr::new(1), 10), Ok(MshrAlloc::Primary));
         assert_eq!(m.allocate(LineAddr::new(1), 11), Ok(MshrAlloc::Merged));
         assert_eq!(m.len(), 1);
-        assert_eq!(m.merges(), 1);
     }
 
     #[test]

@@ -43,9 +43,10 @@ use std::fmt;
 /// File magic: identifies a G-Cache snapshot.
 pub const MAGIC: [u8; 8] = *b"GCSNAPSH";
 /// Format version; bump on any layout change. Version 2 seals sections
-/// with [`checksum64`] instead of FNV-1a and encodes arrays in bulk; a
-/// version-1 file is rejected, never migrated (the point re-simulates).
-pub const VERSION: u32 = 2;
+/// with [`checksum64`] instead of FNV-1a and encodes arrays in bulk;
+/// version 3 drops the blocked, MSHR-merge and L1.5 stall counters. An
+/// older file is rejected, never migrated (the point re-simulates).
+pub const VERSION: u32 = 3;
 /// Bytes of magic plus version that open every snapshot.
 pub const HEADER_LEN: usize = MAGIC.len() + 4;
 
@@ -261,7 +262,7 @@ impl SnapshotWriter {
 
     /// Opens a named section; every byte written until the matching
     /// [`SnapshotWriter::end_section`] belongs to its checksummed payload.
-    pub fn begin_section(&mut self, tag: &str) {
+    fn begin_section(&mut self, tag: &str) {
         let t = tag.as_bytes();
         assert!(t.len() <= u16::MAX as usize, "section tag too long");
         self.buf.extend_from_slice(&(t.len() as u16).to_le_bytes());
@@ -276,7 +277,7 @@ impl SnapshotWriter {
     /// # Panics
     ///
     /// Panics if no section is open (a save/restore pairing bug).
-    pub fn end_section(&mut self) {
+    fn end_section(&mut self) {
         let len_pos = self.open.pop().expect("end_section without begin_section");
         let payload_start = len_pos + 8;
         let len = (self.buf.len() - payload_start) as u64;
@@ -315,11 +316,6 @@ impl SnapshotWriter {
     /// Writes a `usize` as a `u64` (snapshots are word-size independent).
     pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
-    }
-
-    /// Writes an `i32` (two's complement, little-endian).
-    pub fn i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `bool` as one byte.
@@ -481,7 +477,7 @@ impl<'a> SnapshotReader<'a> {
     /// [`SnapshotError::BadSection`] on a tag mismatch,
     /// [`SnapshotError::BadChecksum`] / [`SnapshotError::Truncated`] on a
     /// damaged or cut-short file.
-    pub fn begin_section(&mut self, tag: &str) -> Result<(), SnapshotError> {
+    fn begin_section(&mut self, tag: &str) -> Result<(), SnapshotError> {
         let tlen = u16::from_le_bytes(self.take(2)?.try_into().unwrap()) as usize;
         let found = String::from_utf8_lossy(self.take(tlen)?).into_owned();
         if found != tag {
@@ -518,7 +514,7 @@ impl<'a> SnapshotReader<'a> {
     /// # Panics
     ///
     /// Panics if no section is open (a save/restore pairing bug).
-    pub fn end_section(&mut self) -> Result<(), SnapshotError> {
+    fn end_section(&mut self) -> Result<(), SnapshotError> {
         let s = self.open.pop().expect("end_section without begin_section");
         if self.pos != s.end {
             return Err(SnapshotError::SectionUnderrun {
@@ -569,11 +565,6 @@ impl<'a> SnapshotReader<'a> {
             what: "usize".to_string(),
             value: v,
         })
-    }
-
-    /// Reads an `i32`.
-    pub fn i32(&mut self) -> Result<i32, SnapshotError> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// Reads a `bool`, rejecting any byte other than 0 or 1.
@@ -1129,7 +1120,6 @@ mod tests {
             w.u32(0xdead_beef);
             w.u64(u64::MAX - 7);
             w.usize(12345);
-            w.i32(-42);
             w.bool(true);
             w.bool(false);
             w.f64(std::f64::consts::PI);
@@ -1144,7 +1134,6 @@ mod tests {
             assert_eq!(r.u32()?, 0xdead_beef);
             assert_eq!(r.u64()?, u64::MAX - 7);
             assert_eq!(r.usize()?, 12345);
-            assert_eq!(r.i32()?, -42);
             assert!(r.bool()?);
             assert!(!r.bool()?);
             assert_eq!(r.f64()?, std::f64::consts::PI);

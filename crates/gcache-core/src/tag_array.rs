@@ -16,7 +16,7 @@
 //! of a loop. The masks are an acceleration structure in the same sense as
 //! the mesh's head caches: every mutation keeps them in sync, snapshots
 //! serialize only the logical slots, and restore rebuilds the masks from
-//! the slot states (checked against [`TagArray::recompute_masks`]).
+//! the slot states (checked against `TagArray::recompute_masks`).
 
 use crate::addr::LineAddr;
 use crate::geometry::CacheGeometry;
@@ -175,7 +175,7 @@ impl TagArray {
     /// authoritative per-slot states — the reference the maintained masks
     /// must always equal. Used by restore verification and tests; the hot
     /// path never calls it.
-    pub fn recompute_masks(&self, set: usize) -> (u64, u64) {
+    fn recompute_masks(&self, set: usize) -> (u64, u64) {
         let base = set * self.ways;
         let mut valid = 0u64;
         let mut dirty = 0u64;

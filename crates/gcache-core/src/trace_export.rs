@@ -37,7 +37,7 @@ use crate::trace::{TraceArg, TraceEvent, TraceLevel, TraceSource};
 /// The stable thread id of a component track within its process: levels
 /// are spaced far apart so tracks sort by hierarchy level first, then by
 /// instance index.
-pub fn track_id(src: TraceSource) -> u32 {
+fn track_id(src: TraceSource) -> u32 {
     let base = match src.level {
         TraceLevel::L1 => 1_000,
         TraceLevel::L15 => 2_000,

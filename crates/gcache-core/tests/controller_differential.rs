@@ -44,7 +44,6 @@ enum Step {
 struct ReferenceL1 {
     cache: Cache,
     mshr: MshrFile<u32>,
-    replays: u64,
 }
 
 impl ReferenceL1 {
@@ -52,7 +51,6 @@ impl ReferenceL1 {
         ReferenceL1 {
             cache,
             mshr: MshrFile::new(MSHR_ENTRIES, MSHR_MERGE),
-            replays: 0,
         }
     }
 
@@ -90,10 +88,7 @@ impl ReferenceL1 {
                             MshrAlloc::Merged => Step::MissMerge,
                         }
                     }
-                    Err(MshrReject::Full | MshrReject::MergeFull) => {
-                        self.replays += 1;
-                        Step::Blocked
-                    }
+                    Err(MshrReject::Full | MshrReject::MergeFull) => Step::Blocked,
                 }
             }
         }
@@ -154,7 +149,7 @@ fn admit_then_commit(
 ) -> (Admission, ControllerOutcome) {
     let geom = *ctrl.cache().geometry();
     let (set, tag) = (geom.set_of(line), geom.tag_of(line));
-    let state = |c: &CacheController<u32>| (c.blocked(), c.stats().clone(), c.mshr().len());
+    let state = |c: &CacheController<u32>| (c.stats().clone(), c.mshr().len());
     let before = state(ctrl);
     let admission = ctrl.admit(line, set, tag, kind);
     assert_eq!(
@@ -241,19 +236,9 @@ fn run_differential(policy: impl Into<PolicyKind> + Clone, epoch_len: u64, seed:
             "cache stats diverged at step {step}"
         );
         assert_eq!(
-            ctrl.blocked(),
-            reference.replays,
-            "blocked count diverged at step {step}"
-        );
-        assert_eq!(
             ctrl.mshr().len(),
             reference.mshr.len(),
             "MSHR occupancy diverged at step {step}"
-        );
-        assert_eq!(
-            ctrl.mshr().merges(),
-            reference.mshr.merges(),
-            "merge count diverged at step {step}"
         );
     }
 

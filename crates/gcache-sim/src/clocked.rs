@@ -16,11 +16,10 @@
 //! could change any observable state — statistics included — assuming no
 //! external input arrives in between. The driver jumps the global clock
 //! to the minimum bound across components instead of ticking cycle by
-//! cycle, and calls `skip` so per-cycle stall accounting is replayed in
-//! bulk. (The memory-side stations replay theirs lazily instead: a parked
-//! head-of-line request's stalls are counted when the station next ticks,
-//! or when [`crate::system::Gated::settle`] runs before a checkpoint or a
-//! stats read.) Undershooting a bound merely costs no-op ticks;
+//! cycle, and calls `skip` so the cores' per-cycle stall accounting is
+//! replayed in bulk. (The memory-side stations count no stalls: a parked
+//! head-of-line request is simply not ticked until what it waits for
+//! arrives.) Undershooting a bound merely costs no-op ticks;
 //! *overshooting would change simulated results*, so when in doubt an
 //! implementation must return `Some(now + 1)` (the default), which simply
 //! disables fast-forward for that component.

@@ -84,7 +84,7 @@ pub enum Hierarchy {
 
 /// Associativity of the shared L1.5 (fixed organisation, between the L1's
 /// 4 ways and the L2 bank's 16).
-pub const L15_WAYS: u32 = 8;
+const L15_WAYS: u32 = 8;
 
 impl Hierarchy {
     /// Number of cluster nodes this hierarchy adds to the mesh (0 = flat,

@@ -456,37 +456,21 @@ impl SimtCore {
                 .is_some_and(|txn| !txn.blocked(&self.l1))
     }
 
-    /// Whether any LD/ST transaction (or pending clean copy-back) is
-    /// queued. Stable across event-free cycles (both queues are touched
-    /// only by [`SimtCore::tick`] and the response path), and when false,
-    /// [`SimtCore::skip`] never reads its `can_inject` argument — so gated
-    /// callers can skip probing the network altogether.
-    pub fn has_ldst_head(&self) -> bool {
-        !self.ldst_queue.is_empty() || !self.copyback_queue.is_empty()
-    }
-
     /// Replays the per-cycle accounting of `cycles` skipped event-free
     /// cycles (`now + 1 ..= now + cycles`): on each of them the head
     /// LD/ST transaction (if any) would have stalled, the issue stage
     /// would have found no pickable warp, and the scheduler would have
     /// applied its (idempotent) no-candidate transition.
-    pub fn skip(&mut self, now: u64, cycles: u64, can_inject: bool) {
+    pub fn skip(&mut self, now: u64, cycles: u64) {
         if cycles == 0 {
             return;
         }
         debug_assert!(
-            self.next_event(now, can_inject)
-                .is_none_or(|t| t > now + cycles),
+            self.next_event(now, false).is_none_or(|t| t > now + cycles),
             "fast-forward skipped into a live cycle"
         );
-        if let Some(txn) = self.ldst_queue.front() {
+        if !self.ldst_queue.is_empty() {
             self.stats.mem_stall_cycles += cycles;
-            if can_inject {
-                // With network space, each skipped cycle would have
-                // re-presented the access and recorded a blocked replay.
-                debug_assert!(txn.blocked(&self.l1));
-                self.l1.note_blocked(cycles);
-            }
         }
         self.stats.idle_cycles += cycles;
         self.sched.note_idle();
@@ -518,8 +502,8 @@ impl SimtCore {
             self.stats.mem_stall_cycles += 1;
             return None;
         }
-        // The L1 commits every admission, a blocked one included: each
-        // cycle a blocked head is re-presented counts one blocked access.
+        // A blocked admission commits as a no-op: the head stays queued
+        // and is re-presented next cycle.
         let admission = self.l1.admit(line, set, tag, kind);
         let out = self
             .l1

@@ -401,11 +401,9 @@ impl Gpu {
                 let target = ev.unwrap_or(cap).min(cap).max(prev + 1);
                 let gap = target - prev - 1;
                 if gap > 0 {
-                    // Only the cores account per cycle here; a station
-                    // counts its parked head's stalls when next ticked or
-                    // settled, and everything else is a pure no-op across
-                    // the gap.
-                    self.cores.skip(prev, gap, &self.icnt);
+                    // Only the cores account per cycle here; everything
+                    // else is a pure no-op across the gap.
+                    self.cores.skip(prev, gap);
                     self.cycle = target - 1;
                 }
                 if let Some(p) = &mut self.profile {
@@ -483,9 +481,7 @@ impl Gpu {
             if now >= ckpt_due {
                 // The pipeline, sampler and watchdog have all seen cycle
                 // `now`: the machine is exactly in its between-cycles
-                // state, which is what the snapshot captures once the
-                // stations skipped on the way have counted their stalls.
-                self.settle();
+                // state, which is what the snapshot captures.
                 let bytes = self.encode_checkpoint(kernel.name(), start_cycle, &watchdog);
                 self.snapshot_len = bytes.len();
                 let (every, sink) = ckpt.as_mut().expect("checkpoint due without a spec");
@@ -666,14 +662,6 @@ impl Gpu {
         s
     }
 
-    /// Brings the station arrays' stall counts up to the current cycle
-    /// (see [`crate::system::Gated::settle`]): every count saved or
-    /// reported is the one a machine ticked on every cycle would hold.
-    fn settle(&mut self) {
-        self.clusters.settle(self.cycle);
-        self.mem.settle(self.cycle);
-    }
-
     fn all_idle(&self) -> bool {
         self.cores.is_idle() && self.icnt.is_idle() && self.clusters.is_idle() && self.mem.is_idle()
     }
@@ -719,7 +707,6 @@ impl Gpu {
 
     /// Flushes all caches (end-of-measurement) and aggregates statistics.
     fn collect_stats(&mut self, kernel: &str, cycles: u64) -> SimStats {
-        self.settle();
         let mut l1 = CacheStats::new();
         let mut core = crate::core::CoreStats::default();
         for c in self.cores.cores_mut() {

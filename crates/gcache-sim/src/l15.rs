@@ -66,14 +66,10 @@ pub struct L15Cluster {
     /// performs no heap allocation.
     target_scratch: Vec<L15Target>,
     latency: u64,
-    /// Cycles the head-of-line request was parked on MSHR resources.
-    stall_cycles: u64,
     /// Whether the head-of-line request stalled on MSHR resources and no
-    /// fill has arrived since. Acceleration state, like `counted_to`:
-    /// never serialized, reset on restore (the saved count was settled).
+    /// fill has arrived since. Acceleration state: never serialized, reset
+    /// on restore.
     parked: bool,
-    /// The last cycle counted in `stall_cycles`.
-    counted_to: u64,
 }
 
 impl L15Cluster {
@@ -100,9 +96,7 @@ impl L15Cluster {
             outgoing: VecDeque::new(),
             target_scratch: Vec::with_capacity(cfg.l1_mshr_merge),
             latency: cfg.l15_latency,
-            stall_cycles: 0,
             parked: false,
-            counted_to: 0,
         }
     }
 
@@ -147,8 +141,7 @@ impl L15Cluster {
     /// response mesh, whose own `next_event` bounds them). Queued traffic
     /// pins the bound to the next cycle, except a parked head: only a
     /// fill can unblock it, and a fill is port input, which wakes the
-    /// cluster anyway. The stalls of the cycles skipped meanwhile are
-    /// counted when it next ticks or settles.
+    /// cluster anyway.
     pub fn next_event(&self, now: u64) -> Option<u64> {
         let mut ev: Option<u64> = None;
         let mut fold = |t: u64| ev = Some(ev.map_or(t, |e: u64| e.min(t)));
@@ -161,16 +154,6 @@ impl L15Cluster {
         ev
     }
 
-    /// Counts the stalls of the cycles up to `now` that the cluster was
-    /// not ticked for, so `stall_cycles` reads as if it had been ticked
-    /// every cycle. Idempotent; the owner calls it before saving.
-    pub(crate) fn settle(&mut self, now: u64) {
-        if self.parked {
-            self.stall_cycles += now - self.counted_to;
-        }
-        self.counted_to = now;
-    }
-
     /// One L1.5 cycle against its two mesh views: drain both ejection
     /// sides, serve at most one request, then inject while there is room.
     /// Generic over the port views so the component tests drive it with
@@ -180,9 +163,6 @@ impl L15Cluster {
         RQ: RxPort<MemRequest> + TxPort<MemRequest>,
         RS: RxPort<MemResponse> + TxPort<MemResponse>,
     {
-        // Every cycle since the last tick stalled a parked head again.
-        self.settle(now.saturating_sub(1));
-        self.counted_to = now;
         while let Some(resp) = resp_io.recv() {
             self.on_response(resp, now);
         }
@@ -243,14 +223,13 @@ impl L15Cluster {
 
     /// Serves at most one incoming request per cycle. The head is decoded
     /// and admitted once; a `Blocked` admission is never committed, so a
-    /// stalled head does not perturb statistics, policy ageing or the
-    /// blocked count while it waits. It parks until a fill, unprobed.
+    /// stalled head does not perturb statistics or policy ageing while it
+    /// waits. It parks until a fill, unprobed.
     fn serve_one(&mut self, now: u64) {
         let Some(&req) = self.incoming.front() else {
             return;
         };
         if self.parked {
-            self.stall_cycles += 1;
             return;
         }
         if req.kind == AccessKind::CopyBack {
@@ -265,7 +244,6 @@ impl L15Cluster {
         let (set, tag) = (geom.set_of(req.line), geom.tag_of(req.line));
         let admission = self.ctrl.admit(req.line, set, tag, req.kind);
         if let Admission::Blocked(_) = admission {
-            self.stall_cycles += 1;
             self.parked = true;
             return;
         }
@@ -313,18 +291,16 @@ impl L15Cluster {
 }
 
 impl Snapshot for L15Cluster {
-    /// Saves the controller (cache + MSHRs), the three traffic queues and
-    /// the stall counter. `latency` is configuration and `target_scratch`
-    /// is reusable scratch — neither is serialized, and neither is the
-    /// park bit: the owner settles before saving, and a restored head is
-    /// probed on its next tick, which parks it again.
+    /// Saves the controller (cache + MSHRs) and the three traffic queues.
+    /// `latency` is configuration and `target_scratch` is reusable scratch
+    /// — neither is serialized, and neither is the park bit: a restored
+    /// head is probed on its next tick, which parks it again.
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("l15", |w| {
             self.ctrl.save(w);
             w.put(&self.incoming);
             w.put(&self.forward);
             w.put(&self.outgoing);
-            w.u64(self.stall_cycles);
         });
     }
 
@@ -334,9 +310,7 @@ impl Snapshot for L15Cluster {
             self.incoming = r.get()?;
             self.forward = r.get()?;
             self.outgoing = r.get()?;
-            self.stall_cycles = r.u64()?;
             self.parked = false;
-            self.counted_to = 0;
             Ok(())
         })
     }
@@ -611,17 +585,14 @@ mod tests {
         /// its cycle.
         forwarded: Vec<(u64, MemRequest)>,
         responses: Vec<(u64, MemResponse)>,
-        /// Settled snapshots: mid-stream and at the end.
+        /// Snapshots: mid-stream and at the end.
         bytes: Vec<Vec<u8>>,
         end: L15Cluster,
         parked: bool,
-        /// Ticks that counted the skipped cycles of a parked head in bulk.
-        bulk: u64,
         ticks: u64,
     }
 
-    fn settled_bytes(l15: &mut L15Cluster, now: u64) -> Vec<u8> {
-        l15.settle(now);
+    fn bytes_of(l15: &L15Cluster) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         l15.save(&mut w);
         w.finish()
@@ -630,14 +601,14 @@ mod tests {
     /// Drives a cluster over `case` the way [`crate::system::Gated`] does
     /// when `gated` (ticked only at its `next_event` bound or when a port
     /// holds input), else ticked every cycle and never left parked — the
-    /// reference. At `restore_at`, an arrival cycle, it is settled, saved
-    /// and restored into a fresh cluster.
+    /// reference. At `restore_at`, an arrival cycle, it is saved and
+    /// restored into a fresh cluster.
     fn drive(case: &Case, gated: bool, restore_at: u64) -> Run {
         let mut l15 = L15Cluster::new(&case.cfg);
         let (mut rq, mut rs) = io();
         let mut due: Vec<(u64, MemResponse)> = Vec::new();
         let (mut forwarded, mut responses, mut bytes) = (Vec::new(), Vec::new(), Vec::new());
-        let (mut parked, mut bulk, mut ticks) = (false, 0, 0);
+        let (mut parked, mut ticks) = (false, 0);
         let (mut now, mut next, mut wake) = (0, 0, 0);
         while next < case.script.len() || !due.is_empty() || !l15.is_idle() {
             now += 1;
@@ -659,7 +630,6 @@ mod tests {
                 // The reference re-probes its head on every tick.
                 l15.parked = false;
             }
-            bulk += u64::from(l15.parked && now - 1 > l15.counted_to);
             l15.tick(now, &mut rq, &mut rs);
             ticks += 1;
             parked |= l15.parked;
@@ -670,21 +640,20 @@ mod tests {
             responses.extend(rs.from_l15.drain(..).map(|r| (now, r)));
             wake = l15.next_event(now).unwrap_or(u64::MAX);
             if now == restore_at {
-                bytes.push(settled_bytes(&mut l15, now));
+                bytes.push(bytes_of(&l15));
                 l15 = L15Cluster::new(&case.cfg);
                 l15.restore(&mut SnapshotReader::new(&bytes[0]).unwrap())
                     .unwrap();
                 wake = 0;
             }
         }
-        bytes.push(settled_bytes(&mut l15, now));
+        bytes.push(bytes_of(&l15));
         Run {
             forwarded,
             responses,
             bytes,
             end: l15,
             parked,
-            bulk,
             ticks,
         }
     }
@@ -692,31 +661,22 @@ mod tests {
     /// Seeded property: a cluster ticked only when it asks (or when a port
     /// holds input, which is how a fill reaches it) forwards and answers
     /// the same traffic on the same cycles as one ticked every cycle that
-    /// re-probes its stalled head each time, and once settled holds the
-    /// same stall count, statistics and bytes, across a mid-stream save
-    /// and restore.
+    /// re-probes its stalled head each time, and holds the same statistics
+    /// and bytes, across a mid-stream save and restore.
     #[test]
     fn gated_cluster_matches_every_cycle_cluster() {
-        let (mut parked, mut bulk) = (0, 0);
+        let mut parked = 0;
         for (i, case) in cases().iter().enumerate() {
             let restore_at = case.script[case.script.len() / 2].0;
             let every = drive(case, false, restore_at);
             let gated = drive(case, true, restore_at);
             assert_eq!(gated.forwarded, every.forwarded, "case {i}");
             assert_eq!(gated.responses, every.responses, "case {i}");
-            assert_eq!(gated.end.stall_cycles, every.end.stall_cycles, "case {i}");
             assert_eq!(gated.end.stats(), every.end.stats(), "case {i}");
-            assert!(
-                gated.bytes == every.bytes,
-                "case {i}: settled state differs"
-            );
+            assert!(gated.bytes == every.bytes, "case {i}: saved state differs");
             assert!(gated.ticks < every.ticks, "case {i}: gating elided nothing");
             parked += u64::from(gated.parked);
-            bulk += gated.bulk;
         }
-        assert!(
-            parked > 0 && bulk > 0,
-            "{parked} cases parked, {bulk} bulk counts"
-        );
+        assert!(parked > 0, "no case parked its head");
     }
 }

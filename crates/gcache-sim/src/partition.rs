@@ -117,8 +117,7 @@ impl Codec for DramToken {
 }
 
 /// What a stalled head-of-line request waits for. Until it arrives the
-/// head would stall again on every L2 tick, so those ticks are counted
-/// without re-presenting it.
+/// head would stall again on every L2 tick, so it is not re-presented.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Wait {
     /// A clean copy-back whose fill may evict a dirty line: a DRAM slot.
@@ -135,8 +134,8 @@ record! {
     pub struct PartitionStats {
         /// Atomic operations serviced by the AOU.
         pub atomics: u64,
-        /// Requests stalled because the L2 MSHR or DRAM queue was full.
-        pub stall_cycles: u64,
+        /// Dirty write-backs dropped because the DRAM queue was full.
+        pub dropped_writebacks: u64,
     }
     impl merge;
 }
@@ -161,11 +160,9 @@ pub struct Partition {
     aou_busy_until: u64,
     stats: PartitionStats,
     /// What the head-of-line request stalled on at its last L2 tick;
-    /// cleared by any fill. Acceleration state, like `counted_to`: never
-    /// serialized, reset on restore (the saved counts were settled).
+    /// cleared by any fill. Acceleration state: never serialized, reset on
+    /// restore.
     wait: Option<Wait>,
-    /// The last cycle whose L2 tick is counted in the statistics.
-    counted_to: u64,
 }
 
 impl Partition {
@@ -206,7 +203,6 @@ impl Partition {
             aou_busy_until: 0,
             stats: PartitionStats::default(),
             wait: None,
-            counted_to: 0,
         }
     }
 
@@ -278,8 +274,7 @@ impl Partition {
     /// (`None` = fully drained). Queued incoming work pins the bound to
     /// the next L2 tick unless its head is parked: then only a DRAM
     /// commit (a slot) or a fill (an MSHR entry, a merge slot) can move
-    /// it, both bounded below, and the stalls of the L2 ticks skipped
-    /// meanwhile are counted when the partition next ticks or settles.
+    /// it, both bounded below.
     /// Everything else derives from response readiness and DRAM timing;
     /// a buffered DRAM completion is applied at the first L2 tick at or
     /// after its data-ready cycle.
@@ -304,27 +299,11 @@ impl Partition {
 
     /// Advances the partition by one core cycle.
     pub fn tick(&mut self, now: u64) {
-        // Every L2 tick since the last one this partition saw stalled its
-        // parked head again: nothing has changed since.
-        self.settle(now.saturating_sub(1));
-        self.counted_to = now;
         self.dram.tick(now);
         if now.is_multiple_of(self.l2_period) {
             self.drain_dram(now);
             self.serve_one(now);
         }
-    }
-
-    /// Counts the stalls of the L2 ticks up to `now` that the partition
-    /// was not ticked for, so the statistics read as if it had been
-    /// ticked every cycle. Idempotent; the owner calls it before saving
-    /// or reporting.
-    pub(crate) fn settle(&mut self, now: u64) {
-        if self.parked() {
-            let p = self.l2_period;
-            self.restall(now / p - self.counted_to / p);
-        }
-        self.counted_to = now;
     }
 
     /// Whether the head-of-line request still lacks what it stalled on
@@ -337,23 +316,6 @@ impl Partition {
             Some(Wait::SlotAndMshr) => !self.dram.can_accept() || self.l2.mshr_full(),
             Some(Wait::Fill) => true,
         }
-    }
-
-    /// Accounts `n` more L2 ticks on which the parked head stalled, as
-    /// re-presenting it would have: a blocked merge counts as a rejected
-    /// controller access too.
-    fn restall(&mut self, n: u64) {
-        self.stats.stall_cycles += n;
-        if self.wait == Some(Wait::Fill) {
-            self.l2.note_blocked(n);
-        }
-    }
-
-    /// Parks the head-of-line request on `wait` and counts this tick's
-    /// stall.
-    fn park(&mut self, wait: Wait) {
-        self.stats.stall_cycles += 1;
-        self.wait = Some(wait);
     }
 
     /// Applies completed DRAM reads: fill the L2, release merged targets.
@@ -403,7 +365,7 @@ impl Partition {
                         .enqueue(ev.line, true, DramToken::Writeback, now)
                         .is_err()
                     {
-                        self.stats.stall_cycles += 1;
+                        self.stats.dropped_writebacks += 1;
                     }
                 }
             }
@@ -461,7 +423,6 @@ impl Partition {
             return;
         };
         if self.parked() {
-            self.restall(1);
             return;
         }
         self.wait = None;
@@ -480,7 +441,7 @@ impl Partition {
                 // A clean fill can still evict a dirty victim, which needs
                 // a DRAM write-back slot.
                 if !self.dram.can_accept() {
-                    self.park(Wait::DramSlot);
+                    self.wait = Some(Wait::DramSlot);
                     return;
                 }
                 let outcome = self
@@ -503,7 +464,7 @@ impl Partition {
         // entry; merging misses sidestep both.
         let no_slot = admission == Admission::Miss && !self.dram.can_accept();
         if no_slot || admission == Admission::Blocked(MshrReject::Full) {
-            self.park(Wait::SlotAndMshr);
+            self.wait = Some(Wait::SlotAndMshr);
             return;
         }
 
@@ -525,10 +486,8 @@ impl Partition {
             .commit(admission, local, set, tag, req.kind, req.core, target)
         {
             ControllerOutcome::Blocked(_) => {
-                // Merge-list depth exhausted until the line's fill. The
-                // commit counts it as a blocked access, as `restall` does
-                // for every L2 tick it stays parked.
-                self.park(Wait::Fill);
+                // Merge-list depth exhausted until the line's fill.
+                self.wait = Some(Wait::Fill);
                 return;
             }
             ControllerOutcome::MissPrimary => {
@@ -613,10 +572,8 @@ impl Partition {
 impl Snapshot for Partition {
     /// Saves the L2 controller, DRAM channel, traffic queues, AOU window
     /// and partition counters. `id`/`partitions`/latencies are
-    /// construction-time configuration. The parked head is not saved: the
-    /// owner settles before saving, and a restored head is probed at its
-    /// next L2 tick, which stalls and parks it again exactly as a parked
-    /// one would count its stall.
+    /// construction-time configuration. The parked head is not saved: a
+    /// restored head is probed at its next L2 tick, which parks it again.
     fn save(&self, w: &mut SnapshotWriter) {
         w.section("part", |w| {
             self.l2.save(w);
@@ -637,7 +594,6 @@ impl Snapshot for Partition {
             self.aou_busy_until = r.u64()?;
             self.stats = r.get()?;
             self.wait = None;
-            self.counted_to = 0;
             Ok(())
         })
     }
@@ -845,7 +801,7 @@ mod tests {
     fn payloads_and_stats_round_trip_through_a_snapshot() {
         assert_round_trip(&PartitionStats {
             atomics: 1,
-            stall_cycles: 2,
+            dropped_writebacks: 2,
         });
         assert_round_trip(&vec![
             L2Target::Read {
@@ -925,18 +881,15 @@ mod tests {
     struct Run {
         /// Every response with the cycle it left the partition.
         responses: Vec<(u64, MemResponse)>,
-        /// Settled snapshots: mid-stream (if asked) and at the end.
+        /// Snapshots: mid-stream and at the end.
         bytes: Vec<Vec<u8>>,
         end: Partition,
         /// Wait reasons seen after a tick.
         waits: Vec<Wait>,
-        /// Ticks that counted skipped L2 ticks of a parked head in bulk.
-        bulk: u64,
         ticks: u64,
     }
 
-    fn settled_bytes(p: &mut Partition, now: u64) -> Vec<u8> {
-        p.settle(now);
+    fn bytes_of(p: &Partition) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         p.save(&mut w);
         w.finish()
@@ -946,16 +899,15 @@ mod tests {
     /// does when `gated` (ticked only at its `next_event` bound or on an
     /// arrival, DRAM gating on), else ticked every cycle and never left
     /// parked — the reference. At `restore_at`, an arrival cycle, it is
-    /// settled, saved and restored into a fresh partition.
+    /// saved and restored into a fresh partition.
     fn drive(case: &Case, gated: bool, restore_at: u64) -> Run {
         let cfg = GpuConfig {
             fast_forward: gated,
             ..case.cfg.clone()
         };
-        let period = cfg.l2_period;
         let mut p = Partition::new(PartitionId(0), &cfg);
         let (mut responses, mut bytes, mut waits) = (Vec::new(), Vec::new(), Vec::new());
-        let (mut bulk, mut ticks) = (0, 0);
+        let mut ticks = 0;
         let (mut now, mut next, mut wake) = (0, 0, 0);
         while next < case.script.len() || !p.is_idle() {
             now += 1;
@@ -972,7 +924,6 @@ mod tests {
                 // The reference re-probes its head on every L2 tick.
                 p.wait = None;
             }
-            bulk += u64::from(p.parked() && (now - 1) / period > p.counted_to / period);
             p.tick(now);
             ticks += 1;
             if now % case.block_every != 0 {
@@ -985,20 +936,19 @@ mod tests {
             }
             wake = p.next_event(now).unwrap_or(u64::MAX);
             if now == restore_at {
-                bytes.push(settled_bytes(&mut p, now));
+                bytes.push(bytes_of(&p));
                 p = Partition::new(PartitionId(0), &cfg);
                 p.restore(&mut SnapshotReader::new(&bytes[0]).unwrap())
                     .unwrap();
                 wake = 0;
             }
         }
-        bytes.push(settled_bytes(&mut p, now));
+        bytes.push(bytes_of(&p));
         Run {
             responses,
             bytes,
             end: p,
             waits,
-            bulk,
             ticks,
         }
     }
@@ -1006,37 +956,33 @@ mod tests {
     /// Seeded property: a partition ticked only when it asks (or when a
     /// request arrives) answers the same requests on the same cycles as
     /// one ticked every cycle that re-probes its stalled head each time,
-    /// and once settled holds the same counts and bytes — stall cycles
-    /// and blocked merges of the L2 ticks it slept through included,
-    /// across a mid-stream save and restore.
+    /// and holds the same counts and bytes, across a mid-stream save and
+    /// restore.
     #[test]
     fn gated_partition_matches_every_cycle_partition() {
-        let (mut waits, mut bulk, mut blocked) = (Vec::new(), 0, 0);
+        let (mut waits, mut dropped) = (Vec::new(), 0);
         for (i, case) in cases().iter().enumerate() {
             let restore_at = case.script[case.script.len() / 2].0;
             let every = drive(case, false, restore_at);
             let gated = drive(case, true, restore_at);
             assert_eq!(gated.responses, every.responses, "case {i}");
             let (g, e) = (&gated.end, &every.end);
-            assert_eq!(g.stats().stall_cycles, e.stats().stall_cycles, "case {i}");
+            assert_eq!(
+                g.stats().dropped_writebacks,
+                e.stats().dropped_writebacks,
+                "case {i}"
+            );
             assert_eq!(g.stats().atomics, e.stats().atomics, "case {i}");
             assert_eq!(g.l2_stats(), e.l2_stats(), "case {i}");
             assert_eq!(g.dram_stats(), e.dram_stats(), "case {i}");
-            assert!(
-                gated.bytes == every.bytes,
-                "case {i}: settled state differs"
-            );
+            assert!(gated.bytes == every.bytes, "case {i}: saved state differs");
             assert!(gated.ticks < every.ticks, "case {i}: gating elided nothing");
             waits.extend(gated.waits);
-            bulk += gated.bulk;
-            blocked += g.l2.blocked();
+            dropped += g.stats().dropped_writebacks;
         }
         for wait in [Wait::DramSlot, Wait::SlotAndMshr, Wait::Fill] {
             assert!(waits.contains(&wait), "no head ever waited on {wait:?}");
         }
-        assert!(
-            bulk > 0 && blocked > 0,
-            "{bulk} bulk counts, {blocked} blocked"
-        );
+        assert!(dropped > 0, "no case dropped a write-back");
     }
 }

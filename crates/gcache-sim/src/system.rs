@@ -546,11 +546,6 @@ pub struct CoreComplex {
     /// Whether the core's LD/ST head is parked purely on network
     /// backpressure — the live `can_inject` state overrides `wake` then.
     wake_on_inject: Vec<bool>,
-    /// Whether the core has any LD/ST transaction queued. When it does
-    /// not, skipped cycles need no `can_inject` answer (the stall
-    /// accounting never consults it), so the gated loop avoids probing
-    /// the request mesh.
-    has_head: Vec<bool>,
     /// `ctas_completed` sum at the last dispatch scan: CTA capacity can
     /// only grow when this advances, so the scan is elided otherwise.
     last_ctas_completed: u64,
@@ -579,7 +574,6 @@ impl CoreComplex {
             ff: cfg.fast_forward,
             wake: vec![0; cfg.cores],
             wake_on_inject: vec![false; cfg.cores],
-            has_head: vec![false; cfg.cores],
             last_ctas_completed: u64::MAX,
             wake_skips: 0,
         }
@@ -685,7 +679,6 @@ impl Snapshot for CoreComplex {
             self.wake_skips = r.u64()?;
             self.wake.fill(0);
             self.wake_on_inject.fill(false);
-            self.has_head.fill(false);
             Ok(())
         })
     }
@@ -697,27 +690,19 @@ impl CoreComplex {
     /// injecting at most one request if the network has room.
     pub fn tick(&mut self, now: u64, icnt: &mut Interconnect) {
         for (i, core) in self.cores.iter_mut().enumerate() {
-            // Gated pre-check, ordered cheapest-first and touching only
-            // what the verdict needs: the cached wake bound, then the
-            // response port (external input overrides everything), and
-            // the request mesh only when a queued LD/ST head makes the
-            // answer matter — for stall accounting or for the
-            // backpressure wake-up.
-            if self.ff && now < self.wake[i] && !icnt.resp_pending_core(i) {
-                if !self.has_head[i] {
-                    // No LD/ST head: skipped-cycle accounting never reads
-                    // `can_inject`.
-                    core.skip(now - 1, 1, false);
-                    self.wake_skips += 1;
-                    continue;
-                }
-                let can_inject = icnt.can_inject_core(i);
-                if !(can_inject && self.wake_on_inject[i]) {
-                    // Provably event-free core cycle: replay accounting.
-                    core.skip(now - 1, 1, can_inject);
-                    self.wake_skips += 1;
-                    continue;
-                }
+            // Gated pre-check, ordered cheapest-first: the cached wake
+            // bound, then the response port (external input overrides
+            // everything), and the request mesh only for a head parked on
+            // its backpressure.
+            if self.ff
+                && now < self.wake[i]
+                && !icnt.resp_pending_core(i)
+                && !(self.wake_on_inject[i] && icnt.can_inject_core(i))
+            {
+                // Provably event-free core cycle: replay accounting.
+                core.skip(now - 1, 1);
+                self.wake_skips += 1;
+                continue;
             }
             let (mut rx, mut tx) = icnt.core_ports(i);
             while let Some(resp) = rx.recv() {
@@ -733,7 +718,6 @@ impl CoreComplex {
                 let can_inject = tx.can_send();
                 self.wake[i] = core.next_event(now, can_inject).unwrap_or(u64::MAX);
                 self.wake_on_inject[i] = !can_inject && core.head_waiting_on_inject();
-                self.has_head[i] = core.has_ldst_head();
             }
         }
     }
@@ -769,9 +753,9 @@ impl CoreComplex {
 
     /// [`Clocked::skip`]: replays every core's per-cycle stall accounting
     /// across a gap the driver proved event-free.
-    pub fn skip(&mut self, now: u64, cycles: u64, icnt: &Interconnect) {
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            core.skip(now, cycles, icnt.can_inject_core(i));
+    pub fn skip(&mut self, now: u64, cycles: u64) {
+        for core in &mut self.cores {
+            core.skip(now, cycles);
         }
     }
 }
@@ -800,10 +784,6 @@ pub trait Station: Snapshot + Sized {
 
     /// [`Clocked::next_event`] of the station, given no new input.
     fn next_event(&self, now: u64) -> Option<u64>;
-
-    /// Brings the station's per-cycle accounting up to `now` as if it had
-    /// been ticked on every cycle it was skipped.
-    fn settle(&mut self, now: u64);
 }
 
 impl Station for Partition {
@@ -840,10 +820,6 @@ impl Station for Partition {
     fn next_event(&self, now: u64) -> Option<u64> {
         Partition::next_event(self, now)
     }
-
-    fn settle(&mut self, now: u64) {
-        Partition::settle(self, now);
-    }
 }
 
 impl Station for L15Cluster {
@@ -871,18 +847,12 @@ impl Station for L15Cluster {
     fn next_event(&self, now: u64) -> Option<u64> {
         L15Cluster::next_event(self, now)
     }
-
-    fn settle(&mut self, now: u64) {
-        L15Cluster::settle(self, now);
-    }
 }
 
 /// An array of [`Station`]s behind a per-station wake cache, mirroring
 /// [`CoreComplex`]'s event gating: a station whose cached wake-up cycle
 /// lies ahead and that has no traffic waiting at its ports is skipped
-/// outright. Its event-free cycle changes nothing but the stall count of
-/// a parked head-of-line request, which the station replays itself on its
-/// next tick, or on [`Gated::settle`] before anyone reads it.
+/// outright: its event-free cycle would change nothing.
 #[derive(Debug)]
 pub struct Gated<S> {
     stations: Vec<S>,
@@ -951,14 +921,6 @@ impl<S: Station> Gated<S> {
         self.stations.iter().all(S::is_idle)
     }
 
-    /// [`Station::settle`] over the array: after it every count reads as
-    /// if each station had been ticked through cycle `now`.
-    pub fn settle(&mut self, now: u64) {
-        for station in &mut self.stations {
-            station.settle(now);
-        }
-    }
-
     /// [`Clocked::next_event`] of the array, from the cached bounds: they
     /// are current (ticked stations were just refreshed, skipped ones are
     /// unchanged since theirs were computed), and without event gating
@@ -978,10 +940,9 @@ impl MemorySystem {
 }
 
 impl<S: Station> Snapshot for Gated<S> {
-    /// Saves every station under the array's section tag; the owner
-    /// settles the array first. The wake cache is not serialized; restore
-    /// parks every station at "tick next cycle" (state-identical, see
-    /// [`CoreComplex`]'s snapshot notes).
+    /// Saves every station under the array's section tag. The wake cache
+    /// is not serialized; restore parks every station at "tick next
+    /// cycle" (state-identical, see [`CoreComplex`]'s snapshot notes).
     fn save(&self, w: &mut SnapshotWriter) {
         w.section(S::SECTION, |w| {
             w.save_all(&self.stations);
@@ -1186,8 +1147,7 @@ mod tests {
     }
 
     /// Every station's state, without the array's own skip counter (a
-    /// restored array re-ticks cycles the uninterrupted one skipped). The
-    /// array must be settled first.
+    /// restored array re-ticks cycles the uninterrupted one skipped).
     fn station_bytes<S: Station>(array: &Gated<S>) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         w.save_all(array.stations());
@@ -1230,8 +1190,6 @@ mod tests {
         let (mut answered, mut answered_after_resume) = (Vec::new(), Vec::new());
         (1..=40).for_each(|now| step(&mut straight, now, &mut answered));
         assert!(!straight.2.is_idle(), "snapshot mid-flight");
-        straight.1.settle(40);
-        straight.2.settle(40);
         let mut w = SnapshotWriter::new();
         straight.0.save(&mut w);
         straight.1.save(&mut w);
@@ -1249,15 +1207,8 @@ mod tests {
             step(&mut straight, now, &mut answered);
             step(&mut resumed, now, &mut answered_after_resume);
             if now % 100 == 0 {
-                let stations = |m: &mut Machine| {
-                    m.1.settle(now);
-                    m.2.settle(now);
-                    (station_bytes(&m.1), station_bytes(&m.2))
-                };
-                assert!(
-                    stations(&mut resumed) == stations(&mut straight),
-                    "cycle {now}"
-                );
+                let stations = |m: &Machine| (station_bytes(&m.1), station_bytes(&m.2));
+                assert!(stations(&resumed) == stations(&straight), "cycle {now}");
             }
         }
         assert_eq!(answered.len(), 16, "every read came back");

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Public surface nothing else uses. Prints `<file> <name>` for every
-# `pub fn` (or `pub const fn`) declared in the non-test part of
-# crates/*/src (up to a file's first `#[cfg(test)]` at column 0, as
-# scripts/loc.sh counts) whose name no other .rs file in the repo
-# mentions; benchmark/, tests/ and examples/ count as other files. Sorted
-# bytewise. Such a function is private in waiting, test-only or dead.
+# `pub fn` / `pub const fn` and every `pub struct|enum|trait|type|const|
+# static` declared in the non-test part of crates/*/src (up to a file's
+# first `#[cfg(test)]` at column 0, as scripts/loc.sh counts) whose name
+# no other .rs file in the repo mentions; benchmark/, tests/ and
+# examples/ count as other files. Sorted bytewise. Such an item is
+# private in waiting, test-only or dead.
 #
 #   scripts/census.sh
 #
@@ -16,10 +17,10 @@ mapfile -t files < <(git ls-files -co --exclude-standard '*.rs')
 awk '
   FNR == 1 { in_test = 0; src = FILENAME ~ /^crates\/[^\/]+\/src\// }
   src && /^#\[cfg\(test\)\]/ { in_test = 1 }
-  src && !in_test && match($0, /^[ \t]*pub (const )?fn [A-Za-z_][A-Za-z0-9_]*/) {
+  src && !in_test && match($0, /^[ \t]*pub ((const )?fn|struct|enum|trait|type|const|static) [A-Za-z_][A-Za-z0-9_]*/) {
     name = substr($0, RSTART, RLENGTH)
-    sub(/.* fn /, "", name)
-    declared[FILENAME " " name] = name
+    sub(/.* /, "", name)
+    if (name != "fn") declared[FILENAME " " name] = name
   }
   {
     rest = $0

@@ -18,7 +18,7 @@ if grep -rn '{{\\"' crates/*/src | grep -v '^crates/gcache-core/src/json.rs:'; t
   echo "hand-formatted JSON: write it with gcache_core::json::JsonWriter"; exit 1
 fi
 
-echo "==> one port view, one gated array, one perf ledger"
+echo "==> one port view, one gated array, one perf ledger, no settle protocol"
 # system.rs hands out one borrowed view type (`Port`); a second one is a
 # second place that decides "lane or mesh node, and which destination".
 views=$(grep -c '^pub struct [A-Za-z0-9_]*<'"'"'a' crates/gcache-sim/src/system.rs) || true
@@ -29,6 +29,11 @@ if grep -rn 'ClockedWith' crates/; then
 fi
 if grep -n '^\[\[bench\]\]' crates/gcache-bench/Cargo.toml; then
   echo "speed is measured by benchmark/ (bash benchmark/run.sh), not by a bench target"; exit 1
+fi
+# A skipped station or core has nothing to catch up on: no counter needs
+# settling across the cycles the run loop elides.
+if grep -rnE 'fn settle|counted_to|note_blocked|has_ldst_head' crates/; then
+  echo "the settle protocol is gone: count nothing a skipped cycle would have to replay"; exit 1
 fi
 
 echo "==> census: no new file-local pub fn (scripts/census.sh vs scripts/census.allow)"
