@@ -560,7 +560,6 @@ impl PolicyPlanes {
         };
         let cb = match self.l1_copy_back {
             CopyBackPlane::Policy => "policy".to_string(),
-            CopyBackPlane::Never => "never".to_string(),
             CopyBackPlane::CleanReuse { min_reuse } => format!("clean{min_reuse}"),
         };
         format!("{bypass}/{cb}")

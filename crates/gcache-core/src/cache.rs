@@ -11,8 +11,7 @@
 use crate::addr::{CoreId, LineAddr};
 use crate::geometry::CacheGeometry;
 use crate::policy::{
-    AccessCtx, AccessKind, EvictDecision, FillDecision, PolicyKind, ReplacementPolicy, ReuseClass,
-    SlackBucket,
+    AccessCtx, AccessKind, FillDecision, PolicyKind, ReplacementPolicy, ReuseClass, SlackBucket,
 };
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::stats::CacheStats;
@@ -21,7 +20,7 @@ use crate::trace::{SharedTraceRing, TraceKind, TraceSource, Tracer};
 use crate::victim_bits::{CoreGrouping, VictimBitStats, VictimBits};
 
 /// How stores interact with allocation — the correctness half of the
-/// write discipline.
+/// write discipline (the other half is the [`CopyBackPlane`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum WriteMode {
     /// GPU L1: stores go straight to the next level and never allocate;
@@ -38,12 +37,9 @@ pub enum WriteMode {
 /// this axis only governs the optional RDC-style clean copy-back.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CopyBackPlane {
-    /// Defer to the replacement policy's
-    /// [`crate::policy::ReplacementPolicy::evict_decision`] hook (whose
-    /// default is a silent drop — the classical behaviour).
+    /// Drop every clean victim silently: the classical behaviour, and the
+    /// replacement policy's alone.
     Policy,
-    /// Never copy clean victims back, without consulting the policy.
-    Never,
     /// Copy a clean victim back iff it collected at least `min_reuse`
     /// hits during its residency — reuse proven at this level predicts
     /// reuse at the next (arXiv 2105.14442's clean-copy-back heuristic).
@@ -51,42 +47,6 @@ pub enum CopyBackPlane {
         /// Minimum residency reuse count that earns a copy-back.
         min_reuse: u32,
     },
-}
-
-/// A composable write discipline: the store/allocation mode plus the
-/// eviction-time copy-back plane, replacing the old two-variant
-/// `WritePolicy` enum so the two axes vary independently.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct WriteDiscipline {
-    /// Store/allocation handling (correctness axis).
-    pub mode: WriteMode,
-    /// Clean-victim copy-back plane (performance axis).
-    pub copy_back: CopyBackPlane,
-}
-
-impl WriteDiscipline {
-    /// The classical GPU-L1 discipline: write-through, no allocation,
-    /// clean victims dropped per policy default.
-    pub const fn through() -> Self {
-        WriteDiscipline {
-            mode: WriteMode::ThroughNoAllocate,
-            copy_back: CopyBackPlane::Policy,
-        }
-    }
-
-    /// The classical GPU-L2 discipline: write-back, write-allocate.
-    pub const fn back() -> Self {
-        WriteDiscipline {
-            mode: WriteMode::BackAllocate,
-            copy_back: CopyBackPlane::Policy,
-        }
-    }
-
-    /// This discipline with a different copy-back plane.
-    pub const fn with_copy_back(mut self, copy_back: CopyBackPlane) -> Self {
-        self.copy_back = copy_back;
-        self
-    }
 }
 
 /// The fill-time bypass plane: class-driven cacheability consulted
@@ -126,8 +86,10 @@ impl BypassPlane {
 pub struct CacheConfig {
     /// Shape of the cache.
     pub geometry: CacheGeometry,
-    /// Write discipline (store handling + clean copy-back plane).
-    pub discipline: WriteDiscipline,
+    /// Store/allocation handling (correctness axis).
+    pub mode: WriteMode,
+    /// Clean-victim copy-back plane (performance axis).
+    pub copy_back: CopyBackPlane,
     /// Fill-time class-driven bypass plane.
     pub bypass: BypassPlane,
     /// Call the policy's epoch hook every `epoch_len` accesses
@@ -142,7 +104,8 @@ impl CacheConfig {
     pub fn l1(geometry: CacheGeometry, epoch_len: u64) -> Self {
         CacheConfig {
             geometry,
-            discipline: WriteDiscipline::through(),
+            mode: WriteMode::ThroughNoAllocate,
+            copy_back: CopyBackPlane::Policy,
             bypass: BypassPlane::Policy,
             epoch_len,
         }
@@ -152,7 +115,8 @@ impl CacheConfig {
     pub fn l2(geometry: CacheGeometry, epoch_len: u64) -> Self {
         CacheConfig {
             geometry,
-            discipline: WriteDiscipline::back(),
+            mode: WriteMode::BackAllocate,
+            copy_back: CopyBackPlane::Policy,
             bypass: BypassPlane::Policy,
             epoch_len,
         }
@@ -166,7 +130,7 @@ impl CacheConfig {
 
     /// This configuration with a different clean copy-back plane.
     pub const fn with_copy_back(mut self, copy_back: CopyBackPlane) -> Self {
-        self.discipline.copy_back = copy_back;
+        self.copy_back = copy_back;
         self
     }
 }
@@ -380,14 +344,13 @@ impl Cache {
 
     /// The committed access, given a probe result obtained through
     /// [`Cache::probe_decoded`] on the *current* tag state. This is the
-    /// single-pass core of every lookup: epoch tick, policy ageing and
-    /// observation, touch/victim-bit/stat/trace updates — one probe, no
+    /// single-pass core of every lookup: epoch tick, the policy's
+    /// `on_access`, touch/victim-bit/stat/trace updates — one probe, no
     /// repeated set/way recomputation.
     ///
-    /// The epoch tick and the `on_set_access`/`observe_access` hooks never
-    /// mutate the tag array (they age policy metadata only), so probing
-    /// before them is behaviour-identical to the historical probe-after
-    /// ordering.
+    /// The epoch tick and `on_access` never mutate the tag array (they age
+    /// policy metadata only), so probing before them is behaviour-identical
+    /// to the historical probe-after ordering.
     pub fn access_probed(
         &mut self,
         line: LineAddr,
@@ -401,13 +364,11 @@ impl Cache {
         debug_assert_eq!(tag, self.cfg.geometry.tag_of(line));
         debug_assert_eq!(way, self.tags.probe_set(set, tag), "stale probe result");
         self.tick_epoch();
-        self.policy.on_set_access(set);
-        self.policy.observe_access(set, tag);
+        self.policy.on_access(set, tag);
 
         match way {
             Some(way) => {
-                let mark_dirty =
-                    kind.is_write() && self.cfg.discipline.mode == WriteMode::BackAllocate;
+                let mark_dirty = kind.is_write() && self.cfg.mode == WriteMode::BackAllocate;
                 self.tags.touch(set, way, mark_dirty);
                 self.policy.on_hit(set, way);
                 let victim_hint = match (&mut self.victim_bits, kind) {
@@ -482,27 +443,6 @@ impl Cache {
                 FillOutcome::clean(true)
             }
             FillDecision::Insert { way } => {
-                // Plane 3 — eviction-time copy-back for the clean victim,
-                // decided before the tag state changes (the policy hook
-                // sees the victim's final residency metadata).
-                let victim_valid = valid_mask & (1 << way) != 0;
-                let copy_back_victim = if victim_valid {
-                    let slot = self.tags.slot(set, way);
-                    !slot.state.is_dirty()
-                        && match self.cfg.discipline.copy_back {
-                            CopyBackPlane::Never => false,
-                            CopyBackPlane::Policy => {
-                                self.policy.evict_decision(set, way, slot.reuse)
-                                    == EvictDecision::CopyBack
-                            }
-                            CopyBackPlane::CleanReuse { min_reuse } => slot.reuse >= min_reuse,
-                        }
-                } else {
-                    false
-                };
-                if victim_valid {
-                    self.policy.on_evict(set, way);
-                }
                 let evicted = self.tags.fill(set, way, ctx.line, dirty);
                 let mut copy_back = None;
                 if let Some(ev) = &evicted {
@@ -511,7 +451,10 @@ impl Cache {
                         self.stats.writebacks += 1;
                     }
                     self.stats.reuse.record(ev.reuse);
-                    if copy_back_victim {
+                    // Plane 3 — eviction-time copy-back of a clean victim.
+                    let proven = matches!(self.cfg.copy_back,
+                        CopyBackPlane::CleanReuse { min_reuse } if ev.reuse >= min_reuse);
+                    if proven && !ev.dirty {
                         self.stats.clean_copy_backs += 1;
                         copy_back = Some(*ev);
                         self.trace.emit(TraceKind::CleanCopyBack {
@@ -611,7 +554,6 @@ impl Cache {
         let way = self.tags.probe(line)?;
         let set = self.cfg.geometry.set_of(line);
         let ev = self.tags.invalidate(set, way)?;
-        self.policy.on_evict(set, way);
         if let Some(vb) = &mut self.victim_bits {
             vb.clear(set, way);
         }
@@ -625,7 +567,7 @@ impl Cache {
 
     /// Invalidates every line, returning the dirty ones (the write-backs a
     /// real flush would generate) and folding all residencies into the
-    /// reuse histogram. Policy and victim-bit state is notified per line.
+    /// reuse histogram. Victim-bit state is cleared per line.
     pub fn flush(&mut self) -> Vec<Evicted> {
         let mut dirty = Vec::new();
         let sets = self.cfg.geometry.sets() as usize;
@@ -633,7 +575,6 @@ impl Cache {
         for set in 0..sets {
             for way in 0..ways {
                 if let Some(ev) = self.tags.invalidate(set, way) {
-                    self.policy.on_evict(set, way);
                     if let Some(vb) = &mut self.victim_bits {
                         vb.clear(set, way);
                     }
@@ -710,7 +651,8 @@ mod tests {
     use super::*;
     use crate::policy::gcache::GCache;
     use crate::policy::lru::Lru;
-    use crate::policy::pdp::StaticPdp;
+    use crate::policy::pdp::Pdp;
+    use crate::policy::pdp_dyn::DynamicPdpConfig;
 
     fn geom() -> CacheGeometry {
         CacheGeometry::new(1024, 2, 128).unwrap() // 4 sets, 2 ways
@@ -851,13 +793,12 @@ mod tests {
     #[test]
     fn bypass_counted_in_stats() {
         let g = geom();
-        let mut c = Cache::new(CacheConfig::l1(g, 0), StaticPdp::new(&g, 8));
+        let mut c = Cache::new(CacheConfig::l1(g, 0), Pdp::fixed(&g, 8));
         c.fill(AccessCtx::plain(LineAddr::new(0), C0), false);
         c.fill(AccessCtx::plain(LineAddr::new(4), C0), false);
         let out = c.fill(AccessCtx::plain(LineAddr::new(8), C0), false);
         assert!(out.bypassed);
         assert_eq!(c.stats().bypassed_fills, 1);
-        assert_eq!(c.policy().bypasses(), 1);
         assert!(!c.contains(LineAddr::new(8)));
     }
 
@@ -1001,19 +942,30 @@ mod tests {
     #[test]
     fn snapshot_rejects_policy_mismatch() {
         let g = geom();
-        let mut gc = Cache::new(CacheConfig::l1(g, 0), GCache::with_defaults(&g));
-        gc.fill(AccessCtx::plain(LineAddr::new(0), C0), false);
-        let mut w = SnapshotWriter::new();
-        gc.save(&mut w);
-        let bytes = w.finish();
-        let mut lru = Cache::new(CacheConfig::l1(g, 0), Lru::new(&g));
-        let err = lru
-            .restore(&mut SnapshotReader::new(&bytes).unwrap())
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            crate::snapshot::SnapshotError::Mismatch { .. }
-        ));
+        let restore = |saved: PolicyKind, built: PolicyKind| {
+            let mut from = Cache::new(CacheConfig::l1(g, 0), saved);
+            from.fill(AccessCtx::plain(LineAddr::new(0), C0), false);
+            let mut w = SnapshotWriter::new();
+            from.save(&mut w);
+            let bytes = w.finish();
+            Cache::new(CacheConfig::l1(g, 0), built)
+                .restore(&mut SnapshotReader::new(&bytes).unwrap())
+        };
+        let mismatch = |r| matches!(r, Err(SnapshotError::Mismatch { .. }));
+        assert!(mismatch(restore(
+            GCache::with_defaults(&g).into(),
+            Lru::new(&g).into()
+        )));
+        // Both PDP kinds share one variant tag: the `pdp` section tells a
+        // fixed distance from an estimated one, in both directions, and
+        // one fixed distance from another.
+        let spdp = |pd| Pdp::fixed(&g, pd).into();
+        let pdp3 = || Pdp::estimated(&g, DynamicPdpConfig::pdp3()).into();
+        assert!(mismatch(restore(spdp(8), pdp3())));
+        assert!(mismatch(restore(pdp3(), spdp(8))));
+        assert!(mismatch(restore(spdp(8), spdp(4))));
+        assert_eq!(restore(spdp(8), spdp(8)), Ok(()));
+        assert_eq!(restore(pdp3(), pdp3()), Ok(()));
     }
 
     #[test]
@@ -1163,16 +1115,13 @@ mod tests {
     }
 
     #[test]
-    fn never_and_policy_planes_drop_clean_victims() {
-        // `Never` drops unconditionally; `Policy` defers to the policy's
-        // `evict_decision`, whose default (every built-in policy) is Drop —
+    fn policy_plane_drops_clean_victims() {
+        // `Policy` drops every clean victim, however often it was reused —
         // the bit-identity guarantee for pre-existing configurations.
-        for plane in [CopyBackPlane::Never, CopyBackPlane::Policy] {
-            let (c, out) = evict_clean_victim(plane, 3);
-            assert!(out.evicted.is_some());
-            assert!(out.copy_back.is_none(), "{plane:?} must drop");
-            assert_eq!(c.stats().clean_copy_backs, 0);
-        }
+        let (c, out) = evict_clean_victim(CopyBackPlane::Policy, 3);
+        assert!(out.evicted.is_some());
+        assert!(out.copy_back.is_none(), "Policy must drop");
+        assert_eq!(c.stats().clean_copy_backs, 0);
     }
 
     #[test]

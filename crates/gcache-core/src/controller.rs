@@ -207,7 +207,7 @@ impl<T> CacheController<T> {
     /// `Blocked(Full)` meaning neither resident nor in flight), but is
     /// never committed: the owner installs it with [`Cache::fill`].
     pub fn admit(&self, line: LineAddr, set: usize, tag: u64, kind: AccessKind) -> Admission {
-        match (kind, self.cache.config().discipline.mode, self.atomics) {
+        match (kind, self.cache.config().mode, self.atomics) {
             (AccessKind::Write, WriteMode::ThroughNoAllocate, _) => Admission::Forward {
                 way: self.cache.probe_decoded(set, tag),
             },
@@ -387,7 +387,7 @@ mod tests {
     use crate::cache::CacheConfig;
     use crate::geometry::CacheGeometry;
     use crate::policy::lru::Lru;
-    use crate::policy::pdp::StaticPdp;
+    use crate::policy::pdp::Pdp;
 
     const C0: CoreId = CoreId(0);
 
@@ -557,7 +557,7 @@ mod tests {
     fn bypassing_fill_still_releases_targets() {
         let g = CacheGeometry::new(256, 2, 128).unwrap(); // 1 set, 2 ways
         let mut c: CacheController<usize> = CacheController::new(
-            Cache::new(CacheConfig::l1(g, 0), StaticPdp::new(&g, 16)),
+            Cache::new(CacheConfig::l1(g, 0), Pdp::fixed(&g, 16)),
             4,
             4,
             AtomicHandling::Forward,

@@ -84,8 +84,7 @@ pub mod victim_bits;
 pub mod prelude {
     pub use crate::addr::{Addr, CoreId, LineAddr, PartitionId};
     pub use crate::cache::{
-        BypassPlane, Cache, CacheConfig, CopyBackPlane, FillOutcome, Lookup, WriteDiscipline,
-        WriteMode,
+        BypassPlane, Cache, CacheConfig, CopyBackPlane, FillOutcome, Lookup, WriteMode,
     };
     pub use crate::controller::{
         Admission, AtomicHandling, CacheController, ControllerOutcome, FillParams,
@@ -94,12 +93,12 @@ pub mod prelude {
     pub use crate::mshr::{MshrAlloc, MshrFile, MshrReject};
     pub use crate::policy::gcache::{GCache, GCacheConfig};
     pub use crate::policy::lru::Lru;
-    pub use crate::policy::pdp::StaticPdp;
-    pub use crate::policy::pdp_dyn::{DynamicPdp, DynamicPdpConfig};
+    pub use crate::policy::pdp::Pdp;
+    pub use crate::policy::pdp_dyn::DynamicPdpConfig;
     pub use crate::policy::rrip::Rrip;
     pub use crate::policy::{
-        AccessCtx, AccessKind, EvictDecision, FillDecision, PolicyKind, ReplacementPolicy,
-        RequestClass, ReuseClass, SlackBucket,
+        AccessCtx, AccessKind, FillDecision, PolicyKind, ReplacementPolicy, RequestClass,
+        ReuseClass, SlackBucket,
     };
     pub use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
     pub use crate::stats::CacheStats;

@@ -206,6 +206,11 @@ impl<T> MshrFile<T> {
     pub fn peak_occupancy(&self) -> usize {
         self.peak_occupancy
     }
+
+    /// Every target of every live entry, in no particular order.
+    pub fn targets(&self) -> impl Iterator<Item = &T> {
+        self.entries.values().flatten()
+    }
 }
 
 impl<T: Codec> Snapshot for MshrFile<T> {

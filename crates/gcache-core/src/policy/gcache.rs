@@ -123,7 +123,6 @@ impl GCacheConfig {
 /// assert_eq!(gc.fill_decision(0, 0b11, &hinted), FillDecision::Bypass);
 /// // Streaming block b1 (no hint) now also bypasses: switch stays open.
 /// assert_eq!(gc.fill_decision(0, 0b11, &plain), FillDecision::Bypass);
-/// assert_eq!(gc.bypasses(), 2);
 /// # Ok(())
 /// # }
 /// ```
@@ -140,8 +139,6 @@ pub struct GCache {
     /// Bypasses / hits within the current epoch, for the adaptive rule.
     epoch_bypasses: u64,
     epoch_hits: u64,
-    bypasses: u64,
-    switch_openings: u64,
 }
 
 impl GCache {
@@ -160,8 +157,6 @@ impl GCache {
             current_period: cfg.aging_period,
             epoch_bypasses: 0,
             epoch_hits: 0,
-            bypasses: 0,
-            switch_openings: 0,
             cfg,
         }
     }
@@ -179,11 +174,6 @@ impl GCache {
     /// Whether the bypass switch of `set` is currently open.
     pub fn switch_open(&self, set: usize) -> bool {
         self.switch[set]
-    }
-
-    /// How many times a victim hint opened a (previously closed) switch.
-    pub const fn switch_openings(&self) -> u64 {
-        self.switch_openings
     }
 
     /// Number of sets whose bypass switch is currently open (telemetry:
@@ -204,7 +194,8 @@ impl GCache {
 
     /// The ageing period currently in force (differs from the configured
     /// one only when [`GCacheConfig::adaptive_aging`] is on).
-    pub const fn current_aging_period(&self) -> u32 {
+    #[cfg(test)]
+    const fn current_aging_period(&self) -> u32 {
         self.current_period
     }
 }
@@ -223,9 +214,8 @@ impl ReplacementPolicy for GCache {
         // A returning victim bit notifies this L1 that the line was
         // referenced before and became a victim of early eviction: open the
         // bypass switch of the target set (§4.2).
-        if ctx.victim_hint && !self.switch[set] {
+        if ctx.victim_hint {
             self.switch[set] = true;
-            self.switch_openings += 1;
         }
 
         // Free space never bypasses.
@@ -242,7 +232,6 @@ impl ReplacementPolicy for GCache {
             // Protect the hot resident lines; the bypass victim could be a
             // hot line in the future, so reduce the hotness of the resident
             // lines (every `aging_period`-th bypass).
-            self.bypasses += 1;
             self.epoch_bypasses += 1;
             self.since_aging[set] += 1;
             if self.since_aging[set] >= self.current_period {
@@ -294,10 +283,6 @@ impl ReplacementPolicy for GCache {
             self.epoch_hits = 0;
         }
     }
-
-    fn bypasses(&self) -> u64 {
-        self.bypasses
-    }
 }
 
 impl Snapshot for GCache {
@@ -307,7 +292,6 @@ impl Snapshot for GCache {
             w.put(&self.switch);
             w.put_each(&self.since_aging);
             w.put(&(self.current_period, self.epoch_bypasses, self.epoch_hits));
-            w.put(&(self.bypasses, self.switch_openings));
         });
     }
 
@@ -317,7 +301,6 @@ impl Snapshot for GCache {
             r.fill(&mut self.switch, "G-Cache sets")?;
             r.get_each(&mut self.since_aging)?;
             (self.current_period, self.epoch_bypasses, self.epoch_hits) = r.get()?;
-            (self.bypasses, self.switch_openings) = r.get()?;
             Ok(())
         })
     }
@@ -375,7 +358,6 @@ mod tests {
             gc.fill_decision(0, 0b11, &plain()),
             FillDecision::Insert { .. }
         ));
-        assert_eq!(gc.bypasses(), 0);
         assert!(!gc.switch_open(0));
     }
 
@@ -388,7 +370,6 @@ mod tests {
         gc.on_hit(0, 1);
         assert_eq!(gc.fill_decision(0, 0b11, &hinted()), FillDecision::Bypass);
         assert!(gc.switch_open(0));
-        assert_eq!(gc.switch_openings(), 1);
         // Switch stays open for plain fills too.
         assert_eq!(gc.fill_decision(0, 0b11, &plain()), FillDecision::Bypass);
     }
@@ -402,7 +383,6 @@ mod tests {
         let d = gc.fill_decision(0, 0b11, &hinted());
         // Way 1 is cold (RRPV 6) -> SRRIP eviction of way 1, no bypass.
         assert_eq!(d, FillDecision::Insert { way: 1 });
-        assert_eq!(gc.bypasses(), 0);
         assert!(gc.switch_open(0)); // the hint still opened the switch
     }
 
@@ -415,7 +395,6 @@ mod tests {
             gc.fill_decision(0, 0b01, &hinted()),
             FillDecision::Insert { way: 1 }
         );
-        assert_eq!(gc.bypasses(), 0);
     }
 
     #[test]
@@ -433,7 +412,6 @@ mod tests {
             gc.fill_decision(0, 0b11, &plain()),
             FillDecision::Insert { .. }
         ));
-        assert_eq!(gc.bypasses(), 2);
     }
 
     #[test]
@@ -515,12 +493,15 @@ mod tests {
         gc.on_insert(0, 0, &plain());
         gc.on_insert(0, 1, &plain());
         // Many bypasses, no hits: the epoch should double the period.
+        let mut bypassed = 0;
         for _ in 0..10 {
             gc.on_hit(0, 0);
             gc.on_hit(0, 1);
-            let _ = gc.fill_decision(0, 0b11, &hinted());
+            if gc.fill_decision(0, 0b11, &hinted()) == FillDecision::Bypass {
+                bypassed += 1;
+            }
         }
-        assert!(gc.bypasses() > 0);
+        assert!(bypassed > 0);
         // Force hit/bypass imbalance: clear hit counter effect by issuing
         // extra bypasses only.
         for _ in 0..50 {

@@ -187,6 +187,5 @@ mod tests {
                 FillDecision::Insert { .. }
             ));
         }
-        assert_eq!(lru.bypasses(), 0);
     }
 }

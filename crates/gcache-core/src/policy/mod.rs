@@ -8,24 +8,32 @@
 //! | BS | [`lru::Lru`] | LRU replacement, always insert |
 //! | BS-S | [`rrip::Rrip`] | 3-bit SRRIP, always insert |
 //! | GC | [`gcache::GCache`] | SRRIP + adaptive bypass/insertion (the paper's contribution) |
-//! | SPDP-B | [`pdp::StaticPdp`] | static protection-distance policy with bypass |
-//! | PDP-3 / PDP-8 | [`pdp_dyn::DynamicPdp`] | dynamic PDP, PD re-estimated from sampled reuse distances |
+//! | SPDP-B | [`pdp::Pdp::fixed`] | protection-distance policy with bypass, one fixed distance |
+//! | PDP-3 / PDP-8 | [`pdp::Pdp::estimated`] | the same policy, distance re-estimated from sampled reuse distances ([`pdp_dyn`]) |
 //!
 //! A policy never touches the tag array directly; [`crate::cache::Cache`]
-//! drives it through the trait hooks and applies its decisions.
+//! drives it through six hooks and applies its decisions:
+//!
+//! | Hook | Called |
+//! |---|---|
+//! | [`ReplacementPolicy::name`] | by experiment tables |
+//! | [`ReplacementPolicy::on_access`] | once per access, hit or miss (PDP ages its set, then samples the tag) |
+//! | [`ReplacementPolicy::on_hit`] | when the access hits |
+//! | [`ReplacementPolicy::fill_decision`] | when a fill arrives: which way it takes, or bypass |
+//! | [`ReplacementPolicy::on_insert`] | after the fill is installed |
+//! | [`ReplacementPolicy::on_epoch`] | every [`crate::cache::CacheConfig::epoch_len`] accesses |
 //!
 //! # Decision planes
 //!
-//! Beyond the monolithic replacement axis above, the cache composes three
-//! *orthogonal* decision planes (see DESIGN.md §11):
+//! Two planes sit around the policy in the cache and need no hook (see
+//! DESIGN.md §11):
 //!
-//! | Plane | Hook / config | Decides |
+//! | Plane | Config | Decides |
 //! |---|---|---|
-//! | replacement/insertion | [`ReplacementPolicy::fill_decision`] | which way an incoming fill occupies (or bypasses) |
-//! | fill-time bypass | [`crate::cache::BypassPlane`] | class-driven cacheability, ahead of the policy (HyDRA-style) |
-//! | eviction-time copy-back | [`ReplacementPolicy::evict_decision`] + [`crate::cache::CopyBackPlane`] | whether a *clean* victim is copied back downstream (RDC-style) |
+//! | fill-time bypass | [`crate::cache::BypassPlane`] | class-driven cacheability, ahead of `fill_decision` (HyDRA-style) |
+//! | eviction-time copy-back | [`crate::cache::CopyBackPlane`] | whether a *clean* victim is copied back downstream (RDC-style) |
 //!
-//! The planes see the same [`AccessCtx`], which optionally carries a
+//! Both see the fill's [`AccessCtx`], which optionally carries a
 //! [`RequestClass`] — a deadline-slack bucket plus a declared reuse class —
 //! threaded from the kernel spec through the memory system.
 
@@ -206,19 +214,6 @@ pub enum FillDecision {
     Bypass,
 }
 
-/// The eviction-time plane's decision about a *clean* victim line.
-///
-/// Dirty victims always write back (correctness); this plane only governs
-/// whether an unmodified victim is additionally pushed downstream so the
-/// next level can keep it warm (the RDC-style clean copy-back).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum EvictDecision {
-    /// Silently drop the clean victim (the classical behaviour).
-    Drop,
-    /// Copy the clean victim back to the next level.
-    CopyBack,
-}
-
 /// A cache replacement / bypass / insertion policy.
 ///
 /// Implementations hold all their per-set and per-line metadata internally
@@ -229,13 +224,10 @@ pub trait ReplacementPolicy: fmt::Debug + Send {
     fn name(&self) -> &'static str;
 
     /// Called once for every access directed at `set`, hit or miss, before
-    /// [`Self::on_hit`] / [`Self::fill_decision`]. PDP uses this to age its
-    /// protection counters.
-    fn on_set_access(&mut self, _set: usize) {}
-
-    /// Called once per access with the line's tag, for policies that sample
-    /// the address stream (dynamic PDP's reuse-distance FIFOs).
-    fn observe_access(&mut self, _set: usize, _tag: u64) {}
+    /// [`Self::on_hit`] / [`Self::fill_decision`]. PDP ages the set's
+    /// protection counters here, then samples `tag` into its reuse-distance
+    /// estimator.
+    fn on_access(&mut self, _set: usize, _tag: u64) {}
 
     /// Called when an access hits in (set, way).
     fn on_hit(&mut self, set: usize, way: usize);
@@ -248,28 +240,10 @@ pub trait ReplacementPolicy: fmt::Debug + Send {
     /// Called after the line has been installed in (set, way).
     fn on_insert(&mut self, set: usize, way: usize, ctx: &AccessCtx);
 
-    /// Called when a line is evicted or invalidated from (set, way).
-    fn on_evict(&mut self, _set: usize, _way: usize) {}
-
-    /// The eviction-time copy-back plane: decides whether the clean victim
-    /// being displaced from (set, way) — with `reuse` hits over its
-    /// residency — should be copied back downstream. Consulted by the
-    /// cache only when its [`crate::cache::CopyBackPlane`] is `Policy`;
-    /// the default keeps every existing policy's behaviour (silent drop)
-    /// bit-identical.
-    fn evict_decision(&mut self, _set: usize, _way: usize, _reuse: u32) -> EvictDecision {
-        EvictDecision::Drop
-    }
-
     /// Periodic epoch boundary (driven by the cache every
     /// [`crate::cache::CacheConfig::epoch_len`] accesses). G-Cache closes
-    /// its bypass switches here; dynamic PDP re-estimates its PD.
+    /// its bypass switches here; an estimated PDP re-estimates its distance.
     fn on_epoch(&mut self) {}
-
-    /// Number of fills this policy chose to bypass (for Table 3).
-    fn bypasses(&self) -> u64 {
-        0
-    }
 }
 
 /// Every concrete policy behind one enum, so the cache's per-access hook
@@ -299,10 +273,8 @@ pub enum PolicyKind {
     Rrip(rrip::Rrip),
     /// The paper's adaptive bypass/insertion policy (`GC`).
     GCache(gcache::GCache),
-    /// Static protection-distance policy with bypass (`SPDP-B`).
-    StaticPdp(pdp::StaticPdp),
-    /// Dynamic PDP (`PDP-3` / `PDP-8`).
-    DynamicPdp(pdp_dyn::DynamicPdp),
+    /// Protection-distance policy with bypass (`SPDP-B`, `PDP-3`, `PDP-8`).
+    Pdp(pdp::Pdp),
 }
 
 /// Delegates every trait hook to the active variant with a `match` — the
@@ -313,8 +285,7 @@ macro_rules! dispatch {
             PolicyKind::Lru($p) => $body,
             PolicyKind::Rrip($p) => $body,
             PolicyKind::GCache($p) => $body,
-            PolicyKind::StaticPdp($p) => $body,
-            PolicyKind::DynamicPdp($p) => $body,
+            PolicyKind::Pdp($p) => $body,
         }
     };
 }
@@ -357,13 +328,8 @@ impl ReplacementPolicy for PolicyKind {
     }
 
     #[inline]
-    fn on_set_access(&mut self, set: usize) {
-        dispatch!(self, p => p.on_set_access(set))
-    }
-
-    #[inline]
-    fn observe_access(&mut self, set: usize, tag: u64) {
-        dispatch!(self, p => p.observe_access(set, tag))
+    fn on_access(&mut self, set: usize, tag: u64) {
+        dispatch!(self, p => p.on_access(set, tag))
     }
 
     #[inline]
@@ -382,37 +348,22 @@ impl ReplacementPolicy for PolicyKind {
     }
 
     #[inline]
-    fn on_evict(&mut self, set: usize, way: usize) {
-        dispatch!(self, p => p.on_evict(set, way))
-    }
-
-    #[inline]
-    fn evict_decision(&mut self, set: usize, way: usize, reuse: u32) -> EvictDecision {
-        dispatch!(self, p => p.evict_decision(set, way, reuse))
-    }
-
-    #[inline]
     fn on_epoch(&mut self) {
         dispatch!(self, p => p.on_epoch())
-    }
-
-    #[inline]
-    fn bypasses(&self) -> u64 {
-        dispatch!(self, p => p.bypasses())
     }
 }
 
 impl PolicyKind {
     /// Stable discriminant used in snapshots to catch a policy mismatch
-    /// between the saving and restoring configuration. Tag 2 is retired
-    /// (it was DRRIP's) and must not be handed to a new policy.
+    /// between the saving and restoring configuration. Tags 2 (DRRIP's) and
+    /// 5 (the estimated PDP's, before it shared tag 4 with the fixed one)
+    /// are retired and must not be handed to a new policy.
     fn variant_tag(&self) -> u8 {
         match self {
             PolicyKind::Lru(_) => 0,
             PolicyKind::Rrip(_) => 1,
             PolicyKind::GCache(_) => 3,
-            PolicyKind::StaticPdp(_) => 4,
-            PolicyKind::DynamicPdp(_) => 5,
+            PolicyKind::Pdp(_) => 4,
         }
     }
 }
@@ -460,15 +411,9 @@ impl From<gcache::GCache> for PolicyKind {
     }
 }
 
-impl From<pdp::StaticPdp> for PolicyKind {
-    fn from(p: pdp::StaticPdp) -> Self {
-        PolicyKind::StaticPdp(p)
-    }
-}
-
-impl From<pdp_dyn::DynamicPdp> for PolicyKind {
-    fn from(p: pdp_dyn::DynamicPdp) -> Self {
-        PolicyKind::DynamicPdp(p)
+impl From<pdp::Pdp> for PolicyKind {
+    fn from(p: pdp::Pdp) -> Self {
+        PolicyKind::Pdp(p)
     }
 }
 

@@ -1,8 +1,8 @@
-//! Dynamic Protection-Distance Policy (**PDP-3** / **PDP-8**, Duong et al.
-//! MICRO'12).
+//! The run-time distance estimator of the dynamic Protection-Distance
+//! Policy (**PDP-3** / **PDP-8**, Duong et al. MICRO'12).
 //!
-//! Like [`crate::policy::pdp::StaticPdp`] but the protection distance is
-//! re-estimated at runtime from a sampled **reuse-distance distribution**
+//! [`crate::policy::pdp::Pdp::estimated`] re-estimates its protection
+//! distance with this module from a sampled **reuse-distance distribution**
 //! (RDD):
 //!
 //! * per-set FIFO samplers record the tags of recent accesses; a re-access
@@ -18,49 +18,40 @@
 //!   PDP-3 ≈ PDP-8 on most workloads yet both lose to SPDP-B when the true
 //!   optimum exceeds the cap.
 //!
-//! As in the paper's configuration, samplers are 32 entries deep and the
-//! RDD histogram has 256 bins.
+//! As in the paper's configuration, every set is sampled, samplers are 32
+//! entries deep and the RDD histogram has 256 bins.
 
-use super::pdp::RpdTable;
-use super::{first_invalid_way, AccessCtx, FillDecision, ReplacementPolicy};
 use crate::geometry::CacheGeometry;
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use std::collections::VecDeque;
 
-/// Tunables for [`DynamicPdp`].
+/// Depth of each per-set sampler FIFO (paper: 32).
+pub(crate) const SAMPLER_DEPTH: usize = 32;
+
+/// Number of RDD histogram bins (paper: 256 counters). A sampled distance
+/// never exceeds [`SAMPLER_DEPTH`], so every hit in a sampler has a bin.
+pub(crate) const RDD_BINS: usize = 256;
+
+/// Protection distance in force before the first estimation.
+pub(crate) const INITIAL_PD: u16 = 4;
+
+/// The one tunable of an estimated protection distance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DynamicPdpConfig {
     /// Width of the per-line RPD counters in bits; caps the PD at
     /// `2^bits − 1`. The paper evaluates 3 and 8.
     pub counter_bits: u8,
-    /// Depth of each per-set sampler FIFO (paper: 32).
-    pub sampler_depth: usize,
-    /// Number of RDD histogram bins (paper: 256 counters).
-    pub rdd_bins: usize,
-    /// Sample one set in every `sample_every` (1 = sample all sets).
-    pub sample_every: usize,
-    /// Initial protection distance before the first estimation.
-    pub initial_pd: u16,
 }
 
 impl DynamicPdpConfig {
     /// The paper's PDP-3 configuration.
     pub fn pdp3() -> Self {
-        DynamicPdpConfig {
-            counter_bits: 3,
-            sampler_depth: 32,
-            rdd_bins: 256,
-            sample_every: 1,
-            initial_pd: 4,
-        }
+        DynamicPdpConfig { counter_bits: 3 }
     }
 
     /// The paper's PDP-8 configuration.
     pub fn pdp8() -> Self {
-        DynamicPdpConfig {
-            counter_bits: 8,
-            ..DynamicPdpConfig::pdp3()
-        }
+        DynamicPdpConfig { counter_bits: 8 }
     }
 
     /// Maximum PD representable by the RPD counters.
@@ -68,17 +59,24 @@ impl DynamicPdpConfig {
         (1u16 << self.counter_bits) - 1
     }
 
+    /// The design name of this configuration: `"PDP-3"`, `"PDP-8"`, or
+    /// `"PDP-dyn"` for any other counter width.
+    pub const fn name(&self) -> &'static str {
+        match self.counter_bits {
+            3 => "PDP-3",
+            8 => "PDP-8",
+            _ => "PDP-dyn",
+        }
+    }
+
     fn validate(&self) {
         assert!(
             (1..=15).contains(&self.counter_bits),
             "counter_bits must be 1..=15"
         );
-        assert!(self.sampler_depth > 0, "sampler_depth must be positive");
-        assert!(self.rdd_bins > 0, "rdd_bins must be positive");
-        assert!(self.sample_every > 0, "sample_every must be positive");
         assert!(
-            self.initial_pd >= 1 && self.initial_pd <= self.max_pd(),
-            "initial_pd must be in 1..=max_pd"
+            INITIAL_PD <= self.max_pd(),
+            "the initial distance {INITIAL_PD} must fit the RPD counters"
         );
     }
 }
@@ -136,181 +134,83 @@ impl Sampler {
     }
 }
 
-/// Dynamic PDP with bypass (paper names: **PDP-3**, **PDP-8**).
-///
-/// # Examples
-///
-/// ```
-/// use gcache_core::geometry::CacheGeometry;
-/// use gcache_core::policy::pdp_dyn::{DynamicPdp, DynamicPdpConfig};
-/// use gcache_core::policy::ReplacementPolicy;
-///
-/// # fn main() -> Result<(), gcache_core::geometry::GeometryError> {
-/// let geom = CacheGeometry::new(32 * 1024, 4, 128)?;
-/// let pdp3 = DynamicPdp::new(&geom, DynamicPdpConfig::pdp3());
-/// assert_eq!(pdp3.name(), "PDP-3");
-/// assert_eq!(pdp3.pd(), 4); // initial PD before the first estimation
-/// # Ok(())
-/// # }
-/// ```
+/// The samplers and RDD histogram behind an estimated protection distance.
 #[derive(Clone, Debug)]
-pub struct DynamicPdp {
+pub(crate) struct Estimator {
     cfg: DynamicPdpConfig,
-    table: RpdTable,
-    pd: u16,
     samplers: Vec<Sampler>,
     rdd: Vec<u64>,
     rdd_overflow: u64,
-    bypasses: u64,
-    estimations: u64,
 }
 
-impl DynamicPdp {
-    /// Creates a dynamic PDP policy.
+impl Estimator {
+    /// An empty estimator with one sampler per set.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent (see
-    /// [`DynamicPdpConfig`] field docs).
-    pub fn new(geom: &CacheGeometry, cfg: DynamicPdpConfig) -> Self {
+    /// Panics if `cfg.counter_bits` is outside `1..=15` or cannot hold the
+    /// initial distance 4.
+    pub(crate) fn new(geom: &CacheGeometry, cfg: DynamicPdpConfig) -> Self {
         cfg.validate();
-        let sampled_sets = (geom.sets() as usize).div_ceil(cfg.sample_every);
-        DynamicPdp {
+        Estimator {
             cfg,
-            table: RpdTable::new(geom),
-            pd: cfg.initial_pd,
-            samplers: vec![Sampler::default(); sampled_sets],
-            rdd: vec![0; cfg.rdd_bins],
+            samplers: vec![Sampler::default(); geom.sets() as usize],
+            rdd: vec![0; RDD_BINS],
             rdd_overflow: 0,
-            bypasses: 0,
-            estimations: 0,
         }
     }
 
-    /// The current protection distance.
-    pub const fn pd(&self) -> u16 {
-        self.pd
+    /// The design name of the estimator's configuration.
+    pub(crate) const fn name(&self) -> &'static str {
+        self.cfg.name()
     }
 
-    /// How many epoch re-estimations have run.
-    pub const fn estimations(&self) -> u64 {
-        self.estimations
-    }
-
-    /// Read access to the RDD histogram (exposed for tests and the
-    /// experiment harness).
-    pub fn rdd(&self) -> &[u64] {
-        &self.rdd
-    }
-
-    fn sample(&mut self, set: usize, tag: u64) {
-        if !set.is_multiple_of(self.cfg.sample_every) {
-            return;
-        }
-        let sampler = &mut self.samplers[set / self.cfg.sample_every];
-        match sampler.observe(tag, self.cfg.sampler_depth) {
-            Some(d) if d <= self.rdd.len() => self.rdd[d - 1] += 1,
-            Some(_) => self.rdd_overflow += 1,
+    /// Samples one access to `set`.
+    pub(crate) fn sample(&mut self, set: usize, tag: u64) {
+        match self.samplers[set].observe(tag, SAMPLER_DEPTH) {
+            Some(d) => self.rdd[d - 1] += 1,
             None => self.rdd_overflow += 1,
         }
     }
 
-    fn name_str(&self) -> &'static str {
-        match self.cfg.counter_bits {
-            3 => "PDP-3",
-            8 => "PDP-8",
-            _ => "PDP-dyn",
-        }
-    }
-}
-
-impl ReplacementPolicy for DynamicPdp {
-    fn name(&self) -> &'static str {
-        self.name_str()
-    }
-
-    fn on_set_access(&mut self, set: usize) {
-        self.table.age(set);
-    }
-
-    fn observe_access(&mut self, set: usize, tag: u64) {
-        self.sample(set, tag);
-    }
-
-    fn on_hit(&mut self, set: usize, way: usize) {
-        self.table.protect(set, way, self.pd);
-    }
-
-    fn fill_decision(&mut self, set: usize, valid_mask: u64, _ctx: &AccessCtx) -> FillDecision {
-        if let Some(way) = first_invalid_way(valid_mask, self.table.ways()) {
-            return FillDecision::Insert { way };
-        }
-        match self.table.find_unprotected(set, valid_mask) {
-            Some(way) => FillDecision::Insert { way },
-            None => {
-                self.bypasses += 1;
-                FillDecision::Bypass
-            }
-        }
-    }
-
-    fn on_insert(&mut self, set: usize, way: usize, _ctx: &AccessCtx) {
-        self.table.protect(set, way, self.pd);
-    }
-
-    fn on_epoch(&mut self) {
-        self.estimations += 1;
-        if let Some(pd) = estimate_pd(&self.rdd, self.rdd_overflow, self.cfg.max_pd()) {
-            self.pd = pd.max(1);
-        } else {
-            // No sampled reuse: protection buys nothing, drop to minimum so
-            // the cache degenerates gracefully on streaming phases.
-            self.pd = 1;
-        }
-        // Exponential decay keeps the histogram adaptive across phases.
+    /// The epoch: the distance the histogram favours, then the histogram
+    /// decays by half so it stays adaptive across phases. With no sampled
+    /// reuse protection buys nothing, and the distance drops to 1 so the
+    /// cache degenerates gracefully on streaming phases.
+    pub(crate) fn estimate(&mut self) -> u16 {
+        let pd = estimate_pd(&self.rdd, self.rdd_overflow, self.cfg.max_pd()).unwrap_or(1);
         for c in &mut self.rdd {
             *c /= 2;
         }
         self.rdd_overflow /= 2;
-    }
-
-    fn bypasses(&self) -> u64 {
-        self.bypasses
+        pd
     }
 }
 
-impl Snapshot for DynamicPdp {
+impl Snapshot for Estimator {
     fn save(&self, w: &mut SnapshotWriter) {
-        w.section("pdp_dyn", |w| {
-            self.table.save(w);
-            w.put(&self.pd);
-            w.put(&self.samplers.len());
-            for s in &self.samplers {
-                w.put(&s.fifo);
-            }
-            w.put(&self.rdd);
-            w.put(&(self.rdd_overflow, self.bypasses, self.estimations));
-        });
+        w.put(&self.samplers.len());
+        for s in &self.samplers {
+            w.put(&s.fifo);
+        }
+        w.put(&self.rdd);
+        w.put(&self.rdd_overflow);
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        r.section("pdp_dyn", |r| {
-            self.table.restore(r)?;
-            self.pd = r.get()?;
-            r.count(self.samplers.len(), "PDP samplers")?;
-            for s in &mut self.samplers {
-                s.fifo = r.get()?;
-                if s.fifo.len() > self.cfg.sampler_depth {
-                    return Err(SnapshotError::BadValue {
-                        what: "PDP sampler depth".to_string(),
-                        value: s.fifo.len() as u64,
-                    });
-                }
+        r.count(self.samplers.len(), "PDP samplers")?;
+        for s in &mut self.samplers {
+            s.fifo = r.get()?;
+            if s.fifo.len() > SAMPLER_DEPTH {
+                return Err(SnapshotError::BadValue {
+                    what: "PDP sampler depth".to_string(),
+                    value: s.fifo.len() as u64,
+                });
             }
-            r.fill(&mut self.rdd, "RDD bins")?;
-            (self.rdd_overflow, self.bypasses, self.estimations) = r.get()?;
-            Ok(())
-        })
+        }
+        r.fill(&mut self.rdd, "RDD bins")?;
+        self.rdd_overflow = r.get()?;
+        Ok(())
     }
 }
 
@@ -318,6 +218,8 @@ impl Snapshot for DynamicPdp {
 mod tests {
     use super::*;
     use crate::addr::{CoreId, LineAddr};
+    use crate::policy::pdp::Pdp;
+    use crate::policy::{AccessCtx, FillDecision, ReplacementPolicy};
 
     fn geom() -> CacheGeometry {
         CacheGeometry::with_sets(4, 4, 128).unwrap()
@@ -389,23 +291,22 @@ mod tests {
 
     #[test]
     fn epoch_adapts_pd_to_observed_reuse() {
-        let mut p = DynamicPdp::new(&geom(), DynamicPdpConfig::pdp3());
+        let mut p = Pdp::estimated(&geom(), DynamicPdpConfig::pdp3());
         // Feed reuse at distance 3 into the set-0 sampler.
         for _ in 0..50 {
-            p.observe_access(0, 1);
-            p.observe_access(0, 2);
-            p.observe_access(0, 3);
+            p.on_access(0, 1);
+            p.on_access(0, 2);
+            p.on_access(0, 3);
         }
         p.on_epoch();
         assert_eq!(p.pd(), 3);
-        assert_eq!(p.estimations(), 1);
     }
 
     #[test]
     fn epoch_on_streaming_drops_pd_to_minimum() {
-        let mut p = DynamicPdp::new(&geom(), DynamicPdpConfig::pdp3());
+        let mut p = Pdp::estimated(&geom(), DynamicPdpConfig::pdp3());
         for t in 0..1000u64 {
-            p.observe_access(0, t); // never re-accessed
+            p.on_access(0, t); // never re-accessed
         }
         p.on_epoch();
         assert_eq!(p.pd(), 1);
@@ -413,21 +314,21 @@ mod tests {
 
     #[test]
     fn pdp3_cannot_reach_large_distances() {
-        let mut p = DynamicPdp::new(&geom(), DynamicPdpConfig::pdp3());
+        let mut p = Pdp::estimated(&geom(), DynamicPdpConfig::pdp3());
         // Reuse at distance 20 — visible to the sampler but beyond a 3-bit
         // counter; PDP-3 must fall back to PD 1 (the paper's KMN/NW story).
         for _ in 0..50 {
             for t in 0..20u64 {
-                p.observe_access(0, t);
+                p.on_access(0, t);
             }
         }
         p.on_epoch();
         assert_eq!(p.pd(), 1);
 
-        let mut p8 = DynamicPdp::new(&geom(), DynamicPdpConfig::pdp8());
+        let mut p8 = Pdp::estimated(&geom(), DynamicPdpConfig::pdp8());
         for _ in 0..50 {
             for t in 0..20u64 {
-                p8.observe_access(0, t);
+                p8.on_access(0, t);
             }
         }
         p8.on_epoch();
@@ -436,25 +337,24 @@ mod tests {
 
     #[test]
     fn bypasses_when_all_protected() {
-        let mut p = DynamicPdp::new(&geom(), DynamicPdpConfig::pdp3());
+        let mut p = Pdp::estimated(&geom(), DynamicPdpConfig::pdp3());
         for w in 0..4 {
             p.on_insert(0, w, &ctx());
         }
         assert_eq!(p.fill_decision(0, 0b1111, &ctx()), FillDecision::Bypass);
-        assert_eq!(p.bypasses(), 1);
     }
 
     #[test]
     fn rdd_decays_at_epoch() {
-        let mut p = DynamicPdp::new(&geom(), DynamicPdpConfig::pdp3());
+        let mut e = Estimator::new(&geom(), DynamicPdpConfig::pdp3());
         for _ in 0..10 {
-            p.observe_access(0, 1);
-            p.observe_access(0, 2);
+            e.sample(0, 1);
+            e.sample(0, 2);
         }
-        let before: u64 = p.rdd().iter().sum();
+        let before: u64 = e.rdd.iter().sum();
         assert!(before > 0);
-        p.on_epoch();
-        let after: u64 = p.rdd().iter().sum();
+        e.estimate();
+        let after: u64 = e.rdd.iter().sum();
         assert!(after < before);
     }
 }

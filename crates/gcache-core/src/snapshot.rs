@@ -48,9 +48,11 @@ use std::fmt;
 pub const MAGIC: [u8; 8] = *b"GCSNAPSH";
 /// Format version; bump on any layout change. Version 2 seals sections
 /// with [`checksum64`] instead of FNV-1a and encodes arrays in bulk;
-/// version 3 drops the blocked, MSHR-merge and L1.5 stall counters. An
-/// older file is rejected, never migrated (the point re-simulates).
-pub const VERSION: u32 = 3;
+/// version 3 drops the blocked, MSHR-merge and L1.5 stall counters;
+/// version 4 drops the policies' bypass, switch-opening and estimation
+/// counters and saves both PDP kinds as one `pdp` section. An older file
+/// is rejected, never migrated (the point re-simulates).
+pub const VERSION: u32 = 4;
 /// Bytes of magic plus version that open every snapshot.
 pub const HEADER_LEN: usize = MAGIC.len() + 4;
 

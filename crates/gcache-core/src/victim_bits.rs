@@ -207,7 +207,8 @@ impl VictimBits {
     }
 
     /// Reads the bit for `core` without setting it.
-    pub fn peek(&self, set: usize, way: usize, core: CoreId) -> bool {
+    #[cfg(test)]
+    fn peek(&self, set: usize, way: usize, core: CoreId) -> bool {
         self.bits[self.idx(set, way)] & self.group_mask(core) != 0
     }
 

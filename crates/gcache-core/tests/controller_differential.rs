@@ -20,7 +20,7 @@ use gcache_core::geometry::CacheGeometry;
 use gcache_core::mshr::{MshrAlloc, MshrFile, MshrReject};
 use gcache_core::policy::gcache::GCache;
 use gcache_core::policy::lru::Lru;
-use gcache_core::policy::pdp::StaticPdp;
+use gcache_core::policy::pdp::Pdp;
 use gcache_core::policy::{AccessCtx, AccessKind, PolicyKind};
 use gcache_core::rng::SmallRng;
 
@@ -275,7 +275,7 @@ fn bypassing_pdp_traces_match_old_l1_machine() {
     for seed in 0..8 {
         // A short protection distance forces frequent bypass-on-fill, the
         // path where the controller must not double-count statistics.
-        run_differential(StaticPdp::new(&geom, 6), 0, seed, 4_000);
+        run_differential(Pdp::fixed(&geom, 6), 0, seed, 4_000);
     }
 }
 

@@ -16,10 +16,12 @@
 //! could change any observable state — statistics included — assuming no
 //! external input arrives in between. The driver jumps the global clock
 //! to the minimum bound across components instead of ticking cycle by
-//! cycle, and calls `skip` so the cores' per-cycle stall accounting is
-//! replayed in bulk. (The memory-side stations count no stalls: a parked
-//! head-of-line request is simply not ticked until what it waits for
-//! arrives.) Undershooting a bound merely costs no-op ticks;
+//! cycle, and calls [`crate::system::CoreComplex::skip`] so the cores'
+//! per-cycle stall accounting is replayed in bulk. Nothing else accrues
+//! state across a skipped cycle, so the trait has no skip hook: the
+//! memory-side stations count no stalls, and a parked head-of-line request
+//! is simply not ticked until what it waits for arrives. Undershooting a
+//! bound merely costs no-op ticks;
 //! *overshooting would change simulated results*, so when in doubt an
 //! implementation must return `Some(now + 1)` (the default), which simply
 //! disables fast-forward for that component.
@@ -29,7 +31,7 @@ pub trait Clocked {
     /// Advances the component to cycle `now`. Called exactly once per
     /// simulated core cycle, with `now` strictly increasing — except on
     /// cycles the driver proved event-free via [`Clocked::next_event`],
-    /// which may be skipped entirely (see [`Clocked::skip`]).
+    /// which may be skipped entirely.
     fn tick(&mut self, now: u64);
 
     /// Whether all internal work has drained (used for the end-of-kernel
@@ -43,15 +45,6 @@ pub trait Clocked {
     /// `Some(now + 1)`: never skip.
     fn next_event(&self, now: u64) -> Option<u64> {
         Some(now + 1)
-    }
-
-    /// Accounts for `cycles` skipped cycles (`now + 1 ..= now + cycles`)
-    /// that the driver proved event-free for *every* component:
-    /// bulk-advances any per-cycle counters this component would have
-    /// incremented had it been ticked. The default does nothing — correct
-    /// for components whose event-free ticks are pure no-ops.
-    fn skip(&mut self, now: u64, cycles: u64) {
-        let _ = (now, cycles);
     }
 }
 

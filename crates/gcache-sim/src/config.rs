@@ -5,8 +5,8 @@ use gcache_core::cache::{BypassPlane, CopyBackPlane};
 use gcache_core::geometry::{CacheGeometry, GeometryError};
 use gcache_core::policy::gcache::{GCache, GCacheConfig};
 use gcache_core::policy::lru::Lru;
-use gcache_core::policy::pdp::StaticPdp;
-use gcache_core::policy::pdp_dyn::{DynamicPdp, DynamicPdpConfig};
+use gcache_core::policy::pdp::Pdp;
+use gcache_core::policy::pdp_dyn::DynamicPdpConfig;
 use gcache_core::policy::rrip::Rrip;
 use gcache_core::policy::PolicyKind;
 use std::fmt;
@@ -40,11 +40,7 @@ impl L1PolicyKind {
             L1PolicyKind::Srrip { .. } => "BS-S",
             L1PolicyKind::GCache(_) => "GC",
             L1PolicyKind::StaticPdp { .. } => "SPDP-B",
-            L1PolicyKind::DynamicPdp(cfg) => match cfg.counter_bits {
-                3 => "PDP-3",
-                8 => "PDP-8",
-                _ => "PDP-dyn",
-            },
+            L1PolicyKind::DynamicPdp(cfg) => cfg.name(),
         }
     }
 }
@@ -56,8 +52,8 @@ pub fn make_l1_policy(kind: &L1PolicyKind, geom: &CacheGeometry) -> PolicyKind {
         L1PolicyKind::Lru => Lru::new(geom).into(),
         L1PolicyKind::Srrip { bits } => Rrip::srrip(geom, *bits).into(),
         L1PolicyKind::GCache(cfg) => GCache::new(geom, *cfg).into(),
-        L1PolicyKind::StaticPdp { pd } => StaticPdp::new(geom, *pd).into(),
-        L1PolicyKind::DynamicPdp(cfg) => DynamicPdp::new(geom, *cfg).into(),
+        L1PolicyKind::StaticPdp { pd } => Pdp::fixed(geom, *pd).into(),
+        L1PolicyKind::DynamicPdp(cfg) => Pdp::estimated(geom, *cfg).into(),
     }
 }
 

@@ -878,6 +878,15 @@ impl Snapshot for SimtCore {
             }
             self.threads_resident = r.get()?;
             self.l1.restore(r)?;
+            // A fill releasing a slot past the table would index out of it
+            // in `complete_mem`.
+            let slots = self.warps.len();
+            if let Some(&slot) = self.l1.mshr().targets().max().filter(|&&s| s >= slots) {
+                return Err(SnapshotError::BadValue {
+                    what: "L1 MSHR target warp slot".to_string(),
+                    value: slot as u64,
+                });
+            }
             let txns: Vec<(LineAddr, AccessKind, WarpSlot, Option<RequestClass>)> = r.get()?;
             self.ldst_queue.clear();
             for (line, kind, warp, class) in txns {
@@ -983,6 +992,39 @@ mod tests {
             Err(SnapshotError::BadValue {
                 what: "LD/ST transaction warp slot".to_string(),
                 value: slots as u64
+            })
+        );
+    }
+
+    /// The same for a target waiting in the L1's MSHR: the line's fill
+    /// would release it into `complete_mem`.
+    #[test]
+    fn snapshot_rejects_an_l1_mshr_target_past_the_warp_table() {
+        let cfg = GpuConfig::fermi().unwrap();
+        let core = || {
+            let policy = crate::config::make_l1_policy(&cfg.l1_policy, &cfg.l1_geometry);
+            SimtCore::new(CoreId(0), &cfg, policy)
+        };
+        let restore = |slot| {
+            let mut saved = core();
+            let line = LineAddr::new(5);
+            let (set, tag) = (cfg.l1_geometry.set_of(line), cfg.l1_geometry.tag_of(line));
+            let kind = AccessKind::Read;
+            let admission = saved.l1().admit(line, set, tag, kind);
+            saved
+                .l1_mut()
+                .commit(admission, line, set, tag, kind, CoreId(0), slot);
+            let mut w = SnapshotWriter::new();
+            saved.save(&mut w);
+            let bytes = w.finish();
+            core().restore(&mut SnapshotReader::new(&bytes).unwrap())
+        };
+        assert_eq!(restore(cfg.max_warps_per_core - 1), Ok(()));
+        assert_eq!(
+            restore(99),
+            Err(SnapshotError::BadValue {
+                what: "L1 MSHR target warp slot".to_string(),
+                value: 99
             })
         );
     }

@@ -745,8 +745,8 @@ impl CoreComplex {
         ev
     }
 
-    /// [`Clocked::skip`]: replays every core's per-cycle stall accounting
-    /// across a gap the driver proved event-free.
+    /// Replays every core's per-cycle stall accounting across a gap the
+    /// driver proved event-free.
     pub fn skip(&mut self, now: u64, cycles: u64) {
         for core in &mut self.cores {
             core.skip(now, cycles);

@@ -18,7 +18,7 @@ if grep -rn '{{\\"' crates/*/src | grep -v '^crates/gcache-core/src/json.rs:'; t
   echo "hand-formatted JSON: write it with gcache_core::json::JsonWriter"; exit 1
 fi
 
-echo "==> one port view, one gated array, one perf ledger, no settle protocol"
+echo "==> one port view, one gated array, one perf ledger, no settle protocol, six policy hooks"
 # system.rs hands out one borrowed view type (`Port`); a second one is a
 # second place that decides "lane or mesh node, and which destination".
 views=$(grep -c '^pub struct [A-Za-z0-9_]*<'"'"'a' crates/gcache-sim/src/system.rs) || true
@@ -39,6 +39,13 @@ fi
 # method beside put/get is a second wire layout to keep in step.
 if grep -nE 'pub fn (u8|u16|u32|u64|usize|bool|f64)\(' crates/gcache-core/src/snapshot.rs; then
   echo "one way to write a value: \`w.put\` / \`r.get\`"; exit 1
+fi
+# A policy decides through name, on_access, on_hit, fill_decision,
+# on_insert and on_epoch; the bypass and copy-back planes around it are
+# CacheConfig fields, not hooks or a wrapper type.
+if grep -rnE 'fn (on_evict|evict_decision|on_set_access|observe_access)\b|enum EvictDecision|struct WriteDiscipline' \
+     crates/*/src; then
+  echo "the policy interface is six hooks"; exit 1
 fi
 
 echo "==> census: no new file-local pub fn (scripts/census.sh vs scripts/census.allow)"
@@ -207,7 +214,9 @@ profile=$(scripts/profile.sh grid_smoke 2)
 samples=$(sed -n '1s/^grid_smoke: \([0-9]*\) samples$/\1/p' <<< "$profile")
 [ "${samples:-0}" -ge 100 ] \
   || { echo "$profile"; echo "profile.sh: ${samples:-no} samples, expected at least 100"; exit 1; }
-sed -n '/^by inclusive time$/,$p' <<< "$profile" | grep -q 'gcache_sim::gpu::Gpu::run_kernel$' \
+# grep reads to the end (no -q): under pipefail, a grep that quits at its
+# first match can leave sed writing into a closed pipe (status 141).
+sed -n '/^by inclusive time$/,$p' <<< "$profile" | grep 'gcache_sim::gpu::Gpu::run_kernel$' >/dev/null \
   || { echo "$profile"; echo "profile.sh: Gpu::run_kernel is not among the inclusive rows"; exit 1; }
 echo "    $samples samples, Gpu::run_kernel on the stack"
 

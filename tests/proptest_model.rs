@@ -84,7 +84,7 @@ fn cache_global_invariants() {
             0 => Lru::new(&geom).into(),
             1 => Rrip::srrip(&geom, 3).into(),
             2 => GCache::with_defaults(&geom).into(),
-            _ => StaticPdp::new(&geom, 5).into(),
+            _ => Pdp::fixed(&geom, 5).into(),
         };
         let mut dut = Cache::new(CacheConfig::l1(geom, 64), policy);
         let n = rng.gen_range(1..300) as usize;
@@ -120,7 +120,7 @@ fn no_bypass_with_free_ways() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0x5eed_2003 ^ case);
         let geom = CacheGeometry::new(1024, 4, 128).unwrap(); // 2 sets
-        let mut dut = Cache::new(CacheConfig::l1(geom, 0), StaticPdp::new(&geom, 16));
+        let mut dut = Cache::new(CacheConfig::l1(geom, 0), Pdp::fixed(&geom, 16));
         let n = rng.gen_range(1..64) as usize;
         for _ in 0..n {
             let raw = rng.gen_range(0..16);
