@@ -29,7 +29,6 @@ pub mod sweep;
 
 use crate::sweep::DesignPoint;
 use gcache_core::cache::{BypassPlane, CopyBackPlane};
-use gcache_core::json::JsonWriter;
 use gcache_core::policy::gcache::GCacheConfig;
 use gcache_core::policy::pdp_dyn::DynamicPdpConfig;
 use gcache_core::snapshot::{
@@ -139,9 +138,8 @@ const SHARED_FLAGS: &[FlagDoc] = &[
         "--telemetry PATH",
         "additionally run the selected benchmarks under the GC\n\
          design with the per-epoch time-series sampler attached\n\
-         and write the combined series to PATH (CSV; a .json\n\
-         extension selects JSON). The experiment's own stdout\n\
-         stays byte-identical",
+         and write the combined series to PATH as CSV. The\n\
+         experiment's own stdout stays byte-identical",
     ),
     (
         "--trace-out PATH",
@@ -307,8 +305,8 @@ pub struct Cli {
     pub cluster_ports: Vec<usize>,
     /// Tick every cycle instead of fast-forwarding over idle ones.
     pub no_fast_forward: bool,
-    /// Write a per-epoch telemetry time series here (`--telemetry`);
-    /// CSV unless the path ends in `.json`.
+    /// Write a per-epoch telemetry time series here as CSV
+    /// (`--telemetry`).
     pub telemetry: Option<String>,
     /// Write a Chrome `trace_event` timeline here (`--trace-out`).
     pub trace_out: Option<String>,
@@ -779,20 +777,6 @@ pub fn telemetry_csv(series: &[TelemetrySeries]) -> String {
     out
 }
 
-/// Renders labelled telemetry series as one JSON document.
-fn telemetry_json(series: &[TelemetrySeries]) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_obj().key("series").begin_arr();
-    for (bench, design, sampler) in series {
-        w.begin_obj().key("bench").str(bench);
-        w.key("design").str(design).key("telemetry");
-        sampler.write_json(&mut w);
-        w.end_obj();
-    }
-    w.end_arr().end_obj();
-    w.finish()
-}
-
 /// Trace-ring capacity used by [`export_trace`]: large enough to hold a
 /// whole `--quick` run's event stream; a longer run keeps the newest
 /// events and the export records how many older ones the ring dropped.
@@ -866,21 +850,23 @@ pub fn trace_gc_run(
     (ring, profile)
 }
 
-/// Writes labelled telemetry series to `path` — CSV, or JSON when the
-/// path ends in `.json` — and notes the destination on stderr (stdout is
-/// reserved for experiment output).
+/// Writes labelled telemetry series to `path` as CSV and notes on stderr
+/// (stdout is reserved for experiment output) the destination and any
+/// series whose ring overwrote its oldest rows.
 ///
 /// # Panics
 ///
 /// Panics if the file cannot be written.
 pub fn write_telemetry_series(path: &str, series: &[TelemetrySeries]) {
-    let body = if path.ends_with(".json") {
-        telemetry_json(series)
-    } else {
-        telemetry_csv(series)
-    };
-    std::fs::write(path, body).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    std::fs::write(path, telemetry_csv(series))
+        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     eprintln!("telemetry series written to {path}");
+    for (bench, design, sampler) in series {
+        let dropped = sampler.dropped();
+        if dropped > 0 {
+            eprintln!("telemetry {bench}/{design}: ring full, {dropped} oldest rows dropped");
+        }
+    }
 }
 
 /// Reduces a benchmark's [`PD_CANDIDATES`] sweep to `(best_pd, stats at
@@ -1208,20 +1194,6 @@ mod tests {
                 (bench.to_string(), "GC", s)
             })
             .collect();
-        let tail = r#""l1_bypass_ratio":0,"l15_miss_rate":0,"l2_miss_rate":0,"switch_on_frac":0.125,"victim_set_rate":0,"victim_hit_rate":0,"victim_clear_rate":0,"mshr_peak":5,"noc_in_flight":0,"noc_queue_depth":0,"dram_row_hit_rate":0,"noc_inject_fail_rate":0,"noc_mean_latency":0}"#;
-        let first = format!(
-            r#"{{"cycle":1000,"cycles":1000,"instructions":750,"ipc":0.75,"l1_miss_rate":0.25,{tail}"#
-        );
-        let second = format!(
-            r#"{{"cycle":2500,"cycles":1500,"instructions":1125,"ipc":0.75,"l1_miss_rate":0.24933333333333332,{tail}"#
-        );
-        assert_eq!(
-            telemetry_json(&series),
-            format!(
-                r#"{{"series":[{{"bench":"BFS","design":"GC","telemetry":{{"interval":1000,"dropped":0,"samples":[{first},{second}]}}}},{{"bench":"STL","design":"GC","telemetry":{{"interval":1000,"dropped":0,"samples":[{first}]}}}}]}}"#
-            )
-        );
-        assert_eq!(telemetry_json(&[]), r#"{"series":[]}"#);
         assert_eq!(
             telemetry_csv(&series),
             format!(

@@ -26,12 +26,10 @@
 //!
 //! The status endpoint ([`StatusPlane`]) binds a plain
 //! [`std::net::TcpListener`] (no HTTP library — the repo is offline and
-//! dependency-free) and answers `GET /metrics` with a Prometheus-style
-//! text exposition and `GET /` or `GET /status.json` with the same JSON
-//! document written to `status.json`.
+//! dependency-free) and answers `GET /` or `GET /status.json` with the
+//! document written to `status.json`; any other path is `404`.
 
 use gcache_core::json::{Json, JsonWriter};
-use std::fmt::Write as _;
 use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -301,7 +299,7 @@ macro_rules! heartbeat {
 
         impl Heartbeat {
             /// Writes the record as one JSON object.
-            pub fn write_json(&self, w: &mut JsonWriter) {
+            fn write_json(&self, w: &mut JsonWriter) {
                 w.begin_obj();
                 $( self.$field.write(w.key(stringify!($field))); )+
                 w.end_obj();
@@ -356,7 +354,7 @@ impl Heartbeat {
     }
 
     /// Renders the record as one JSON object.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         self.write_json(&mut w);
         w.finish()
@@ -419,8 +417,7 @@ pub enum RunState {
 }
 
 impl RunState {
-    /// The stable lower-case name in `status.json` and on the
-    /// `gcache_sweep_state` label.
+    /// The stable lower-case name in `status.json`.
     pub const fn as_str(self) -> &'static str {
         match self {
             RunState::Running => "running",
@@ -480,8 +477,8 @@ pub struct ShardStatus {
     pub stale: bool,
 }
 
-/// The aggregated fleet status: everything `status.json` and the
-/// `/metrics` exposition are rendered from.
+/// The aggregated fleet status: everything `status.json` is rendered
+/// from.
 #[derive(Clone, Debug)]
 pub struct StatusSnapshot {
     /// Run identity.
@@ -496,8 +493,9 @@ pub struct StatusSnapshot {
     pub workers: usize,
     /// Wall-clock ms since the coordinator started.
     pub elapsed_ms: u64,
-    /// Naive ETA (elapsed · remaining / done), `None` until the first
-    /// point completes or once the sweep is done.
+    /// Naive ETA (elapsed · remaining / points finished by this
+    /// coordinator), `None` until the first of them completes or once the
+    /// sweep is done.
     pub eta_ms: Option<u64>,
     /// Staleness threshold applied to [`ShardStatus::stale`].
     pub stale_after_ms: u64,
@@ -507,134 +505,20 @@ pub struct StatusSnapshot {
     pub shards: Vec<ShardStatus>,
 }
 
-/// What a gauge reads. `status.json` and `/metrics` spell it differently
-/// — `true`/`false` against 1/0, `null` against -1 — and agree on
-/// everything else.
-#[derive(Clone, Copy, Debug)]
-enum Reading {
-    /// A count, or `None` while it is unknown.
-    Num(Option<u64>),
-    /// A yes/no fact.
-    Flag(bool),
-}
-
-impl Reading {
-    fn count(n: usize) -> Reading {
-        Reading::Num(Some(n as u64))
-    }
-
-    fn write_json(self, w: &mut JsonWriter) {
-        match self {
-            Reading::Num(n) => w.opt_num(n),
-            Reading::Flag(b) => w.bool(b),
-        };
-    }
-
-    fn metric(self) -> i128 {
-        match self {
-            Reading::Num(n) => n.map_or(-1, i128::from),
-            Reading::Flag(b) => i128::from(b),
-        }
-    }
-}
-
-/// One row of a gauge table: the member key in `status.json` (prefixed,
-/// the `/metrics` series name), the help text, and how to read it off
-/// `T`. Both renderers walk the same table, so a gauge added here shows
-/// up in both documents.
-type Gauge<T> = (&'static str, &'static str, fn(&T) -> Reading);
-
-/// The fleet-wide gauges.
-const FLEET_GAUGES: [Gauge<StatusSnapshot>; 5] = [
-    ("points_total", "Design points in the sweep grid.", |s| {
-        Reading::count(s.points_total)
-    }),
-    (
-        "points_done",
-        "Design points with a published result.",
-        |s| Reading::count(s.points_done),
-    ),
-    (
-        "workers",
-        "Worker processes the grid is dealt across.",
-        |s| Reading::count(s.workers),
-    ),
-    (
-        "elapsed_ms",
-        "Wall-clock milliseconds since the coordinator started.",
-        |s| Reading::Num(Some(s.elapsed_ms)),
-    ),
-    (
-        "eta_ms",
-        "Naive completion estimate in milliseconds (-1 = unknown).",
-        |s| Reading::Num(s.eta_ms),
-    ),
-];
-
-/// The per-shard gauges. The first [`HEARTBEAT_GAUGES`] restate
-/// heartbeat fields: `/metrics` lists them as series, `status.json`
-/// carries them inside the shard's `heartbeat` object instead.
-const SHARD_GAUGES: [Gauge<ShardStatus>; 6] = [
-    (
-        "points_done",
-        "Points of this shard already complete.",
-        |s| Reading::count(s.heartbeat.as_ref().map_or(0, |hb| hb.done)),
-    ),
-    ("points_total", "Points dealt to this shard.", |s| {
-        Reading::count(s.heartbeat.as_ref().map_or(0, |hb| hb.total))
-    }),
-    (
-        "respawns",
-        "Times the coordinator respawned this shard's worker.",
-        |s| Reading::Num(Some(s.respawns)),
-    ),
-    (
-        "gave_up",
-        "Whether this shard exhausted its respawn budget.",
-        |s| Reading::Flag(s.gave_up),
-    ),
-    (
-        "stale",
-        "Whether this shard's heartbeat is older than the staleness threshold.",
-        |s| Reading::Flag(s.stale),
-    ),
-    (
-        "heartbeat_age_ms",
-        "Milliseconds since this shard's last heartbeat (-1 = none yet).",
-        |s| Reading::Num(s.age_ms),
-    ),
-];
-
-/// How many leading [`SHARD_GAUGES`] come out of the heartbeat.
-const HEARTBEAT_GAUGES: usize = 2;
-
-/// Appends one `/metrics` gauge family: its `HELP` and `TYPE` lines and
-/// one `(labels, value)` sample per series.
-fn gauge_family(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    samples: impl IntoIterator<Item = (String, i128)>,
-) {
-    let _ = writeln!(out, "# HELP gcache_sweep_{name} {help}");
-    let _ = writeln!(out, "# TYPE gcache_sweep_{name} gauge");
-    for (labels, value) in samples {
-        let _ = writeln!(out, "gcache_sweep_{name}{labels} {value}");
-    }
-}
-
 impl StatusSnapshot {
     /// Renders the status document (the `status.json` body): identity
-    /// and state, the fleet gauges, the threshold and fault spec in
-    /// force, then one row of shard gauges plus the latest heartbeat per
-    /// shard.
-    pub fn to_json(&self) -> String {
+    /// and state, the fleet counts (`null` while unknown), the threshold
+    /// and fault spec in force, then one row per shard with its latest
+    /// heartbeat.
+    fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_obj().key("run_id").str(&self.run_id);
         w.key("state").str(self.state.as_str());
-        for (key, _, read) in FLEET_GAUGES {
-            read(self).write_json(w.key(key));
-        }
+        w.key("points_total").num(self.points_total);
+        w.key("points_done").num(self.points_done);
+        w.key("workers").num(self.workers);
+        w.key("elapsed_ms").num(self.elapsed_ms);
+        w.key("eta_ms").opt_num(self.eta_ms);
         w.key("stale_after_ms").num(self.stale_after_ms);
         match &self.fault {
             Some(spec) => w.key("fault").str(spec),
@@ -643,9 +527,10 @@ impl StatusSnapshot {
         w.key("shards").begin_arr();
         for (i, shard) in self.shards.iter().enumerate() {
             w.begin_obj().key("shard").num(i);
-            for (key, _, read) in &SHARD_GAUGES[HEARTBEAT_GAUGES..] {
-                read(shard).write_json(w.key(key));
-            }
+            w.key("respawns").num(shard.respawns);
+            w.key("gave_up").bool(shard.gave_up);
+            w.key("stale").bool(shard.stale);
+            w.key("heartbeat_age_ms").opt_num(shard.age_ms);
             w.key("heartbeat");
             if let Some(hb) = &shard.heartbeat {
                 hb.write_json(&mut w);
@@ -657,34 +542,6 @@ impl StatusSnapshot {
         w.end_arr().end_obj().space("\n");
         w.finish()
     }
-
-    /// Renders the Prometheus-style text exposition (`/metrics`): the
-    /// same gauges, plus the document's two strings as series — whether
-    /// a fault spec is armed, and the run state as a label.
-    fn prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, help, read) in FLEET_GAUGES {
-            gauge_family(&mut out, name, help, [(String::new(), read(self).metric())]);
-        }
-        gauge_family(
-            &mut out,
-            "fault_active",
-            "Whether a deterministic fault-injection spec is armed.",
-            [(String::new(), i128::from(self.fault.is_some()))],
-        );
-        gauge_family(
-            &mut out,
-            "state",
-            "Coarse run state (1 on the active label).",
-            [(format!("{{state=\"{}\"}}", self.state.as_str()), 1)],
-        );
-        for (name, help, read) in SHARD_GAUGES {
-            let shards = self.shards.iter().enumerate();
-            let samples = shards.map(|(i, s)| (format!("{{shard=\"{i}\"}}"), read(s).metric()));
-            gauge_family(&mut out, &format!("shard_{name}"), help, samples);
-        }
-        out
-    }
 }
 
 /// How often the status plane re-aggregates and republishes.
@@ -693,9 +550,10 @@ const STATUS_POLL_MS: u64 = 250;
 /// The coordinator's status plane: a background thread that periodically
 /// builds a [`StatusSnapshot`] (via the supplied closure), atomically
 /// replaces `status.json`, and — when a listen address is given — serves
-/// the snapshot over TCP, each connection on a short-lived thread of its
-/// own with one deadline for its whole request head, so no client can
-/// hold up a publish or another client.
+/// the same document over TCP, each connection on a short-lived thread of
+/// its own with one deadline for its whole request head, so no client can
+/// hold up a publish or another client. Dropping the plane publishes one
+/// final snapshot and stops it.
 #[derive(Debug)]
 pub struct StatusPlane {
     stop: Arc<AtomicBool>,
@@ -740,18 +598,17 @@ impl StatusPlane {
                 // `None` forces the first publish; `Instant` arithmetic
                 // below an hour of host uptime would panic here.
                 let mut last_pub: Option<Instant> = None;
-                // `status.json` and `/metrics` as last published.
-                let mut docs = Arc::new((String::new(), String::new()));
+                // `status.json` as last published.
+                let mut doc = Arc::new(String::new());
                 let mut serving: Vec<std::thread::JoinHandle<()>> = Vec::new();
                 loop {
                     let stopping = stop2.load(Ordering::Relaxed);
                     let due =
                         last_pub.is_none_or(|t| t.elapsed().as_millis() as u64 >= STATUS_POLL_MS);
                     if stopping || due {
-                        let snap = make();
-                        docs = Arc::new((snap.to_json(), snap.prometheus()));
+                        doc = Arc::new(make().to_json());
                         if let Some(path) = &status_file {
-                            let _ = replace_atomic(path, docs.0.as_bytes());
+                            let _ = replace_atomic(path, doc.as_bytes());
                         }
                         last_pub = Some(Instant::now());
                     }
@@ -761,8 +618,8 @@ impl StatusPlane {
                             // Past the cap (or out of threads) the stream
                             // just drops: closed unanswered.
                             if serving.len() < MAX_CONNECTIONS {
-                                let docs = Arc::clone(&docs);
-                                let serve = move || serve_one(stream, &docs.0, &docs.1);
+                                let doc = Arc::clone(&doc);
+                                let serve = move || serve_one(stream, &doc);
                                 if let Ok(thread) = std::thread::Builder::new().spawn(serve) {
                                     serving.push(thread);
                                 }
@@ -786,10 +643,6 @@ impl StatusPlane {
             addr,
         })
     }
-
-    /// Publishes one final snapshot and stops the plane, as dropping it
-    /// does.
-    pub fn finish(self) {}
 }
 
 impl Drop for StatusPlane {
@@ -817,7 +670,7 @@ const MAX_CONNECTIONS: usize = 32;
 /// (GET only, connection closed after the response). The whole request
 /// head has one deadline, so a client that sends nothing, a byte at a
 /// time, or more than [`MAX_REQUEST_HEAD`] is refused in bounded time.
-fn serve_one(mut stream: TcpStream, json: &str, prom: &str) {
+fn serve_one(mut stream: TcpStream, json: &str) {
     const TEXT: &str = "text/plain; charset=utf-8";
     let deadline = Instant::now() + CONNECTION_DEADLINE;
     // Where accepted sockets inherit the listener's mode.
@@ -851,7 +704,6 @@ fn serve_one(mut stream: TcpStream, json: &str, prom: &str) {
         .and_then(|l| l.split_whitespace().nth(1));
     let (status, ctype, body) = match (refusal, path.unwrap_or("/")) {
         (Some((status, body)), _) => (status, TEXT, body),
-        (None, "/metrics") => ("200 OK", "text/plain; version=0.0.4; charset=utf-8", prom),
         (None, "/" | "/status.json") => ("200 OK", "application/json", json),
         (None, _) => ("404 Not Found", TEXT, "not found\n"),
     };
@@ -1063,56 +915,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// `/metrics` for [`snapshot`], byte for byte (captured at the parent
-    /// of the gauge-table fold).
-    const PROMETHEUS_PIN: &str = "\
-# HELP gcache_sweep_points_total Design points in the sweep grid.
-# TYPE gcache_sweep_points_total gauge
-gcache_sweep_points_total 12
-# HELP gcache_sweep_points_done Design points with a published result.
-# TYPE gcache_sweep_points_done gauge
-gcache_sweep_points_done 5
-# HELP gcache_sweep_workers Worker processes the grid is dealt across.
-# TYPE gcache_sweep_workers gauge
-gcache_sweep_workers 2
-# HELP gcache_sweep_elapsed_ms Wall-clock milliseconds since the coordinator started.
-# TYPE gcache_sweep_elapsed_ms gauge
-gcache_sweep_elapsed_ms 1000
-# HELP gcache_sweep_eta_ms Naive completion estimate in milliseconds (-1 = unknown).
-# TYPE gcache_sweep_eta_ms gauge
-gcache_sweep_eta_ms 1400
-# HELP gcache_sweep_fault_active Whether a deterministic fault-injection spec is armed.
-# TYPE gcache_sweep_fault_active gauge
-gcache_sweep_fault_active 1
-# HELP gcache_sweep_state Coarse run state (1 on the active label).
-# TYPE gcache_sweep_state gauge
-gcache_sweep_state{state=\"running\"} 1
-# HELP gcache_sweep_shard_points_done Points of this shard already complete.
-# TYPE gcache_sweep_shard_points_done gauge
-gcache_sweep_shard_points_done{shard=\"0\"} 3
-gcache_sweep_shard_points_done{shard=\"1\"} 0
-# HELP gcache_sweep_shard_points_total Points dealt to this shard.
-# TYPE gcache_sweep_shard_points_total gauge
-gcache_sweep_shard_points_total{shard=\"0\"} 6
-gcache_sweep_shard_points_total{shard=\"1\"} 0
-# HELP gcache_sweep_shard_respawns Times the coordinator respawned this shard's worker.
-# TYPE gcache_sweep_shard_respawns gauge
-gcache_sweep_shard_respawns{shard=\"0\"} 1
-gcache_sweep_shard_respawns{shard=\"1\"} 0
-# HELP gcache_sweep_shard_gave_up Whether this shard exhausted its respawn budget.
-# TYPE gcache_sweep_shard_gave_up gauge
-gcache_sweep_shard_gave_up{shard=\"0\"} 0
-gcache_sweep_shard_gave_up{shard=\"1\"} 1
-# HELP gcache_sweep_shard_stale Whether this shard's heartbeat is older than the staleness threshold.
-# TYPE gcache_sweep_shard_stale gauge
-gcache_sweep_shard_stale{shard=\"0\"} 0
-gcache_sweep_shard_stale{shard=\"1\"} 1
-# HELP gcache_sweep_shard_heartbeat_age_ms Milliseconds since this shard's last heartbeat (-1 = none yet).
-# TYPE gcache_sweep_shard_heartbeat_age_ms gauge
-gcache_sweep_shard_heartbeat_age_ms{shard=\"0\"} 120
-gcache_sweep_shard_heartbeat_age_ms{shard=\"1\"} -1
-";
-
     #[test]
     fn heartbeat_fields_read_as_their_own_type() {
         let dir = tmpdir("hbtypes");
@@ -1160,7 +962,7 @@ gcache_sweep_shard_heartbeat_age_ms{shard=\"1\"} -1
     }
 
     #[test]
-    fn status_json_and_prometheus_render() {
+    fn status_json_renders() {
         // Byte pins: two shards, one without a heartbeat, a fault spec
         // that needs escaping.
         let snap = snapshot();
@@ -1177,9 +979,8 @@ gcache_sweep_shard_heartbeat_age_ms{shard=\"1\"} -1
                 "\n"
             )
         );
-        assert_eq!(snap.prometheus(), PROMETHEUS_PIN);
 
-        // The unknowns: `null` in the document, -1 / 0 in the exposition.
+        // The unknowns are `null`.
         let idle = StatusSnapshot {
             eta_ms: None,
             fault: None,
@@ -1189,40 +990,10 @@ gcache_sweep_shard_heartbeat_age_ms{shard=\"1\"} -1
         assert!(idle
             .to_json()
             .contains(r#""state":"complete","points_total":12,"points_done":5,"workers":2,"elapsed_ms":1000,"eta_ms":null,"stale_after_ms":30000,"fault":null,"#));
-        let prom = idle.prometheus();
-        assert!(prom.contains("\ngcache_sweep_eta_ms -1\n"));
-        assert!(prom.contains("\ngcache_sweep_fault_active 0\n"));
-
-        // The state label is one of four static words, so it needs no
-        // exposition-format escaping (which is not JSON's).
-        let states = [
-            RunState::Running,
-            RunState::Merging,
-            RunState::Complete,
-            RunState::Failed,
-        ];
-        let labels = states.map(|state| {
-            let prom = StatusSnapshot {
-                state,
-                ..idle.clone()
-            }
-            .prometheus();
-            let series = prom.lines().filter(|l| l.starts_with("gcache_sweep_state"));
-            series.collect::<Vec<_>>().join(" + ")
-        });
-        assert_eq!(
-            labels,
-            [
-                "gcache_sweep_state{state=\"running\"} 1",
-                "gcache_sweep_state{state=\"merging\"} 1",
-                "gcache_sweep_state{state=\"complete\"} 1",
-                "gcache_sweep_state{state=\"failed\"} 1",
-            ]
-        );
     }
 
     #[test]
-    fn status_plane_serves_metrics_and_json() {
+    fn status_plane_serves_status_json() {
         use std::sync::atomic::AtomicU64;
         let dir = tmpdir("plane");
         let status_file = status_path(&dir);
@@ -1240,8 +1011,10 @@ gcache_sweep_shard_heartbeat_age_ms{shard=\"1\"} -1
         assert_eq!(code, 200);
         let j = Json::parse(&body).expect("valid JSON body");
         assert_eq!(j.get("run_id").unwrap().as_str(), Some("r1"));
-        let (code, _) = http_get(addr, "/nope").expect("GET /nope");
-        assert_eq!(code, 404);
+        for other in ["/nope", "/metrics"] {
+            let (code, _) = http_get(addr, other).expect("GET another path");
+            assert_eq!(code, 404, "{other}");
+        }
 
         // Clients that stall cost nobody else anything: three that say
         // nothing, one that sends a byte every 50 ms and never finishes
@@ -1253,7 +1026,7 @@ gcache_sweep_shard_heartbeat_age_ms{shard=\"1\"} -1
         let drip = std::thread::spawn({
             let (stop, mut stream) = (Arc::clone(&stop), connect());
             move || {
-                let head = b"GET /metrics HTTP/1.1\r\nX-Slow: ";
+                let head = b"GET /status.json HTTP/1.1\r\nX-Slow: ";
                 for byte in head.iter().chain(std::iter::repeat(&b'a')) {
                     if stop.load(Ordering::Relaxed) || stream.write_all(&[*byte]).is_err() {
                         return;
@@ -1273,11 +1046,11 @@ gcache_sweep_shard_heartbeat_age_ms{shard=\"1\"} -1
         };
         let before = published();
         let asked = Instant::now();
-        let (code, body) = http_get(addr, "/metrics").expect("GET /metrics");
+        let (code, body) = http_get(addr, "/status.json").expect("GET /status.json");
         let took = asked.elapsed();
-        assert!(took < Duration::from_secs(1), "/metrics took {took:?}");
+        assert!(took < Duration::from_secs(1), "/status.json took {took:?}");
         assert_eq!(code, 200);
-        assert!(body.contains("gcache_sweep_points_done 5"));
+        assert!(body.contains(r#""points_done":5,"#));
         while published() <= before {
             let stuck = asked.elapsed() > Duration::from_secs(2);
             assert!(!stuck, "status.json stopped advancing");
@@ -1291,7 +1064,7 @@ gcache_sweep_shard_heartbeat_age_ms{shard=\"1\"} -1
 
         stop.store(true, Ordering::Relaxed);
         drip.join().expect("drip client exits");
-        plane.finish();
+        drop(plane);
         let last = published().expect("a final snapshot is published");
         assert!(last > before.unwrap_or(0.0));
         std::fs::remove_dir_all(&dir).unwrap();

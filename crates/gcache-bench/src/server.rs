@@ -98,8 +98,7 @@ const OWN_FLAGS: &[FlagDoc] = &[
     (
         "--status-addr ADDR",
         "serve live fleet status over HTTP on ADDR (e.g.\n\
-         127.0.0.1:0; the bound port is logged at startup).\n\
-         GET /metrics for a Prometheus-style exposition,\n\
+         127.0.0.1:0; the bound port is logged at startup):\n\
          GET /status.json for the aggregated JSON document",
     ),
     (
@@ -599,16 +598,14 @@ fn run_coordinator(
     }
 
     let fleet = Arc::new(FleetState::new(workers, fault.clone()));
-    let plane = start_status_plane(opts, grid.len(), workers, &run_id, &log, &fleet)?;
-    if let Some(plane) = &plane {
-        if let Some(addr) = plane.addr {
-            log.info("status_endpoint")
-                .str_field("addr", &addr.to_string())
-                .msg(format!(
-                    "status endpoint listening on http://{addr}/metrics"
-                ))
-                .emit();
-        }
+    let plane = start_status_plane(opts, grid.len(), done, workers, &run_id, &log, &fleet)?;
+    if let Some(addr) = plane.as_ref().and_then(|plane| plane.addr) {
+        log.info("status_endpoint")
+            .str_field("addr", &addr.to_string())
+            .msg(format!(
+                "status endpoint listening on http://{addr}/status.json"
+            ))
+            .emit();
     }
 
     if done < grid.len() {
@@ -621,9 +618,6 @@ fn run_coordinator(
         let failures: Vec<String> = outcomes.into_iter().filter_map(Result::err).collect();
         if !failures.is_empty() {
             fleet.set_state(RunState::Failed);
-            if let Some(plane) = plane {
-                plane.finish();
-            }
             return Err(failures.join("; "));
         }
     }
@@ -642,9 +636,8 @@ fn run_coordinator(
             out.display()
         ))
         .emit();
-    if let Some(plane) = plane {
-        plane.finish();
-    }
+    // The final snapshot (`complete`) is published before the output.
+    drop(plane);
     print!("{merged}");
     Ok(())
 }
@@ -653,11 +646,13 @@ fn run_coordinator(
 /// worker heartbeats plus the coordinator-owned fleet bookkeeping into
 /// `status.json` (skipped under `--no-logs`) and the optional live
 /// endpoint. Returns `None` when there is nothing to publish at all.
+/// `done_at_start` points were complete before this coordinator started.
 /// Stale shards are detected here, on each aggregation pass, and logged
 /// once per stale episode.
 fn start_status_plane(
     opts: &ServerOpts,
     points_total: usize,
+    done_at_start: usize,
     workers: usize,
     run_id: &str,
     log: &Arc<Logger>,
@@ -671,8 +666,9 @@ fn start_status_plane(
     let stale_after_ms = opts.stale_after_ms;
     // Under --no-logs the workers write no heartbeat files at all, so a
     // missing/old heartbeat carries no signal — staleness detection
-    // would flag every healthy shard. Keep the plane (endpoint, counts)
-    // but disable the staleness gauge.
+    // would flag every healthy shard, and a file left by an earlier
+    // logged attempt would pass for live progress. Keep the plane
+    // (endpoint, counts) but read no heartbeats.
     let heartbeats_enabled = !opts.no_logs;
     let log = Arc::clone(log);
     let fleet = Arc::clone(fleet);
@@ -688,7 +684,9 @@ fn start_status_plane(
             .count();
         let shards: Vec<ShardStatus> = (0..workers)
             .map(|s| {
-                let heartbeat = Heartbeat::read(&dir, s);
+                let heartbeat = heartbeats_enabled
+                    .then(|| Heartbeat::read(&dir, s))
+                    .flatten();
                 let age_ms = heartbeat
                     .as_ref()
                     .map(|hb| now.saturating_sub(hb.updated_ms));
@@ -720,8 +718,6 @@ fn start_status_plane(
                 }
             })
             .collect();
-        let eta_ms = (points_done > 0 && points_done < points_total)
-            .then(|| elapsed_ms * (points_total - points_done) as u64 / points_done as u64);
         StatusSnapshot {
             run_id: run_id.clone(),
             state,
@@ -729,7 +725,7 @@ fn start_status_plane(
             points_done,
             workers,
             elapsed_ms,
-            eta_ms,
+            eta_ms: eta_ms(elapsed_ms, done_at_start, points_done, points_total),
             stale_after_ms,
             fault: fleet.fault.clone(),
             shards,
@@ -737,6 +733,21 @@ fn start_status_plane(
     };
     let status_file = (!opts.no_logs).then(|| status_path(&opts.dir));
     StatusPlane::start(opts.status_addr.as_deref(), status_file, make).map(Some)
+}
+
+/// The time still to go, at the pace of the points this coordinator has
+/// finished itself: points found complete at start (`done_at_start`)
+/// took none of its `elapsed_ms`. `None` until one of its own lands, and
+/// once the sweep is done.
+fn eta_ms(
+    elapsed_ms: u64,
+    done_at_start: usize,
+    points_done: usize,
+    points_total: usize,
+) -> Option<u64> {
+    let finished_here = points_done.saturating_sub(done_at_start) as u64;
+    (finished_here > 0 && points_done < points_total)
+        .then(|| elapsed_ms * (points_total - points_done) as u64 / finished_here)
 }
 
 /// Runs the sweep server with parsed options: as coordinator, or — when
@@ -855,6 +866,53 @@ mod tests {
         assert!(err.contains("--workers expects a positive"), "got: {err}");
         let err = ServerOpts::parse(args(&["--dir", "d", "--shard", "zero"])).unwrap_err();
         assert!(err.contains("--shard"), "got: {err}");
+    }
+
+    #[test]
+    fn eta_counts_only_this_runs_points() {
+        // Fresh: 10 of 100 done in 1 s leaves 9 s.
+        assert_eq!(eta_ms(1000, 0, 10, 100), Some(9000));
+        // Resumed at 90 of 100: the earlier attempt's 90 took none of
+        // this second, so nothing is known until one of this run lands,
+        // and then the pace is one point per second.
+        assert_eq!(eta_ms(1000, 90, 90, 100), None);
+        assert_eq!(eta_ms(1000, 90, 91, 100), Some(9000));
+        assert_eq!(eta_ms(1000, 90, 100, 100), None, "done");
+    }
+
+    #[test]
+    fn no_logs_plane_reads_no_heartbeat() {
+        use crate::obs::http_get;
+        let dir = std::env::temp_dir().join(format!("gcache-server-{}-hb", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // What an earlier, logged attempt left behind.
+        let mut old = HeartbeatWriter::new(Some(&dir), 0, 6);
+        old.hb.done = 3;
+        old.beat();
+
+        let served = |extra: &[&str]| {
+            let mut args = vec![
+                "--dir",
+                dir.to_str().unwrap(),
+                "--status-addr",
+                "127.0.0.1:0",
+            ];
+            args.extend(extra);
+            let opts = ServerOpts::parse(args.iter().map(|s| s.to_string()).collect()).unwrap();
+            let log = Arc::new(Logger::new(None, "r", None));
+            let fleet = Arc::new(FleetState::new(1, None));
+            let plane = start_status_plane(&opts, 6, 0, 1, "r", &log, &fleet)
+                .unwrap()
+                .expect("a plane with an endpoint");
+            let (code, body) = http_get(plane.addr.unwrap(), "/status.json").unwrap();
+            assert_eq!(code, 200);
+            body
+        };
+        assert!(served(&[]).contains(r#""heartbeat":{"shard":0"#));
+        let body = served(&["--no-logs"]);
+        assert!(body.contains(r#""heartbeat":null"#), "got: {body}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

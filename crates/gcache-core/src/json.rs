@@ -3,7 +3,7 @@
 //!
 //! The build environment is offline and the workspace is dependency-free
 //! by policy, so every piece of the repo that *emits* JSON — log records,
-//! heartbeats, `status.json`, Chrome `trace_event` documents, telemetry —
+//! heartbeats, `status.json`, Chrome `trace_event` documents —
 //! goes through [`JsonWriter`], and the pieces that *consume* it — the
 //! repo benchmark reading its own result files, the trace round-trip
 //! test, the status-endpoint smoke, the coordinator reading heartbeats —

@@ -843,9 +843,8 @@ pub fn assert_round_trip<T: Codec>(v: &T) {
 ///   field by field (every field type must be `AddAssign<&Self>`, as `u64`
 ///   is);
 /// * `impl fields as dyn Trait;` — `FIELDS`, the comma-separated field
-///   names, and `fields()` / `fields_mut()`, each field as a
-///   `(name, &dyn Trait)` pair in declaration order, for code that walks
-///   the record as named columns.
+///   names, and `fields()`, each field as a `(name, &dyn Trait)` pair in
+///   declaration order, for code that walks the record as named columns.
 ///
 /// # Examples
 ///
@@ -936,11 +935,6 @@ macro_rules! record {
             /// Every field, named, in declaration order.
             pub fn fields(&self) -> Vec<(&'static str, &dyn $view)> {
                 vec![$( (stringify!($field), &self.$field as &dyn $view) ),+]
-            }
-
-            /// Every field, named and writable, in declaration order.
-            pub fn fields_mut(&mut self) -> Vec<(&'static str, &mut dyn $view)> {
-                vec![$( (stringify!($field), &mut self.$field as &mut dyn $view) ),+]
             }
         }
     };

@@ -7,7 +7,7 @@
 //! [`Sample`] rows — IPC, miss and bypass ratios per level, the G-Cache
 //! switch-on fraction, victim-bit set/hit/clear rates, MSHR high-water
 //! marks, mesh occupancy and the DRAM row-hit rate — held in a
-//! preallocated ring and exportable as CSV or JSON.
+//! preallocated ring and exportable as CSV.
 //!
 //! Sampling is *passive*: it only reads counters that the simulation
 //! updates anyway, so a sampled run produces bit-identical [`SimStats`] to
@@ -33,21 +33,18 @@
 //! ```
 //! use gcache_sim::telemetry::{Sample, Sampler};
 //!
-//! let mut s = Sampler::new(1024);
+//! let s = Sampler::new(1024);
 //! assert_eq!(s.interval(), 1024);
 //! assert!(s.is_empty());
-//! // CSV schema round-trips through the parser.
-//! let row = "2048,1024,900,0.87890625,0.25,0.1,0,0.3,0.5,0.2,0.1,0.05,12,3,2,0.75,0.01,18.5";
-//! let parsed = Sample::parse_csv(row).unwrap();
-//! assert_eq!(parsed.cycle, 2048);
-//! assert_eq!(Sample::parse_csv(&parsed.csv_row()), Some(parsed));
+//! // One CSV cell per header column.
+//! let row = Sample { cycle: 2048, ipc: 0.875, ..Sample::default() }.csv_row();
+//! assert_eq!(row, "2048,0,0,0.875,0,0,0,0,0,0,0,0,0,0,0,0,0,0");
+//! assert_eq!(row.split(',').count(), Sample::CSV_HEADER.split(',').count());
 //! ```
 
-use gcache_core::json::JsonWriter;
 use gcache_core::record;
 use gcache_core::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use std::fmt;
-use std::str::FromStr;
 
 /// Default sampling interval in cycles.
 pub const DEFAULT_INTERVAL: u64 = 4096;
@@ -160,22 +157,7 @@ record! {
         /// interval, in cycles (both meshes; 0 if none).
         pub noc_mean_latency: f64,
     }
-    impl fields as dyn Column;
-}
-
-/// One cell of a telemetry row: a number that prints in its shortest
-/// round-trippable form and parses back as its own type, so an integer
-/// column rejects `1.5`, `-1` and `NaN` instead of rounding them in.
-pub trait Column: fmt::Display {
-    /// Overwrites the cell from `text`; `None` if it is not this type.
-    fn parse_from(&mut self, text: &str) -> Option<()>;
-}
-
-impl<T: fmt::Display + FromStr> Column for T {
-    fn parse_from(&mut self, text: &str) -> Option<()> {
-        *self = text.parse().ok()?;
-        Some(())
-    }
+    impl fields as dyn fmt::Display;
 }
 
 fn ratio(num: u64, den: u64) -> f64 {
@@ -234,32 +216,11 @@ impl Sample {
     }
 
     /// One CSV row in [`Sample::CSV_HEADER`] order. Floats use Rust's
-    /// shortest round-trippable representation, so
-    /// [`Sample::parse_csv`] recovers the exact value.
+    /// shortest round-trippable representation, so a reader parsing a
+    /// cell as `f64` recovers the exact value.
     pub fn csv_row(&self) -> String {
         let cells: Vec<String> = self.fields().iter().map(|(_, v)| v.to_string()).collect();
         cells.join(",")
-    }
-
-    /// Parses one [`Sample::csv_row`]-formatted row, each cell as its
-    /// column's own type; `None` on any column count or number-format
-    /// mismatch.
-    pub fn parse_csv(row: &str) -> Option<Sample> {
-        let mut sample = Sample::default();
-        let mut cells = row.trim().split(',');
-        for (_, column) in sample.fields_mut() {
-            column.parse_from(cells.next()?.trim())?;
-        }
-        cells.next().is_none().then_some(sample)
-    }
-
-    /// Writes one JSON object with the CSV columns as keys.
-    pub fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_obj();
-        for (name, v) in self.fields() {
-            w.key(name).num(v);
-        }
-        w.end_obj();
     }
 }
 
@@ -399,24 +360,6 @@ impl Sampler {
             out.push('\n');
         }
         out
-    }
-
-    /// Writes the whole series as one JSON object.
-    pub fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_obj().key("interval").num(self.interval);
-        w.key("dropped").num(self.dropped);
-        w.key("samples").begin_arr();
-        for s in self.samples() {
-            s.write_json(w);
-        }
-        w.end_arr().end_obj();
-    }
-
-    /// The whole series as a JSON document.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        self.write_json(&mut w);
-        w.finish()
     }
 }
 
@@ -613,7 +556,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trip_is_exact() {
+    fn csv_lists_every_row_exactly() {
         let mut s = Sampler::new(1000);
         s.seed(snap(0));
         s.record(snap(1000));
@@ -621,67 +564,23 @@ mod tests {
         let csv = s.to_csv();
         let mut lines = csv.lines();
         assert_eq!(lines.next(), Some(Sample::CSV_HEADER));
-        let parsed: Vec<Sample> = lines.map(|l| Sample::parse_csv(l).unwrap()).collect();
-        assert_eq!(parsed, s.samples());
-    }
-
-    #[test]
-    fn csv_parser_rejects_malformed_rows() {
-        assert_eq!(Sample::parse_csv(""), None);
-        assert_eq!(Sample::parse_csv("1,2,3"), None);
-        assert_eq!(Sample::parse_csv(Sample::CSV_HEADER), None);
-        let mut s = Sampler::new(10);
-        s.seed(snap(0));
-        s.record(snap(10));
-        let row = s.samples()[0].csv_row();
-        assert!(
-            Sample::parse_csv(&format!("{row},9")).is_none(),
-            "extra column"
-        );
-        // An integer column takes what `csv_row` can have written there,
-        // not anything a float parser would round or saturate into it.
-        let cells: Vec<&str> = row.split(',').collect();
-        for column in ["mshr_peak", "noc_in_flight", "noc_queue_depth"] {
-            let at = Sample::CSV_HEADER
-                .split(',')
-                .position(|name| name == column)
-                .expect("an integer gauge column");
-            for bad in ["-1", "1.5", "NaN", "1e30"] {
-                let mut cells = cells.clone();
-                cells[at] = bad;
-                assert_eq!(Sample::parse_csv(&cells.join(",")), None, "{column}={bad}");
-            }
-        }
-    }
-
-    #[test]
-    fn json_export_is_structured() {
-        // Byte pin (captured at the parent of the writer fold): a wrapped
-        // two-row ring, integers and shortest round-trip floats.
-        let mut s = Sampler::with_capacity(1000, 2);
-        s.seed(snap(0));
-        s.record(snap(1000));
-        s.record(snap(3000));
-        s.record(snap(3500));
+        let rows: Vec<&str> = lines.collect();
+        let samples = s.samples();
         assert_eq!(
-            s.to_json(),
-            concat!(
-                r#"{"interval":1000,"dropped":1,"samples":[{"cycle":3000,"cycles":2000,"instructions":4000,"#,
-                r#""ipc":2,"l1_miss_rate":0.5,"l1_bypass_ratio":0.3333333333333333,"l15_miss_rate":0,"#,
-                r#""l2_miss_rate":0.25,"switch_on_frac":0.125,"victim_set_rate":0.25,"victim_hit_rate":0.125,"#,
-                r#""victim_clear_rate":0.062,"mshr_peak":5,"noc_in_flight":3,"noc_queue_depth":2,"#,
-                r#""dram_row_hit_rate":0.5,"noc_inject_fail_rate":0.2,"noc_mean_latency":16},"#,
-                r#"{"cycle":3500,"cycles":500,"instructions":1000,"ipc":2,"l1_miss_rate":0.5,"#,
-                r#""l1_bypass_ratio":0.3315508021390374,"l15_miss_rate":0,"l2_miss_rate":0.248,"#,
-                r#""switch_on_frac":0.125,"victim_set_rate":0.248,"victim_hit_rate":0.124,"#,
-                r#""victim_clear_rate":0.064,"mshr_peak":5,"noc_in_flight":3,"noc_queue_depth":2,"#,
-                r#""dram_row_hit_rate":0.5,"noc_inject_fail_rate":0.1987179487179487,"noc_mean_latency":16}]}"#,
-            )
+            rows,
+            samples.iter().map(Sample::csv_row).collect::<Vec<_>>()
         );
-        assert_eq!(
-            Sampler::new(7).to_json(),
-            r#"{"interval":7,"dropped":0,"samples":[]}"#
-        );
+        // A float cell reads back as the value that was written.
+        let bypass = Sample::CSV_HEADER
+            .split(',')
+            .position(|c| c == "l1_bypass_ratio");
+        let cell: f64 = rows[0]
+            .split(',')
+            .nth(bypass.unwrap())
+            .unwrap()
+            .parse()
+            .unwrap();
+        assert_eq!(cell, samples[0].l1_bypass_ratio);
     }
 
     #[test]

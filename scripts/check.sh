@@ -18,7 +18,7 @@ if grep -rn '{{\\"' crates/*/src | grep -v '^crates/gcache-core/src/json.rs:'; t
   echo "hand-formatted JSON: write it with gcache_core::json::JsonWriter"; exit 1
 fi
 
-echo "==> one port view, one gated array, one perf ledger, no settle protocol, six policy hooks"
+echo "==> one port view, one gated array, one perf ledger, no settle protocol, six policy hooks, one format per artifact"
 # system.rs hands out one borrowed view type (`Port`); a second one is a
 # second place that decides "lane or mesh node, and which destination".
 views=$(grep -c '^pub struct [A-Za-z0-9_]*<'"'"'a' crates/gcache-sim/src/system.rs) || true
@@ -46,6 +46,12 @@ fi
 if grep -rnE 'fn (on_evict|evict_decision|on_set_access|observe_access)\b|enum EvictDecision|struct WriteDiscipline' \
      crates/*/src; then
   echo "the policy interface is six hooks"; exit 1
+fi
+# Fleet status is the status.json document and telemetry is CSV: a
+# second rendering of either (or a parser for one) has no reader.
+if grep -rnE 'fn (prometheus|parse_csv|telemetry_json)\b|"/metrics"\)? *(=>|\|)' crates/*/src \
+   || grep -nE 'fn (write_json|to_json)\b' crates/gcache-sim/src/telemetry.rs; then
+  echo "one format per observability artifact"; exit 1
 fi
 
 echo "==> census: no new file-local pub fn (scripts/census.sh vs scripts/census.allow)"
@@ -151,10 +157,10 @@ echo "==> sweep-server kill-resume smoke (worker abort + coordinator SIGKILL)"
 # slower and a kill that depends on timing cannot miss.
 cargo test --release -q -p gcache-bench --test sweep_server_kill_resume | sed 's/^/   /'
 
-echo "==> status-endpoint smoke (live /metrics + /status.json during a sweep)"
+echo "==> status-endpoint smoke (live /status.json during a sweep)"
 # The curl-equivalent probe lives in the observability integration test:
 # it spawns the real sweep_server binary, reads the bound port from the
-# startup log record, and GETs both documents while workers run.
+# startup log record, and GETs status.json (and a 404) while workers run.
 cargo test -q -p gcache-bench --test observability status_endpoint_serves_live_sweep \
   | sed 's/^/   /'
 
