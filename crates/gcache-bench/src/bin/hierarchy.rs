@@ -24,6 +24,7 @@ use gcache_bench::sweep::{DesignPoint, Sweep};
 use gcache_bench::{bench_cli, pct, speedup, Table, SIMULATE};
 use gcache_core::policy::gcache::GCacheConfig;
 use gcache_sim::config::{Hierarchy, L1PolicyKind};
+use gcache_sim::icnt::NocStats;
 use gcache_sim::stats::{geomean, SimStats};
 
 /// The three policies the shape comparison runs: baseline LRU, static
@@ -50,25 +51,11 @@ fn label(h: Hierarchy, ports: usize) -> String {
     }
 }
 
-/// Mean packet latency over both mesh networks of a run.
-fn noc_mean_latency(s: &SimStats) -> f64 {
-    let delivered = s.noc_req.delivered + s.noc_resp.delivered;
-    if delivered == 0 {
-        0.0
-    } else {
-        (s.noc_req.total_latency + s.noc_resp.total_latency) as f64 / delivered as f64
-    }
-}
-
-/// Injection-fail rate over both mesh networks of a run.
-fn noc_fail_rate(s: &SimStats) -> f64 {
-    let attempts =
-        s.noc_req.packets + s.noc_resp.packets + s.noc_req.inject_fails + s.noc_resp.inject_fails;
-    if attempts == 0 {
-        0.0
-    } else {
-        (s.noc_req.inject_fails + s.noc_resp.inject_fails) as f64 / attempts as f64
-    }
+/// Both mesh networks of a run as one.
+fn noc(s: &SimStats) -> NocStats {
+    let mut noc = s.noc_req;
+    noc.merge(&s.noc_resp);
+    noc
 }
 
 fn main() {
@@ -110,6 +97,7 @@ fn main() {
             let flat_bs = &chunk[0];
             let runs = &chunk[ci * policies().len()..(ci + 1) * policies().len()];
             let (bs, bss, gc) = (&runs[0], &runs[1], &runs[2]);
+            let net = noc(gc);
             let s = gc.speedup_over(flat_bs);
             gc_speedups.push(s);
             table.row(vec![
@@ -124,8 +112,8 @@ fn main() {
                 } else {
                     pct(gc.l15_miss_rate())
                 },
-                format!("{:.1}", noc_mean_latency(gc)),
-                pct(noc_fail_rate(gc)),
+                format!("{:.1}", net.mean_latency()),
+                pct(net.inject_fail_rate()),
                 if gc.xbar_ports == 0 {
                     "-".to_string()
                 } else {

@@ -48,18 +48,16 @@ use std::path::{Path, PathBuf};
 /// `--checkpoint-every`.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 65_536;
 
-/// Checkpoint/resume options of a run.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Checkpoint/resume options of a run (`--checkpoint PATH`).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckpointOpts {
-    /// Stem from `--checkpoint PATH`: each grid point checkpoints to
-    /// `PATH.<label-hash>.ckpt` (distinct files, so parallel sweep workers
-    /// never collide), atomically via a temp file + rename.
-    pub write: Option<String>,
+    /// Each grid point checkpoints to `stem.<label-hash>.ckpt` (distinct
+    /// files, so parallel sweep workers never collide), atomically via a
+    /// temp file + rename, and before it starts restores that file when
+    /// one is present and matches.
+    pub stem: String,
     /// Checkpoint cadence in cycles (`--checkpoint-every`).
     pub every: u64,
-    /// Stem from `--resume PATH`: before each grid point starts, its
-    /// checkpoint file is probed and, when present and matching, restored.
-    pub resume: Option<String>,
 }
 
 /// How to simulate a design point, as opposed to which one
@@ -67,27 +65,14 @@ pub struct CheckpointOpts {
 /// explicitly to [`run_point`] — no run reads hidden process state, so
 /// differently configured runs can share a process.
 /// [`Cli::run_opts`] builds it once from the command line.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunOpts {
-    /// Skip provably idle cycles (`false` = `--no-fast-forward`, the
-    /// plain cycle loop; stats are bit-identical either way).
-    pub fast_forward: bool,
     /// Checkpoint/resume through labelled per-point files.
     pub checkpoint: Option<CheckpointOpts>,
     /// Attach a per-epoch telemetry [`Sampler`] and return its series.
     /// Sampling is passive: the stats are bit-identical either way (the
     /// `telemetry_off_identical` integration test enforces it).
     pub sampled: bool,
-}
-
-impl Default for RunOpts {
-    fn default() -> Self {
-        RunOpts {
-            fast_forward: true,
-            checkpoint: None,
-            sampled: false,
-        }
-    }
 }
 
 /// Candidate protection distances swept to find SPDP-B's per-benchmark
@@ -130,11 +115,6 @@ const SHARED_FLAGS: &[FlagDoc] = &[
          many transfer ports",
     ),
     (
-        "--no-fast-forward",
-        "tick every cycle instead of skipping provably idle\n\
-         ones; slower, bit-identical output (cross-checking)",
-    ),
-    (
         "--telemetry PATH",
         "additionally run the selected benchmarks under the GC\n\
          design with the per-epoch time-series sampler attached\n\
@@ -156,18 +136,15 @@ const SHARED_FLAGS: &[FlagDoc] = &[
         "--checkpoint PATH",
         "periodically snapshot each in-flight simulation to\n\
          PATH.<point-hash>.ckpt (atomic write; file removed when\n\
-         the point completes), so an interrupted run can continue\n\
-         instead of restarting. Output stays byte-identical",
+         the point completes), and resume each point from its\n\
+         file there when one exists: re-running an interrupted\n\
+         command continues it. Output stays byte-identical.\n\
+         A file is resumed whatever build wrote it: delete\n\
+         PATH.*.ckpt after a rebuild that changes simulation",
     ),
     (
         "--checkpoint-every N",
         "checkpoint cadence in cycles (default 65536)",
-    ),
-    (
-        "--resume PATH",
-        "before simulating each point, restore its checkpoint\n\
-         file under the PATH stem when one exists; the resumed\n\
-         run's output is bit-identical to an uninterrupted one",
     ),
 ];
 
@@ -177,12 +154,10 @@ pub const SIMULATE: &[&str] = &[
     "--quick",
     "--bench",
     "--jobs",
-    "--no-fast-forward",
     "--telemetry",
     "--trace-out",
     "--checkpoint",
     "--checkpoint-every",
-    "--resume",
 ];
 
 /// The flag a usage entry documents.
@@ -303,19 +278,15 @@ pub struct Cli {
     /// Cluster-crossbar port counts from `--cluster-ports` (empty = the
     /// binary's default).
     pub cluster_ports: Vec<usize>,
-    /// Tick every cycle instead of fast-forwarding over idle ones.
-    pub no_fast_forward: bool,
     /// Write a per-epoch telemetry time series here as CSV
     /// (`--telemetry`).
     pub telemetry: Option<String>,
     /// Write a Chrome `trace_event` timeline here (`--trace-out`).
     pub trace_out: Option<String>,
-    /// Checkpoint file stem (`--checkpoint`).
+    /// Checkpoint and resume file stem (`--checkpoint`).
     pub checkpoint: Option<String>,
     /// Checkpoint cadence in cycles (`--checkpoint-every`).
     pub checkpoint_every: Option<u64>,
-    /// Resume file stem (`--resume`).
-    pub resume: Option<String>,
 }
 
 /// Parses one `--hierarchy` shape: `flat`, `cN` or `cN:KB` (cluster size
@@ -381,12 +352,10 @@ impl Cli {
                 "--jobs" => cli.jobs = Some(v.positive()?),
                 "--hierarchy" => cli.hierarchy = v.list(parse_hierarchy)?,
                 "--cluster-ports" => cli.cluster_ports = v.list(|s| positive(&flag, s))?,
-                "--no-fast-forward" => cli.no_fast_forward = true,
                 "--telemetry" => cli.telemetry = Some(v.path()?),
                 "--trace-out" => cli.trace_out = Some(v.path()?),
                 "--checkpoint" => cli.checkpoint = Some(v.path()?),
                 "--checkpoint-every" => cli.checkpoint_every = Some(v.positive()?),
-                "--resume" => cli.resume = Some(v.path()?),
                 other => unreachable!("{other} is in `takes` but not a shared flag"),
             }
             let taken = v.taken;
@@ -433,17 +402,13 @@ impl Cli {
     }
 
     /// How this command line wants its design points simulated
-    /// (`--no-fast-forward`, `--checkpoint`, `--checkpoint-every`,
-    /// `--resume`), unsampled.
+    /// (`--checkpoint`, `--checkpoint-every`), unsampled.
     pub fn run_opts(&self) -> RunOpts {
-        let checkpoint =
-            (self.checkpoint.is_some() || self.resume.is_some()).then(|| CheckpointOpts {
-                write: self.checkpoint.clone(),
-                every: self.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY),
-                resume: self.resume.clone(),
-            });
+        let checkpoint = self.checkpoint.as_ref().map(|stem| CheckpointOpts {
+            stem: stem.clone(),
+            every: self.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY),
+        });
         RunOpts {
-            fast_forward: !self.no_fast_forward,
             checkpoint,
             sampled: false,
         }
@@ -565,7 +530,7 @@ impl PolicyPlanes {
 }
 
 /// The checkpoint file for one labelled grid point under a `--checkpoint`
-/// / `--resume` stem.
+/// stem.
 fn checkpoint_file(stem: &str, label: &str) -> PathBuf {
     PathBuf::from(format!("{stem}.{:016x}.ckpt", fnv1a(label.as_bytes())))
 }
@@ -650,12 +615,11 @@ pub enum PointEvent<'a> {
 }
 
 /// The one way `gcache-bench` turns a configuration into a simulation:
-/// builds a GPU for `cfg` (with a telemetry sampler when `opts.sampled`),
-/// restores the checkpoint for `label` when `opts` names a resume stem
-/// and a matching file exists, runs `bench` — periodically snapshotting
-/// when `opts` names a checkpoint stem — and removes the checkpoint file
-/// once the point completes. `cfg.fast_forward` is overwritten from
-/// `opts`.
+/// builds a GPU for `cfg` (with a telemetry sampler when `opts.sampled`)
+/// and runs `bench`. When `opts` names a checkpoint stem, it first
+/// restores the point's checkpoint file there if one exists and matches,
+/// then snapshots to that file periodically, and removes it once the
+/// point completes.
 ///
 /// `label` is the point's stable identity
 /// ([`sweep::DesignPoint::label`]): it is embedded in, and hashed into
@@ -672,13 +636,12 @@ pub enum PointEvent<'a> {
 ///
 /// Panics if `cfg` is not a valid machine (see [`Gpu::new`]).
 pub fn run_point_observed(
-    mut cfg: GpuConfig,
+    cfg: GpuConfig,
     bench: &dyn Benchmark,
     label: &str,
     opts: &RunOpts,
     observe: &mut dyn FnMut(PointEvent<'_>) -> Result<(), String>,
 ) -> Result<(SimStats, Option<Sampler>), String> {
-    cfg.fast_forward = opts.fast_forward;
     let build = || {
         let mut gpu = Gpu::new(cfg.clone());
         if opts.sampled {
@@ -687,10 +650,12 @@ pub fn run_point_observed(
         gpu
     };
     let mut gpu = build();
-    let ckpt = opts.checkpoint.as_ref();
-    if let Some(stem) = ckpt.and_then(|c| c.resume.as_ref()) {
-        let path = checkpoint_file(stem, label);
-        let restored = match read_labelled_checkpoint(&path, label) {
+    let ckpt = opts
+        .checkpoint
+        .as_ref()
+        .map(|c| (checkpoint_file(&c.stem, label), c.every));
+    if let Some((path, _)) = &ckpt {
+        let restored = match read_labelled_checkpoint(path, label) {
             Ok(None) => Ok(false),
             Ok(Some(snapshot)) => gpu
                 .restore_checkpoint(&snapshot, bench)
@@ -701,21 +666,20 @@ pub fn run_point_observed(
         match restored {
             Ok(false) => {}
             Ok(true) => observe(PointEvent::Resumed {
-                path: &path,
+                path,
                 cycle: gpu.cycle(),
             })?,
             Err(reason) => {
                 // A failed restore may leave the GPU half-written.
                 gpu = build();
                 observe(PointEvent::CheckpointIgnored {
-                    path: &path,
+                    path,
                     reason: &reason,
                 })?;
             }
         }
     }
-    let write = ckpt.and_then(|c| Some((checkpoint_file(c.write.as_ref()?, label), c.every)));
-    let result = match &write {
+    let result = match &ckpt {
         Some((path, every)) => gpu.run_kernel_checkpointed(bench, *every, |cycle, snapshot| {
             write_labelled_checkpoint(path, label, &snapshot)?;
             observe(PointEvent::Checkpointed { cycle }).map_err(std::io::Error::other)
@@ -724,7 +688,7 @@ pub fn run_point_observed(
     };
     let stats = result.map_err(|e| format!("{} ({label}) failed: {e}", bench.info().name))?;
     observe(PointEvent::Finished { stats: &stats })?;
-    if let Some((path, _)) = &write {
+    if let Some((path, _)) = &ckpt {
         // The point is done; its checkpoint would only go stale.
         let _ = std::fs::remove_file(path);
     }
@@ -793,14 +757,14 @@ const TRACE_EXPORT_CAPACITY: usize = 1 << 21;
 /// # Panics
 ///
 /// Panics if a simulation fails or the file cannot be written.
-pub fn export_trace(path: &str, benches: &[Box<dyn Benchmark>], fast_forward: bool) {
+pub fn export_trace(path: &str, benches: &[Box<dyn Benchmark>]) {
     let mut b = ChromeTraceBuilder::new();
     let mut total_events = 0usize;
     let mut total_dropped = 0u64;
     for (i, bench) in benches.iter().enumerate() {
         let name = bench.info().name;
         let pid = (i + 1) as u32;
-        let (ring, profile) = trace_gc_run(bench.as_ref(), fast_forward);
+        let (ring, profile) = trace_gc_run(bench.as_ref());
         b.add_process(pid, name);
         total_events += b.add_sim_events(pid, &ring.events());
         total_dropped += ring.dropped();
@@ -824,8 +788,8 @@ pub fn export_trace(path: &str, benches: &[Box<dyn Benchmark>], fast_forward: bo
     eprintln!("chrome trace written to {path} ({total_events} events, {total_dropped} dropped)");
 }
 
-/// Runs `bench` under the GC design (flat Table 2 machine, fast-forward
-/// as given) with the event trace ring and the self-profiler attached,
+/// Runs `bench` under the GC design (flat Table 2 machine) with the
+/// event trace ring and the self-profiler attached,
 /// returning the filled ring and the profile — the per-benchmark leg of
 /// [`export_trace`], public so the trace round-trip test can regenerate
 /// the expected event stream independently of the exported file.
@@ -833,15 +797,10 @@ pub fn export_trace(path: &str, benches: &[Box<dyn Benchmark>], fast_forward: bo
 /// # Panics
 ///
 /// Panics if the simulation fails.
-pub fn trace_gc_run(
-    bench: &dyn Benchmark,
-    fast_forward: bool,
-) -> (SharedTraceRing, Option<Profile>) {
+pub fn trace_gc_run(bench: &dyn Benchmark) -> (SharedTraceRing, Option<Profile>) {
     let policy = L1PolicyKind::GCache(GCacheConfig::default());
     let ring = SharedTraceRing::new(TRACE_EXPORT_CAPACITY);
-    let mut cfg = DesignPoint::flat(bench, policy).config();
-    cfg.fast_forward = fast_forward;
-    let mut gpu = Gpu::new(cfg);
+    let mut gpu = Gpu::new(DesignPoint::flat(bench, policy).config());
     gpu.attach_trace(&ring);
     gpu.enable_profiling();
     gpu.run_kernel(bench)
@@ -1010,12 +969,6 @@ mod tests {
             cli.shared_args,
             ["--quick", "--bench", "spmv,BFS", "--jobs", "8"]
         );
-        assert!(
-            !parse(SIMULATE, &["--no-fast-forward"])
-                .unwrap()
-                .run_opts()
-                .fast_forward
-        );
     }
 
     #[test]
@@ -1102,7 +1055,7 @@ mod tests {
             let err = parse(&shapes, &[flag]).unwrap_err();
             assert_eq!(err, format!("{flag} requires a value"));
         }
-        for flag in ["--telemetry", "--trace-out", "--checkpoint", "--resume"] {
+        for flag in ["--telemetry", "--trace-out", "--checkpoint"] {
             let err = parse(&shapes, &[flag, "/no/such/dir/out"]).unwrap_err();
             assert!(
                 err.starts_with(flag) && err.contains("'/no/such/dir'"),

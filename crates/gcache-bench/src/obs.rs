@@ -4,9 +4,9 @@
 //!
 //! Everything here is *provably passive*: the plane only ever appends to
 //! `RUNDIR/logs/`, replaces `RUNDIR/status.json` atomically, and serves
-//! read-only snapshots over TCP — the sweep's merged output is
-//! byte-identical with the plane enabled or disabled (the
-//! `observability_passive` integration test gates exactly that).
+//! read-only snapshots over TCP — the sweep's merged output is the
+//! library's own numbers for the same points (the
+//! `observability_is_passive` integration test gates exactly that).
 //!
 //! Layout inside a run directory:
 //!
@@ -110,25 +110,22 @@ pub struct Logger {
 impl Logger {
     /// The logger of worker `shard` (`logs/shard-NNNN.jsonl`) or, with
     /// `None`, of the coordinator (`logs/coordinator.jsonl`) in run
-    /// directory `dir`. Without a directory (`--no-logs`) it is
-    /// stderr-only: records keep their structure, nothing is written.
-    pub fn new(dir: Option<&Path>, run_id: &str, shard: Option<usize>) -> Logger {
-        let file = dir.and_then(|dir| {
-            let path = shard.map_or(coordinator_log_path(dir), |s| shard_log_path(dir, s));
-            let _ = std::fs::create_dir_all(dir.join("logs"));
-            let opened = std::fs::OpenOptions::new()
-                .append(true)
-                .create(true)
-                .open(&path);
-            match opened {
-                Ok(f) => Some(Mutex::new(f)),
-                Err(e) => {
-                    let path = path.display();
-                    eprintln!("warning: cannot open log file {path} ({e}); logging to stderr only");
-                    None
-                }
+    /// directory `dir`.
+    pub fn new(dir: &Path, run_id: &str, shard: Option<usize>) -> Logger {
+        let path = shard.map_or(coordinator_log_path(dir), |s| shard_log_path(dir, s));
+        let _ = std::fs::create_dir_all(dir.join("logs"));
+        let opened = std::fs::OpenOptions::new()
+            .append(true)
+            .create(true)
+            .open(&path);
+        let file = match opened {
+            Ok(f) => Some(Mutex::new(f)),
+            Err(e) => {
+                let path = path.display();
+                eprintln!("warning: cannot open log file {path} ({e}); logging to stderr only");
+                None
             }
-        });
+        };
         Logger {
             file,
             run_id: run_id.to_string(),
@@ -369,36 +366,30 @@ impl Heartbeat {
 }
 
 /// The worker-side heartbeat publisher: stamps and atomically replaces
-/// the shard's record on every beat. Disabled (`--no-logs`) it is a
-/// no-op, so the hot path costs one branch.
+/// the shard's record on every beat.
 #[derive(Debug)]
 pub struct HeartbeatWriter {
     /// The evolving record (public: the worker mutates fields directly,
     /// then calls [`HeartbeatWriter::beat`]).
     pub hb: Heartbeat,
-    path: Option<PathBuf>,
+    path: PathBuf,
 }
 
 impl HeartbeatWriter {
-    /// A publisher writing into `dir` (pass `None` to disable), whose
-    /// `logs/` it creates if the logger has not already.
-    pub fn new(dir: Option<&Path>, shard: usize, total: usize) -> HeartbeatWriter {
-        let path = dir.map(|d| heartbeat_path(d, shard));
-        if let Some(logs) = path.as_deref().and_then(Path::parent) {
-            let _ = std::fs::create_dir_all(logs);
-        }
+    /// A publisher writing into run directory `dir`, whose `logs/` it
+    /// creates if the logger has not already.
+    pub fn new(dir: &Path, shard: usize, total: usize) -> HeartbeatWriter {
+        let _ = std::fs::create_dir_all(dir.join("logs"));
         HeartbeatWriter {
             hb: Heartbeat::new(shard, total),
-            path,
+            path: heartbeat_path(dir, shard),
         }
     }
 
     /// Stamps `updated_ms` and publishes the current record.
     pub fn beat(&mut self) {
-        if let Some(path) = &self.path {
-            self.hb.updated_ms = unix_ms();
-            let _ = replace_atomic(path, self.hb.to_json().as_bytes());
-        }
+        self.hb.updated_ms = unix_ms();
+        let _ = replace_atomic(&self.path, self.hb.to_json().as_bytes());
     }
 }
 
@@ -564,9 +555,8 @@ pub struct StatusPlane {
 
 impl StatusPlane {
     /// Starts the plane. `listen` is the `--status-addr` value (e.g.
-    /// `127.0.0.1:0`); `status_file` is where to publish `status.json`
-    /// (`None` disables the file); `make` builds a fresh snapshot each
-    /// poll.
+    /// `127.0.0.1:0`); `status_file` is where to publish `status.json`;
+    /// `make` builds a fresh snapshot each poll.
     ///
     /// # Errors
     ///
@@ -575,7 +565,7 @@ impl StatusPlane {
     /// side never fails the sweep).
     pub fn start(
         listen: Option<&str>,
-        status_file: Option<PathBuf>,
+        status_file: PathBuf,
         make: impl FnMut() -> StatusSnapshot + Send + 'static,
     ) -> Result<StatusPlane, String> {
         let listener = match listen {
@@ -607,9 +597,7 @@ impl StatusPlane {
                         last_pub.is_none_or(|t| t.elapsed().as_millis() as u64 >= STATUS_POLL_MS);
                     if stopping || due {
                         doc = Arc::new(make().to_json());
-                        if let Some(path) = &status_file {
-                            let _ = replace_atomic(path, doc.as_bytes());
-                        }
+                        let _ = replace_atomic(&status_file, doc.as_bytes());
                         last_pub = Some(Instant::now());
                     }
                     if let Some(l) = &listener {
@@ -819,7 +807,7 @@ mod tests {
         // a worker use the `worker` key — the `shard` prefix key names the
         // *emitting* process.
         let dir = tmpdir("log");
-        let log = Logger::new(Some(&dir), "run-1", None);
+        let log = Logger::new(&dir, "run-1", None);
         log.warn("shard_stale").num("worker", 2).emit();
         let text = std::fs::read_to_string(coordinator_log_path(&dir)).unwrap();
         assert!(text.starts_with("{\"ts_ms\":") && text.contains(",\"elapsed_ms\":"));
@@ -834,7 +822,7 @@ mod tests {
 
         // Every field type, a key and strings that need escaping,
         // non-finite floats, a worker's `shard` prefix, the message last.
-        let log = Logger::new(Some(&dir), "run \"1\"", Some(3));
+        let log = Logger::new(&dir, "run \"1\"", Some(3));
         log.info("every\tfield")
             .num("points", 36)
             .num("neg", -7i64)
@@ -862,12 +850,8 @@ mod tests {
     #[test]
     fn shard_logger_appends_across_instances() {
         let dir = tmpdir("append");
-        Logger::new(Some(&dir), "a", Some(3))
-            .info("worker_start")
-            .emit();
-        Logger::new(Some(&dir), "b", Some(3))
-            .info("worker_start")
-            .emit();
+        Logger::new(&dir, "a", Some(3)).info("worker_start").emit();
+        Logger::new(&dir, "b", Some(3)).info("worker_start").emit();
         let text = std::fs::read_to_string(shard_log_path(&dir, 3)).unwrap();
         assert_eq!(text.lines().count(), 2, "respawn logs append, not truncate");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -876,7 +860,7 @@ mod tests {
     #[test]
     fn heartbeat_round_trips() {
         let dir = tmpdir("hb");
-        let mut w = HeartbeatWriter::new(Some(&dir), 1, 6);
+        let mut w = HeartbeatWriter::new(&dir, 1, 6);
         w.hb.done = 2;
         w.hb.current_index = Some(7);
         w.hb.current_label = "BFS|GCache".into();
@@ -907,11 +891,6 @@ mod tests {
             Heartbeat::from_json(&Json::parse(&hb.to_json()).unwrap()),
             Some(hb)
         );
-
-        // A disabled writer writes nothing.
-        let mut off = HeartbeatWriter::new(None, 2, 6);
-        off.beat();
-        assert!(Heartbeat::read(&dir, 2).is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1003,7 +982,7 @@ mod tests {
             elapsed_ms: publishes.fetch_add(1, Ordering::Relaxed),
             ..snapshot()
         };
-        let plane = StatusPlane::start(Some("127.0.0.1:0"), Some(status_file.clone()), make)
+        let plane = StatusPlane::start(Some("127.0.0.1:0"), status_file.clone(), make)
             .expect("plane starts");
         let addr = plane.addr.expect("bound address");
 

@@ -61,10 +61,10 @@ use std::time::Instant;
 /// clean error instead of a crash loop.
 pub const MAX_RESPAWNS: usize = 5;
 
-/// Default `--stale-after-ms`: a worker whose heartbeat is older than
-/// this while its shard still has work in flight is flagged stale (a
-/// warning event plus a status gauge — detection only, never a kill).
-const DEFAULT_STALE_AFTER_MS: u64 = 30_000;
+/// A worker whose heartbeat is older than this while its shard still has
+/// work in flight is flagged stale (a warning event plus a status gauge —
+/// detection only, never a kill).
+const STALE_AFTER_MS: u64 = 30_000;
 
 /// First line of `manifest.txt`; bumped if the run-directory layout ever
 /// changes incompatibly.
@@ -92,7 +92,7 @@ const OWN_FLAGS: &[FlagDoc] = &[
     (
         "--workers N",
         "worker *processes* to shard the grid across (default:\n\
-         the --jobs resolution order). The count may differ\n\
+         the host's available parallelism). The count may differ\n\
          between a run and its resumption",
     ),
     (
@@ -101,34 +101,18 @@ const OWN_FLAGS: &[FlagDoc] = &[
          127.0.0.1:0; the bound port is logged at startup):\n\
          GET /status.json for the aggregated JSON document",
     ),
-    (
-        "--stale-after-ms N",
-        "flag a shard stale when its heartbeat is older than N ms\n\
-         while work is still in flight (default 30000; detection\n\
-         only — a warning event plus a status gauge)",
-    ),
-    (
-        "--no-logs",
-        "disable the observability files (logs/*.jsonl,\n\
-         heartbeats, status.json); structured records still go\n\
-         to stderr, and stale-shard detection is off (there are\n\
-         no heartbeats to age). The sweep output is\n\
-         byte-identical either way",
-    ),
     ("--shard INDEX", "(internal) run as this shard's worker"),
     ("--run-id ID", "(internal) the coordinator's run identity"),
 ];
 
 /// The shared flags `sweep_server` honours: the grid selection, and
 /// `--checkpoint-every` for the cadence of the checkpoints it always
-/// takes into RUNDIR/ckpt (so `--checkpoint`/`--resume` do not apply).
+/// takes into RUNDIR/ckpt (so `--checkpoint` does not apply).
 const SHARED_FLAGS: &[&str] = &[
     "--quick",
     "--bench",
-    "--jobs",
     "--hierarchy",
     "--cluster-ports",
-    "--no-fast-forward",
     "--checkpoint-every",
 ];
 
@@ -181,11 +165,6 @@ pub struct ServerOpts {
     /// Listen address of the live status endpoint (`--status-addr`),
     /// coordinator-only.
     pub status_addr: Option<String>,
-    /// Heartbeat staleness threshold (`--stale-after-ms`).
-    pub stale_after_ms: u64,
-    /// Disable the observability files (`--no-logs`); structured records
-    /// still mirror to stderr.
-    pub no_logs: bool,
     /// Run identity (`--run-id`, stamped onto worker spawns by the
     /// coordinator — not part of the public interface).
     pub run_id: Option<String>,
@@ -200,8 +179,7 @@ impl ServerOpts {
     /// Parses a `sweep_server` argument list (no program name).
     pub fn parse(args: Vec<String>) -> Result<ServerOpts, String> {
         let (mut dir, mut shard, mut workers) = (None, None, None);
-        let (mut status_addr, mut run_id, mut no_logs) = (None, None, false);
-        let mut stale_after_ms = DEFAULT_STALE_AFTER_MS;
+        let (mut status_addr, mut run_id) = (None, None);
         let cli = Cli::try_parse(
             "sweep_server",
             SHARED_FLAGS,
@@ -212,8 +190,6 @@ impl ServerOpts {
                     "--dir" => dir = Some(v.string()?),
                     "--workers" => workers = Some(v.positive()?),
                     "--status-addr" => status_addr = Some(v.string()?),
-                    "--stale-after-ms" => stale_after_ms = v.positive()?,
-                    "--no-logs" => no_logs = true,
                     "--shard" => {
                         let s = v.string()?;
                         let index = s.parse::<usize>();
@@ -228,21 +204,18 @@ impl ServerOpts {
             },
         )?;
         let dir: String = dir.ok_or("--dir RUNDIR is required (the sweep's state lives there)")?;
-        // Worker-process count: `--workers`, falling back to the shared
-        // `--jobs` resolution order.
+        // Worker-process count: `--workers`, else (no `--jobs` here) the
+        // host's available parallelism.
         let workers = workers.unwrap_or_else(|| cli.jobs());
         // What a worker process is spawned with: the run directory, the
         // shared flags as given (so it rebuilds the identical grid at the
         // identical cadence) and the resolved worker count — the
         // round-robin deal must match between coordinator and workers
-        // even when the coordinator's count came from the environment.
+        // even when the coordinator's count came from the host.
         // `--shard`/`--run-id` are added per spawn; the status flags are
         // the coordinator's alone.
         let mut passthrough = vec!["--dir".into(), dir.clone()];
         passthrough.extend(["--workers".to_string(), workers.to_string()]);
-        if no_logs {
-            passthrough.push("--no-logs".into());
-        }
         passthrough.extend(cli.shared_args.iter().cloned());
         Ok(ServerOpts {
             dir: PathBuf::from(dir),
@@ -250,8 +223,6 @@ impl ServerOpts {
             every: cli.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY),
             shard,
             status_addr,
-            stale_after_ms,
-            no_logs,
             run_id,
             cli,
             passthrough,
@@ -329,13 +300,12 @@ fn run_worker(
     workers: usize,
 ) -> Result<(), String> {
     let run_id = opts.run_id.clone().unwrap_or_else(fresh_run_id);
-    let logs = (!opts.no_logs).then_some(opts.dir.as_path());
-    let log = Logger::new(logs, &run_id, Some(shard));
+    let log = Logger::new(&opts.dir, &run_id, Some(shard));
     let fault = parse_fault();
     let mine: Vec<usize> = (0..grid.len())
         .filter(|&i| owner(i, workers) == shard)
         .collect();
-    let mut hb = HeartbeatWriter::new(logs, shard, mine.len());
+    let mut hb = HeartbeatWriter::new(&opts.dir, shard, mine.len());
     hb.beat();
     log.info("worker_start")
         .num("points", mine.len() as i64)
@@ -355,14 +325,12 @@ fn run_worker(
         let p = &grid[i];
         let label = p.label(false);
         // The server always checkpoints into and resumes from RUNDIR/ckpt.
-        let stem = ckpt_stem(&opts.dir, i);
         let run_opts = RunOpts {
             checkpoint: Some(CheckpointOpts {
-                write: Some(stem.clone()),
+                stem: ckpt_stem(&opts.dir, i),
                 every: opts.every,
-                resume: Some(stem),
             }),
-            ..opts.cli.run_opts()
+            sampled: false,
         };
 
         let point_start = Instant::now();
@@ -539,8 +507,7 @@ fn run_coordinator(
         .map_err(|e| format!("cannot prepare {}: {e}", opts.dir.display()))?;
 
     let run_id = opts.run_id.clone().unwrap_or_else(fresh_run_id);
-    let logs = (!opts.no_logs).then_some(opts.dir.as_path());
-    let log = Arc::new(Logger::new(logs, &run_id, None));
+    let log = Arc::new(Logger::new(&opts.dir, &run_id, None));
 
     // The manifest pins the grid to the directory: resuming with
     // different flags (a different grid) must fail loudly instead of
@@ -599,7 +566,7 @@ fn run_coordinator(
 
     let fleet = Arc::new(FleetState::new(workers, fault.clone()));
     let plane = start_status_plane(opts, grid.len(), done, workers, &run_id, &log, &fleet)?;
-    if let Some(addr) = plane.as_ref().and_then(|plane| plane.addr) {
+    if let Some(addr) = plane.addr {
         log.info("status_endpoint")
             .str_field("addr", &addr.to_string())
             .msg(format!(
@@ -644,11 +611,11 @@ fn run_coordinator(
 
 /// Starts the coordinator's status plane: periodic aggregation of the
 /// worker heartbeats plus the coordinator-owned fleet bookkeeping into
-/// `status.json` (skipped under `--no-logs`) and the optional live
-/// endpoint. Returns `None` when there is nothing to publish at all.
-/// `done_at_start` points were complete before this coordinator started.
-/// Stale shards are detected here, on each aggregation pass, and logged
-/// once per stale episode.
+/// `status.json` and the optional live endpoint. `done_at_start` points
+/// were complete before this coordinator started. A heartbeat stamped
+/// before the plane started is an earlier attempt's, not live progress,
+/// and is read as none. Stale shards are detected here, on each
+/// aggregation pass, and logged once per stale episode.
 fn start_status_plane(
     opts: &ServerOpts,
     points_total: usize,
@@ -657,22 +624,12 @@ fn start_status_plane(
     run_id: &str,
     log: &Arc<Logger>,
     fleet: &Arc<FleetState>,
-) -> Result<Option<StatusPlane>, String> {
-    if opts.no_logs && opts.status_addr.is_none() {
-        return Ok(None);
-    }
+) -> Result<StatusPlane, String> {
     let dir = opts.dir.clone();
     let run_id = run_id.to_string();
-    let stale_after_ms = opts.stale_after_ms;
-    // Under --no-logs the workers write no heartbeat files at all, so a
-    // missing/old heartbeat carries no signal — staleness detection
-    // would flag every healthy shard, and a file left by an earlier
-    // logged attempt would pass for live progress. Keep the plane
-    // (endpoint, counts) but read no heartbeats.
-    let heartbeats_enabled = !opts.no_logs;
     let log = Arc::clone(log);
     let fleet = Arc::clone(fleet);
-    let start = Instant::now();
+    let (start, started_ms) = (Instant::now(), unix_ms());
     let mut warned = vec![false; workers];
     let make = move || {
         let state = *fleet.state.lock().unwrap();
@@ -684,25 +641,20 @@ fn start_status_plane(
             .count();
         let shards: Vec<ShardStatus> = (0..workers)
             .map(|s| {
-                let heartbeat = heartbeats_enabled
-                    .then(|| Heartbeat::read(&dir, s))
-                    .flatten();
+                let heartbeat = Heartbeat::read(&dir, s).filter(|hb| hb.updated_ms >= started_ms);
                 let age_ms = heartbeat
                     .as_ref()
                     .map(|hb| now.saturating_sub(hb.updated_ms));
                 let complete = heartbeat.as_ref().is_some_and(|hb| hb.done >= hb.total);
-                let stale = heartbeats_enabled
-                    && running
-                    && !complete
-                    && age_ms.unwrap_or(elapsed_ms) > stale_after_ms;
+                let stale = running && !complete && age_ms.unwrap_or(elapsed_ms) > STALE_AFTER_MS;
                 if stale && !warned[s] {
                     warned[s] = true;
                     log.warn("shard_stale")
                         .num("worker", s as i64)
                         .num("age_ms", age_ms.unwrap_or(elapsed_ms) as i64)
-                        .num("stale_after_ms", stale_after_ms as i64)
+                        .num("stale_after_ms", STALE_AFTER_MS as i64)
                         .msg(format!(
-                            "worker {s} heartbeat is stale ({} ms old; threshold {stale_after_ms})",
+                            "worker {s} heartbeat is stale ({} ms old; threshold {STALE_AFTER_MS})",
                             age_ms.unwrap_or(elapsed_ms)
                         ))
                         .emit();
@@ -726,13 +678,12 @@ fn start_status_plane(
             workers,
             elapsed_ms,
             eta_ms: eta_ms(elapsed_ms, done_at_start, points_done, points_total),
-            stale_after_ms,
+            stale_after_ms: STALE_AFTER_MS,
             fault: fleet.fault.clone(),
             shards,
         }
     };
-    let status_file = (!opts.no_logs).then(|| status_path(&opts.dir));
-    StatusPlane::start(opts.status_addr.as_deref(), status_file, make).map(Some)
+    StatusPlane::start(opts.status_addr.as_deref(), status_path(&opts.dir), make)
 }
 
 /// The time still to go, at the pace of the points this coordinator has
@@ -756,7 +707,7 @@ pub fn run(opts: &ServerOpts) -> Result<(), String> {
     let benches = opts.cli.benchmarks();
     let grid = grid(&opts.cli, &benches);
     // Clamped identically in the coordinator and in every worker (both
-    // see the same pinned `--jobs` and the same grid), so the deal and
+    // see the same pinned `--workers` and the same grid), so the deal and
     // the supervised shard set always agree.
     let workers = opts.workers.clamp(1, grid.len().max(1));
     match opts.shard {
@@ -855,7 +806,7 @@ mod tests {
         assert!(err.contains("--dir"), "got: {err}");
         // The server always checkpoints into RUNDIR/ckpt and samples
         // nothing: flags it would have to ignore are errors.
-        for flag in ["--checkpoint", "--resume", "--telemetry", "--trace-out"] {
+        for flag in ["--checkpoint", "--telemetry", "--trace-out"] {
             let err = ServerOpts::parse(args(&["--dir", "d", flag, "x"])).unwrap_err();
             assert!(
                 err.contains("sweep_server") && err.contains(flag),
@@ -880,38 +831,47 @@ mod tests {
         assert_eq!(eta_ms(1000, 90, 100, 100), None, "done");
     }
 
+    /// A run directory left by an earlier attempt holds that attempt's
+    /// heartbeats: the plane reads them as none (not as live progress, and
+    /// not as a shard gone stale while the sweep was down) until this
+    /// attempt's workers beat.
     #[test]
-    fn no_logs_plane_reads_no_heartbeat() {
+    fn plane_ignores_heartbeats_from_before_its_start() {
         use crate::obs::http_get;
         let dir = std::env::temp_dir().join(format!("gcache-server-{}-hb", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        // What an earlier, logged attempt left behind.
-        let mut old = HeartbeatWriter::new(Some(&dir), 0, 6);
-        old.hb.done = 3;
-        old.beat();
+        std::fs::create_dir_all(dir.join("logs")).unwrap();
+        let old = r#"{"shard":0,"pid":1,"done":3,"total":6,"current_index":7,"current_label":"BFS|Lru","last_ckpt_cycle":0,"updated_ms":1}"#;
+        std::fs::write(dir.join("logs/heartbeat-0000.json"), old).unwrap();
+        assert_eq!(Heartbeat::read(&dir, 0).map(|hb| hb.done), Some(3));
 
-        let served = |extra: &[&str]| {
-            let mut args = vec![
-                "--dir",
-                dir.to_str().unwrap(),
-                "--status-addr",
-                "127.0.0.1:0",
-            ];
-            args.extend(extra);
-            let opts = ServerOpts::parse(args.iter().map(|s| s.to_string()).collect()).unwrap();
-            let log = Arc::new(Logger::new(None, "r", None));
-            let fleet = Arc::new(FleetState::new(1, None));
-            let plane = start_status_plane(&opts, 6, 0, 1, "r", &log, &fleet)
-                .unwrap()
-                .expect("a plane with an endpoint");
-            let (code, body) = http_get(plane.addr.unwrap(), "/status.json").unwrap();
-            assert_eq!(code, 200);
-            body
-        };
-        assert!(served(&[]).contains(r#""heartbeat":{"shard":0"#));
-        let body = served(&["--no-logs"]);
-        assert!(body.contains(r#""heartbeat":null"#), "got: {body}");
+        let args = [
+            "--dir",
+            dir.to_str().unwrap(),
+            "--status-addr",
+            "127.0.0.1:0",
+        ];
+        let opts = ServerOpts::parse(args.iter().map(|s| s.to_string()).collect()).unwrap();
+        let log = Arc::new(Logger::new(&dir, "r", None));
+        let fleet = Arc::new(FleetState::new(1, None));
+        let plane = start_status_plane(&opts, 6, 0, 1, "r", &log, &fleet).unwrap();
+        let get = || http_get(plane.addr.unwrap(), "/status.json").unwrap().1;
+        let first = get();
+        assert!(first.contains(r#""stale":false"#), "got: {first}");
+        assert!(first.contains(r#""heartbeat":null"#), "got: {first}");
+
+        let mut hb = HeartbeatWriter::new(&dir, 0, 6);
+        hb.hb.done = 4;
+        hb.beat();
+        let asked = Instant::now();
+        while !get().contains(r#""heartbeat":{"shard":0,"pid""#) {
+            assert!(asked.elapsed().as_secs() < 2, "the new beat is never read");
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        assert!(get().contains(r#""done":4,"#));
+        drop(plane);
+        let logged = std::fs::read_to_string(dir.join("logs/coordinator.jsonl")).unwrap();
+        assert!(!logged.contains("shard_stale"), "got: {logged}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

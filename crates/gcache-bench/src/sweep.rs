@@ -12,9 +12,8 @@
 //!
 //! Entry points: [`Sweep`], the run context every experiment binary
 //! drives its grids through; [`parallel_map`] for arbitrary job types;
-//! [`run_design_points_with`] for the stats of a benchmark grid under
-//! explicit [`RunOpts`], and [`run_design_points`] as its
-//! default-options form.
+//! [`run_design_points`] for the stats of a benchmark grid under
+//! [`RunOpts::default`].
 
 use crate::{
     export_trace, run_point, select_optimal_pd, write_telemetry_series, Cli, PolicyPlanes, RunOpts,
@@ -97,7 +96,7 @@ impl<'a> DesignPoint<'a> {
     }
 
     /// A stable identity for this point, embedded in (and hashed into the
-    /// filename of) its checkpoint so `--resume` can never cross wires
+    /// filename of) its checkpoint so a resume can never cross wires
     /// between points — not even between the sampled and unsampled runs
     /// of the same configuration, whose machine states coincide but whose
     /// telemetry does not. Also the point's name in the sweep server's
@@ -192,7 +191,7 @@ impl Sweep {
     /// # Panics
     ///
     /// Panics if two cells of the grid share a label — labels name
-    /// checkpoint files, so `--resume` would cross wires between them —
+    /// checkpoint files, so a resume would cross wires between them —
     /// or if a simulation fails (see [`run_point`]).
     pub fn grid<'a, I>(
         &'a self,
@@ -284,25 +283,16 @@ impl Sweep {
             write_telemetry_series(path, &series);
         }
         if let Some(path) = &self.cli.trace_out {
-            export_trace(path, &self.benches, self.opts.fast_forward);
+            export_trace(path, &self.benches);
         }
     }
 }
 
-/// Runs a grid of design points on `jobs` worker threads under `opts`,
-/// returning stats in submission order.
-pub fn run_design_points_with(
-    points: &[DesignPoint<'_>],
-    jobs: usize,
-    opts: &RunOpts,
-) -> Vec<SimStats> {
-    parallel_map(points, jobs, |p| p.run(opts).0)
-}
-
-/// [`run_design_points_with`] under [`RunOpts::default`]: fast-forward
-/// on, no checkpoints.
+/// Runs a grid of design points on `jobs` worker threads under
+/// [`RunOpts::default`] (no checkpoints, no sampler), returning stats in
+/// submission order.
 pub fn run_design_points(points: &[DesignPoint<'_>], jobs: usize) -> Vec<SimStats> {
-    run_design_points_with(points, jobs, &RunOpts::default())
+    parallel_map(points, jobs, |p| p.run(&RunOpts::default()).0)
 }
 
 /// Applies `f` to every item on a pool of `jobs` scoped worker threads

@@ -1,5 +1,5 @@
 //! Damaged, stale and hostile checkpoints: whatever reaches
-//! `Gpu::restore_checkpoint` or a `--resume` stem that is not a snapshot
+//! `Gpu::restore_checkpoint` or a `--checkpoint` stem that is not a snapshot
 //! this build wrote must come back as an `Err` — and, through
 //! `run_point_observed`, as [`PointEvent::CheckpointIgnored`] followed by
 //! a fresh simulation with the uninterrupted run's statistics — never as a
@@ -126,12 +126,10 @@ fn damaged_snapshots_are_errors_never_panics_never_accepted() {
 fn interrupted_point(bench: &dyn Benchmark, stem: &str, dir: &Path) -> PathBuf {
     let opts = RunOpts {
         checkpoint: Some(CheckpointOpts {
-            write: Some(stem.to_string()),
+            stem: stem.to_string(),
             every: EVERY,
-            resume: None,
         }),
         sampled: true,
-        ..RunOpts::default()
     };
     let aborted = run_point_observed(gc_config(), bench, LABEL, &opts, &mut |event| match event {
         PointEvent::Checkpointed { .. } => Err("killed".to_string()),
@@ -154,12 +152,10 @@ fn interrupted_point(bench: &dyn Benchmark, stem: &str, dir: &Path) -> PathBuf {
 fn resume_point(bench: &dyn Benchmark, stem: Option<&str>) -> (String, Vec<String>) {
     let opts = RunOpts {
         checkpoint: stem.map(|s| CheckpointOpts {
-            write: None,
+            stem: s.to_string(),
             every: EVERY,
-            resume: Some(s.to_string()),
         }),
         sampled: true,
-        ..RunOpts::default()
     };
     let mut heard = Vec::new();
     let (stats, _) = run_point_observed(gc_config(), bench, LABEL, &opts, &mut |event| {

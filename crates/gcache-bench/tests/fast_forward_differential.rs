@@ -6,15 +6,15 @@
 //! replay counters, NoC and DRAM stats are all covered by comparing the
 //! `Debug` renderings field for field.
 //!
-//! The second test repeats the differential through the sweep engine as
-//! an in-process A/B: no run reads process-wide state, so a default and a
-//! `fast_forward: false` sweep of the same grid run *concurrently* and
-//! must agree, and parsing a command line cannot steer a later run.
+//! The last test repeats the differential through the sweep engine as
+//! an in-process A/B: no run reads process-wide state, so a default sweep
+//! and plain-loop runs of the same grid run *concurrently* and must
+//! agree, and parsing a command line cannot steer a later run.
 
-use gcache_bench::sweep::{run_design_points, run_design_points_with, DesignPoint};
-use gcache_bench::{CheckpointOpts, Cli, RunOpts, SIMULATE};
+use gcache_bench::sweep::{run_design_points, DesignPoint};
+use gcache_bench::{run_point_observed, CheckpointOpts, Cli, RunOpts, SIMULATE};
 use gcache_core::cache::CopyBackPlane;
-use gcache_sim::config::{GpuConfig, Hierarchy};
+use gcache_sim::config::{GpuConfig, Hierarchy, L1PolicyKind};
 use gcache_sim::gpu::Gpu;
 use gcache_sim::stats::SimStats;
 use gcache_workloads::{Benchmark, Scale};
@@ -86,6 +86,17 @@ fn fast_forward_stats_match_plain_loop() {
                     &format!("{hierarchy:?}"),
                 );
             }
+        }
+        // The SPDP-B oracle (`Sweep::oracle`) runs every candidate
+        // protection distance on the flat machine.
+        for &pd in gcache_bench::PD_CANDIDATES {
+            let cfg =
+                GpuConfig::fermi_with_policy(L1PolicyKind::StaticPdp { pd }).expect("valid config");
+            assert_same_with_and_without_fast_forward(
+                bench.as_ref(),
+                &cfg,
+                &format!("Flat, pd {pd}"),
+            );
         }
     }
 }
@@ -168,17 +179,14 @@ fn sweep_engine_ab_in_one_process() {
         .collect();
     let render = |stats: &[SimStats]| stats.iter().map(|s| format!("{s:?}")).collect::<Vec<_>>();
 
-    // A/B: both sweeps start together (the barrier) and overlap for their
-    // whole length, each under its own explicit options.
-    let plain_loop = RunOpts {
-        fast_forward: false,
-        ..RunOpts::default()
-    };
+    // A/B: both sides start together (the barrier) and overlap for their
+    // whole length, each under its own explicit configuration.
     let start = std::sync::Barrier::new(2);
     let (fast, slow) = std::thread::scope(|s| {
         let slow = s.spawn(|| {
             start.wait();
-            run_design_points_with(&grid, 2, &plain_loop)
+            let plain_loop = |p: &DesignPoint<'_>| simulate(p.bench, &p.config(), false);
+            grid.iter().map(plain_loop).collect::<Vec<_>>()
         });
         start.wait();
         let fast = run_design_points(&grid, 2);
@@ -187,7 +195,7 @@ fn sweep_engine_ab_in_one_process() {
     assert_eq!(
         render(&fast),
         render(&slow),
-        "concurrent sweeps under different RunOpts disagree"
+        "a sweep and concurrent plain-loop runs disagree"
     );
 
     // Parsing is pure. The stem's directory exists while the flags are
@@ -197,33 +205,19 @@ fn sweep_engine_ab_in_one_process() {
     let dir = std::env::temp_dir().join(format!("gcache-ff-ab-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let stem = dir.join("ck").display().to_string();
-    let args = [
-        "--no-fast-forward",
-        "--checkpoint",
-        &stem,
-        "--checkpoint-every",
-        "500",
-    ];
+    let args = ["--checkpoint", &stem, "--checkpoint-every", "500"];
     let args = args.iter().map(|s| s.to_string());
     let cli = Cli::try_parse("test", SIMULATE, &[], args, |_, _| Ok(())).expect("valid flags");
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
     let want = RunOpts {
-        fast_forward: false,
-        checkpoint: Some(CheckpointOpts {
-            write: Some(stem),
-            every: 500,
-            resume: None,
-        }),
+        checkpoint: Some(CheckpointOpts { stem, every: 500 }),
         sampled: false,
     };
     assert_eq!(cli.run_opts(), want);
-    let unrunnable = std::thread::scope(|s| {
-        s.spawn(|| run_design_points_with(&grid[..1], 1, &want))
-            .join()
-            .is_err()
-    });
+    let p = &grid[0];
+    let run = run_point_observed(p.config(), p.bench, &p.label(false), &want, &mut |_| Ok(()));
     assert!(
-        unrunnable,
+        run.is_err(),
         "vacuous check: the parsed options should not be runnable any more"
     );
     assert_eq!(

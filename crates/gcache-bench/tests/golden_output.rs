@@ -136,18 +136,6 @@ fn mlsweep_quick_stdout_matches_golden() {
     assert_eq!(stdout, include_str!("golden/mlsweep_quick.txt"));
 }
 
-/// Disabling idle-cycle fast-forward must reproduce the same bytes the
-/// (fast-forwarding) golden was captured with — the end-to-end complement
-/// of the stats-level differential test.
-#[test]
-fn fig8_fig9_quick_without_fast_forward_matches_golden() {
-    run_quick_with(
-        env!("CARGO_BIN_EXE_fig8_fig9"),
-        &["--no-fast-forward"],
-        include_str!("golden/fig8_fig9_quick.txt"),
-    );
-}
-
 /// `bin args` must be refused at the command line: exit status 2,
 /// nothing on stdout, `needle` on stderr.
 fn assert_usage_error(bin: &str, args: &[&str], needle: &str) {
@@ -204,9 +192,47 @@ fn table1_refuses_simulation_flags() {
         let needle = format!("table1 does not take '{flag}'");
         assert_usage_error(table1, &[flag, "x"], &needle);
     }
-    for flag in ["--checkpoint-every", "--resume", "--no-fast-forward"] {
-        let needle = format!("table1 does not take '{flag}'");
-        assert_usage_error(table1, &[flag], &needle);
+    let needle = "table1 does not take '--checkpoint-every'";
+    assert_usage_error(table1, &["--checkpoint-every"], needle);
+}
+
+/// Each setting has one flag or none: `--checkpoint` also resumes, the
+/// plain cycle loop is `GpuConfig::fast_forward`, and `sweep_server`
+/// always writes its logs, flags staleness at a fixed threshold and
+/// counts its workers with `--workers`. A second flag for any of these
+/// is refused.
+#[test]
+fn retired_flags_are_usage_errors() {
+    let fig2 = env!("CARGO_BIN_EXE_fig2");
+    let server = env!("CARGO_BIN_EXE_sweep_server");
+    for (bin, args, refusal) in [
+        (
+            fig2,
+            &["--quick", "--resume", "x"][..],
+            "fig2 does not take '--resume'",
+        ),
+        (
+            fig2,
+            &["--quick", "--no-fast-forward"],
+            "fig2 does not take '--no-fast-forward'",
+        ),
+        (
+            server,
+            &["--dir", "d", "--no-logs"],
+            "sweep_server does not take '--no-logs'",
+        ),
+        (
+            server,
+            &["--dir", "d", "--stale-after-ms", "5"],
+            "sweep_server does not take '--stale-after-ms'",
+        ),
+        (
+            server,
+            &["--dir", "d", "--jobs", "2"],
+            "sweep_server does not take '--jobs'",
+        ),
+    ] {
+        assert_usage_error(bin, args, refusal);
     }
 }
 

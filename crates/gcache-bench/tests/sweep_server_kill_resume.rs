@@ -23,7 +23,7 @@ const GRID: &[&str] = &[
     "--quick",
     "--bench",
     "BFS,STL",
-    "--jobs",
+    "--workers",
     "2",
     "--checkpoint-every",
     "1200",

@@ -234,8 +234,9 @@ pub struct GpuConfig {
     pub max_cycles: u64,
     /// Skip provably idle cycles by jumping the global clock to the next
     /// component event (see `clocked`'s module docs). Results are
-    /// bit-identical either way; disable to cross-check or to profile the
-    /// plain cycle loop.
+    /// bit-identical either way: `false` is the plain cycle loop, the
+    /// reference the fast-forward and checkpoint differential tests and
+    /// the benchmark compare against.
     pub fast_forward: bool,
 }
 

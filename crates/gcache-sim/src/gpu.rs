@@ -650,11 +650,12 @@ impl Gpu {
         }
         s.noc_in_flight = self.icnt.in_flight() as u64;
         s.noc_queue_depth = self.icnt.max_queue_depth() as u64;
-        let (rq, rs) = (self.icnt.req_stats(), self.icnt.resp_stats());
-        s.noc_packets = rq.packets + rs.packets;
-        s.noc_inject_fails = rq.inject_fails + rs.inject_fails;
-        s.noc_delivered = rq.delivered + rs.delivered;
-        s.noc_total_latency = rq.total_latency + rs.total_latency;
+        let mut noc = *self.icnt.req_stats();
+        noc.merge(self.icnt.resp_stats());
+        s.noc_packets = noc.packets;
+        s.noc_inject_fails = noc.inject_fails;
+        s.noc_delivered = noc.delivered;
+        s.noc_total_latency = noc.total_latency;
         s
     }
 

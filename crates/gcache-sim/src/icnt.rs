@@ -126,6 +126,7 @@ record! {
         /// Sum of per-packet latencies (inject → delivery), for averaging.
         pub total_latency: u64,
     }
+    impl merge;
 }
 
 impl NocStats {

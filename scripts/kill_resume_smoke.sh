@@ -16,7 +16,7 @@ BIN=./target/release/sweep_server
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-FLAGS=(--quick --bench BFS,STL --jobs 2 --checkpoint-every 1200)
+FLAGS=(--quick --bench BFS,STL --workers 2 --checkpoint-every 1200)
 
 echo "==> clean sweep (reference bytes)"
 "$BIN" --dir "$tmp/clean" "${FLAGS[@]}" > "$tmp/clean.tsv" 2>/dev/null
